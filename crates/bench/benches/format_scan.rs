@@ -4,9 +4,9 @@
 use std::sync::Arc;
 
 use vectorh_bench::harness::Group;
+use vectorh_blockstore::{BlockStoreConfig, DefaultPolicy, SimHdfs, StoreRef};
 use vectorh_common::{ColumnData, DataType, Schema, Value};
 use vectorh_compress::baseline::{decode as bdecode, encode as bencode, BaselineFormat};
-use vectorh_simhdfs::{DefaultPolicy, SimHdfs, SimHdfsConfig, StoreRef};
 use vectorh_storage::minmax::PruneOp;
 use vectorh_storage::{PartitionStore, StorageConfig};
 
@@ -15,7 +15,7 @@ const N: i64 = 200_000;
 fn store() -> PartitionStore {
     let fs: StoreRef = Arc::new(SimHdfs::new(
         1,
-        SimHdfsConfig {
+        BlockStoreConfig {
             block_size: 1 << 20,
             default_replication: 1,
         },

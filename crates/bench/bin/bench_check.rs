@@ -1,20 +1,16 @@
 //! Validate a committed `BENCH_*.json` perf report.
 //!
 //! CI runs this against both freshly generated quick reports and the
-//! committed artifacts (`BENCH_pr6.json`, `BENCH_pr8.json`,
-//! `BENCH_pr10.json`): the file must exist, parse through the in-tree JSON
-//! parser, contain entries, and pass every acceptance gate that applies to
-//! its contents:
+//! committed artifacts (`BENCH_pr6.json`, `BENCH_pr8.json`): the file must
+//! exist, parse through the in-tree JSON parser, contain entries, and pass
+//! every acceptance gate that applies to its contents:
 //!
 //! * **unpack reports** — when the recording host dispatched a vector arm,
 //!   at least 2x cycles/value improvement on every narrow bit-unpack width
 //!   (≤ 16);
 //! * **load_gen reports** — zero client-visible failures, positive
 //!   throughput, and a complete counter set (the front door's "node death
-//!   is invisible" promise, machine-checked in the artifact);
-//! * **backend reports** — the file backend's fig7 answers byte-identical
-//!   to the simulation's, durability fsyncs actually recorded, positive
-//!   raw-scan throughput on both backends.
+//!   is invisible" promise, machine-checked in the artifact).
 //!
 //! A report matching no gate fails. Exits nonzero (panics) on any
 //! violation, so a regression that sneaks into a committed artifact turns
@@ -65,33 +61,6 @@ fn check_load_gen(path: &str, entries: &[Entry]) -> usize {
     1
 }
 
-fn check_backend(path: &str, entries: &[Entry]) -> usize {
-    let get = |group: &str, case: &str| {
-        entries
-            .iter()
-            .find(|e| e.group == group && e.case == case)
-            .unwrap_or_else(|| panic!("{path}: backend report missing `{group}/{case}`"))
-            .value
-    };
-    assert!(
-        get("fig7-backend", "answers_match") == 1.0,
-        "{path}: file backend diverged from the simulation"
-    );
-    assert!(
-        get("fig7-backend", "total/sim") > 0.0 && get("fig7-backend", "total/file") > 0.0,
-        "{path}: nonpositive backend query times"
-    );
-    assert!(
-        get("fig7-backend", "file_fsyncs") > 0.0,
-        "{path}: file backend recorded no fsyncs — durability points not firing"
-    );
-    assert!(
-        get("store-scan", "sim") > 0.0 && get("store-scan", "file") > 0.0,
-        "{path}: nonpositive raw scan throughput"
-    );
-    1
-}
-
 fn main() {
     let path = std::env::args()
         .nth(1)
@@ -117,10 +86,6 @@ fn main() {
     if entries.iter().any(|e| e.group == "load_gen") {
         check_load_gen(&path, &entries);
         gates.push("load_gen: zero client-visible failures".to_string());
-    }
-    if entries.iter().any(|e| e.group == "fig7-backend") {
-        check_backend(&path, &entries);
-        gates.push("backend: file answers byte-identical, fsyncs firing".to_string());
     }
     assert!(
         !gates.is_empty(),

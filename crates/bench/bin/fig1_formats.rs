@@ -19,9 +19,9 @@
 use std::sync::Arc;
 
 use vectorh_bench::{print_table, timed_hot};
+use vectorh_blockstore::{BlockStore, BlockStoreConfig, DefaultPolicy, SimHdfs, StoreRef};
 use vectorh_common::{ColumnData, Schema, Value};
 use vectorh_compress::baseline::{decode as bdecode, encode as bencode, BaselineFormat};
-use vectorh_simhdfs::{BlockStore, DefaultPolicy, SimHdfs, SimHdfsConfig, StoreRef};
 use vectorh_storage::minmax::PruneOp;
 use vectorh_storage::{PartitionStore, StorageConfig};
 use vectorh_tpch::gen::{self, cols::lineitem as l};
@@ -71,7 +71,7 @@ fn main() {
     // --- VectorH storage: chunked columnar with MinMax --------------------
     let fs: StoreRef = Arc::new(SimHdfs::new(
         1,
-        SimHdfsConfig {
+        BlockStoreConfig {
             block_size: 1 << 20,
             default_replication: 1,
         },

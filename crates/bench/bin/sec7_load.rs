@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use vectorh_bench::{print_table, timed};
+use vectorh_blockstore::{BlockStore, BlockStoreConfig, DefaultPolicy, SimHdfs, StoreRef};
 use vectorh_common::util::fmt_bytes;
 use vectorh_common::{ColumnData, DataType, NodeId, Schema, Value};
 use vectorh_connector::csv::{parse_csv, to_csv, CsvOptions};
@@ -23,7 +24,6 @@ use vectorh_connector::external::ExternalScan;
 use vectorh_connector::splits::{assign_splits, InputSplit};
 use vectorh_exec::{Batch, Operator};
 use vectorh_net::NetStats;
-use vectorh_simhdfs::{DefaultPolicy, SimHdfs, SimHdfsConfig};
 
 const NODES: u32 = 3;
 const FILES: usize = 12;
@@ -40,7 +40,7 @@ fn schema() -> Arc<Schema> {
 
 /// Write CSV input files, each "produced" on a specific node so its first
 /// replica is local there.
-fn stage_inputs(fs: &SimHdfs, rows_per_file: i64) -> Vec<InputSplit> {
+fn stage_inputs(fs: &StoreRef, rows_per_file: i64) -> Vec<InputSplit> {
     let schema = schema();
     (0..FILES)
         .map(|f| {
@@ -67,7 +67,7 @@ fn stage_inputs(fs: &SimHdfs, rows_per_file: i64) -> Vec<InputSplit> {
 
 /// Plain vwload: the session master (node 0) reads and parses every file —
 /// most reads are remote.
-fn vwload_from_master(fs: &SimHdfs, splits: &[InputSplit]) -> u64 {
+fn vwload_from_master(fs: &StoreRef, splits: &[InputSplit]) -> u64 {
     let schema = schema();
     let mut rows = 0u64;
     for split in splits {
@@ -80,7 +80,7 @@ fn vwload_from_master(fs: &SimHdfs, splits: &[InputSplit]) -> u64 {
 
 /// Locality-tweaked vwload: each node reads and parses only its local
 /// files, in parallel ("tweaking with the parameter order in vwload").
-fn vwload_local(fs: &SimHdfs, splits: &[InputSplit]) -> u64 {
+fn vwload_local(fs: &StoreRef, splits: &[InputSplit]) -> u64 {
     let schema = schema();
     let handles: Vec<_> = (0..NODES)
         .map(|node| {
@@ -108,7 +108,7 @@ fn vwload_local(fs: &SimHdfs, splits: &[InputSplit]) -> u64 {
 
 /// Spark connector: affinity matching assigns splits to per-node
 /// ExternalScans; Spark-side threads parse and stream binary rows.
-fn spark_connector(fs: &SimHdfs, splits: &[InputSplit], net: &Arc<NetStats>) -> (u64, f64) {
+fn spark_connector(fs: &StoreRef, splits: &[InputSplit], net: &Arc<NetStats>) -> (u64, f64) {
     let schema = schema();
     let operators: Vec<NodeId> = (0..NODES).map(NodeId).collect();
     let assignment = assign_splits(splits, &operators);
@@ -169,14 +169,14 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(100_000i64);
     println!("§7 load comparison — {FILES} CSV files × {rows_per_file} rows on {NODES} nodes\n");
-    let fs = SimHdfs::new(
+    let fs: StoreRef = Arc::new(SimHdfs::new(
         NODES as usize,
-        SimHdfsConfig {
+        BlockStoreConfig {
             block_size: 4 << 20,
             default_replication: 2,
         },
         Arc::new(DefaultPolicy::new(3)),
-    );
+    ));
     let splits = stage_inputs(&fs, rows_per_file);
     let total_bytes: u64 = splits.iter().map(|s| fs.len(&s.path).unwrap()).sum();
     println!("staged {} of CSV\n", fmt_bytes(total_bytes));

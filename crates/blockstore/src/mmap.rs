@@ -3,7 +3,7 @@
 //!
 //! # Safety argument
 //!
-//! The wrapper is only ever used by [`crate::FileStore`] under these
+//! The wrapper is only ever used by [`crate::FileMedium`] under these
 //! invariants, which together make the exposed `&[u8]` sound:
 //!
 //! 1. **Append-only files.** Chunk and WAL files are never written in the
@@ -13,7 +13,7 @@
 //!    `[0, len)` are exposed ([`Mmap::slice`] is bounds-checked); a file that
 //!    grew since mapping is *remapped*, never read past the captured length.
 //! 3. **Files are never truncated while mapped.** Shrinking a mapped file
-//!    would turn in-bounds accesses into SIGBUS; every FileStore path that
+//!    would turn in-bounds accesses into SIGBUS; every FileMedium path that
 //!    truncates or rewrites (WAL repair, crash simulation, replica trim)
 //!    drops the mapping cache entry for the file *first* and recreates the
 //!    file under a new inode (`delete` + re-append), so live maps keep

@@ -4,8 +4,8 @@
 //! *local* (a replica lives on that node — HDFS "short-circuit read") or
 //! *remote*. The Figure-1/Figure-2 harnesses read these counters to show
 //! bytes touched and locality percentages. The counters are backend-neutral:
-//! SimHdfs and FileStore record through the same [`IoStats`] so locality and
-//! fault accounting stay comparable across backends.
+//! the one namenode records them, whichever medium holds the bytes, so
+//! locality and fault accounting are comparable across backends.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -21,8 +21,8 @@
 //! guaranteed to survive an *OS/machine* crash after a subsequent
 //! [`sync`](BlockStore::sync) of the same path — that is the fsync point the
 //! WAL invokes on commit-bearing batches and the chunk writer invokes when a
-//! chunk is sealed. The simulation has no OS to crash, so `sync` is
-//! accounting-only there; both backends count it in
+//! chunk is sealed. The watermark `sync` advances lives in the namenode, so
+//! every medium honours it and counts it in
 //! [`IoSnapshot::fsync_ops`](crate::stats::IoSnapshot).
 
 use std::sync::Arc;
@@ -40,59 +40,9 @@ pub const MAX_IO_ATTEMPTS: u32 = 4;
 /// Shared handle the engine threads clone freely.
 pub type StoreRef = Arc<dyn BlockStore>;
 
-/// Consult `hook` at `site` for `detail`, honouring transient-error retries
-/// with exponential backoff and recording every outcome into `stats`.
-/// `Ok(())` means proceed; transient errors that exhaust [`MAX_IO_ATTEMPTS`]
-/// and permanent errors surface as typed `Err`s. Free-standing so every
-/// backend (and layers built on top, like WAL replay) runs the identical
-/// retry discipline.
-pub fn consult_hook(
-    hook: Option<SharedFaultHook>,
-    stats: &IoStats,
-    site: FaultSite,
-    detail: &str,
-) -> Result<()> {
-    let hook = match hook {
-        Some(h) => h,
-        None => return Ok(()),
-    };
-    let mut attempt = 0u32;
-    loop {
-        match hook.decide(site, detail, attempt) {
-            FaultAction::None => return Ok(()),
-            FaultAction::SlowRead => {
-                stats.record_slow_read();
-                std::thread::sleep(std::time::Duration::from_micros(50));
-                return Ok(());
-            }
-            FaultAction::TransientError => {
-                stats.record_injected_fault();
-                attempt += 1;
-                if attempt >= MAX_IO_ATTEMPTS {
-                    return Err(VhError::Hdfs(format!(
-                        "injected transient {site} error on {detail} \
-                         (gave up after {attempt} attempts)"
-                    )));
-                }
-                stats.record_read_retry();
-                std::thread::sleep(std::time::Duration::from_micros(20 << attempt));
-            }
-            FaultAction::PermanentError => {
-                stats.record_injected_fault();
-                return Err(VhError::Hdfs(format!(
-                    "injected permanent {site} error on {detail}"
-                )));
-            }
-            // Exchange/WAL-specific actions are meaningless for plain
-            // filesystem I/O; treat them as "no fault here".
-            _ => return Ok(()),
-        }
-    }
-}
-
 /// The pluggable storage backend surface.
 pub trait BlockStore: Send + Sync {
-    /// Backend name for diagnostics ("sim", "file").
+    /// The medium's name for diagnostics ("sim", "file").
     fn backend(&self) -> &'static str;
 
     fn config(&self) -> &BlockStoreConfig;
@@ -120,8 +70,7 @@ pub trait BlockStore: Send + Sync {
     fn append(&self, path: &str, data: &[u8], writer: Option<NodeId>) -> Result<()>;
 
     /// Durability point: make everything appended to `path` so far survive
-    /// an OS crash (fsync on real files). No-op (accounting only) on
-    /// backends without a physical medium.
+    /// an OS crash (fsync on real files).
     fn sync(&self, path: &str) -> Result<()>;
 
     /// Read `len` bytes at `offset`, issued from `reader` (None = external
@@ -174,11 +123,49 @@ pub trait BlockStore: Send + Sync {
             .all(|b| b.nodes.contains(&node)))
     }
 
-    /// Consult the installed hook at `site` for `detail` with the shared
-    /// retry discipline. Public so layers built on the store (WAL replay)
-    /// can gate their own sites on the same hook.
+    /// Consult the installed hook at `site` for `detail`, honouring
+    /// transient-error retries with exponential backoff and recording every
+    /// outcome into the stats. `Ok(())` means proceed; transient errors
+    /// that exhaust [`MAX_IO_ATTEMPTS`] and permanent errors surface as
+    /// typed `Err`s. Public so layers built on the store (WAL replay) gate
+    /// their own sites on the same hook with the same retry discipline.
     fn consult_fault(&self, site: FaultSite, detail: &str) -> Result<()> {
-        consult_hook(self.fault_hook(), self.stats(), site, detail)
+        let Some(hook) = self.fault_hook() else {
+            return Ok(());
+        };
+        let stats = self.stats();
+        let mut attempt = 0u32;
+        loop {
+            match hook.decide(site, detail, attempt) {
+                FaultAction::None => return Ok(()),
+                FaultAction::SlowRead => {
+                    stats.record_slow_read();
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                    return Ok(());
+                }
+                FaultAction::TransientError => {
+                    stats.record_injected_fault();
+                    attempt += 1;
+                    if attempt >= MAX_IO_ATTEMPTS {
+                        return Err(VhError::Hdfs(format!(
+                            "injected transient {site} error on {detail} \
+                             (gave up after {attempt} attempts)"
+                        )));
+                    }
+                    stats.record_read_retry();
+                    std::thread::sleep(std::time::Duration::from_micros(20 << attempt));
+                }
+                FaultAction::PermanentError => {
+                    stats.record_injected_fault();
+                    return Err(VhError::Hdfs(format!(
+                        "injected permanent {site} error on {detail}"
+                    )));
+                }
+                // Exchange/WAL-specific actions are meaningless for plain
+                // filesystem I/O; treat them as "no fault here".
+                _ => return Ok(()),
+            }
+        }
     }
 }
 

@@ -31,7 +31,7 @@ struct SiteCfg {
 /// only; they never feed back into decisions.
 ///
 /// Error-class actions fire only at `attempt == 0`, which guarantees that
-/// any subsystem with a bounded retry loop (SimHdfs reads/appends, WAL
+/// any subsystem with a bounded retry loop (block-store reads/appends, WAL
 /// replay) recovers internally: chaos queries must still produce
 /// baseline-correct answers.
 #[derive(Debug)]

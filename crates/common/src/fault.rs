@@ -23,9 +23,9 @@ use std::sync::Arc;
 /// A named place in the engine where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultSite {
-    /// `SimHdfs::read` — transient/permanent I/O errors, slow reads.
+    /// `Namenode::read` — transient/permanent I/O errors, slow reads.
     HdfsRead,
-    /// `SimHdfs::append` — transient/permanent I/O errors.
+    /// `Namenode::append` — transient/permanent I/O errors.
     HdfsAppend,
     /// Exchange-operator buffer flush (xchg/dxchg) — drop/duplicate/delay.
     XchgSend,

@@ -4,7 +4,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use vectorh_blockstore::FileStore;
+use vectorh_blockstore::{
+    AffinityPolicy, BlockStore, BlockStoreConfig, FileStore, SimHdfs, StoreRef,
+};
 use vectorh_common::fault::SharedFaultHook;
 use vectorh_common::sync::{Mutex, RwLock};
 use vectorh_common::util::{hash_bytes, hash_combine, hash_u64};
@@ -15,7 +17,6 @@ use vectorh_net::{
 };
 use vectorh_planner::logical::{CatalogInfo, TableMeta};
 use vectorh_planner::{parse_query, LogicalPlan, ParallelRewriter, PhysPlan, RewriterOptions};
-use vectorh_simhdfs::{AffinityPolicy, BlockStore, SimHdfs, SimHdfsConfig, StoreRef};
 use vectorh_storage::{PartitionStore, StorageConfig};
 use vectorh_transport::{
     Fabric, FrameRx, FrameTx, RxKind, SharedEpoch, TcpFabric, HEARTBEAT_CHANNEL,
@@ -44,7 +45,7 @@ pub enum ClusterMode {
     Tcp,
 }
 
-/// Which [`BlockStore`] implementation backs the cluster's storage.
+/// Which medium the cluster's one [`BlockStore`] namenode keeps its bytes on.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum StorageBackend {
     /// The in-memory simulated HDFS (deterministic, no real IO).
@@ -362,7 +363,7 @@ impl VectorH {
     /// negotiation, worker-set selection.
     pub fn start(config: ClusterConfig) -> Result<VectorH> {
         let policy = Arc::new(AffinityPolicy::new(config.seed));
-        let store_config = SimHdfsConfig {
+        let store_config = BlockStoreConfig {
             block_size: config.hdfs_block_size,
             default_replication: config.replication.min(config.nodes),
         };

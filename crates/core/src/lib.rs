@@ -26,7 +26,7 @@
 //! ```
 //!
 //! The crate layers the substrates built in the sibling crates:
-//! [`vectorh_simhdfs`] (storage + placement), [`vectorh_storage`] (chunked
+//! [`vectorh_blockstore`] (storage + placement), [`vectorh_storage`] (chunked
 //! columnar format + MinMax), [`vectorh_pdt`] + [`vectorh_txn`] (updates),
 //! [`vectorh_exec`] + [`vectorh_net`] (vectorized distributed execution),
 //! [`vectorh_yarn`] (elasticity) and [`vectorh_planner`] (SQL + the

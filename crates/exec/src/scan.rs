@@ -273,17 +273,17 @@ impl Operator for MScan {
 mod tests {
     use super::*;
     use std::sync::Arc as StdArc;
+    use vectorh_blockstore::{BlockStoreConfig, DefaultPolicy, SimHdfs, StoreRef};
     use vectorh_common::{DataType, NodeId, Value};
     use vectorh_pdt::tree::Pdt;
     use vectorh_pdt::Layers;
-    use vectorh_simhdfs::{DefaultPolicy, SimHdfs, SimHdfsConfig, StoreRef};
     use vectorh_storage::minmax::PruneOp;
     use vectorh_storage::StorageConfig;
 
     fn store(rows_per_chunk: usize, n: i64) -> PartitionStore {
         let fs: StoreRef = StdArc::new(SimHdfs::new(
             3,
-            SimHdfsConfig {
+            BlockStoreConfig {
                 block_size: 1024,
                 default_replication: 2,
             },
@@ -397,7 +397,7 @@ mod tests {
     fn empty_partition_scan() {
         let fs: StoreRef = StdArc::new(SimHdfs::new(
             2,
-            SimHdfsConfig::default(),
+            BlockStoreConfig::default(),
             StdArc::new(DefaultPolicy::new(1)),
         ));
         let s = PartitionStore::new(
@@ -414,7 +414,7 @@ mod tests {
     fn scan_reads_local_when_reader_holds_replica() {
         let fs: StoreRef = StdArc::new(SimHdfs::new(
             3,
-            SimHdfsConfig {
+            BlockStoreConfig {
                 block_size: 2048,
                 default_replication: 3,
             },

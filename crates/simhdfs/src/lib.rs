@@ -1,35 +1,6 @@
-//! A simulated HDFS for VectorH-rs.
-//!
-//! The paper's storage contributions (§3) are *policy-level*: VectorH
-//! instruments the HDFS `BlockPlacementPolicy` so every table-partition
-//! replica lands on chosen datanodes, keeps all reads short-circuit local,
-//! and survives node failures through re-replication steered by the same
-//! policy. Reproducing that does not require JNI and spinning disks — it
-//! requires an append-only, block-replicated filesystem that:
-//!
-//! * splits files into fixed-size blocks replicated at `R` datanodes,
-//! * delegates placement to a pluggable
-//!   [`BlockPlacementPolicy`](vectorh_blockstore::BlockPlacementPolicy)
-//!   whose `choose_targets` receives the file name (exactly like HDFS's
-//!   `chooseTarget()`), both at append time and during re-replication,
-//! * distinguishes **short-circuit local reads** from remote reads and
-//!   accounts for both ([`vectorh_blockstore::IoStats`]), so benches can
-//!   verify the "all table IOs are short-circuited" claim,
-//! * supports datanode failure, decommissioning and background
-//!   re-replication.
-//!
-//! Everything is deterministic: placement randomness comes from a seeded
-//! [`vectorh_common::rng::SplitMix64`].
-//!
-//! [`SimHdfs`] is the in-memory implementor of the backend-neutral
-//! [`vectorh_blockstore::BlockStore`] trait; the shared types (placement
-//! policies, IO stats, file/block metadata) live in `vectorh-blockstore`
-//! and are re-exported here so existing imports keep working.
+//! Re-export shim: the simulated HDFS is `vectorh_blockstore::SimHdfs`
+//! (`Namenode<MemMedium>`). The off-workspace `perfbench/` package imports
+//! it under this crate's name and is the only consumer; the crate goes when
+//! a benchmark PR may edit that import. Nothing in the workspace depends on it.
 
-pub mod fs;
-
-pub use fs::{SimHdfs, SimHdfsConfig};
-pub use vectorh_blockstore::{
-    AffinityPolicy, BlockLocation, BlockPlacementPolicy, BlockStore, ClusterView, DefaultPolicy,
-    FileStatus, IoSnapshot, IoStats, StoreRef,
-};
+pub use vectorh_blockstore::{BlockStoreConfig as SimHdfsConfig, SimHdfs};

@@ -15,9 +15,9 @@
 //! ```
 //! Column bodies are self-describing [`vectorh_compress`] blocks.
 
+use vectorh_blockstore::BlockStore;
 use vectorh_common::{ColumnData, NodeId, Result, VhError};
 use vectorh_compress::{decode_column, encode_column};
-use vectorh_simhdfs::BlockStore;
 
 /// Magic tag identifying VectorH-rs chunk files.
 pub const CHUNK_MAGIC: u32 = 0x56_48_43_4B; // "VHCK"
@@ -147,12 +147,12 @@ pub fn parse_header(bytes: &[u8]) -> Result<(usize, Vec<u64>)> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use vectorh_simhdfs::{DefaultPolicy, SimHdfs, SimHdfsConfig};
+    use vectorh_blockstore::{BlockStoreConfig, DefaultPolicy, SimHdfs};
 
     fn fs() -> SimHdfs {
         SimHdfs::new(
             3,
-            SimHdfsConfig {
+            BlockStoreConfig {
                 block_size: 256,
                 default_replication: 2,
             },

@@ -8,8 +8,8 @@
 //! are issued — with the affinity placement policy registered, that makes
 //! every replica land exactly where the partition affinity map says.
 
+use vectorh_blockstore::StoreRef;
 use vectorh_common::{ColumnData, NodeId, Result, Schema, VhError};
-use vectorh_simhdfs::StoreRef;
 
 use crate::chunk::{self, ChunkMeta};
 use crate::minmax::{ColumnStats, MinMaxIndex, Pruning};
@@ -392,13 +392,13 @@ mod tests {
     use super::*;
     use crate::minmax::PruneOp;
     use std::sync::Arc;
+    use vectorh_blockstore::{AffinityPolicy, BlockStoreConfig, DefaultPolicy, SimHdfs};
     use vectorh_common::{DataType, Value};
-    use vectorh_simhdfs::{AffinityPolicy, DefaultPolicy, SimHdfs, SimHdfsConfig};
 
     fn fs() -> StoreRef {
         Arc::new(SimHdfs::new(
             4,
-            SimHdfsConfig {
+            BlockStoreConfig {
                 block_size: 512,
                 default_replication: 2,
             },
@@ -497,7 +497,7 @@ mod tests {
         let policy = Arc::new(AffinityPolicy::new(5));
         let fs: StoreRef = Arc::new(SimHdfs::new(
             4,
-            SimHdfsConfig {
+            BlockStoreConfig {
                 block_size: 512,
                 default_replication: 2,
             },

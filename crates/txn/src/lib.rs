@@ -1,6 +1,6 @@
 //! Distributed transaction processing for VectorH-rs (§6).
 //!
-//! * [`wal`] — write-ahead logs as append-only simhdfs files: one WAL per
+//! * [`wal`] — write-ahead logs as append-only block-store files: one WAL per
 //!   table partition (read/written only by the responsible node) plus a
 //!   much-reduced *global* WAL for 2PC decisions, both replayable.
 //! * [`manager`] — snapshot isolation over stacked PDTs: queries share a

@@ -498,9 +498,9 @@ mod tests {
     use crate::manager::TxnConfig;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use std::sync::Arc;
+    use vectorh_blockstore::{BlockStore, BlockStoreConfig, DefaultPolicy, SimHdfs, StoreRef};
     use vectorh_common::fault::{FaultAction, FaultHook};
     use vectorh_common::{DataType, Schema};
-    use vectorh_simhdfs::{BlockStore, DefaultPolicy, SimHdfs, SimHdfsConfig, StoreRef};
     use vectorh_storage::StorageConfig;
 
     const P: PartitionId = PartitionId(0);
@@ -508,7 +508,7 @@ mod tests {
     fn setup(stable: i64) -> (TransactionManager, PartitionStore, Wal) {
         let fs: StoreRef = Arc::new(SimHdfs::new(
             3,
-            SimHdfsConfig {
+            BlockStoreConfig {
                 block_size: 1024,
                 default_replication: 2,
             },

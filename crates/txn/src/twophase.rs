@@ -626,13 +626,13 @@ impl LogShipper {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use vectorh_blockstore::{BlockStoreConfig, DefaultPolicy, SimHdfs, StoreRef};
     use vectorh_common::Value;
-    use vectorh_simhdfs::{DefaultPolicy, SimHdfs, SimHdfsConfig, StoreRef};
 
     fn fs() -> StoreRef {
         Arc::new(SimHdfs::new(
             3,
-            SimHdfsConfig {
+            BlockStoreConfig {
                 block_size: 256,
                 default_replication: 2,
             },

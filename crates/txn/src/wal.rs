@@ -7,9 +7,9 @@
 //! obstacle — a log only ever appends. The WAL also persists MinMax
 //! summaries, which VectorH deliberately stores *away* from the data files.
 
+use vectorh_blockstore::{BlockStore, StoreRef};
 use vectorh_common::fault::{FaultAction, FaultSite};
 use vectorh_common::{NodeId, Result, Value, VhError};
-use vectorh_simhdfs::{BlockStore, StoreRef};
 
 /// One log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -564,12 +564,12 @@ impl Wal {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use vectorh_simhdfs::{DefaultPolicy, SimHdfs, SimHdfsConfig};
+    use vectorh_blockstore::{BlockStoreConfig, DefaultPolicy, SimHdfs};
 
     fn wal() -> Wal {
         let fs: StoreRef = Arc::new(SimHdfs::new(
             3,
-            SimHdfsConfig {
+            BlockStoreConfig {
                 block_size: 128,
                 default_replication: 2,
             },

@@ -134,10 +134,10 @@ fn default_policy_degrades_locality_after_failure() {
     // leave replicas wherever default HDFS put them, so reads go remote —
     // exactly the degradation the paper's §3 describes.
     use std::sync::Arc;
-    use vectorh_simhdfs::{DefaultPolicy, SimHdfs, SimHdfsConfig};
+    use vectorh_blockstore::{BlockStore, BlockStoreConfig, DefaultPolicy, SimHdfs};
     let fs = SimHdfs::new(
         4,
-        SimHdfsConfig {
+        BlockStoreConfig {
             block_size: 4096,
             default_replication: 2,
         },

@@ -17,12 +17,13 @@
 use std::sync::Arc;
 
 use vectorh::{ClusterConfig, StorageBackend, VectorH};
-use vectorh_blockstore::FileStore;
+use vectorh_blockstore::{
+    BlockStore, BlockStoreConfig, DefaultPolicy, FileStore, Medium, Namenode, SimHdfs, StoreRef,
+};
 use vectorh_common::fault::{FaultAction, FaultHook, FaultSite};
 use vectorh_common::{ColumnData, DataType, NodeId, PartitionId, Schema, Value};
 use vectorh_exec::fingerprint_rows;
 use vectorh_pdt::merge::apply_plan;
-use vectorh_simhdfs::{BlockStore, DefaultPolicy, SimHdfsConfig, StoreRef};
 use vectorh_storage::{PartitionStore, StorageConfig};
 use vectorh_tpch::baseline::canonical;
 use vectorh_tpch::queries::{build_query, run_with};
@@ -52,19 +53,16 @@ impl Drop for ScratchRoot {
     }
 }
 
+fn store_config() -> BlockStoreConfig {
+    BlockStoreConfig {
+        block_size: 4096,
+        default_replication: 2,
+    }
+}
+
 fn file_store(root: &str) -> Arc<FileStore> {
-    Arc::new(
-        FileStore::new(
-            3,
-            SimHdfsConfig {
-                block_size: 4096,
-                default_replication: 2,
-            },
-            Arc::new(DefaultPolicy::new(7)),
-            root,
-        )
-        .unwrap(),
-    )
+    let policy = Arc::new(DefaultPolicy::new(7));
+    Arc::new(FileStore::new(3, store_config(), policy, root).unwrap())
 }
 
 /// Fires `action` once at `site`, then steps aside — the restarted
@@ -229,7 +227,14 @@ fn torn_tail_repair_recovers_committed_state_on_real_files() {
 #[test]
 fn os_crash_truncates_unsynced_wal_tail_to_last_commit_point() {
     let root = ScratchRoot::new("oscrash");
-    let fs = file_store(root.path());
+    os_crash_cuts_wal_at_last_commit_point(file_store(root.path()));
+    let policy = Arc::new(DefaultPolicy::new(7));
+    os_crash_cuts_wal_at_last_commit_point(Arc::new(SimHdfs::new(3, store_config(), policy)));
+}
+
+/// Power loss is modelled by the namenode's fsync watermark, so the WAL's
+/// commit-point discipline is checked on every medium.
+fn os_crash_cuts_wal_at_last_commit_point<M: Medium>(fs: Arc<Namenode<M>>) {
     let fs_ref: StoreRef = fs.clone();
     let wal = Wal::new(fs_ref, "/vectorh/wal/g.wal", Some(NodeId(0)));
 

@@ -268,11 +268,11 @@ fn failover_retries_exhaust_deterministically() {
 #[test]
 fn full_cluster_cascade_exhausts_pinned_retry_budget_with_node_down() {
     use std::sync::{Arc, Mutex};
+    use vectorh_blockstore::{BlockStore, StoreRef};
     use vectorh_common::fault::{FaultAction, FaultHook, FaultSite};
-    use vectorh_simhdfs::{BlockStore, StoreRef};
 
     /// Kills one victim per `HdfsRead` consult until the cluster is gone.
-    /// `SimHdfs::read` consults the hook *before* taking its state lock,
+    /// `Namenode::read` consults the hook *before* taking its state lock,
     /// so killing from inside `decide` is deadlock-free.
     struct CascadeKiller {
         fs: StoreRef,
