@@ -6,6 +6,8 @@
 //! `I32` (ints and dates), `I64` (bigints and scaled decimals), `F64`,
 //! and `Str`.
 
+use std::cmp::Ordering;
+
 use crate::types::{DataType, Value};
 use crate::{Result, VhError};
 
@@ -96,6 +98,16 @@ impl ColumnData {
             (ColumnData::I64(v), _) => Value::I64(v[idx]),
             (ColumnData::F64(v), _) => Value::F64(v[idx]),
             (ColumnData::Str(v), _) => Value::Str(v[idx].clone()),
+        }
+    }
+
+    /// Order element `idx` against `v` as [`value_at`](Self::value_at)
+    /// would, without cloning a string out of the column to do it.
+    pub fn cmp_at(&self, idx: usize, dtype: DataType, v: &Value) -> Option<Ordering> {
+        match (self, v) {
+            (ColumnData::Str(c), Value::Str(s)) => Some(c[idx].as_str().cmp(s)),
+            (ColumnData::Str(_), _) => None,
+            _ => self.value_at(idx, dtype).partial_cmp(v),
         }
     }
 

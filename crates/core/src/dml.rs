@@ -13,72 +13,19 @@ use std::sync::Arc;
 
 use vectorh_common::{ColumnData, PartitionId, Result, Value, VhError};
 use vectorh_exec::expr::Expr;
-use vectorh_exec::Batch;
-use vectorh_pdt::MergeStep;
-use vectorh_storage::PartitionStore;
+use vectorh_exec::filter::Select;
+use vectorh_exec::operator::Operator;
+use vectorh_exec::scan::{keep_chunks, MScan};
+use vectorh_storage::Pruning;
 use vectorh_txn::{LogRecord, Transaction};
 
 use crate::engine::{partition_of, TableRuntime, VectorH};
+use crate::execute::extract_pruning;
 
-/// Materialize selected table columns of a partition image (stable data +
-/// merge plan applied).
-fn materialize_cols(
-    store: &PartitionStore,
-    plan: &[MergeStep],
-    cols: &[usize],
-    reader: Option<vectorh_common::NodeId>,
-) -> Result<Vec<ColumnData>> {
-    let schema = store.schema();
-    // Stable data for the selected columns.
-    let mut stable: Vec<ColumnData> = cols
-        .iter()
-        .map(|&c| ColumnData::new(schema.dtype(c)))
-        .collect();
-    for chunk in 0..store.n_chunks() {
-        for (j, &c) in cols.iter().enumerate() {
-            stable[j].append(&store.read_column(chunk, c, reader)?)?;
-        }
-    }
-    let mut out: Vec<ColumnData> = cols
-        .iter()
-        .map(|&c| ColumnData::new(schema.dtype(c)))
-        .collect();
-    for step in plan {
-        match step {
-            MergeStep::CopyStable { from_sid, count } => {
-                for (j, col) in out.iter_mut().enumerate() {
-                    col.append(&stable[j].slice(*from_sid as usize, (*from_sid + count) as usize))?;
-                }
-            }
-            MergeStep::SkipStable { .. } => {}
-            MergeStep::ModifyStable { sid, mods } => {
-                // Pre-index the patches by column so wide projections don't
-                // pay a linear scan of `mods` per selected column.
-                let mut by_col: Vec<Option<&Value>> = vec![None; schema.len()];
-                for (mc, v) in mods {
-                    by_col[*mc] = Some(v);
-                }
-                for (j, &c) in cols.iter().enumerate() {
-                    match by_col[c] {
-                        Some(v) => out[j].push_value(v)?,
-                        None => out[j]
-                            .push_value(&stable[j].value_at(*sid as usize, schema.dtype(c)))?,
-                    }
-                }
-            }
-            MergeStep::EmitInsert { values, .. } => {
-                for (j, &c) in cols.iter().enumerate() {
-                    out[j].push_value(&values[c])?;
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
-    for (x, y) in a.iter().zip(b) {
-        match x.partial_cmp(y) {
+/// Order two full-width rows on the sort columns `order`.
+pub(crate) fn cmp_on(order: &[usize], a: &[Value], b: &[Value]) -> Ordering {
+    for &k in order {
+        match a[k].partial_cmp(&b[k]) {
             Some(Ordering::Equal) | None => continue,
             Some(o) => return o,
         }
@@ -93,6 +40,30 @@ impl VectorH {
             .position(|p| *p == pid)
             .map(|i| rt.wals[i].clone())
             .ok_or_else(|| VhError::Internal(format!("partition {pid} not in table")))
+    }
+
+    /// The scan DML reads through: columns `cols` of the transaction's image
+    /// of the table's `i`-th partition, read at its responsible node, minus
+    /// the chunks `pruning` rules out.
+    fn dml_scan(
+        &self,
+        rt: &TableRuntime,
+        txn: &Transaction,
+        i: usize,
+        cols: &[usize],
+        pruning: &Pruning,
+    ) -> Result<MScan> {
+        let pid = rt.pids[i];
+        let store = rt.stores[i].read().clone();
+        let plan = txn.merged_plan(pid)?;
+        let keep = keep_chunks(&store, pruning, &plan);
+        MScan::new(
+            store,
+            cols.to_vec(),
+            keep,
+            plan,
+            Some(self.responsible(pid)),
+        )
     }
 
     /// Commit a transaction with 2PC durability: update records and a
@@ -195,31 +166,35 @@ impl VectorH {
                 Some(order) => {
                     // Insert in ascending key order so earlier inserts only
                     // shift later positions forward.
-                    bucket.sort_by(|a, b| {
-                        cmp_keys(
-                            &order.iter().map(|&k| a[k].clone()).collect::<Vec<_>>(),
-                            &order.iter().map(|&k| b[k].clone()).collect::<Vec<_>>(),
-                        )
-                    });
-                    let store = rt.stores[i].read().clone();
-                    let plan = txn.merged_plan(pid)?;
-                    let sort_cols = materialize_cols(&store, &plan, order, store.home())?;
+                    bucket.sort_by(|a, b| cmp_on(order, a, b));
+                    let schema = &rt.def.schema;
+                    let mut sort_cols: Vec<ColumnData> = order
+                        .iter()
+                        .map(|&k| ColumnData::new(schema.dtype(k)))
+                        .collect();
+                    let mut scan = self.dml_scan(&rt, &txn, i, order, &Pruning::new())?;
+                    while let Some(batch) = scan.next()? {
+                        for (j, col) in sort_cols.iter_mut().enumerate() {
+                            col.append(batch.column(j))?;
+                        }
+                    }
                     let image = sort_cols.first().map(|c| c.len()).unwrap_or(0);
-                    let schema = store.schema();
-                    let key_at = |idx: usize| -> Vec<Value> {
-                        order
-                            .iter()
-                            .enumerate()
-                            .map(|(j, &k)| sort_cols[j].value_at(idx, schema.dtype(k)))
-                            .collect()
+                    // Image row `idx` against a new row, on the sort columns.
+                    let cmp_image = |idx: usize, row: &[Value]| -> Ordering {
+                        for (col, &k) in sort_cols.iter().zip(order) {
+                            match col.cmp_at(idx, schema.dtype(k), &row[k]) {
+                                Some(Ordering::Equal) | None => continue,
+                                Some(o) => return o,
+                            }
+                        }
+                        Ordering::Equal
                     };
                     for (inserted, row) in bucket.into_iter().enumerate() {
-                        let key: Vec<Value> = order.iter().map(|&k| row[k].clone()).collect();
                         // Upper-bound binary search on the original image.
                         let (mut lo, mut hi) = (0usize, image);
                         while lo < hi {
                             let mid = (lo + hi) / 2;
-                            if cmp_keys(&key_at(mid), &key) == Ordering::Greater {
+                            if cmp_image(mid, &row) == Ordering::Greater {
                                 hi = mid;
                             } else {
                                 lo = mid + 1;
@@ -245,43 +220,57 @@ impl VectorH {
         self.mutate_where(table, pred, Some((col, value)))
     }
 
+    /// DML as a scan plan: per partition, `MScan(pred columns + RID) →
+    /// Select(pred)` on the calling thread; the surviving RIDs feed
+    /// `delete_at` / `modify_at`. Only the columns `pred` names are read,
+    /// and only in the chunks MinMax pruning cannot rule out.
     fn mutate_where(&self, table: &str, pred: &Expr, set: Option<(usize, Value)>) -> Result<u64> {
         self.advance_health(1)?;
         let rt = self.table(table)?;
+        // Re-base the predicate onto the projection of the columns it names.
+        let mut cols: Vec<usize> = Vec::new();
+        let pred = pred.map_cols(&mut |c| {
+            cols.iter().position(|x| *x == c).unwrap_or_else(|| {
+                cols.push(c);
+                cols.len() - 1
+            })
+        });
+        if let Some(c) = cols.iter().find(|c| **c >= rt.def.schema.len()) {
+            return Err(VhError::InvalidArg(format!(
+                "predicate names column {c}, table {table} has {}",
+                rt.def.schema.len()
+            )));
+        }
+        let pruning = extract_pruning(&pred, &cols);
         let mut txn = self.txns.begin(&rt.pids)?;
-        let schema = Arc::new(rt.def.schema.clone());
-        let all_cols: Vec<usize> = (0..schema.len()).collect();
         let mut touched = 0u64;
         for (i, pid) in rt.pids.iter().enumerate() {
-            let store = rt.stores[i].read().clone();
-            let plan = txn.merged_plan(*pid)?;
-            let cols = materialize_cols(&store, &plan, &all_cols, store.home())?;
-            let batch = Batch::new(schema.clone(), cols)?;
-            if batch.is_empty() {
-                continue;
+            let scan = self.dml_scan(&rt, &txn, i, &cols, &pruning)?.with_rids();
+            let mut hits = Select::new(Box::new(scan), pred.clone());
+            let mut rids: Vec<u64> = Vec::new();
+            while let Some(batch) = hits.next()? {
+                let col = batch.column(cols.len());
+                let col = col
+                    .as_i64()
+                    .expect("MScan::with_rids appends an I64 column");
+                rids.extend(col.iter().map(|r| *r as u64));
             }
-            let mask = pred.eval_mask(&batch)?;
             match &set {
+                // Delete back-to-front so earlier deletes don't shift the
+                // rids of later ones.
                 None => {
-                    // Delete back-to-front so earlier deletes don't shift
-                    // the rids of later ones.
-                    for rid in (0..batch.len()).rev() {
-                        if mask[rid] {
-                            self.txns.delete_at(&mut txn, *pid, rid as u64)?;
-                            touched += 1;
-                        }
+                    for rid in rids.iter().rev() {
+                        self.txns.delete_at(&mut txn, *pid, *rid)?;
                     }
                 }
                 Some((col, value)) => {
-                    for (rid, hit) in mask.iter().enumerate() {
-                        if *hit {
-                            self.txns
-                                .modify_at(&mut txn, *pid, rid as u64, *col, value.clone())?;
-                            touched += 1;
-                        }
+                    for rid in &rids {
+                        self.txns
+                            .modify_at(&mut txn, *pid, *rid, *col, value.clone())?;
                     }
                 }
             }
+            touched += rids.len() as u64;
         }
         self.commit_2pc(&rt, txn)?;
         Ok(touched)
@@ -310,6 +299,7 @@ mod tests {
     use super::*;
     use crate::{ClusterConfig, TableBuilder};
     use vectorh_common::DataType;
+    use vectorh_storage::minmax::PruneOp;
 
     fn engine() -> VectorH {
         VectorH::start(ClusterConfig {
@@ -359,11 +349,17 @@ mod tests {
         for (i, pid) in rt.pids.iter().enumerate() {
             let store = rt.stores[i].read().clone();
             let plan = vh.txns.scan_plan(*pid).unwrap();
-            let cols = materialize_cols(&store, &plan, &[0], None).unwrap();
-            let keys = cols[0].as_i64().unwrap();
-            let mut sorted = keys.to_vec();
-            sorted.sort_unstable();
-            assert_eq!(keys, &sorted[..], "partition {pid} out of order");
+            let keep = vec![true; store.n_chunks()];
+            let mut scan = MScan::new(store, vec![0], keep, plan, None).unwrap();
+            let keys: Vec<Value> = vectorh_exec::batch::collect_rows(&mut scan)
+                .unwrap()
+                .into_iter()
+                .map(|mut r| r.remove(0))
+                .collect();
+            assert!(
+                keys.windows(2).all(|w| w[0] <= w[1]),
+                "partition {pid} out of order"
+            );
         }
     }
 
@@ -451,6 +447,131 @@ mod tests {
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(vh.table_rows("t").unwrap(), 28);
+    }
+
+    /// Eight `I64` columns clustered on `k`, 1024 rows, 64 rows per chunk.
+    /// `c1..c7` are scrambled, so every chunk's `[min, max]` on them spans
+    /// about the whole domain and only `k` prunes.
+    fn wide_table(vh: &VectorH) {
+        let mut b = TableBuilder::new("wide").column("k", DataType::I64);
+        for c in 1..8 {
+            b = b.column(format!("c{c}"), DataType::I64);
+        }
+        vh.create_table(b.partition_by(&["k"], 2).clustered_by(&["k"]))
+            .unwrap();
+        let rows = (0..1024i64)
+            .map(|i| {
+                let mut row = vec![Value::I64(i)];
+                row.extend((1..8).map(|c| Value::I64((i * 7919 + c * 104_729) % 1000)));
+                row
+            })
+            .collect();
+        vh.insert_rows("wide", rows).unwrap();
+    }
+
+    /// Stored bytes of `cols` in the chunks of "wide" that `pruning` keeps.
+    fn kept_bytes(vh: &VectorH, cols: &[usize], pruning: &Pruning) -> (u64, usize) {
+        let rt = vh.table("wide").unwrap();
+        let (mut bytes, mut pruned) = (0, 0);
+        for store in &rt.stores {
+            let store = store.read();
+            for (chunk, keep) in store.prune(pruning).into_iter().enumerate() {
+                if keep {
+                    let meta = store.chunk_meta(chunk);
+                    bytes += cols.iter().map(|c| meta.col_bytes(*c)).sum::<u64>();
+                } else {
+                    pruned += 1;
+                }
+            }
+        }
+        (bytes, pruned)
+    }
+
+    #[test]
+    fn update_on_the_clustered_key_reads_only_unpruned_key_bytes() {
+        let vh = engine();
+        wide_table(&vh);
+        let keys = vec![Value::I64(3), Value::I64(700), Value::I64(701)];
+        let (all_key_bytes, _) = kept_bytes(&vh, &[0], &Pruning::new());
+        let (want, pruned) = kept_bytes(
+            &vh,
+            &[0],
+            &vec![(0, PruneOp::InList(keys[1..].to_vec()), keys[0].clone())],
+        );
+        assert!(
+            pruned >= 10,
+            "16 chunks, 3 keys: most must prune ({pruned})"
+        );
+        let pred = Expr::InList(Box::new(Expr::col(0)), keys);
+        // Twice: the second statement runs over partitions with pending
+        // modifies and must prune exactly as the first did.
+        for value in [11, 12] {
+            let before = vh.fs().stats().snapshot();
+            let n = vh
+                .update_where("wide", &pred, 4, Value::I64(value))
+                .unwrap();
+            let read = vh.fs().stats().snapshot().since(&before).read_bytes();
+            assert_eq!(n, 3);
+            // Exactly the key column of the surviving chunks: no byte of
+            // another column, none of a pruned chunk.
+            assert_eq!(read, want);
+            assert!(read < all_key_bytes);
+        }
+    }
+
+    #[test]
+    fn delete_with_a_two_column_predicate_reads_exactly_those_columns() {
+        let vh = engine();
+        wide_table(&vh);
+        let pred = Expr::and(vec![
+            Expr::lt(Expr::col(2), Expr::lit(Value::I64(100))),
+            Expr::ge(Expr::col(5), Expr::lit(Value::I64(200))),
+        ]);
+        let pruning = extract_pruning(&pred, &(0..8).collect::<Vec<_>>());
+        assert_eq!(pruning.len(), 2);
+        let (want, pruned) = kept_bytes(&vh, &[2, 5], &pruning);
+        assert_eq!(pruned, 0, "scrambled columns must not prune");
+        let before = vh.fs().stats().snapshot();
+        let n = vh.delete_where("wide", &pred).unwrap();
+        let read = vh.fs().stats().snapshot().since(&before).read_bytes();
+        assert!(n > 0 && n < 200, "{n}");
+        assert_eq!(read, want);
+        assert_eq!(vh.table_rows("wide").unwrap(), 1024 - n);
+    }
+
+    #[test]
+    fn in_list_predicates_prune_on_the_first_value_and_the_rest() {
+        let pred = Expr::InList(
+            Box::new(Expr::col(1)),
+            vec![Value::I64(4), Value::I64(9), Value::I64(2)],
+        );
+        // Projected position 1 is table column 6.
+        assert_eq!(
+            extract_pruning(&pred, &[3, 6]),
+            vec![(
+                6,
+                PruneOp::InList(vec![Value::I64(9), Value::I64(2)]),
+                Value::I64(4)
+            )]
+        );
+        // Nothing to prune by: an empty list, a list over an expression.
+        let empty = Expr::InList(Box::new(Expr::col(0)), vec![]);
+        assert!(extract_pruning(&empty, &[3]).is_empty());
+        let computed = Expr::InList(
+            Box::new(Expr::add(Expr::col(0), Expr::lit(Value::I64(1)))),
+            vec![Value::I64(4)],
+        );
+        assert!(extract_pruning(&computed, &[3]).is_empty());
+    }
+
+    #[test]
+    fn predicate_on_a_column_the_table_lacks_is_refused() {
+        let vh = engine();
+        mk_table(&vh, false);
+        let err = vh
+            .delete_where("t", &Expr::eq(Expr::col(2), Expr::lit(Value::I64(1))))
+            .unwrap_err();
+        assert!(matches!(err, VhError::InvalidArg(_)), "{err}");
     }
 
     #[test]

@@ -707,15 +707,7 @@ impl VectorH {
                 continue;
             }
             if let Some(order) = &rt.def.sort_order {
-                bucket.sort_by(|a, b| {
-                    for &k in order {
-                        match a[k].partial_cmp(&b[k]) {
-                            Some(std::cmp::Ordering::Equal) | None => continue,
-                            Some(o) => return o,
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
+                bucket.sort_by(|a, b| crate::dml::cmp_on(order, a, b));
             }
             let mut cols: Vec<ColumnData> = rt
                 .def

@@ -17,11 +17,10 @@ use vectorh_exec::join::{HashJoin, JoinKind as ExecJoinKind};
 use vectorh_exec::mergejoin::MergeJoin;
 use vectorh_exec::operator::{collect_profiles, render_profile, BatchSource, Operator};
 use vectorh_exec::project::Project;
-use vectorh_exec::scan::MScan;
+use vectorh_exec::scan::{keep_chunks, MScan};
 use vectorh_exec::sort::{Limit, Sort};
 use vectorh_exec::Batch;
 use vectorh_net::dxchg::{dxchg_hash_split, dxchg_union};
-use vectorh_pdt::MergeStep;
 use vectorh_planner::logical::JoinKind;
 use vectorh_planner::physical::{AggStrategy, JoinStrategy};
 use vectorh_planner::PhysPlan;
@@ -104,7 +103,7 @@ pub(crate) fn execute(
 
 /// Extract MinMax-prunable conjuncts from a pushed-down predicate.
 /// `cols` maps projected positions back to table columns.
-fn extract_pruning(pred: &Expr, cols: &[usize]) -> Pruning {
+pub fn extract_pruning(pred: &Expr, cols: &[usize]) -> Pruning {
     fn lit(e: &Expr) -> Option<Value> {
         match e {
             Expr::Lit(v) => Some(v.clone()),
@@ -157,6 +156,12 @@ fn extract_pruning(pred: &Expr, cols: &[usize]) -> Pruning {
                 out.push((c, PruneOp::Between(hi), lo));
             }
         }
+        Expr::InList(e, list) => {
+            // An empty list matches nothing; there is no probe to prune by.
+            if let (Some(c), Some((first, rest))) = (col(e, cols), list.split_first()) {
+                out.push((c, PruneOp::InList(rest.to_vec()), first.clone()));
+            }
+        }
         _ => {}
     }
     out
@@ -183,23 +188,11 @@ fn scan_partitioned(
     for (i, pid) in rt.pids.iter().enumerate() {
         let plan = ctx.vh.txns.scan_plan(*pid)?;
         let store = rt.stores[i].read().clone();
-        // MinMax pruning is only sound against a clean (update-free)
-        // partition image; trickle updates are conservative until the next
-        // propagation rebuilds the index.
-        let clean = plan
-            .iter()
-            .all(|s| matches!(s, MergeStep::CopyStable { .. }));
-        let keep = match (clean, pred) {
-            (true, Some(p)) => {
-                let pruning = extract_pruning(p, cols);
-                if pruning.is_empty() {
-                    vec![true; store.n_chunks()]
-                } else {
-                    store.prune(&pruning)
-                }
-            }
-            _ => vec![true; store.n_chunks()],
-        };
+        let pruning = pred
+            .as_ref()
+            .map(|p| extract_pruning(p, cols))
+            .unwrap_or_default();
+        let keep = keep_chunks(&store, &pruning, &plan);
         let home = ctx.vh.responsible(*pid);
         let mut op: Box<dyn Operator> =
             Box::new(MScan::new(store, cols.to_vec(), keep, plan, Some(home))?);

@@ -115,6 +115,36 @@ impl Expr {
         Expr::Or(es)
     }
 
+    /// The same expression with every column reference `c` replaced by
+    /// `f(c)`, visited left to right. Re-bases a predicate written against
+    /// one schema onto a projection of it.
+    pub fn map_cols(&self, f: &mut dyn FnMut(usize) -> usize) -> Expr {
+        fn bx(e: &Expr, f: &mut dyn FnMut(usize) -> usize) -> Box<Expr> {
+            Box::new(e.map_cols(f))
+        }
+        match self {
+            Expr::Col(c) => Expr::Col(f(*c)),
+            Expr::Lit(v) => Expr::Lit(v.clone()),
+            Expr::Cmp(op, a, b) => Expr::Cmp(*op, bx(a, f), bx(b, f)),
+            Expr::Arith(op, a, b) => Expr::Arith(*op, bx(a, f), bx(b, f)),
+            Expr::And(es) => Expr::And(es.iter().map(|e| e.map_cols(f)).collect()),
+            Expr::Or(es) => Expr::Or(es.iter().map(|e| e.map_cols(f)).collect()),
+            Expr::Not(e) => Expr::Not(bx(e, f)),
+            Expr::Between(e, lo, hi) => Expr::Between(bx(e, f), bx(lo, f), bx(hi, f)),
+            Expr::InList(e, list) => Expr::InList(bx(e, f), list.clone()),
+            Expr::Like(e, pat) => Expr::Like(bx(e, f), pat.clone()),
+            Expr::NotLike(e, pat) => Expr::NotLike(bx(e, f), pat.clone()),
+            Expr::Substr(e, start, len) => Expr::Substr(bx(e, f), *start, *len),
+            Expr::Case(arms, else_e) => Expr::Case(
+                arms.iter()
+                    .map(|(c, v)| (c.map_cols(f), v.map_cols(f)))
+                    .collect(),
+                bx(else_e, f),
+            ),
+            Expr::ExtractYear(e) => Expr::ExtractYear(bx(e, f)),
+        }
+    }
+
     /// Output type of this expression over inputs of `schema`.
     pub fn dtype(&self, schema: &Schema) -> Result<DataType> {
         Ok(match self {

@@ -8,19 +8,60 @@
 //! path of an update-free scan is a straight run of `CopyStable` block
 //! copies.
 //!
-//! Pruning correctness with updates relies on the §6 MinMax maintenance
-//! rules: the engine widens chunk stats when inserts/modifies land in a
-//! chunk's range, so a pruned chunk provably contains no matching rows; the
-//! plan rows of pruned chunks are therefore dropped without IO.
+//! Pruning stays on while updates are pending. The MinMax index describes
+//! the stable image only and nothing touches it at commit; instead
+//! [`keep_chunks`] reads the merge plan: a pruned chunk provably holds no
+//! *stable* row that matches, so the only pending change that could make one
+//! of its rows match is a `ModifyStable` of a pruning column, and a chunk
+//! with such a step is kept. Pending inserts are emitted whatever `keep`
+//! says (the `Select` above filters them) and pending deletes only remove
+//! rows. The plan rows of pruned chunks are dropped without IO, but they
+//! still advance the position counter behind [`MScan::with_rids`].
 
 use std::sync::Arc;
 
-use vectorh_common::{ColumnData, Result, Schema, VhError, VECTOR_SIZE};
+use vectorh_common::{ColumnData, DataType, Field, Result, Schema, VhError, VECTOR_SIZE};
 use vectorh_pdt::MergeStep;
+use vectorh_storage::minmax::Pruning;
 use vectorh_storage::PartitionStore;
 
 use crate::batch::Batch;
 use crate::operator::{Counters, OpProfile, Operator};
+
+/// Name of the trailing position column of [`MScan::with_rids`].
+pub const RID_COLUMN: &str = "__rid";
+
+/// `keep[chunk]` for a scan of `store` under the merge plan `plan` and the
+/// prunable conjuncts `pruning`: MinMax pruning over the stable image, then
+/// every chunk with a pending modify of a pruning column is kept after all
+/// (see the module comment for why inserts and deletes need nothing).
+pub fn keep_chunks(store: &PartitionStore, pruning: &Pruning, plan: &[MergeStep]) -> Vec<bool> {
+    if pruning.is_empty() {
+        return vec![true; store.n_chunks()];
+    }
+    let mut keep = store.prune(pruning);
+    // Exclusive SID end of each chunk.
+    let ends: Vec<u64> = (0..keep.len())
+        .scan(0u64, |end, i| {
+            *end += store.chunk_meta(i).n_rows as u64;
+            Some(*end)
+        })
+        .collect();
+    for step in plan {
+        let MergeStep::ModifyStable { sid, mods } = step else {
+            continue;
+        };
+        let hits_pruning_col = mods
+            .iter()
+            .any(|(c, _)| pruning.iter().any(|(pc, _, _)| pc == c));
+        if hits_pruning_col {
+            if let Some(k) = keep.get_mut(ends.partition_point(|end| end <= sid)) {
+                *k = true;
+            }
+        }
+    }
+    keep
+}
 
 /// The merging scan operator.
 pub struct MScan {
@@ -41,6 +82,12 @@ pub struct MScan {
     cached_chunk: Option<(usize, Vec<ColumnData>)>,
     reader: Option<vectorh_common::NodeId>,
     out_schema: Arc<Schema>,
+    /// Position in the merged image of the next row the plan yields; rows
+    /// of pruned chunks count, so a RID means the same with and without
+    /// pruning.
+    next_rid: u64,
+    /// Emit each row's position as a trailing [`RID_COLUMN`].
+    emit_rids: bool,
     counters: Counters,
     done: bool,
 }
@@ -82,9 +129,22 @@ impl MScan {
             cached_chunk: None,
             reader,
             out_schema,
+            next_rid: 0,
+            emit_rids: false,
             counters: Counters::default(),
             done: false,
         })
+    }
+
+    /// Also emit each row's position in the merged image (the RID that
+    /// `insert_at`/`delete_at`/`modify_at` take) as a trailing `I64`
+    /// [`RID_COLUMN`]. DML evaluates its predicate through this.
+    pub fn with_rids(mut self) -> MScan {
+        let mut fields = self.out_schema.fields().to_vec();
+        fields.push(Field::new(RID_COLUMN, DataType::I64));
+        self.out_schema = Arc::new(Schema::new(fields));
+        self.emit_rids = true;
+        self
     }
 
     /// Convenience: scan everything with no updates pending.
@@ -167,12 +227,11 @@ impl Operator for MScan {
         }
         // Split borrows: counters tracked manually to keep &mut self free.
         let start = std::time::Instant::now();
-        let mut builders: Vec<ColumnData> = self
-            .out_schema
-            .fields()
+        let mut builders: Vec<ColumnData> = self.out_schema.fields()[..self.cols.len()]
             .iter()
             .map(|f| ColumnData::with_capacity(f.dtype, VECTOR_SIZE))
             .collect();
+        let mut rids: Vec<i64> = Vec::with_capacity(if self.emit_rids { VECTOR_SIZE } else { 0 });
         let mut produced = 0usize;
 
         'fill: while produced < VECTOR_SIZE {
@@ -186,6 +245,10 @@ impl Operator for MScan {
                 }
                 MergeStep::EmitInsert { ref values, .. } => {
                     self.emit_row(values, &mut builders)?;
+                    if self.emit_rids {
+                        rids.push(self.next_rid as i64);
+                    }
+                    self.next_rid += 1;
                     produced += 1;
                     self.counters.rows_in += 1;
                     self.plan.pop_front();
@@ -211,10 +274,14 @@ impl Operator for MScan {
                             for (p, b) in builders.iter_mut().enumerate() {
                                 b.push_value(&row[p])?;
                             }
+                            if self.emit_rids {
+                                rids.push(self.next_rid as i64);
+                            }
                             produced += 1;
                             self.counters.rows_in += 1;
                         }
                     }
+                    self.next_rid += 1;
                     self.plan.pop_front();
                 }
                 MergeStep::CopyStable { from_sid, count } => {
@@ -235,12 +302,17 @@ impl Operator for MScan {
                         let cap_left = (VECTOR_SIZE - produced) as u64;
                         let take = take.min(cap_left);
                         self.copy_rows(chunk, sid, take, &mut builders)?;
+                        if self.emit_rids {
+                            rids.extend(self.next_rid as i64..(self.next_rid + take) as i64);
+                        }
                         produced += take as usize;
                         self.counters.rows_in += take;
                         self.step_off += take;
+                        self.next_rid += take;
                     } else {
                         // Pruned chunk: drop the rows without IO.
                         self.step_off += take;
+                        self.next_rid += take;
                     }
                     if self.step_off == count {
                         self.plan.pop_front();
@@ -257,6 +329,9 @@ impl Operator for MScan {
             return Ok(None);
         }
         self.counters.rows_out += produced as u64;
+        if self.emit_rids {
+            builders.push(ColumnData::I64(rids));
+        }
         Ok(Some(Batch::new(self.out_schema.clone(), builders)?))
     }
 
@@ -297,6 +372,21 @@ mod tests {
         ];
         s.append_rows(&cols).unwrap();
         s
+    }
+
+    /// A one-column partition nothing was ever appended to.
+    fn empty_store() -> PartitionStore {
+        let fs: StoreRef = StdArc::new(SimHdfs::new(
+            2,
+            BlockStoreConfig::default(),
+            StdArc::new(DefaultPolicy::new(1)),
+        ));
+        PartitionStore::new(
+            fs,
+            "/db/e/p0/",
+            Schema::of(&[("k", DataType::I64)]),
+            StorageConfig::default(),
+        )
     }
 
     fn drain(scan: &mut MScan) -> Vec<Vec<Value>> {
@@ -393,20 +483,132 @@ mod tests {
         assert_eq!(rows[50][0], Value::I64(999));
     }
 
+    /// Stable rows of `store(_, n)` as the reference applier wants them.
+    fn stable_rows(n: i64) -> Vec<Vec<Value>> {
+        (0..n)
+            .map(|i| vec![Value::I64(i), Value::Str(format!("t{}", i % 4))])
+            .collect()
+    }
+
+    #[test]
+    fn rids_are_positions_in_the_merged_image_even_past_pruned_chunks() {
+        let s = store(100, 300);
+        let mut pdt = Pdt::new();
+        pdt.insert_at(0, vec![Value::I64(-1), Value::Str("new".into())], 1, 300)
+            .unwrap();
+        pdt.delete_at(51, 300).unwrap(); // stable row 50, chunk 0
+        pdt.modify_at(119, 1, Value::Str("patched".into()), 300)
+            .unwrap(); // stable row 119, chunk 1
+        pdt.insert_at(250, vec![Value::I64(-2), Value::Str("mid".into())], 2, 300)
+            .unwrap(); // lands inside chunk 2
+        let plan = Layers::new(300, vec![&pdt]).merged_plan();
+        let want = vectorh_pdt::merge::apply_plan(&plan, &stable_rows(300));
+        for keep in [
+            vec![true, true, true],
+            vec![false, true, false],
+            vec![true, false, true],
+            vec![false, false, false],
+        ] {
+            let mut scan = MScan::new(s.clone(), vec![0, 1], keep.clone(), plan.clone(), None)
+                .unwrap()
+                .with_rids();
+            assert_eq!(scan.schema().fields()[2].name, RID_COLUMN);
+            let rows = drain(&mut scan);
+            // Inserts survive every `keep`; stable rows only in kept chunks.
+            let kept_stable: usize = [99, 100, 100] // chunk 0 lost row 50
+                .iter()
+                .zip(&keep)
+                .map(|(n, k)| if *k { *n } else { 0 })
+                .sum();
+            assert_eq!(rows.len(), kept_stable + 2, "keep {keep:?}");
+            let mut last = -1;
+            for row in rows {
+                let Value::I64(rid) = row[2] else {
+                    panic!("rid column must be I64, got {:?}", row[2])
+                };
+                assert!(rid > last, "rids ascend");
+                last = rid;
+                assert_eq!(row[..2], want[rid as usize][..], "rid {rid} keep {keep:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn rids_on_an_empty_partition_and_on_trailing_inserts() {
+        let empty = empty_store();
+        let mut scan = MScan::full(empty.clone(), vec![0], None)
+            .unwrap()
+            .with_rids();
+        assert_eq!(scan.schema().len(), 2);
+        assert!(scan.next().unwrap().is_none());
+        // Nothing stable, two pending inserts: they are rows 0 and 1.
+        let mut pdt = Pdt::new();
+        pdt.insert_at(0, vec![Value::I64(7)], 1, 0).unwrap();
+        pdt.insert_at(1, vec![Value::I64(8)], 2, 0).unwrap();
+        let plan = Layers::new(0, vec![&pdt]).merged_plan();
+        let mut scan = MScan::new(empty, vec![0], vec![], plan, None)
+            .unwrap()
+            .with_rids();
+        assert_eq!(
+            drain(&mut scan),
+            vec![
+                vec![Value::I64(7), Value::I64(0)],
+                vec![Value::I64(8), Value::I64(1)]
+            ]
+        );
+
+        let s = store(50, 50);
+        let mut pdt = Pdt::new();
+        pdt.insert_at(50, vec![Value::I64(999), Value::Str("app".into())], 7, 50)
+            .unwrap();
+        let plan = Layers::new(50, vec![&pdt]).merged_plan();
+        // Even with the only chunk pruned the trailing insert is row 50.
+        let mut scan = MScan::new(s, vec![0], vec![false], plan, None)
+            .unwrap()
+            .with_rids();
+        assert_eq!(
+            drain(&mut scan),
+            vec![vec![Value::I64(999), Value::I64(50)]]
+        );
+    }
+
+    #[test]
+    fn keep_chunks_keeps_a_pruned_chunk_only_for_a_modified_pruning_column() {
+        let s = store(100, 300);
+        let pruning = vec![(0, PruneOp::Lt, Value::I64(150))];
+        let keep_under = |pdt: &Pdt| {
+            let plan = Layers::new(300, vec![pdt]).merged_plan();
+            keep_chunks(&s, &pruning, &plan)
+        };
+        assert_eq!(keep_under(&Pdt::new()), vec![true, true, false]);
+        // Inserts into, deletes from and modifies of another column of the
+        // pruned chunk change nothing a `k < 150` scan could see there.
+        let mut pdt = Pdt::new();
+        pdt.insert_at(250, vec![Value::I64(3), Value::Str("in".into())], 1, 300)
+            .unwrap();
+        pdt.delete_at(280, 300).unwrap();
+        pdt.modify_at(290, 1, Value::Str("x".into()), 300).unwrap();
+        assert_eq!(keep_under(&pdt), vec![true, true, false]);
+        // A modify of the pruning column may have moved the row into range.
+        pdt.modify_at(260, 0, Value::I64(5), 300).unwrap();
+        assert_eq!(keep_under(&pdt), vec![true, true, true]);
+        // The scan then finds it, and the inserted k = 3, beside the 150
+        // stable rows below 150.
+        let plan = Layers::new(300, vec![&pdt]).merged_plan();
+        let keep = keep_chunks(&s, &pruning, &plan);
+        let mut scan = MScan::new(s.clone(), vec![0], keep, plan, None).unwrap();
+        let low = drain(&mut scan)
+            .into_iter()
+            .filter(|r| r[0] < Value::I64(150))
+            .count();
+        assert_eq!(low, 150 + 2);
+        // No prunable conjunct: everything is kept.
+        assert_eq!(keep_chunks(&s, &vec![], &[]), vec![true, true, true]);
+    }
+
     #[test]
     fn empty_partition_scan() {
-        let fs: StoreRef = StdArc::new(SimHdfs::new(
-            2,
-            BlockStoreConfig::default(),
-            StdArc::new(DefaultPolicy::new(1)),
-        ));
-        let s = PartitionStore::new(
-            fs,
-            "/db/e/p0/",
-            Schema::of(&[("k", DataType::I64)]),
-            StorageConfig::default(),
-        );
-        let mut scan = MScan::full(s, vec![0], None).unwrap();
+        let mut scan = MScan::full(empty_store(), vec![0], None).unwrap();
         assert!(scan.next().unwrap().is_none());
     }
 

@@ -170,6 +170,27 @@ impl ConnShared {
     }
 }
 
+/// An admitted request's pipelining slot on its session. It is given back
+/// *before* the request's terminal frame (`Done`, `Prepared`, `Error`) is
+/// written — `slot.release().send(..)` — so a client that sends its next
+/// request on reading that frame never finds its previous request still
+/// counted against the cap. Dropping the slot on any other way out
+/// releases it too.
+struct Slot<'a>(&'a ConnShared);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.session.release_inflight();
+    }
+}
+
+impl<'a> Slot<'a> {
+    /// Give the slot back; what remains is the connection to answer on.
+    fn release(self) -> &'a ConnShared {
+        self.0
+    }
+}
+
 fn handle_conn(
     vh: Arc<VectorH>,
     gate: Arc<Gate>,
@@ -297,30 +318,19 @@ fn reader_loop(
 
 fn executor_loop(shared: &ConnShared, gate: &Gate, cfg: &ServerConfig, rx: &Receiver<Req>) {
     while let Ok(req) = rx.recv() {
+        // The reader took a slot for every request it queued.
         let ok = match req {
             Req::Goodbye => break,
-            Req::Query { req_id, sql } => {
-                let r = serve_sql(shared, gate, cfg, req_id, &sql);
-                shared.session.release_inflight();
-                r
-            }
-            Req::Prepare { req_id, sql } => {
-                let r = serve_prepare(shared, req_id, &sql);
-                shared.session.release_inflight();
-                r
-            }
-            Req::Execute { req_id, stmt } => {
-                let r = match shared.session.plan(stmt) {
-                    Some(plan) => serve_plan(shared, gate, cfg, req_id, &plan),
-                    None => shared.send_error(
-                        req_id,
-                        &VhError::InvalidArg(format!("unknown statement id {stmt}")),
-                        0,
-                    ),
-                };
-                shared.session.release_inflight();
-                r
-            }
+            Req::Query { req_id, sql } => serve_sql(shared, Slot(shared), gate, cfg, req_id, &sql),
+            Req::Prepare { req_id, sql } => serve_prepare(shared, Slot(shared), req_id, &sql),
+            Req::Execute { req_id, stmt } => match shared.session.plan(stmt) {
+                Some(plan) => serve_plan(shared, Slot(shared), gate, cfg, req_id, &plan),
+                None => Slot(shared).release().send_error(
+                    req_id,
+                    &VhError::InvalidArg(format!("unknown statement id {stmt}")),
+                    0,
+                ),
+            },
         };
         // A write failure means the client is gone; stop executing for it.
         if ok.is_err() {
@@ -329,13 +339,14 @@ fn executor_loop(shared: &ConnShared, gate: &Gate, cfg: &ServerConfig, rx: &Rece
     }
 }
 
-fn serve_prepare(shared: &ConnShared, req_id: u32, sql: &str) -> Result<()> {
+fn serve_prepare(shared: &ConnShared, slot: Slot, req_id: u32, sql: &str) -> Result<()> {
     match shared.vh.parse(sql) {
         Ok(plan) => {
             let stmt = shared.session.insert_prepared(sql, Arc::new(plan));
-            shared.send(FrameKind::Prepared, req_id, wire::encode_stmt(stmt))
+            slot.release()
+                .send(FrameKind::Prepared, req_id, wire::encode_stmt(stmt))
         }
-        Err(e) => shared.send_error(req_id, &e, 0),
+        Err(e) => slot.release().send_error(req_id, &e, 0),
     }
 }
 
@@ -343,6 +354,7 @@ fn serve_prepare(shared: &ConnShared, req_id: u32, sql: &str) -> Result<()> {
 /// was prepared before, otherwise parse fresh.
 fn serve_sql(
     shared: &ConnShared,
+    slot: Slot,
     gate: &Gate,
     cfg: &ServerConfig,
     req_id: u32,
@@ -352,14 +364,15 @@ fn serve_sql(
         Some(p) => p,
         None => match shared.vh.parse(sql) {
             Ok(p) => Arc::new(p),
-            Err(e) => return shared.send_error(req_id, &e, 0),
+            Err(e) => return slot.release().send_error(req_id, &e, 0),
         },
     };
-    serve_plan(shared, gate, cfg, req_id, &plan)
+    serve_plan(shared, slot, gate, cfg, req_id, &plan)
 }
 
 fn serve_plan(
     shared: &ConnShared,
+    slot: Slot,
     gate: &Gate,
     cfg: &ServerConfig,
     req_id: u32,
@@ -377,7 +390,7 @@ fn serve_plan(
                 "admission refused ({:?}); retry after the hint",
                 busy.reason
             ));
-            return shared.send_error(req_id, &e, busy.retry_after_ms);
+            return slot.release().send_error(req_id, &e, busy.retry_after_ms);
         }
     };
     shared
@@ -398,12 +411,12 @@ fn serve_plan(
             }
             shared.stats.record_query_served(session_id);
             shared.session.set_epoch_watermark(shared.vh.master_epoch());
-            shared.send(
+            slot.release().send(
                 FrameKind::Done,
                 req_id,
                 wire::encode_done(rows.len() as u64, ctl.retries()),
             )
         }
-        Err(e) => shared.send_error(req_id, &e, 0),
+        Err(e) => slot.release().send_error(req_id, &e, 0),
     }
 }

@@ -12,8 +12,8 @@
 //!   chunk file* that the next append merges and frees.
 //! * **MinMax indexes** ([`minmax`]) — small per-chunk column summaries kept
 //!   *outside* the data files (the paper stores them in the WAL), enabling
-//!   scans to skip chunks without touching them. Maintenance follows §6:
-//!   deletes are ignored, inserts/modifies widen, propagation rebuilds.
+//!   scans to skip chunks without touching them. They describe the stable
+//!   image: trickle updates leave them alone, propagation recomputes them.
 //!
 //! A [`partition::PartitionStore`] manages one table partition; the engine
 //! crate composes partitions into tables.

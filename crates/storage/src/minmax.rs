@@ -6,9 +6,10 @@
 //! Unlike ORC/Parquet, VectorH keeps them *separate* from the data (§6) —
 //! here they live in the partition manifest / WAL, never in chunk files.
 //!
-//! Maintenance rules (§6): deletes are ignored; inserts and modifies only
-//! *widen* the extremes (no old-value scan needed); update propagation
-//! rebuilds from scratch.
+//! The index describes the stable image only: trickle updates never touch
+//! it (a scan reconciles pruning with its merge plan instead, see
+//! `exec::scan::keep_chunks`), and update propagation recomputes the stats
+//! of every chunk it rewrites or appends.
 
 use vectorh_common::{ColumnData, DataType, Value};
 
@@ -39,16 +40,6 @@ impl ColumnStats {
         Some(ColumnStats { min, max })
     }
 
-    /// Widen to cover `v` (insert/modify maintenance).
-    pub fn widen(&mut self, v: &Value) {
-        if *v < self.min {
-            self.min = v.clone();
-        }
-        if *v > self.max {
-            self.max = v.clone();
-        }
-    }
-
     /// Could any value in this range satisfy `value OP probe`?
     pub fn may_match(&self, op: PruneOp, probe: &Value) -> bool {
         match op {
@@ -58,6 +49,9 @@ impl ColumnStats {
             PruneOp::Ge => self.max >= *probe,
             PruneOp::Eq => self.min <= *probe && *probe <= self.max,
             PruneOp::Between(ref hi) => self.min <= *hi && *probe <= self.max,
+            PruneOp::InList(ref rest) => std::iter::once(probe)
+                .chain(rest)
+                .any(|v| self.min <= *v && *v <= self.max),
         }
     }
 }
@@ -73,6 +67,9 @@ pub enum PruneOp {
     /// `probe <= value <= hi` — probe is the lower bound, the variant holds
     /// the upper bound.
     Between(Value),
+    /// `value IN (probe, rest...)` — probe is the first list value, the
+    /// variant holds the others.
+    InList(Vec<Value>),
 }
 
 /// A conjunction of prunable predicates: `(column, op, probe)`.
@@ -113,13 +110,6 @@ impl MinMaxIndex {
             .get(chunk)
             .and_then(|c| c.get(col))
             .and_then(|s| s.as_ref())
-    }
-
-    /// Widen a chunk's column to cover `v` (insert/modify into that range).
-    pub fn widen(&mut self, chunk: usize, col: usize, v: &Value) {
-        if let Some(Some(s)) = self.chunks.get_mut(chunk).and_then(|c| c.get_mut(col)) {
-            s.widen(v);
-        }
     }
 
     /// Which chunks can a scan with these predicates skip entirely?
@@ -172,19 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn widen_only_grows() {
-        let mut s = stats(10, 20);
-        s.widen(&Value::I64(15));
-        assert_eq!(
-            (s.min.clone(), s.max.clone()),
-            (Value::I64(10), Value::I64(20))
-        );
-        s.widen(&Value::I64(5));
-        s.widen(&Value::I64(30));
-        assert_eq!((s.min, s.max), (Value::I64(5), Value::I64(30)));
-    }
-
-    #[test]
     fn may_match_comparisons() {
         let s = stats(10, 20);
         assert!(s.may_match(PruneOp::Lt, &Value::I64(11)));
@@ -199,6 +176,29 @@ mod tests {
         assert!(s.may_match(PruneOp::Between(Value::I64(25)), &Value::I64(18)));
         // BETWEEN 21 AND 25 does not
         assert!(!s.may_match(PruneOp::Between(Value::I64(25)), &Value::I64(21)));
+    }
+
+    #[test]
+    fn in_list_matches_iff_some_value_is_in_range() {
+        let s = stats(10, 20);
+        let rest = |vs: &[i64]| PruneOp::InList(vs.iter().map(|v| Value::I64(*v)).collect());
+        // The probe alone, the extremes included.
+        assert!(s.may_match(rest(&[]), &Value::I64(10)));
+        assert!(s.may_match(rest(&[]), &Value::I64(20)));
+        assert!(!s.may_match(rest(&[]), &Value::I64(9)));
+        // Any one of the others is enough, wherever it sits in the list.
+        assert!(s.may_match(rest(&[30, 15]), &Value::I64(5)));
+        assert!(!s.may_match(rest(&[30, 21, -4]), &Value::I64(5)));
+        // Values that straddle the range without entering it do not match.
+        assert!(!s.may_match(rest(&[25]), &Value::I64(5)));
+        // Strings order lexically.
+        let s = ColumnStats {
+            min: Value::Str("b".into()),
+            max: Value::Str("d".into()),
+        };
+        let list = PruneOp::InList(vec![Value::Str("c".into())]);
+        assert!(s.may_match(list.clone(), &Value::Str("a".into())));
+        assert!(!s.may_match(PruneOp::InList(vec![]), &Value::Str("e".into())));
     }
 
     #[test]
@@ -230,11 +230,9 @@ mod tests {
     }
 
     #[test]
-    fn widen_and_replace() {
+    fn replace_and_remove() {
         let mut idx = MinMaxIndex::new();
         idx.push_chunk(vec![Some(stats(5, 6))]);
-        idx.widen(0, 0, &Value::I64(100));
-        assert_eq!(idx.stats(0, 0).unwrap().max, Value::I64(100));
         idx.replace_chunk(0, vec![Some(stats(1, 2))]);
         assert_eq!(idx.stats(0, 0).unwrap().max, Value::I64(2));
         idx.remove_chunk(0);

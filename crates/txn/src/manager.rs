@@ -417,25 +417,24 @@ impl TransactionManager {
         let mut new_writes: HashMap<PartitionId, Pdt> = HashMap::new();
         let mut records: HashMap<PartitionId, Vec<LogRecord>> = HashMap::new();
         let mut stables: HashMap<PartitionId, (u64, Arc<Pdt>)> = HashMap::new();
-        for (pid, st) in &txn.snapshots {
-            // Snapshot read-layer Arc is reused: Read-PDT only changes under
-            // propagation, which is blocked while transactions are active.
-            let cur = inner
-                .partitions
-                .get(pid)
-                .ok_or_else(|| VhError::TxnAbort("partition vanished".into()))?;
-            new_writes.insert(*pid, (*cur.write).clone());
-            stables.insert(*pid, (cur.stable_len, cur.read.clone()));
-            let _ = st;
-        }
         for (pid, op) in &txn.ops {
-            let (stable_len, read) = stables
-                .get(pid)
-                .ok_or_else(|| VhError::TxnAbort("op on unsnapshotted partition".into()))?
-                .clone();
-            let write = new_writes
-                .get_mut(pid)
-                .ok_or_else(|| VhError::TxnAbort("op on unsnapshotted partition".into()))?;
+            // Only partitions the transaction wrote get a new Write-PDT; a
+            // snapshot that was merely read costs nothing here.
+            if !new_writes.contains_key(pid) {
+                if !txn.snapshots.contains_key(pid) {
+                    return Err(VhError::TxnAbort("op on unsnapshotted partition".into()));
+                }
+                // The Read-PDT only changes under propagation, which is
+                // blocked while transactions are active.
+                let cur = inner
+                    .partitions
+                    .get(pid)
+                    .ok_or_else(|| VhError::TxnAbort("partition vanished".into()))?;
+                new_writes.insert(*pid, (*cur.write).clone());
+                stables.insert(*pid, (cur.stable_len, cur.read.clone()));
+            }
+            let (stable_len, read) = stables[pid].clone();
+            let write = new_writes.get_mut(pid).expect("inserted above");
             let write_base = read.image_len(stable_len);
             let rid_of_key = |write: &Pdt, key: TupleKey| -> Option<u64> {
                 // Identity through read layer, then write layer.

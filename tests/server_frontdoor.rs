@@ -167,6 +167,46 @@ fn pipelined_requests_beyond_session_cap_get_typed_busy() {
     assert_eq!(client.query(sql).unwrap(), want);
 }
 
+/// The pipelining slot is given back before the terminal frame goes out,
+/// so a client that only ever has one request outstanding never meets its
+/// own previous request at a cap of 1 — whatever that request's terminal
+/// frame was (`Done`, `Prepared`, or an error).
+#[test]
+fn back_to_back_requests_at_cap_one_never_see_busy() {
+    let vh = engine(3);
+    let server = server_with(
+        &vh,
+        AdmissionConfig {
+            per_session_inflight: 1,
+            ..AdmissionConfig::default()
+        },
+        1024,
+    );
+    let mut client = Client::connect(server.addr()).unwrap();
+    let sql = "SELECT count(*) FROM region";
+    let want = vh.query(sql).unwrap();
+    let stmt = client.prepare(sql).unwrap();
+    // 4 request/response cycles per round.
+    for cycle in 0..50 {
+        assert_eq!(client.query(sql).unwrap(), want, "cycle {cycle}");
+        assert_eq!(client.prepare(sql).unwrap(), stmt, "cycle {cycle}");
+        assert_eq!(client.execute_prepared(stmt).unwrap().rows, want);
+        let err = client.query("SELECT FROM").unwrap_err();
+        assert!(
+            !matches!(err, VhError::ServerBusy(_)),
+            "cycle {cycle}: {err}"
+        );
+    }
+    let sessions = vh.server_stats().sessions();
+    let mine = sessions
+        .iter()
+        .find(|(id, _)| *id == client.session_id())
+        .map(|(_, c)| *c)
+        .unwrap();
+    assert_eq!(mine.rejected_busy, 0);
+    assert_eq!(mine.queries_served, 100);
+}
+
 #[test]
 fn cancel_mid_stream_is_typed_and_session_survives() {
     let vh = engine(3);
