@@ -2,11 +2,10 @@
 //!
 //! Each binary under `bin/` regenerates one table or figure of the VectorH
 //! paper (see DESIGN.md's experiment index); this crate holds the timing and
-//! table-formatting helpers they share.
+//! table-formatting helpers they share. Performance numbers do not come from
+//! here: `perfbench/` is the repository's only benchmark.
 
 use std::time::Instant;
-
-use vectorh_common::Value;
 
 /// Time a closure, returning (result, seconds).
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -54,229 +53,12 @@ pub fn env_sf(default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-/// Minimal in-tree micro-benchmark runner used by the `benches/` targets.
+/// A minimal JSON reader (the workspace has no external dependencies).
 ///
-/// A [`harness::Group`] collects named cases: each case gets one untimed
-/// warm-up call, then is run repeatedly until the measurement budget is
-/// spent (or a minimum iteration count is reached), and the *median*
-/// per-iteration time is reported, plus element throughput when
-/// [`harness::Group::throughput`] was set. Everything prints immediately,
-/// one line per case, so partial runs still show results.
-pub mod harness {
-    use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    const WARMUP: Duration = Duration::from_millis(200);
-    const MEASURE: Duration = Duration::from_millis(600);
-    const MIN_ITERS: usize = 5;
-    const MAX_ITERS: usize = 10_000;
-
-    /// A named group of benchmark cases sharing a throughput setting.
-    pub struct Group {
-        name: String,
-        elems: Option<u64>,
-    }
-
-    impl Group {
-        pub fn new(name: &str) -> Group {
-            println!("\n== {name} ==");
-            Group {
-                name: name.to_string(),
-                elems: None,
-            }
-        }
-
-        /// Elements processed per iteration; subsequent cases report
-        /// elems/s alongside the per-iteration time.
-        pub fn throughput(&mut self, elems: u64) {
-            self.elems = Some(elems);
-        }
-
-        /// Run one case and print its median time. Returns the median
-        /// seconds per iteration so callers can compute speedup ratios.
-        pub fn bench<T>(&mut self, id: &str, mut f: impl FnMut() -> T) -> f64 {
-            // Warm-up: at least one call, then keep going briefly so
-            // caches/allocators reach steady state.
-            let t0 = Instant::now();
-            loop {
-                black_box(f());
-                if t0.elapsed() >= WARMUP {
-                    break;
-                }
-            }
-            let mut samples = Vec::new();
-            let t0 = Instant::now();
-            while (t0.elapsed() < MEASURE || samples.len() < MIN_ITERS) && samples.len() < MAX_ITERS
-            {
-                let it = Instant::now();
-                black_box(f());
-                samples.push(it.elapsed().as_secs_f64());
-            }
-            samples.sort_by(f64::total_cmp);
-            let median = samples[samples.len() / 2];
-            let label = format!("{}/{}", self.name, id);
-            match self.elems {
-                Some(n) => println!(
-                    "{label:<48} {:>12}  {:>14}",
-                    fmt_time(median),
-                    format!("{} elems/s", fmt_count(n as f64 / median)),
-                ),
-                None => println!("{label:<48} {:>12}", fmt_time(median)),
-            }
-            median
-        }
-
-        /// Like [`bench`](Self::bench), but also records the result into a
-        /// [`report::Report`](crate::report::Report): median seconds always,
-        /// plus elements/s when a throughput was set.
-        pub fn bench_rec<T>(
-            &mut self,
-            rep: &mut crate::report::Report,
-            id: &str,
-            f: impl FnMut() -> T,
-        ) -> f64 {
-            let median = self.bench(id, f);
-            rep.push(&self.name, id, median, "s");
-            if let Some(n) = self.elems {
-                rep.push(&self.name, id, n as f64 / median, "elems/s");
-            }
-            median
-        }
-    }
-
-    fn fmt_time(secs: f64) -> String {
-        if secs < 1e-6 {
-            format!("{:.1} ns", secs * 1e9)
-        } else if secs < 1e-3 {
-            format!("{:.2} us", secs * 1e6)
-        } else if secs < 1.0 {
-            format!("{:.2} ms", secs * 1e3)
-        } else {
-            format!("{secs:.3} s")
-        }
-    }
-
-    fn fmt_count(x: f64) -> String {
-        if x >= 1e9 {
-            format!("{:.2}G", x / 1e9)
-        } else if x >= 1e6 {
-            format!("{:.2}M", x / 1e6)
-        } else if x >= 1e3 {
-            format!("{:.1}k", x / 1e3)
-        } else {
-            format!("{x:.0}")
-        }
-    }
-}
-
-/// Machine-readable benchmark reports (`BENCH_*.json`).
-///
-/// The perf trajectory of the repo is tracked by committed `BENCH_pr<N>.json`
-/// files at the workspace root: one flat list of `(group, case, value, unit)`
-/// entries plus free-form metadata, written by `bin/bench_report.rs`. The
-/// writer emits the JSON by hand and [`report::parse_report`] is a minimal
-/// in-tree parser (the workspace has no external dependencies), used by the
-/// report binary to validate its own output and by CI's bench-smoke job to
-/// assert the file stays machine-parseable.
+/// `perfbench/tests/schema.rs` reads `BENCHMARK.json` and the runner's result
+/// line through it; nothing in the workspace writes JSON through this module.
 pub mod report {
-    use std::fmt::Write as _;
-
-    /// One measured number.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Entry {
-        pub group: String,
-        pub case: String,
-        pub value: f64,
-        pub unit: String,
-    }
-
-    /// A benchmark report: ordered metadata + ordered entries.
-    #[derive(Debug, Default)]
-    pub struct Report {
-        meta: Vec<(String, String)>,
-        entries: Vec<Entry>,
-    }
-
-    impl Report {
-        pub fn new() -> Report {
-            Report::default()
-        }
-
-        pub fn meta(&mut self, key: &str, value: &str) {
-            self.meta.push((key.to_string(), value.to_string()));
-        }
-
-        pub fn push(&mut self, group: &str, case: &str, value: f64, unit: &str) {
-            assert!(value.is_finite(), "non-finite bench value {group}/{case}");
-            self.entries.push(Entry {
-                group: group.to_string(),
-                case: case.to_string(),
-                value,
-                unit: unit.to_string(),
-            });
-        }
-
-        pub fn entries(&self) -> &[Entry] {
-            &self.entries
-        }
-
-        /// Pretty-printed JSON document.
-        pub fn to_json(&self) -> String {
-            let mut s = String::from("{\n  \"meta\": {");
-            for (i, (k, v)) in self.meta.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(s, "{sep}\n    \"{}\": \"{}\"", esc(k), esc(v));
-            }
-            s.push_str("\n  },\n  \"entries\": [");
-            for (i, e) in self.entries.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(
-                    s,
-                    "{sep}\n    {{\"group\": \"{}\", \"case\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}",
-                    esc(&e.group),
-                    esc(&e.case),
-                    fmt_f64(e.value),
-                    esc(&e.unit)
-                );
-            }
-            s.push_str("\n  ]\n}\n");
-            s
-        }
-
-        pub fn write_file(&self, path: &str) -> std::io::Result<()> {
-            std::fs::write(path, self.to_json())
-        }
-    }
-
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// Format with enough digits to round-trip but without float noise.
-    fn fmt_f64(v: f64) -> String {
-        let short = format!("{v:.6}");
-        if short.parse::<f64>() == Ok(v) {
-            short
-        } else {
-            format!("{v}")
-        }
-    }
-
-    /// Minimal JSON value (only what reports emit; enough for tooling).
+    /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Json {
         Null,
@@ -476,52 +258,6 @@ pub mod report {
         }
         Err("unterminated string".into())
     }
-
-    /// Parse a report document back into its entries; validates the schema
-    /// `{"meta": {str: str}, "entries": [{group, case, value, unit}]}`.
-    pub fn parse_report(s: &str) -> Result<Vec<Entry>, String> {
-        let doc = parse(s)?;
-        doc.get("meta").ok_or("missing \"meta\"")?;
-        let entries = doc
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"entries\" array")?;
-        entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let field = |k: &str| {
-                    e.get(k)
-                        .ok_or_else(|| format!("entry {i}: missing \"{k}\""))
-                };
-                Ok(Entry {
-                    group: field("group")?
-                        .as_str()
-                        .ok_or(format!("entry {i}: group not a string"))?
-                        .to_string(),
-                    case: field("case")?
-                        .as_str()
-                        .ok_or(format!("entry {i}: case not a string"))?
-                        .to_string(),
-                    value: field("value")?
-                        .as_f64()
-                        .ok_or(format!("entry {i}: value not a number"))?,
-                    unit: field("unit")?
-                        .as_str()
-                        .ok_or(format!("entry {i}: unit not a string"))?
-                        .to_string(),
-                })
-            })
-            .collect()
-    }
-}
-
-/// First value of the first row, as f64 (harness assertions).
-pub fn scalar(rows: &[Vec<Value>]) -> f64 {
-    rows.first()
-        .and_then(|r| r.first())
-        .and_then(|v| v.as_f64())
-        .unwrap_or(f64::NAN)
 }
 
 #[cfg(test)]
@@ -549,50 +285,35 @@ mod tests {
     }
 
     #[test]
-    fn report_roundtrips_through_own_parser() {
-        let mut rep = report::Report::new();
-        rep.meta("bench", "pr6");
-        rep.meta("quote\"and\\slash", "line\nbreak\ttab");
-        rep.push("unpack", "w4/simd", 0.4375, "cycles/value");
-        rep.push("hash-1M", "columnar", 123_456_789.0, "elems/s");
-        rep.push("fig7", "total/scalar", 1.5e-3, "s");
-        let json = rep.to_json();
-        let parsed = report::parse_report(&json).unwrap();
-        assert_eq!(parsed, rep.entries());
-        assert_eq!(parsed[0].group, "unpack");
-        assert_eq!(parsed[0].value, 0.4375);
-        assert_eq!(parsed[2].value, 1.5e-3);
-    }
-
-    #[test]
     fn parser_accepts_general_json_and_rejects_garbage() {
         use report::{parse, Json};
-        let v = parse(r#" {"a": [1, -2.5, true, false, null, "xA"], "b": {}} "#).unwrap();
+        let v = parse(r#" {"a": [1, -2.5, true, false, null, "xA", 1.5e-3], "b": {}} "#).unwrap();
         let arr = v.get("a").unwrap().as_arr().unwrap();
         assert_eq!(arr[0], Json::Num(1.0));
         assert_eq!(arr[1], Json::Num(-2.5));
         assert_eq!(arr[5], Json::Str("xA".into()));
+        assert_eq!(arr[6].as_f64(), Some(1.5e-3));
         assert_eq!(v.get("b"), Some(&Json::Obj(vec![])));
         assert!(parse("{").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse(r#"{"a": }"#).is_err());
-        assert!(parse(r#"{"entries": [{"group": 3}]}"#).is_ok()); // structurally valid…
-        assert!(report::parse_report(r#"{"meta": {}, "entries": [{"group": 3}]}"#).is_err());
-        // …but schema-invalid for a report.
-        assert!(report::parse_report(r#"{"entries": []}"#).is_err()); // no meta
+        assert!(parse(r#"{"a": "\q"}"#).is_err());
+        assert!(parse(r#"{"a": "open"#).is_err());
     }
 
     #[test]
     fn report_utf8_and_control_chars_survive() {
-        let mut rep = report::Report::new();
-        rep.meta("note", "médï🎉\u{1}");
-        rep.push("g", "c", 1.0, "s");
-        let json = rep.to_json();
-        assert!(report::parse_report(&json).is_ok());
-        let doc = report::parse(&json).unwrap();
+        // Raw multibyte UTF-8, a \u escape below 0x20 and the short escapes,
+        // in a key and in a value.
+        let doc = report::parse(
+            r#"{"meta": {"note": "médï🎉\u0001", "quote\"and\\slash": "line\nbreak\ttab"}}"#,
+        )
+        .unwrap();
+        let meta = doc.get("meta").unwrap();
+        assert_eq!(meta.get("note").unwrap().as_str(), Some("médï🎉\u{1}"));
         assert_eq!(
-            doc.get("meta").unwrap().get("note").unwrap().as_str(),
-            Some("médï🎉\u{1}")
+            meta.get("quote\"and\\slash").unwrap().as_str(),
+            Some("line\nbreak\ttab")
         );
     }
 }

@@ -1148,8 +1148,12 @@ fn phase_frontdoor(
                 Ok(())
             }));
         }
-        // The drill: kill once every client is mid-run.
-        while completed.load(Ordering::SeqCst) < n_clients {
+        // The drill: kill once every client is mid-run. Clients that all
+        // returned early must reach the failure report below (which names
+        // the seed), not hang the phase here.
+        while completed.load(Ordering::SeqCst) < n_clients
+            && !handles.iter().all(|h| h.is_finished())
+        {
             std::thread::yield_now();
         }
         let kill = vh.kill_node(victim);

@@ -7,12 +7,20 @@
 //! predicate, changed aggregate order) shows up as a fingerprint mismatch
 //! on the exact query that needs the feature.
 //!
+//! Each query's SQL text also runs once with the kernels pinned to the scalar
+//! oracle arm (`force_mode(Some(SimdMode::Scalar))`) and must fingerprint
+//! equal to the auto-dispatched run: the one place all 22 queries are
+//! compared across kernel arms end to end in one process.
+//!
 //! `VH_SQL_CONF_TCP=1` additionally runs a 4-query smoke pass over the real
 //! TCP transport (`ClusterMode::Tcp`), exercising the SQL path through the
 //! framed exchange fabric. It is off by default because the loopback
 //! sockets make it much slower than the in-process fabric.
 
+use std::sync::{Mutex, MutexGuard};
+
 use vectorh::{ClusterConfig, ClusterMode, VectorH};
+use vectorh_common::simd::{force_mode, SimdMode};
 use vectorh_exec::fingerprint_rows;
 use vectorh_tpch::queries::{build_query, run_with};
 use vectorh_tpch::{schema, sql_text, N_QUERIES};
@@ -33,12 +41,41 @@ fn engine(mode: ClusterMode) -> VectorH {
     .expect("engine start")
 }
 
-/// Run query `qn` both ways on `vh` and compare fingerprints.
+/// Serializes the queries of this binary's tests (they run on parallel
+/// threads and the kernel arm is process-global); restores auto-detection
+/// when dropped, also while unwinding.
+struct ModeGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+fn mode_lock() -> ModeGuard {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A poisoned lock only means another query's check failed.
+    ModeGuard(LOCK.lock().unwrap_or_else(|e| e.into_inner()))
+}
+
+impl Drop for ModeGuard {
+    fn drop(&mut self) {
+        force_mode(None);
+    }
+}
+
+/// Run query `qn` on `vh` from its SQL text (scalar arm, then dispatched arm)
+/// and from the hand-built plan, and compare fingerprints.
 fn check_query(vh: &VectorH, qn: usize) {
+    let _mode = mode_lock();
     let sql = sql_text(qn).expect("query number in range");
+    force_mode(Some(SimdMode::Scalar));
+    let scalar_rows = vh
+        .query(sql)
+        .unwrap_or_else(|e| panic!("Q{qn}: SQL path failed on the scalar arm: {e}"));
+    force_mode(None);
     let sql_rows = vh
         .query(sql)
         .unwrap_or_else(|e| panic!("Q{qn}: SQL path failed: {e}"));
+    assert_eq!(
+        fingerprint_rows(&scalar_rows),
+        fingerprint_rows(&sql_rows),
+        "Q{qn}: the dispatched kernel arm changed the answer of the scalar arm"
+    );
     let hand = build_query(qn).expect("hand-built query");
     let hand_rows = run_with(&hand, |p| vh.query_logical(p))
         .unwrap_or_else(|e| panic!("Q{qn}: hand-built path failed: {e}"));

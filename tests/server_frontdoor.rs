@@ -3,12 +3,16 @@
 //! and — the headline — node death under concurrent streaming clients
 //! with zero client-visible failures.
 
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vectorh::{ClusterConfig, VectorH};
+use vectorh_common::rng::SplitMix64;
 use vectorh_common::{NodeId, Value, VhError};
 use vectorh_server::{AdmissionConfig, Client, Server, ServerConfig};
+use vectorh_tpch::baseline::canonical;
+use vectorh_tpch::sql_texts::frontdoor_mix_texts;
 
 fn engine(nodes: usize) -> Arc<VectorH> {
     let vh = VectorH::start(ClusterConfig {
@@ -244,58 +248,105 @@ fn engine_level_cancel_is_deterministic() {
     assert!(matches!(err, VhError::Cancelled(_)), "{err}");
 }
 
-/// The headline drill: concurrent clients streaming results over the wire
-/// while a node dies mid-run. Zero client-visible failures — every retry
-/// is absorbed inside `query_logical` — and every answer stays
-/// byte-identical to the pre-kill baseline.
+/// Workload and victim seed of the kill drill.
+const SEED: u64 = 0x56EC_7047;
+const DRILL_CLIENTS: usize = 16;
+const DRILL_QUERIES: usize = 4;
+
+/// The kill drill's client side: 16 closed-loop wire clients against the
+/// front door at `addr`, each running 4 queries drawn from its own seeded
+/// stream over the Q1/Q6/Q12 mix. Typed `ServerBusy` is the one tolerated
+/// refusal; every answer must equal its pre-kill baseline. `kill` fires once
+/// the run is warm (as many queries completed as there are clients), or once
+/// no client is left to wait for. Returns the `Done`-frame retry total.
+fn kill_drill(addr: SocketAddr, baselines: &[Vec<Vec<Value>>], kill: impl FnOnce()) -> u64 {
+    let completed = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..DRILL_CLIENTS)
+            .map(|c| {
+                let completed = &completed;
+                s.spawn(move || {
+                    let texts = frontdoor_mix_texts();
+                    let mut rng = SplitMix64::new(SEED ^ (c as u64).wrapping_mul(0x9E37_79B9));
+                    let mut client = Client::connect(addr).expect("connect");
+                    let mut absorbed = 0u64;
+                    for i in 0..DRILL_QUERIES {
+                        let qi = rng.next_bounded(texts.len() as u64) as usize;
+                        let outcome = client
+                            .query_with_retry(texts[qi], 50)
+                            .unwrap_or_else(|e| panic!("client {c} query {i} failed: {e}"));
+                        assert_eq!(
+                            canonical(outcome.rows),
+                            baselines[qi],
+                            "client {c} query {i} diverged"
+                        );
+                        absorbed += outcome.retries_absorbed;
+                        completed.fetch_add(1, Ordering::SeqCst);
+                    }
+                    absorbed
+                })
+            })
+            .collect();
+        // Clients that all died before the run got warm must fail the drill
+        // at the joins below, not hang it here.
+        while completed.load(Ordering::SeqCst) < DRILL_CLIENTS
+            && !handles.iter().all(|h| h.is_finished())
+        {
+            std::thread::yield_now();
+        }
+        kill();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .sum()
+    })
+}
+
+/// The headline drill: 16 clients streaming results over the wire through
+/// the default admission gate (8 concurrent, so half of them queue) while a
+/// node dies mid-run. Zero client-visible failures — every retry is
+/// absorbed inside `query_logical` — and every answer stays equal to the
+/// pre-kill baseline.
 #[test]
 fn node_death_under_concurrent_clients_is_invisible() {
     let vh = engine(4);
     let server = default_server(&vh);
-    let texts = vectorh_tpch::sql_texts::frontdoor_mix_texts();
-    let baselines: Vec<Vec<Vec<Value>>> = texts.iter().map(|sql| vh.query(sql).unwrap()).collect();
+    let baselines: Vec<Vec<Vec<Value>>> = frontdoor_mix_texts()
+        .iter()
+        .map(|sql| canonical(vh.query(sql).unwrap()))
+        .collect();
+    // Surviving replicas cover the victim's reads; never the session master.
+    let master = vh.session_master();
+    let pool: Vec<NodeId> = vh.workers().into_iter().filter(|w| *w != master).collect();
+    let victim = pool[SplitMix64::new(SEED).next_bounded(pool.len() as u64) as usize];
 
-    let n_clients = 6;
-    let per_client = 6;
-    let completed = Arc::new(AtomicUsize::new(0));
-    let addr = server.addr();
-    let mut handles = Vec::new();
-    for c in 0..n_clients {
-        let completed = completed.clone();
-        let baselines = baselines.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).unwrap();
-            let mut absorbed = 0u64;
-            for i in 0..per_client {
-                let qi = (c + i) % texts.len();
-                let outcome = client
-                    .query_detailed(texts[qi])
-                    .unwrap_or_else(|e| panic!("client {c} query {i} failed: {e}"));
-                assert_eq!(outcome.rows, baselines[qi], "client {c} query {i} diverged");
-                absorbed += outcome.retries_absorbed;
-                completed.fetch_add(1, Ordering::SeqCst);
-            }
-            absorbed
-        }));
-    }
-    // Kill a worker once the run is warm; surviving replicas cover reads.
-    while completed.load(Ordering::SeqCst) < n_clients {
-        std::thread::yield_now();
-    }
-    vh.kill_node(NodeId(2)).unwrap();
-    let client_absorbed: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    let client_absorbed = kill_drill(server.addr(), &baselines, || {
+        vh.kill_node(victim).unwrap();
+    });
 
     let totals = vh.server_stats().totals();
     assert_eq!(
         totals.queries_served,
-        (n_clients * per_client) as u64,
+        (DRILL_CLIENTS * DRILL_QUERIES) as u64,
         "every query must be served"
     );
     assert_eq!(
         totals.retries_absorbed, client_absorbed,
         "server-side and Done-frame retry counts must agree"
     );
-    assert!(!vh.workers().contains(&NodeId(2)), "the node really died");
+    assert!(!vh.workers().contains(&victim), "the node really died");
+}
+
+/// A front door that fails every client's first query fails the drill
+/// instead of hanging it: nothing listens on the address.
+#[test]
+#[should_panic(expected = "client thread")]
+fn kill_drill_fails_when_every_client_dies_cold() {
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    kill_drill(addr, &[], || {});
 }
 
 #[test]
