@@ -147,6 +147,31 @@ impl ColumnData {
         Ok(())
     }
 
+    /// Append all values of `other` by value: strings move instead of being
+    /// cloned, and an empty `self` simply becomes `other`, so a buffer that
+    /// holds nothing yet costs no allocation and no copy.
+    pub fn append_owned(&mut self, other: ColumnData) -> Result<()> {
+        fn move_in<T>(a: &mut Vec<T>, b: Vec<T>) {
+            if a.is_empty() {
+                *a = b;
+            } else {
+                a.extend(b);
+            }
+        }
+        match (self, other) {
+            (ColumnData::I32(a), ColumnData::I32(b)) => move_in(a, b),
+            (ColumnData::I64(a), ColumnData::I64(b)) => move_in(a, b),
+            (ColumnData::F64(a), ColumnData::F64(b)) => move_in(a, b),
+            (ColumnData::Str(a), ColumnData::Str(b)) => move_in(a, b),
+            _ => {
+                return Err(VhError::InvalidArg(
+                    "column append with mismatched physical types".into(),
+                ))
+            }
+        }
+        Ok(())
+    }
+
     /// Copy the subrange `[from, to)` into a new buffer.
     pub fn slice(&self, from: usize, to: usize) -> ColumnData {
         match self {
@@ -154,6 +179,20 @@ impl ColumnData {
             ColumnData::I64(v) => ColumnData::I64(v[from..to].to_vec()),
             ColumnData::F64(v) => ColumnData::F64(v[from..to].to_vec()),
             ColumnData::Str(v) => ColumnData::Str(v[from..to].to_vec()),
+        }
+    }
+
+    /// Move the subrange `[from, to)` out into a new buffer: what
+    /// [`slice`](Self::slice) returns, without a heap allocation per string.
+    /// `self` keeps its length; the strings of the range are left empty, so
+    /// the caller must not read that range again. Everything outside it is
+    /// untouched.
+    pub fn take_range(&mut self, from: usize, to: usize) -> ColumnData {
+        match self {
+            ColumnData::Str(v) => {
+                ColumnData::Str(v[from..to].iter_mut().map(std::mem::take).collect())
+            }
+            numeric => numeric.slice(from, to),
         }
     }
 
@@ -262,6 +301,62 @@ mod tests {
         a.append(&ColumnData::I32(vec![2, 3])).unwrap();
         assert_eq!(a.len(), 3);
         assert!(a.append(&ColumnData::I64(vec![4])).is_err());
+    }
+
+    #[test]
+    fn take_range_moves_what_slice_copies_and_leaves_the_rest() {
+        let strs = |r: std::ops::Range<usize>| -> Vec<String> {
+            r.map(|i| format!("value-{i}")).collect()
+        };
+        // start, middle, end, empty, everything
+        for (from, to) in [(0, 3), (2, 5), (5, 8), (4, 4), (0, 8)] {
+            let mut s = ColumnData::Str(strs(0..8));
+            let want = s.slice(from, to);
+            assert_eq!(s.take_range(from, to), want, "[{from}, {to})");
+            assert_eq!(s.len(), 8, "the source keeps its length");
+            let left = s.as_str().unwrap();
+            for (i, v) in left.iter().enumerate() {
+                if (from..to).contains(&i) {
+                    assert!(v.is_empty(), "[{from}, {to}): {i} was moved out");
+                } else {
+                    assert_eq!(*v, format!("value-{i}"), "[{from}, {to}): {i} untouched");
+                }
+            }
+            let mut n = ColumnData::I32((0..8).collect());
+            assert_eq!(n.take_range(from, to), n.slice(from, to));
+            assert_eq!(n, ColumnData::I32((0..8).collect()));
+        }
+        let mut f = ColumnData::F64(vec![0.5, 1.5, 2.5]);
+        assert_eq!(f.take_range(1, 3), ColumnData::F64(vec![1.5, 2.5]));
+        let mut d = ColumnData::I64(vec![10, 20, 30]);
+        assert_eq!(d.take_range(0, 1), ColumnData::I64(vec![10]));
+    }
+
+    #[test]
+    fn append_owned_matches_append_and_checks_types() {
+        let parts = [
+            ColumnData::Str(vec![]),
+            ColumnData::Str(vec!["a".into(), "bc".into()]),
+            ColumnData::Str(vec![]),
+            ColumnData::Str(vec!["def".into()]),
+        ];
+        let (mut by_ref, mut by_value) = (ColumnData::new(DataType::Str), parts[0].clone());
+        for p in &parts {
+            by_ref.append(p).unwrap();
+            by_value.append_owned(p.clone()).unwrap();
+            assert_eq!(by_value, by_ref);
+        }
+        assert_eq!(by_value.len(), 3);
+        let mut a = ColumnData::I32(vec![]);
+        a.append_owned(ColumnData::I32(vec![1, 2])).unwrap();
+        a.append_owned(ColumnData::I32(vec![3])).unwrap();
+        assert_eq!(a, ColumnData::I32(vec![1, 2, 3]));
+        // Rejected whether or not the receiver is empty, and left as it was.
+        assert!(a.append_owned(ColumnData::I64(vec![4])).is_err());
+        assert!(ColumnData::new(DataType::Str)
+            .append_owned(ColumnData::F64(vec![0.0]))
+            .is_err());
+        assert_eq!(a, ColumnData::I32(vec![1, 2, 3]));
     }
 
     #[test]

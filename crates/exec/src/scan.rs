@@ -8,6 +8,13 @@
 //! path of an update-free scan is a straight run of `CopyStable` block
 //! copies.
 //!
+//! The scan hands on what it decoded: one chunk's decoded columns are held
+//! at a time and every `CopyStable` range is *moved* out of them into the
+//! output vector, never sliced and re-appended (with `Vec<String>` columns
+//! each copy of a value is a heap allocation). A plan consumes stable SIDs
+//! in ascending order, each at most once, so no row is read after it was
+//! emitted; `consume` checks exactly that on every step.
+//!
 //! Pruning stays on while updates are pending. The MinMax index describes
 //! the stable image only and nothing touches it at commit; instead
 //! [`keep_chunks`] reads the merge plan: a pruned chunk provably holds no
@@ -72,13 +79,15 @@ pub struct MScan {
     col_pos: Vec<Option<usize>>,
     /// Chunk-keep flags from MinMax pruning.
     keep: Vec<bool>,
-    /// Merge plan in stable coordinates (remaining work at the front).
+    /// Merge plan in stable coordinates: the work still to do, the rest of a
+    /// partly copied `CopyStable` run at the front.
     plan: std::collections::VecDeque<MergeStep>,
-    /// Progress inside the front CopyStable/SkipStable step.
-    step_off: u64,
+    /// First stable SID no step has consumed yet (see [`MScan::consume`]).
+    next_sid: u64,
     /// (sid_base, n_rows) per chunk.
     chunk_ranges: Vec<(u64, u64)>,
-    /// Cached data of the chunk currently being copied.
+    /// Decoded columns of the chunk being scanned; the rows already copied
+    /// (all below `next_sid`) have been moved out of it.
     cached_chunk: Option<(usize, Vec<ColumnData>)>,
     reader: Option<vectorh_common::NodeId>,
     out_schema: Arc<Schema>,
@@ -124,7 +133,7 @@ impl MScan {
             col_pos,
             keep,
             plan: plan.into(),
-            step_off: 0,
+            next_sid: 0,
             chunk_ranges,
             cached_chunk: None,
             reader,
@@ -167,24 +176,38 @@ impl MScan {
     }
 
     fn chunk_of_sid(&self, sid: u64) -> Option<usize> {
-        self.chunk_ranges
-            .iter()
-            .position(|&(base, rows)| sid >= base && sid < base + rows)
+        // Chunks tile `[0, row_count)` in order.
+        let chunk = self
+            .chunk_ranges
+            .partition_point(|&(base, rows)| base + rows <= sid);
+        (chunk < self.chunk_ranges.len()).then_some(chunk)
     }
 
-    fn load_chunk(&mut self, idx: usize) -> Result<&Vec<ColumnData>> {
-        let stale = match &self.cached_chunk {
-            Some((i, _)) => *i != idx,
-            None => true,
-        };
-        if stale {
+    /// Claim stable rows `[sid, sid + n)` for the step being applied. A merge
+    /// plan consumes stable SIDs in ascending order, each at most once; the
+    /// scan relies on it, because emitted rows are moved out of the cached
+    /// chunk and a step that went back would read what is left of them.
+    fn consume(&mut self, sid: u64, n: u64) -> Result<()> {
+        if sid < self.next_sid {
+            return Err(VhError::Exec(format!(
+                "merge plan goes back to sid {sid}: rows below {} are consumed",
+                self.next_sid
+            )));
+        }
+        self.next_sid = sid + n;
+        Ok(())
+    }
+
+    fn load_chunk(&mut self, idx: usize) -> Result<&mut Vec<ColumnData>> {
+        if !matches!(&self.cached_chunk, Some((i, _)) if *i == idx) {
             let data = self.store.read_columns(idx, &self.cols, self.reader)?;
             self.cached_chunk = Some((idx, data));
         }
-        Ok(&self.cached_chunk.as_ref().unwrap().1)
+        Ok(&mut self.cached_chunk.as_mut().expect("loaded above").1)
     }
 
-    /// Copy rows `[sid, sid+n)` (all within one chunk) into the builders.
+    /// Move rows `[sid, sid+n)` (all within one chunk, claimed with
+    /// [`Self::consume`]) out of the decoded chunk onto the builders.
     fn copy_rows(
         &mut self,
         chunk: usize,
@@ -192,13 +215,10 @@ impl MScan {
         n: u64,
         builders: &mut [ColumnData],
     ) -> Result<()> {
-        let base = self.chunk_ranges[chunk].0;
-        let from = (sid - base) as usize;
+        let from = (sid - self.chunk_ranges[chunk].0) as usize;
         let to = from + n as usize;
-        let data = self.load_chunk(chunk)?;
-        let slices: Vec<ColumnData> = data.iter().map(|c| c.slice(from, to)).collect();
-        for (b, s) in builders.iter_mut().zip(&slices) {
-            b.append(s)?;
+        for (b, c) in builders.iter_mut().zip(self.load_chunk(chunk)?) {
+            b.append_owned(c.take_range(from, to))?;
         }
         Ok(())
     }
@@ -225,98 +245,96 @@ impl Operator for MScan {
         if self.done {
             return Ok(None);
         }
-        // Split borrows: counters tracked manually to keep &mut self free.
         let start = std::time::Instant::now();
+        // Empty and unallocated: the common vector lies inside one
+        // `CopyStable` run of one chunk and *becomes* the range moved out of
+        // it; a buffer grows only under a row or range appended to something.
         let mut builders: Vec<ColumnData> = self.out_schema.fields()[..self.cols.len()]
             .iter()
-            .map(|f| ColumnData::with_capacity(f.dtype, VECTOR_SIZE))
+            .map(|f| ColumnData::new(f.dtype))
             .collect();
         let mut rids: Vec<i64> = Vec::with_capacity(if self.emit_rids { VECTOR_SIZE } else { 0 });
         let mut produced = 0usize;
 
-        'fill: while produced < VECTOR_SIZE {
-            let Some(step) = self.plan.front().cloned() else {
+        while produced < VECTOR_SIZE {
+            let Some(step) = self.plan.pop_front() else {
                 self.done = true;
-                break 'fill;
+                break;
             };
             match step {
-                MergeStep::SkipStable { .. } => {
-                    self.plan.pop_front();
-                }
-                MergeStep::EmitInsert { ref values, .. } => {
-                    self.emit_row(values, &mut builders)?;
+                MergeStep::SkipStable { from_sid, count } => self.consume(from_sid, count)?,
+                MergeStep::EmitInsert { values, .. } => {
+                    self.emit_row(&values, &mut builders)?;
                     if self.emit_rids {
                         rids.push(self.next_rid as i64);
                     }
                     self.next_rid += 1;
                     produced += 1;
                     self.counters.rows_in += 1;
-                    self.plan.pop_front();
                 }
-                MergeStep::ModifyStable { sid, ref mods } => {
-                    if let Some(chunk) = self.chunk_of_sid(sid) {
-                        if self.keep[chunk] {
-                            // Materialize the projected row, then patch.
-                            let base = self.chunk_ranges[chunk].0;
-                            let at = (sid - base) as usize;
-                            let out_schema = self.out_schema.clone();
-                            let data = self.load_chunk(chunk)?;
-                            let mut row: Vec<vectorh_common::Value> = data
-                                .iter()
-                                .enumerate()
-                                .map(|(p, col)| col.value_at(at, out_schema.dtype(p)))
-                                .collect();
-                            for (c, v) in mods {
-                                if let Some(p) = self.col_pos[*c] {
-                                    row[p] = v.clone();
-                                }
+                MergeStep::ModifyStable { sid, mods } => {
+                    self.consume(sid, 1)?;
+                    let Some(chunk) = self.chunk_of_sid(sid) else {
+                        return Err(VhError::Exec(format!(
+                            "modify of sid {sid} outside all chunks"
+                        )));
+                    };
+                    if self.keep[chunk] {
+                        // Materialize the projected row, then patch.
+                        let at = (sid - self.chunk_ranges[chunk].0) as usize;
+                        let out_schema = self.out_schema.clone();
+                        let mut row: Vec<vectorh_common::Value> = self
+                            .load_chunk(chunk)?
+                            .iter()
+                            .enumerate()
+                            .map(|(p, col)| col.value_at(at, out_schema.dtype(p)))
+                            .collect();
+                        for (c, v) in mods {
+                            if let Some(p) = self.col_pos[c] {
+                                row[p] = v;
                             }
-                            for (p, b) in builders.iter_mut().enumerate() {
-                                b.push_value(&row[p])?;
-                            }
-                            if self.emit_rids {
-                                rids.push(self.next_rid as i64);
-                            }
-                            produced += 1;
-                            self.counters.rows_in += 1;
                         }
+                        for (b, v) in builders.iter_mut().zip(&row) {
+                            b.push_value(v)?;
+                        }
+                        if self.emit_rids {
+                            rids.push(self.next_rid as i64);
+                        }
+                        produced += 1;
+                        self.counters.rows_in += 1;
                     }
                     self.next_rid += 1;
-                    self.plan.pop_front();
                 }
                 MergeStep::CopyStable { from_sid, count } => {
-                    let sid = from_sid + self.step_off;
-                    if self.step_off == count {
-                        self.plan.pop_front();
-                        self.step_off = 0;
-                        continue 'fill;
+                    if count == 0 {
+                        continue;
                     }
-                    let Some(chunk) = self.chunk_of_sid(sid) else {
-                        return Err(VhError::Exec(format!("sid {sid} outside all chunks")));
+                    let Some(chunk) = self.chunk_of_sid(from_sid) else {
+                        return Err(VhError::Exec(format!("sid {from_sid} outside all chunks")));
                     };
                     let (base, rows) = self.chunk_ranges[chunk];
-                    let chunk_left = base + rows - sid;
-                    let step_left = count - self.step_off;
-                    let take = chunk_left.min(step_left);
-                    if self.keep[chunk] {
-                        let cap_left = (VECTOR_SIZE - produced) as u64;
-                        let take = take.min(cap_left);
-                        self.copy_rows(chunk, sid, take, &mut builders)?;
+                    // A pruned chunk's rows are dropped without IO, however
+                    // many; a kept chunk's fill the vector at most.
+                    let kept = self.keep[chunk];
+                    let mut take = count.min(base + rows - from_sid);
+                    if kept {
+                        take = take.min((VECTOR_SIZE - produced) as u64);
+                    }
+                    self.consume(from_sid, take)?;
+                    if kept {
+                        self.copy_rows(chunk, from_sid, take, &mut builders)?;
                         if self.emit_rids {
                             rids.extend(self.next_rid as i64..(self.next_rid + take) as i64);
                         }
                         produced += take as usize;
                         self.counters.rows_in += take;
-                        self.step_off += take;
-                        self.next_rid += take;
-                    } else {
-                        // Pruned chunk: drop the rows without IO.
-                        self.step_off += take;
-                        self.next_rid += take;
                     }
-                    if self.step_off == count {
-                        self.plan.pop_front();
-                        self.step_off = 0;
+                    self.next_rid += take;
+                    if take < count {
+                        self.plan.push_front(MergeStep::CopyStable {
+                            from_sid: from_sid + take,
+                            count: count - take,
+                        });
                     }
                 }
             }
@@ -356,6 +374,11 @@ mod tests {
     use vectorh_storage::StorageConfig;
 
     fn store(rows_per_chunk: usize, n: i64) -> PartitionStore {
+        store_tagged(rows_per_chunk, n, |i| format!("t{}", i % 4))
+    }
+
+    /// `n` rows `(k, tag(k))` for `k` in `0..n`.
+    fn store_tagged(rows_per_chunk: usize, n: i64, tag: fn(i64) -> String) -> PartitionStore {
         let fs: StoreRef = StdArc::new(SimHdfs::new(
             3,
             BlockStoreConfig {
@@ -368,7 +391,7 @@ mod tests {
         let mut s = PartitionStore::new(fs, "/db/t/p0/", schema, StorageConfig { rows_per_chunk });
         let cols = vec![
             ColumnData::I64((0..n).collect()),
-            ColumnData::Str((0..n).map(|i| format!("t{}", i % 4)).collect()),
+            ColumnData::Str((0..n).map(tag).collect()),
         ];
         s.append_rows(&cols).unwrap();
         s
@@ -531,6 +554,106 @@ mod tests {
                 assert_eq!(row[..2], want[rid as usize][..], "rid {rid} keep {keep:?}");
             }
         }
+    }
+
+    #[test]
+    fn one_vector_takes_a_chunk_boundary_an_insert_and_a_modify() {
+        // Strings no two rows share, so a value that is moved twice, left
+        // behind or put in the wrong row shows.
+        let tag = |i: i64| format!("row-{i}-payload");
+        let s = store_tagged(600, 1500, tag); // chunks of 600, 600 and 300 rows
+        let mut pdt = Pdt::new();
+        pdt.insert_at(
+            300,
+            vec![Value::I64(-1), Value::Str("inserted".into())],
+            1,
+            1500,
+        )
+        .unwrap();
+        pdt.modify_at(651, 1, Value::Str("patched".into()), 1500)
+            .unwrap(); // stable row 650, fifty rows into chunk 1
+        pdt.delete_at(1300, 1500).unwrap(); // stable row 1299, chunk 2
+        let plan = Layers::new(1500, vec![&pdt]).merged_plan();
+        let stable: Vec<Vec<Value>> = (0..1500)
+            .map(|i| vec![Value::I64(i), Value::Str(tag(i))])
+            .collect();
+        let want = vectorh_pdt::merge::apply_plan(&plan, &stable);
+        assert_eq!(want.len(), 1500);
+
+        let mut scan = MScan::new(s.clone(), vec![0, 1], vec![true; 3], plan.clone(), None)
+            .unwrap()
+            .with_rids();
+        let mut got = Vec::new();
+        let mut sizes = Vec::new();
+        while let Some(b) = scan.next().unwrap() {
+            sizes.push(b.len());
+            got.extend(b.rows());
+        }
+        // The first vector holds rows 0..300 of chunk 0, the insert, the
+        // rest of chunk 0, and chunk 1 up to and past the modified row.
+        assert_eq!(sizes, vec![1024, 476]);
+        for (rid, row) in got.iter().enumerate() {
+            assert_eq!(row[..2], want[rid][..], "row {rid}");
+            assert_eq!(row[2], Value::I64(rid as i64));
+        }
+        assert_eq!(got[300][1], Value::Str("inserted".into()));
+        assert_eq!(got[651][1], Value::Str("patched".into()));
+
+        // The string column alone, chunk 1 pruned: the modified row goes
+        // with its chunk, the insert stays.
+        let keep = vec![true, false, true];
+        let mut scan = MScan::new(s, vec![1], keep, plan, None).unwrap();
+        let rows = drain(&mut scan);
+        let kept: Vec<Vec<Value>> = want
+            .iter()
+            .filter(|r| !matches!(r[0], Value::I64(k) if (600..1200).contains(&k)))
+            .map(|r| vec![r[1].clone()])
+            .collect();
+        assert_eq!(rows, kept);
+    }
+
+    #[test]
+    fn a_plan_that_does_not_fit_the_manifest_is_an_error() {
+        use MergeStep::*;
+        let s = store(100, 200); // two chunks
+        let run = |plan: Vec<MergeStep>| {
+            let mut scan = MScan::new(s.clone(), vec![0, 1], vec![true; 2], plan, None).unwrap();
+            crate::batch::collect_rows(&mut scan)
+        };
+        let copy = |from_sid, count| CopyStable { from_sid, count };
+        let modify = |sid| ModifyStable {
+            sid,
+            mods: vec![(1, Value::Str("x".into()))],
+        };
+        assert_eq!(run(vec![copy(0, 150), copy(150, 50)]).unwrap().len(), 200);
+        // Going back, by a copy, a modify or a skip, into either chunk:
+        // the rows there were moved out when they were emitted.
+        for (back, sid) in [
+            (copy(120, 80), 120),
+            (copy(40, 10), 40),
+            (modify(149), 149),
+            (
+                SkipStable {
+                    from_sid: 99,
+                    count: 1,
+                },
+                99,
+            ),
+        ] {
+            let err = run(vec![copy(0, 150), back]).unwrap_err();
+            assert!(matches!(err, VhError::Exec(_)), "got {err}");
+            assert!(err.to_string().contains(&format!("sid {sid}")), "got {err}");
+        }
+        // A step past the last stable row, whether it copies or modifies.
+        for past in [modify(200), copy(200, 1)] {
+            let err = run(vec![copy(0, 200), past]).unwrap_err();
+            assert!(matches!(err, VhError::Exec(_)), "got {err}");
+            assert!(err.to_string().contains("sid 200"), "got {err}");
+        }
+        // Also when the chunk the plan would have named is pruned.
+        let mut scan =
+            MScan::new(s.clone(), vec![0], vec![false; 2], vec![modify(200)], None).unwrap();
+        assert!(scan.next().is_err());
     }
 
     #[test]

@@ -196,6 +196,10 @@ fn chunk_is_clean(steps: &[MergeStep], base: u64, len: u64) -> bool {
 /// come from the bounds the plan was sliced against, not be recomputed from
 /// the store, because earlier chunks may already have been reinstalled with
 /// a different row count.
+///
+/// Copied runs are moved out of the decoded columns, not cloned, so the
+/// steps must consume the chunk's SIDs in ascending order, each at most once
+/// ([`slice_plan`]'s contract); a step that does not is an error.
 fn apply_chunk(
     store: &PartitionStore,
     chunk: usize,
@@ -205,24 +209,37 @@ fn apply_chunk(
 ) -> Result<Vec<ColumnData>> {
     let schema = store.schema();
     let all: Vec<usize> = (0..schema.len()).collect();
-    let cols = store.read_columns(chunk, &all, reader)?;
+    let mut cols = store.read_columns(chunk, &all, reader)?;
     let mut out: Vec<ColumnData> = schema
         .fields()
         .iter()
         .map(|f| ColumnData::new(f.dtype))
         .collect();
+    let end = base + store.chunk_meta(chunk).n_rows as u64;
+    let mut next_sid = base; // first SID of the chunk no step has consumed
+    let mut claim = |sid: u64, n: u64| -> Result<usize> {
+        if sid < next_sid || sid + n > end {
+            return Err(VhError::Propagation(format!(
+                "chunk {chunk}: step at sid {sid} (+{n}) is outside its unconsumed rows [{next_sid}, {end})"
+            )));
+        }
+        next_sid = sid + n;
+        Ok((sid - base) as usize)
+    };
     for step in steps {
         match step {
             MergeStep::CopyStable { from_sid, count } => {
-                let lo = (*from_sid - base) as usize;
+                let lo = claim(*from_sid, *count)?;
                 let hi = lo + *count as usize;
-                for (c, col) in out.iter_mut().enumerate() {
-                    col.append(&cols[c].slice(lo, hi))?;
+                for (col, src) in out.iter_mut().zip(&mut cols) {
+                    col.append_owned(src.take_range(lo, hi))?;
                 }
             }
-            MergeStep::SkipStable { .. } => {}
+            MergeStep::SkipStable { from_sid, count } => {
+                claim(*from_sid, *count)?;
+            }
             MergeStep::ModifyStable { sid, mods } => {
-                let idx = (*sid - base) as usize;
+                let idx = claim(*sid, 1)?;
                 // Pre-index the patches by column so wide rows don't pay a
                 // linear scan of `mods` per column.
                 let mut by_col: Vec<Option<&Value>> = vec![None; schema.len()];
@@ -748,6 +765,55 @@ mod tests {
         let mut want: Vec<i64> = (1..128).collect();
         want[100] = -100;
         assert_eq!(keys, want);
+    }
+
+    #[test]
+    fn apply_chunk_moves_each_row_once_and_rejects_a_plan_that_goes_back() {
+        use MergeStep::*;
+        let (_mgr, store, _wal) = setup(128); // chunks [0, 64) and [64, 128)
+        let copy = |from_sid, count| CopyStable { from_sid, count };
+        let modify = |sid| ModifyStable {
+            sid,
+            mods: vec![(0, Value::I64(-1))],
+        };
+        let steps = [
+            copy(64, 10),
+            EmitInsert {
+                tag: 1,
+                values: row(500),
+            },
+            modify(74),
+            SkipStable {
+                from_sid: 75,
+                count: 1,
+            },
+            copy(76, 52),
+        ];
+        let cols = apply_chunk(&store, 1, 64, &steps, None).unwrap();
+        let mut keys: Vec<i64> = (64..128).filter(|k| *k != 75).collect();
+        keys.insert(10, 500);
+        keys[11] = -1;
+        let mut strs: Vec<String> = (64..128)
+            .filter(|k| *k != 75)
+            .map(|k| format!("s{k}"))
+            .collect();
+        strs.insert(10, "n500".into());
+        assert_eq!(cols, [ColumnData::I64(keys), ColumnData::Str(strs)]);
+
+        for (bad, sid) in [
+            (vec![copy(64, 30), copy(80, 48)], 80), // copies 80..94 twice
+            (vec![copy(64, 30), modify(93)], 93),
+            (vec![copy(64, 64), modify(128)], 128), // sid = row_count
+            (vec![copy(100, 29)], 100),             // runs past the chunk
+            (vec![copy(10, 5)], 10),                // another chunk's rows
+        ] {
+            let err = apply_chunk(&store, 1, 64, &bad, None).unwrap_err();
+            assert!(matches!(err, VhError::Propagation(_)), "got {err}");
+            assert!(
+                err.to_string().contains(&format!("sid {sid} ")),
+                "got {err}"
+            );
+        }
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //!   throw the pruning column `a` far out of its chunk's `[min, max]`;
 //! * `MScan::with_rids` numbers rows as `pdt::merge::apply_plan` lays them
 //!   out, whatever chunks are pruned.
+//!
+//! Every row also carries a string no other row has, and every comparison
+//! includes it: the scan and propagation *move* strings out of the decoded
+//! chunk, so one that is moved twice, left behind or lands in a neighbouring
+//! row shows here under every shape of merge plan the histories produce.
 
 use vectorh::execute::extract_pruning;
 use vectorh::{ClusterConfig, TableBuilder, VectorH};
@@ -28,10 +33,20 @@ use vectorh_exec::filter::Select;
 use vectorh_exec::scan::{keep_chunks, MScan};
 use vectorh_pdt::merge::apply_plan;
 
-/// Rows are `(k, a, b, c)`: `k` the partition (and cluster) key, `a = 2k`
-/// at load so chunks have tight ranges on both, `b` noise, `c` a serial.
-type Row = [i64; 4];
+/// Rows are `(k, a, b, c, s)`: `k` the partition (and cluster) key, `a = 2k`
+/// at load so chunks have tight ranges on both, `b` noise, `c` a serial and
+/// `s` a string payload ([`payload`]) until an update overwrites it.
+/// Predicates name the integer columns only.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Row {
+    n: [i64; 4],
+    s: String,
+}
 const COLS: [&str; 4] = ["k", "a", "b", "c"];
+/// Index of `s`, and every column as scans project them.
+const S: usize = 4;
+const ALL: [usize; 5] = [0, 1, 2, 3, S];
+const SELECT: &str = "SELECT k, a, b, c, s FROM";
 const LOADED: i64 = 240;
 const K_MAX: i64 = 2 * LOADED;
 const A_MAX: i64 = 4 * LOADED;
@@ -49,16 +64,17 @@ enum Pred {
 
 impl Pred {
     fn matches(&self, row: &Row) -> bool {
+        let n = &row.n;
         match self {
             Pred::Cmp(c, op, v) => match *op {
-                "<" => row[*c] < *v,
-                "<=" => row[*c] <= *v,
-                ">" => row[*c] > *v,
-                ">=" => row[*c] >= *v,
-                _ => row[*c] == *v,
+                "<" => n[*c] < *v,
+                "<=" => n[*c] <= *v,
+                ">" => n[*c] > *v,
+                ">=" => n[*c] >= *v,
+                _ => n[*c] == *v,
             },
-            Pred::Between(c, lo, hi) => *lo <= row[*c] && row[*c] <= *hi,
-            Pred::InList(c, vs) => vs.contains(&row[*c]),
+            Pred::Between(c, lo, hi) => *lo <= n[*c] && n[*c] <= *hi,
+            Pred::InList(c, vs) => vs.contains(&n[*c]),
             Pred::And(ps) => ps.iter().all(|p| p.matches(row)),
         }
     }
@@ -139,19 +155,38 @@ fn gen_pred(rng: &mut SplitMix64, kind: usize, narrow: bool) -> Pred {
     }
 }
 
+/// The string a row is created with: a function of its key and its serial
+/// (which no two rows share), so the model predicts it and a string that
+/// ends up in another row cannot go unnoticed.
+fn payload(k: i64, c: i64) -> String {
+    format!("payload of key {k}, serial {c}")
+}
+
+fn new_row(k: i64, a: i64, b: i64, c: i64) -> Row {
+    Row {
+        n: [k, a, b, c],
+        s: payload(k, c),
+    }
+}
+
 fn to_values(row: &Row) -> Vec<Value> {
-    row.iter().map(|v| Value::I64(*v)).collect()
+    let mut values: Vec<Value> = row.n.iter().map(|v| Value::I64(*v)).collect();
+    values.push(Value::Str(row.s.clone()));
+    values
 }
 
 fn to_rows(rows: Vec<Vec<Value>>) -> Vec<Row> {
     let mut out: Vec<Row> = rows
         .into_iter()
         .map(|r| {
-            let mut row = [0; 4];
-            for (slot, v) in row.iter_mut().zip(&r) {
+            let mut n = [0; 4];
+            for (slot, v) in n.iter_mut().zip(&r) {
                 *slot = v.as_i64().expect("integer column");
             }
-            row
+            let Value::Str(s) = &r[S] else {
+                panic!("string column, got {:?}", r[S])
+            };
+            Row { n, s: s.clone() }
         })
         .collect();
     out.sort_unstable();
@@ -183,6 +218,7 @@ impl Case {
         for c in COLS {
             b = b.column(c, DataType::I64);
         }
+        b = b.column("s", DataType::Str);
         b = b.partition_by(&["k"], 3);
         if clustered {
             b = b.clustered_by(&["k"]);
@@ -190,7 +226,7 @@ impl Case {
         vh.create_table(b).unwrap();
         let mut rng = SplitMix64::new(seed);
         let model: Vec<Row> = (0..LOADED)
-            .map(|i| [2 * i, 4 * i, rng.range_i64(0, B_MAX), i])
+            .map(|i| new_row(2 * i, 4 * i, rng.range_i64(0, B_MAX), i))
             .collect();
         vh.insert_rows(table, model.iter().map(to_values).collect())
             .unwrap();
@@ -214,12 +250,12 @@ impl Case {
                 let rows: Vec<Row> = (0..n)
                     .map(|_| {
                         self.next_c += 1;
-                        [
+                        new_row(
                             self.rng.range_i64(0, K_MAX),
                             self.rng.range_i64(0, A_MAX),
                             self.rng.range_i64(0, B_MAX),
                             self.next_c,
-                        ]
+                        )
                     })
                     .collect();
                 vh.trickle_insert(table, rows.iter().map(to_values).collect())
@@ -236,24 +272,32 @@ impl Case {
             3 => {
                 let pred = gen_pred(&mut self.rng, step, true);
                 // `a` is the column scans prune on; a new value anywhere in
-                // its domain lands outside the row's chunk range.
-                let (col, max) = *self.rng.choose(&[(1, A_MAX), (2, B_MAX)]).unwrap();
-                let value = self.rng.range_i64(0, max);
+                // its domain lands outside the row's chunk range. `s` gets a
+                // string no earlier statement wrote.
+                let col = *self.rng.choose(&[1, 2, S]).unwrap();
+                let value = match col {
+                    S => Value::Str(format!("overwritten at step {step}")),
+                    1 => Value::I64(self.rng.range_i64(0, A_MAX)),
+                    _ => Value::I64(self.rng.range_i64(0, B_MAX)),
+                };
                 let mut want = 0;
                 for row in self.model.iter_mut().filter(|r| pred.matches(r)) {
-                    row[col] = value;
+                    match &value {
+                        Value::Str(s) => row.s = s.clone(),
+                        v => row.n[col] = v.as_i64().expect("integer column"),
+                    }
                     want += 1;
                 }
                 let got = vh
-                    .update_where(table, &pred.expr(), col, Value::I64(value))
+                    .update_where(table, &pred.expr(), col, value.clone())
                     .unwrap();
-                assert_eq!(got, want, "UPDATE {} = {value} WHERE {pred:?}", COLS[col]);
+                assert_eq!(got, want, "UPDATE col {col} = {value:?} WHERE {pred:?}");
             }
             _ => {
                 let n = self.rng.range_i64(1, 4);
                 let keys: Vec<i64> = (0..n).map(|_| self.rng.range_i64(0, K_MAX)).collect();
                 let before = self.model.len();
-                self.model.retain(|r| !keys.contains(&r[0]));
+                self.model.retain(|r| !keys.contains(&r.n[0]));
                 let vals: Vec<Value> = keys.iter().map(|k| Value::I64(*k)).collect();
                 let got = vh.delete_by_keys(table, 0, &vals).unwrap();
                 assert_eq!(got as usize, before - self.model.len(), "keys {keys:?}");
@@ -270,9 +314,9 @@ impl Case {
             let want: Vec<Row> = want_all
                 .iter()
                 .filter(|r| pred.matches(r))
-                .copied()
+                .cloned()
                 .collect();
-            let sql = format!("SELECT k, a, b, c FROM {} WHERE {}", self.table, pred.sql());
+            let sql = format!("{SELECT} {} WHERE {}", self.table, pred.sql());
             let got = to_rows(self.vh.query(&sql).unwrap());
             assert_eq!(got, want, "[{stage}] {sql}");
             for pruned in [true, false] {
@@ -280,7 +324,7 @@ impl Case {
                 assert_eq!(got, want, "[{stage}] pruned={pruned} {pred:?}");
             }
         }
-        let all = format!("SELECT k, a, b, c FROM {}", self.table);
+        let all = format!("{SELECT} {}", self.table);
         assert_eq!(to_rows(self.vh.query(&all).unwrap()), want_all, "[{stage}]");
         self.check_rids(stage);
     }
@@ -295,7 +339,7 @@ impl Case {
             let store = rt.stores[i].read().clone();
             let plan = self.vh.txns.scan_plan(*pid).unwrap();
             let keep = if pruned {
-                let keep = keep_chunks(&store, &extract_pruning(&expr, &[0, 1, 2, 3]), &plan);
+                let keep = keep_chunks(&store, &extract_pruning(&expr, &ALL), &plan);
                 if plan.len() > 1 {
                     self.pruned_while_dirty += keep.iter().filter(|k| !**k).count();
                 }
@@ -303,7 +347,7 @@ impl Case {
             } else {
                 vec![true; store.n_chunks()]
             };
-            let scan = MScan::new(store, vec![0, 1, 2, 3], keep, plan, None).unwrap();
+            let scan = MScan::new(store, ALL.to_vec(), keep, plan, None).unwrap();
             let mut select = Select::new(Box::new(scan), expr.clone());
             rows.extend(collect_rows(&mut select).unwrap());
         }
@@ -318,28 +362,27 @@ impl Case {
         for (i, pid) in rt.pids.iter().enumerate() {
             let store = rt.stores[i].read().clone();
             let plan = self.vh.txns.scan_plan(*pid).unwrap();
-            let mut full = MScan::full(store.clone(), vec![0, 1, 2, 3], None).unwrap();
+            let mut full = MScan::full(store.clone(), ALL.to_vec(), None).unwrap();
             let want = apply_plan(&plan, &collect_rows(&mut full).unwrap());
             let all = vec![true; store.n_chunks()];
             let some: Vec<bool> = all.iter().map(|_| self.rng.chance(0.5)).collect();
             for keep in [all, some] {
                 let complete = keep.iter().all(|k| *k);
-                let mut scan =
-                    MScan::new(store.clone(), vec![0, 1, 2, 3], keep, plan.clone(), None)
-                        .unwrap()
-                        .with_rids();
+                let mut scan = MScan::new(store.clone(), ALL.to_vec(), keep, plan.clone(), None)
+                    .unwrap()
+                    .with_rids();
                 let got = collect_rows(&mut scan).unwrap();
                 if complete {
                     assert_eq!(got.len(), want.len(), "[{stage}] {pid}");
                 }
                 let mut next = 0;
                 for row in got {
-                    let rid = row[4].as_i64().unwrap();
+                    let rid = row[ALL.len()].as_i64().unwrap();
                     assert!(rid >= next, "[{stage}] {pid}: rid {rid} after {next}");
                     assert!(!complete || rid == next, "[{stage}] {pid}: gap at {next}");
                     next = rid + 1;
                     assert_eq!(
-                        row[..4],
+                        row[..ALL.len()],
                         want[rid as usize][..],
                         "[{stage}] {pid} rid {rid}"
                     );
