@@ -78,7 +78,10 @@ impl VectorH {
     fn commit_2pc(&self, rt: &TableRuntime, txn: Transaction) -> Result<u64> {
         let txn_id = txn.id;
         let epoch = self.master_epoch();
-        self.coordinator.check_epoch(epoch)?;
+        if let Err(e) = self.coordinator.check_epoch(epoch) {
+            self.txns.abort(txn);
+            return Err(e);
+        }
         let mut shipped: Vec<LogRecord> = Vec::new();
         let mut commits: Vec<(PartitionId, LogRecord)> = Vec::new();
         let replicated = rt.def.partitioning.is_none();
@@ -138,8 +141,37 @@ impl VectorH {
         // DML is traffic too: it advances the background health plane.
         self.advance_health(1)?;
         let rt = self.table(table)?;
-        let n_parts = rt.n_partitions();
         let mut txn = self.txns.begin(&rt.pids)?;
+        let staged = self.stage_inserts(&rt, &mut txn, rows);
+        Ok(self.finish(&rt, txn, staged)?.0)
+    }
+
+    /// Commit `txn` if staging its operations went well, abort it if not:
+    /// a transaction that is merely dropped keeps its partitions' active
+    /// count up, and propagation waits for that count forever. Returns the
+    /// commit sequence number beside what staging returned.
+    fn finish<T>(
+        &self,
+        rt: &TableRuntime,
+        txn: Transaction,
+        staged: Result<T>,
+    ) -> Result<(u64, T)> {
+        match staged {
+            Ok(v) => Ok((self.commit_2pc(rt, txn)?, v)),
+            Err(e) => {
+                self.txns.abort(txn);
+                Err(e)
+            }
+        }
+    }
+
+    fn stage_inserts(
+        &self,
+        rt: &TableRuntime,
+        txn: &mut Transaction,
+        rows: Vec<Vec<Value>>,
+    ) -> Result<()> {
+        let n_parts = rt.n_partitions();
         // Bucket rows per partition.
         let mut buckets: Vec<Vec<Vec<Value>>> = vec![Vec::new(); n_parts];
         match &rt.def.partitioning {
@@ -160,7 +192,7 @@ impl VectorH {
                 None => {
                     for row in bucket {
                         let end = txn.image_len(pid)?;
-                        self.txns.insert_at(&mut txn, pid, end, row)?;
+                        self.txns.insert_at(txn, pid, end, row)?;
                     }
                 }
                 Some(order) => {
@@ -172,7 +204,7 @@ impl VectorH {
                         .iter()
                         .map(|&k| ColumnData::new(schema.dtype(k)))
                         .collect();
-                    let mut scan = self.dml_scan(&rt, &txn, i, order, &Pruning::new())?;
+                    let mut scan = self.dml_scan(rt, txn, i, order, &Pruning::new())?;
                     while let Some(batch) = scan.next()? {
                         for (j, col) in sort_cols.iter_mut().enumerate() {
                             col.append(batch.column(j))?;
@@ -201,12 +233,12 @@ impl VectorH {
                             }
                         }
                         let rid = lo as u64 + inserted as u64;
-                        self.txns.insert_at(&mut txn, pid, rid, row)?;
+                        self.txns.insert_at(txn, pid, rid, row)?;
                     }
                 }
             }
         }
-        self.commit_2pc(&rt, txn)
+        Ok(())
     }
 
     /// Delete all rows matching `pred` (over the full table schema).
@@ -241,11 +273,25 @@ impl VectorH {
                 rt.def.schema.len()
             )));
         }
-        let pruning = extract_pruning(&pred, &cols);
         let mut txn = self.txns.begin(&rt.pids)?;
+        let staged = self.stage_mutation(&rt, &mut txn, &cols, &pred, set);
+        Ok(self.finish(&rt, txn, staged)?.1)
+    }
+
+    /// Find the rows `pred` (over the projection `cols`) selects and stage
+    /// their delete, or the assignment `set`, in `txn`.
+    fn stage_mutation(
+        &self,
+        rt: &TableRuntime,
+        txn: &mut Transaction,
+        cols: &[usize],
+        pred: &Expr,
+        set: Option<(usize, Value)>,
+    ) -> Result<u64> {
+        let pruning = extract_pruning(pred, cols);
         let mut touched = 0u64;
         for (i, pid) in rt.pids.iter().enumerate() {
-            let scan = self.dml_scan(&rt, &txn, i, &cols, &pruning)?.with_rids();
+            let scan = self.dml_scan(rt, txn, i, cols, &pruning)?.with_rids();
             let mut hits = Select::new(Box::new(scan), pred.clone());
             let mut rids: Vec<u64> = Vec::new();
             while let Some(batch) = hits.next()? {
@@ -260,19 +306,17 @@ impl VectorH {
                 // rids of later ones.
                 None => {
                     for rid in rids.iter().rev() {
-                        self.txns.delete_at(&mut txn, *pid, *rid)?;
+                        self.txns.delete_at(txn, *pid, *rid)?;
                     }
                 }
                 Some((col, value)) => {
                     for rid in &rids {
-                        self.txns
-                            .modify_at(&mut txn, *pid, *rid, *col, value.clone())?;
+                        self.txns.modify_at(txn, *pid, *rid, *col, value.clone())?;
                     }
                 }
             }
             touched += rids.len() as u64;
         }
-        self.commit_2pc(&rt, txn)?;
         Ok(touched)
     }
 
@@ -298,6 +342,7 @@ pub fn unique_key_is_node_local(def: &crate::catalog::TableDef, unique_cols: &[u
 mod tests {
     use super::*;
     use crate::{ClusterConfig, TableBuilder};
+    use vectorh_common::fault::{FaultAction, FaultSite};
     use vectorh_common::DataType;
     use vectorh_storage::minmax::PruneOp;
 
@@ -562,6 +607,50 @@ mod tests {
             vec![Value::I64(4)],
         );
         assert!(extract_pruning(&computed, &[3]).is_empty());
+    }
+
+    /// Fails every block read while armed.
+    #[derive(Debug, Default)]
+    struct FailReads(std::sync::atomic::AtomicBool);
+
+    impl vectorh_common::fault::FaultHook for FailReads {
+        fn decide(&self, site: FaultSite, _detail: &str, _attempt: u32) -> FaultAction {
+            if site == FaultSite::HdfsRead && self.0.load(std::sync::atomic::Ordering::SeqCst) {
+                FaultAction::PermanentError
+            } else {
+                FaultAction::None
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_statement_aborts_its_transaction() {
+        let vh = engine();
+        mk_table(&vh, true);
+        vh.insert_rows(
+            "t",
+            (0..100)
+                .map(|i| vec![Value::I64(i), Value::I64(0)])
+                .collect(),
+        )
+        .unwrap();
+        let hook = Arc::new(FailReads::default());
+        vh.install_fault_hook(Some(hook.clone()));
+        let all = Expr::ge(Expr::col(0), Expr::lit(Value::I64(0)));
+        // Each statement begins a transaction, then fails reading.
+        hook.0.store(true, std::sync::atomic::Ordering::SeqCst);
+        vh.update_where("t", &all, 1, Value::I64(1)).unwrap_err();
+        vh.delete_where("t", &all).unwrap_err();
+        vh.trickle_insert("t", vec![vec![Value::I64(7), Value::I64(7)]])
+            .unwrap_err();
+        hook.0.store(false, std::sync::atomic::Ordering::SeqCst);
+        // No partition is left with a transaction counted as active:
+        // propagation, which waits for that count to reach 0, goes through
+        // on every partition after one more statement has dirtied them all.
+        assert_eq!(vh.update_where("t", &all, 1, Value::I64(2)).unwrap(), 100);
+        assert_eq!(vh.propagate_table("t", true).unwrap(), 4);
+        let rows = vh.query("SELECT count(*) FROM t WHERE v = 2").unwrap();
+        assert_eq!(rows[0][0], Value::I64(100));
     }
 
     #[test]

@@ -16,7 +16,9 @@ use vectorh_net::{
     ServerStats,
 };
 use vectorh_planner::logical::{CatalogInfo, TableMeta};
-use vectorh_planner::{parse_query, LogicalPlan, ParallelRewriter, PhysPlan, RewriterOptions};
+use vectorh_planner::{
+    parse_query, prune_columns, LogicalPlan, ParallelRewriter, PhysPlan, RewriterOptions,
+};
 use vectorh_storage::{PartitionStore, StorageConfig};
 use vectorh_transport::{
     Fabric, FrameRx, FrameTx, RxKind, SharedEpoch, TcpFabric, HEARTBEAT_CHANNEL,
@@ -329,6 +331,10 @@ pub struct VectorH {
     /// Heartbeat frames over the fabric (Tcp mode only).
     pub(crate) hb_net: Option<HbNet>,
     workers: RwLock<Vec<NodeId>>,
+    /// Held for the whole of [`VectorH::reconcile_workers`]: the worker set
+    /// shrinks at its start and responsibility moves at its end, and nobody
+    /// may take the first for the second.
+    reconciling: Mutex<()>,
     responsibility: RwLock<HashMap<PartitionId, NodeId>>,
     next_pid: AtomicU32,
 }
@@ -469,6 +475,7 @@ impl VectorH {
             epoch_cell,
             hb_net,
             workers: RwLock::new(workers),
+            reconciling: Mutex::new(()),
             responsibility: RwLock::new(HashMap::new()),
             next_pid: AtomicU32::new(0),
         })
@@ -799,6 +806,7 @@ impl VectorH {
             // ordinary traffic — a dead node is usually recovered *before*
             // planning instead of tripping the retry path below.
             self.advance_health(1)?;
+            let planned_on = self.workers();
             let phys = self.optimize(logical)?;
             match self.run_physical(&phys, ctl.map(|c| c.cancel_flag())) {
                 Ok((rows, _)) => return Ok(rows),
@@ -808,9 +816,11 @@ impl VectorH {
                     // A mid-query death surfaces as NodeDown from the pinned
                     // read that hit the dead node, but sibling pipelines may
                     // collapse with secondary transport errors that win the
-                    // race to the collector. "Did the worker set shrink?" is
-                    // therefore the authoritative failover signal.
-                    let node_died = self.reconcile_workers().unwrap_or(false);
+                    // race to the collector. "Did the worker set change under
+                    // this attempt?" is therefore the authoritative failover
+                    // signal, whichever thread reconciled it.
+                    let _ = self.reconcile_workers();
+                    let node_died = self.workers() != planned_on;
                     let retryable = node_died || matches!(e, VhError::NodeDown(_));
                     if !retryable || failovers > retry_budget {
                         return Err(e);
@@ -842,8 +852,11 @@ impl VectorH {
         Ok(self.optimize(&logical)?.explain())
     }
 
+    /// Column pruning, then the Parallel Rewriter. Every route to a physical
+    /// plan passes through here; [`Self::parse`] hands out the unpruned plan.
     pub fn optimize(&self, logical: &LogicalPlan) -> Result<PhysPlan> {
         let catalog = EngineCatalog(self);
+        let logical = &prune_columns(logical, &catalog)?;
         let rewriter = ParallelRewriter::new(&catalog, self.rewriter_options());
         rewriter.rewrite(logical)
     }
@@ -883,6 +896,12 @@ impl VectorH {
     /// detected mid-query (the chaos harness kills nodes underneath running
     /// queries). Returns whether the worker set shrank.
     pub fn reconcile_workers(&self) -> Result<bool> {
+        // One at a time, start to finish. A query whose read hit the dead
+        // node calls this while the thread that noticed first is still
+        // remapping; were it to return at once ("the set did not shrink"),
+        // the retry would plan on the old responsibility, read from the dead
+        // node again, and burn its whole retry budget before the remap ends.
+        let _reconciling = self.reconciling.lock();
         let alive = self.fs.alive_nodes();
         let mut workers = self.workers.write();
         let before = workers.len();
@@ -1371,5 +1390,72 @@ impl<'a> CatalogInfo for EngineCatalog<'a> {
             partitioning: def.partitioning.clone(),
             sort_order: def.sort_order.clone(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vectorh_common::DataType;
+
+    /// A query whose read hits a dead node while another thread is half way
+    /// through `reconcile_workers` (worker set shrunk, responsibility not yet
+    /// moved) must wait for that reconciliation. Returning at once would plan
+    /// every retry on the dead node and leak `NodeDown` to the client.
+    #[test]
+    fn a_query_failing_mid_reconciliation_waits_for_the_remap() {
+        let vh = Arc::new(
+            VectorH::start(ClusterConfig {
+                nodes: 4,
+                rows_per_chunk: 64,
+                hdfs_block_size: 8 * 1024,
+                ..Default::default()
+            })
+            .unwrap(),
+        );
+        vh.create_table(
+            TableBuilder::new("t")
+                .column("k", DataType::I64)
+                .partition_by(&["k"], 8),
+        )
+        .unwrap();
+        vh.insert_rows("t", (0..400).map(|i| vec![Value::I64(i)]).collect())
+            .unwrap();
+        let rt = vh.table("t").unwrap();
+        let victim = rt
+            .pids
+            .iter()
+            .map(|p| vh.responsible(*p))
+            .find(|n| *n != vh.session_master())
+            .expect("eight partitions on four nodes");
+
+        // The first half of a reconciliation, as the thread that noticed the
+        // death would have left it at this instant.
+        let reconciling = vh.reconciling.lock();
+        vh.fs.kill_node(victim).unwrap();
+        vh.workers.write().retain(|w| *w != victim);
+        let workers_now = vh.workers();
+        let orphaned: Vec<PartitionId> = rt
+            .pids
+            .iter()
+            .copied()
+            .filter(|p| vh.responsible(*p) == victim)
+            .collect();
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let query = {
+            let vh = vh.clone();
+            std::thread::spawn(move || tx.send(vh.query("select count(*) from t")))
+        };
+        let early = rx.recv_timeout(std::time::Duration::from_millis(300));
+        assert!(early.is_err(), "answered mid-reconciliation: {early:?}");
+
+        // The second half; then the query's retry finds every partition at a
+        // live node.
+        vh.remap_placement(&workers_now).unwrap();
+        vh.take_over_partitions(&orphaned).unwrap();
+        drop(reconciling);
+        assert_eq!(rx.recv().unwrap().unwrap(), vec![vec![Value::I64(400)]]);
+        query.join().unwrap().unwrap();
     }
 }

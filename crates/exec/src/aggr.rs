@@ -37,6 +37,35 @@ pub enum AggFn {
     CountDistinct(usize),
 }
 
+impl AggFn {
+    /// The input column the aggregate reads, if any.
+    pub fn col(self) -> Option<usize> {
+        match self {
+            AggFn::CountStar => None,
+            AggFn::Count(c)
+            | AggFn::Sum(c)
+            | AggFn::Min(c)
+            | AggFn::Max(c)
+            | AggFn::Avg(c)
+            | AggFn::CountDistinct(c) => Some(c),
+        }
+    }
+
+    /// The same aggregate with its argument column `c` replaced by `f(c)`
+    /// (the [`crate::expr::Expr::map_cols`] of aggregates).
+    pub fn map_col(self, f: impl FnOnce(usize) -> usize) -> AggFn {
+        match self {
+            AggFn::CountStar => AggFn::CountStar,
+            AggFn::Count(c) => AggFn::Count(f(c)),
+            AggFn::Sum(c) => AggFn::Sum(f(c)),
+            AggFn::Min(c) => AggFn::Min(f(c)),
+            AggFn::Max(c) => AggFn::Max(f(c)),
+            AggFn::Avg(c) => AggFn::Avg(f(c)),
+            AggFn::CountDistinct(c) => AggFn::CountDistinct(f(c)),
+        }
+    }
+}
+
 /// Aggregation phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggMode {
@@ -112,18 +141,6 @@ pub struct Aggr {
     counters: Counters,
 }
 
-fn agg_input_col(f: AggFn) -> Option<usize> {
-    match f {
-        AggFn::CountStar => None,
-        AggFn::Count(c)
-        | AggFn::Sum(c)
-        | AggFn::Min(c)
-        | AggFn::Max(c)
-        | AggFn::Avg(c)
-        | AggFn::CountDistinct(c) => Some(c),
-    }
-}
-
 /// Output fields of one aggregate in a given mode.
 fn agg_fields(f: AggFn, dt: Option<DataType>, mode: AggMode, idx: usize) -> Vec<Field> {
     let base = format!("agg{idx}");
@@ -173,7 +190,7 @@ impl Aggr {
             .collect();
         let mut agg_dtypes = Vec::with_capacity(aggs.len());
         for (i, &f) in aggs.iter().enumerate() {
-            let dt = agg_input_col(f).map(|c| in_schema.dtype(c));
+            let dt = f.col().map(|c| in_schema.dtype(c));
             // In Final mode the "input column" layout differs (states), but
             // the state columns carry the right types already; dtype of the
             // first state column drives the output type.

@@ -4,6 +4,9 @@
 //! documentation as much as tests — and are included here by path so
 //! `cargo test` from the workspace root compiles and runs all of them.
 
+#[path = "../../../tests/column_pruning.rs"]
+mod column_pruning;
+
 #[path = "../../../tests/dml_differential.rs"]
 mod dml_differential;
 

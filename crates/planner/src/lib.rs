@@ -7,6 +7,8 @@
 //!   GROUP BY/ORDER BY/LIMIT, the expression grammar TPC-H needs).
 //! * [`physical`] — the distributed physical plan: operators annotated with
 //!   where they run, with explicit exchange nodes.
+//! * [`prune`] — column pruning: the one pass that runs before the rewriter
+//!   and narrows every scan to the columns the plan uses.
 //! * [`rewriter`] — the **Parallel Rewriter** (§5): cost-based placement of
 //!   (D)Xchg operators using structural properties (partitioning, sorting,
 //!   replication). It detects co-partitioned **local joins** by tracking
@@ -17,11 +19,13 @@
 
 pub mod logical;
 pub mod physical;
+pub mod prune;
 pub mod rewriter;
 pub mod sql;
 mod subquery;
 
 pub use logical::{CatalogInfo, LogicalPlan, TableMeta};
 pub use physical::PhysPlan;
+pub use prune::prune_columns;
 pub use rewriter::{ParallelRewriter, RewriterOptions};
 pub use sql::parse_query;

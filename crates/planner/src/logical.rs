@@ -32,7 +32,7 @@ pub trait CatalogInfo {
 }
 
 /// A logical (location-free) relational plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
     /// Base table scan with projection by column index.
     Scan {
@@ -81,6 +81,26 @@ pub enum JoinKind {
 }
 
 impl LogicalPlan {
+    /// Number of output columns; needs no catalog, unlike [`Self::schema`].
+    pub fn width(&self) -> usize {
+        match self {
+            LogicalPlan::Scan { cols, .. } => cols.len(),
+            LogicalPlan::Select { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => input.width(),
+            LogicalPlan::Project { items, .. } => items.len(),
+            LogicalPlan::Join {
+                left, right, kind, ..
+            } => match kind {
+                JoinKind::Semi | JoinKind::Anti => left.width(),
+                JoinKind::Inner => left.width() + right.width(),
+                // The executor appends the `__matched` indicator.
+                JoinKind::LeftOuter => left.width() + right.width() + 1,
+            },
+            LogicalPlan::Aggregate { group_by, aggs, .. } => group_by.len() + aggs.len(),
+        }
+    }
+
     /// Output schema given the catalog.
     pub fn schema(&self, catalog: &dyn CatalogInfo) -> Result<Schema> {
         Ok(match self {

@@ -261,14 +261,24 @@ impl<'a> ParallelRewriter<'a> {
     }
 
     fn plan_scan(&self, table: &str, cols: &[usize]) -> Result<Candidate> {
+        // A batch takes its row count from its columns: a scan of none
+        // would answer with no rows at all, whatever the table holds.
+        if cols.is_empty() {
+            return Err(VhError::Plan(format!(
+                "scan of '{table}' reads no column; prune_columns keeps one for the row count"
+            )));
+        }
         let meta = self.catalog.table(table)?;
         let rows = meta.rows as f64;
-        let sorted = meta.sort_order.as_ref().and_then(|order| {
-            order
-                .iter()
-                .map(|k| cols.iter().position(|c| c == k))
-                .collect()
-        });
+        // The streams are sorted on the longest prefix of the clustered order
+        // the scan reads, so a pruned trailing sort column costs no property.
+        let sorted: Vec<usize> = meta
+            .sort_order
+            .iter()
+            .flatten()
+            .map_while(|k| cols.iter().position(|c| c == k))
+            .collect();
+        let sorted = (!sorted.is_empty()).then_some(sorted);
         if meta.is_replicated() {
             Ok(Candidate {
                 plan: PhysPlan::ScanReplicated {
@@ -768,6 +778,55 @@ mod tests {
             "{}",
             plan.explain()
         );
+    }
+
+    #[test]
+    fn a_scan_without_a_trailing_sort_column_still_merge_joins() {
+        // Both tables clustered on (key, date), joined on the key alone.
+        let mut c = catalog();
+        for (table, rows) in [("lineitem", 6_000_000), ("orders", 1_500_000)] {
+            c.add(TableMeta {
+                name: table.into(),
+                schema: Schema::of(&[("key", DataType::I64), ("date", DataType::Date)]),
+                rows,
+                partitioning: Some((vec![0], 12)),
+                sort_order: Some(vec![0, 1]),
+            });
+        }
+        let rw = ParallelRewriter::new(&c, RewriterOptions::default());
+        let scan = |table: &str, cols: Vec<usize>| LogicalPlan::Scan {
+            table: table.into(),
+            cols,
+        };
+        for li_cols in [vec![0, 1], vec![0]] {
+            let lp = LogicalPlan::Join {
+                left: Box::new(scan("lineitem", li_cols)),
+                right: Box::new(scan("orders", vec![0])),
+                left_keys: vec![0],
+                right_keys: vec![0],
+                kind: JoinKind::Inner,
+            };
+            let plan = rw.rewrite(&lp).unwrap();
+            assert_eq!(count_mergejoin(&plan), 1, "{}", plan.explain());
+        }
+    }
+
+    #[test]
+    fn a_scan_of_no_columns_is_refused() {
+        let c = catalog();
+        let rw = ParallelRewriter::new(&c, RewriterOptions::default());
+        for table in ["orders", "supplier"] {
+            let lp = LogicalPlan::Aggregate {
+                input: Box::new(LogicalPlan::Scan {
+                    table: table.into(),
+                    cols: vec![],
+                }),
+                group_by: vec![],
+                aggs: vec![AggFn::CountStar],
+            };
+            let err = rw.rewrite(&lp).unwrap_err();
+            assert!(matches!(err, VhError::Plan(_)), "{err}");
+        }
     }
 
     #[test]

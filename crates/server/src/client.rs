@@ -30,7 +30,7 @@ pub struct QueryOutcome {
 
 /// A connected front-door session.
 pub struct Client {
-    stream: TcpStream,
+    pub(crate) stream: TcpStream,
     session_id: u64,
     next_req: u32,
     seq: u64,
@@ -58,6 +58,11 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client> {
         let mut stream =
             TcpStream::connect(addr).map_err(|e| VhError::Net(format!("client connect: {e}")))?;
+        // `Cancel` after `Query` is two small writes in a row: with Nagle on,
+        // the second waits for the server's delayed ACK of the first.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| VhError::Net(format!("client set_nodelay: {e}")))?;
         let hello = Frame::control(FrameKind::Hello, 0, 0, 0, 0);
         write_frame(&mut stream, &hello, None)?;
         let welcome = read_frame(&mut stream).map_err(DecodeError::into_vh)?;

@@ -198,6 +198,13 @@ fn handle_conn(
     stream: TcpStream,
     session_id: u64,
 ) -> Result<()> {
+    // A reply ends in two small frames written back to back, `RowBatch`
+    // then `Done`. With Nagle's algorithm on, the kernel holds the second
+    // until the client acknowledges the first, and the client, with nothing
+    // to send, delays that ACK by ~40 ms: on every statement.
+    stream
+        .set_nodelay(true)
+        .map_err(|e| VhError::Net(format!("server set_nodelay: {e}")))?;
     let mut read_half = stream
         .try_clone()
         .map_err(|e| VhError::Net(format!("server clone stream: {e}")))?;
@@ -418,5 +425,31 @@ fn serve_plan(
             )
         }
         Err(e) => slot.release().send_error(req_id, &e, 0),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn both_ends_of_a_session_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || Client::connect(addr));
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "off is not the OS default");
+        // A clone shares the socket, so it sees the option the session sets.
+        let probe = accepted.try_clone().unwrap();
+        let cfg = ServerConfig::default();
+        let gate = Arc::new(Gate::new(cfg.admission.clone()));
+        let vh = Arc::new(VectorH::start(Default::default()).unwrap());
+        let session = std::thread::spawn(move || handle_conn(vh, gate, cfg, accepted, 1));
+        let client = client.join().unwrap().expect("handshake");
+        assert!(probe.nodelay().unwrap(), "accepted socket");
+        assert!(client.stream.nodelay().unwrap(), "dialled socket");
+        client.goodbye().unwrap();
+        session.join().unwrap().unwrap();
     }
 }
