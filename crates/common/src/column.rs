@@ -4,10 +4,12 @@
 //! storage blocks hold one, the vectorized engine processes slices of one,
 //! codecs compress one. Logical types map onto four physical layouts:
 //! `I32` (ints and dates), `I64` (bigints and scaled decimals), `F64`,
-//! and `Str`.
+//! and `Str` (a [`StrVec`]: one byte buffer plus offsets, no `String` per
+//! value).
 
 use std::cmp::Ordering;
 
+use crate::strvec::StrVec;
 use crate::types::{DataType, Value};
 use crate::{Result, VhError};
 
@@ -17,7 +19,7 @@ pub enum ColumnData {
     I32(Vec<i32>),
     I64(Vec<i64>),
     F64(Vec<f64>),
-    Str(Vec<String>),
+    Str(StrVec),
 }
 
 /// The physical layout a logical [`DataType`] is stored in.
@@ -39,6 +41,10 @@ pub enum PhysicalType {
     Str,
 }
 
+fn cmp_f64(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+}
+
 impl ColumnData {
     /// Empty buffer of the physical layout for `dtype`.
     pub fn new(dtype: DataType) -> Self {
@@ -50,7 +56,7 @@ impl ColumnData {
             PhysicalType::I32 => ColumnData::I32(Vec::with_capacity(cap)),
             PhysicalType::I64 => ColumnData::I64(Vec::with_capacity(cap)),
             PhysicalType::F64 => ColumnData::F64(Vec::with_capacity(cap)),
-            PhysicalType::Str => ColumnData::Str(Vec::with_capacity(cap)),
+            PhysicalType::Str => ColumnData::Str(StrVec::with_capacity(cap, 0)),
         }
     }
 
@@ -83,7 +89,7 @@ impl ColumnData {
             ColumnData::I32(v) => v.len() * 4,
             ColumnData::I64(v) => v.len() * 8,
             ColumnData::F64(v) => v.len() * 8,
-            ColumnData::Str(v) => v.iter().map(|s| s.len() + 4).sum(),
+            ColumnData::Str(v) => v.byte_len() + 4 * v.len(),
         }
     }
 
@@ -97,7 +103,7 @@ impl ColumnData {
             (ColumnData::I64(v), DataType::Decimal { scale }) => Value::Decimal(v[idx], scale),
             (ColumnData::I64(v), _) => Value::I64(v[idx]),
             (ColumnData::F64(v), _) => Value::F64(v[idx]),
-            (ColumnData::Str(v), _) => Value::Str(v[idx].clone()),
+            (ColumnData::Str(v), _) => Value::Str(v.get(idx).to_owned()),
         }
     }
 
@@ -105,9 +111,39 @@ impl ColumnData {
     /// would, without cloning a string out of the column to do it.
     pub fn cmp_at(&self, idx: usize, dtype: DataType, v: &Value) -> Option<Ordering> {
         match (self, v) {
-            (ColumnData::Str(c), Value::Str(s)) => Some(c[idx].as_str().cmp(s)),
+            (ColumnData::Str(c), Value::Str(s)) => Some(c.get(idx).cmp(s)),
             (ColumnData::Str(_), _) => None,
             _ => self.value_at(idx, dtype).partial_cmp(v),
+        }
+    }
+
+    /// Order element `i` against element `j` of `other` in place, as their
+    /// [`value_at`](Self::value_at)s would compare: no `Value` is built and
+    /// no string leaves its column. Integers compare exactly (two `I64`s
+    /// past 2^53 that `Value` would call equal through `f64` are ordered);
+    /// what `Value` cannot order (a NaN, a string against a number) is
+    /// `Equal`.
+    pub fn cmp_rows(&self, i: usize, other: &ColumnData, j: usize) -> Ordering {
+        use ColumnData::*;
+        match (self, other) {
+            (I32(a), I32(b)) => a[i].cmp(&b[j]),
+            (I64(a), I64(b)) => a[i].cmp(&b[j]),
+            (I32(a), I64(b)) => (a[i] as i64).cmp(&b[j]),
+            (I64(a), I32(b)) => a[i].cmp(&(b[j] as i64)),
+            (Str(a), Str(b)) => a.get(i).cmp(b.get(j)),
+            (Str(_), _) | (_, Str(_)) => Ordering::Equal,
+            (F64(a), b) => cmp_f64(a[i], b.f64_at(j)),
+            (a, F64(b)) => cmp_f64(a.f64_at(i), b[j]),
+        }
+    }
+
+    /// A numeric element as `f64` (`cmp_rows` across layouts).
+    fn f64_at(&self, i: usize) -> f64 {
+        match self {
+            ColumnData::I32(v) => v[i] as f64,
+            ColumnData::I64(v) => v[i] as f64,
+            ColumnData::F64(v) => v[i],
+            ColumnData::Str(_) => f64::NAN,
         }
     }
 
@@ -120,7 +156,7 @@ impl ColumnData {
             (ColumnData::I64(c), Value::Decimal(x, _)) => c.push(*x),
             (ColumnData::I64(c), Value::I32(x)) => c.push(*x as i64),
             (ColumnData::F64(c), Value::F64(x)) => c.push(*x),
-            (ColumnData::Str(c), Value::Str(x)) => c.push(x.clone()),
+            (ColumnData::Str(c), Value::Str(x)) => c.push(x),
             (c, v) => {
                 return Err(VhError::InvalidArg(format!(
                     "cannot push {v:?} into {:?} column",
@@ -133,36 +169,18 @@ impl ColumnData {
 
     /// Append all values of `other`; physical layouts must match.
     pub fn append(&mut self, other: &ColumnData) -> Result<()> {
-        match (self, other) {
-            (ColumnData::I32(a), ColumnData::I32(b)) => a.extend_from_slice(b),
-            (ColumnData::I64(a), ColumnData::I64(b)) => a.extend_from_slice(b),
-            (ColumnData::F64(a), ColumnData::F64(b)) => a.extend_from_slice(b),
-            (ColumnData::Str(a), ColumnData::Str(b)) => a.extend(b.iter().cloned()),
-            _ => {
-                return Err(VhError::InvalidArg(
-                    "column append with mismatched physical types".into(),
-                ))
-            }
-        }
-        Ok(())
+        self.extend_range(other, 0, other.len())
     }
 
-    /// Append all values of `other` by value: strings move instead of being
-    /// cloned, and an empty `self` simply becomes `other`, so a buffer that
-    /// holds nothing yet costs no allocation and no copy.
-    pub fn append_owned(&mut self, other: ColumnData) -> Result<()> {
-        fn move_in<T>(a: &mut Vec<T>, b: Vec<T>) {
-            if a.is_empty() {
-                *a = b;
-            } else {
-                a.extend(b);
-            }
-        }
-        match (self, other) {
-            (ColumnData::I32(a), ColumnData::I32(b)) => move_in(a, b),
-            (ColumnData::I64(a), ColumnData::I64(b)) => move_in(a, b),
-            (ColumnData::F64(a), ColumnData::F64(b)) => move_in(a, b),
-            (ColumnData::Str(a), ColumnData::Str(b)) => move_in(a, b),
+    /// Append rows `[from, to)` of `src`; physical layouts must match.
+    /// Numerics are one `memcpy`, strings one for the bytes and one pass
+    /// over the offsets.
+    pub fn extend_range(&mut self, src: &ColumnData, from: usize, to: usize) -> Result<()> {
+        match (self, src) {
+            (ColumnData::I32(a), ColumnData::I32(b)) => a.extend_from_slice(&b[from..to]),
+            (ColumnData::I64(a), ColumnData::I64(b)) => a.extend_from_slice(&b[from..to]),
+            (ColumnData::F64(a), ColumnData::F64(b)) => a.extend_from_slice(&b[from..to]),
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.extend_range(b, from, to),
             _ => {
                 return Err(VhError::InvalidArg(
                     "column append with mismatched physical types".into(),
@@ -178,21 +196,11 @@ impl ColumnData {
             ColumnData::I32(v) => ColumnData::I32(v[from..to].to_vec()),
             ColumnData::I64(v) => ColumnData::I64(v[from..to].to_vec()),
             ColumnData::F64(v) => ColumnData::F64(v[from..to].to_vec()),
-            ColumnData::Str(v) => ColumnData::Str(v[from..to].to_vec()),
-        }
-    }
-
-    /// Move the subrange `[from, to)` out into a new buffer: what
-    /// [`slice`](Self::slice) returns, without a heap allocation per string.
-    /// `self` keeps its length; the strings of the range are left empty, so
-    /// the caller must not read that range again. Everything outside it is
-    /// untouched.
-    pub fn take_range(&mut self, from: usize, to: usize) -> ColumnData {
-        match self {
             ColumnData::Str(v) => {
-                ColumnData::Str(v[from..to].iter_mut().map(std::mem::take).collect())
+                let mut out = StrVec::with_capacity(to - from, 0);
+                out.extend_range(v, from, to);
+                ColumnData::Str(out)
             }
-            numeric => numeric.slice(from, to),
         }
     }
 
@@ -202,7 +210,7 @@ impl ColumnData {
             ColumnData::I32(v) => ColumnData::I32(idx.iter().map(|&i| v[i]).collect()),
             ColumnData::I64(v) => ColumnData::I64(idx.iter().map(|&i| v[i]).collect()),
             ColumnData::F64(v) => ColumnData::F64(idx.iter().map(|&i| v[i]).collect()),
-            ColumnData::Str(v) => ColumnData::Str(idx.iter().map(|&i| v[i].clone()).collect()),
+            ColumnData::Str(v) => ColumnData::Str(v.gather(idx.iter().copied())),
         }
     }
 
@@ -237,7 +245,7 @@ impl ColumnData {
         }
     }
 
-    pub fn as_str(&self) -> Option<&[String]> {
+    pub fn as_strs(&self) -> Option<&StrVec> {
         match self {
             ColumnData::Str(v) => Some(v),
             _ => None,
@@ -257,6 +265,7 @@ impl ColumnData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     #[test]
     fn physical_mapping() {
@@ -303,65 +312,192 @@ mod tests {
         assert!(a.append(&ColumnData::I64(vec![4])).is_err());
     }
 
-    #[test]
-    fn take_range_moves_what_slice_copies_and_leaves_the_rest() {
-        let strs = |r: std::ops::Range<usize>| -> Vec<String> {
-            r.map(|i| format!("value-{i}")).collect()
-        };
-        // start, middle, end, empty, everything
-        for (from, to) in [(0, 3), (2, 5), (5, 8), (4, 4), (0, 8)] {
-            let mut s = ColumnData::Str(strs(0..8));
-            let want = s.slice(from, to);
-            assert_eq!(s.take_range(from, to), want, "[{from}, {to})");
-            assert_eq!(s.len(), 8, "the source keeps its length");
-            let left = s.as_str().unwrap();
-            for (i, v) in left.iter().enumerate() {
-                if (from..to).contains(&i) {
-                    assert!(v.is_empty(), "[{from}, {to}): {i} was moved out");
-                } else {
-                    assert_eq!(*v, format!("value-{i}"), "[{from}, {to}): {i} untouched");
-                }
-            }
-            let mut n = ColumnData::I32((0..8).collect());
-            assert_eq!(n.take_range(from, to), n.slice(from, to));
-            assert_eq!(n, ColumnData::I32((0..8).collect()));
+    /// A string of 0..=3 pieces, each empty, ASCII, multi-byte or long.
+    fn arbitrary_string(rng: &mut SplitMix64) -> String {
+        const PIECES: [&str; 8] = [
+            "",
+            "a",
+            "R",
+            "é",
+            "日本",
+            "🎉",
+            "flag",
+            "a value well past sixteen bytes",
+        ];
+        (0..rng.next_bounded(4))
+            .map(|_| PIECES[rng.next_bounded(PIECES.len() as u64) as usize])
+            .collect()
+    }
+
+    fn arbitrary_strings(rng: &mut SplitMix64, max: u64) -> Vec<String> {
+        (0..rng.next_bounded(max + 1))
+            .map(|_| arbitrary_string(rng))
+            .collect()
+    }
+
+    /// Does the column hold exactly the model's strings, by every way of
+    /// reading it?
+    fn assert_holds(col: &ColumnData, model: &[String], what: &str) {
+        let v = col.as_strs().expect("a string column");
+        assert_eq!(col.len(), model.len(), "{what}: len");
+        assert_eq!(v.iter().len(), model.len(), "{what}: iter len");
+        assert!(
+            v.iter().eq(model.iter().map(String::as_str)),
+            "{what}: iter"
+        );
+        for (i, m) in model.iter().enumerate() {
+            assert_eq!(v.get(i), m, "{what}: get({i})");
+            assert_eq!(
+                col.value_at(i, DataType::Str),
+                Value::Str(m.clone()),
+                "{what}"
+            );
         }
-        let mut f = ColumnData::F64(vec![0.5, 1.5, 2.5]);
-        assert_eq!(f.take_range(1, 3), ColumnData::F64(vec![1.5, 2.5]));
-        let mut d = ColumnData::I64(vec![10, 20, 30]);
-        assert_eq!(d.take_range(0, 1), ColumnData::I64(vec![10]));
+        let bytes: usize = model.iter().map(String::len).sum();
+        assert_eq!(v.byte_len(), bytes, "{what}: byte_len");
+        assert_eq!(
+            col.byte_size(),
+            bytes + 4 * model.len(),
+            "{what}: byte_size"
+        );
+        assert_eq!(
+            *v,
+            model.iter().collect::<StrVec>(),
+            "{what}: content equality"
+        );
     }
 
     #[test]
-    fn append_owned_matches_append_and_checks_types() {
-        let parts = [
-            ColumnData::Str(vec![]),
-            ColumnData::Str(vec!["a".into(), "bc".into()]),
-            ColumnData::Str(vec![]),
-            ColumnData::Str(vec!["def".into()]),
-        ];
-        let (mut by_ref, mut by_value) = (ColumnData::new(DataType::Str), parts[0].clone());
-        for p in &parts {
-            by_ref.append(p).unwrap();
-            by_value.append_owned(p.clone()).unwrap();
-            assert_eq!(by_value, by_ref);
+    fn prop_string_columns_behave_like_a_vec_of_strings() {
+        let mut meta = SplitMix64::new(0x0057_7EC5);
+        for case in 0..1200 {
+            let seed = meta.next_u64();
+            let rng = &mut SplitMix64::new(seed);
+            let what = format!("case {case} seed {seed:#x}");
+            // Built by push, from an iterator, or empty.
+            let mut model = arbitrary_strings(rng, 40);
+            let mut col = match case % 3 {
+                0 => ColumnData::Str(model.iter().collect()),
+                1 => {
+                    let mut c = ColumnData::new(DataType::Str);
+                    for s in &model {
+                        c.push_value(&Value::Str(s.clone())).unwrap();
+                    }
+                    c
+                }
+                _ => {
+                    model.clear();
+                    ColumnData::with_capacity(DataType::Str, 8)
+                }
+            };
+            assert_holds(&col, &model, &what);
+            for step in 0..8 {
+                let what = format!("{what} step {step}");
+                let other = arbitrary_strings(rng, 24);
+                let other_col = ColumnData::Str(other.iter().collect());
+                let n = model.len() as u64;
+                match rng.next_bounded(7) {
+                    0 => {
+                        col.append(&other_col).unwrap();
+                        model.extend(other.iter().cloned());
+                    }
+                    1 => {
+                        let from = rng.next_bounded(other.len() as u64 + 1) as usize;
+                        let to = from + rng.next_bounded((other.len() - from) as u64 + 1) as usize;
+                        col.extend_range(&other_col, from, to).unwrap();
+                        model.extend(other[from..to].iter().cloned());
+                    }
+                    2 => {
+                        let from = rng.next_bounded(n + 1) as usize;
+                        let to = from + rng.next_bounded(n - from as u64 + 1) as usize;
+                        col = col.slice(from, to);
+                        model = model[from..to].to_vec();
+                    }
+                    3 if n > 0 => {
+                        // Repeats, any order, possibly nothing.
+                        let idx: Vec<usize> = (0..rng.next_bounded(2 * n + 1))
+                            .map(|_| rng.next_bounded(n) as usize)
+                            .collect();
+                        col = col.gather(&idx);
+                        model = idx.iter().map(|&i| model[i].clone()).collect();
+                    }
+                    4 => {
+                        let len = rng.next_bounded(n + 3) as usize;
+                        col.truncate(len);
+                        model.truncate(len);
+                    }
+                    5 => {
+                        let s = arbitrary_string(rng);
+                        col.push_value(&Value::Str(s.clone())).unwrap();
+                        model.push(s);
+                    }
+                    _ => {
+                        for (i, a) in model.iter().enumerate() {
+                            for (j, b) in other.iter().enumerate() {
+                                let want = a.cmp(b);
+                                assert_eq!(col.cmp_rows(i, &other_col, j), want, "{what}");
+                                let b = Value::Str(b.clone());
+                                assert_eq!(col.cmp_at(i, DataType::Str, &b), Some(want));
+                                let (x, y) = (col.as_strs().unwrap(), other_col.as_strs().unwrap());
+                                assert_eq!(x.eq_at(i, y, j), want == Ordering::Equal, "{what}");
+                            }
+                        }
+                    }
+                }
+                assert_holds(&col, &model, &what);
+            }
         }
-        assert_eq!(by_value.len(), 3);
-        let mut a = ColumnData::I32(vec![]);
-        a.append_owned(ColumnData::I32(vec![1, 2])).unwrap();
-        a.append_owned(ColumnData::I32(vec![3])).unwrap();
-        assert_eq!(a, ColumnData::I32(vec![1, 2, 3]));
-        // Rejected whether or not the receiver is empty, and left as it was.
-        assert!(a.append_owned(ColumnData::I64(vec![4])).is_err());
-        assert!(ColumnData::new(DataType::Str)
-            .append_owned(ColumnData::F64(vec![0.0]))
-            .is_err());
-        assert_eq!(a, ColumnData::I32(vec![1, 2, 3]));
+    }
+
+    #[test]
+    fn cmp_rows_orders_like_the_values_on_every_layout() {
+        use DataType::*;
+        let cols = [
+            (ColumnData::I32(vec![3, -1, 3, i32::MIN, i32::MAX, 0]), Date),
+            (ColumnData::I32(vec![3, -1, 3, i32::MIN, i32::MAX, 0]), I32),
+            (ColumnData::I64(vec![5, 5, -7, 1 << 40, -(1 << 40), 0]), I64),
+            (
+                ColumnData::I64(vec![125, 100, 125, -1, 0, 99]),
+                Decimal { scale: 2 },
+            ),
+            (
+                ColumnData::F64(vec![0.5, -0.0, 0.0, f64::INFINITY, -2.5, 0.5]),
+                F64,
+            ),
+            (
+                ColumnData::Str(["b", "", "ab", "abc", "ab", "é"].into()),
+                Str,
+            ),
+        ];
+        for (col, dt) in &cols {
+            for i in 0..col.len() {
+                for j in 0..col.len() {
+                    let want = col
+                        .value_at(i, *dt)
+                        .partial_cmp(&col.value_at(j, *dt))
+                        .unwrap();
+                    assert_eq!(col.cmp_rows(i, col, j), want, "{dt:?} {i} vs {j}");
+                    // What `Sort` does with a `Desc` key.
+                    assert_eq!(col.cmp_rows(j, col, i), want.reverse(), "{dt:?} desc");
+                }
+            }
+        }
+        // Across integer widths and against floats, as the values compare.
+        let (narrow, wide) = (ColumnData::I32(vec![-2, 7]), ColumnData::I64(vec![7, -2]));
+        assert_eq!(narrow.cmp_rows(0, &wide, 1), Ordering::Equal);
+        assert_eq!(narrow.cmp_rows(0, &wide, 0), Ordering::Less);
+        assert_eq!(wide.cmp_rows(0, &narrow, 0), Ordering::Greater);
+        let floats = ColumnData::F64(vec![6.5, f64::NAN]);
+        assert_eq!(wide.cmp_rows(0, &floats, 0), Ordering::Greater);
+        assert_eq!(floats.cmp_rows(0, &narrow, 1), Ordering::Less);
+        // What `Value` cannot order is `Equal`: a NaN, a string against a number.
+        assert_eq!(floats.cmp_rows(1, &floats, 0), Ordering::Equal);
+        assert_eq!(cols[5].0.cmp_rows(0, &wide, 0), Ordering::Equal);
     }
 
     #[test]
     fn byte_size_counts_strings() {
-        let c = ColumnData::Str(vec!["ab".into(), "cdef".into()]);
+        let c = ColumnData::Str(["ab", "cdef"].into());
         assert_eq!(c.byte_size(), 2 + 4 + 4 + 4);
         assert_eq!(ColumnData::I32(vec![0; 10]).byte_size(), 40);
     }

@@ -2,8 +2,9 @@
 //!
 //! This crate holds the pieces every other crate needs and nothing else:
 //! the value/type system ([`types`]), schemas ([`schema`]), typed identifiers
-//! ([`ids`]), error handling ([`error`]), bit sets ([`bitmap`]), a
-//! deterministic RNG ([`rng`]) and small numeric/hash utilities ([`util`]).
+//! ([`ids`]), column buffers ([`column`], [`strvec`]), error handling
+//! ([`error`]), bit sets ([`bitmap`]), a deterministic RNG ([`rng`]) and
+//! small numeric/hash utilities ([`util`]).
 //!
 //! VectorH (SIGMOD 2016) is a distributed system; to keep simulations
 //! reproducible, everything in this workspace that needs randomness goes
@@ -19,6 +20,7 @@ pub mod ids;
 pub mod rng;
 pub mod schema;
 pub mod simd;
+pub mod strvec;
 pub mod sync;
 pub mod types;
 pub mod util;
@@ -27,6 +29,7 @@ pub use column::{ColumnData, PhysicalType};
 pub use error::{Result, VhError};
 pub use ids::*;
 pub use schema::{Field, Schema};
+pub use strvec::StrVec;
 pub use types::{DataType, Value};
 
 /// The vector size used by the vectorized engine: operations process

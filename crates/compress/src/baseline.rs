@@ -17,7 +17,7 @@
 //! engines built on them produce correct query answers — just more slowly
 //! and with more bytes touched.
 
-use vectorh_common::ColumnData;
+use vectorh_common::{ColumnData, StrVec};
 
 use crate::lz;
 
@@ -202,23 +202,23 @@ fn parquet_decode_ints_raw(bytes: &[u8], wide: bool) -> Option<Vec<i64>> {
 // Strings: length-prefixed plain for both formats.
 // ---------------------------------------------------------------------------
 
-fn encode_strings_raw(values: &[String], out: &mut Vec<u8>) {
+fn encode_strings_raw(values: &StrVec, out: &mut Vec<u8>) {
     put_varint(values.len() as u64, out);
-    for v in values {
+    for v in values.iter() {
         put_varint(v.len() as u64, out);
         out.extend_from_slice(v.as_bytes());
     }
 }
 
-fn decode_strings_raw(bytes: &[u8]) -> Option<Vec<String>> {
+fn decode_strings_raw(bytes: &[u8]) -> Option<StrVec> {
     let (n, mut pos) = get_varint(bytes, 0)?;
-    let mut out = Vec::with_capacity(n as usize);
+    let mut out = StrVec::with_capacity((n as usize).min(bytes.len()), 0);
     for _ in 0..n {
         let (len, c) = get_varint(bytes, pos)?;
         pos += c;
         let s = bytes.get(pos..pos + len as usize)?;
         pos += len as usize;
-        out.push(String::from_utf8(s.to_vec()).ok()?);
+        out.push(std::str::from_utf8(s).ok()?);
     }
     Some(out)
 }
@@ -383,7 +383,7 @@ mod tests {
     fn empty_columns() {
         for f in [BaselineFormat::OrcLike, BaselineFormat::ParquetLike] {
             roundtrip(f, &ColumnData::I64(vec![]));
-            roundtrip(f, &ColumnData::Str(vec![]));
+            roundtrip(f, &ColumnData::Str(StrVec::new()));
         }
     }
 

@@ -5,7 +5,7 @@
 //! scheme and keeps the smallest encoding, returning a self-describing byte
 //! block that [`decode_column`] can decode without external context.
 
-use vectorh_common::{ColumnData, Result, VhError};
+use vectorh_common::{ColumnData, Result, StrVec, VhError};
 
 use crate::lz;
 use crate::pdict::{PdictI64, PdictStr};
@@ -100,8 +100,10 @@ impl Writer {
         self.u32(b.len() as u32);
         self.buf.extend_from_slice(b);
     }
-    fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
+    /// A count, then each value as `u32` length + bytes.
+    fn strs(&mut self, v: &StrVec) {
+        self.u32(v.len() as u32);
+        v.write_len_prefixed(&mut self.buf);
     }
 }
 
@@ -138,9 +140,12 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         self.take(n)
     }
-    fn str(&mut self) -> Result<String> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| VhError::Codec("invalid utf8".into()))
+    /// What [`Writer::strs`] wrote, validated as a whole.
+    fn strs(&mut self) -> Result<StrVec> {
+        let n = self.u32()? as usize;
+        let (v, used) = StrVec::read_len_prefixed(&self.buf[self.pos..], n)?;
+        self.pos += used;
+        Ok(v)
     }
 }
 
@@ -211,27 +216,18 @@ fn encode_pdict_i64(p: &PdictI64) -> Vec<u8> {
 
 fn encode_pdict_str(p: &PdictStr) -> Vec<u8> {
     let mut w = Writer::new(Scheme::PdictStr);
-    w.u32(p.dict.len() as u32);
-    for d in &p.dict {
-        w.str(d);
-    }
+    w.strs(&p.dict);
     w.u8(p.width);
     w.u32(p.n);
     w.u32(p.first_exc);
     w.bytes(&p.codes);
-    w.u32(p.exceptions.len() as u32);
-    for e in &p.exceptions {
-        w.str(e);
-    }
+    w.strs(&p.exceptions);
     w.buf
 }
 
-fn encode_lz_str(values: &[String]) -> Vec<u8> {
+fn encode_lz_str(values: &StrVec) -> Vec<u8> {
     let mut raw = Vec::new();
-    for v in values {
-        raw.extend_from_slice(&(v.len() as u32).to_le_bytes());
-        raw.extend_from_slice(v.as_bytes());
-    }
+    values.write_len_prefixed(&mut raw);
     let mut w = Writer::new(Scheme::LzStr);
     w.u32(values.len() as u32);
     let mut compressed = Vec::new();
@@ -359,30 +355,18 @@ pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
             }
         }
         Scheme::PdictStr => {
-            let dict_n = r.u32()? as usize;
-            let mut dict = Vec::with_capacity(dict_n);
-            for _ in 0..dict_n {
-                dict.push(r.str()?);
-            }
-            let width = r.u8()?;
-            let n = r.u32()?;
-            let first_exc = r.u32()?;
-            let codes = r.bytes()?.to_vec();
-            let exc_n = r.u32()? as usize;
-            let mut exceptions = Vec::with_capacity(exc_n);
-            for _ in 0..exc_n {
-                exceptions.push(r.str()?);
-            }
-            let mut out = Vec::new();
-            PdictStr {
-                dict,
-                width,
-                n,
-                first_exc,
-                codes,
-                exceptions,
-            }
-            .decode(&mut out);
+            // The dictionary and the exceptions are each validated once as
+            // they are parsed; a decoded row is then a copy of valid bytes.
+            let block = PdictStr {
+                dict: r.strs()?,
+                width: r.u8()?,
+                n: r.u32()?,
+                first_exc: r.u32()?,
+                codes: r.bytes()?.to_vec(),
+                exceptions: r.strs()?,
+            };
+            let mut out = StrVec::new();
+            block.decode(&mut out)?;
             Ok(ColumnData::Str(out))
         }
         Scheme::LzStr => {
@@ -391,12 +375,7 @@ pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
             let mut raw = Vec::new();
             lz::decompress(compressed, &mut raw)
                 .ok_or_else(|| VhError::Codec("lz stream corrupt".into()))?;
-            let mut out = Vec::with_capacity(n);
-            let mut rr = Reader::new(&raw);
-            for _ in 0..n {
-                out.push(rr.str()?);
-            }
-            Ok(ColumnData::Str(out))
+            Ok(ColumnData::Str(StrVec::read_len_prefixed(&raw, n)?.0))
         }
         Scheme::PlainF64 => {
             let n = r.u32()? as usize;
@@ -502,7 +481,7 @@ mod tests {
     fn empty_columns_roundtrip() {
         roundtrip(&ColumnData::I64(vec![]));
         roundtrip(&ColumnData::I32(vec![]));
-        roundtrip(&ColumnData::Str(vec![]));
+        roundtrip(&ColumnData::Str(StrVec::new()));
         roundtrip(&ColumnData::F64(vec![]));
     }
 
@@ -520,6 +499,72 @@ mod tests {
         assert!(decode_column(&[99, 0, 0]).is_err());
         let enc = encode_column(&ColumnData::I64(vec![1, 2, 3]));
         assert!(decode_column(&enc.bytes[..3]).is_err());
+    }
+
+    /// A PDICT-STR block over "é" whose dictionary or exception bytes are
+    /// given raw.
+    fn pdict_str_block(dict: &[u8], exception: Option<&[u8]>) -> Vec<u8> {
+        let mut w = Writer::new(Scheme::PdictStr);
+        w.u32(1);
+        w.bytes(dict);
+        w.u8(1); // width
+        w.u32(8); // n
+        w.u32(if exception.is_some() { 3 } else { u32::MAX });
+        w.bytes(&[0]); // eight 1-bit codes, all entry 0
+        w.u32(exception.is_some() as u32);
+        if let Some(e) = exception {
+            w.bytes(e);
+        }
+        w.buf
+    }
+
+    fn lz_str_block(n: u32, raw: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new(Scheme::LzStr);
+        w.u32(n);
+        let mut compressed = Vec::new();
+        lz::compress(raw, &mut compressed);
+        w.bytes(&compressed);
+        w.buf
+    }
+
+    #[test]
+    fn strings_that_are_not_utf8_are_a_codec_error() {
+        let e_acute = "é".as_bytes();
+        // The hand-built blocks decode when their bytes are sound ...
+        let ok = decode_column(&pdict_str_block(e_acute, Some(b"x"))).unwrap();
+        let want: StrVec = ["é", "é", "é", "x", "é", "é", "é", "é"].into();
+        assert_eq!(ok, ColumnData::Str(want));
+        let ok = decode_column(&lz_str_block(2, &[2, 0, 0, 0, 0xC3, 0xA9, 0, 0, 0, 0])).unwrap();
+        assert_eq!(ok, ColumnData::Str(["é", ""].into()));
+        // ... and are refused, not trusted, when they are not.
+        for (what, block) in [
+            ("dictionary entry", pdict_str_block(&[b'a', 0xFF], None)),
+            (
+                "dictionary entry cut short",
+                pdict_str_block(&e_acute[..1], None),
+            ),
+            ("exception", pdict_str_block(e_acute, Some(&[0xC0, 0x80]))),
+            ("lz payload", lz_str_block(1, &[2, 0, 0, 0, b'a', 0xFF])),
+            // "é" split over two values: the whole is UTF-8, the parts are not.
+            (
+                "lz length inside a character",
+                lz_str_block(2, &[1, 0, 0, 0, 0xC3, 1, 0, 0, 0, 0xA9]),
+            ),
+            (
+                "lz length past the payload",
+                lz_str_block(1, &[9, 0, 0, 0, b'a']),
+            ),
+            (
+                "lz count past the payload",
+                lz_str_block(3, &[1, 0, 0, 0, b'a']),
+            ),
+        ] {
+            let got = decode_column(&block);
+            // Only the error is printed: a vector that should not exist may
+            // not be readable.
+            let err = got.err();
+            assert!(matches!(err, Some(VhError::Codec(_))), "{what}: {err:?}");
+        }
     }
 
     #[test]
@@ -565,7 +610,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let col = ColumnData::Str(vals);
+            let col = ColumnData::Str(vals.into());
             let enc = encode_column(&col);
             assert_eq!(decode_column(&enc.bytes).unwrap(), col, "seed {seed}");
         }

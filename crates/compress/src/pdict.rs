@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use vectorh_common::util::bits_needed;
+use vectorh_common::{Result, StrVec, VhError};
 
 use crate::bitpack;
 
@@ -37,22 +38,6 @@ fn plan_exceptions(codeable: &[bool], mask: u64) -> Vec<usize> {
     exc
 }
 
-/// Walk the patch chain to recover exception positions.
-fn exception_positions(slots: &[u64], first_exc: u32, count: usize) -> Vec<usize> {
-    let mut out = Vec::with_capacity(count);
-    if first_exc == u32::MAX {
-        return out;
-    }
-    let mut j = first_exc as usize;
-    for k in 0..count {
-        out.push(j);
-        if k + 1 < count {
-            j += slots[j] as usize + 1;
-        }
-    }
-    out
-}
-
 /// PDICT over 64-bit integers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PdictI64 {
@@ -67,12 +52,12 @@ pub struct PdictI64 {
 /// PDICT over strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PdictStr {
-    pub dict: Vec<String>,
+    pub dict: StrVec,
     pub width: u8,
     pub n: u32,
     pub first_exc: u32,
     pub codes: Vec<u8>,
-    pub exceptions: Vec<String>,
+    pub exceptions: StrVec,
 }
 
 /// Shared encode: given per-value dictionary codes (`None` = not in dict),
@@ -216,40 +201,33 @@ impl PdictI64 {
 }
 
 impl PdictStr {
-    pub fn encode(values: &[String]) -> PdictStr {
+    pub fn encode(values: &StrVec) -> PdictStr {
         if values.is_empty() {
             return PdictStr {
-                dict: vec![],
+                dict: StrVec::new(),
                 width: 0,
                 n: 0,
                 first_exc: u32::MAX,
                 codes: vec![],
-                exceptions: vec![],
+                exceptions: StrVec::new(),
             };
         }
         let mut freq: HashMap<&str, usize> = HashMap::new();
-        for v in values {
-            *freq.entry(v.as_str()).or_insert(0) += 1;
+        for v in values.iter() {
+            *freq.entry(v).or_insert(0) += 1;
         }
         let mut by_freq: Vec<(&str, usize)> = freq.into_iter().collect();
         by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         let freqs: Vec<usize> = by_freq.iter().map(|&(_, f)| f).collect();
         let costs: Vec<usize> = by_freq.iter().map(|&(s, _)| s.len() + 4).collect();
-        let avg_len = values.iter().map(|s| s.len() + 4).sum::<usize>() / values.len().max(1);
+        let avg_len = (values.byte_len() + 4 * values.len()) / values.len();
         let k = choose_dict_size(&freqs, values.len(), &costs, avg_len).max(1);
-        let dict: Vec<String> = by_freq[..k].iter().map(|&(v, _)| v.to_string()).collect();
+        let dict: StrVec = by_freq[..k].iter().map(|&(v, _)| v).collect();
         let width = bits_needed((k - 1) as u64).max(1);
-        let index: HashMap<&str, u64> = dict
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), i as u64))
-            .collect();
-        let codes_opt: Vec<Option<u64>> = values
-            .iter()
-            .map(|v| index.get(v.as_str()).copied())
-            .collect();
+        let index: HashMap<&str, u64> = dict.iter().zip(0u64..).collect();
+        let codes_opt: Vec<Option<u64>> = values.iter().map(|v| index.get(v).copied()).collect();
         let (codes, first_exc, exc_pos) = encode_slots(&codes_opt, width);
-        let exceptions = exc_pos.iter().map(|&i| values[i].clone()).collect();
+        let exceptions = values.gather(exc_pos.iter().copied());
         PdictStr {
             dict,
             width,
@@ -260,27 +238,56 @@ impl PdictStr {
         }
     }
 
-    pub fn decode(&self, out: &mut Vec<String>) {
+    /// Append the `n` decoded values to `out`: the bytes of a dictionary
+    /// entry (or of the next exception) per code, gathered straight into
+    /// `out`'s buffer. A block whose parts do not fit each other (off a
+    /// corrupt file) is an error.
+    pub fn decode(&self, out: &mut StrVec) -> Result<()> {
         let n = self.n as usize;
-        let start = out.len();
+        if n == 0 {
+            return Ok(());
+        }
+        let corrupt = |what: &str| VhError::Codec(format!("PDICT-STR block: {what}"));
+        if self.width > 64 || self.codes.len() < bitpack::packed_size(n, self.width) {
+            return Err(corrupt("code section too short"));
+        }
+        if self.dict.is_empty() {
+            return Err(corrupt("empty dictionary"));
+        }
         let mut slots = Vec::with_capacity(n);
         bitpack::unpack(&self.codes, n, self.width, &mut slots);
-        let dmax = self.dict.len().saturating_sub(1);
-        out.extend(
-            slots
-                .iter()
-                .map(|&c| self.dict[(c as usize).min(dmax)].clone()),
-        );
-        let exc_pos = exception_positions(&slots, self.first_exc, self.exceptions.len());
-        for (&pos, e) in exc_pos.iter().zip(&self.exceptions) {
-            out[start + pos] = e.clone();
+        let n_exc = self.exceptions.len();
+        let mut exc_pos = Vec::with_capacity(n_exc);
+        if n_exc > 0 {
+            let mut j = self.first_exc as usize;
+            for k in 0..n_exc {
+                let hop = *slots.get(j).ok_or_else(|| corrupt("exception chain"))?;
+                exc_pos.push(j);
+                if k + 1 < n_exc {
+                    j = j.saturating_add(hop as usize).saturating_add(1);
+                }
+            }
         }
+        // Exception slots hold chain hops, which may exceed the dictionary;
+        // clamped like any other code, then overridden below.
+        let dmax = self.dict.len() - 1;
+        let entry = |c: &u64| (*c as usize).min(dmax);
+        let mut next = 0usize;
+        for (k, &pos) in exc_pos.iter().enumerate() {
+            out.extend_gather(&self.dict, slots[next..pos].iter().map(entry));
+            out.push(self.exceptions.get(k));
+            next = pos + 1;
+        }
+        out.extend_gather(&self.dict, slots[next..].iter().map(entry));
+        Ok(())
     }
 
     pub fn body_size(&self) -> usize {
-        self.dict.iter().map(|s| s.len() + 4).sum::<usize>()
+        self.dict.byte_len()
+            + 4 * self.dict.len()
             + self.codes.len()
-            + self.exceptions.iter().map(|s| s.len() + 4).sum::<usize>()
+            + self.exceptions.byte_len()
+            + 4 * self.exceptions.len()
     }
 }
 
@@ -298,10 +305,13 @@ mod tests {
     }
 
     fn roundtrip_str(values: &[String]) -> PdictStr {
-        let enc = PdictStr::encode(values);
-        let mut out = Vec::new();
-        enc.decode(&mut out);
-        assert_eq!(out, values);
+        let values: StrVec = values.iter().collect();
+        let enc = PdictStr::encode(&values);
+        // Onto something, as a scan appends chunk after chunk.
+        let mut out = StrVec::from(["before"]);
+        enc.decode(&mut out).unwrap();
+        assert_eq!(out.len(), values.len() + 1);
+        assert!(out.iter().skip(1).eq(values.iter()));
         enc
     }
 
@@ -344,6 +354,46 @@ mod tests {
         assert!(!enc.exceptions.is_empty());
         let raw: usize = vals.iter().map(|s| s.len() + 4).sum();
         assert!(enc.body_size() < raw / 2);
+    }
+
+    #[test]
+    fn a_block_whose_parts_do_not_fit_is_an_error_not_a_panic() {
+        let vals: StrVec = (0..200)
+            .map(|i| {
+                if i % 50 == 7 {
+                    format!("rare-{i}")
+                } else {
+                    format!("tag{}", i % 3)
+                }
+            })
+            .collect();
+        let good = PdictStr::encode(&vals);
+        assert!(!good.exceptions.is_empty());
+        let broken = [
+            PdictStr {
+                dict: StrVec::new(),
+                ..good.clone()
+            },
+            PdictStr {
+                codes: good.codes[..good.codes.len() / 2].to_vec(),
+                ..good.clone()
+            },
+            PdictStr {
+                first_exc: 1_000_000,
+                ..good.clone()
+            },
+            PdictStr {
+                width: 65,
+                ..good.clone()
+            },
+        ];
+        for b in broken {
+            let mut out = StrVec::new();
+            assert!(
+                matches!(b.decode(&mut out), Err(VhError::Codec(_))),
+                "{b:?}"
+            );
+        }
     }
 
     #[test]
@@ -414,9 +464,10 @@ mod tests {
                     }
                 })
                 .collect();
+            let vals: StrVec = vals.into();
             let enc = PdictStr::encode(&vals);
-            let mut out = Vec::new();
-            enc.decode(&mut out);
+            let mut out = StrVec::new();
+            enc.decode(&mut out).unwrap();
             assert_eq!(out, vals, "seed {seed}");
         }
     }

@@ -178,7 +178,7 @@ mod tests {
             r.columns[2].as_i32().unwrap()[0],
             date::parse("1995-03-05").unwrap()
         );
-        assert_eq!(r.columns[3].as_str().unwrap()[1], "gadget");
+        assert_eq!(r.columns[3].as_strs().unwrap().get(1), "gadget");
     }
 
     #[test]
@@ -191,7 +191,7 @@ mod tests {
         };
         let r = parse_csv(text, &schema(), &opts).unwrap();
         assert_eq!(r.rows, 1);
-        assert_eq!(r.columns[3].as_str().unwrap()[0], "name");
+        assert_eq!(r.columns[3].as_strs().unwrap().get(0), "name");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! no per-row key materialization, no `Vec<KeyAtom>` allocations on the
 //! hot path.
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -86,7 +87,7 @@ fn atom_of(col: &ColumnData, i: usize) -> Result<KeyAtom> {
     match col {
         ColumnData::I32(v) => Ok(KeyAtom::I(v[i] as i64)),
         ColumnData::I64(v) => Ok(KeyAtom::I(v[i])),
-        ColumnData::Str(v) => Ok(KeyAtom::S(v[i].clone())),
+        ColumnData::Str(v) => Ok(KeyAtom::S(v.get(i).to_owned())),
         ColumnData::F64(_) => Err(VhError::Exec("COUNT(DISTINCT) over float".into())),
     }
 }
@@ -105,7 +106,7 @@ fn group_eq(
         .all(|(g, &k)| match (g, cols[k]) {
             (ColumnData::I32(a), ColumnData::I32(b)) => a[gi] == b[i],
             (ColumnData::I64(a), ColumnData::I64(b)) => a[gi] == b[i],
-            (ColumnData::Str(a), ColumnData::Str(b)) => a[gi] == b[i],
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.eq_at(gi, b, i),
             _ => false,
         })
 }
@@ -266,13 +267,10 @@ impl Aggr {
                 // In Final mode, each agg's state columns follow the group
                 // columns in input order; track the running input position.
                 let mut state_col = self.group_by.len();
-                let aggs = self.aggs.clone();
-                for (a, f) in aggs.iter().enumerate() {
+                for (&f, state) in self.aggs.iter().zip(&mut self.states[gi]) {
                     match self.mode {
-                        AggMode::Final => {
-                            state_col += self.merge_state(gi, a, *f, &batch, i, state_col)?;
-                        }
-                        _ => self.update_state(gi, a, *f, &batch, i)?,
+                        AggMode::Final => state_col += merge_state(state, f, &batch, i, state_col)?,
+                        _ => update_state(state, f, &batch, i)?,
                     }
                 }
             }
@@ -281,105 +279,10 @@ impl Aggr {
         Ok(())
     }
 
-    fn update_state(&mut self, gi: usize, a: usize, f: AggFn, b: &Batch, i: usize) -> Result<()> {
-        let state = &mut self.states[gi][a];
-        match (f, state) {
-            (AggFn::CountStar, AggState::CountI(n)) => *n += 1,
-            (AggFn::Count(_), AggState::CountI(n)) => *n += 1, // no NULLs in storage
-            (AggFn::Sum(c), AggState::SumI(s)) => {
-                *s += int_at(b, c, i)?;
-            }
-            (AggFn::Sum(c), AggState::SumF(s)) => {
-                *s += float_at(b, c, i)?;
-            }
-            (AggFn::Avg(c), AggState::AvgI { sum, count }) => {
-                *sum += int_at(b, c, i)?;
-                *count += 1;
-            }
-            (AggFn::Avg(c), AggState::AvgF { sum, count }) => {
-                *sum += float_at(b, c, i)?;
-                *count += 1;
-            }
-            (AggFn::Min(c), AggState::MinMax(m)) => {
-                let v = b.column(c).value_at(i, b.schema.dtype(c));
-                if m.as_ref().is_none_or(|cur| v < *cur) {
-                    *m = Some(v);
-                }
-            }
-            (AggFn::Max(c), AggState::MinMax(m)) => {
-                let v = b.column(c).value_at(i, b.schema.dtype(c));
-                if m.as_ref().is_none_or(|cur| v > *cur) {
-                    *m = Some(v);
-                }
-            }
-            (AggFn::CountDistinct(c), AggState::Distinct(set)) => {
-                set.insert(atom_of(b.column(c), i)?);
-            }
-            _ => return Err(VhError::Internal("agg state mismatch".into())),
-        }
-        Ok(())
-    }
-
-    /// Merge partial states (Final mode). Returns state columns consumed.
-    fn merge_state(
-        &mut self,
-        gi: usize,
-        a: usize,
-        f: AggFn,
-        b: &Batch,
-        i: usize,
-        col: usize,
-    ) -> Result<usize> {
-        let state = &mut self.states[gi][a];
-        match (f, state) {
-            (AggFn::CountStar | AggFn::Count(_), AggState::CountI(n)) => {
-                *n += int_at(b, col, i)?;
-                Ok(1)
-            }
-            (AggFn::Sum(_), AggState::SumI(s)) => {
-                *s += int_at(b, col, i)?;
-                Ok(1)
-            }
-            (AggFn::Sum(_), AggState::SumF(s)) => {
-                *s += float_at(b, col, i)?;
-                Ok(1)
-            }
-            (AggFn::Avg(_), AggState::AvgI { sum, count }) => {
-                *sum += int_at(b, col, i)?;
-                *count += int_at(b, col + 1, i)?;
-                Ok(2)
-            }
-            (AggFn::Avg(_), AggState::AvgF { sum, count }) => {
-                *sum += float_at(b, col, i)?;
-                *count += int_at(b, col + 1, i)?;
-                Ok(2)
-            }
-            (AggFn::Min(_), AggState::MinMax(m)) => {
-                let v = b.column(col).value_at(i, b.schema.dtype(col));
-                if m.as_ref().is_none_or(|cur| v < *cur) {
-                    *m = Some(v);
-                }
-                Ok(1)
-            }
-            (AggFn::Max(_), AggState::MinMax(m)) => {
-                let v = b.column(col).value_at(i, b.schema.dtype(col));
-                if m.as_ref().is_none_or(|cur| v > *cur) {
-                    *m = Some(v);
-                }
-                Ok(1)
-            }
-            _ => Err(VhError::Internal("final-mode agg state mismatch".into())),
-        }
-    }
-
-    /// Serialize a group into output column builders.
+    /// Serialize a group's aggregates into the output column builders (its
+    /// key columns are copied by range in `next`).
     fn emit_group(&self, gi: usize, builders: &mut [ColumnData]) -> Result<()> {
-        let mut col = 0usize;
-        for key_col in &self.group_keys {
-            let v = key_col.value_at(gi, self.out_schema.dtype(col));
-            builders[col].push_value(&v)?;
-            col += 1;
-        }
+        let mut col = self.group_keys.len();
         for (a, _f) in self.aggs.iter().enumerate() {
             let st = &self.states[gi][a];
             match (st, self.mode) {
@@ -444,6 +347,85 @@ impl Aggr {
     }
 }
 
+/// Fold row `i` of `b` into one aggregate's state.
+fn update_state(state: &mut AggState, f: AggFn, b: &Batch, i: usize) -> Result<()> {
+    match (f, state) {
+        (AggFn::CountStar, AggState::CountI(n)) => *n += 1,
+        (AggFn::Count(_), AggState::CountI(n)) => *n += 1, // no NULLs in storage
+        (AggFn::Sum(c), AggState::SumI(s)) => {
+            *s += int_at(b, c, i)?;
+        }
+        (AggFn::Sum(c), AggState::SumF(s)) => {
+            *s += float_at(b, c, i)?;
+        }
+        (AggFn::Avg(c), AggState::AvgI { sum, count }) => {
+            *sum += int_at(b, c, i)?;
+            *count += 1;
+        }
+        (AggFn::Avg(c), AggState::AvgF { sum, count }) => {
+            *sum += float_at(b, c, i)?;
+            *count += 1;
+        }
+        (AggFn::Min(c), AggState::MinMax(m)) => keep_if(m, b, c, i, Ordering::Less),
+        (AggFn::Max(c), AggState::MinMax(m)) => keep_if(m, b, c, i, Ordering::Greater),
+        (AggFn::CountDistinct(c), AggState::Distinct(set)) => {
+            set.insert(atom_of(b.column(c), i)?);
+        }
+        _ => return Err(VhError::Internal("agg state mismatch".into())),
+    }
+    Ok(())
+}
+
+/// Merge partial states (Final mode). Returns state columns consumed.
+fn merge_state(state: &mut AggState, f: AggFn, b: &Batch, i: usize, col: usize) -> Result<usize> {
+    match (f, state) {
+        (AggFn::CountStar | AggFn::Count(_), AggState::CountI(n)) => {
+            *n += int_at(b, col, i)?;
+            Ok(1)
+        }
+        (AggFn::Sum(_), AggState::SumI(s)) => {
+            *s += int_at(b, col, i)?;
+            Ok(1)
+        }
+        (AggFn::Sum(_), AggState::SumF(s)) => {
+            *s += float_at(b, col, i)?;
+            Ok(1)
+        }
+        (AggFn::Avg(_), AggState::AvgI { sum, count }) => {
+            *sum += int_at(b, col, i)?;
+            *count += int_at(b, col + 1, i)?;
+            Ok(2)
+        }
+        (AggFn::Avg(_), AggState::AvgF { sum, count }) => {
+            *sum += float_at(b, col, i)?;
+            *count += int_at(b, col + 1, i)?;
+            Ok(2)
+        }
+        (AggFn::Min(_), AggState::MinMax(m)) => {
+            keep_if(m, b, col, i, Ordering::Less);
+            Ok(1)
+        }
+        (AggFn::Max(_), AggState::MinMax(m)) => {
+            keep_if(m, b, col, i, Ordering::Greater);
+            Ok(1)
+        }
+        _ => Err(VhError::Internal("final-mode agg state mismatch".into())),
+    }
+}
+
+/// MIN/MAX step: row `i` of column `c` replaces the kept value when it
+/// orders `wins` against it. Compared in place; a `Value` is made only for
+/// a row that wins.
+fn keep_if(kept: &mut Option<Value>, b: &Batch, c: usize, i: usize, wins: Ordering) {
+    let (col, dt) = (b.column(c), b.schema.dtype(c));
+    if kept
+        .as_ref()
+        .is_none_or(|cur| col.cmp_at(i, dt, cur) == Some(wins))
+    {
+        *kept = Some(col.value_at(i, dt));
+    }
+}
+
 fn int_at(b: &Batch, c: usize, i: usize) -> Result<i64> {
     match b.column(c) {
         ColumnData::I32(v) => Ok(v[i] as i64),
@@ -486,12 +468,11 @@ impl Operator for Aggr {
             None
         } else {
             let to = (self.emit_at + VECTOR_SIZE).min(self.states.len());
-            let mut builders: Vec<ColumnData> = self
-                .out_schema
-                .fields()
+            let keys = self.group_keys.iter().map(|k| k.slice(self.emit_at, to));
+            let aggs = self.out_schema.fields()[self.group_keys.len()..]
                 .iter()
-                .map(|f| ColumnData::with_capacity(f.dtype, to - self.emit_at))
-                .collect();
+                .map(|f| ColumnData::with_capacity(f.dtype, to - self.emit_at));
+            let mut builders: Vec<ColumnData> = keys.chain(aggs).collect();
             for gi in self.emit_at..to {
                 self.emit_group(gi, &mut builders)?;
             }
@@ -533,7 +514,7 @@ mod tests {
         let batch = Batch::new(
             schema,
             vec![
-                ColumnData::Str(vec!["a".into(), "b".into(), "a".into(), "a".into()]),
+                ColumnData::Str(["a", "b", "a", "a"].into()),
                 ColumnData::I64(vec![1, 2, 3, 4]),
                 ColumnData::I64(vec![100, 200, 300, 400]),
             ],

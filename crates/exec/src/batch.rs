@@ -208,7 +208,7 @@ mod tests {
             schema(),
             vec![
                 ColumnData::I64(vec![1, 2, 3]),
-                ColumnData::Str(vec!["x".into(), "y".into(), "z".into()]),
+                ColumnData::Str(["x", "y", "z"].into()),
             ],
         )
         .unwrap()
@@ -219,7 +219,7 @@ mod tests {
         assert!(Batch::new(schema(), vec![ColumnData::I64(vec![1])]).is_err());
         assert!(Batch::new(
             schema(),
-            vec![ColumnData::I64(vec![1]), ColumnData::Str(vec![])]
+            vec![ColumnData::I64(vec![1]), ColumnData::new(DataType::Str)]
         )
         .is_err());
         assert_eq!(batch().len(), 3);

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use vectorh_common::types::date;
-use vectorh_common::{ColumnData, DataType, Result, Schema, Value, VhError};
+use vectorh_common::{ColumnData, DataType, Result, Schema, StrVec, Value, VhError};
 
 use crate::batch::Batch;
 
@@ -233,7 +233,7 @@ impl Expr {
             Expr::Like(e, pat) => {
                 let (col, _) = e.eval(b)?;
                 let strs = col
-                    .as_str()
+                    .as_strs()
                     .ok_or_else(|| VhError::Exec("LIKE over non-string".into()))?;
                 let m: Vec<bool> = strs.iter().map(|s| like_match(s, pat)).collect();
                 Ok((mask_to_col(&m), DataType::I32))
@@ -241,7 +241,7 @@ impl Expr {
             Expr::NotLike(e, pat) => {
                 let (col, _) = e.eval(b)?;
                 let strs = col
-                    .as_str()
+                    .as_strs()
                     .ok_or_else(|| VhError::Exec("LIKE over non-string".into()))?;
                 let m: Vec<bool> = strs.iter().map(|s| !like_match(s, pat)).collect();
                 Ok((mask_to_col(&m), DataType::I32))
@@ -249,14 +249,14 @@ impl Expr {
             Expr::Substr(e, start, len) => {
                 let (col, _) = e.eval(b)?;
                 let strs = col
-                    .as_str()
+                    .as_strs()
                     .ok_or_else(|| VhError::Exec("SUBSTR over non-string".into()))?;
-                let out: Vec<String> = strs
+                let out: StrVec = strs
                     .iter()
                     .map(|s| {
                         let from = (start - 1).min(s.len());
                         let to = (from + len).min(s.len());
-                        s[from..to].to_string()
+                        &s[from..to]
                     })
                     .collect();
                 Ok((ColumnData::Str(out), DataType::Str))
@@ -523,10 +523,10 @@ fn cmp_mask(op: CmpOp, a: &Expr, b_expr: &Expr, batch: &Batch) -> Result<Vec<boo
     let (ca, ta) = a.eval(batch)?;
     let (cb, tb) = b_expr.eval(batch)?;
     // String comparison path.
-    if let (Some(sa), Some(sb)) = (ca.as_str(), cb.as_str()) {
+    if let (Some(sa), Some(sb)) = (ca.as_strs(), cb.as_strs()) {
         return Ok(sa
             .iter()
-            .zip(sb)
+            .zip(sb.iter())
             .map(|(x, y)| apply_ord(op, x.cmp(y)))
             .collect());
     }
@@ -570,7 +570,7 @@ fn in_list_mask(col: &ColumnData, dt: DataType, list: &[Value]) -> Result<Vec<bo
         ColumnData::Str(v) => {
             let set: std::collections::HashSet<&str> =
                 list.iter().filter_map(|v| v.as_str()).collect();
-            Ok(v.iter().map(|s| set.contains(s.as_str())).collect())
+            Ok(v.iter().map(|s| set.contains(s)).collect())
         }
         _ => {
             let n = to_numeric(col, dt)?;
@@ -656,12 +656,15 @@ mod tests {
                     date::parse("1996-12-31").unwrap(),
                     date::parse("1994-03-01").unwrap(),
                 ]),
-                ColumnData::Str(vec![
-                    "green metal box".into(),
-                    "red plastic cup".into(),
-                    "green shiny thing".into(),
-                    "blue box".into(),
-                ]),
+                ColumnData::Str(
+                    [
+                        "green metal box",
+                        "red plastic cup",
+                        "green shiny thing",
+                        "blue box",
+                    ]
+                    .into(),
+                ),
             ],
         )
         .unwrap()
@@ -780,7 +783,7 @@ mod tests {
             .unwrap();
         assert_eq!(m, vec![false, true, false, false]);
         let (col, _) = Expr::Substr(Box::new(Expr::col(4)), 1, 3).eval(&b).unwrap();
-        assert_eq!(col.as_str().unwrap()[0], "gre");
+        assert_eq!(col.as_strs().unwrap().get(0), "gre");
         let m = Expr::NotLike(Box::new(Expr::col(4)), "%green%".into())
             .eval_mask(&b)
             .unwrap();

@@ -52,7 +52,7 @@ pub(crate) fn keys_eq(
             (ColumnData::I32(x), ColumnData::I64(y)) => x[i] as i64 == y[j],
             (ColumnData::I64(x), ColumnData::I32(y)) => x[i] == y[j] as i64,
             (ColumnData::F64(x), ColumnData::F64(y)) => x[i] == y[j],
-            (ColumnData::Str(x), ColumnData::Str(y)) => x[i] == y[j],
+            (ColumnData::Str(x), ColumnData::Str(y)) => x.eq_at(i, y, j),
             _ => false,
         })
 }
@@ -472,13 +472,7 @@ mod tests {
     fn string_keys_join() {
         let schema = Arc::new(Schema::of(&[("name", DataType::Str)]));
         let mk = |names: Vec<&str>| -> Box<dyn Operator> {
-            let batch = Batch::new(
-                schema.clone(),
-                vec![ColumnData::Str(
-                    names.into_iter().map(String::from).collect(),
-                )],
-            )
-            .unwrap();
+            let batch = Batch::new(schema.clone(), vec![ColumnData::Str(names.into())]).unwrap();
             Box::new(BatchSource::from_batch(batch, VECTOR_SIZE))
         };
         let mut j = HashJoin::new(

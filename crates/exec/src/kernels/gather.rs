@@ -9,7 +9,7 @@
 //! Row ids are `u32` throughout (the hash table's currency), which also
 //! halves the index vector footprint versus `usize` positions.
 
-use vectorh_common::{ColumnData, DataType};
+use vectorh_common::{ColumnData, DataType, StrVec};
 
 use super::table::EMPTY;
 
@@ -19,7 +19,7 @@ pub fn gather(col: &ColumnData, idx: &[u32]) -> ColumnData {
         ColumnData::I32(v) => ColumnData::I32(idx.iter().map(|&i| v[i as usize]).collect()),
         ColumnData::I64(v) => ColumnData::I64(idx.iter().map(|&i| v[i as usize]).collect()),
         ColumnData::F64(v) => ColumnData::F64(idx.iter().map(|&i| v[i as usize]).collect()),
-        ColumnData::Str(v) => ColumnData::Str(idx.iter().map(|&i| v[i as usize].clone()).collect()),
+        ColumnData::Str(v) => ColumnData::Str(v.gather(idx.iter().map(|&i| i as usize))),
     }
 }
 
@@ -43,17 +43,15 @@ pub fn gather_or_default(col: &ColumnData, idx: &[u32]) -> ColumnData {
                 .map(|&i| if i == EMPTY { 0.0 } else { v[i as usize] })
                 .collect(),
         ),
-        ColumnData::Str(v) => ColumnData::Str(
-            idx.iter()
-                .map(|&i| {
-                    if i == EMPTY {
-                        String::new()
-                    } else {
-                        v[i as usize].clone()
-                    }
-                })
-                .collect(),
-        ),
+        ColumnData::Str(v) => {
+            let at = |i: u32| if i == EMPTY { "" } else { v.get(i as usize) };
+            let bytes = idx.iter().map(|&i| at(i).len()).sum();
+            let mut out = StrVec::with_capacity(idx.len(), bytes);
+            for &i in idx {
+                out.push(at(i));
+            }
+            ColumnData::Str(out)
+        }
     }
 }
 
@@ -72,7 +70,7 @@ pub fn append_row(dst: &mut ColumnData, src: &ColumnData, i: usize) {
         (ColumnData::I64(d), ColumnData::I64(s)) => d.push(s[i]),
         (ColumnData::I64(d), ColumnData::I32(s)) => d.push(s[i] as i64),
         (ColumnData::F64(d), ColumnData::F64(s)) => d.push(s[i]),
-        (ColumnData::Str(d), ColumnData::Str(s)) => d.push(s[i].clone()),
+        (ColumnData::Str(d), ColumnData::Str(s)) => d.push(s.get(i)),
         (d, s) => unreachable!("append_row {:?} <- {:?}", d.physical(), s.physical()),
     }
 }
@@ -114,11 +112,8 @@ mod tests {
             ColumnData::F64(vec![2.5, 0.5, 2.5])
         );
         assert_eq!(
-            gather(
-                &ColumnData::Str(vec!["a".into(), "b".into(), "c".into()]),
-                &idx
-            ),
-            ColumnData::Str(vec!["c".into(), "a".into(), "c".into()])
+            gather(&ColumnData::Str(["a", "b", "c"].into()), &idx),
+            ColumnData::Str(["c", "a", "c"].into())
         );
     }
 
@@ -126,8 +121,8 @@ mod tests {
     fn gather_or_default_fills_sentinels() {
         let got = gather_or_default(&ColumnData::I64(vec![10, 20]), &[1, EMPTY, 0]);
         assert_eq!(got, ColumnData::I64(vec![20, 0, 10]));
-        let got = gather_or_default(&ColumnData::Str(vec!["x".into()]), &[EMPTY, 0]);
-        assert_eq!(got, ColumnData::Str(vec!["".into(), "x".into()]));
+        let got = gather_or_default(&ColumnData::Str(["x"].into()), &[EMPTY, 0]);
+        assert_eq!(got, ColumnData::Str(["", "x"].into()));
     }
 
     #[test]

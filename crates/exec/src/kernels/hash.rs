@@ -69,7 +69,7 @@ fn fold_column_sel(col: &ColumnData, sel: &[u32], acc: &mut [u64]) {
         }
         ColumnData::Str(v) => {
             for (h, &i) in acc.iter_mut().zip(sel.iter()) {
-                *h = hash_combine(*h, hash_bytes(v[i as usize].as_bytes()));
+                *h = hash_combine(*h, hash_bytes(v.get(i as usize).as_bytes()));
             }
         }
     }
@@ -117,7 +117,7 @@ mod tests {
                 ColumnData::I32(v) => hash_u64(v[i] as i64 as u64),
                 ColumnData::I64(v) => hash_u64(v[i] as u64),
                 ColumnData::F64(v) => hash_u64(v[i].to_bits()),
-                ColumnData::Str(v) => hash_bytes(v[i].as_bytes()),
+                ColumnData::Str(v) => hash_bytes(v.get(i).as_bytes()),
             };
             h = hash_combine(h, hk);
         }
@@ -127,13 +127,7 @@ mod tests {
     fn cols() -> Vec<ColumnData> {
         vec![
             ColumnData::I64(vec![1, -2, 3, i64::MAX, 0]),
-            ColumnData::Str(vec![
-                "a".into(),
-                "".into(),
-                "abcdefgh".into(),
-                "x".into(),
-                "y".into(),
-            ]),
+            ColumnData::Str(["a", "", "abcdefgh", "x", "y"].into()),
             ColumnData::F64(vec![0.0, -0.0, 1.5, f64::INFINITY, 2.0]),
             ColumnData::I32(vec![7, -7, 0, i32::MIN, i32::MAX]),
         ]

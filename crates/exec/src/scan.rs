@@ -8,12 +8,13 @@
 //! path of an update-free scan is a straight run of `CopyStable` block
 //! copies.
 //!
-//! The scan hands on what it decoded: one chunk's decoded columns are held
-//! at a time and every `CopyStable` range is *moved* out of them into the
-//! output vector, never sliced and re-appended (with `Vec<String>` columns
-//! each copy of a value is a heap allocation). A plan consumes stable SIDs
-//! in ascending order, each at most once, so no row is read after it was
-//! emitted; `consume` checks exactly that on every step.
+//! One chunk's decoded columns are held at a time and every `CopyStable`
+//! range is appended from them to the output vector with
+//! `ColumnData::extend_range`: a `memcpy` per numeric column, one for the
+//! bytes and a pass over the offsets per string column, no allocation per
+//! value. A plan consumes stable SIDs in ascending order, each at most
+//! once; `consume` checks that on every step, so a plan that would emit a
+//! row twice or out of order is an error, not a wrong answer.
 //!
 //! Pruning stays on while updates are pending. The MinMax index describes
 //! the stable image only and nothing touches it at commit; instead
@@ -86,8 +87,7 @@ pub struct MScan {
     next_sid: u64,
     /// (sid_base, n_rows) per chunk.
     chunk_ranges: Vec<(u64, u64)>,
-    /// Decoded columns of the chunk being scanned; the rows already copied
-    /// (all below `next_sid`) have been moved out of it.
+    /// Decoded columns of the chunk being scanned.
     cached_chunk: Option<(usize, Vec<ColumnData>)>,
     reader: Option<vectorh_common::NodeId>,
     out_schema: Arc<Schema>,
@@ -184,9 +184,8 @@ impl MScan {
     }
 
     /// Claim stable rows `[sid, sid + n)` for the step being applied. A merge
-    /// plan consumes stable SIDs in ascending order, each at most once; the
-    /// scan relies on it, because emitted rows are moved out of the cached
-    /// chunk and a step that went back would read what is left of them.
+    /// plan consumes stable SIDs in ascending order, each at most once; a
+    /// step that goes back would emit a row a second time.
     fn consume(&mut self, sid: u64, n: u64) -> Result<()> {
         if sid < self.next_sid {
             return Err(VhError::Exec(format!(
@@ -198,16 +197,16 @@ impl MScan {
         Ok(())
     }
 
-    fn load_chunk(&mut self, idx: usize) -> Result<&mut Vec<ColumnData>> {
+    fn load_chunk(&mut self, idx: usize) -> Result<&[ColumnData]> {
         if !matches!(&self.cached_chunk, Some((i, _)) if *i == idx) {
             let data = self.store.read_columns(idx, &self.cols, self.reader)?;
             self.cached_chunk = Some((idx, data));
         }
-        Ok(&mut self.cached_chunk.as_mut().expect("loaded above").1)
+        Ok(&self.cached_chunk.as_ref().expect("loaded above").1)
     }
 
-    /// Move rows `[sid, sid+n)` (all within one chunk, claimed with
-    /// [`Self::consume`]) out of the decoded chunk onto the builders.
+    /// Append rows `[sid, sid+n)` (all within one chunk, claimed with
+    /// [`Self::consume`]) of the decoded chunk to the builders.
     fn copy_rows(
         &mut self,
         chunk: usize,
@@ -218,7 +217,7 @@ impl MScan {
         let from = (sid - self.chunk_ranges[chunk].0) as usize;
         let to = from + n as usize;
         for (b, c) in builders.iter_mut().zip(self.load_chunk(chunk)?) {
-            b.append_owned(c.take_range(from, to))?;
+            b.extend_range(c, from, to)?;
         }
         Ok(())
     }
@@ -246,9 +245,8 @@ impl Operator for MScan {
             return Ok(None);
         }
         let start = std::time::Instant::now();
-        // Empty and unallocated: the common vector lies inside one
-        // `CopyStable` run of one chunk and *becomes* the range moved out of
-        // it; a buffer grows only under a row or range appended to something.
+        // Empty: the common vector lies inside one `CopyStable` run of one
+        // chunk, and its first `extend_range` sizes each buffer exactly.
         let mut builders: Vec<ColumnData> = self.out_schema.fields()[..self.cols.len()]
             .iter()
             .map(|f| ColumnData::new(f.dtype))
@@ -280,22 +278,13 @@ impl Operator for MScan {
                         )));
                     };
                     if self.keep[chunk] {
-                        // Materialize the projected row, then patch.
-                        let at = (sid - self.chunk_ranges[chunk].0) as usize;
-                        let out_schema = self.out_schema.clone();
-                        let mut row: Vec<vectorh_common::Value> = self
-                            .load_chunk(chunk)?
-                            .iter()
-                            .enumerate()
-                            .map(|(p, col)| col.value_at(at, out_schema.dtype(p)))
-                            .collect();
+                        // The stable row, then the patches over its tail.
+                        self.copy_rows(chunk, sid, 1, &mut builders)?;
                         for (c, v) in mods {
                             if let Some(p) = self.col_pos[c] {
-                                row[p] = v;
+                                builders[p].truncate(produced);
+                                builders[p].push_value(&v)?;
                             }
-                        }
-                        for (b, v) in builders.iter_mut().zip(&row) {
-                            b.push_value(v)?;
                         }
                         if self.emit_rids {
                             rids.push(self.next_rid as i64);
@@ -558,7 +547,7 @@ mod tests {
 
     #[test]
     fn one_vector_takes_a_chunk_boundary_an_insert_and_a_modify() {
-        // Strings no two rows share, so a value that is moved twice, left
+        // Strings no two rows share, so a value that is copied twice, left
         // behind or put in the wrong row shows.
         let tag = |i: i64| format!("row-{i}-payload");
         let s = store_tagged(600, 1500, tag); // chunks of 600, 600 and 300 rows
@@ -626,8 +615,7 @@ mod tests {
             mods: vec![(1, Value::Str("x".into()))],
         };
         assert_eq!(run(vec![copy(0, 150), copy(150, 50)]).unwrap().len(), 200);
-        // Going back, by a copy, a modify or a skip, into either chunk:
-        // the rows there were moved out when they were emitted.
+        // Going back, by a copy, a modify or a skip, into either chunk.
         for (back, sid) in [
             (copy(120, 80), 120),
             (copy(40, 10), 40),

@@ -44,9 +44,8 @@ impl Sort {
 
     fn cmp_rows(&self, batch: &Batch, a: usize, b: usize) -> Ordering {
         for &(k, dir) in &self.keys {
-            let va = batch.column(k).value_at(a, batch.schema.dtype(k));
-            let vb = batch.column(k).value_at(b, batch.schema.dtype(k));
-            let ord = va.partial_cmp(&vb).unwrap_or(Ordering::Equal);
+            let col = batch.column(k);
+            let ord = col.cmp_rows(a, col, b);
             let ord = if dir == Dir::Desc { ord.reverse() } else { ord };
             if ord != Ordering::Equal {
                 return ord;
@@ -186,10 +185,7 @@ mod tests {
         let schema = Arc::new(Schema::of(&[("x", DataType::I64), ("t", DataType::Str)]));
         let batch = Batch::new(
             schema,
-            vec![
-                ColumnData::I64(vals),
-                ColumnData::Str(tags.into_iter().map(String::from).collect()),
-            ],
+            vec![ColumnData::I64(vals), ColumnData::Str(tags.into())],
         )
         .unwrap();
         Box::new(BatchSource::from_batch(batch, 3))

@@ -50,7 +50,7 @@ fn lineitem_like(rng: &mut SplitMix64, n: usize, key_space: u64) -> Batch {
             ColumnData::I64(keys),
             ColumnData::I32(dates),
             ColumnData::I64(prices),
-            ColumnData::Str(tags),
+            ColumnData::Str(tags.into()),
         ],
     )
     .unwrap()

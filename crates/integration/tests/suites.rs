@@ -10,6 +10,9 @@ mod column_pruning;
 #[path = "../../../tests/dml_differential.rs"]
 mod dml_differential;
 
+#[path = "../../../tests/docs_are_true.rs"]
+mod docs_are_true;
+
 #[path = "../../../tests/elasticity.rs"]
 mod elasticity;
 

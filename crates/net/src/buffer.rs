@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use vectorh_common::{ColumnData, Result, Schema, VhError};
+use vectorh_common::{ColumnData, Result, Schema, StrVec, VhError};
 
 use crate::stats::NetStats;
 
@@ -70,10 +70,7 @@ pub fn serialize(batch: &vectorh_exec::Batch) -> Vec<u8> {
             }
             ColumnData::Str(v) => {
                 out.push(3);
-                for s in v {
-                    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    out.extend_from_slice(s.as_bytes());
-                }
+                v.write_len_prefixed(&mut out);
             }
         }
     }
@@ -120,12 +117,10 @@ pub fn deserialize(bytes: &[u8], schema: Arc<Schema>) -> Result<vectorh_exec::Ba
                 ColumnData::F64(v)
             }
             3 => {
-                let mut v = Vec::with_capacity(n_rows);
-                for _ in 0..n_rows {
-                    let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-                    let s = take(&mut pos, len)?;
-                    v.push(String::from_utf8(s.to_vec()).map_err(|_| err())?);
-                }
+                // One pass over the column, one UTF-8 check of its payload.
+                let (v, used) = StrVec::read_len_prefixed(&bytes[pos..], n_rows)
+                    .map_err(|e| VhError::Net(format!("exchange message: {e}")))?;
+                pos += used;
                 ColumnData::Str(v)
             }
             _ => return Err(VhError::Net("bad column tag".into())),
@@ -189,7 +184,7 @@ mod tests {
                 ColumnData::I64(vec![1, -2, 3]),
                 ColumnData::I32(vec![100, 200, 300]),
                 ColumnData::F64(vec![0.5, -1.5, 2.5]),
-                ColumnData::Str(vec!["x".into(), "".into(), "hello".into()]),
+                ColumnData::Str(["x", "", "héllo"].into()),
             ],
         )
         .unwrap()
@@ -209,6 +204,39 @@ mod tests {
         let bytes = serialize(&b);
         assert!(deserialize(&bytes[..bytes.len() - 2], b.schema.clone()).is_err());
         assert!(deserialize(&bytes[..3], b.schema.clone()).is_err());
+    }
+
+    #[test]
+    fn strings_that_are_not_utf8_are_a_net_error() {
+        let schema = Arc::new(Schema::of(&[("s", DataType::Str)]));
+        let msg = |n_rows: u32, payload: &[u8]| {
+            let mut m = n_rows.to_le_bytes().to_vec();
+            m.extend_from_slice(&1u32.to_le_bytes());
+            m.push(3);
+            m.extend_from_slice(payload);
+            m
+        };
+        let ok = deserialize(
+            &msg(2, &[2, 0, 0, 0, 0xC3, 0xA9, 0, 0, 0, 0]),
+            schema.clone(),
+        );
+        assert_eq!(ok.unwrap().columns, [ColumnData::Str(["é", ""].into())]);
+        for (what, bad) in [
+            ("invalid byte", msg(1, &[2, 0, 0, 0, b'a', 0xFF])),
+            // "é" split over two values: the column's bytes are UTF-8, its values are not.
+            (
+                "length inside a character",
+                msg(2, &[1, 0, 0, 0, 0xC3, 1, 0, 0, 0, 0xA9]),
+            ),
+            ("length past the message", msg(1, &[200, 0, 0, 0, b'a'])),
+            ("row count past the message", msg(u32::MAX, &[0, 0, 0, 0])),
+        ] {
+            let got = deserialize(&bad, schema.clone());
+            // Only the error is printed: a vector that should not exist may
+            // not be readable.
+            let err = got.err();
+            assert!(matches!(err, Some(VhError::Net(_))), "{what}: {err:?}");
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! `exec::scan::keep_chunks`), and update propagation recomputes the stats
 //! of every chunk it rewrites or appends.
 
+use std::cmp::Ordering;
+
 use vectorh_common::{ColumnData, DataType, Value};
 
 /// Min/max summary of one column over one tuple range (chunk).
@@ -26,18 +28,20 @@ impl ColumnStats {
         if col.is_empty() {
             return None;
         }
-        let mut min = col.value_at(0, dtype);
-        let mut max = min.clone();
+        // Compared in place; only the two winners become `Value`s.
+        let (mut lo, mut hi) = (0, 0);
         for i in 1..col.len() {
-            let v = col.value_at(i, dtype);
-            if v < min {
-                min = v.clone();
+            if col.cmp_rows(i, col, lo) == Ordering::Less {
+                lo = i;
             }
-            if v > max {
-                max = v;
+            if col.cmp_rows(i, col, hi) == Ordering::Greater {
+                hi = i;
             }
         }
-        Some(ColumnStats { min, max })
+        Some(ColumnStats {
+            min: col.value_at(lo, dtype),
+            max: col.value_at(hi, dtype),
+        })
     }
 
     /// Could any value in this range satisfy `value OP probe`?

@@ -240,6 +240,12 @@ impl TransactionManager {
                 .cloned()
                 .ok_or_else(|| VhError::TxnAbort(format!("unknown partition {pid}")))?;
             snapshots.insert(*pid, st);
+        }
+        // Every partition is known: only now take the references that
+        // `commit`/`abort` release, one per snapshot. Taken any earlier, an
+        // unknown partition later in `pids` would leave them behind and
+        // block propagation of the known ones for good.
+        for pid in snapshots.keys() {
             *inner.active.entry(*pid).or_insert(0) += 1;
         }
         Ok(Transaction {
@@ -945,6 +951,24 @@ mod tests {
         assert!(m.begin_propagation(P).is_err());
         m.abort(t);
         assert!(m.begin_propagation(P).is_ok());
+    }
+
+    #[test]
+    fn a_failed_begin_leaves_no_active_reference_behind() {
+        let m = mgr_with(P, 4);
+        let unknown = PartitionId(P.0 + 1000);
+        let Err(err) = m.begin(&[P, unknown]) else {
+            panic!("begin over an unknown partition succeeded")
+        };
+        assert!(err.to_string().contains("unknown partition"), "got {err}");
+        assert_eq!(m.inner.read().active.get(&P).copied().unwrap_or(0), 0);
+        m.begin_propagation(P).unwrap();
+        m.finish_propagation(P, 4).unwrap();
+        // A partition named twice is one snapshot, so one reference.
+        let t = m.begin(&[P, P]).unwrap();
+        assert_eq!(m.inner.read().active[&P], 1);
+        m.abort(t);
+        m.begin_propagation(P).unwrap();
     }
 
     #[test]
