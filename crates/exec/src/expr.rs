@@ -1,22 +1,80 @@
 //! Vectorized expression evaluation.
 //!
-//! Expressions evaluate column-at-a-time over a [`Batch`]: every node
-//! produces a full vector before its parent consumes it, so the per-tuple
-//! interpretation cost of a tree is amortized over the whole vector (§2).
-//! Numeric work happens on `Vec<i64>` / `Vec<f64>` primitive slices in
-//! branch-light loops.
+//! An expression is evaluated a vector at a time (§2): each node runs one
+//! loop over primitive slices, so what interpreting the tree costs is paid
+//! per vector and not per row. There are two ways in, and they share every
+//! kernel:
 //!
-//! Money math is decimal-exact: decimals are scaled `i64` raws; addition
-//! aligns scales, multiplication goes through `i128` and rescales (capped at
-//! scale 4), exactly the reason the paper gives for using decimals rather
-//! than floats in business queries.
+//! * **As a value** ([`Expr::eval`]). A node evaluates to an [`Operand`]: a
+//!   column *borrowed* from the batch (`Expr::Col`), a column it computed,
+//!   or a *scalar* (`Expr::Lit`, or an operator over scalars). A literal is
+//!   never expanded to a vector and a column is never copied to be read;
+//!   the kernels take column∘column, column∘scalar and scalar∘column over
+//!   `&[i32]` / `&[i64]` / `&[f64]` / `&StrVec` through the [`Src`] trait,
+//!   compiled once per pairing of layouts.
+//! * **As a predicate** (`Expr::select`, what `Select` and `CASE` call). A
+//!   predicate narrows a *selection vector* — ascending row positions as
+//!   `u32` — in place: `AND` hands the survivors of one conjunct to the
+//!   next, `OR` offers each disjunct only the rows no earlier one accepted,
+//!   `NOT` subtracts, and a comparison, `BETWEEN`, `IN` or `LIKE` is one
+//!   branch-free pass over the listed positions of its operand. No boolean
+//!   mask is built; [`Expr::eval_mask`] scatters the final selection into
+//!   one for callers that ask for it.
+//!
+//! Money math is decimal-exact: decimals are scaled `i64` raws. Comparison
+//! and addition bring both sides to the finer scale (a scalar once, not per
+//! row); multiplication keeps at most scale 4, dividing the product back
+//! only when it is finer than that, and takes the `i128` route only for a
+//! row whose product overflows 64 bits — exactly the reason the paper gives
+//! for using decimals rather than floats in business queries.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
+use vectorh_common::column::{physical_of, PhysicalType};
 use vectorh_common::types::date;
 use vectorh_common::{ColumnData, DataType, Result, Schema, StrVec, Value, VhError};
 
 use crate::batch::Batch;
+
+/// Run `$body` with `$s` bound to the slice or scalar inside an [`Ints`],
+/// once per layout: the loop in `$body` is compiled for each.
+macro_rules! each_int {
+    ($side:expr, $s:ident => $body:expr) => {
+        match $side {
+            Ints::I32($s) => $body,
+            Ints::I64($s) => $body,
+            Ints::Scalar($s) => $body,
+        }
+    };
+}
+
+/// [`each_int`] for a [`Floats`].
+macro_rules! each_float {
+    ($side:expr, $s:ident => $body:expr) => {
+        match &$side {
+            Floats::Col(c) => {
+                let $s: &[f64] = c;
+                $body
+            }
+            Floats::Scalar(x) => {
+                let $s: f64 = *x;
+                $body
+            }
+        }
+    };
+}
+
+/// [`each_int`] for a [`Strs`].
+macro_rules! each_str {
+    ($side:expr, $s:ident => $body:expr) => {
+        match $side {
+            Strs::Col($s) => $body,
+            Strs::Scalar($s) => $body,
+        }
+    };
+}
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,208 +234,601 @@ impl Expr {
         })
     }
 
-    /// Evaluate over a batch, producing one value per input row.
+    /// Evaluate over a batch, producing one value per input row. A column
+    /// reference is copied and a scalar result repeated to `b.len()` rows:
+    /// this is the boundary where an [`Operand`] becomes a column.
     pub fn eval(&self, b: &Batch) -> Result<(ColumnData, DataType)> {
+        let (v, dt) = self.operand(b)?;
+        Ok((v.into_column(b.len(), dt), dt))
+    }
+
+    /// Evaluate as a boolean mask, one `bool` per input row: the selection
+    /// path's answer scattered into a mask, for callers that want one.
+    /// `Select` works on the selection vector itself.
+    pub fn eval_mask(&self, b: &Batch) -> Result<Vec<bool>> {
+        let mut sel = every_row(b);
+        self.select(b, &mut sel)?;
+        let mut mask = vec![false; b.len()];
+        for &i in &sel {
+            mask[i as usize] = true;
+        }
+        Ok(mask)
+    }
+
+    /// Evaluate as a predicate over the rows listed in `sel` (ascending
+    /// positions into `b`), keeping those where it holds. Every node looks
+    /// only at the positions still in `sel` when it runs.
+    pub(crate) fn select(&self, b: &Batch, sel: &mut Vec<u32>) -> Result<()> {
         match self {
-            Expr::Col(i) => Ok((b.column(*i).clone(), b.schema.dtype(*i))),
-            Expr::Lit(v) => {
-                let dt = v.data_type().unwrap_or(DataType::I64);
-                let mut col = ColumnData::new(dt);
-                for _ in 0..b.len() {
-                    col.push_value(v)?;
-                }
-                Ok((col, dt))
+            Expr::Cmp(op, x, y) => {
+                let (x, tx) = x.operand(b)?;
+                let (y, ty) = y.operand(b)?;
+                select_cmp(*op, &x, tx, &y, ty, sel)
             }
-            Expr::Cmp(op, a, rhs) => {
-                let mask = cmp_mask(*op, a, rhs, b)?;
-                Ok((mask_to_col(&mask), DataType::I32))
-            }
-            Expr::And(es) => {
-                let mut mask = vec![true; b.len()];
-                for e in es {
-                    let m = e.eval_mask(b)?;
-                    for (x, y) in mask.iter_mut().zip(m) {
-                        *x &= y;
-                    }
-                }
-                Ok((mask_to_col(&mask), DataType::I32))
-            }
+            Expr::And(es) => es.iter().try_for_each(|e| e.select(b, sel)),
             Expr::Or(es) => {
-                let mut mask = vec![false; b.len()];
+                // `rest`: candidates no disjunct has accepted yet; `sel`
+                // collects the accepted ones.
+                let mut rest = std::mem::take(sel);
                 for e in es {
-                    let m = e.eval_mask(b)?;
-                    for (x, y) in mask.iter_mut().zip(m) {
-                        *x |= y;
+                    let mut hit = rest.clone();
+                    e.select(b, &mut hit)?;
+                    if !hit.is_empty() {
+                        rest = without(&rest, &hit);
+                        *sel = merged(sel, &hit);
                     }
                 }
-                Ok((mask_to_col(&mask), DataType::I32))
+                Ok(())
             }
             Expr::Not(e) => {
-                let m = e.eval_mask(b)?;
-                Ok((
-                    mask_to_col(&m.iter().map(|x| !x).collect::<Vec<_>>()),
-                    DataType::I32,
-                ))
+                let mut hit = sel.clone();
+                e.select(b, &mut hit)?;
+                *sel = without(sel, &hit);
+                Ok(())
             }
             Expr::Between(e, lo, hi) => {
-                let lo_mask = cmp_mask(CmpOp::Ge, e, lo, b)?;
-                let hi_mask = cmp_mask(CmpOp::Le, e, hi, b)?;
-                let m: Vec<bool> = lo_mask.iter().zip(hi_mask).map(|(a, c)| *a && c).collect();
-                Ok((mask_to_col(&m), DataType::I32))
+                let (v, tv) = e.operand(b)?;
+                let (lo, tlo) = lo.operand(b)?;
+                let (hi, thi) = hi.operand(b)?;
+                let bounds = |x: &Operand, tx| match x.ints()? {
+                    Ints::Scalar(x) => rescaled(x, scale_of(tx), scale_of(tv)),
+                    _ => None,
+                };
+                if let (Some(x), Some(l), Some(h)) = (v.ints(), bounds(&lo, tlo), bounds(&hi, thi))
+                {
+                    // Integers between two constants: both bounds in one pass.
+                    each_int!(x, x => narrow(sel, |i| (l <= x.at(i)) & (x.at(i) <= h)));
+                    return Ok(());
+                }
+                select_cmp(CmpOp::Ge, &v, tv, &lo, tlo, sel)?;
+                select_cmp(CmpOp::Le, &v, tv, &hi, thi, sel)
             }
             Expr::InList(e, list) => {
-                let (col, dt) = e.eval(b)?;
-                let m = in_list_mask(&col, dt, list)?;
-                Ok((mask_to_col(&m), DataType::I32))
+                let (v, dt) = e.operand(b)?;
+                if let Some(s) = v.strs() {
+                    let mut items: Vec<&str> = list.iter().filter_map(Value::as_str).collect();
+                    items.sort_unstable();
+                    each_str!(s, s => narrow(sel, |i| items.binary_search(&s.at(i)).is_ok()));
+                } else if let Some(x) = v.ints() {
+                    let mut items: Vec<i64> = list
+                        .iter()
+                        .filter_map(|item| bind_int(item, scale_of(dt)))
+                        .collect();
+                    items.sort_unstable();
+                    each_int!(x, x => narrow(sel, |i| items.binary_search(&x.at(i)).is_ok()));
+                } else {
+                    let items: Vec<f64> = list.iter().filter_map(Value::as_f64).collect();
+                    let x = v.floats(dt)?;
+                    each_float!(x, x => narrow(sel, |i| items.contains(&x.at(i))));
+                }
+                Ok(())
             }
-            Expr::Like(e, pat) => {
-                let (col, _) = e.eval(b)?;
-                let strs = col
-                    .as_strs()
+            Expr::Like(e, pat) | Expr::NotLike(e, pat) => {
+                let (v, _) = e.operand(b)?;
+                let s = v
+                    .strs()
                     .ok_or_else(|| VhError::Exec("LIKE over non-string".into()))?;
-                let m: Vec<bool> = strs.iter().map(|s| like_match(s, pat)).collect();
-                Ok((mask_to_col(&m), DataType::I32))
+                let want = matches!(self, Expr::Like(..));
+                each_str!(s, s => narrow(sel, |i| like_match(s.at(i), pat) == want));
+                Ok(())
             }
-            Expr::NotLike(e, pat) => {
-                let (col, _) = e.eval(b)?;
-                let strs = col
-                    .as_strs()
-                    .ok_or_else(|| VhError::Exec("LIKE over non-string".into()))?;
-                let m: Vec<bool> = strs.iter().map(|s| !like_match(s, pat)).collect();
-                Ok((mask_to_col(&m), DataType::I32))
+            Expr::Col(_)
+            | Expr::Lit(_)
+            | Expr::Arith(..)
+            | Expr::Substr(..)
+            | Expr::Case(..)
+            | Expr::ExtractYear(_) => {
+                // A value used as a predicate: non-zero integers hold.
+                let (v, _) = self.operand(b)?;
+                let x = v
+                    .ints()
+                    .ok_or_else(|| VhError::Exec("predicate did not evaluate to boolean".into()))?;
+                each_int!(x, x => narrow(sel, |i| x.at(i) != 0));
+                Ok(())
+            }
+        }
+    }
+
+    /// Evaluate as a value. Nothing here allocates or loops per literal: a
+    /// column reference is borrowed and a literal stays one value.
+    fn operand<'a>(&'a self, b: &'a Batch) -> Result<(Operand<'a>, DataType)> {
+        match self {
+            Expr::Col(i) => Ok((Operand::Col(b.column(*i)), b.schema.dtype(*i))),
+            Expr::Lit(v) => literal(v),
+            Expr::Arith(op, x, y) => {
+                let (x, tx) = x.operand(b)?;
+                let (y, ty) = y.operand(b)?;
+                arith(*op, &x, tx, &y, ty, b.len())
             }
             Expr::Substr(e, start, len) => {
-                let (col, _) = e.eval(b)?;
-                let strs = col
-                    .as_strs()
+                let (v, _) = e.operand(b)?;
+                let s = v
+                    .strs()
                     .ok_or_else(|| VhError::Exec("SUBSTR over non-string".into()))?;
-                let out: StrVec = strs
-                    .iter()
-                    .map(|s| {
-                        let from = (start - 1).min(s.len());
-                        let to = (from + len).min(s.len());
-                        &s[from..to]
-                    })
-                    .collect();
-                Ok((ColumnData::Str(out), DataType::Str))
+                Ok((
+                    match s {
+                        Strs::Col(s) => Operand::Owned(ColumnData::Str(
+                            s.iter().map(|s| substr(s, *start, *len)).collect(),
+                        )),
+                        Strs::Scalar(s) => Operand::Str(Cow::Owned(substr(s, *start, *len).into())),
+                    },
+                    DataType::Str,
+                ))
             }
-            Expr::Arith(op, a, rhs) => arith_eval(*op, a, rhs, b),
-            Expr::Case(arms, else_e) => {
-                let dt = self.dtype(&b.schema)?;
-                let mut decided: Vec<bool> = vec![false; b.len()];
-                let mut out: Vec<Value> = vec![Value::Null; b.len()];
-                for (cond, val) in arms {
-                    let mask = cond.eval_mask(b)?;
-                    let (vcol, vdt) = val.eval(b)?;
-                    for i in 0..b.len() {
-                        if !decided[i] && mask[i] {
-                            decided[i] = true;
-                            out[i] = vcol.value_at(i, vdt);
-                        }
-                    }
-                }
-                let (ecol, edt) = else_e.eval(b)?;
-                for i in 0..b.len() {
-                    if !decided[i] {
-                        out[i] = ecol.value_at(i, edt);
-                    }
-                }
-                let mut col = ColumnData::new(dt);
-                for v in &out {
-                    col.push_value(v)?;
-                }
-                Ok((col, dt))
-            }
+            Expr::Case(arms, else_e) => self.case(arms, else_e, b),
             Expr::ExtractYear(e) => {
-                let (col, dt) = e.eval(b)?;
+                let (v, dt) = e.operand(b)?;
                 if dt != DataType::Date {
                     return Err(VhError::Exec("EXTRACT(YEAR) over non-date".into()));
                 }
-                let days = col
-                    .as_i32()
-                    .ok_or_else(|| VhError::Exec("date layout".into()))?;
-                let out: Vec<i32> = days.iter().map(|&d| date::from_days(d).0).collect();
-                Ok((ColumnData::I32(out), DataType::I32))
+                let year = |d: i32| date::from_days(d).0;
+                Ok((
+                    match v.ints() {
+                        Some(Ints::I32(days)) => {
+                            Operand::Owned(ColumnData::I32(days.iter().map(|&d| year(d)).collect()))
+                        }
+                        Some(Ints::Scalar(d)) => Operand::Int(year(d as i32) as i64),
+                        _ => return Err(VhError::Exec("date layout".into())),
+                    },
+                    DataType::I32,
+                ))
+            }
+            // A predicate used as a value: 1 where it holds, 0 elsewhere.
+            Expr::Cmp(..)
+            | Expr::And(_)
+            | Expr::Or(_)
+            | Expr::Not(_)
+            | Expr::Between(..)
+            | Expr::InList(..)
+            | Expr::Like(..)
+            | Expr::NotLike(..) => {
+                let mut sel = every_row(b);
+                self.select(b, &mut sel)?;
+                let mut out = vec![0i32; b.len()];
+                for &i in &sel {
+                    out[i as usize] = 1;
+                }
+                Ok((Operand::Owned(ColumnData::I32(out)), DataType::I32))
             }
         }
     }
 
-    /// Evaluate as a boolean mask (selection predicate).
-    pub fn eval_mask(&self, b: &Batch) -> Result<Vec<bool>> {
+    /// `CASE`: each condition is evaluated over the rows no earlier arm has
+    /// decided, then every arm that decided a row writes its value (a slice
+    /// or a scalar) into those rows of one typed output column. An arm no
+    /// row takes is not evaluated.
+    fn case<'a>(
+        &'a self,
+        arms: &'a [(Expr, Expr)],
+        else_e: &'a Expr,
+        b: &'a Batch,
+    ) -> Result<(Operand<'a>, DataType)> {
+        let dt = self.dtype(&b.schema)?;
+        let n = b.len();
+        let mut undecided = every_row(b);
+        let mut takers: Vec<(Vec<u32>, Operand, DataType)> = Vec::new();
+        let mut take = |rows: Vec<u32>, value: &'a Expr| -> Result<()> {
+            if !rows.is_empty() {
+                let (v, vdt) = value.operand(b)?;
+                // What `ColumnData::push_value` accepts into a `dt` column.
+                let fits = match physical_of(dt) {
+                    PhysicalType::I64 => {
+                        physical_of(vdt) == PhysicalType::I64 || vdt == DataType::I32
+                    }
+                    layout => physical_of(vdt) == layout,
+                };
+                if !fits {
+                    return Err(VhError::InvalidArg(format!(
+                        "CASE arm of type {vdt} in a {dt} expression"
+                    )));
+                }
+                takers.push((rows, v, vdt));
+            }
+            Ok(())
+        };
+        for (cond, value) in arms {
+            let mut hit = undecided.clone();
+            cond.select(b, &mut hit)?;
+            undecided = without(&undecided, &hit);
+            take(hit, value)?;
+        }
+        take(undecided, else_e)?;
+
+        let layout = |what: &str| VhError::Internal(format!("CASE arm is not {what}"));
+        let col = match physical_of(dt) {
+            PhysicalType::I32 => {
+                let mut out = vec![0i32; n];
+                for (rows, v, _) in &takers {
+                    let x = v.ints().ok_or_else(|| layout("integers"))?;
+                    each_int!(x, x => rows.iter().for_each(|&i| out[i as usize] = x.at(i as usize) as i32));
+                }
+                ColumnData::I32(out)
+            }
+            PhysicalType::I64 => {
+                let mut out = vec![0i64; n];
+                for (rows, v, _) in &takers {
+                    let x = v.ints().ok_or_else(|| layout("integers"))?;
+                    each_int!(x, x => rows.iter().for_each(|&i| out[i as usize] = x.at(i as usize)));
+                }
+                ColumnData::I64(out)
+            }
+            PhysicalType::F64 => {
+                let mut out = vec![0f64; n];
+                for (rows, v, vdt) in &takers {
+                    let x = v.floats(*vdt)?;
+                    each_float!(x, x => rows.iter().for_each(|&i| out[i as usize] = x.at(i as usize)));
+                }
+                ColumnData::F64(out)
+            }
+            PhysicalType::Str => {
+                // Strings cannot be written in place: note which arm each
+                // row takes, then copy them out in row order.
+                let mut arm_of = vec![0u32; n];
+                let mut sources = Vec::with_capacity(takers.len());
+                for (arm, (rows, v, _)) in takers.iter().enumerate() {
+                    sources.push(v.strs().ok_or_else(|| layout("strings"))?);
+                    rows.iter().for_each(|&i| arm_of[i as usize] = arm as u32);
+                }
+                let pick = |(i, &arm): (usize, &u32)| match sources[arm as usize] {
+                    Strs::Col(s) => s.get(i),
+                    Strs::Scalar(s) => s,
+                };
+                ColumnData::Str(arm_of.iter().enumerate().map(pick).collect())
+            }
+        };
+        Ok((Operand::Owned(col), dt))
+    }
+}
+
+// --- operands ----------------------------------------------------------------
+
+/// What a value expression evaluates to over a batch: a column of the batch
+/// itself, a computed column, or one value that stands for every row. The
+/// kernels below read any of the three through [`Src`], so a literal is
+/// never expanded to a vector and a column is never copied to be read.
+enum Operand<'a> {
+    Col(&'a ColumnData),
+    Owned(ColumnData),
+    /// An integer, date or decimal raw; its [`DataType`] travels beside it.
+    Int(i64),
+    Float(f64),
+    Str(Cow<'a, str>),
+}
+
+/// The integer view of an operand.
+#[derive(Clone, Copy)]
+enum Ints<'a> {
+    I32(&'a [i32]),
+    I64(&'a [i64]),
+    Scalar(i64),
+}
+
+/// The float view of an operand; an integer column is converted (and
+/// unscaled) into an owned one.
+enum Floats<'a> {
+    Col(Cow<'a, [f64]>),
+    Scalar(f64),
+}
+
+/// The string view of an operand.
+#[derive(Clone, Copy)]
+enum Strs<'a> {
+    Col(&'a StrVec),
+    Scalar(&'a str),
+}
+
+impl Operand<'_> {
+    fn column(&self) -> Option<&ColumnData> {
         match self {
-            // Fast paths that avoid materializing a 0/1 column.
-            Expr::Cmp(op, a, rhs) => cmp_mask(*op, a, rhs, b),
-            Expr::And(es) => {
-                let mut mask = vec![true; b.len()];
-                for e in es {
-                    let m = e.eval_mask(b)?;
-                    for (x, y) in mask.iter_mut().zip(m) {
-                        *x &= y;
-                    }
-                }
-                Ok(mask)
+            Operand::Col(c) => Some(c),
+            Operand::Owned(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    fn is_scalar(&self) -> bool {
+        self.column().is_none()
+    }
+
+    fn ints(&self) -> Option<Ints<'_>> {
+        match (self, self.column()) {
+            (Operand::Int(x), _) => Some(Ints::Scalar(*x)),
+            (_, Some(ColumnData::I32(v))) => Some(Ints::I32(v)),
+            (_, Some(ColumnData::I64(v))) => Some(Ints::I64(v)),
+            _ => None,
+        }
+    }
+
+    fn strs(&self) -> Option<Strs<'_>> {
+        match (self, self.column()) {
+            (Operand::Str(s), _) => Some(Strs::Scalar(s)),
+            (_, Some(ColumnData::Str(v))) => Some(Strs::Col(v)),
+            _ => None,
+        }
+    }
+
+    /// As floats; integers of type `dt` are divided by their decimal scale.
+    fn floats(&self, dt: DataType) -> Result<Floats<'_>> {
+        let unit = 10f64.powi(scale_of(dt) as i32);
+        Ok(match (self, self.column()) {
+            (Operand::Float(x), _) => Floats::Scalar(*x),
+            (Operand::Int(x), _) => Floats::Scalar(*x as f64 / unit),
+            (_, Some(ColumnData::F64(v))) => Floats::Col(Cow::Borrowed(v)),
+            (_, Some(ColumnData::I32(v))) => {
+                Floats::Col(v.iter().map(|&x| x as f64 / unit).collect())
             }
-            Expr::Or(es) => {
-                let mut mask = vec![false; b.len()];
-                for e in es {
-                    let m = e.eval_mask(b)?;
-                    for (x, y) in mask.iter_mut().zip(m) {
-                        *x |= y;
-                    }
-                }
-                Ok(mask)
+            (_, Some(ColumnData::I64(v))) => {
+                Floats::Col(v.iter().map(|&x| x as f64 / unit).collect())
             }
-            Expr::Not(e) => Ok(e.eval_mask(b)?.into_iter().map(|x| !x).collect()),
-            _ => {
-                let (col, _) = self.eval(b)?;
-                match col {
-                    ColumnData::I32(v) => Ok(v.into_iter().map(|x| x != 0).collect()),
-                    ColumnData::I64(v) => Ok(v.into_iter().map(|x| x != 0).collect()),
-                    _ => Err(VhError::Exec(
-                        "predicate did not evaluate to boolean".into(),
-                    )),
-                }
+            _ => return Err(VhError::Exec("numeric op over string".into())),
+        })
+    }
+
+    /// As a column of `n` rows of type `dt`.
+    fn into_column(self, n: usize, dt: DataType) -> ColumnData {
+        match self {
+            Operand::Col(c) => c.clone(),
+            Operand::Owned(c) => c,
+            Operand::Int(x) if physical_of(dt) == PhysicalType::I32 => {
+                ColumnData::I32(vec![x as i32; n])
             }
+            Operand::Int(x) => ColumnData::I64(vec![x; n]),
+            Operand::Float(x) => ColumnData::F64(vec![x; n]),
+            Operand::Str(s) => ColumnData::Str(std::iter::repeat_n(&*s, n).collect()),
         }
     }
 }
 
-fn mask_to_col(mask: &[bool]) -> ColumnData {
-    ColumnData::I32(mask.iter().map(|&b| b as i32).collect())
+fn literal(v: &Value) -> Result<(Operand<'_>, DataType)> {
+    Ok(match v {
+        Value::I32(x) => (Operand::Int(*x as i64), DataType::I32),
+        Value::I64(x) => (Operand::Int(*x), DataType::I64),
+        Value::Decimal(raw, scale) => (Operand::Int(*raw), DataType::Decimal { scale: *scale }),
+        Value::Date(d) => (Operand::Int(*d as i64), DataType::Date),
+        Value::F64(x) => (Operand::Float(*x), DataType::F64),
+        Value::Str(s) => (Operand::Str(Cow::Borrowed(s)), DataType::Str),
+        Value::Null => return Err(VhError::InvalidArg("NULL literal in an expression".into())),
+    })
 }
 
-/// SQL LIKE: `%` = any run, `_` = any single byte.
-pub fn like_match(s: &str, pat: &str) -> bool {
-    fn inner(s: &[u8], p: &[u8]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
-            Some(b'%') => {
-                // Try every split point (including empty).
-                (0..=s.len()).any(|k| inner(&s[k..], &p[1..]))
-            }
-            Some(b'_') => !s.is_empty() && inner(&s[1..], &p[1..]),
-            Some(&c) => s.first() == Some(&c) && inner(&s[1..], &p[1..]),
+/// One side of a kernel: a slice read by position, or a scalar that reads
+/// the same at every position.
+trait Src: Copy {
+    type Item;
+    /// Rows `0..n` of it, so a loop over `0..n` needs no bounds check.
+    fn first(self, n: usize) -> Self;
+    fn at(self, i: usize) -> Self::Item;
+}
+
+impl Src for &[i32] {
+    type Item = i64;
+    fn first(self, n: usize) -> Self {
+        &self[..n]
+    }
+    #[inline(always)]
+    fn at(self, i: usize) -> i64 {
+        self[i] as i64
+    }
+}
+
+impl Src for &[i64] {
+    type Item = i64;
+    fn first(self, n: usize) -> Self {
+        &self[..n]
+    }
+    #[inline(always)]
+    fn at(self, i: usize) -> i64 {
+        self[i]
+    }
+}
+
+impl Src for &[f64] {
+    type Item = f64;
+    fn first(self, n: usize) -> Self {
+        &self[..n]
+    }
+    #[inline(always)]
+    fn at(self, i: usize) -> f64 {
+        self[i]
+    }
+}
+
+impl Src for i64 {
+    type Item = i64;
+    fn first(self, _: usize) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn at(self, _: usize) -> i64 {
+        self
+    }
+}
+
+impl Src for f64 {
+    type Item = f64;
+    fn first(self, _: usize) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn at(self, _: usize) -> f64 {
+        self
+    }
+}
+
+impl<'a> Src for &'a StrVec {
+    type Item = &'a str;
+    fn first(self, _: usize) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn at(self, i: usize) -> &'a str {
+        self.get(i)
+    }
+}
+
+impl<'a> Src for &'a str {
+    type Item = &'a str;
+    fn first(self, _: usize) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn at(self, _: usize) -> &'a str {
+        self
+    }
+}
+
+// --- selection vectors ---------------------------------------------------------
+
+/// The selection that lists every row of `b`.
+fn every_row(b: &Batch) -> Vec<u32> {
+    (0..b.len() as u32).collect()
+}
+
+/// Keep the positions of `sel` where `keep` holds, in place and without a
+/// branch on the outcome: every position is written back and the cursor
+/// advances by the outcome.
+fn narrow(sel: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+    let mut k = 0;
+    for j in 0..sel.len() {
+        let i = sel[j];
+        sel[k] = i;
+        k += keep(i as usize) as usize;
+    }
+    sel.truncate(k);
+}
+
+/// `a` without the positions in `b`; both ascending, `b` drawn from `a`.
+fn without(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut drop = b.iter().peekable();
+    let mut out = Vec::with_capacity(a.len() - b.len());
+    for &x in a {
+        if drop.peek() == Some(&&x) {
+            drop.next();
+        } else {
+            out.push(x);
         }
     }
-    inner(s.as_bytes(), pat.as_bytes())
+    out
+}
+
+/// Two ascending position lists as one.
+fn merged(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] <= b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+impl CmpOp {
+    /// Does the operator hold for a left side that orders `ord` against
+    /// the right?
+    fn holds(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::Ne => ord != Ordering::Equal,
+            CmpOp::Lt => ord == Ordering::Less,
+            CmpOp::Le => ord != Ordering::Greater,
+            CmpOp::Gt => ord == Ordering::Greater,
+            CmpOp::Ge => ord != Ordering::Less,
+        }
+    }
+}
+
+/// A comparison operator as the outcomes it accepts, so that one loop
+/// serves all six operators without a branch per row: `x op y` is
+/// `lt & (x < y) | eq & (x == y) | gt & (x > y)`. A NaN on either side
+/// fails all three, so no operator holds for it (not even `<>`).
+#[derive(Clone, Copy)]
+struct Accepts {
+    lt: bool,
+    eq: bool,
+    gt: bool,
+}
+
+impl Accepts {
+    fn of(op: CmpOp) -> Accepts {
+        Accepts {
+            lt: op.holds(Ordering::Less),
+            eq: op.holds(Ordering::Equal),
+            gt: op.holds(Ordering::Greater),
+        }
+    }
+
+    #[inline(always)]
+    fn holds<T: PartialOrd>(self, x: T, y: T) -> bool {
+        (self.lt & (x < y)) | (self.eq & (x == y)) | (self.gt & (x > y))
+    }
+}
+
+/// Narrow `sel` to the rows where `x op y`. Strings compare as strings,
+/// integers and decimals exactly at their common scale, anything involving
+/// a float as floats.
+fn select_cmp(
+    op: CmpOp,
+    x: &Operand,
+    tx: DataType,
+    y: &Operand,
+    ty: DataType,
+    sel: &mut Vec<u32>,
+) -> Result<()> {
+    if let (Some(x), Some(y)) = (x.strs(), y.strs()) {
+        each_str!(x, x => each_str!(y, y => narrow(sel, |i| op.holds(x.at(i).cmp(y.at(i))))));
+        return Ok(());
+    }
+    let accepts = Accepts::of(op);
+    let (Some(x), Some(y)) = (x.ints(), y.ints()) else {
+        let (x, y) = (x.floats(tx)?, y.floats(ty)?);
+        each_float!(x, x => each_float!(y, y => narrow(sel, |i| accepts.holds(x.at(i), y.at(i)))));
+        return Ok(());
+    };
+    // The coarser side is multiplied up to the finer scale: a scalar once,
+    // here; a column (or a scalar too large for that) per row and in
+    // `i128`, where the product cannot overflow.
+    let scale = scale_of(tx).max(scale_of(ty));
+    let (x, fx) = at_scale(x, scale_of(tx), scale)?;
+    let (y, fy) = at_scale(y, scale_of(ty), scale)?;
+    if fx == 1 && fy == 1 {
+        each_int!(x, x => each_int!(y, y => narrow(sel, |i| accepts.holds(x.at(i), y.at(i)))));
+    } else {
+        let (fx, fy) = (fx as i128, fy as i128);
+        each_int!(x, x => each_int!(y, y => narrow(sel, |i| {
+            accepts.holds(x.at(i) as i128 * fx, y.at(i) as i128 * fy)
+        })));
+    }
+    Ok(())
 }
 
 // --- numeric plumbing -------------------------------------------------------
-
-/// Uniform numeric view of a column: raw i64 with a logical type, or f64.
-enum NumVec {
-    Int(Vec<i64>, DataType),
-    Float(Vec<f64>),
-}
-
-fn to_numeric(col: &ColumnData, dt: DataType) -> Result<NumVec> {
-    Ok(match col {
-        ColumnData::I32(v) => NumVec::Int(v.iter().map(|&x| x as i64).collect(), dt),
-        ColumnData::I64(v) => NumVec::Int(v.clone(), dt),
-        ColumnData::F64(v) => NumVec::Float(v.clone()),
-        ColumnData::Str(_) => return Err(VhError::Exec("numeric op over string".into())),
-    })
-}
 
 fn scale_of(dt: DataType) -> u8 {
     match dt {
@@ -386,28 +837,44 @@ fn scale_of(dt: DataType) -> u8 {
     }
 }
 
-/// Align two int vectors to a common decimal scale; returns (a, b, scale).
-fn align_scales(
-    mut a: Vec<i64>,
-    ta: DataType,
-    mut b: Vec<i64>,
-    tb: DataType,
-) -> (Vec<i64>, Vec<i64>, u8) {
-    let (sa, sb) = (scale_of(ta), scale_of(tb));
-    let target = sa.max(sb);
-    if sa < target {
-        let f = 10i64.pow((target - sa) as u32);
-        for x in &mut a {
-            *x *= f;
+/// `10^digits`, which must fit an `i64`.
+fn pow10(digits: u8) -> Result<i64> {
+    10i64
+        .checked_pow(digits as u32)
+        .ok_or_else(|| VhError::Exec(format!("decimal scale {digits} out of range")))
+}
+
+/// The raw of a decimal at scale `from` as the raw of the same number at
+/// scale `to`, if that is a whole number that fits.
+fn rescaled(raw: i64, from: u8, to: u8) -> Option<i64> {
+    if from <= to {
+        raw.checked_mul(10i64.checked_pow((to - from) as u32)?)
+    } else {
+        let unit = 10i64.checked_pow((from - to) as u32)?;
+        (raw % unit == 0).then_some(raw / unit)
+    }
+}
+
+/// An integer side at scale `from`, and the factor that takes it to the
+/// finer scale `to`: a scalar is multiplied here and now (factor 1) unless
+/// that overflows, a column is left for the kernel to multiply.
+fn at_scale(side: Ints<'_>, from: u8, to: u8) -> Result<(Ints<'_>, i64)> {
+    if let Ints::Scalar(x) = side {
+        if let Some(x) = rescaled(x, from, to) {
+            return Ok((Ints::Scalar(x), 1));
         }
     }
-    if sb < target {
-        let f = 10i64.pow((target - sb) as u32);
-        for x in &mut b {
-            *x *= f;
-        }
+    Ok((side, pow10(to - from)?))
+}
+
+/// An `IN` list item as a raw at the tested expression's decimal scale;
+/// `None` (it matches no row) when it is not an integer or decimal, or not
+/// a whole number at that scale.
+fn bind_int(item: &Value, scale: u8) -> Option<i64> {
+    match item {
+        Value::Decimal(raw, s) => rescaled(*raw, *s, scale),
+        other => rescaled(other.as_i64()?, 0, scale),
     }
-    (a, b, target)
 }
 
 fn arith_dtype(op: ArithOp, ta: DataType, tb: DataType) -> DataType {
@@ -439,162 +906,168 @@ fn arith_dtype(op: ArithOp, ta: DataType, tb: DataType) -> DataType {
     }
 }
 
-fn arith_eval(
+/// `f` over rows `0..n` of two sides.
+fn map2<A: Src, B: Src, R>(n: usize, a: A, b: B, f: impl Fn(A::Item, B::Item) -> R) -> Vec<R> {
+    let (a, b) = (a.first(n), b.first(n));
+    (0..n).map(|i| f(a.at(i), b.at(i))).collect()
+}
+
+/// `x op y` over `n` rows, or as one value when both sides are scalars.
+/// Integer results wrap like the `i128` expression cut to 64 bits.
+fn arith(
     op: ArithOp,
-    a: &Expr,
-    b_expr: &Expr,
-    batch: &Batch,
-) -> Result<(ColumnData, DataType)> {
-    let (ca, ta) = a.eval(batch)?;
-    let (cb, tb) = b_expr.eval(batch)?;
-    let na = to_numeric(&ca, ta)?;
-    let nb = to_numeric(&cb, tb)?;
-    let out_dt = arith_dtype(op, ta, tb);
-    match (na, nb) {
-        (NumVec::Int(va, ta), NumVec::Int(vb, tb)) if out_dt != DataType::F64 => match op {
-            ArithOp::Add | ArithOp::Sub => {
-                let (va, vb, scale) = align_scales(va, ta, vb, tb);
-                let out: Vec<i64> = if op == ArithOp::Add {
-                    va.iter().zip(&vb).map(|(x, y)| x + y).collect()
-                } else {
-                    va.iter().zip(&vb).map(|(x, y)| x - y).collect()
-                };
-                let dt = if scale > 0 {
-                    DataType::Decimal { scale }
-                } else {
-                    out_dt
-                };
-                if dt == DataType::Date {
-                    Ok((ColumnData::I32(out.iter().map(|&x| x as i32).collect()), dt))
-                } else {
-                    Ok((ColumnData::I64(out), dt))
-                }
-            }
-            ArithOp::Mul => {
-                let (sa, sb) = (scale_of(ta), scale_of(tb));
-                let result_scale = (sa + sb).min(MAX_SCALE);
-                let shrink = 10i128.pow((sa + sb - result_scale) as u32);
-                let out: Vec<i64> = va
-                    .iter()
-                    .zip(&vb)
-                    .map(|(&x, &y)| ((x as i128 * y as i128) / shrink) as i64)
-                    .collect();
-                let dt = if result_scale > 0 {
-                    DataType::Decimal {
-                        scale: result_scale,
-                    }
-                } else {
-                    DataType::I64
-                };
-                Ok((ColumnData::I64(out), dt))
-            }
-            ArithOp::Div => unreachable!("division always yields F64"),
-        },
-        (na, nb) => {
-            // Float path (including every division).
-            let fa = num_to_f64(na);
-            let fb = num_to_f64(nb);
-            let out: Vec<f64> = match op {
-                ArithOp::Add => fa.iter().zip(&fb).map(|(x, y)| x + y).collect(),
-                ArithOp::Sub => fa.iter().zip(&fb).map(|(x, y)| x - y).collect(),
-                ArithOp::Mul => fa.iter().zip(&fb).map(|(x, y)| x * y).collect(),
-                ArithOp::Div => fa
-                    .iter()
-                    .zip(&fb)
-                    .map(|(x, y)| if *y == 0.0 { 0.0 } else { x / y })
-                    .collect(),
+    x: &Operand,
+    tx: DataType,
+    y: &Operand,
+    ty: DataType,
+    n: usize,
+) -> Result<(Operand<'static>, DataType)> {
+    let scalar = x.is_scalar() && y.is_scalar();
+    let n = if scalar { 1 } else { n };
+    let (col, dt) = match (x.ints(), y.ints(), arith_dtype(op, tx, ty)) {
+        (_, _, DataType::F64) | (None, _, _) | (_, None, _) => {
+            let (x, y) = (x.floats(tx)?, y.floats(ty)?);
+            let out = each_float!(x, x => each_float!(y, y => match op {
+                ArithOp::Add => map2(n, x, y, |p, q| p + q),
+                ArithOp::Sub => map2(n, x, y, |p, q| p - q),
+                ArithOp::Mul => map2(n, x, y, |p, q| p * q),
+                ArithOp::Div => map2(n, x, y, |p, q| if q == 0.0 { 0.0 } else { p / q }),
+            }));
+            (ColumnData::F64(out), DataType::F64)
+        }
+        (Some(x), Some(y), dt) => (arith_ints(op, x, scale_of(tx), y, scale_of(ty), dt, n)?, dt),
+    };
+    let out = match (scalar, col) {
+        (false, col) => Operand::Owned(col),
+        (true, ColumnData::I32(v)) => Operand::Int(v[0] as i64),
+        (true, ColumnData::I64(v)) => Operand::Int(v[0]),
+        (true, ColumnData::F64(v)) => Operand::Float(v[0]),
+        (true, ColumnData::Str(_)) => unreachable!("arithmetic yields numbers"),
+    };
+    Ok((out, dt))
+}
+
+/// Integer and decimal `+`, `-`, `*` into a column of type `dt`.
+fn arith_ints(
+    op: ArithOp,
+    x: Ints,
+    sx: u8,
+    y: Ints,
+    sy: u8,
+    dt: DataType,
+    n: usize,
+) -> Result<ColumnData> {
+    let out: Vec<i64> = match op {
+        ArithOp::Add | ArithOp::Sub => {
+            // Both sides at the finer scale; a scalar is multiplied once.
+            let scale = sx.max(sy);
+            let pre = |side, f: i64| match side {
+                Ints::Scalar(v) => (Ints::Scalar(v.wrapping_mul(f)), 1),
+                col => (col, f),
             };
-            Ok((ColumnData::F64(out), DataType::F64))
-        }
-    }
-}
-
-fn num_to_f64(n: NumVec) -> Vec<f64> {
-    match n {
-        NumVec::Int(v, dt) => {
-            let s = 10f64.powi(scale_of(dt) as i32);
-            v.into_iter().map(|x| x as f64 / s).collect()
-        }
-        NumVec::Float(v) => v,
-    }
-}
-
-fn cmp_mask(op: CmpOp, a: &Expr, b_expr: &Expr, batch: &Batch) -> Result<Vec<bool>> {
-    let (ca, ta) = a.eval(batch)?;
-    let (cb, tb) = b_expr.eval(batch)?;
-    // String comparison path.
-    if let (Some(sa), Some(sb)) = (ca.as_strs(), cb.as_strs()) {
-        return Ok(sa
-            .iter()
-            .zip(sb.iter())
-            .map(|(x, y)| apply_ord(op, x.cmp(y)))
-            .collect());
-    }
-    let na = to_numeric(&ca, ta)?;
-    let nb = to_numeric(&cb, tb)?;
-    match (na, nb) {
-        (NumVec::Int(va, ta), NumVec::Int(vb, tb)) => {
-            let (va, vb, _) = align_scales(va, ta, vb, tb);
-            Ok(va
-                .iter()
-                .zip(&vb)
-                .map(|(x, y)| apply_ord(op, x.cmp(y)))
-                .collect())
-        }
-        (na, nb) => {
-            let fa = num_to_f64(na);
-            let fb = num_to_f64(nb);
-            Ok(fa
-                .iter()
-                .zip(&fb)
-                .map(|(x, y)| x.partial_cmp(y).map(|o| apply_ord(op, o)).unwrap_or(false))
-                .collect())
-        }
-    }
-}
-
-fn apply_ord(op: CmpOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::Ne => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::Le => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::Ge => ord != Less,
-    }
-}
-
-fn in_list_mask(col: &ColumnData, dt: DataType, list: &[Value]) -> Result<Vec<bool>> {
-    match col {
-        ColumnData::Str(v) => {
-            let set: std::collections::HashSet<&str> =
-                list.iter().filter_map(|v| v.as_str()).collect();
-            Ok(v.iter().map(|s| set.contains(s)).collect())
-        }
-        _ => {
-            let n = to_numeric(col, dt)?;
-            match n {
-                NumVec::Int(v, dt) => {
-                    let scale = scale_of(dt);
-                    let set: std::collections::HashSet<i64> = list
-                        .iter()
-                        .filter_map(|x| match x {
-                            Value::Decimal(raw, s) => {
-                                Some(raw * 10i64.pow(scale.saturating_sub(*s) as u32))
-                            }
-                            other => other.as_i64().map(|i| i * 10i64.pow(scale as u32)),
-                        })
-                        .collect();
-                    Ok(v.iter().map(|x| set.contains(x)).collect())
+            let (x, fx) = pre(x, pow10(scale - sx)?);
+            let (y, fy) = pre(y, pow10(scale - sy)?);
+            match (fx == 1 && fy == 1, op) {
+                (true, ArithOp::Add) => {
+                    each_int!(x, x => each_int!(y, y => map2(n, x, y, i64::wrapping_add)))
                 }
-                NumVec::Float(v) => {
-                    let items: Vec<f64> = list.iter().filter_map(|x| x.as_f64()).collect();
-                    Ok(v.iter().map(|x| items.iter().any(|y| y == x)).collect())
+                (true, _) => each_int!(x, x => each_int!(y, y => map2(n, x, y, i64::wrapping_sub))),
+                (false, _) => {
+                    let fy = if op == ArithOp::Sub {
+                        fy.wrapping_neg()
+                    } else {
+                        fy
+                    };
+                    each_int!(x, x => each_int!(y, y => map2(n, x, y, |p, q| {
+                        p.wrapping_mul(fx).wrapping_add(q.wrapping_mul(fy))
+                    })))
                 }
             }
         }
+        ArithOp::Mul => {
+            // The product has scale `sx + sy`; past `MAX_SCALE` it is cut
+            // back by `shrink`. A product that fits 64 bits is divided as
+            // it is, one that does not goes through `i128`: the same number
+            // either way.
+            let shrink = pow10(sx + sy - (sx + sy).min(MAX_SCALE))?;
+            macro_rules! cut_back_by {
+                ($shrink:expr) => {
+                    each_int!(x, x => each_int!(y, y => map2(n, x, y, |p, q| match p.checked_mul(q) {
+                        Some(product) => product / $shrink,
+                        None => ((p as i128 * q as i128) / $shrink as i128) as i64,
+                    })))
+                };
+            }
+            // Dividing by a constant is a multiply and two shifts, by a
+            // variable a division an order of magnitude slower: the shrinks
+            // two scales of up to `MAX_SCALE` produce get a loop each.
+            match shrink {
+                1 => each_int!(x, x => each_int!(y, y => map2(n, x, y, i64::wrapping_mul))),
+                10 => cut_back_by!(10i64),
+                100 => cut_back_by!(100i64),
+                1_000 => cut_back_by!(1_000i64),
+                10_000 => cut_back_by!(10_000i64),
+                _ => cut_back_by!(shrink),
+            }
+        }
+        ArithOp::Div => unreachable!("division always yields F64"),
+    };
+    Ok(if dt == DataType::Date {
+        ColumnData::I32(out.into_iter().map(|x| x as i32).collect())
+    } else {
+        ColumnData::I64(out)
+    })
+}
+
+/// SQL `substring(s from start for len)`, 1-based and in characters.
+fn substr(s: &str, start: usize, len: usize) -> &str {
+    let skip = start.saturating_sub(1);
+    if s.is_ascii() {
+        // Bytes are characters.
+        let from = skip.min(s.len());
+        return &s[from..from.saturating_add(len).min(s.len())];
     }
+    let byte_of = |s: &str, chars: usize| s.char_indices().nth(chars).map_or(s.len(), |(at, _)| at);
+    let rest = &s[byte_of(s, skip)..];
+    &rest[..byte_of(rest, len)]
+}
+
+/// SQL LIKE: `%` = any run, `_` = any single byte.
+pub fn like_match(s: &str, pat: &str) -> bool {
+    like_steps(s.as_bytes(), pat.as_bytes()).0
+}
+
+/// [`like_match`] and the number of steps it took. One restart point: on a
+/// mismatch the match resumes after the last `%` seen, one byte further
+/// into the text, so the work is at most `s.len() * p.len()` steps however
+/// many `%` the pattern has (trying every split at every `%` is
+/// exponential in their number).
+fn like_steps(s: &[u8], p: &[u8]) -> (bool, usize) {
+    let (mut i, mut j, mut steps) = (0, 0, 0);
+    // (pattern position after the last `%`, text position it matches from)
+    let mut restart: Option<(usize, usize)> = None;
+    while i < s.len() {
+        steps += 1;
+        match p.get(j) {
+            Some(b'%') => {
+                j += 1;
+                restart = Some((j, i));
+            }
+            Some(&c) if c == b'_' || c == s[i] => {
+                i += 1;
+                j += 1;
+            }
+            _ => match restart {
+                Some((after, from)) => {
+                    restart = Some((after, from + 1));
+                    i = from + 1;
+                    j = after;
+                }
+                None => return (false, steps),
+            },
+        }
+    }
+    (p[j..].iter().all(|&c| c == b'%'), steps)
 }
 
 /// Helper: build a schema-typed literal decimal.
@@ -812,6 +1285,128 @@ mod tests {
             .eval_mask(&b)
             .unwrap();
         assert_eq!(m, vec![false, false, false, true]);
+    }
+
+    #[test]
+    fn in_list_binds_its_items_like_any_other_literal() {
+        // disc is 0.05, 0.10, 0.00, 0.07 at scale 2.
+        let b = batch();
+        let is_in = |item: &Value| {
+            Expr::InList(Box::new(Expr::col(2)), vec![item.clone()])
+                .eval_mask(&b)
+                .unwrap()
+        };
+        let equals = |item: &Value| {
+            Expr::eq(Expr::col(2), Expr::lit(item.clone()))
+                .eval_mask(&b)
+                .unwrap()
+        };
+        // Finer than the column and not a whole number at its scale: no row.
+        assert_eq!(is_in(&dec("0.005", 3)), vec![false; 4]);
+        // Finer, but the same number as 0.05.
+        assert_eq!(is_in(&dec("0.050", 3)), vec![true, false, false, false]);
+        // Coarser.
+        assert_eq!(is_in(&dec("0.1", 1)), vec![false, true, false, false]);
+        assert_eq!(is_in(&Value::I64(0)), vec![false, false, true, false]);
+        for item in [
+            dec("0.005", 3),
+            dec("0.050", 3),
+            dec("0.0501", 4),
+            dec("0.07", 2),
+            dec("0.1", 1),
+            Value::I64(0),
+            Value::I32(1),
+        ] {
+            assert_eq!(is_in(&item), equals(&item), "IN ({item}) against = {item}");
+        }
+    }
+
+    #[test]
+    fn like_takes_steps_in_proportion_to_text_times_pattern() {
+        // Ten `%` over 200 bytes: trying every split at every `%` would be
+        // 200^10 steps; one restart point is at most text x pattern.
+        let s = "a".repeat(200);
+        for (tail, matches) in [("b", false), ("a", true), ("", true)] {
+            let pat = format!("{}{tail}", "%a".repeat(10));
+            let (matched, steps) = like_steps(s.as_bytes(), pat.as_bytes());
+            assert_eq!(matched, matches, "{pat}");
+            assert!(
+                steps <= (s.len() + 1) * (pat.len() + 1),
+                "{steps} steps for {pat:?} over {} bytes",
+                s.len()
+            );
+        }
+        // The shape from the wire: '%a%a%a%a%a%a%ab' over forty `a`s.
+        let (matched, steps) = like_steps("a".repeat(40).as_bytes(), b"%a%a%a%a%a%a%ab");
+        assert!(!matched && steps <= 41 * 16, "{steps} steps");
+    }
+
+    #[test]
+    fn substr_counts_characters_and_never_splits_one() {
+        let schema = Arc::new(Schema::of(&[("s", DataType::Str)]));
+        let strs = [
+            "h\u{e9}llo",
+            "\u{65e5}\u{672c}\u{8a9e}",
+            "a\u{1f980}b",
+            "abc",
+            "",
+        ];
+        let b = Batch::new(schema, vec![ColumnData::Str(strs.into())]).unwrap();
+        let sub = |start: usize, len: usize| -> Vec<String> {
+            let (col, dt) = Expr::Substr(Box::new(Expr::col(0)), start, len)
+                .eval(&b)
+                .unwrap();
+            assert_eq!(dt, DataType::Str);
+            col.as_strs().unwrap().iter().map(str::to_owned).collect()
+        };
+        // A 2-, 3- and 4-byte character at `to`, at `from`, and past the end.
+        assert_eq!(
+            sub(1, 2),
+            ["h\u{e9}", "\u{65e5}\u{672c}", "a\u{1f980}", "ab", ""]
+        );
+        assert_eq!(sub(2, 1), ["\u{e9}", "\u{672c}", "\u{1f980}", "b", ""]);
+        assert_eq!(
+            sub(2, 9),
+            ["\u{e9}llo", "\u{672c}\u{8a9e}", "\u{1f980}b", "bc", ""]
+        );
+        assert_eq!(sub(3, 0), ["", "", "", "", ""]);
+        assert_eq!(sub(4, 2), ["lo", "", "", "", ""]);
+        assert_eq!(sub(9, 2), ["", "", "", "", ""]);
+        assert_eq!(sub(0, usize::MAX), strs);
+        // A literal is a scalar all the way through.
+        let (col, _) = Expr::Substr(Box::new(Expr::lit(Value::Str("h\u{e9}llo".into()))), 1, 2)
+            .eval(&b)
+            .unwrap();
+        assert_eq!(col.as_strs().unwrap().get(4), "h\u{e9}");
+    }
+
+    #[test]
+    fn literals_stay_scalars_and_rescale_once() {
+        let b = batch();
+        // A constant subtree is one value, whatever the batch length.
+        let one_minus = Expr::sub(Expr::lit(dec("1", 2)), Expr::lit(dec("0.05", 2)));
+        assert!(matches!(
+            one_minus.operand(&b).unwrap(),
+            (Operand::Int(95), _)
+        ));
+        // price * 0.95, the literal on either side.
+        for e in [
+            Expr::mul(Expr::col(1), one_minus.clone()),
+            Expr::mul(one_minus.clone(), Expr::col(1)),
+        ] {
+            let (col, dt) = e.eval(&b).unwrap();
+            assert_eq!(dt, DataType::Decimal { scale: 4 });
+            assert_eq!(col.as_i64().unwrap(), &[95_000, 190_000, 285_000, 380_000]);
+        }
+        // A product past 64 bits takes the i128 route and cuts back the same.
+        let schema = Arc::new(Schema::of(&[("d", DataType::Decimal { scale: 4 })]));
+        let big = Batch::new(schema, vec![ColumnData::I64(vec![i64::MAX / 10, 20_000])]).unwrap();
+        let (col, dt) = Expr::mul(Expr::col(0), Expr::lit(dec("2.5", 4)))
+            .eval(&big)
+            .unwrap();
+        assert_eq!(dt, DataType::Decimal { scale: 4 });
+        let wide = |x: i64| ((x as i128 * 25_000) / 10_000) as i64;
+        assert_eq!(col.as_i64().unwrap(), &[wide(i64::MAX / 10), 50_000]);
     }
 
     #[test]

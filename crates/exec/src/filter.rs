@@ -1,8 +1,13 @@
 //! Select: vectorized filtering.
 //!
-//! Evaluates a predicate over each input vector and compacts the qualifying
-//! rows. (Vectorwise keeps selection vectors lazy; we compact eagerly — the
-//! work is the same O(selected) gather, done once per vector.)
+//! The predicate narrows a selection vector over the input vector's borrowed
+//! columns (`Expr::select`: conjunct by conjunct, each one pass over the
+//! positions still selected), and the qualifying rows are gathered **once**,
+//! here, at the operator's output. A `Batch` is always compact between
+//! operators: Vectorwise hands the selection vector on to the next operator
+//! and lets it read through it; we gather eagerly — the work is the same
+//! O(selected) copy, done once per vector — so that no operator above has to
+//! know about positions.
 
 use std::sync::Arc;
 
@@ -17,7 +22,7 @@ pub struct Select {
     child: Box<dyn Operator>,
     predicate: Expr,
     counters: Counters,
-    /// Reused selection-vector buffer (cleared each batch).
+    /// Reused selection-vector buffer (refilled with every position each batch).
     sel: Vec<u32>,
 }
 
@@ -44,8 +49,9 @@ impl Operator for Select {
                 break None;
             };
             self.counters.rows_in += batch.len() as u64;
-            let mask = self.predicate.eval_mask(&batch)?;
-            crate::kernels::simd::compact_mask(&mask, &mut self.sel);
+            self.sel.clear();
+            self.sel.extend(0..batch.len() as u32);
+            self.predicate.select(&batch, &mut self.sel)?;
             if self.sel.is_empty() {
                 continue; // fully filtered vector: pull the next one
             }

@@ -21,7 +21,7 @@
 //! the listed positions, so operators can hash or gather a filtered vector
 //! without first compacting it.
 //!
-//! The innermost loops (hash folding, selection-vector compaction) dispatch
+//! The innermost loops (hash folding, mask compaction) dispatch
 //! through [`simd`] to AVX2 / portable / scalar arms — see
 //! `vectorh_common::simd` for the policy and DESIGN.md §9 for the layout.
 

@@ -1,5 +1,5 @@
-//! SIMD arms for the execution-side hot loops: hash folding and
-//! selection-vector compaction.
+//! SIMD arms for the execution-side hot loops: hash folding and the
+//! compaction of a boolean mask into a selection vector.
 //!
 //! Same dispatch policy as the decompression kernels
 //! (`vectorh_common::simd`): an AVX2 arm behind runtime detection, a
@@ -96,6 +96,9 @@ fn fold_hash_words_portable(words: impl Iterator<Item = u64>, acc: &mut [u64]) {
 
 /// Compact a boolean mask into a selection vector of row indices:
 /// `out = [i for i, m in mask if m]`, as `u32`. Clears and refills `out`.
+/// For a caller that holds a mask (`Expr::eval_mask`'s, as the benchmark's
+/// filter rung does); `Select` builds no mask, its predicate narrows the
+/// selection vector directly.
 ///
 /// AVX2 compares 32 mask bytes at a time into a movemask and peels set
 /// bits; the portable arm writes every candidate index unconditionally and

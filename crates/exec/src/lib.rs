@@ -12,7 +12,8 @@
 //! Modules:
 //! * [`batch`] — the unit of data flow: a bundle of equal-length columns.
 //! * [`expr`] — vectorized expression kernels (arithmetic, comparisons,
-//!   string matching, CASE, EXTRACT) with decimal-exact money math.
+//!   string matching, CASE, EXTRACT) over borrowed columns and scalars,
+//!   predicates as selection vectors, decimal-exact money math.
 //! * [`operator`] — the `Operator` trait and profiling plumbing that
 //!   regenerates the appendix-style per-operator profiles.
 //! * [`scan`] — MScan: chunk reads + MinMax skipping + positional PDT merge.

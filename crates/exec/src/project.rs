@@ -1,17 +1,34 @@
 //! Project: vectorized expression evaluation producing new columns.
+//!
+//! `Project` owns the batch it pulled, so an item that is a bare column
+//! reference *moves* that column into the output: the computed items are
+//! evaluated first, over the borrowed input, and then each pass-through
+//! takes its column, copying only when the same column is passed through
+//! again by a later item.
 
 use std::sync::Arc;
 
-use vectorh_common::{Field, Result, Schema};
+use vectorh_common::{ColumnData, Field, Result, Schema};
 
 use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::operator::{Counters, OpProfile, Operator};
 
+/// How one output column is produced.
+enum Item {
+    /// An expression, evaluated over the borrowed input.
+    Compute(Expr),
+    /// A bare `Col(c)` that a later item passes through again: copied.
+    Copy(usize),
+    /// A bare `Col(c)`, the last item to pass it through: moved out of the
+    /// input batch.
+    Take(usize),
+}
+
 /// Projection operator: each output column is an expression over the input.
 pub struct Project {
     child: Box<dyn Operator>,
-    exprs: Vec<Expr>,
+    items: Vec<Item>,
     out_schema: Arc<Schema>,
     counters: Counters,
 }
@@ -27,9 +44,16 @@ impl Project {
             fields.push(Field::new(name, e.dtype(&in_schema)?));
             exprs.push(e);
         }
+        let items = (0..exprs.len())
+            .map(|k| match &exprs[k] {
+                Expr::Col(c) if exprs[k + 1..].contains(&exprs[k]) => Item::Copy(*c),
+                Expr::Col(c) => Item::Take(*c),
+                e => Item::Compute(e.clone()),
+            })
+            .collect();
         Ok(Project {
             child,
-            exprs,
+            items,
             out_schema: Arc::new(Schema::new(fields)),
             counters: Counters::default(),
         })
@@ -55,12 +79,22 @@ impl Operator for Project {
         let start = std::time::Instant::now();
         let out = match self.child.next()? {
             None => None,
-            Some(batch) => {
+            Some(mut batch) => {
                 self.counters.rows_in += batch.len() as u64;
-                let mut cols = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    let (col, _) = e.eval(&batch)?;
-                    cols.push(col);
+                // Everything that reads the input first, then the moves.
+                let taken = || ColumnData::I32(Vec::new());
+                let mut cols = Vec::with_capacity(self.items.len());
+                for item in &self.items {
+                    cols.push(match item {
+                        Item::Compute(e) => e.eval(&batch)?.0,
+                        Item::Copy(c) => batch.columns[*c].clone(),
+                        Item::Take(_) => taken(), // filled in below
+                    });
+                }
+                for (col, item) in cols.iter_mut().zip(&self.items) {
+                    if let Item::Take(c) = item {
+                        *col = std::mem::replace(&mut batch.columns[*c], taken());
+                    }
                 }
                 Some(Batch::new(self.out_schema.clone(), cols)?)
             }

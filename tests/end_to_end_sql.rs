@@ -189,3 +189,45 @@ fn sql_errors_are_clean() {
     assert!(vh.query("SELECT * FROM missing_table").is_err());
     assert!(vh.query("SELECT store FROM sales GROUP BY").is_err());
 }
+
+#[test]
+fn in_list_and_equality_agree_for_coarser_equal_and_finer_literals() {
+    // `x IN (v)` binds `v` as `x = v` does, whatever its scale against the
+    // column's. A literal finer than the column used to be compared raw
+    // against raw: `amount IN (0.700)` matched the rows with `amount = 7.00`
+    // and `id IN (4.2)` the row with `id = 42`.
+    let vh = engine();
+    sales_fixture(&vh);
+    let count = |pred: &str| -> i64 {
+        let sql = format!("SELECT count(*) FROM sales WHERE {pred}");
+        vh.query(&sql).unwrap()[0][0].as_i64().unwrap()
+    };
+    for (col, literals) in [
+        // Decimal(2): an integer, the column's scale, finer and whole, finer
+        // and not.
+        (
+            "amount",
+            &["7", "7.00", "7.000", "7.005", "0.700", "0.07"][..],
+        ),
+        // I64: equal, finer and whole, finer and not.
+        ("id", &["42", "42.0", "42.5", "4.2"][..]),
+        // Date: a date literal and a string that is one.
+        ("day", &["date '1995-02-01'", "'1995-02-01'"][..]),
+    ] {
+        for v in literals {
+            assert_eq!(
+                count(&format!("{col} IN ({v})")),
+                count(&format!("{col} = {v}")),
+                "{col} IN ({v}) against {col} = {v}"
+            );
+        }
+    }
+    // amount is (i % 100).00: 7.00 for ten rows, nothing at 7.005 or 0.07.
+    assert_eq!(count("amount IN (7)"), 10);
+    assert_eq!(count("amount IN (7.000)"), 10);
+    assert_eq!(count("amount IN (7.005)"), 0);
+    assert_eq!(count("amount IN (0.700)"), 0);
+    assert_eq!(count("id IN (4.2)"), 0);
+    assert_eq!(count("amount IN (0.07, 7.005, 8.0)"), 10);
+    assert_eq!(count("id IN (42.0, 42.5, 43)"), 2);
+}
