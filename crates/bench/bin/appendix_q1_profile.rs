@@ -10,7 +10,7 @@
 
 use vectorh::{ClusterConfig, VectorH};
 use vectorh_bench::timed;
-use vectorh_tpch::queries::{build_query, run_with, TpchQuery};
+use vectorh_tpch::sql_text;
 
 fn main() {
     let sf = vectorh_bench::env_sf(0.02);
@@ -24,19 +24,12 @@ fn main() {
     .unwrap();
     vectorh_tpch::schema::setup(&vh, sf, 6, 42).unwrap();
 
-    let q = build_query(1).unwrap();
-    let plan = match &q {
-        TpchQuery::Single(p) => p.clone(),
-        _ => unreachable!("Q1 is a single plan"),
-    };
-    println!(
-        "distributed plan:\n{}",
-        vh.optimize(&plan).unwrap().explain()
-    );
+    let q1 = sql_text(1).unwrap();
+    println!("distributed plan:\n{}", vh.explain(q1).unwrap());
 
     // Warm, then profile.
-    let _ = run_with(&q, |p| vh.query_logical(p)).unwrap();
-    let phys = vh.optimize(&plan).unwrap();
+    let _ = vh.query(q1).unwrap();
+    let phys = vh.optimize(&vh.parse(q1).unwrap()).unwrap();
     let ((rows, profile), wall) = timed(|| vh.run_physical_public(&phys).unwrap());
     println!(
         "Q1 returned {} groups in {:.1} ms\n",

@@ -15,14 +15,13 @@ use vectorh::{ClusterConfig, VectorH};
 use vectorh_bench::{print_table, timed, timed_hot};
 use vectorh_common::util::geometric_mean;
 use vectorh_tpch::baseline::{BaselineDb, BaselineKind};
-use vectorh_tpch::queries::{build_query, run_with, N_QUERIES};
 use vectorh_tpch::refresh::{refresh_set, rf1, rf2};
+use vectorh_tpch::{sql_text, N_QUERIES};
 
 fn sweep_vh(vh: &VectorH) -> Vec<f64> {
     (1..=N_QUERIES)
         .map(|qn| {
-            let q = build_query(qn).unwrap();
-            let (_, t) = timed_hot(|| run_with(&q, |p| vh.query_logical(p)).unwrap());
+            let (_, t) = timed_hot(|| vh.query(sql_text(qn).unwrap()).unwrap());
             t.max(1e-6)
         })
         .collect()
@@ -31,8 +30,8 @@ fn sweep_vh(vh: &VectorH) -> Vec<f64> {
 fn sweep_baseline(db: &BaselineDb) -> Vec<f64> {
     (1..=N_QUERIES)
         .map(|qn| {
-            let q = build_query(qn).unwrap();
-            let (_, t) = timed_hot(|| db.run_query(&q, BaselineKind::NaiveColumnar).unwrap());
+            let sql = sql_text(qn).unwrap();
+            let (_, t) = timed_hot(|| db.query(sql, BaselineKind::NaiveColumnar).unwrap());
             t.max(1e-6)
         })
         .collect()

@@ -8,8 +8,8 @@
 //! reproduce: remote-read vwload is slowest; locality-ordered vwload is
 //! fastest; the affinity-matched connector lands close behind it.
 //!
-//! Wall time on the host cannot show this on a single-core machine (all
-//! "nodes" share one CPU), so the primary metric is the *simulated cluster
+//! Wall time on the host cannot show this on a two-core machine (all
+//! "nodes" share its two CPUs), so the primary metric is the *simulated cluster
 //! time*: per-node parse work at a fixed parse rate, plus a network penalty
 //! for every remotely-read byte — the regime the paper's numbers live in.
 

@@ -77,7 +77,7 @@ use vectorh_common::rng::SplitMix64;
 use vectorh_common::{DataType, NodeId, PartitionId, Result, Value, VhError};
 use vectorh_server::{AdmissionConfig, Client, Server, ServerConfig};
 use vectorh_tpch::baseline::{canonical, BaselineDb, BaselineKind};
-use vectorh_tpch::queries::{build_query, run_with};
+use vectorh_tpch::sql_text;
 use vectorh_tpch::sql_texts::{frontdoor_mix_texts, FRONTDOOR_MIX};
 use vectorh_transport::{Fabric, RxKind, SharedEpoch, TcpFabric};
 use vectorh_txn::manager::{TransactionManager, TxnConfig};
@@ -252,8 +252,9 @@ pub fn run_schedule_with_phases(seed: u64, phases: &[&str]) -> Result<ScheduleRe
 /// Run query `qn` on the engine and compare against the row-store
 /// baseline; returns the row count.
 fn checked_query(vh: &VectorH, db: &BaselineDb, qn: usize, ctx: &str, seed: u64) -> Result<usize> {
-    let got = canonical(run_with(&build_query(qn)?, |p| vh.query_logical(p))?);
-    let want = canonical(db.run_query(&build_query(qn)?, BaselineKind::RowStore)?);
+    let sql = sql_text(qn).expect("a TPC-H query number");
+    let got = canonical(vh.query(sql)?);
+    let want = canonical(db.run(&vh.parse(sql)?, BaselineKind::RowStore)?);
     if got != want {
         return Err(VhError::Internal(format!(
             "chaos seed {seed:#x}: Q{qn} diverged from row-store baseline {ctx} \
@@ -486,8 +487,8 @@ fn phase_kill_node(
     let pool: Vec<NodeId> = vh.workers().into_iter().filter(|w| *w != master).collect();
     let victim = pool[rng.next_bounded(pool.len() as u64) as usize];
     let qn = [3usize, 5, 10][rng.next_bounded(3) as usize];
-    let q = build_query(qn)?;
-    let want = canonical(db.run_query(&build_query(qn)?, BaselineKind::RowStore)?);
+    let sql = sql_text(qn).expect("a TPC-H query number");
+    let want = canonical(db.run(&vh.parse(sql)?, BaselineKind::RowStore)?);
     let threshold = vh.fs().stats().snapshot().read_bytes() + 2048 + rng.next_bounded(16 * 1024);
 
     let done = AtomicBool::new(false);
@@ -501,7 +502,7 @@ fn phase_kill_node(
             }
             false
         });
-        let got = run_with(&q, |p| vh.query_logical(p));
+        let got = vh.query(sql);
         done.store(true, Ordering::Release);
         (got, killer.join().unwrap_or(false))
     });
@@ -1115,13 +1116,11 @@ fn phase_frontdoor(
     )?;
     let before = vh.server_stats().totals();
 
-    let mut baselines: Vec<Vec<Vec<Value>>> = Vec::new();
-    for qn in FRONTDOOR_MIX {
-        baselines.push(canonical(
-            db.run_query(&build_query(qn)?, BaselineKind::RowStore)?,
-        ));
-    }
     let texts = frontdoor_mix_texts();
+    let mut baselines: Vec<Vec<Vec<Value>>> = Vec::new();
+    for sql in texts {
+        baselines.push(canonical(db.run(&vh.parse(sql)?, BaselineKind::RowStore)?));
+    }
     let completed = AtomicUsize::new(0);
     let addr = server.addr();
 

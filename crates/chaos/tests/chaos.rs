@@ -12,7 +12,7 @@ use vectorh_chaos::{
 };
 use vectorh_common::fault::FaultSite;
 use vectorh_tpch::baseline::{canonical, BaselineDb, BaselineKind};
-use vectorh_tpch::queries::{build_query, run_with};
+use vectorh_tpch::sql_text;
 
 /// Every seed in the corpus must pass, and across the corpus every named
 /// fault site must have fired at least once (coverage: no injection point
@@ -129,9 +129,9 @@ fn mid_query_node_kill_returns_correct_results_and_restores_locality() {
 
     // Q5: six-table join with repartitioning exchanges — plenty of reads
     // for the kill to land mid-flight.
-    let q = build_query(5).unwrap();
+    let q5 = sql_text(5).unwrap();
     let want = canonical(
-        db.run_query(&build_query(5).unwrap(), BaselineKind::RowStore)
+        db.run(&vh.parse(q5).unwrap(), BaselineKind::RowStore)
             .unwrap(),
     );
     let threshold = vh.fs().stats().snapshot().read_bytes() + 1024;
@@ -146,7 +146,7 @@ fn mid_query_node_kill_returns_correct_results_and_restores_locality() {
             }
             false
         });
-        let got = run_with(&q, |p| vh.query_logical(p));
+        let got = vh.query(q5);
         done.store(true, Ordering::Release);
         (got, killer.join().unwrap())
     });
@@ -160,10 +160,10 @@ fn mid_query_node_kill_returns_correct_results_and_restores_locality() {
     // Post-failure locality: re-replication + responsibility remap must
     // make table I/O fully local again.
     let before = vh.fs().stats().snapshot();
-    let q6 = build_query(6).unwrap();
-    let got6 = canonical(run_with(&q6, |p| vh.query_logical(p)).unwrap());
+    let q6 = sql_text(6).unwrap();
+    let got6 = canonical(vh.query(q6).unwrap());
     let want6 = canonical(
-        db.run_query(&build_query(6).unwrap(), BaselineKind::RowStore)
+        db.run(&vh.parse(q6).unwrap(), BaselineKind::RowStore)
             .unwrap(),
     );
     assert_eq!(got6, want6);

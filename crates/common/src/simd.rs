@@ -120,9 +120,10 @@ pub fn simd_mode() -> SimdMode {
     m
 }
 
-/// Pin (or with `None`, re-detect) the kernel arm. Benchmarks use this to
-/// measure before/after pairs in one process; production code never calls
-/// it. Requests for an unavailable arm degrade like [`simd_mode`] detection.
+/// Pin (or with `None`, re-detect) the kernel arm. Tests use this to run
+/// every arm in one process and compare it with the scalar oracle;
+/// production code never calls it. Requests for an unavailable arm degrade
+/// like [`simd_mode`] detection.
 pub fn force_mode(mode: Option<SimdMode>) {
     match mode {
         None => MODE.store(MODE_UNSET, Ordering::Relaxed),

@@ -1306,4 +1306,26 @@ mod tests {
         assert_eq!(snap.net_bytes, 0);
         assert!(snap.intra_messages > 0);
     }
+
+    #[test]
+    fn worker_profiles_arrive_after_eos() {
+        for mode in [FanoutMode::ThreadToThread, FanoutMode::ThreadToNode] {
+            let mut r = dxchg_union(
+                vec![
+                    (0, source((0..10).collect())),
+                    (1, source((0..5).collect())),
+                ],
+                0,
+                config(mode),
+                Arc::new(NetStats::default()),
+            )
+            .unwrap();
+            while r.next().unwrap().is_some() {}
+            let profiles = r.remote_profiles();
+            assert_eq!(profiles.len(), 2, "mode {mode:?}");
+            assert_eq!(profiles[0].label, "sender 0");
+            assert_eq!(profiles[0].rows + profiles[1].rows, 15);
+            assert!(!profiles[0].lines.is_empty());
+        }
+    }
 }

@@ -4,17 +4,16 @@
 //! *exchange* (Xchg) operators — all other operators stay
 //! parallelism-unaware. This crate provides:
 //!
-//! * [`xchg`] — intra-node exchanges (`XchgHashSplit`, `XchgUnion`,
-//!   `XchgBroadcast`, `XchgMergeUnion`, `XchgRangeSplit`): producer
-//!   pipelines run on their own threads (a *stream* = a thread, as in the
-//!   paper), pushing vectors through bounded channels to consumer-side
-//!   operators.
-//! * [`dxchg`] — distributed exchanges across simulated nodes, with the two
-//!   fanout strategies of the paper: **thread-to-thread** (fanout =
+//! * [`dxchg`] — the exchange operators (`DXchgHashSplit`, `DXchgUnion`,
+//!   `DXchgBroadcast`) across simulated nodes: producer pipelines run on
+//!   their own threads (a *stream* = a thread, as in the paper), with the
+//!   two fanout strategies of the paper: **thread-to-thread** (fanout =
 //!   `nodes × cores`, private buffers per sender, best at small scale) and
 //!   **thread-to-node** (fanout = `nodes`, a one-byte column routes each
 //!   tuple to its receiver thread, cutting buffering from `2·N·C²` to
 //!   `2·N·C` buffers per node).
+//! * [`xchg`] — what the exchanges share: [`Partitioning`] and the
+//!   per-consumer split, the batch message, producer profiles.
 //! * [`buffer`] — PAX-layout message serialization standing in for MPI
 //!   buffers (≥256 KB for good throughput); intra-node traffic passes
 //!   pointers instead, exactly like VectorH's memcpy-avoiding optimization.

@@ -1,28 +1,16 @@
-//! Intra-node exchange operators.
+//! What every exchange shares: how rows are split across consumers, the
+//! message a batch travels in, and the profile a producer ships home.
 //!
 //! An Xchg "does not modify the data that streams in and out of it, but only
-//! redistributes these streams", acting as the synchronization point between
-//! producer and consumer threads (§5). Here each producer pipeline runs on
-//! its own thread (a stream = a thread) and pushes vectors into bounded
-//! channels; consumer-side [`XchgReceiver`] operators pull from them.
-//!
-//! Flavours: `Union` (m→1), `Hash` (hash-split on keys), `Broadcast`,
-//! `Range` (range-split), plus [`merge_union`] which merges sorted streams.
-//! Producer-side operator profiles are shipped to the consumers at
-//! end-of-stream so the appendix-style per-thread profile can be printed.
+//! redistributes these streams" (§5). The operators are the distributed
+//! ones in [`crate::dxchg`], which also pass pointers between threads of one
+//! node; this module holds the pieces they and [`crate::buffer`] use.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-
-use vectorh_common::channel::{bounded, Receiver, Sender};
-use vectorh_common::{ColumnData, Result, Schema, Value, VhError};
+use vectorh_common::{ColumnData, Result};
 use vectorh_exec::kernels::gather::scatter_partitions;
 use vectorh_exec::kernels::hash::{hash_columns, XCHG_SEED};
-use vectorh_exec::operator::{collect_profiles, Counters, OpProfile, ProfileLine};
-use vectorh_exec::{Batch, Operator};
-
-use crate::stats::NetStats;
+use vectorh_exec::operator::ProfileLine;
+use vectorh_exec::Batch;
 
 /// Newtype so exchange messages have a crate-local name.
 #[derive(Clone)]
@@ -37,13 +25,7 @@ pub enum Partitioning {
     Hash { keys: Vec<usize> },
     /// Every consumer receives every row (XchgBroadcast).
     Broadcast,
-    /// Range-partition an integer column by ascending bounds: consumer `i`
-    /// gets `value <= bounds[i]`, the last consumer the rest
-    /// (XchgRangeSplit).
-    Range { col: usize, bounds: Vec<i64> },
 }
-
-type Payload = std::result::Result<BatchMsg, VhError>;
 
 /// Channel depth per consumer. Generous so single-threaded consumers that
 /// drain receivers one after another (tests, DXchgUnion tops) cannot
@@ -75,21 +57,6 @@ pub fn partition_positions(
             hash_columns(&cols, keys, XCHG_SEED, &mut hashes);
             Ok(scatter_partitions(&hashes, n_consumers))
         }
-        Partitioning::Range { col, bounds } => {
-            if bounds.len() + 1 != n_consumers {
-                return Err(VhError::Net("range bounds/consumers mismatch".into()));
-            }
-            let mut out = vec![Vec::new(); n_consumers];
-            let vals = batch
-                .column(*col)
-                .to_i64_vec()
-                .ok_or_else(|| VhError::Net("range split needs integer column".into()))?;
-            for (i, v) in vals.iter().enumerate() {
-                let c = bounds.iter().position(|b| v <= b).unwrap_or(bounds.len());
-                out[c].push(i as u32);
-            }
-            Ok(out)
-        }
     }
 }
 
@@ -102,409 +69,40 @@ pub struct WorkerProfile {
     pub wall_ns: u64,
 }
 
-/// Consumer-side state shared across receivers of one exchange.
-struct Shared {
-    profiles_rx: Receiver<WorkerProfile>,
-    producer_wait_ns: Arc<AtomicU64>,
-    collected: vectorh_common::sync::Mutex<Vec<WorkerProfile>>,
-}
-
-/// The consumer-side operator of an exchange.
-pub struct XchgReceiver {
-    name: &'static str,
-    schema: Arc<Schema>,
-    rx: Receiver<Payload>,
-    shared: Arc<Shared>,
-    counters: Counters,
-    consumer_wait_ns: u64,
-}
-
-impl XchgReceiver {
-    /// Per-producer profiles (available after all producers finished).
-    pub fn worker_profiles(&self) -> Vec<WorkerProfile> {
-        let mut cache = self.shared.collected.lock();
-        cache.extend(self.shared.profiles_rx.try_iter());
-        cache.sort_by_key(|w| w.worker);
-        cache.clone()
-    }
-
-    /// Time consumers spent blocked waiting for producers.
-    pub fn consumer_wait_ns(&self) -> u64 {
-        self.consumer_wait_ns
-    }
-
-    /// Time producers spent blocked on full channels (backpressure).
-    pub fn producer_wait_ns(&self) -> u64 {
-        self.shared.producer_wait_ns.load(Ordering::Relaxed)
-    }
-}
-
-impl Operator for XchgReceiver {
-    fn schema(&self) -> Arc<Schema> {
-        self.schema.clone()
-    }
-
-    fn next(&mut self) -> Result<Option<Batch>> {
-        let start = Instant::now();
-        let res = self.rx.recv();
-        self.consumer_wait_ns += start.elapsed().as_nanos() as u64;
-        self.counters.calls += 1;
-        self.counters.cum_time_ns += start.elapsed().as_nanos() as u64;
-        match res {
-            Ok(Ok(BatchMsg(b))) => {
-                self.counters.rows_in += b.len() as u64;
-                self.counters.rows_out += b.len() as u64;
-                Ok(Some(b))
-            }
-            Ok(Err(e)) => Err(e),
-            Err(_) => Ok(None), // all senders gone: end of stream
-        }
-    }
-
-    fn profile(&self) -> OpProfile {
-        self.counters.profile(self.name)
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![] // producer pipelines live on their threads; see worker_profiles()
-    }
-
-    fn remote_profiles(&self) -> Vec<vectorh_exec::operator::RemoteProfile> {
-        self.worker_profiles()
-            .into_iter()
-            .map(|w| vectorh_exec::operator::RemoteProfile {
-                label: format!("thread {}", w.worker),
-                lines: w.lines,
-                rows: w.rows_produced,
-                wall_ns: w.wall_ns,
-            })
-            .collect()
-    }
-}
-
-/// Create an exchange: spawns one thread per producer pipeline and returns
-/// the consumer-side receivers (length `n_consumers`).
-pub fn xchg(
-    name: &'static str,
-    producers: Vec<Box<dyn Operator>>,
-    n_consumers: usize,
-    partitioning: Partitioning,
-    stats: Arc<NetStats>,
-) -> Result<Vec<XchgReceiver>> {
-    if producers.is_empty() || n_consumers == 0 {
-        return Err(VhError::Net(
-            "exchange needs producers and consumers".into(),
-        ));
-    }
-    if matches!(partitioning, Partitioning::Union) && n_consumers != 1 {
-        return Err(VhError::Net("XchgUnion has a single consumer".into()));
-    }
-    let schema = producers[0].schema();
-    let channels: Vec<(Sender<Payload>, Receiver<Payload>)> =
-        (0..n_consumers).map(|_| bounded(CHANNEL_CAP)).collect();
-    let (ptx, prx) = bounded::<WorkerProfile>(producers.len().max(1));
-    let producer_wait = Arc::new(AtomicU64::new(0));
-
-    for (wi, mut prod) in producers.into_iter().enumerate() {
-        let senders: Vec<Sender<Payload>> = channels.iter().map(|(s, _)| s.clone()).collect();
-        let partitioning = partitioning.clone();
-        let ptx = ptx.clone();
-        let stats = stats.clone();
-        let producer_wait = producer_wait.clone();
-        std::thread::spawn(move || {
-            let t0 = Instant::now();
-            let mut rows = 0u64;
-            let send = |c: usize, payload: Payload| -> bool {
-                let t = Instant::now();
-                let ok = senders[c].send(payload).is_ok();
-                producer_wait.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                ok
-            };
-            'run: loop {
-                match prod.next() {
-                    Ok(Some(batch)) => {
-                        rows += batch.len() as u64;
-                        match partition_positions(&batch, &partitioning, senders.len()) {
-                            Ok(parts) => {
-                                for (c, pos) in parts.iter().enumerate() {
-                                    if pos.is_empty() {
-                                        continue;
-                                    }
-                                    let piece = if pos.len() == batch.len() {
-                                        batch.clone()
-                                    } else {
-                                        batch.gather_u32(pos)
-                                    };
-                                    stats.record_intra_message(piece.len() as u64);
-                                    if !send(c, Ok(BatchMsg(piece))) {
-                                        break 'run; // consumer went away
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                let _ = send(0, Err(e));
-                                break 'run;
-                            }
-                        }
-                    }
-                    Ok(None) => break 'run,
-                    Err(e) => {
-                        let _ = send(0, Err(e));
-                        break 'run;
-                    }
-                }
-            }
-            let _ = ptx.send(WorkerProfile {
-                worker: wi,
-                lines: collect_profiles(prod.as_ref()),
-                rows_produced: rows,
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            });
-            // senders drop here; consumers see EOS once all producers finish
-        });
-    }
-    drop(ptx);
-
-    let shared = Arc::new(Shared {
-        profiles_rx: prx,
-        producer_wait_ns: producer_wait,
-        collected: vectorh_common::sync::Mutex::new(Vec::new()),
-    });
-    Ok(channels
-        .into_iter()
-        .map(|(_, rx)| XchgReceiver {
-            name,
-            schema: schema.clone(),
-            rx,
-            shared: shared.clone(),
-            counters: Counters::default(),
-            consumer_wait_ns: 0,
-        })
-        .collect())
-}
-
-/// XchgMergeUnion: merge already-sorted producer streams into one sorted
-/// stream. `keys` are (column, ascending) pairs.
-pub fn merge_union(
-    producers: Vec<Box<dyn Operator>>,
-    keys: Vec<(usize, bool)>,
-    stats: Arc<NetStats>,
-) -> Result<MergeUnionReceiver> {
-    if producers.is_empty() {
-        return Err(VhError::Net("merge union needs producers".into()));
-    }
-    let schema = producers[0].schema();
-    let mut streams = Vec::with_capacity(producers.len());
-    for mut prod in producers {
-        let (tx, rx) = bounded::<Payload>(CHANNEL_CAP);
-        let stats = stats.clone();
-        std::thread::spawn(move || loop {
-            match prod.next() {
-                Ok(Some(b)) => {
-                    stats.record_intra_message(b.len() as u64);
-                    if tx.send(Ok(BatchMsg(b))).is_err() {
-                        break;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    let _ = tx.send(Err(e));
-                    break;
-                }
-            }
-        });
-        streams.push(StreamHead {
-            rx,
-            buf: None,
-            off: 0,
-            done: false,
-        });
-    }
-    Ok(MergeUnionReceiver {
-        schema,
-        keys,
-        streams,
-        counters: Counters::default(),
-    })
-}
-
-struct StreamHead {
-    rx: Receiver<Payload>,
-    buf: Option<Batch>,
-    off: usize,
-    done: bool,
-}
-
-impl StreamHead {
-    /// Ensure a current row exists; false at end of stream.
-    fn fill(&mut self) -> Result<bool> {
-        loop {
-            if let Some(b) = &self.buf {
-                if self.off < b.len() {
-                    return Ok(true);
-                }
-            }
-            if self.done {
-                return Ok(false);
-            }
-            match self.rx.recv() {
-                Ok(Ok(BatchMsg(b))) => {
-                    self.buf = Some(b);
-                    self.off = 0;
-                }
-                Ok(Err(e)) => return Err(e),
-                Err(_) => {
-                    self.done = true;
-                    return Ok(false);
-                }
-            }
-        }
-    }
-}
-
-/// Consumer side of XchgMergeUnion.
-pub struct MergeUnionReceiver {
-    schema: Arc<Schema>,
-    keys: Vec<(usize, bool)>,
-    streams: Vec<StreamHead>,
-    counters: Counters,
-}
-
-impl MergeUnionReceiver {
-    fn head_key(&self, si: usize) -> Vec<Value> {
-        let s = &self.streams[si];
-        let b = s.buf.as_ref().unwrap();
-        self.keys
-            .iter()
-            .map(|&(c, _)| b.column(c).value_at(s.off, b.schema.dtype(c)))
-            .collect()
-    }
-
-    fn key_less(&self, a: &[Value], b: &[Value]) -> bool {
-        for (i, &(_, asc)) in self.keys.iter().enumerate() {
-            match a[i].partial_cmp(&b[i]) {
-                Some(std::cmp::Ordering::Less) => return asc,
-                Some(std::cmp::Ordering::Greater) => return !asc,
-                _ => continue,
-            }
-        }
-        false
-    }
-}
-
-impl Operator for MergeUnionReceiver {
-    fn schema(&self) -> Arc<Schema> {
-        self.schema.clone()
-    }
-
-    fn next(&mut self) -> Result<Option<Batch>> {
-        let start = Instant::now();
-        // Emit up to a vector of rows, always picking the smallest head.
-        let mut picks: Vec<(usize, usize)> = Vec::new(); // (stream, row)
-        for _ in 0..vectorh_common::VECTOR_SIZE {
-            let mut best: Option<usize> = None;
-            let mut best_key: Vec<Value> = vec![];
-            for si in 0..self.streams.len() {
-                if self.streams[si].fill()? {
-                    let k = self.head_key(si);
-                    if best.is_none() || self.key_less(&k, &best_key) {
-                        best = Some(si);
-                        best_key = k;
-                    }
-                }
-            }
-            match best {
-                None => break,
-                Some(si) => {
-                    picks.push((si, self.streams[si].off));
-                    self.streams[si].off += 1;
-                }
-            }
-        }
-        let out = if picks.is_empty() {
-            None
-        } else {
-            // Gather rows stream-by-stream preserving pick order.
-            let mut result = Batch::empty(self.schema.clone());
-            for (si, row) in picks {
-                let b = self.streams[si].buf.as_ref().unwrap();
-                result.append(&b.slice(row, row + 1))?;
-            }
-            Some(result)
-        };
-        self.counters.cum_time_ns += start.elapsed().as_nanos() as u64;
-        self.counters.calls += 1;
-        if let Some(b) = &out {
-            self.counters.rows_out += b.len() as u64;
-        }
-        Ok(out)
-    }
-
-    fn profile(&self) -> OpProfile {
-        self.counters.profile("XchgMergeUnion")
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vectorh_common::DataType;
-    use vectorh_exec::operator::BatchSource;
+    use std::sync::Arc;
+    use vectorh_common::{DataType, Schema};
 
-    fn source(vals: Vec<i64>) -> Box<dyn Operator> {
+    fn batch(vals: Vec<i64>) -> Batch {
         let schema = Arc::new(Schema::of(&[("x", DataType::I64)]));
-        let batch = Batch::new(schema, vec![ColumnData::I64(vals)]).unwrap();
-        Box::new(BatchSource::from_batch(batch, 16))
+        Batch::new(schema, vec![ColumnData::I64(vals)]).unwrap()
     }
 
-    fn drain_sorted(ops: Vec<XchgReceiver>) -> Vec<i64> {
-        let mut all = Vec::new();
-        for mut op in ops {
-            while let Some(b) = op.next().unwrap() {
-                all.extend(b.column(0).as_i64().unwrap().iter().copied());
-            }
-        }
-        all.sort_unstable();
-        all
+    /// The values each consumer receives, sorted.
+    fn split(b: &Batch, partitioning: Partitioning, n: usize) -> Vec<Vec<i64>> {
+        partition_positions(b, &partitioning, n)
+            .unwrap()
+            .iter()
+            .map(|pos| {
+                let mut got = b.gather_u32(pos).column(0).as_i64().unwrap().to_vec();
+                got.sort_unstable();
+                got
+            })
+            .collect()
     }
 
     #[test]
     fn union_funnels_all_rows() {
-        let stats = Arc::new(NetStats::default());
-        let recv = xchg(
-            "XchgUnion",
-            vec![source((0..50).collect()), source((50..100).collect())],
-            1,
-            Partitioning::Union,
-            stats,
-        )
-        .unwrap();
-        assert_eq!(drain_sorted(recv), (0..100).collect::<Vec<_>>());
+        let per = split(&batch((0..100).collect()), Partitioning::Union, 1);
+        assert_eq!(per, vec![(0..100).collect::<Vec<_>>()]);
     }
 
     #[test]
     fn hash_split_partitions_disjointly_and_completely() {
-        let stats = Arc::new(NetStats::default());
-        let recv = xchg(
-            "XchgHashSplit",
-            vec![source((0..200).collect())],
-            4,
-            Partitioning::Hash { keys: vec![0] },
-            stats,
-        )
-        .unwrap();
-        let mut per: Vec<Vec<i64>> = Vec::new();
-        for mut r in recv {
-            let mut got = Vec::new();
-            while let Some(b) = r.next().unwrap() {
-                got.extend(b.column(0).as_i64().unwrap().iter().copied());
-            }
-            per.push(got);
-        }
+        let hash = || Partitioning::Hash { keys: vec![0] };
+        let per = split(&batch((0..200).collect()), hash(), 4);
         let mut all: Vec<i64> = per.iter().flatten().copied().collect();
         all.sort_unstable();
         assert_eq!(all, (0..200).collect::<Vec<_>>());
@@ -512,146 +110,18 @@ mod tests {
             per.iter().filter(|p| !p.is_empty()).count() >= 3,
             "spread across consumers"
         );
-        // Same key never lands on two consumers: re-split a second stream.
-        let stats = Arc::new(NetStats::default());
-        let recv2 = xchg(
-            "XchgHashSplit",
-            vec![source((0..200).collect())],
-            4,
-            Partitioning::Hash { keys: vec![0] },
-            stats,
-        )
-        .unwrap();
-        let mut per2: Vec<Vec<i64>> = Vec::new();
-        for mut r in recv2 {
-            let mut got = Vec::new();
-            while let Some(b) = r.next().unwrap() {
-                got.extend(b.column(0).as_i64().unwrap().iter().copied());
-            }
-            got.sort_unstable();
-            per2.push(got);
-        }
-        for (a, b) in per.iter_mut().zip(&per2) {
-            a.sort_unstable();
-            assert_eq!(a, b, "hash partitioning must be deterministic");
+        // Same key, same consumer, whatever else the batch holds.
+        let reversed = split(&batch((0..200).rev().collect()), hash(), 4);
+        assert_eq!(per, reversed, "hash partitioning must be deterministic");
+        let half = split(&batch((0..100).collect()), hash(), 4);
+        for (a, b) in half.iter().zip(&per) {
+            assert!(a.iter().all(|v| b.contains(v)));
         }
     }
 
     #[test]
     fn broadcast_reaches_every_consumer() {
-        let stats = Arc::new(NetStats::default());
-        let recv = xchg(
-            "XchgBroadcast",
-            vec![source((0..30).collect())],
-            3,
-            Partitioning::Broadcast,
-            stats,
-        )
-        .unwrap();
-        for mut r in recv {
-            let mut got = Vec::new();
-            while let Some(b) = r.next().unwrap() {
-                got.extend(b.column(0).as_i64().unwrap().iter().copied());
-            }
-            got.sort_unstable();
-            assert_eq!(got, (0..30).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn range_split_obeys_bounds() {
-        let stats = Arc::new(NetStats::default());
-        let recv = xchg(
-            "XchgRangeSplit",
-            vec![source((0..90).collect())],
-            3,
-            Partitioning::Range {
-                col: 0,
-                bounds: vec![29, 59],
-            },
-            stats,
-        )
-        .unwrap();
-        let mut per = Vec::new();
-        for mut r in recv {
-            let mut got = Vec::new();
-            while let Some(b) = r.next().unwrap() {
-                got.extend(b.column(0).as_i64().unwrap().iter().copied());
-            }
-            got.sort_unstable();
-            per.push(got);
-        }
-        assert_eq!(per[0], (0..30).collect::<Vec<_>>());
-        assert_eq!(per[1], (30..60).collect::<Vec<_>>());
-        assert_eq!(per[2], (60..90).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn worker_profiles_arrive_after_eos() {
-        let stats = Arc::new(NetStats::default());
-        let mut recv = xchg(
-            "XchgUnion",
-            vec![source((0..10).collect()), source((0..5).collect())],
-            1,
-            Partitioning::Union,
-            stats,
-        )
-        .unwrap();
-        let r = &mut recv[0];
-        while r.next().unwrap().is_some() {}
-        let profiles = r.worker_profiles();
-        assert_eq!(profiles.len(), 2);
-        assert_eq!(profiles[0].worker, 0);
-        assert_eq!(profiles[0].rows_produced + profiles[1].rows_produced, 15);
-        assert!(!profiles[0].lines.is_empty());
-    }
-
-    #[test]
-    fn union_requires_single_consumer() {
-        let stats = Arc::new(NetStats::default());
-        assert!(xchg(
-            "XchgUnion",
-            vec![source(vec![1])],
-            2,
-            Partitioning::Union,
-            stats
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn merge_union_merges_sorted_streams() {
-        let stats = Arc::new(NetStats::default());
-        let mut m = merge_union(
-            vec![
-                source(vec![1, 4, 7, 10]),
-                source(vec![2, 5, 8]),
-                source(vec![0, 3, 6, 9]),
-            ],
-            vec![(0, true)],
-            stats,
-        )
-        .unwrap();
-        let mut got = Vec::new();
-        while let Some(b) = m.next().unwrap() {
-            got.extend(b.column(0).as_i64().unwrap().iter().copied());
-        }
-        assert_eq!(got, (0..11).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn merge_union_descending() {
-        let stats = Arc::new(NetStats::default());
-        let mut m = merge_union(
-            vec![source(vec![9, 5, 1]), source(vec![8, 4])],
-            vec![(0, false)],
-            stats,
-        )
-        .unwrap();
-        let mut got = Vec::new();
-        while let Some(b) = m.next().unwrap() {
-            got.extend(b.column(0).as_i64().unwrap().iter().copied());
-        }
-        assert_eq!(got, vec![9, 8, 5, 4, 1]);
+        let per = split(&batch((0..30).collect()), Partitioning::Broadcast, 3);
+        assert_eq!(per, vec![(0..30).collect::<Vec<_>>(); 3]);
     }
 }

@@ -1,7 +1,8 @@
 //! Baseline comparator engines for the Figure 7 harness.
 //!
 //! Two honest stand-ins for the paper's competitor systems, executing the
-//! *same* logical plans as VectorH (so answers can be cross-checked):
+//! logical plans the SQL parser produces, as VectorH does (so answers can
+//! be cross-checked):
 //!
 //! * **RowStore** — a tuple-at-a-time interpreter in the spirit of Hive /
 //!   HAWQ's PostgreSQL-derived engine: every expression evaluation
@@ -29,7 +30,8 @@ use vectorh_exec::project::Project as VProject;
 use vectorh_exec::rowengine::{collect_row_op, RowAggr, RowProject, RowScan, RowSelect};
 use vectorh_exec::sort::{sort_rows as canon_sort, Dir};
 use vectorh_exec::Batch;
-use vectorh_planner::logical::{JoinKind, LogicalPlan};
+use vectorh_planner::logical::{CatalogInfo, JoinKind, LogicalPlan, TableMeta};
+use vectorh_planner::{parse_query, prune_columns};
 
 use crate::gen::TpchData;
 
@@ -179,35 +181,16 @@ impl BaselineDb {
         }
     }
 
-    /// Run a [`crate::queries::TpchQuery`] on a baseline.
-    pub fn run_query(
-        &self,
-        q: &crate::queries::TpchQuery,
-        kind: BaselineKind,
-    ) -> Result<Vec<Vec<Value>>> {
-        crate::queries::run_with(q, |plan| self.run(plan, kind))
+    /// Parse `sql` over the baseline's own tables, prune the columns it does
+    /// not use (as the engines the baselines stand in for do) and run it.
+    /// The answer oracles run [`Self::run`] on the engine's unpruned
+    /// `parse()` instead, so pruning is checked rather than shared.
+    pub fn query(&self, sql: &str, kind: BaselineKind) -> Result<Vec<Vec<Value>>> {
+        self.run(&prune_columns(&parse_query(sql, self)?, self)?, kind)
     }
 
     fn schema_of(&self, plan: &LogicalPlan) -> Result<Arc<Schema>> {
-        struct Cat<'a>(&'a BaselineDb);
-        impl<'a> vectorh_planner::logical::CatalogInfo for Cat<'a> {
-            fn table(&self, name: &str) -> Result<vectorh_planner::logical::TableMeta> {
-                let schema = self
-                    .0
-                    .schemas
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| VhError::Catalog(format!("unknown table '{name}'")))?;
-                Ok(vectorh_planner::logical::TableMeta {
-                    name: name.to_string(),
-                    schema,
-                    rows: 0,
-                    partitioning: None,
-                    sort_order: None,
-                })
-            }
-        }
-        Ok(Arc::new(plan.schema(&Cat(self))?))
+        Ok(Arc::new(plan.schema(self)?))
     }
 
     // --- tuple-at-a-time -------------------------------------------------------
@@ -381,6 +364,24 @@ impl BaselineDb {
     }
 }
 
+/// The baseline's catalog: its tables' schemas, no statistics or placement.
+impl CatalogInfo for BaselineDb {
+    fn table(&self, name: &str) -> Result<TableMeta> {
+        let schema = self
+            .schemas
+            .get(name)
+            .cloned()
+            .ok_or_else(|| VhError::Catalog(format!("unknown table '{name}'")))?;
+        Ok(TableMeta {
+            name: name.to_string(),
+            schema,
+            rows: 0,
+            partitioning: None,
+            sort_order: None,
+        })
+    }
+}
+
 /// Row-at-a-time hash join supporting all kinds and multi-column keys.
 fn row_join(
     lrows: Vec<Vec<Value>>,
@@ -473,7 +474,7 @@ pub fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
 mod tests {
     use super::*;
     use crate::gen::generate;
-    use crate::queries::{build_query, N_QUERIES};
+    use crate::{sql_text, N_QUERIES};
     use vectorh_exec::aggr::AggFn;
 
     #[test]
@@ -481,9 +482,9 @@ mod tests {
         let data = generate(0.0005, 17);
         let db = BaselineDb::load(&data).unwrap();
         for qn in [1usize, 3, 6] {
-            let q = build_query(qn).unwrap();
-            let a = canonical(db.run_query(&q, BaselineKind::RowStore).unwrap());
-            let b = canonical(db.run_query(&q, BaselineKind::NaiveColumnar).unwrap());
+            let q = sql_text(qn).unwrap();
+            let a = canonical(db.query(q, BaselineKind::RowStore).unwrap());
+            let b = canonical(db.query(q, BaselineKind::NaiveColumnar).unwrap());
             assert_eq!(a, b, "Q{qn} differs between baselines");
         }
     }
@@ -493,12 +494,12 @@ mod tests {
         let data = generate(0.0005, 23);
         let db = BaselineDb::load(&data).unwrap();
         for qn in 1..=N_QUERIES {
-            let q = build_query(qn).unwrap();
+            let q = sql_text(qn).unwrap();
             let a = db
-                .run_query(&q, BaselineKind::RowStore)
+                .query(q, BaselineKind::RowStore)
                 .unwrap_or_else(|e| panic!("Q{qn} rowstore: {e}"));
             let b = db
-                .run_query(&q, BaselineKind::NaiveColumnar)
+                .query(q, BaselineKind::NaiveColumnar)
                 .unwrap_or_else(|e| panic!("Q{qn} columnar: {e}"));
             assert_eq!(
                 canonical(a),

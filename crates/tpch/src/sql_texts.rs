@@ -1,14 +1,16 @@
 //! The 22 TPC-H queries as SQL text, in the dialect `vectorh_planner::sql`
 //! accepts (explicit `JOIN ... ON` instead of comma-list FROM clauses).
 //!
-//! These are the conformance anchors: each text must plan through
-//! `parse_query` and execute to the *byte-identical* result of the
-//! hand-built plan in [`crate::queries`]. To keep that true, every text
-//! mirrors its hand plan — same join order (joins are probe-order
-//! preserving, so the final row order matches), same select-list order,
-//! same aggregate order — while still exercising the full SQL surface:
-//! scalar/IN/EXISTS subqueries, derived tables, LEFT OUTER JOIN, HAVING,
-//! CASE WHEN, EXTRACT/date arithmetic, SUBSTRING and DISTINCT.
+//! They are the only form of the queries: the engine, the baselines, the
+//! figure harnesses and the chaos corpus all run these texts. Each one
+//! exercises part of the SQL surface (scalar/IN/EXISTS subqueries, derived
+//! tables, LEFT OUTER JOIN, HAVING, CASE WHEN, EXTRACT/date arithmetic,
+//! SUBSTRING, DISTINCT), and `tests/sql_conformance.rs` pins the exact
+//! answer of every one, so a change to a text, the parser or the executor
+//! that moves an answer fails there.
+
+/// How many TPC-H queries there are; [`sql_text`] answers `1..=N_QUERIES`.
+pub const N_QUERIES: usize = 22;
 
 /// The front-door workload mix: Q1 (scan-heavy aggregation), Q6
 /// (selective filter), Q12 (join + aggregation) — one query per class,

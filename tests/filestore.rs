@@ -26,7 +26,7 @@ use vectorh_exec::fingerprint_rows;
 use vectorh_pdt::merge::apply_plan;
 use vectorh_storage::{PartitionStore, StorageConfig};
 use vectorh_tpch::baseline::canonical;
-use vectorh_tpch::queries::{build_query, run_with};
+use vectorh_tpch::sql_text;
 use vectorh_txn::{LogRecord, TransactionManager, TxnConfig, Wal};
 
 const P: PartitionId = PartitionId(0);
@@ -296,10 +296,9 @@ fn tpch_pair() -> (VectorH, VectorH) {
 
 fn assert_queries_agree(sim: &VectorH, file: &VectorH, when: &str) {
     for qn in [1usize, 3, 6, 12] {
-        let q = build_query(qn).unwrap();
-        let got_sim = canonical(run_with(&q, |p| sim.query_logical(p)).unwrap());
-        let q2 = build_query(qn).unwrap();
-        let got_file = canonical(run_with(&q2, |p| file.query_logical(p)).unwrap());
+        let sql = sql_text(qn).unwrap();
+        let got_sim = canonical(sim.query(sql).unwrap());
+        let got_file = canonical(file.query(sql).unwrap());
         assert_eq!(
             fingerprint_rows(&got_sim),
             fingerprint_rows(&got_file),

@@ -9,7 +9,7 @@
 
 use vectorh::{ClusterConfig, VectorH};
 use vectorh_tpch::baseline::{canonical, BaselineDb, BaselineKind};
-use vectorh_tpch::queries::{build_query, run_with, N_QUERIES};
+use vectorh_tpch::{sql_text, N_QUERIES};
 
 fn setup() -> (VectorH, BaselineDb) {
     let vh = VectorH::start(ClusterConfig {
@@ -30,12 +30,12 @@ fn all_22_queries_match_the_rowstore_baseline() {
     let (vh, db) = setup();
     let mut mismatches = Vec::new();
     for qn in 1..=N_QUERIES {
-        let q = build_query(qn).unwrap();
-        let got = canonical(run_with(&q, |p| vh.query_logical(p)).unwrap_or_else(|e| {
+        let sql = sql_text(qn).unwrap();
+        let got = canonical(vh.query(sql).unwrap_or_else(|e| {
             panic!("Q{qn} failed on VectorH: {e}");
         }));
-        let q2 = build_query(qn).unwrap();
-        let want = canonical(db.run_query(&q2, BaselineKind::RowStore).unwrap());
+        let plan = vh.parse(sql).unwrap();
+        let want = canonical(db.run(&plan, BaselineKind::RowStore).unwrap());
         if got != want {
             mismatches.push(format!(
                 "Q{qn}: vectorh {} rows vs baseline {} rows; first diff: {:?} vs {:?}",
@@ -66,10 +66,10 @@ fn queries_match_after_trickle_updates() {
     );
     // Queries over the updated tables still agree (PDT merge vs key merge).
     for qn in [1usize, 3, 4, 5, 6, 10, 12, 18] {
-        let q = build_query(qn).unwrap();
-        let got = canonical(run_with(&q, |p| vh.query_logical(p)).unwrap());
-        let q2 = build_query(qn).unwrap();
-        let want = canonical(db.run_query(&q2, BaselineKind::RowStore).unwrap());
+        let sql = sql_text(qn).unwrap();
+        let got = canonical(vh.query(sql).unwrap());
+        let plan = vh.parse(sql).unwrap();
+        let want = canonical(db.run(&plan, BaselineKind::RowStore).unwrap());
         assert_eq!(got, want, "Q{qn} after updates");
     }
 }
@@ -92,10 +92,10 @@ fn queries_match_after_propagation() {
     vh.propagate_table("orders", true).unwrap();
     vh.propagate_table("lineitem", true).unwrap();
     for qn in [1usize, 4, 6, 12] {
-        let q = build_query(qn).unwrap();
-        let got = canonical(run_with(&q, |p| vh.query_logical(p)).unwrap());
-        let q2 = build_query(qn).unwrap();
-        let want = canonical(db.run_query(&q2, BaselineKind::RowStore).unwrap());
+        let sql = sql_text(qn).unwrap();
+        let got = canonical(vh.query(sql).unwrap());
+        let plan = vh.parse(sql).unwrap();
+        let want = canonical(db.run(&plan, BaselineKind::RowStore).unwrap());
         assert_eq!(got, want, "Q{qn} after propagation");
     }
 }

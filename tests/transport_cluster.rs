@@ -10,7 +10,7 @@
 
 use vectorh::{ClusterConfig, ClusterMode, VectorH};
 use vectorh_tpch::baseline::canonical;
-use vectorh_tpch::queries::{build_query, run_with};
+use vectorh_tpch::sql_text;
 
 const QUERIES: &[usize] = &[1, 3, 6, 12];
 
@@ -32,8 +32,7 @@ fn answers(vh: &VectorH) -> Vec<Vec<Vec<vectorh_common::Value>>> {
     QUERIES
         .iter()
         .map(|&qn| {
-            let q = build_query(qn).unwrap();
-            canonical(run_with(&q, |p| vh.query_logical(p)).unwrap_or_else(|e| {
+            canonical(vh.query(sql_text(qn).unwrap()).unwrap_or_else(|e| {
                 panic!("Q{qn} failed over {}: {e}", vh.transport_mode());
             }))
         })
