@@ -4,8 +4,8 @@
 //! storage blocks hold one, the vectorized engine processes slices of one,
 //! codecs compress one. Logical types map onto four physical layouts:
 //! `I32` (ints and dates), `I64` (bigints and scaled decimals), `F64`,
-//! and `Str` (a [`StrVec`]: one byte buffer plus offsets, no `String` per
-//! value).
+//! and `Str` (a [`StrVec`]: one byte buffer plus offsets, or dictionary
+//! codes, and no `String` per value either way).
 
 use std::cmp::Ordering;
 
@@ -82,8 +82,12 @@ impl ColumnData {
         self.len() == 0
     }
 
-    /// Uncompressed in-memory footprint in bytes (strings count their UTF-8
-    /// payload plus a 4-byte length, matching a packed on-disk layout).
+    /// Uncompressed footprint in bytes (strings count their UTF-8 payload
+    /// plus a 4-byte length, matching a packed on-disk layout). A coded
+    /// string vector reports what the same values take flat, not its codes
+    /// and dictionary, summed over its codes on each call: the exchange
+    /// flushes a buffer and the `net` counters count a message by this, and
+    /// neither may depend on the layout.
     pub fn byte_size(&self) -> usize {
         match self {
             ColumnData::I32(v) => v.len() * 4,
@@ -360,11 +364,42 @@ mod tests {
             bytes + 4 * model.len(),
             "{what}: byte_size"
         );
-        assert_eq!(
-            *v,
-            model.iter().collect::<StrVec>(),
-            "{what}: content equality"
-        );
+        // Equal to the flat vector of the model either way round, and
+        // printed alike, whichever layout the column is in.
+        let flat: StrVec = model.iter().collect();
+        assert_eq!(*v, flat, "{what}: content equality");
+        assert_eq!(flat, *v, "{what}: content equality, flat first");
+        assert_eq!(format!("{v:?}"), format!("{model:?}"), "{what}: Debug");
+    }
+
+    /// `model` as a coded vector: a dictionary of its distinct values in
+    /// random order, some twice, plus an entry of its own (as a PDICT
+    /// exception) for some rows; each row takes one of the codes naming
+    /// its value.
+    fn coded(rng: &mut SplitMix64, model: &[String]) -> StrVec {
+        let mut dict: Vec<&String> = Vec::new();
+        for s in model {
+            if !dict.contains(&s) {
+                dict.insert(rng.next_bounded(dict.len() as u64 + 1) as usize, s);
+            }
+        }
+        for _ in 0..rng.next_bounded(3) {
+            if let Some(&s) = rng.choose(&dict) {
+                dict.push(s);
+            }
+        }
+        let codes = model
+            .iter()
+            .map(|s| {
+                if rng.chance(0.1) {
+                    dict.push(s);
+                    return dict.len() as u32 - 1;
+                }
+                let naming: Vec<usize> = (0..dict.len()).filter(|&k| dict[k] == s).collect();
+                *rng.choose(&naming).unwrap() as u32
+            })
+            .collect();
+        StrVec::coded(dict.into_iter().collect(), codes).unwrap()
     }
 
     #[test]
@@ -374,9 +409,9 @@ mod tests {
             let seed = meta.next_u64();
             let rng = &mut SplitMix64::new(seed);
             let what = format!("case {case} seed {seed:#x}");
-            // Built by push, from an iterator, or empty.
+            // Built by push, from an iterator, as codes, or empty.
             let mut model = arbitrary_strings(rng, 40);
-            let mut col = match case % 3 {
+            let mut col = match case % 4 {
                 0 => ColumnData::Str(model.iter().collect()),
                 1 => {
                     let mut c = ColumnData::new(DataType::Str);
@@ -385,6 +420,7 @@ mod tests {
                     }
                     c
                 }
+                2 => ColumnData::Str(coded(rng, &model)),
                 _ => {
                     model.clear();
                     ColumnData::with_capacity(DataType::Str, 8)
@@ -393,8 +429,21 @@ mod tests {
             assert_holds(&col, &model, &what);
             for step in 0..8 {
                 let what = format!("{what} step {step}");
-                let other = arbitrary_strings(rng, 24);
-                let other_col = ColumnData::Str(other.iter().collect());
+                // Flat, coded against a dictionary of its own, or rows of
+                // the column itself (coded against its dictionary, if any).
+                let mut other = arbitrary_strings(rng, 24);
+                let other_col = match rng.next_bounded(3) {
+                    0 => ColumnData::Str(other.iter().collect()),
+                    1 => ColumnData::Str(coded(rng, &other)),
+                    _ => {
+                        let rows = if model.is_empty() { 0 } else { other.len() };
+                        let idx: Vec<usize> = (0..rows)
+                            .map(|_| rng.next_bounded(model.len() as u64) as usize)
+                            .collect();
+                        other = idx.iter().map(|&i| model[i].clone()).collect();
+                        col.gather(&idx)
+                    }
+                };
                 let n = model.len() as u64;
                 match rng.next_bounded(7) {
                     0 => {
@@ -418,7 +467,9 @@ mod tests {
                         let idx: Vec<usize> = (0..rng.next_bounded(2 * n + 1))
                             .map(|_| rng.next_bounded(n) as usize)
                             .collect();
+                        let was_coded = col.as_strs().unwrap().is_coded();
                         col = col.gather(&idx);
+                        assert_eq!(col.as_strs().unwrap().is_coded(), was_coded, "{what}");
                         model = idx.iter().map(|&i| model[i].clone()).collect();
                     }
                     4 => {

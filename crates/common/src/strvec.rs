@@ -1,24 +1,61 @@
-//! A vector of strings as one byte buffer plus offsets.
+//! A vector of strings, flat or as dictionary codes.
 //!
-//! [`StrVec`] is the payload of [`ColumnData::Str`](crate::ColumnData): the
-//! UTF-8 bytes of all values concatenated in one `Vec<u8>`, and `n + 1`
-//! offsets into it, value `i` being `bytes[offsets[i]..offsets[i + 1]]`. A
-//! range copy is two `memcpy`s, a gather is one pass over the indices, and
-//! no operation allocates per value.
+//! [`StrVec`] is the payload of [`ColumnData::Str`](crate::ColumnData). It
+//! holds its values in one of two layouts, and every public method means the
+//! same on both:
 //!
-//! The fields are private because [`StrVec::get`] trusts them: `bytes` is
-//! valid UTF-8 and every offset lies on a character boundary of it, so each
-//! value is valid UTF-8 on its own. Every constructor either copies `&str`s
-//! (valid by type) or goes through [`StrVec::from_parts`], which checks.
+//! * **Flat**: the UTF-8 bytes of all values concatenated in one `Vec<u8>`,
+//!   and `n + 1` offsets into it, value `i` being
+//!   `bytes[offsets[i]..offsets[i + 1]]`. A range copy is two `memcpy`s, a
+//!   gather is one pass over the indices, and no operation allocates per
+//!   value.
+//! * **Coded**: a dictionary shared behind an `Arc` (itself a flat
+//!   `StrVec`) and one `u32` code per value, value `i` being entry
+//!   `codes[i]`. PDICT decode builds it ([`StrVec::coded`]); a range copy or
+//!   a gather moves codes and shares the dictionary. Consumers that can work
+//!   once per dictionary entry instead of once per row read the codes
+//!   through [`StrVec::dict_codes`]. **Equal codes mean equal strings, never
+//!   the converse**: a dictionary may hold one string twice (two exceptions
+//!   of a PDICT block), so a code may save work but never tells two values
+//!   apart.
+//!
+//! A coded vector turns flat where two dictionaries meet (a range copy or a
+//! gather from a vector coded against another dictionary, or from a flat
+//! one) and where a value is pushed onto it. Flattening is an
+//! `extend_gather` from the dictionary, what a flat PDICT decode costs.
+//!
+//! The fields are private because [`StrVec::get`] trusts them: flat `bytes`
+//! are valid UTF-8, every offset lies on a character boundary of them, and
+//! every code is below its dictionary's length. Every constructor either
+//! copies `&str`s (valid by type) or goes through [`StrVec::from_parts`] or
+//! [`StrVec::coded`], which check.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::util::le_word;
 use crate::{Result, VhError};
 
-/// Strings stored back to back; see the module comment.
-#[derive(Clone, PartialEq, Eq)]
+/// Strings in one of two layouts; see the module comment.
+#[derive(Clone)]
 pub struct StrVec {
+    layout: Layout,
+}
+
+#[derive(Clone)]
+enum Layout {
+    Flat(Flat),
+    Coded {
+        /// Always flat: [`StrVec::coded`] flattens a coded dictionary.
+        dict: Arc<StrVec>,
+        /// Each below `dict.len()`.
+        codes: Vec<u32>,
+    },
+}
+
+/// The flat layout.
+#[derive(Clone, PartialEq)]
+struct Flat {
     bytes: Vec<u8>,
     /// `len() + 1` ascending offsets into `bytes`, the first 0 and the last
     /// `bytes.len()`, so equal contents have equal fields.
@@ -36,13 +73,20 @@ impl StrVec {
         StrVec::with_capacity(0, 0)
     }
 
-    /// Room for `values` strings of `bytes` bytes in total.
+    /// Room for `values` strings of `bytes` bytes in total (flat).
     pub fn with_capacity(values: usize, bytes: usize) -> StrVec {
-        let mut offsets = Vec::with_capacity(values + 1);
-        offsets.push(0);
         StrVec {
-            bytes: Vec::with_capacity(bytes),
-            offsets,
+            layout: Layout::Flat(Flat::with_capacity(values, bytes)),
+        }
+    }
+
+    /// An empty vector coded against `dict`, with room for `values` codes.
+    fn coded_empty(dict: &Arc<StrVec>, values: usize) -> StrVec {
+        StrVec {
+            layout: Layout::Coded {
+                dict: dict.clone(),
+                codes: Vec::with_capacity(values),
+            },
         }
     }
 
@@ -67,7 +111,46 @@ impl StrVec {
         if !offsets.iter().all(|&o| text.is_char_boundary(o)) {
             return bad("offset splits a character");
         }
-        Ok(StrVec { bytes, offsets })
+        Ok(StrVec {
+            layout: Layout::Flat(Flat { bytes, offsets }),
+        })
+    }
+
+    /// A coded vector: value `i` is entry `codes[i]` of `dict`. Rejects a
+    /// code that is not below `dict.len()`: the one check codes need, made
+    /// once where they are built (a decoder's block). A coded `dict` is
+    /// flattened first, so a dictionary is always flat.
+    pub fn coded(mut dict: StrVec, codes: Vec<u32>) -> Result<StrVec> {
+        let entries = dict.flat_mut().len();
+        if let Some(&c) = codes.iter().find(|&&c| c as usize >= entries) {
+            return Err(VhError::Codec(format!(
+                "string vector: code {c} past a dictionary of {entries}"
+            )));
+        }
+        Ok(StrVec {
+            layout: Layout::Coded {
+                dict: Arc::new(dict),
+                codes,
+            },
+        })
+    }
+
+    /// The dictionary and the codes of a coded vector whose dictionary is
+    /// no larger than the vector, so that work done once per entry costs no
+    /// more than once per row. `None` for a flat vector, and for a coded one
+    /// whose dictionary outnumbers its values (a few rows gathered out of a
+    /// chunk): read those row by row. Equal codes mean equal strings; two
+    /// codes may still name one string.
+    pub fn dict_codes(&self) -> Option<(&StrVec, &[u32])> {
+        match &self.layout {
+            Layout::Coded { dict, codes, .. } if dict.len() <= codes.len() => Some((dict, codes)),
+            _ => None,
+        }
+    }
+
+    /// Is the vector held as dictionary codes?
+    pub fn is_coded(&self) -> bool {
+        matches!(self.layout, Layout::Coded { .. })
     }
 
     /// Read `n` values laid out as `u32` little-endian length + bytes each —
@@ -94,9 +177,10 @@ impl StrVec {
     }
 
     /// Append every value as `u32` little-endian length + bytes (the inverse
-    /// of [`read_len_prefixed`](Self::read_len_prefixed)).
+    /// of [`read_len_prefixed`](Self::read_len_prefixed)); the same bytes
+    /// from either layout.
     pub fn write_len_prefixed(&self, out: &mut Vec<u8>) {
-        out.reserve(self.bytes.len() + 4 * self.len());
+        out.reserve(self.byte_len() + 4 * self.len());
         for s in self.iter() {
             out.extend_from_slice(&(s.len() as u32).to_le_bytes());
             out.extend_from_slice(s.as_bytes());
@@ -104,32 +188,40 @@ impl StrVec {
     }
 
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        match &self.layout {
+            Layout::Flat(f) => f.len(),
+            Layout::Coded { codes, .. } => codes.len(),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total UTF-8 bytes held.
+    /// Total UTF-8 bytes of the values, what the flat layout holds, whichever
+    /// layout the vector is in: read off a flat vector, summed over the codes
+    /// of a coded one (a pass paid by whoever asks, not by every copy and
+    /// gather of codes).
     pub fn byte_len(&self) -> usize {
-        self.bytes.len()
+        match &self.layout {
+            Layout::Flat(f) => f.bytes.len(),
+            Layout::Coded { dict, codes } => {
+                let offsets = &entries(dict).offsets;
+                codes
+                    .iter()
+                    .map(|&c| offsets[c as usize + 1] - offsets[c as usize])
+                    .sum()
+            }
+        }
     }
 
     /// Value `i`; panics when `i >= len()`.
     #[inline]
     pub fn get(&self, i: usize) -> &str {
-        self.piece(self.offsets[i], self.offsets[i + 1])
-    }
-
-    /// The bytes between two of `offsets`, as the string they are.
-    #[inline]
-    fn piece(&self, lo: usize, hi: usize) -> &str {
-        // SAFETY: `bytes` is valid UTF-8 and `lo`, `hi` are two of `offsets`,
-        // all character boundaries of it (the type's invariant: `push` and
-        // `extend_range` copy whole `&str`s, `from_parts` checks), so the
-        // bytes between them are valid UTF-8.
-        unsafe { std::str::from_utf8_unchecked(&self.bytes[lo..hi]) }
+        match &self.layout {
+            Layout::Flat(f) => f.get(i),
+            Layout::Coded { dict, codes, .. } => entries(dict).get(codes[i] as usize),
+        }
     }
 
     /// Is value `i` equal to value `j` of `other`? Short values (flags,
@@ -146,17 +238,131 @@ impl StrVec {
     }
 
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + Clone + '_ {
-        self.offsets.windows(2).map(|w| self.piece(w[0], w[1]))
+        (0..self.len()).map(move |i| self.get(i))
     }
 
+    /// Append `s`; a coded vector turns flat first.
     pub fn push(&mut self, s: &str) {
+        self.flat_mut().push(s);
+    }
+
+    /// Append values `[from, to)` of `src`: flat from flat, one copy of their
+    /// bytes and one pass re-basing their offsets; codes from codes of one
+    /// dictionary (onto an empty vector, or one coded against the same).
+    pub fn extend_range(&mut self, src: &StrVec, from: usize, to: usize) {
+        match &src.layout {
+            Layout::Flat(s) => self.flat_mut().extend_range(s, from, to),
+            Layout::Coded { dict, codes, .. } => {
+                self.extend_codes(dict, codes[from..to].iter().copied())
+            }
+        }
+    }
+
+    /// The listed positions, in order, as a new vector sized exactly, in
+    /// `self`'s layout.
+    pub fn gather(&self, idx: impl Iterator<Item = usize> + Clone) -> StrVec {
+        let mut out = match &self.layout {
+            Layout::Flat(_) => StrVec::with_capacity(idx.size_hint().0, 0),
+            Layout::Coded { dict, .. } => StrVec::coded_empty(dict, idx.size_hint().0),
+        };
+        out.extend_gather(self, idx);
+        out
+    }
+
+    /// Append the listed positions of `src`, in order (a selection, a join's
+    /// output): codes where [`extend_range`](Self::extend_range) would keep
+    /// them, bytes otherwise.
+    pub fn extend_gather(&mut self, src: &StrVec, idx: impl Iterator<Item = usize> + Clone) {
+        match &src.layout {
+            Layout::Flat(s) => self.flat_mut().extend_gather(s, idx),
+            Layout::Coded { dict, codes, .. } => self.extend_codes(dict, idx.map(|i| codes[i])),
+        }
+    }
+
+    pub fn truncate(&mut self, len: usize) {
+        match &mut self.layout {
+            Layout::Flat(f) => f.truncate(len),
+            Layout::Coded { codes, .. } => codes.truncate(len),
+        }
+    }
+
+    /// Append the entries of `dict` that `more` names: as codes when the
+    /// vector is empty or coded against `dict` already, flat otherwise (two
+    /// dictionaries meet).
+    fn extend_codes(&mut self, dict: &Arc<StrVec>, more: impl Iterator<Item = u32> + Clone) {
+        let shares = matches!(&self.layout, Layout::Coded { dict: d, .. } if Arc::ptr_eq(d, dict));
+        if !shares && self.is_empty() {
+            *self = StrVec::coded_empty(dict, more.size_hint().0);
+        }
+        match &mut self.layout {
+            Layout::Coded { dict: d, codes } if Arc::ptr_eq(d, dict) => codes.extend(more),
+            _ => self
+                .flat_mut()
+                .extend_gather(entries(dict), more.map(|c| c as usize)),
+        }
+    }
+
+    /// The flat layout, built from the dictionary first if the vector is
+    /// coded.
+    fn flat_mut(&mut self) -> &mut Flat {
+        if let Layout::Coded { dict, codes } = &self.layout {
+            let mut flat = Flat::with_capacity(codes.len(), 0);
+            flat.extend_gather(entries(dict), codes.iter().map(|&c| c as usize));
+            self.layout = Layout::Flat(flat);
+        }
+        match &mut self.layout {
+            Layout::Flat(f) => f,
+            Layout::Coded { .. } => unreachable!("flattened above"),
+        }
+    }
+}
+
+/// The entries of a dictionary, which is always flat.
+#[inline]
+fn entries(dict: &StrVec) -> &Flat {
+    match &dict.layout {
+        Layout::Flat(f) => f,
+        Layout::Coded { .. } => unreachable!("a dictionary is flat"),
+    }
+}
+
+impl Flat {
+    fn with_capacity(values: usize, bytes: usize) -> Flat {
+        let mut offsets = Vec::with_capacity(values + 1);
+        offsets.push(0);
+        Flat {
+            bytes: Vec::with_capacity(bytes),
+            offsets,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> &str {
+        self.piece(self.offsets[i], self.offsets[i + 1])
+    }
+
+    /// The bytes between two of `offsets`, as the string they are.
+    #[inline]
+    fn piece(&self, lo: usize, hi: usize) -> &str {
+        // SAFETY: `bytes` is valid UTF-8 and `lo`, `hi` are two of `offsets`,
+        // all character boundaries of it (the type's invariant: `push` and
+        // `extend_range` copy whole `&str`s, `from_parts` checks), so the
+        // bytes between them are valid UTF-8.
+        unsafe { std::str::from_utf8_unchecked(&self.bytes[lo..hi]) }
+    }
+
+    fn push(&mut self, s: &str) {
         self.bytes.extend_from_slice(s.as_bytes());
         self.offsets.push(self.bytes.len());
     }
 
     /// Append values `[from, to)` of `src`: one copy of their bytes, one
     /// pass re-basing their offsets.
-    pub fn extend_range(&mut self, src: &StrVec, from: usize, to: usize) {
+    fn extend_range(&mut self, src: &Flat, from: usize, to: usize) {
         let (lo, hi) = (src.offsets[from], src.offsets[to]);
         let base = self.bytes.len();
         self.bytes.extend_from_slice(&src.bytes[lo..hi]);
@@ -164,17 +370,10 @@ impl StrVec {
             .extend(src.offsets[from + 1..=to].iter().map(|&o| o - lo + base));
     }
 
-    /// The listed positions, in order, as a new vector sized exactly.
-    pub fn gather(&self, idx: impl Iterator<Item = usize> + Clone) -> StrVec {
-        let mut out = StrVec::with_capacity(idx.size_hint().0, 0);
-        out.extend_gather(self, idx);
-        out
-    }
-
-    /// Append the listed positions of `src`, in order (a dictionary decode,
-    /// a selection, a join's output). Two passes, offsets then bytes, so both
-    /// buffers are sized once.
-    pub fn extend_gather(&mut self, src: &StrVec, idx: impl Iterator<Item = usize> + Clone) {
+    /// Append the listed positions of `src`, in order (codes flattened from
+    /// a dictionary, a selection, a join's output). Two passes, offsets then
+    /// bytes, so both buffers are sized once.
+    fn extend_gather(&mut self, src: &Flat, idx: impl Iterator<Item = usize> + Clone) {
         let (values, start) = (self.offsets.len(), self.bytes.len());
         let mut end = start;
         self.offsets.extend(idx.clone().map(|i| {
@@ -221,13 +420,25 @@ impl StrVec {
         self.bytes.truncate(end);
     }
 
-    pub fn truncate(&mut self, len: usize) {
+    fn truncate(&mut self, len: usize) {
         if len < self.len() {
             self.offsets.truncate(len + 1);
             self.bytes.truncate(self.offsets[len]);
         }
     }
 }
+
+/// Equal values in equal order, whatever the layouts.
+impl PartialEq for StrVec {
+    fn eq(&self, other: &StrVec) -> bool {
+        match (&self.layout, &other.layout) {
+            (Layout::Flat(a), Layout::Flat(b)) => a == b,
+            _ => self.len() == other.len() && self.iter().eq(other.iter()),
+        }
+    }
+}
+
+impl Eq for StrVec {}
 
 impl fmt::Debug for StrVec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -238,11 +449,13 @@ impl fmt::Debug for StrVec {
 impl<S: AsRef<str>> FromIterator<S> for StrVec {
     fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> StrVec {
         let iter = iter.into_iter();
-        let mut out = StrVec::with_capacity(iter.size_hint().0, 0);
+        let mut out = Flat::with_capacity(iter.size_hint().0, 0);
         for s in iter {
             out.push(s.as_ref());
         }
-        out
+        StrVec {
+            layout: Layout::Flat(out),
+        }
     }
 }
 
@@ -358,5 +571,71 @@ mod tests {
         let split = [1, 0, 0, 0, 0xC3, 1, 0, 0, 0, 0xA9];
         assert!(StrVec::read_len_prefixed(&split, 2).is_err());
         assert!(StrVec::read_len_prefixed(&[1, 0, 0, 0, 0xFF], 1).is_err());
+    }
+
+    #[test]
+    fn codes_keep_their_dictionary_until_two_dictionaries_meet() {
+        // "x" twice in the dictionary: codes 0 and 2 name one string.
+        let dict = StrVec::from(["x", "héllo", "x"]);
+        let v = StrVec::coded(dict.clone(), vec![0, 2, 1, 2, 0]).unwrap();
+        let flat = StrVec::from(["x", "x", "héllo", "x", "x"]);
+        assert!(v.is_coded());
+        assert_eq!(v, flat);
+        assert_eq!(flat, v);
+        assert_eq!(format!("{v:?}"), format!("{flat:?}"));
+        assert_eq!(v.byte_len(), flat.byte_len());
+        assert!(v.eq_at(0, &v, 1), "two codes, one string");
+        let (mut on_wire, mut flat_wire) = (vec![], vec![]);
+        v.write_len_prefixed(&mut on_wire);
+        flat.write_len_prefixed(&mut flat_wire);
+        assert_eq!(on_wire, flat_wire);
+
+        // A range copy onto an empty vector, a gather, and a range copy of
+        // the same dictionary keep the codes.
+        let mut onto = StrVec::new();
+        onto.extend_range(&v, 1, 4);
+        let gathered = v.gather([4, 2].into_iter());
+        onto.extend_gather(&gathered, [1, 0].into_iter());
+        assert!(onto.is_coded() && gathered.is_coded());
+        assert_eq!(onto, StrVec::from(["x", "héllo", "x", "héllo", "x"]));
+        onto.truncate(2);
+        assert_eq!((onto.len(), onto.byte_len()), (2, 7));
+        // Another dictionary, equal contents: bytes from here on.
+        let other = StrVec::coded(dict, vec![1]).unwrap();
+        onto.extend_range(&other, 0, 1);
+        assert!(!onto.is_coded());
+        assert_eq!(onto, StrVec::from(["x", "héllo", "héllo"]));
+        // A push turns a coded vector flat.
+        let mut pushed = v.clone();
+        pushed.push("new");
+        assert!(!pushed.is_coded());
+        assert_eq!(pushed.get(5), "new");
+        assert_eq!(pushed.byte_len(), flat.byte_len() + 3);
+    }
+
+    #[test]
+    fn a_code_past_the_dictionary_is_a_codec_error() {
+        let dict = || StrVec::from(["a", "b"]);
+        assert!(StrVec::coded(dict(), vec![0, 1, 1]).is_ok());
+        for codes in [vec![2], vec![0, u32::MAX], vec![1, 0, 7]] {
+            let err = StrVec::coded(dict(), codes.clone()).err();
+            assert!(matches!(err, Some(VhError::Codec(_))), "{codes:?}: {err:?}");
+        }
+        assert!(StrVec::coded(StrVec::new(), vec![0]).is_err());
+        assert_eq!(StrVec::coded(StrVec::new(), vec![]).unwrap(), StrVec::new());
+    }
+
+    #[test]
+    fn codes_are_offered_per_entry_only_when_the_dictionary_is_no_larger_than_the_vector() {
+        let dict = StrVec::from(["a", "b", "c"]);
+        let three = StrVec::coded(dict.clone(), vec![2, 0, 2]).unwrap();
+        let (d, codes) = three.dict_codes().expect("3 entries for 3 rows");
+        assert_eq!((d.len(), codes), (3, &[2, 0, 2][..]));
+        let two = three.gather([0, 1].into_iter());
+        assert!(two.is_coded() && two.dict_codes().is_none());
+        assert!(StrVec::from(["a"]).dict_codes().is_none());
+        // A coded dictionary is flattened, so an entry is always bytes.
+        let nested = StrVec::coded(three, vec![1, 0]).unwrap();
+        assert_eq!(nested, StrVec::from(["a", "c"]));
     }
 }

@@ -206,34 +206,28 @@ pub mod date {
         (days - 719_162) as i32
     }
 
-    /// Convert days since 1970-01-01 back to `(year, month, day)`.
+    /// Convert days since 1970-01-01 back to `(year, month, day)`, in closed
+    /// form: no loop over years or months (`EXTRACT(YEAR)` calls this per
+    /// row). Years are counted from March 1st, so the leap day is the last
+    /// day of its year: a 400-year era is 146,097 days, and within it the
+    /// year, the day of that year and the month (five-month runs of
+    /// 31/30 days, 153 days each) follow by division.
     pub fn from_days(days: i32) -> (i32, u32, u32) {
-        let mut rem = days as i64 + 719_162; // days since year 1, Jan 1
-                                             // 400-year cycles of 146097 days keep the loop count tiny.
-        let mut year: i64 = 1;
-        year += 400 * (rem / 146_097);
-        rem %= 146_097;
-        loop {
-            let ylen = if is_leap(year) { 366 } else { 365 };
-            if rem < ylen {
-                break;
-            }
-            rem -= ylen;
-            year += 1;
-        }
-        let mut month = 0usize;
-        loop {
-            let mut mlen = MDAYS[month];
-            if month == 1 && is_leap(year) {
-                mlen += 1;
-            }
-            if rem < mlen {
-                break;
-            }
-            rem -= mlen;
-            month += 1;
-        }
-        (year as i32, month as u32 + 1, rem as u32 + 1)
+        let z = days as i64 + 719_468; // days since 0000-03-01
+        let era = z.div_euclid(146_097);
+        let day_of_era = z.rem_euclid(146_097); // [0, 146096]
+        let year_of_era =
+            (day_of_era - day_of_era / 1_460 + day_of_era / 36_524 - day_of_era / 146_096) / 365;
+        let day_of_year = day_of_era - (365 * year_of_era + year_of_era / 4 - year_of_era / 100);
+        let month_from_march = (5 * day_of_year + 2) / 153; // [0, 11]
+        let day = day_of_year - (153 * month_from_march + 2) / 5 + 1;
+        let month = if month_from_march < 10 {
+            month_from_march + 3
+        } else {
+            month_from_march - 9
+        };
+        let year = year_of_era + 400 * era + (month <= 2) as i64;
+        (year as i32, month as u32, day as u32)
     }
 
     /// Parse `YYYY-MM-DD`.
@@ -299,6 +293,41 @@ mod tests {
             let (y, m, dd) = date::from_days(d);
             assert_eq!(date::to_days(y, m, dd), d, "day {d} -> {y}-{m}-{dd}");
         }
+    }
+
+    #[test]
+    fn from_days_is_the_inverse_of_to_days_and_agrees_with_the_year_loop_it_replaced() {
+        /// The year-by-year conversion `from_days` used to be.
+        fn by_year_loop(days: i32) -> (i32, u32, u32) {
+            const MDAYS: [i64; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31];
+            let leap = |y: i64| (y % 4 == 0 && y % 100 != 0) || y % 400 == 0;
+            let mut rem = days as i64 + 719_162;
+            let mut year = 1 + 400 * (rem / 146_097);
+            rem %= 146_097;
+            while rem >= if leap(year) { 366 } else { 365 } {
+                rem -= if leap(year) { 366 } else { 365 };
+                year += 1;
+            }
+            let mut month = 0;
+            while rem >= MDAYS[month] + (month == 1 && leap(year)) as i64 {
+                rem -= MDAYS[month] + (month == 1 && leap(year)) as i64;
+                month += 1;
+            }
+            (year as i32, month as u32 + 1, rem as u32 + 1)
+        }
+        let (first, last) = (date::to_days(1, 1, 1), date::to_days(9999, 12, 31));
+        let modern = date::to_days(1900, 1, 1)..=date::to_days(2100, 12, 31);
+        for d in first..=last {
+            let ymd = date::from_days(d);
+            assert_eq!(date::to_days(ymd.0, ymd.1, ymd.2), d, "day {d} -> {ymd:?}");
+            // The loop walks up to 399 years a call: every day of two
+            // centuries around TPC-H's, and every 97th day elsewhere.
+            if modern.contains(&d) || d % 97 == 0 {
+                assert_eq!(ymd, by_year_loop(d), "day {d}");
+            }
+        }
+        assert_eq!(date::from_days(first), (1, 1, 1));
+        assert_eq!(date::from_days(last), (9999, 12, 31));
     }
 
     #[test]

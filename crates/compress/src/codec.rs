@@ -356,7 +356,8 @@ pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
         }
         Scheme::PdictStr => {
             // The dictionary and the exceptions are each validated once as
-            // they are parsed; a decoded row is then a copy of valid bytes.
+            // they are parsed, the codes once in `decode`; a decoded row is
+            // then a code into valid bytes.
             let block = PdictStr {
                 dict: r.strs()?,
                 width: r.u8()?,
@@ -365,9 +366,7 @@ pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
                 codes: r.bytes()?.to_vec(),
                 exceptions: r.strs()?,
             };
-            let mut out = StrVec::new();
-            block.decode(&mut out)?;
-            Ok(ColumnData::Str(out))
+            Ok(ColumnData::Str(block.decode()?))
         }
         Scheme::LzStr => {
             let n = r.u32()? as usize;

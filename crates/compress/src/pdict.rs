@@ -5,7 +5,9 @@
 //! their code slots exactly like PFOR (see [`crate::pfor`]). This keeps the
 //! hot decode path a branch-free inflate + dictionary gather even for skewed
 //! value distributions — the property the paper credits for VectorH's
-//! decompression speed.
+//! decompression speed. A string block does not even gather: it decodes to
+//! its codes, a coded `StrVec` over the dictionary with the exceptions
+//! appended, and the strings stay codes until an operator needs bytes.
 
 use std::collections::HashMap;
 use vectorh_common::util::bits_needed;
@@ -238,14 +240,15 @@ impl PdictStr {
         }
     }
 
-    /// Append the `n` decoded values to `out`: the bytes of a dictionary
-    /// entry (or of the next exception) per code, gathered straight into
-    /// `out`'s buffer. A block whose parts do not fit each other (off a
-    /// corrupt file) is an error.
-    pub fn decode(&self, out: &mut StrVec) -> Result<()> {
+    /// The `n` decoded values as a coded [`StrVec`]: the dictionary with the
+    /// block's exceptions appended, so every row has a code (exception `k`
+    /// is entry `dict.len() + k`), and one code per row. No value's bytes
+    /// are copied. A block whose parts do not fit each other (off a corrupt
+    /// file) is an error, a code past the dictionary included.
+    pub fn decode(self) -> Result<StrVec> {
         let n = self.n as usize;
         if n == 0 {
-            return Ok(());
+            return Ok(StrVec::new());
         }
         let corrupt = |what: &str| VhError::Codec(format!("PDICT-STR block: {what}"));
         if self.width > 64 || self.codes.len() < bitpack::packed_size(n, self.width) {
@@ -256,30 +259,23 @@ impl PdictStr {
         }
         let mut slots = Vec::with_capacity(n);
         bitpack::unpack(&self.codes, n, self.width, &mut slots);
-        let n_exc = self.exceptions.len();
-        let mut exc_pos = Vec::with_capacity(n_exc);
-        if n_exc > 0 {
-            let mut j = self.first_exc as usize;
-            for k in 0..n_exc {
-                let hop = *slots.get(j).ok_or_else(|| corrupt("exception chain"))?;
-                exc_pos.push(j);
-                if k + 1 < n_exc {
-                    j = j.saturating_add(hop as usize).saturating_add(1);
-                }
-            }
+        // An exception's slot holds the hop to the next one: read it, then
+        // point the slot at the exception's entry.
+        let (n_dict, n_exc) = (self.dict.len(), self.exceptions.len());
+        let mut j = self.first_exc as usize;
+        for k in 0..n_exc {
+            let slot = slots.get_mut(j).ok_or_else(|| corrupt("exception chain"))?;
+            let hop = std::mem::replace(slot, (n_dict + k) as u64);
+            j = j.saturating_add(hop as usize).saturating_add(1);
         }
-        // Exception slots hold chain hops, which may exceed the dictionary;
-        // clamped like any other code, then overridden below.
-        let dmax = self.dict.len() - 1;
-        let entry = |c: &u64| (*c as usize).min(dmax);
-        let mut next = 0usize;
-        for (k, &pos) in exc_pos.iter().enumerate() {
-            out.extend_gather(&self.dict, slots[next..pos].iter().map(entry));
-            out.push(self.exceptions.get(k));
-            next = pos + 1;
-        }
-        out.extend_gather(&self.dict, slots[next..].iter().map(entry));
-        Ok(())
+        // A code too wide for `u32` is past any dictionary: `coded` refuses it.
+        let codes = slots
+            .iter()
+            .map(|&c| u32::try_from(c).unwrap_or(u32::MAX))
+            .collect();
+        let mut dict = self.dict;
+        dict.extend_range(&self.exceptions, 0, n_exc);
+        StrVec::coded(dict, codes).map_err(|_| corrupt("code past the dictionary"))
     }
 
     pub fn body_size(&self) -> usize {
@@ -307,11 +303,15 @@ mod tests {
     fn roundtrip_str(values: &[String]) -> PdictStr {
         let values: StrVec = values.iter().collect();
         let enc = PdictStr::encode(&values);
+        let out = enc.clone().decode().unwrap();
+        assert_eq!(out, values);
+        assert_eq!(out.byte_len(), values.byte_len());
+        // Every row a code, the exceptions entries past the dictionary.
+        assert_eq!(out.is_coded(), !values.is_empty());
         // Onto something, as a scan appends chunk after chunk.
-        let mut out = StrVec::from(["before"]);
-        enc.decode(&mut out).unwrap();
-        assert_eq!(out.len(), values.len() + 1);
-        assert!(out.iter().skip(1).eq(values.iter()));
+        let mut onto = StrVec::from(["before"]);
+        onto.extend_range(&out, 0, out.len());
+        assert!(onto.iter().skip(1).eq(values.iter()));
         enc
     }
 
@@ -388,11 +388,33 @@ mod tests {
             },
         ];
         for b in broken {
-            let mut out = StrVec::new();
-            assert!(
-                matches!(b.decode(&mut out), Err(VhError::Codec(_))),
-                "{b:?}"
-            );
+            let what = format!("{b:?}");
+            assert!(matches!(b.decode(), Err(VhError::Codec(_))), "{what}");
+        }
+        // Codes past the dictionary: a block without exceptions whose
+        // dictionary lost its last entry, and one whose codes name a fourth
+        // entry of three. Exceptions count as entries, so neither would be
+        // caught by a block that had enough of them.
+        let plain: StrVec = (0..64).map(|i| format!("tag{}", i % 3)).collect();
+        let good = PdictStr::encode(&plain);
+        assert!(good.exceptions.is_empty() && good.dict.len() == 3);
+        assert_eq!(good.clone().decode().unwrap(), plain);
+        let mut codes = Vec::new();
+        bitpack::pack(&[0, 1, 2, 3, 1], 2, &mut codes);
+        for b in [
+            PdictStr {
+                dict: good.dict.gather(0..2),
+                ..good.clone()
+            },
+            PdictStr {
+                n: 5,
+                codes,
+                ..good
+            },
+        ] {
+            let what = format!("{b:?}");
+            let err = b.decode().err();
+            assert!(matches!(err, Some(VhError::Codec(_))), "{what}: {err:?}");
         }
     }
 
@@ -466,9 +488,7 @@ mod tests {
                 .collect();
             let vals: StrVec = vals.into();
             let enc = PdictStr::encode(&vals);
-            let mut out = StrVec::new();
-            enc.decode(&mut out).unwrap();
-            assert_eq!(out, vals, "seed {seed}");
+            assert_eq!(enc.decode().unwrap(), vals, "seed {seed}");
         }
     }
 }

@@ -296,13 +296,14 @@ fn build_side_per_node(
             while let Some(b) = producer.next()? {
                 batches.push(b);
             }
-            // Network accounting: one serialized copy per non-master node.
+            // Network accounting: one serialized copy per non-master node,
+            // counted without building it.
             let stats = ctx.vh.net_stats();
             for &n in &distinct {
                 if n != ctx.master {
                     for b in &batches {
-                        let bytes = vectorh_net::buffer::serialize(b);
-                        stats.record_net_message(bytes.len() as u64, b.len() as u64);
+                        let bytes = vectorh_net::buffer::serialized_len(b);
+                        stats.record_net_message(bytes as u64, b.len() as u64);
                     }
                 }
                 map.insert(n, batches.clone());

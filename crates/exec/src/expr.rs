@@ -9,17 +9,20 @@
 //!   column *borrowed* from the batch (`Expr::Col`), a column it computed,
 //!   or a *scalar* (`Expr::Lit`, or an operator over scalars). A literal is
 //!   never expanded to a vector and a column is never copied to be read;
-//!   the kernels take column∘column, column∘scalar and scalar∘column over
-//!   `&[i32]` / `&[i64]` / `&[f64]` / `&StrVec` through the [`Src`] trait,
-//!   compiled once per pairing of layouts.
+//!   the numeric kernels take column∘column, column∘scalar and
+//!   scalar∘column over `&[i32]` / `&[i64]` / `&[f64]` through the [`Src`]
+//!   trait, compiled once per pairing of layouts.
 //! * **As a predicate** (`Expr::select`, what `Select` and `CASE` call). A
 //!   predicate narrows a *selection vector* — ascending row positions as
 //!   `u32` — in place: `AND` hands the survivors of one conjunct to the
 //!   next, `OR` offers each disjunct only the rows no earlier one accepted,
 //!   `NOT` subtracts, and a comparison, `BETWEEN`, `IN` or `LIKE` is one
-//!   branch-free pass over the listed positions of its operand. No boolean
-//!   mask is built; [`Expr::eval_mask`] scatters the final selection into
-//!   one for callers that ask for it.
+//!   branch-free pass over the listed positions of its operand. A string
+//!   tested against a literal (`=`, `<>`, `<` …, `IN`, `LIKE`) in a
+//!   dictionary-coded column is tested once per dictionary entry and the
+//!   pass reads a mask by code. No boolean mask of rows is built;
+//!   [`Expr::eval_mask`] scatters the final selection into one for callers
+//!   that ask for it.
 //!
 //! Money math is decimal-exact: decimals are scaled `i64` raws. Comparison
 //! and addition bring both sides to the finer scale (a scalar once, not per
@@ -62,16 +65,6 @@ macro_rules! each_float {
                 let $s: f64 = *x;
                 $body
             }
-        }
-    };
-}
-
-/// [`each_int`] for a [`Strs`].
-macro_rules! each_str {
-    ($side:expr, $s:ident => $body:expr) => {
-        match $side {
-            Strs::Col($s) => $body,
-            Strs::Scalar($s) => $body,
         }
     };
 }
@@ -308,7 +301,7 @@ impl Expr {
                 if let Some(s) = v.strs() {
                     let mut items: Vec<&str> = list.iter().filter_map(Value::as_str).collect();
                     items.sort_unstable();
-                    each_str!(s, s => narrow(sel, |i| items.binary_search(&s.at(i)).is_ok()));
+                    narrow_strs(sel, s, |s| items.binary_search(&s).is_ok());
                 } else if let Some(x) = v.ints() {
                     let mut items: Vec<i64> = list
                         .iter()
@@ -329,7 +322,7 @@ impl Expr {
                     .strs()
                     .ok_or_else(|| VhError::Exec("LIKE over non-string".into()))?;
                 let want = matches!(self, Expr::Like(..));
-                each_str!(s, s => narrow(sel, |i| like_match(s.at(i), pat) == want));
+                narrow_strs(sel, s, |s| like_match(s, pat) == want);
                 Ok(())
             }
             Expr::Col(_)
@@ -675,28 +668,6 @@ impl Src for f64 {
     }
 }
 
-impl<'a> Src for &'a StrVec {
-    type Item = &'a str;
-    fn first(self, _: usize) -> Self {
-        self
-    }
-    #[inline(always)]
-    fn at(self, i: usize) -> &'a str {
-        self.get(i)
-    }
-}
-
-impl<'a> Src for &'a str {
-    type Item = &'a str;
-    fn first(self, _: usize) -> Self {
-        self
-    }
-    #[inline(always)]
-    fn at(self, _: usize) -> &'a str {
-        self
-    }
-}
-
 // --- selection vectors ---------------------------------------------------------
 
 /// The selection that lists every row of `b`.
@@ -790,6 +761,29 @@ impl Accepts {
     }
 }
 
+/// Narrow `sel` to the rows whose string satisfies `pred` (`=`, `<>`, `<`
+/// … against a literal, `IN`, `LIKE`). A coded column whose dictionary is
+/// no larger than the vector ([`StrVec::dict_codes`]) evaluates `pred` once
+/// per entry into a mask indexed by code: an entry stands for every row
+/// coded with it, and two codes naming one string get one answer twice. A
+/// flat column evaluates it per selected row, a scalar once.
+fn narrow_strs(sel: &mut Vec<u32>, s: Strs, pred: impl Fn(&str) -> bool) {
+    match s {
+        Strs::Scalar(s) => {
+            if !pred(s) {
+                sel.clear();
+            }
+        }
+        Strs::Col(s) => match s.dict_codes() {
+            Some((dict, codes)) => {
+                let hit: Vec<bool> = dict.iter().map(&pred).collect();
+                narrow(sel, |i| hit[codes[i] as usize]);
+            }
+            None => narrow(sel, |i| pred(s.get(i))),
+        },
+    }
+}
+
 /// Narrow `sel` to the rows where `x op y`. Strings compare as strings,
 /// integers and decimals exactly at their common scale, anything involving
 /// a float as floats.
@@ -802,7 +796,13 @@ fn select_cmp(
     sel: &mut Vec<u32>,
 ) -> Result<()> {
     if let (Some(x), Some(y)) = (x.strs(), y.strs()) {
-        each_str!(x, x => each_str!(y, y => narrow(sel, |i| op.holds(x.at(i).cmp(y.at(i))))));
+        match (x, y) {
+            (x, Strs::Scalar(y)) => narrow_strs(sel, x, |x| op.holds(x.cmp(y))),
+            (Strs::Scalar(x), Strs::Col(y)) => {
+                narrow_strs(sel, Strs::Col(y), |y| op.holds(x.cmp(y)))
+            }
+            (Strs::Col(x), Strs::Col(y)) => narrow(sel, |i| op.holds(x.get(i).cmp(y.get(i)))),
+        }
         return Ok(());
     }
     let accepts = Accepts::of(op);

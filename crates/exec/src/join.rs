@@ -57,8 +57,8 @@ pub(crate) fn keys_eq(
         })
 }
 
-/// Columnar build side plus its hash index. Shared by [`HashJoin`] and
-/// [`SharedBuild`]: drain an operator once, probe with hash vectors.
+/// Columnar build side plus its hash index: drain an operator once, probe
+/// with hash vectors.
 struct BuildSide {
     data: Vec<ColumnData>,
     table: HashTable,
@@ -272,91 +272,6 @@ impl Operator for HashJoin {
     }
 }
 
-/// A shared, pre-built hash table for the "shared build side" optimization
-/// (§5: "forgo splitting and build a shared hash table"): the build input is
-/// drained once, and many probe threads join against clones of the Arc.
-pub struct SharedBuild {
-    pub schema: Arc<Schema>,
-    side: Arc<BuildSide>,
-}
-
-impl SharedBuild {
-    pub fn build(mut input: Box<dyn Operator>, keys: Vec<usize>) -> Result<SharedBuild> {
-        let schema = input.schema();
-        let side = BuildSide::drain(input.as_mut(), &keys)?;
-        Ok(SharedBuild {
-            schema,
-            side: Arc::new(side),
-        })
-    }
-
-    /// An operator probing this shared table (inner join).
-    pub fn probe(
-        self: &SharedBuild,
-        probe: Box<dyn Operator>,
-        probe_keys: Vec<usize>,
-    ) -> SharedProbe {
-        let out_schema = Arc::new(probe.schema().join(&self.schema));
-        SharedProbe {
-            probe,
-            probe_keys,
-            side: self.side.clone(),
-            out_schema,
-            counters: Counters::default(),
-        }
-    }
-}
-
-/// Probe operator over a [`SharedBuild`].
-pub struct SharedProbe {
-    probe: Box<dyn Operator>,
-    probe_keys: Vec<usize>,
-    side: Arc<BuildSide>,
-    out_schema: Arc<Schema>,
-    counters: Counters,
-}
-
-impl Operator for SharedProbe {
-    fn schema(&self) -> Arc<Schema> {
-        self.out_schema.clone()
-    }
-
-    fn next(&mut self) -> Result<Option<Batch>> {
-        let start = std::time::Instant::now();
-        let mut hashes = Vec::new();
-        let out = loop {
-            let Some(batch) = self.probe.next()? else {
-                break None;
-            };
-            self.counters.rows_in += batch.len() as u64;
-            let cols: Vec<&ColumnData> = batch.columns.iter().collect();
-            hash_columns(&cols, &self.probe_keys, JOIN_SEED, &mut hashes);
-            let (probe_idx, build_idx) = self.side.match_inner(&cols, &self.probe_keys, &hashes);
-            if probe_idx.is_empty() {
-                continue;
-            }
-            let left = batch.gather_u32(&probe_idx);
-            let mut columns = left.columns;
-            columns.extend(self.side.data.iter().map(|c| gather(c, &build_idx)));
-            break Some(Batch::new(self.out_schema.clone(), columns)?);
-        };
-        self.counters.cum_time_ns += start.elapsed().as_nanos() as u64;
-        self.counters.calls += 1;
-        if let Some(b) = &out {
-            self.counters.rows_out += b.len() as u64;
-        }
-        Ok(out)
-    }
-
-    fn profile(&self) -> OpProfile {
-        self.counters.profile("SharedProbe")
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.probe.as_ref()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,19 +457,5 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0][1], Value::I64(-2));
         assert_eq!(rows[1][1], Value::I64(3));
-    }
-
-    #[test]
-    fn shared_build_probing() {
-        let build = table("r", vec![1, 2], vec![100, 200]);
-        let shared = SharedBuild::build(build, vec![0]).unwrap();
-        // Two probes against the same shared table.
-        for _ in 0..2 {
-            let probe = table("l", vec![2, 3], vec![0, 0]);
-            let mut p = shared.probe(probe, vec![0]);
-            let rows = crate::batch::collect_rows(&mut p).unwrap();
-            assert_eq!(rows.len(), 1);
-            assert_eq!(rows[0][3], Value::I64(200));
-        }
     }
 }

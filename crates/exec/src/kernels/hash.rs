@@ -34,17 +34,28 @@ pub const JOIN_SEED: u64 = 0xA5A5_5A5A_DEAD_BEEF;
 /// `acc.len()` must equal the column length. Numeric columns go through
 /// the SIMD fold kernels (AVX2 four-lane mix with scalar/portable arms,
 /// see [`super::simd`]); strings stay scalar — their per-row work is the
-/// byte walk, not the mix.
+/// byte walk, not the mix. A coded string column whose dictionary is no
+/// larger than the vector hashes each entry once and gathers the entry
+/// hashes by code: the same hash per row, since an entry's bytes are the
+/// row's.
 fn fold_column(col: &ColumnData, acc: &mut [u64]) {
     match col {
         ColumnData::I32(v) => super::simd::fold_hash_i32(v, acc),
         ColumnData::I64(v) => super::simd::fold_hash_i64(v, acc),
         ColumnData::F64(v) => super::simd::fold_hash_f64(v, acc),
-        ColumnData::Str(v) => {
-            for (h, s) in acc.iter_mut().zip(v.iter()) {
-                *h = hash_combine(*h, hash_bytes(s.as_bytes()));
+        ColumnData::Str(v) => match v.dict_codes() {
+            Some((dict, codes)) => {
+                let entry: Vec<u64> = dict.iter().map(|s| hash_bytes(s.as_bytes())).collect();
+                for (h, &c) in acc.iter_mut().zip(codes) {
+                    *h = hash_combine(*h, entry[c as usize]);
+                }
             }
-        }
+            None => {
+                for (h, s) in acc.iter_mut().zip(v.iter()) {
+                    *h = hash_combine(*h, hash_bytes(s.as_bytes()));
+                }
+            }
+        },
     }
 }
 
@@ -73,6 +84,21 @@ fn fold_column_sel(col: &ColumnData, sel: &[u32], acc: &mut [u64]) {
             }
         }
     }
+}
+
+/// The hash [`hash_columns`] gives row `i`, for that one row: what a
+/// consumer that resolves a row at a time (`Aggr` over dictionary codes)
+/// needs to meet the rows hashed a vector at a time in one table.
+pub fn hash_row(cols: &[&ColumnData], keys: &[usize], seed: u64, i: usize) -> u64 {
+    keys.iter().fold(seed, |h, &k| {
+        let value = match cols[k] {
+            ColumnData::I32(v) => hash_u64(v[i] as i64 as u64),
+            ColumnData::I64(v) => hash_u64(v[i] as u64),
+            ColumnData::F64(v) => hash_u64(v[i].to_bits()),
+            ColumnData::Str(v) => hash_bytes(v.get(i).as_bytes()),
+        };
+        hash_combine(h, value)
+    })
 }
 
 /// Hash the key columns of every row into `out` (cleared and refilled).
@@ -108,21 +134,7 @@ pub fn hash_columns_sel(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Reference row-at-a-time hash (the pre-kernel implementation).
-    fn row_hash(cols: &[&ColumnData], keys: &[usize], seed: u64, i: usize) -> u64 {
-        let mut h = seed;
-        for &k in keys {
-            let hk = match cols[k] {
-                ColumnData::I32(v) => hash_u64(v[i] as i64 as u64),
-                ColumnData::I64(v) => hash_u64(v[i] as u64),
-                ColumnData::F64(v) => hash_u64(v[i].to_bits()),
-                ColumnData::Str(v) => hash_bytes(v.get(i).as_bytes()),
-            };
-            h = hash_combine(h, hk);
-        }
-        h
-    }
+    use vectorh_common::StrVec;
 
     fn cols() -> Vec<ColumnData> {
         vec![
@@ -143,9 +155,29 @@ mod tests {
             for (i, &g) in got.iter().enumerate() {
                 assert_eq!(
                     g,
-                    row_hash(&refs, &keys, JOIN_SEED, i),
+                    hash_row(&refs, &keys, JOIN_SEED, i),
                     "keys {keys:?} row {i}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_coded_string_column_hashes_like_the_same_values_flat() {
+        // "b" twice in the dictionary; the gather leaves 3 rows of a
+        // 4-entry dictionary, which are hashed row by row.
+        let dict = StrVec::from(["b", "", "a value well past sixteen bytes", "b"]);
+        let coded = StrVec::coded(dict, vec![3, 0, 1, 2, 2, 3, 0]).unwrap();
+        for coded in [coded.clone(), coded.gather([6, 2, 5].into_iter())] {
+            assert!(coded.is_coded());
+            let flat: StrVec = coded.iter().collect();
+            let ints = ColumnData::I64((0..coded.len() as i64).collect());
+            let (coded, flat) = (ColumnData::Str(coded), ColumnData::Str(flat));
+            for seed in [XCHG_SEED, JOIN_SEED] {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                hash_columns(&[&ints, &coded], &[1, 0], seed, &mut a);
+                hash_columns(&[&ints, &flat], &[1, 0], seed, &mut b);
+                assert_eq!(a, b, "seed {seed:#x}");
             }
         }
     }

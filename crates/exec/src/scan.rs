@@ -10,9 +10,12 @@
 //!
 //! One chunk's decoded columns are held at a time and every `CopyStable`
 //! range is appended from them to the output vector with
-//! `ColumnData::extend_range`: a `memcpy` per numeric column, one for the
-//! bytes and a pass over the offsets per string column, no allocation per
-//! value. A plan consumes stable SIDs in ascending order, each at most
+//! `ColumnData::extend_range`: a `memcpy` per numeric column, one of codes
+//! per PDICT string column (the vector shares the chunk's dictionary), one
+//! for the bytes and a pass over the offsets per LZ string column, no
+//! allocation per value. A vector that takes rows of two chunks, a pending
+//! insert or a modified value holds its strings as bytes from there on. A
+//! plan consumes stable SIDs in ascending order, each at most
 //! once; `consume` checks that on every step, so a plan that would emit a
 //! row twice or out of order is an error, not a wrong answer.
 //!
@@ -715,6 +718,51 @@ mod tests {
         assert_eq!(low, 150 + 2);
         // No prunable conjunct: everything is kept.
         assert_eq!(keep_chunks(&s, &vec![], &[]), vec![true, true, true]);
+    }
+
+    #[test]
+    fn pdict_strings_leave_the_scan_as_codes_until_a_value_is_pushed() {
+        // Four tags in no order LZ could match whole: PDICT, so each chunk
+        // decodes to codes.
+        fn tag(i: i64) -> String {
+            format!("t{}", vectorh_common::util::hash_u64(i as u64) % 4)
+        }
+        let s = store_tagged(100, 300, tag);
+        let coded = |b: &Batch| b.column(1).as_strs().unwrap().is_coded();
+        let mut scan = MScan::full(s.clone(), vec![0, 1], None).unwrap();
+        let b = scan.next().unwrap().unwrap();
+        assert_eq!(b.len(), 300);
+        // A vector across chunks holds two dictionaries' values: bytes.
+        assert!(!coded(&b));
+        let one_chunk = |plan| {
+            let mut scan = MScan::new(s.clone(), vec![0, 1], vec![true; 3], plan, None).unwrap();
+            scan.next().unwrap().unwrap()
+        };
+        let b = one_chunk(vec![MergeStep::CopyStable {
+            from_sid: 100,
+            count: 100,
+        }]);
+        assert!(coded(&b));
+        assert_eq!(b.row(7), vec![Value::I64(107), Value::Str(tag(107))]);
+        // A modified value is pushed: the vector turns flat, the rows stay.
+        let b = one_chunk(vec![
+            MergeStep::CopyStable {
+                from_sid: 100,
+                count: 50,
+            },
+            MergeStep::ModifyStable {
+                sid: 150,
+                mods: vec![(1, Value::Str("patched".into()))],
+            },
+            MergeStep::CopyStable {
+                from_sid: 151,
+                count: 49,
+            },
+        ]);
+        assert_eq!(b.len(), 100);
+        assert!(!coded(&b));
+        assert_eq!(b.row(50)[1], Value::Str("patched".into()));
+        assert_eq!(b.row(51)[1], Value::Str(tag(151)));
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! side, decimal scales 0/2/4 mixed, values near `i64::MAX / 10^k` so the
 //! multiply's overflow fallback runs) over batches of 0, 1, 1,023, 1,024,
 //! 1,025 and 5,000 rows, through `Expr::eval`, `Expr::eval_mask`, `Select`
-//! and `Project`.
+//! and `Project`. Each tree runs twice, over the batch's string columns flat
+//! and as dictionary codes (duplicate and exception entries, dictionaries
+//! smaller and larger than the vector): the two layouts must give the same
+//! answers to the bit.
 //!
 //! A failure prints the tree's seed and the expression;
 //! `EXPR_DIFF_SEED=<seed>` replays that one tree on every batch size.
@@ -17,7 +20,7 @@ use std::sync::Arc;
 
 use vectorh_common::rng::SplitMix64;
 use vectorh_common::types::date;
-use vectorh_common::{ColumnData, DataType, Schema, Value, VECTOR_SIZE};
+use vectorh_common::{ColumnData, DataType, Schema, StrVec, Value, VECTOR_SIZE};
 use vectorh_exec::batch::{collect_rows, Batch};
 use vectorh_exec::expr::{like_match, ArithOp, CmpOp, Expr};
 use vectorh_exec::filter::Select;
@@ -284,6 +287,43 @@ fn batch(rng: &mut SplitMix64, n: usize) -> Batch {
         ColumnData::I64((0..n as i64).map(|i| i % 2).collect()),
     ];
     Batch::new(schema(), columns).unwrap()
+}
+
+/// `b` with its two string columns as dictionary codes, as PDICT decode
+/// hands them on. `STR_COL`'s dictionary is `STRINGS` shuffled, a few of
+/// them twice (two codes, one string), and one entry of its own (as a PDICT
+/// exception, possibly equal to an entry) for one row in ten: no larger than
+/// a vector of 1,024 rows, so it is read once per entry. `STR2_COL` gives
+/// every row an entry of its own, a dictionary larger than any vector,
+/// which is read row by row.
+fn coded_twin(rng: &mut SplitMix64, b: &Batch) -> Batch {
+    let mut columns = b.columns.clone();
+    for (col, own_entry) in [(STR_COL, 0.1), (STR2_COL, 1.0)] {
+        let mut dict: Vec<&str> = STRINGS.to_vec();
+        for i in (1..dict.len()).rev() {
+            dict.swap(i, rng.next_bounded(i as u64 + 1) as usize);
+        }
+        for _ in 0..4 {
+            let s = *rng.choose(STRINGS).unwrap();
+            dict.push(s);
+        }
+        let values = b.column(col).as_strs().unwrap();
+        let codes = values
+            .iter()
+            .map(|s| {
+                if rng.chance(own_entry) {
+                    dict.push(s);
+                    return dict.len() as u32 - 1;
+                }
+                let naming: Vec<usize> = (0..dict.len()).filter(|&k| dict[k] == s).collect();
+                *rng.choose(&naming).unwrap() as u32
+            })
+            .collect();
+        let coded = StrVec::coded(dict.into_iter().collect(), codes).unwrap();
+        assert!(coded.is_coded() && coded == *values);
+        columns[col] = ColumnData::Str(coded);
+    }
+    Batch::new(b.schema.clone(), columns).unwrap()
 }
 
 // --- expression trees ----------------------------------------------------------
@@ -648,6 +688,10 @@ fn the_evaluator_agrees_with_a_row_at_a_time_reference_on_generated_trees() {
     });
     let mut data_rng = SplitMix64::new(0xE21);
     let batches: Vec<Batch> = SIZES.iter().map(|&n| batch(&mut data_rng, n)).collect();
+    let coded: Vec<Batch> = batches
+        .iter()
+        .map(|b| coded_twin(&mut data_rng, b))
+        .collect();
     let rows: Vec<Vec<Vec<Value>>> = batches.iter().map(Batch::rows).collect();
     let mut seeds = SplitMix64::new(0x5EED_0E21);
     for tree in 0..TREES {
@@ -657,15 +701,17 @@ fn the_evaluator_agrees_with_a_row_at_a_time_reference_on_generated_trees() {
         };
         let pred = gen.predicate(4);
         let (value, _) = gen.value(4);
-        // Each tree runs on one batch size, the sizes taking turns; a
-        // replayed tree runs on all of them.
+        // Each tree runs on one batch size, the sizes taking turns, with its
+        // strings flat and as codes; a replayed tree runs on all of them.
         for (k, b) in batches.iter().enumerate() {
             if replay.is_some() || k as u64 == tree % SIZES.len() as u64 {
-                let context = format!(
-                    "EXPR_DIFF_SEED={seed:#x}, {} rows, predicate {pred:?}, value {value:?}",
-                    b.len()
-                );
-                check(&pred, &value, b, &rows[k], &context);
+                for (layout, b) in [("flat", b), ("coded", &coded[k])] {
+                    let context = format!(
+                        "EXPR_DIFF_SEED={seed:#x}, {} rows, strings {layout}, predicate {pred:?}, value {value:?}",
+                        b.len()
+                    );
+                    check(&pred, &value, b, &rows[k], &context);
+                }
             }
         }
         if replay.is_some() {

@@ -1,11 +1,13 @@
 //! Allocation guard for the read path: with `ColumnData::Str` one byte
-//! buffer plus offsets, nothing between the chunk file and the group table
-//! allocates per value. Draining a pipeline may allocate a constant per
-//! decoded chunk column and a constant per output vector, whatever the
-//! number of rows in a chunk. A `String` per value anywhere (the decoder, an
-//! `Expr::Col` that copies value by value, a gather) costs at least 1,024
-//! allocations per vector and fails this, as does one allocation per input
-//! row in an operator (`Aggr` once cloned its aggregate list per row).
+//! buffer plus offsets, or one code buffer over a shared PDICT dictionary,
+//! nothing between the chunk file and the group table allocates per value.
+//! Draining a pipeline may allocate a constant per decoded chunk column and
+//! a constant per output vector, whatever the number of rows in a chunk. A
+//! `String` per value anywhere (the decoder, an `Expr::Col` that copies
+//! value by value, a gather) costs at least 1,024 allocations per vector and
+//! fails this, as does one allocation per input row in an operator (`Aggr`
+//! once cloned its aggregate list per row), and so does a PDICT column
+//! decoded to bytes instead of codes (see the two constants).
 //!
 //! The counter is per thread, so the two cases may run side by side; every
 //! operator here runs on the thread that drains it.
@@ -65,17 +67,21 @@ fn allocations_of<T>(work: impl FnOnce() -> T) -> (u64, T) {
 
 const CHUNKS: usize = 3;
 /// Allowed per decoded chunk column: the store's read, the decoder's
-/// buffers and their growth.
-const PER_CHUNK_COLUMN: u64 = 48;
+/// buffers and their growth (17–21 taken). It was 48 while a PDICT string
+/// column was decoded to bytes; a flat decode of the Q1 pipeline's two
+/// flags does not fit.
+const PER_CHUNK_COLUMN: u64 = 22;
 /// Allowed per output vector of the pipeline's leaf, for all operators
-/// above it together: the 22 the Q1-shaped pipeline below takes (the scan's
+/// above it together: the 16 the Q1-shaped pipeline below takes (the scan's
 /// vector, `Select`'s gather, two computed columns, the output batches) and
 /// one to spare. It was 56 while every literal was expanded to a vector and
-/// every pass-through copied; one more buffer per vector anywhere in
-/// `Select`, `Project` or `Aggr` does not fit. Held both as part of the
-/// total and, doubling the rows with the chunk count fixed, as the growth
-/// per added vector, which the slack in `PER_CHUNK_COLUMN` cannot hide.
-const PER_VECTOR: u64 = 23;
+/// every pass-through copied, and 23 while the flags were bytes (offsets and
+/// bytes per string column where codes are one buffer; 22 taken); one more
+/// buffer per vector anywhere in `Select`, `Project` or `Aggr`, or the flags
+/// decoded flat again, does not fit. Held both as part of the total and,
+/// doubling the rows with the chunk count fixed, as the growth per added
+/// vector, which the slack in `PER_CHUNK_COLUMN` cannot hide.
+const PER_VECTOR: u64 = 17;
 
 /// `CHUNKS` chunks of `rows_per_chunk` rows each: a key, two decimals, two
 /// low-cardinality strings (PDICT) and one string no two rows share (LZ).

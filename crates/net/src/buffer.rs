@@ -36,11 +36,17 @@ impl Message {
         match self {
             Message::Wire { bytes, route } => bytes.len() + route.as_ref().map_or(0, |r| r.len()),
             Message::Local { batch, route } => {
-                batch.0.columns.iter().map(|c| c.byte_size()).sum::<usize>()
-                    + route.as_ref().map_or(0, |r| r.len())
+                byte_size(&batch.0) + route.as_ref().map_or(0, |r| r.len())
             }
         }
     }
+}
+
+/// A batch's columns' [`ColumnData::byte_size`]: what the exchange's flush
+/// threshold and the intra-node counters count, the same for either layout
+/// of a string column.
+pub(crate) fn byte_size(batch: &vectorh_exec::Batch) -> usize {
+    batch.columns.iter().map(ColumnData::byte_size).sum()
 }
 
 /// Serialize the columns of a batch into a PAX buffer.
@@ -75,6 +81,13 @@ pub fn serialize(batch: &vectorh_exec::Batch) -> Vec<u8> {
         }
     }
     out
+}
+
+/// The length of [`serialize`]`(batch)`, without building it: the header,
+/// then per column a tag and [`ColumnData::byte_size`] (the fixed-width
+/// values, or each string's length prefix and bytes, whatever its layout).
+pub fn serialized_len(batch: &vectorh_exec::Batch) -> usize {
+    8 + batch.columns.len() + byte_size(batch)
 }
 
 /// Deserialize a PAX buffer back into a batch of `schema`.
@@ -196,6 +209,46 @@ mod tests {
         let bytes = serialize(&b);
         let d = deserialize(&bytes, b.schema.clone()).unwrap();
         assert_eq!(d.rows(), b.rows());
+    }
+
+    #[test]
+    fn serialized_len_is_the_length_of_the_serialized_batch() {
+        // "é" twice in the dictionary; a gather keeps the codes.
+        let dict = StrVec::from(["é", "日本", "", "é"]);
+        let coded = StrVec::coded(dict, vec![3, 0, 1, 2, 1]).unwrap();
+        let schema = Arc::new(Schema::of(&[
+            ("a", DataType::I64),
+            ("d", DataType::Date),
+            ("f", DataType::F64),
+            ("s", DataType::Str),
+        ]));
+        let numbers = |n: usize| {
+            vec![
+                ColumnData::I64((0..n as i64).collect()),
+                ColumnData::I32((0..n as i32).collect()),
+                ColumnData::F64((0..n).map(|i| i as f64 / 3.0).collect()),
+            ]
+        };
+        let with = |strs: StrVec| {
+            let mut cols = numbers(strs.len());
+            cols.push(ColumnData::Str(strs));
+            Batch::new(schema.clone(), cols).unwrap()
+        };
+        for b in [
+            batch(),
+            Batch::empty(schema.clone()),
+            with(coded.clone()),
+            with(coded.gather([4, 0].into_iter())),
+            with(coded.iter().collect()),
+            with(StrVec::new()),
+        ] {
+            assert_eq!(serialized_len(&b), serialize(&b).len(), "{:?}", b.columns);
+        }
+        assert_eq!(
+            serialize(&with(coded.clone())),
+            serialize(&with(coded.iter().collect())),
+            "the same bytes from either layout"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ use vectorh_exec::operator::{Counters, OpProfile};
 use vectorh_exec::{Batch, Operator};
 use vectorh_transport::{DedupWindow, Fabric, FrameTx, RxKind};
 
-use crate::buffer::{make_message, open_message, Message};
+use crate::buffer::{byte_size, make_message, open_message, Message};
 use crate::stats::NetStats;
 use crate::xchg::{partition_positions, Partitioning};
 
@@ -575,6 +575,9 @@ fn dxchg_t2t(
             stats.alloc_buffers(accounted);
             let mut plane = SendPlane::new(sinks, hook, name, prod_node, wi, stats.clone());
             let mut bufs: Vec<Batch> = (0..fanout).map(|_| Batch::empty(schema.clone())).collect();
+            // What each buffer holds, as `byte_size` counts it: the sum of
+            // the pieces appended since its last flush.
+            let mut buffered = vec![0usize; fanout];
             let flush = |plane: &mut SendPlane, c: usize, buf: &mut Batch| -> bool {
                 if buf.is_empty() {
                     return true;
@@ -595,10 +598,12 @@ fn dxchg_t2t(
                                     }
                                     let piece = batch.gather_u32(pos);
                                     bufs[c].append(&piece).ok();
-                                    let size: usize =
-                                        bufs[c].columns.iter().map(|x| x.byte_size()).sum();
-                                    if size >= buffer_bytes && !flush(&mut plane, c, &mut bufs[c]) {
-                                        break 'run;
+                                    buffered[c] += byte_size(&piece);
+                                    if buffered[c] >= buffer_bytes {
+                                        buffered[c] = 0;
+                                        if !flush(&mut plane, c, &mut bufs[c]) {
+                                            break 'run;
+                                        }
                                     }
                                 }
                             }
@@ -836,6 +841,8 @@ fn dxchg_t2n(
             let mut bufs: Vec<(Batch, Vec<u8>)> = (0..fanout)
                 .map(|_| (Batch::empty(schema.clone()), Vec::new()))
                 .collect();
+            // As in `dxchg_t2t`: each buffer's `byte_size`, summed per piece.
+            let mut buffered = vec![0usize; fanout];
             let flush = |plane: &mut SendPlane, ni: usize, buf: &mut (Batch, Vec<u8>)| -> bool {
                 if buf.0.is_empty() {
                     return true;
@@ -862,14 +869,9 @@ fn dxchg_t2n(
                                     let n = piece.len();
                                     bufs[ni].0.append(&piece).ok();
                                     bufs[ni].1.extend(std::iter::repeat_n(route, n));
-                                    let size: usize = bufs[ni]
-                                        .0
-                                        .columns
-                                        .iter()
-                                        .map(|x| x.byte_size())
-                                        .sum::<usize>()
-                                        + bufs[ni].1.len();
-                                    if size >= buffer_bytes {
+                                    buffered[ni] += byte_size(&piece);
+                                    if buffered[ni] + bufs[ni].1.len() >= buffer_bytes {
+                                        buffered[ni] = 0;
                                         let mut b = std::mem::replace(
                                             &mut bufs[ni],
                                             (Batch::empty(schema.clone()), Vec::new()),

@@ -18,7 +18,9 @@ pub enum JoinStrategy {
     /// partitions on their responsible nodes, no network (§5 "local join").
     Local,
     /// The build side is replicated (already-replicated table, or broadcast
-    /// inserted below): split only locally / build a shared hash table.
+    /// inserted below): every node holds a copy of it, and each probe stream
+    /// builds a hash table of its own from its node's copy; no probe row
+    /// moves.
     BroadcastBuild,
     /// Repartition both sides with DXchgHashSplit on the join keys.
     Repartitioned,
