@@ -16,6 +16,7 @@ pub fn pack(values: &[u64], width: u8, out: &mut Vec<u8>) {
     if width == 0 {
         return;
     }
+    out.reserve(packed_size(values.len(), width));
     let width = width as u32;
     let mut acc: u128 = 0;
     let mut acc_bits: u32 = 0;
@@ -26,15 +27,16 @@ pub fn pack(values: &[u64], width: u8, out: &mut Vec<u8>) {
         );
         acc |= (v as u128) << acc_bits;
         acc_bits += width;
-        while acc_bits >= 8 {
-            out.push(acc as u8);
-            acc >>= 8;
-            acc_bits -= 8;
+        // Whole words out: the same little-endian bit stream as byte by
+        // byte, at one store per 64 bits.
+        if acc_bits >= 64 {
+            out.extend_from_slice(&(acc as u64).to_le_bytes());
+            acc >>= 64;
+            acc_bits -= 64;
         }
     }
-    if acc_bits > 0 {
-        out.push(acc as u8);
-    }
+    let tail = acc.to_le_bytes();
+    out.extend_from_slice(&tail[..(acc_bits as usize).div_ceil(8)]);
 }
 
 /// Unpack `count` values of `width` bits from `bytes` into `out`.

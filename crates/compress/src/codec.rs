@@ -1,9 +1,15 @@
 //! Per-block scheme selection and wire format.
 //!
 //! Vectorwise chooses a compression scheme per block based on the data it
-//! sees (§2). [`encode_column`] does the same: it tries every applicable
-//! scheme and keeps the smallest encoding, returning a self-describing byte
-//! block that [`decode_column`] can decode without external context.
+//! sees (§2). [`encode_column`] does the same, and returns a
+//! self-describing byte block that [`decode_column`] can decode without
+//! external context. It keeps the smallest applicable scheme but writes
+//! only that one: PFOR and PFOR-DELTA are planned from the block minimum
+//! and a histogram of bit widths, which give each one's exact size; PDICT
+//! from the distinct values and their counts, which give its exact size
+//! too, and whose counting stops as soon as the distinct values alone
+//! would make it lose. LZ has no bound cheaper than compressing, so a
+//! string block is compressed in full and PDICT-STR planned against it.
 
 use vectorh_common::{ColumnData, Result, StrVec, VhError};
 
@@ -133,8 +139,13 @@ impl<'a> Reader<'a> {
     fn i64(&mut self) -> Result<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// `n` little-endian 8-byte words; `n` comes off a disk, so the words
+    /// are taken before anything is allocated for them.
+    fn words(&mut self, n: usize) -> Result<impl Iterator<Item = [u8; 8]> + 'a> {
+        let bytes = self.take(n.saturating_mul(8))?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|w| w.try_into().expect("8 bytes")))
     }
     fn bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.u32()? as usize;
@@ -164,24 +175,20 @@ fn write_pfor_body(w: &mut Writer, p: &Pfor) {
 }
 
 fn read_pfor_body(r: &mut Reader) -> Result<Pfor> {
-    let base = r.i64()?;
-    let width = r.u8()?;
-    let n = r.u32()?;
-    let first_exc = r.u32()?;
-    let codes = r.bytes()?.to_vec();
-    let exc_n = r.u32()? as usize;
-    let mut exceptions = Vec::with_capacity(exc_n);
-    for _ in 0..exc_n {
-        exceptions.push(r.i64()?);
-    }
     Ok(Pfor {
-        base,
-        width,
-        n,
-        first_exc,
-        codes,
-        exceptions,
+        base: r.i64()?,
+        width: r.u8()?,
+        n: r.u32()?,
+        first_exc: r.u32()?,
+        codes: r.bytes()?.to_vec(),
+        exceptions: read_i64s(r)?,
     })
+}
+
+/// A count, then that many `i64`s.
+fn read_i64s(r: &mut Reader) -> Result<Vec<i64>> {
+    let n = r.u32()? as usize;
+    Ok(r.words(n)?.map(i64::from_le_bytes).collect())
 }
 
 fn encode_pfor(p: &Pfor) -> Vec<u8> {
@@ -247,7 +254,19 @@ fn encode_plain_f64(values: &[f64]) -> Vec<u8> {
 
 // --- public API --------------------------------------------------------------
 
-/// Encode a column buffer, choosing the smallest applicable scheme.
+/// Bytes of a PFOR block besides its body: the tag, base, width, count,
+/// first exception, code length and exception count (PFOR-DELTA's seed is
+/// part of its body).
+const PFOR_HEADER: usize = 1 + 8 + 1 + 4 + 4 + 4 + 4;
+/// Bytes of a PDICT block, integer or string, besides its body: the tag,
+/// dictionary count, width, count, first exception, code length and
+/// exception count.
+const PDICT_HEADER: usize = 1 + 4 + 1 + 4 + 4 + 4 + 4;
+
+/// Encode a column buffer in the smallest applicable scheme, sized exactly
+/// before one is written (see the module header). Ties go to the scheme
+/// tried first: PFOR, then PFOR-DELTA, then PDICT for integers, and PDICT-STR
+/// before LZ for strings.
 pub fn encode_column(col: &ColumnData) -> EncodedBlock {
     match col {
         ColumnData::I32(v) => {
@@ -259,96 +278,102 @@ pub fn encode_column(col: &ColumnData) -> EncodedBlock {
             scheme: Scheme::PlainF64,
             bytes: encode_plain_f64(v),
         },
-        ColumnData::Str(v) => {
-            let dict = PdictStr::encode(v);
-            let dict_bytes = encode_pdict_str(&dict);
-            let lz_bytes = encode_lz_str(v);
-            if dict_bytes.len() <= lz_bytes.len() {
-                EncodedBlock {
-                    scheme: Scheme::PdictStr,
-                    bytes: dict_bytes,
-                }
-            } else {
-                EncodedBlock {
-                    scheme: Scheme::LzStr,
-                    bytes: lz_bytes,
-                }
-            }
-        }
+        ColumnData::Str(v) => encode_strs(v),
     }
 }
 
-/// Integer scheme contest: PFOR vs PFOR-DELTA vs PDICT.
+/// Integer contest: PFOR vs PFOR-DELTA vs PDICT, PDICT planned only as far
+/// as it can still come in under both.
 ///
 /// The narrow flag is carried in the block so i32 columns decode back to i32.
 fn encode_ints(values: &[i64], narrow: bool) -> EncodedBlock {
-    let pfor = Pfor::encode(values);
-    let pfor_bytes = encode_pfor(&pfor);
-    let delta = PforDelta::encode(values);
-    let delta_bytes = encode_pfor_delta(&delta);
-    let pdict = PdictI64::encode(values);
-    let pdict_bytes = encode_pdict_i64(&pdict);
-    let (scheme, mut bytes) = [
-        (Scheme::Pfor, pfor_bytes),
-        (Scheme::PforDelta, delta_bytes),
-        (Scheme::PdictI64, pdict_bytes),
-    ]
-    .into_iter()
-    .min_by_key(|(_, b)| b.len())
-    .expect("three candidates");
+    let pfor = Pfor::plan(values);
+    let diffs = PforDelta::diffs(values);
+    let delta = Pfor::plan(&diffs);
+    let pfor_len = PFOR_HEADER + pfor.body_size();
+    let delta_len = PFOR_HEADER + 8 + delta.body_size();
+    let best = pfor_len.min(delta_len);
+    let pdict = PdictI64::plan(values, best - 1 - PDICT_HEADER)
+        .map(|plan| (PDICT_HEADER + plan.body_size(), plan))
+        .filter(|(len, _)| *len < best);
+    let (scheme, len, mut bytes) = match pdict {
+        Some((len, plan)) => (
+            Scheme::PdictI64,
+            len,
+            encode_pdict_i64(&PdictI64::encode_planned(values, plan)),
+        ),
+        None if delta_len < pfor_len => (
+            Scheme::PforDelta,
+            delta_len,
+            encode_pfor_delta(&PforDelta::encode_planned(values, &diffs, delta)),
+        ),
+        None => (
+            Scheme::Pfor,
+            pfor_len,
+            encode_pfor(&Pfor::encode_planned(values, pfor)),
+        ),
+    };
+    debug_assert_eq!(bytes.len(), len, "{} block size", scheme.name());
     // Narrowness marker byte appended at the end (read by decode_column).
     bytes.push(narrow as u8);
     EncodedBlock { scheme, bytes }
 }
 
-/// Decode a block produced by [`encode_column`].
-pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
-    if bytes.is_empty() {
-        return Err(VhError::Codec("empty block".into()));
+/// String contest: PDICT-STR unless LZ is smaller, LZ compressed in full
+/// and PDICT-STR planned only as far as it can still tie.
+fn encode_strs(values: &StrVec) -> EncodedBlock {
+    let lz = encode_lz_str(values);
+    match PdictStr::plan(values, lz.len().saturating_sub(PDICT_HEADER)) {
+        Some(plan) if PDICT_HEADER + plan.body_size() <= lz.len() => {
+            let len = PDICT_HEADER + plan.body_size();
+            let bytes = encode_pdict_str(&PdictStr::encode_planned(values, plan));
+            debug_assert_eq!(bytes.len(), len, "PDICT-STR block size");
+            EncodedBlock {
+                scheme: Scheme::PdictStr,
+                bytes,
+            }
+        }
+        _ => EncodedBlock {
+            scheme: Scheme::LzStr,
+            bytes: lz,
+        },
     }
-    let scheme = Scheme::from_tag(bytes[0])?;
-    let mut r = Reader::new(&bytes[1..]);
+}
+
+/// Decode a block produced by [`encode_column`]. A block whose parts do not
+/// fit each other is a `VhError::Codec`, never a panic.
+pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
+    let (&tag, body) = bytes
+        .split_first()
+        .ok_or_else(|| VhError::Codec("empty block".into()))?;
+    let scheme = Scheme::from_tag(tag)?;
+    let mut r = Reader::new(body);
     match scheme {
         Scheme::Pfor | Scheme::PforDelta | Scheme::PdictI64 => {
-            let narrow = *bytes.last().unwrap() == 1;
-            let body = &bytes[1..bytes.len() - 1];
+            let (&narrow, body) = body
+                .split_last()
+                .ok_or_else(|| VhError::Codec("truncated block".into()))?;
             let mut r = Reader::new(body);
             let mut out: Vec<i64> = Vec::new();
             match scheme {
-                Scheme::Pfor => read_pfor_body(&mut r)?.decode(&mut out),
-                Scheme::PforDelta => {
-                    let seed = r.i64()?;
-                    let inner = read_pfor_body(&mut r)?;
-                    PforDelta { seed, inner }.decode(&mut out);
+                Scheme::Pfor => read_pfor_body(&mut r)?.try_decode(&mut out)?,
+                Scheme::PforDelta => PforDelta {
+                    seed: r.i64()?,
+                    inner: read_pfor_body(&mut r)?,
                 }
-                Scheme::PdictI64 => {
-                    let dict_n = r.u32()? as usize;
-                    let mut dict = Vec::with_capacity(dict_n);
-                    for _ in 0..dict_n {
-                        dict.push(r.i64()?);
-                    }
-                    let width = r.u8()?;
-                    let n = r.u32()?;
-                    let first_exc = r.u32()?;
-                    let codes = r.bytes()?.to_vec();
-                    let exc_n = r.u32()? as usize;
-                    let mut exceptions = Vec::with_capacity(exc_n);
-                    for _ in 0..exc_n {
-                        exceptions.push(r.i64()?);
-                    }
-                    PdictI64 {
-                        dict,
-                        width,
-                        n,
-                        first_exc,
-                        codes,
-                        exceptions,
-                    }
-                    .decode(&mut out);
+                .try_decode(&mut out)?,
+                Scheme::PdictI64 => PdictI64 {
+                    dict: read_i64s(&mut r)?,
+                    width: r.u8()?,
+                    n: r.u32()?,
+                    first_exc: r.u32()?,
+                    codes: r.bytes()?.to_vec(),
+                    exceptions: read_i64s(&mut r)?,
                 }
+                .try_decode(&mut out)?,
                 _ => unreachable!(),
             }
-            if narrow {
+            if narrow == 1 {
                 Ok(ColumnData::I32(out.into_iter().map(|v| v as i32).collect()))
             } else {
                 Ok(ColumnData::I64(out))
@@ -378,11 +403,9 @@ pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
         }
         Scheme::PlainF64 => {
             let n = r.u32()? as usize;
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(r.f64()?);
-            }
-            Ok(ColumnData::F64(out))
+            Ok(ColumnData::F64(
+                r.words(n)?.map(f64::from_le_bytes).collect(),
+            ))
         }
     }
 }
@@ -498,6 +521,114 @@ mod tests {
         assert!(decode_column(&[99, 0, 0]).is_err());
         let enc = encode_column(&ColumnData::I64(vec![1, 2, 3]));
         assert!(decode_column(&enc.bytes[..3]).is_err());
+
+        // Integer blocks whose parts do not fit each other: one case per
+        // rule, each a `VhError::Codec` where it used to be a panic.
+        for tag in [Scheme::Pfor, Scheme::PforDelta, Scheme::PdictI64] {
+            let err = decode_column(&[tag as u8]).err();
+            assert!(matches!(err, Some(VhError::Codec(_))), "{tag:?}: {err:?}");
+        }
+        let skewed: Vec<i64> = (0..64)
+            .map(|i| if i % 9 == 4 { 1 << 40 } else { i % 5 })
+            .collect();
+        let pfor = Pfor::encode(&skewed);
+        assert!(pfor.exceptions.len() > 1);
+        let pdict = PdictI64::encode(&[7, 7, 9, 7, 9, 7]);
+        let narrow = |mut body: Vec<u8>| {
+            body.push(0);
+            body
+        };
+        let mut exc_count_past_the_block = Writer::new(Scheme::Pfor);
+        write_pfor_body(
+            &mut exc_count_past_the_block,
+            &Pfor {
+                exceptions: vec![],
+                ..pfor.clone()
+            },
+        );
+        let at = exc_count_past_the_block.buf.len() - 4;
+        exc_count_past_the_block.buf[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        for (what, block) in [
+            ("no body", vec![Scheme::Pfor as u8]),
+            (
+                "width past 64, with room for its codes",
+                encode_pfor(&Pfor {
+                    width: 70,
+                    codes: vec![0; crate::bitpack::packed_size(pfor.n as usize, 70)],
+                    ..pfor.clone()
+                }),
+            ),
+            (
+                "code section short of its values",
+                encode_pfor(&Pfor {
+                    codes: pfor.codes[..pfor.codes.len() - 1].to_vec(),
+                    ..pfor.clone()
+                }),
+            ),
+            (
+                "more exceptions than values",
+                encode_pfor(&Pfor {
+                    n: 1,
+                    ..pfor.clone()
+                }),
+            ),
+            (
+                "exception count past the block",
+                exc_count_past_the_block.buf,
+            ),
+            (
+                "chain starting past the block",
+                encode_pfor(&Pfor {
+                    first_exc: pfor.n,
+                    ..pfor.clone()
+                }),
+            ),
+            (
+                "chain with exceptions but no start",
+                encode_pfor(&Pfor {
+                    first_exc: u32::MAX,
+                    ..pfor.clone()
+                }),
+            ),
+            (
+                "chain hopping past the block",
+                encode_pfor(&Pfor {
+                    first_exc: pfor.n - 1,
+                    ..pfor.clone()
+                }),
+            ),
+            (
+                "PFOR-DELTA over a broken PFOR",
+                encode_pfor_delta(&PforDelta {
+                    seed: 3,
+                    inner: Pfor {
+                        width: 70,
+                        ..pfor.clone()
+                    },
+                }),
+            ),
+            (
+                "PDICT width past 64",
+                encode_pdict_i64(&PdictI64 {
+                    width: 65,
+                    ..pdict.clone()
+                }),
+            ),
+            (
+                "PDICT with an empty dictionary",
+                encode_pdict_i64(&PdictI64 {
+                    dict: vec![],
+                    ..pdict.clone()
+                }),
+            ),
+        ] {
+            let err = decode_column(&narrow(block)).err();
+            assert!(matches!(err, Some(VhError::Codec(_))), "{what}: {err:?}");
+        }
+        // The untouched blocks decode.
+        for block in [encode_pfor(&pfor), encode_pdict_i64(&pdict)] {
+            assert!(decode_column(&narrow(block)).is_ok());
+        }
     }
 
     /// A PDICT-STR block over "é" whose dictionary or exception bytes are

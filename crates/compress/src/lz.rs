@@ -16,15 +16,43 @@ const MAX_LITERAL: usize = 128;
 const MAX_OFFSET: usize = u16::MAX as usize;
 
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    let w = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    (w.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn hash4(word: u32) -> usize {
+    (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// Compress `input`, appending to `out`. Returns compressed length.
+/// The little-endian word of the `N` bytes at `at`.
+#[inline]
+fn word<const N: usize>(input: &[u8], at: usize) -> [u8; N] {
+    input[at..at + N].try_into().expect("N bytes")
+}
+
+/// How far the match of `i` against the earlier `cand` runs, its first
+/// `MIN_MATCH` bytes known equal, up to `limit` bytes: eight bytes a
+/// compare while eight remain.
+#[inline]
+fn match_len(input: &[u8], cand: usize, i: usize, limit: usize) -> usize {
+    let mut len = MIN_MATCH;
+    while len + 8 <= limit {
+        let diff =
+            u64::from_le_bytes(word(input, cand + len)) ^ u64::from_le_bytes(word(input, i + len));
+        if diff != 0 {
+            return len + diff.trailing_zeros() as usize / 8;
+        }
+        len += 8;
+    }
+    while len < limit && input[cand + len] == input[i + len] {
+        len += 1;
+    }
+    len
+}
+
+/// Compress `input` (shorter than 4 GiB, as a block's `u32` lengths
+/// require), appending to `out`. Returns compressed length.
 pub fn compress(input: &[u8], out: &mut Vec<u8>) -> usize {
+    assert!(input.len() < u32::MAX as usize, "LZ input of 4 GiB or more");
     let start_len = out.len();
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    // Each hash's latest position + 1; 0 for none yet.
+    let mut table = vec![0u32; 1 << HASH_BITS];
     let mut i = 0usize;
     let mut lit_start = 0usize;
 
@@ -39,19 +67,15 @@ pub fn compress(input: &[u8], out: &mut Vec<u8>) -> usize {
     };
 
     while i + MIN_MATCH <= input.len() {
-        let h = hash4(&input[i..]);
-        let cand = table[h];
-        table[h] = i;
-        if cand != usize::MAX
-            && i - cand <= MAX_OFFSET
-            && input[cand..cand + MIN_MATCH] == input[i..i + MIN_MATCH]
+        let head = u32::from_le_bytes(word(input, i));
+        let h = hash4(head);
+        let seen = table[h] as usize;
+        table[h] = i as u32 + 1;
+        if let Some(cand) = seen
+            .checked_sub(1)
+            .filter(|&cand| i - cand <= MAX_OFFSET && u32::from_le_bytes(word(input, cand)) == head)
         {
-            // Extend the match.
-            let mut len = MIN_MATCH;
-            let limit = (input.len() - i).min(MAX_MATCH);
-            while len < limit && input[cand + len] == input[i + len] {
-                len += 1;
-            }
+            let len = match_len(input, cand, i, (input.len() - i).min(MAX_MATCH));
             flush_literals(out, lit_start, i);
             out.push((128 + (len - MIN_MATCH)) as u8);
             out.extend_from_slice(&((i - cand) as u16).to_le_bytes());

@@ -8,37 +8,18 @@
 //! decompression speed. A string block does not even gather: it decodes to
 //! its codes, a coded `StrVec` over the dictionary with the exceptions
 //! appended, and the strings stay codes until an operator needs bytes.
+//!
+//! A block is planned before it is written ([`PdictI64::plan`],
+//! [`PdictStr::plan`]): one pass counts the distinct values in a flat
+//! open-addressing [`Counter`], the dictionary and the exceptions follow from
+//! the counts, and the count gives up as soon as the distinct values alone
+//! would make the block bigger than the caller can use.
 
-use std::collections::HashMap;
-use vectorh_common::util::bits_needed;
+use vectorh_common::util::{bits_needed, hash_bytes};
 use vectorh_common::{Result, StrVec, VhError};
 
 use crate::bitpack;
-
-/// Plan exception positions given per-position "codeable" flags and the code
-/// mask. Inserts forced exceptions so consecutive exceptions are never more
-/// than `mask + 1` slots apart (the chain-hop limit).
-fn plan_exceptions(codeable: &[bool], mask: u64) -> Vec<usize> {
-    let max_gap = mask as usize;
-    let mut exc = Vec::new();
-    let mut last: Option<usize> = None;
-    let mut later_natural: Vec<bool> = vec![false; codeable.len() + 1];
-    for i in (0..codeable.len()).rev() {
-        later_natural[i] = later_natural[i + 1] || !codeable[i];
-    }
-    for i in 0..codeable.len() {
-        let natural = !codeable[i];
-        let forced = match last {
-            Some(j) => i - j - 1 == max_gap && later_natural[i],
-            None => false,
-        };
-        if natural || forced {
-            exc.push(i);
-            last = Some(i);
-        }
-    }
-    exc
-}
+use crate::pfor::{chain, check_slots, first_exception, link, walk_chain};
 
 /// PDICT over 64-bit integers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,38 +43,171 @@ pub struct PdictStr {
     pub exceptions: StrVec,
 }
 
-/// Shared encode: given per-value dictionary codes (`None` = not in dict),
-/// produce the packed slot stream and exception position list.
-fn encode_slots(codes_opt: &[Option<u64>], width: u8) -> (Vec<u8>, u32, Vec<usize>) {
-    let mask = if width == 0 {
-        0
-    } else if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let codeable: Vec<bool> = codes_opt.iter().map(|c| c.is_some()).collect();
-    let exc_pos = plan_exceptions(&codeable, mask);
-    let mut slots = Vec::with_capacity(codes_opt.len());
-    let mut exc_iter = exc_pos.iter().copied().enumerate().peekable();
-    for (i, c) in codes_opt.iter().enumerate() {
-        if let Some(&(k, pos)) = exc_iter.peek() {
-            if pos == i {
-                exc_iter.next();
-                let hop = match exc_pos.get(k + 1) {
-                    Some(&nj) => (nj - i - 1) as u64,
-                    None => 0,
-                };
-                slots.push(hop & mask);
-                continue;
-            }
+/// Distinct keys and how often each occurs: open addressing with linear
+/// probing over a flat array of slots kept at most a quarter full, the
+/// slot taken from the top bits of a hash the caller gives. The hash is
+/// unkeyed, as in the engine's join and aggregation tables; a block's row
+/// count bounds what colliding values can cost.
+struct Counter<K> {
+    /// 0 for a free slot, else its entry's index + 1.
+    slots: Vec<u32>,
+    /// `64 − log2(slots.len())`: a hash's slot is `hash >> shift`.
+    shift: u32,
+    /// In order of first appearance.
+    entries: Vec<Entry<K>>,
+}
+
+struct Entry<K> {
+    key: K,
+    hash: u64,
+    count: usize,
+}
+
+impl<K: Copy + Eq> Counter<K> {
+    fn new() -> Self {
+        Counter {
+            slots: vec![0; 16],
+            shift: 64 - 4,
+            entries: Vec::new(),
         }
-        slots.push(c.expect("non-exception slot must be codeable"));
     }
-    let mut packed = Vec::new();
-    bitpack::pack(&slots, width, &mut packed);
-    let first = exc_pos.first().map(|&i| i as u32).unwrap_or(u32::MAX);
-    (packed, first, exc_pos)
+
+    /// Count `weight` more of `key`, whose hash is `hash`; returns its entry.
+    #[inline]
+    fn add(&mut self, key: K, hash: u64, weight: usize) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut at = (hash >> self.shift) as usize;
+        while let Some(e) = self.slots[at].checked_sub(1) {
+            let entry = &mut self.entries[e as usize];
+            if entry.hash == hash && entry.key == key {
+                entry.count += weight;
+                return e;
+            }
+            at = (at + 1) & mask;
+        }
+        let e = self.entries.len() as u32;
+        self.slots[at] = e + 1;
+        self.entries.push(Entry {
+            key,
+            hash,
+            count: weight,
+        });
+        if 4 * self.entries.len() > self.slots.len() {
+            self.grow();
+        }
+        e
+    }
+
+    fn grow(&mut self) {
+        self.slots = vec![0; 2 * self.slots.len()];
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for (e, entry) in self.entries.iter().enumerate() {
+            let mut at = (entry.hash >> self.shift) as usize;
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = e as u32 + 1;
+        }
+    }
+}
+
+/// A PDICT block decided but not yet written.
+pub(crate) struct DictPlan<K> {
+    /// The kept values in code order: frequency descending, then value
+    /// ascending.
+    dict: Vec<K>,
+    /// Each position's value's rank in that order; a rank past the
+    /// dictionary marks a natural exception.
+    ranks: Vec<u32>,
+    width: u8,
+    /// Exception positions, natural and forced, ascending.
+    exceptions: Vec<usize>,
+    body_size: usize,
+}
+
+impl<K> DictPlan<K> {
+    /// The written block's `body_size()`.
+    pub(crate) fn body_size(&self) -> usize {
+        self.body_size
+    }
+
+    /// The packed code section, each exception's slot linked to the next,
+    /// and the first exception.
+    fn pack(&self) -> (Vec<u8>, u32) {
+        let mut slots: Vec<u64> = self.ranks.iter().map(|&r| r as u64).collect();
+        link(&mut slots, &self.exceptions);
+        let mut codes = Vec::with_capacity(bitpack::packed_size(slots.len(), self.width));
+        bitpack::pack(&slots, self.width, &mut codes);
+        (codes, first_exception(&self.exceptions))
+    }
+}
+
+/// Plan the dictionary over the distinct values `counter` holds, `ids`
+/// naming each position's entry. The values are ranked by frequency
+/// descending, then value ascending; [`choose_dict_size`] keeps a prefix of
+/// at least one (entry costs from `entry_cost`, a value left out costing
+/// `exc_cost`), and the exceptions are found at the width its codes need.
+/// `exc_size(i)` is the stored size of position `i`'s value as an exception.
+fn plan_dict<K: Copy + Ord>(
+    counter: Counter<K>,
+    mut ids: Vec<u32>,
+    entry_cost: impl Fn(K) -> usize,
+    exc_cost: usize,
+    exc_size: impl Fn(usize) -> usize,
+) -> DictPlan<K> {
+    let n = ids.len();
+    if n == 0 {
+        return DictPlan {
+            dict: Vec::new(),
+            ranks: ids,
+            width: 0,
+            exceptions: Vec::new(),
+            body_size: 0,
+        };
+    }
+    let entries = counter.entries;
+    let mut order: Vec<u32> = (0..entries.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        let (a, b) = (&entries[a as usize], &entries[b as usize]);
+        b.count.cmp(&a.count).then(a.key.cmp(&b.key))
+    });
+    let freqs: Vec<usize> = order.iter().map(|&e| entries[e as usize].count).collect();
+    let costs: Vec<usize> = order
+        .iter()
+        .map(|&e| entry_cost(entries[e as usize].key))
+        .collect();
+    let k = choose_dict_size(&freqs, n, &costs, exc_cost).max(1);
+    let width = bits_needed((k - 1) as u64).max(1);
+    let mut rank = vec![0u32; entries.len()];
+    for (r, &e) in order.iter().enumerate() {
+        rank[e as usize] = r as u32;
+    }
+    for id in &mut ids {
+        *id = rank[*id as usize];
+    }
+    let mut exceptions = Vec::new();
+    if k < entries.len() {
+        let naturals = ids
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| r as usize >= k)
+            .map(|(i, _)| i);
+        exceptions.extend(chain(naturals, width));
+    }
+    let body_size = costs[..k].iter().sum::<usize>()
+        + bitpack::packed_size(n, width)
+        + exceptions.iter().map(|&i| exc_size(i)).sum::<usize>();
+    DictPlan {
+        dict: order[..k]
+            .iter()
+            .map(|&e| entries[e as usize].key)
+            .collect(),
+        ranks: ids,
+        width,
+        exceptions,
+        body_size,
+    }
 }
 
 /// Choose how many dictionary entries to keep, minimizing
@@ -126,50 +240,64 @@ fn choose_dict_size(
 }
 
 impl PdictI64 {
-    pub fn encode(values: &[i64]) -> PdictI64 {
-        if values.is_empty() {
-            return PdictI64 {
-                dict: vec![],
-                width: 0,
-                n: 0,
-                first_exc: u32::MAX,
-                codes: vec![],
-                exceptions: vec![],
-            };
-        }
-        let mut freq: HashMap<i64, usize> = HashMap::new();
+    /// Plan the block for `values`, or `None` as soon as its body is sure
+    /// to exceed `max_body` bytes: every distinct value is stored once, as
+    /// an entry or an exception, at 8 bytes, beside a code of at least one
+    /// bit per value, so counting stops when the distinct values pass that.
+    pub(crate) fn plan(values: &[i64], max_body: usize) -> Option<DictPlan<i64>> {
+        let max_distinct = max_body.checked_sub(bitpack::packed_size(values.len(), 1))? / 8;
+        let mut counter = Counter::new();
+        let mut ids = Vec::with_capacity(values.len());
         for &v in values {
-            *freq.entry(v).or_insert(0) += 1;
+            // Multiplying by an odd constant is a bijection whose top bits mix
+            // every bit of the value.
+            ids.push(counter.add(v, (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15), 1));
+            if counter.entries.len() > max_distinct {
+                return None;
+            }
         }
-        let mut by_freq: Vec<(i64, usize)> = freq.into_iter().collect();
-        by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let freqs: Vec<usize> = by_freq.iter().map(|&(_, f)| f).collect();
-        let costs: Vec<usize> = vec![8; by_freq.len()];
-        let k = choose_dict_size(&freqs, values.len(), &costs, 8).max(1);
-        let dict: Vec<i64> = by_freq[..k].iter().map(|&(v, _)| v).collect();
-        let width = bits_needed((k - 1) as u64).max(1);
-        let index: HashMap<i64, u64> = dict
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u64))
-            .collect();
-        let codes_opt: Vec<Option<u64>> = values.iter().map(|v| index.get(v).copied()).collect();
-        let (codes, first_exc, exc_pos) = encode_slots(&codes_opt, width);
-        let exceptions = exc_pos.iter().map(|&i| values[i]).collect();
+        Some(plan_dict(counter, ids, |_| 8, 8, |_| 8))
+    }
+
+    /// Write the block `plan` describes for the `values` it was made from.
+    pub(crate) fn encode_planned(values: &[i64], plan: DictPlan<i64>) -> PdictI64 {
+        let (codes, first_exc) = plan.pack();
         PdictI64 {
-            dict,
-            width,
+            exceptions: plan.exceptions.iter().map(|&i| values[i]).collect(),
+            dict: plan.dict,
+            width: plan.width,
             n: values.len() as u32,
             first_exc,
             codes,
-            exceptions,
         }
     }
 
+    pub fn encode(values: &[i64]) -> PdictI64 {
+        Self::encode_planned(
+            values,
+            Self::plan(values, usize::MAX).expect("a plan with no size limit"),
+        )
+    }
+
+    /// Panics on a block whose parts do not fit each other, which
+    /// [`encode`](Self::encode) never writes; a block read off a disk is
+    /// decoded through [`try_decode`](Self::try_decode).
     pub fn decode(&self, out: &mut Vec<i64>) {
+        self.try_decode(out)
+            .expect("a PDICT block whose parts fit each other");
+    }
+
+    /// [`decode`](Self::decode), or a `VhError::Codec` for a block whose
+    /// parts do not fit each other.
+    pub(crate) fn try_decode(&self, out: &mut Vec<i64>) -> Result<()> {
         let n = self.n as usize;
         if n == 0 {
-            return;
+            return Ok(());
+        }
+        let corrupt = |what| VhError::Codec(format!("PDICT block: {what}"));
+        check_slots(n, self.width, &self.codes, self.exceptions.len()).map_err(corrupt)?;
+        if self.dict.is_empty() {
+            return Err(corrupt("empty dictionary"));
         }
         let start = out.len();
         out.resize(start + n, 0);
@@ -177,16 +305,12 @@ impl PdictI64 {
         // Unpack codes straight into the output buffer (u64 slot view).
         crate::simd::unpack_into(&self.codes, self.width, crate::simd::i64_as_u64_mut(dst));
         // Walk the patch chain while slots are raw, then gather in place.
-        let mut exc_pos: Vec<usize> = Vec::with_capacity(self.exceptions.len());
-        if self.first_exc != u32::MAX {
-            let mut j = self.first_exc as usize;
-            for k in 0..self.exceptions.len() {
-                exc_pos.push(j);
-                if k + 1 < self.exceptions.len() {
-                    j += dst[j] as usize + 1;
-                }
-            }
-        }
+        let exc_pos = walk_chain(
+            crate::simd::i64_as_u64_mut(dst),
+            self.first_exc,
+            self.exceptions.len(),
+        )
+        .map_err(corrupt)?;
         // Phase 1: dictionary gather. Exception slots hold chain hops which
         // may exceed the dictionary; the unsigned clamp keeps the gather
         // in-bounds (they get patched in phase 2).
@@ -195,6 +319,7 @@ impl PdictI64 {
         for (&pos, e) in exc_pos.iter().zip(&self.exceptions) {
             dst[pos] = *e;
         }
+        Ok(())
     }
 
     pub fn body_size(&self) -> usize {
@@ -203,41 +328,68 @@ impl PdictI64 {
 }
 
 impl PdictStr {
-    pub fn encode(values: &StrVec) -> PdictStr {
-        if values.is_empty() {
-            return PdictStr {
-                dict: StrVec::new(),
-                width: 0,
-                n: 0,
-                first_exc: u32::MAX,
-                codes: vec![],
-                exceptions: StrVec::new(),
-            };
-        }
-        let mut freq: HashMap<&str, usize> = HashMap::new();
-        for v in values.iter() {
-            *freq.entry(v).or_insert(0) += 1;
-        }
-        let mut by_freq: Vec<(&str, usize)> = freq.into_iter().collect();
-        by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        let freqs: Vec<usize> = by_freq.iter().map(|&(_, f)| f).collect();
-        let costs: Vec<usize> = by_freq.iter().map(|&(s, _)| s.len() + 4).collect();
-        let avg_len = (values.byte_len() + 4 * values.len()) / values.len();
-        let k = choose_dict_size(&freqs, values.len(), &costs, avg_len).max(1);
-        let dict: StrVec = by_freq[..k].iter().map(|&(v, _)| v).collect();
-        let width = bits_needed((k - 1) as u64).max(1);
-        let index: HashMap<&str, u64> = dict.iter().zip(0u64..).collect();
-        let codes_opt: Vec<Option<u64>> = values.iter().map(|v| index.get(v).copied()).collect();
-        let (codes, first_exc, exc_pos) = encode_slots(&codes_opt, width);
-        let exceptions = values.gather(exc_pos.iter().copied());
+    /// Plan the block for `values`, or `None` as soon as its body is sure
+    /// to exceed `max_body` bytes: every distinct string is stored once, as
+    /// an entry or an exception, at its length + 4, beside a code of at
+    /// least one bit per value, so counting stops when the distinct strings
+    /// pass that. A coded vector is counted per code, and the counts of
+    /// codes that name one string (a dictionary may hold it twice) merged.
+    pub(crate) fn plan<'a>(values: &'a StrVec, max_body: usize) -> Option<DictPlan<&'a str>> {
+        let n = values.len();
+        let mut room = max_body.checked_sub(bitpack::packed_size(n, 1))?;
+        let mut counter = Counter::new();
+        let mut add = |s: &'a str, weight| {
+            let known = counter.entries.len();
+            let e = counter.add(s, hash_bytes(s.as_bytes()), weight);
+            if counter.entries.len() > known {
+                room = room.checked_sub(s.len() + 4)?;
+            }
+            Some(e)
+        };
+        let ids: Vec<u32> = match values.dict_codes() {
+            Some((dict, codes)) => {
+                let mut per_code = vec![0usize; dict.len()];
+                for &c in codes {
+                    per_code[c as usize] += 1;
+                }
+                let mut entry = vec![0u32; dict.len()];
+                for (c, &count) in per_code.iter().enumerate() {
+                    if count > 0 {
+                        entry[c] = add(dict.get(c), count)?;
+                    }
+                }
+                codes.iter().map(|&c| entry[c as usize]).collect()
+            }
+            None => values.iter().map(|s| add(s, 1)).collect::<Option<_>>()?,
+        };
+        let avg_len = (values.byte_len() + 4 * n).checked_div(n).unwrap_or(0);
+        Some(plan_dict(
+            counter,
+            ids,
+            |s| s.len() + 4,
+            avg_len,
+            |i| values.get(i).len() + 4,
+        ))
+    }
+
+    /// Write the block `plan` describes for the `values` it was made from.
+    pub(crate) fn encode_planned(values: &StrVec, plan: DictPlan<&str>) -> PdictStr {
+        let (codes, first_exc) = plan.pack();
         PdictStr {
-            dict,
-            width,
+            dict: plan.dict.iter().collect(),
+            width: plan.width,
             n: values.len() as u32,
             first_exc,
             codes,
-            exceptions,
+            exceptions: values.gather(plan.exceptions.iter().copied()),
         }
+    }
+
+    pub fn encode(values: &StrVec) -> PdictStr {
+        Self::encode_planned(
+            values,
+            Self::plan(values, usize::MAX).expect("a plan with no size limit"),
+        )
     }
 
     /// The `n` decoded values as a coded [`StrVec`]: the dictionary with the
@@ -250,23 +402,19 @@ impl PdictStr {
         if n == 0 {
             return Ok(StrVec::new());
         }
-        let corrupt = |what: &str| VhError::Codec(format!("PDICT-STR block: {what}"));
-        if self.width > 64 || self.codes.len() < bitpack::packed_size(n, self.width) {
-            return Err(corrupt("code section too short"));
-        }
+        let corrupt = |what| VhError::Codec(format!("PDICT-STR block: {what}"));
+        check_slots(n, self.width, &self.codes, self.exceptions.len()).map_err(corrupt)?;
         if self.dict.is_empty() {
             return Err(corrupt("empty dictionary"));
         }
         let mut slots = Vec::with_capacity(n);
         bitpack::unpack(&self.codes, n, self.width, &mut slots);
-        // An exception's slot holds the hop to the next one: read it, then
-        // point the slot at the exception's entry.
+        // An exception's slot holds the hop to the next one: read them all,
+        // then point each slot at its exception's entry.
         let (n_dict, n_exc) = (self.dict.len(), self.exceptions.len());
-        let mut j = self.first_exc as usize;
-        for k in 0..n_exc {
-            let slot = slots.get_mut(j).ok_or_else(|| corrupt("exception chain"))?;
-            let hop = std::mem::replace(slot, (n_dict + k) as u64);
-            j = j.saturating_add(hop as usize).saturating_add(1);
+        let exc_pos = walk_chain(&slots, self.first_exc, n_exc).map_err(corrupt)?;
+        for (k, at) in exc_pos.into_iter().enumerate() {
+            slots[at] = (n_dict + k) as u64;
         }
         // A code too wide for `u32` is past any dictionary: `coded` refuses it.
         let codes = slots
@@ -426,24 +574,20 @@ mod tests {
 
     #[test]
     fn plan_exceptions_inserts_forced_patches() {
-        // naturals at 0 and 20, mask 3 => max hop 3 slots between exceptions
-        let mut codeable = vec![true; 21];
-        codeable[0] = false;
-        codeable[20] = false;
-        let exc = plan_exceptions(&codeable, 3);
-        assert_eq!(exc.first(), Some(&0));
-        assert_eq!(exc.last(), Some(&20));
-        for w in exc.windows(2) {
-            assert!(w[1] - w[0] - 1 <= 3, "gap too wide: {exc:?}");
-        }
+        // naturals at 0 and 20, width 2 => max hop 3 slots between exceptions
+        let exc: Vec<usize> = chain([0, 20].into_iter(), 2).collect();
+        assert_eq!(exc, [0, 4, 8, 12, 16, 20]);
+        // A gap the hop spans needs nothing.
+        let exc: Vec<usize> = chain([5, 9, 10].into_iter(), 2).collect();
+        assert_eq!(exc, [5, 9, 10]);
     }
 
     #[test]
     fn no_forced_patch_after_last_natural() {
-        let mut codeable = vec![true; 100];
-        codeable[1] = false;
-        let exc = plan_exceptions(&codeable, 1);
+        let exc: Vec<usize> = chain([1].into_iter(), 1).collect();
         assert_eq!(exc, vec![1], "no trailing forced exceptions");
+        let exc: Vec<usize> = chain([60].into_iter(), 1).collect();
+        assert_eq!(exc, vec![60], "no leading forced exceptions");
     }
 
     #[test]

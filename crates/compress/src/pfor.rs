@@ -12,7 +12,16 @@
 //!
 //! When exceptions are further apart than the chain can express at the
 //! chosen width, the encoder inserts *forced exceptions* to keep the chain
-//! connected (standard PFOR practice).
+//! connected (standard PFOR practice). [`chain`] places them, for PDICT too.
+//!
+//! An encoding is planned before it is written: [`Pfor::plan`] takes the
+//! frame from the block minimum, the width from a histogram of bit widths
+//! and the exceptions from one pass at that width, so
+//! [`crate::codec`] can weigh PFOR against the other schemes by its exact
+//! size and write only the scheme it keeps.
+
+use vectorh_common::util::bits_needed;
+use vectorh_common::{Result, VhError};
 
 use crate::bitpack;
 
@@ -33,23 +42,115 @@ pub struct Pfor {
     pub exceptions: Vec<i64>,
 }
 
+/// A PFOR block decided but not yet written.
+pub(crate) struct PforPlan {
+    n: usize,
+    base: i64,
+    width: u8,
+    /// Exception positions, natural and forced, ascending.
+    exceptions: Vec<usize>,
+}
+
+impl PforPlan {
+    /// The written block's [`Pfor::body_size`].
+    pub(crate) fn body_size(&self) -> usize {
+        body_size(self.n, self.width, self.exceptions.len())
+    }
+}
+
 /// Size in bytes an encoding with these parameters will occupy on disk
 /// (excluding the fixed header the storage layer adds).
 fn body_size(n: usize, width: u8, exceptions: usize) -> usize {
     bitpack::packed_size(n, width) + exceptions * 8
 }
 
-/// Pick the code width minimizing encoded size.
-///
-/// Natural exceptions per width come from a bit-width histogram; forced
-/// exceptions (chain gaps) are charged pessimistically as `n >> width`.
-fn choose_width(deltas: &[u64]) -> u8 {
-    if deltas.is_empty() {
-        return 0;
+/// The largest code `width` bits hold.
+pub(crate) fn mask(width: u8) -> u64 {
+    match width {
+        0 => 0,
+        w => u64::MAX >> (64 - w),
     }
-    let mut hist = [0usize; 65];
-    for &d in deltas {
-        hist[vectorh_common::util::bits_needed(d) as usize] += 1;
+}
+
+/// The exception positions of a patched block (PFOR, PDICT) coded at
+/// `width` bits: every natural exception, ascending, and a forced one
+/// wherever the next natural exception lies further past the previous
+/// exception than a slot can hop ([`mask`]`(width)` slots between two).
+/// Nothing is forced before the first natural exception or after the last.
+pub(crate) fn chain(
+    naturals: impl Iterator<Item = usize>,
+    width: u8,
+) -> impl Iterator<Item = usize> {
+    let stride = (mask(width) as usize).saturating_add(1);
+    let mut last: Option<usize> = None;
+    naturals.flat_map(move |at| {
+        let forced_from = last.map_or(at, |prev| prev.saturating_add(stride));
+        last = Some(at);
+        (forced_from..at).step_by(stride).chain(std::iter::once(at))
+    })
+}
+
+/// Point each exception's slot at the next exception: the hop
+/// `next − this − 1`, and 0 (unused) for the last.
+pub(crate) fn link(slots: &mut [u64], exceptions: &[usize]) {
+    for (k, &at) in exceptions.iter().enumerate() {
+        slots[at] = exceptions
+            .get(k + 1)
+            .map_or(0, |&next| (next - at - 1) as u64);
+    }
+}
+
+/// The `first_exc` field for these exception positions.
+pub(crate) fn first_exception(exceptions: &[usize]) -> u32 {
+    exceptions.first().map_or(u32::MAX, |&at| at as u32)
+}
+
+/// Can the `n` slots of a patched block (PFOR, PDICT) be unpacked? Its
+/// width is at most 64 bits, its code section holds `n` slots, and it has
+/// no more exceptions than slots.
+pub(crate) fn check_slots(
+    n: usize,
+    width: u8,
+    codes: &[u8],
+    exceptions: usize,
+) -> std::result::Result<(), &'static str> {
+    if width > 64 {
+        Err("width past 64 bits")
+    } else if codes.len() < bitpack::packed_size(n, width) {
+        Err("code section too short")
+    } else if exceptions > n {
+        Err("more exceptions than values")
+    } else {
+        Ok(())
+    }
+}
+
+/// The positions of a patched block's `exceptions`, walked from `first`
+/// along the hops its raw `slots` hold; an error when the chain leaves the
+/// block.
+pub(crate) fn walk_chain(
+    slots: &[u64],
+    first: u32,
+    exceptions: usize,
+) -> std::result::Result<Vec<usize>, &'static str> {
+    let mut at = Vec::with_capacity(exceptions);
+    let mut j = first as usize;
+    for _ in 0..exceptions {
+        let hop = *slots.get(j).ok_or("exception chain leaves the block")?;
+        at.push(j);
+        j = j.saturating_add(hop as usize).saturating_add(1);
+    }
+    Ok(at)
+}
+
+/// Pick the code width minimizing encoded size, from `hist[b]`, the number
+/// of the `n` deltas that need `b` bits.
+///
+/// Natural exceptions per width come from the histogram; forced exceptions
+/// (chain gaps) are charged pessimistically as `n >> width`.
+fn choose_width(hist: &[usize; 65], n: usize) -> u8 {
+    if n == 0 {
+        return 0;
     }
     // suffix[w] = number of values needing more than w bits = natural exceptions at width w.
     let mut best_w = 64u8;
@@ -61,12 +162,12 @@ fn choose_width(deltas: &[u64]) -> u8 {
         let forced = if exceptions == 0 || w == 0 || w >= 32 {
             0
         } else {
-            (deltas.len() >> w).saturating_sub(exceptions)
+            (n >> w).saturating_sub(exceptions)
         };
         let exc = exceptions + forced;
         // width 0 cannot host an exception chain.
         if !(w == 0 && exc > 0) {
-            let size = body_size(deltas.len(), w, exc);
+            let size = body_size(n, w, exc);
             if size < best_size {
                 best_size = size;
                 best_w = w;
@@ -78,93 +179,69 @@ fn choose_width(deltas: &[u64]) -> u8 {
 }
 
 impl Pfor {
-    /// Encode a slice of values.
-    pub fn encode(values: &[i64]) -> Pfor {
-        let n = values.len();
-        if n == 0 {
-            return Pfor {
+    /// Plan the block for `values`: the minimum as the frame, the width
+    /// from the histogram of the deltas' bit widths, and the exceptions at
+    /// that width (none when the histogram shows no delta too wide for it).
+    pub(crate) fn plan(values: &[i64]) -> PforPlan {
+        let Some(&base) = values.iter().min() else {
+            return PforPlan {
+                n: 0,
                 base: 0,
                 width: 0,
-                n: 0,
-                first_exc: u32::MAX,
-                codes: vec![],
-                exceptions: vec![],
+                exceptions: Vec::new(),
             };
+        };
+        let mut hist = [0usize; 65];
+        for &v in values {
+            hist[bits_needed(v.wrapping_sub(base) as u64) as usize] += 1;
         }
-        let base = *values.iter().min().expect("non-empty");
-        let deltas: Vec<u64> = values
+        let width = choose_width(&hist, values.len());
+        let mut exceptions = Vec::new();
+        if hist[width as usize + 1..].iter().any(|&c| c > 0) {
+            let mask = mask(width);
+            let naturals = values
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| v.wrapping_sub(base) as u64 > mask)
+                .map(|(i, _)| i);
+            exceptions.extend(chain(naturals, width));
+        }
+        PforPlan {
+            n: values.len(),
+            base,
+            width,
+            exceptions,
+        }
+    }
+
+    /// Write the block `plan` describes for the `values` it was made from.
+    pub(crate) fn encode_planned(values: &[i64], plan: PforPlan) -> Pfor {
+        let PforPlan {
+            n,
+            base,
+            width,
+            exceptions: at,
+        } = plan;
+        let mut slots: Vec<u64> = values
             .iter()
             .map(|&v| v.wrapping_sub(base) as u64)
             .collect();
-        let width = choose_width(&deltas);
-        Self::encode_with_width(values, base, width, &deltas)
-    }
-
-    fn encode_with_width(values: &[i64], base: i64, width: u8, deltas: &[u64]) -> Pfor {
-        let n = values.len();
-        let mask = if width == 0 {
-            0u64
-        } else if width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        };
-        // Max expressible chain hop: a code slot holds (next_idx - this_idx - 1).
-        let max_gap = mask as usize; // hop of mask means next exception is mask+1 slots away
-
-        // First pass: decide which positions are exceptions (natural + forced).
-        let mut exc_pos: Vec<usize> = Vec::new();
-        let mut last_exc: Option<usize> = None;
-        for (i, &d) in deltas.iter().enumerate() {
-            let natural = width < 64 && d > mask;
-            let forced = match last_exc {
-                Some(j) => {
-                    !exc_pos.is_empty() && i - j > max_gap && {
-                        // Force only when the *next* natural exception would be
-                        // unreachable; conservatively force at the horizon.
-                        i - j - 1 == max_gap && has_later_exception(deltas, i, mask, width)
-                    }
-                }
-                None => false,
-            };
-            if natural || forced {
-                exc_pos.push(i);
-                last_exc = Some(i);
-            }
-        }
-        debug_assert!(width > 0 || exc_pos.is_empty());
-
-        // Second pass: build the code stream with chain pointers in exception slots.
-        let mut slots: Vec<u64> = Vec::with_capacity(n);
-        let mut exceptions: Vec<i64> = Vec::with_capacity(exc_pos.len());
-        let mut next_exc_iter = exc_pos.iter().copied().peekable();
-        let mut exc_idx = 0usize;
-        for (i, &d) in deltas.iter().enumerate() {
-            if next_exc_iter.peek() == Some(&i) {
-                next_exc_iter.next();
-                // chain pointer: distance to the following exception - 1
-                let hop = match exc_pos.get(exc_idx + 1) {
-                    Some(&nj) => (nj - i - 1) as u64,
-                    None => 0, // terminal hop value is unused; count bounds the walk
-                };
-                debug_assert!(hop <= mask);
-                slots.push(hop & mask);
-                exceptions.push(values[i]);
-                exc_idx += 1;
-            } else {
-                slots.push(d);
-            }
-        }
+        link(&mut slots, &at);
         let mut codes = Vec::with_capacity(bitpack::packed_size(n, width));
         bitpack::pack(&slots, width, &mut codes);
         Pfor {
             base,
             width,
             n: n as u32,
-            first_exc: exc_pos.first().map(|&i| i as u32).unwrap_or(u32::MAX),
+            first_exc: first_exception(&at),
             codes,
-            exceptions,
+            exceptions: at.iter().map(|&i| values[i]).collect(),
         }
+    }
+
+    /// Encode a slice of values.
+    pub fn encode(values: &[i64]) -> Pfor {
+        Self::encode_planned(values, Self::plan(values))
     }
 
     /// Decode into `out` (appended). Two phases: inflate, then patch.
@@ -173,39 +250,45 @@ impl Pfor {
     /// buffer (no staging vector); the exception chain is walked over the
     /// raw slots *before* the vectorized frame-of-reference add, so the
     /// inflate stays branch-free and the patch is a short scatter.
+    ///
+    /// Panics on a block whose parts do not fit each other, which
+    /// [`encode`](Self::encode) never writes; a block read off a disk is
+    /// decoded through [`try_decode`](Self::try_decode).
     pub fn decode(&self, out: &mut Vec<i64>) {
+        self.try_decode(out)
+            .expect("a PFOR block whose parts fit each other");
+    }
+
+    /// [`decode`](Self::decode), or a `VhError::Codec` for a block whose
+    /// parts do not fit each other.
+    pub(crate) fn try_decode(&self, out: &mut Vec<i64>) -> Result<()> {
+        let corrupt = |what| VhError::Codec(format!("PFOR block: {what}"));
         let n = self.n as usize;
+        check_slots(n, self.width, &self.codes, self.exceptions.len()).map_err(corrupt)?;
         let start = out.len();
         out.resize(start + n, 0);
         let dst = &mut out[start..];
         crate::simd::unpack_into(&self.codes, self.width, crate::simd::i64_as_u64_mut(dst));
         // Walk the next-pointer chain while slots are still raw hops.
-        let mut exc_at: Vec<usize> = Vec::with_capacity(self.exceptions.len());
-        if self.first_exc != u32::MAX {
-            let mut j = self.first_exc as usize;
-            for k in 0..self.exceptions.len() {
-                exc_at.push(j);
-                if k + 1 < self.exceptions.len() {
-                    j += dst[j] as usize + 1;
-                }
-            }
-        }
+        let exc_at = walk_chain(
+            crate::simd::i64_as_u64_mut(dst),
+            self.first_exc,
+            self.exceptions.len(),
+        )
+        .map_err(corrupt)?;
         // Phase 1: branch-free inflate of every slot.
         crate::simd::add_base_i64(dst, self.base);
         // Phase 2: patch exceptions at the recorded positions.
         for (&j, &e) in exc_at.iter().zip(&self.exceptions) {
             dst[j] = e;
         }
+        Ok(())
     }
 
     /// Encoded body size in bytes.
     pub fn body_size(&self) -> usize {
         body_size(self.n as usize, self.width, self.exceptions.len())
     }
-}
-
-fn has_later_exception(deltas: &[u64], from: usize, mask: u64, width: u8) -> bool {
-    width < 64 && deltas[from..].iter().any(|&d| d > mask)
 }
 
 /// PFOR-DELTA: PFOR applied to consecutive differences.
@@ -218,30 +301,42 @@ pub struct PforDelta {
 }
 
 impl PforDelta {
-    pub fn encode(values: &[i64]) -> PforDelta {
-        if values.is_empty() {
-            return PforDelta {
-                seed: 0,
-                inner: Pfor::encode(&[]),
-            };
-        }
-        let seed = values[0];
+    /// What the inner PFOR codes: 0, then each value less the one before it
+    /// (wrapping).
+    pub(crate) fn diffs(values: &[i64]) -> Vec<i64> {
         let mut diffs = Vec::with_capacity(values.len());
-        diffs.push(0i64);
-        for w in values.windows(2) {
-            diffs.push(w[1].wrapping_sub(w[0]));
-        }
+        diffs.extend(values.first().map(|_| 0));
+        diffs.extend(values.windows(2).map(|w| w[1].wrapping_sub(w[0])));
+        diffs
+    }
+
+    /// Write the block for `values` whose [`diffs`](Self::diffs) `plan`
+    /// was made from.
+    pub(crate) fn encode_planned(values: &[i64], diffs: &[i64], plan: PforPlan) -> PforDelta {
         PforDelta {
-            seed,
-            inner: Pfor::encode(&diffs),
+            seed: values.first().copied().unwrap_or(0),
+            inner: Pfor::encode_planned(diffs, plan),
         }
     }
 
+    pub fn encode(values: &[i64]) -> PforDelta {
+        let diffs = Self::diffs(values);
+        let plan = Pfor::plan(&diffs);
+        Self::encode_planned(values, &diffs, plan)
+    }
+
+    /// Panics where [`Pfor::decode`] does.
     pub fn decode(&self, out: &mut Vec<i64>) {
+        self.try_decode(out)
+            .expect("a PFOR-DELTA block whose parts fit each other");
+    }
+
+    pub(crate) fn try_decode(&self, out: &mut Vec<i64>) -> Result<()> {
         let start = out.len();
-        self.inner.decode(out);
+        self.inner.try_decode(out)?;
         // Log-step SIMD scan reconstructs the running sums from the deltas.
         crate::simd::prefix_sum_i64(&mut out[start..], self.seed);
+        Ok(())
     }
 
     pub fn body_size(&self) -> usize {
