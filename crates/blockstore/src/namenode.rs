@@ -192,24 +192,6 @@ impl<M: Medium> Namenode<M> {
     pub fn synced_len(&self, path: &str) -> Result<u64> {
         Ok(self.inner.read().file(path)?.synced_len)
     }
-
-    /// Test hook: simulate an OS crash (power loss) by discarding every
-    /// byte not yet covered by a [`BlockStore::sync`] — all replicas are cut
-    /// back to the file's `synced_len` watermark.
-    pub fn simulate_os_crash(&self) {
-        let mut inner = self.inner.write();
-        let Inner { files, used, .. } = &mut *inner;
-        for (path, meta) in files.iter_mut().filter(|(_, m)| m.len > m.synced_len) {
-            self.medium
-                .truncate_to(path, &meta.targets, meta.synced_len);
-            for node in &meta.targets {
-                if let Some(u) = used.get_mut(node) {
-                    *u = u.saturating_sub(meta.len - meta.synced_len);
-                }
-            }
-            meta.len = meta.synced_len;
-        }
-    }
 }
 
 impl<M: Medium> BlockStore for Namenode<M> {
@@ -302,6 +284,21 @@ impl<M: Medium> BlockStore for Namenode<M> {
         meta.synced_len = meta.len;
         self.stats.record_fsync();
         Ok(())
+    }
+
+    fn simulate_os_crash(&self) {
+        let mut inner = self.inner.write();
+        let Inner { files, used, .. } = &mut *inner;
+        for (path, meta) in files.iter_mut().filter(|(_, m)| m.len > m.synced_len) {
+            self.medium
+                .truncate_to(path, &meta.targets, meta.synced_len);
+            for node in &meta.targets {
+                if let Some(u) = used.get_mut(node) {
+                    *u = u.saturating_sub(meta.len - meta.synced_len);
+                }
+            }
+            meta.len = meta.synced_len;
+        }
     }
 
     fn read(&self, path: &str, offset: u64, len: usize, reader: Option<NodeId>) -> Result<Vec<u8>> {

@@ -73,6 +73,11 @@ pub trait BlockStore: Send + Sync {
     /// an OS crash (fsync on real files).
     fn sync(&self, path: &str) -> Result<()>;
 
+    /// Test hook: simulate an OS crash (power loss) by discarding every
+    /// byte not yet covered by a [`sync`](Self::sync) — all replicas of each
+    /// file are cut back to its synced watermark.
+    fn simulate_os_crash(&self);
+
     /// Read `len` bytes at `offset`, issued from `reader` (None = external
     /// client, always remote). Short reads at EOF return what exists.
     fn read(&self, path: &str, offset: u64, len: usize, reader: Option<NodeId>) -> Result<Vec<u8>>;
@@ -202,6 +207,9 @@ impl<T: BlockStore + ?Sized> BlockStore for Arc<T> {
     }
     fn sync(&self, path: &str) -> Result<()> {
         (**self).sync(path)
+    }
+    fn simulate_os_crash(&self) {
+        (**self).simulate_os_crash()
     }
     fn read(&self, path: &str, offset: u64, len: usize, reader: Option<NodeId>) -> Result<Vec<u8>> {
         (**self).read(path, offset, len, reader)

@@ -115,7 +115,8 @@ impl VectorH {
                 )));
             }
         }
-        // Phase 2: local Commit records, after the durable decision.
+        // Phase 2: local Commit records, after the durable decision. The WAL
+        // does not fsync them: recovery rebuilds a lost one from the decision.
         for (pid, commit) in &commits {
             self.wal_of(rt, *pid)?
                 .append(std::slice::from_ref(commit))?;

@@ -28,6 +28,9 @@ mod filestore;
 #[path = "../../../tests/health_plane.rs"]
 mod health_plane;
 
+#[path = "../../../tests/power_loss.rs"]
+mod power_loss;
+
 #[path = "../../../tests/propagation.rs"]
 mod propagation;
 

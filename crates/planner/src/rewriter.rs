@@ -534,13 +534,15 @@ impl<'a> ParallelRewriter<'a> {
         // Already partitioned on a subset of the group keys: aggregate
         // locally, no exchange needed ("VectorH also detects that a
         // XchgHashSplit does not need to be inserted below the Aggr").
+        // Every row of a group is in one stream, so a complete aggregate
+        // per stream is exact, `COUNT(DISTINCT)` included.
         let local_ok = child
             .props
             .part
             .as_ref()
             .map(|p| !p.keys.is_empty() && p.keys.iter().all(|k| group_by.contains(k)))
             .unwrap_or(false);
-        if local_ok && !has_distinct {
+        if local_ok {
             let part = child.props.part.clone().map(|p| Part {
                 keys: p
                     .keys
@@ -882,6 +884,47 @@ mod tests {
             "{}",
             plan.explain()
         );
+    }
+
+    /// Q21's two `EXISTS … <>` subqueries, decorrelated: `lineitem` joined
+    /// (inner, then left outer) to `Aggr(by l_orderkey, CountDistinct)` over
+    /// `lineitem`, which is partitioned on that key.
+    #[test]
+    fn count_distinct_on_the_partition_key_stays_local() {
+        let c = catalog();
+        let rw = ParallelRewriter::new(&c, RewriterOptions::default());
+        let li = || LogicalPlan::Scan {
+            table: "lineitem".into(),
+            cols: vec![0, 1],
+        };
+        let per_order_suppliers = || LogicalPlan::Aggregate {
+            input: Box::new(LogicalPlan::Project {
+                input: Box::new(li()),
+                items: vec![(Expr::col(0), "g0".into()), (Expr::col(1), "ne".into())],
+            }),
+            group_by: vec![0],
+            aggs: vec![AggFn::CountDistinct(1), AggFn::Min(1)],
+        };
+        let exists = LogicalPlan::Join {
+            left: Box::new(li()),
+            right: Box::new(per_order_suppliers()),
+            left_keys: vec![0],
+            right_keys: vec![0],
+            kind: JoinKind::Inner,
+        };
+        let not_exists = LogicalPlan::Join {
+            left: Box::new(exists),
+            right: Box::new(per_order_suppliers()),
+            left_keys: vec![0],
+            right_keys: vec![0],
+            kind: JoinKind::LeftOuter,
+        };
+        let plan = rw.rewrite(&not_exists).unwrap();
+        let explain = plan.explain();
+        assert!(!explain.contains("DXchgBroadcast"), "{explain}");
+        assert!(!explain.contains("RepartitionComplete"), "{explain}");
+        assert_eq!(count_strategy(&plan, JoinStrategy::Local), 2, "{explain}");
+        assert_eq!(plan.exchange_count(), 1, "only the final union: {explain}");
     }
 
     #[test]

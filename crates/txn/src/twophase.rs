@@ -8,7 +8,16 @@
 //! worker in case of session-master failure". Crash points are injectable
 //! so recovery semantics are testable: a transaction is committed iff its
 //! `GlobalCommit` record reached the global WAL.
+//!
+//! Only phase 1's `Prepare` votes and the decision are forced to disk. The
+//! phase-2 `Commit` records are appended unforced, because recovery rebuilds
+//! them from `Prepare` plus the decision (the presumed-commit optimisation of
+//! R\*, Mohan, Lindsay & Obermarck 1986). A commit over T partitions
+//! therefore costs T + 1 syncs, and after a power loss a partition WAL may
+//! end at its `Prepare`: `recoverable_txns` reports such a transaction as
+//! [`TxnResolution::CommittedByDecision`].
 
+use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use vectorh_common::fault::{FaultAction, FaultSite};
@@ -177,7 +186,9 @@ impl TwoPhaseCoordinator {
         if crash == CrashPoint::AfterGlobalCommit {
             return Ok(Outcome::InDoubt);
         }
-        // Phase 2: participants acknowledge locally.
+        // Phase 2: participants acknowledge locally. Unforced: the durable
+        // decision already commits the transaction, and recovery rebuilds a
+        // lost `Commit` from it.
         for (_, wal, _) in participants {
             wal.append(&[LogRecord::Commit {
                 txn: txn_id,
@@ -190,10 +201,36 @@ impl TwoPhaseCoordinator {
     /// Recovery: resolve an in-doubt transaction by consulting the global
     /// WAL (readable by any worker).
     pub fn recover_decision(&self, txn_id: u64) -> Result<bool> {
-        let records = self.global_wal.read_all()?;
-        Ok(records
+        Ok(self.decided_txns()?.contains(&txn_id))
+    }
+
+    /// Every transaction the global WAL holds a `GlobalCommit` for, from one
+    /// read of it.
+    fn decided_txns(&self) -> Result<HashSet<u64>> {
+        Ok(self
+            .global_wal
+            .read_all()?
+            .into_iter()
+            .filter_map(|r| match r {
+                LogRecord::GlobalCommit { txn } => Some(txn),
+                _ => None,
+            })
+            .collect())
+    }
+
+    /// Resolve `pending` (prepared, no local verdict) against the global WAL:
+    /// the subset that holds a decision. Reads the global WAL once, and not
+    /// at all when nothing is pending.
+    fn decided_among(&self, pending: &[u64]) -> Result<HashSet<u64>> {
+        if pending.is_empty() {
+            return Ok(HashSet::new());
+        }
+        let decided = self.decided_txns()?;
+        Ok(pending
             .iter()
-            .any(|r| matches!(r, LogRecord::GlobalCommit { txn } if *txn == txn_id)))
+            .copied()
+            .filter(|t| decided.contains(t))
+            .collect())
     }
 
     /// Participant-side recovery: which of the partition WAL's transactions
@@ -201,23 +238,20 @@ impl TwoPhaseCoordinator {
     /// AND global decision present).
     pub fn committed_txns_of(&self, partition_wal: &Wal) -> Result<Vec<u64>> {
         let records = partition_wal.read_all()?;
-        let mut committed = Vec::new();
+        let mut committed = BTreeSet::new();
         let mut prepared = Vec::new();
         for r in &records {
             match r {
-                LogRecord::Commit { txn, .. } => committed.push(*txn),
+                LogRecord::Commit { txn, .. } => {
+                    committed.insert(*txn);
+                }
                 LogRecord::Prepare { txn } => prepared.push(*txn),
                 _ => {}
             }
         }
-        for txn in prepared {
-            if !committed.contains(&txn) && self.recover_decision(txn)? {
-                committed.push(txn);
-            }
-        }
-        committed.sort_unstable();
-        committed.dedup();
-        Ok(committed)
+        prepared.retain(|t| !committed.contains(t));
+        committed.extend(self.decided_among(&prepared)?);
+        Ok(committed.into_iter().collect())
     }
 
     /// Participant-side recovery, with the full per-transaction verdicts:
@@ -227,43 +261,48 @@ impl TwoPhaseCoordinator {
     pub fn recoverable_txns(&self, partition_wal: &Wal) -> Result<Vec<RecoverableTxn>> {
         let records = partition_wal.read_all()?;
         let mut order: Vec<u64> = Vec::new();
-        let mut committed = std::collections::BTreeSet::new();
-        let mut prepared = std::collections::BTreeSet::new();
-        let mut aborted = std::collections::BTreeSet::new();
-        let seen = |order: &mut Vec<u64>, txn: u64| {
-            if !order.contains(&txn) {
-                order.push(txn);
-            }
-        };
+        let mut seen = HashSet::new();
+        let mut committed = BTreeSet::new();
+        let mut prepared = BTreeSet::new();
+        let mut aborted = BTreeSet::new();
         for r in &records {
-            match r {
+            let txn = match r {
                 LogRecord::TxnBegin { txn }
                 | LogRecord::Insert { txn, .. }
                 | LogRecord::Delete { txn, .. }
                 | LogRecord::Modify { txn, .. }
-                | LogRecord::Append { txn, .. } => seen(&mut order, *txn),
+                | LogRecord::Append { txn, .. } => *txn,
                 LogRecord::Commit { txn, .. } => {
-                    seen(&mut order, *txn);
                     committed.insert(*txn);
+                    *txn
                 }
                 LogRecord::Prepare { txn } => {
-                    seen(&mut order, *txn);
                     prepared.insert(*txn);
+                    *txn
                 }
                 LogRecord::Abort { txn } => {
-                    seen(&mut order, *txn);
                     aborted.insert(*txn);
+                    *txn
                 }
-                _ => {}
+                _ => continue,
+            };
+            if seen.insert(txn) {
+                order.push(txn);
             }
         }
+        let pending: Vec<u64> = prepared
+            .iter()
+            .copied()
+            .filter(|t| !committed.contains(t) && !aborted.contains(t))
+            .collect();
+        let decided = self.decided_among(&pending)?;
         let mut out = Vec::with_capacity(order.len());
         for txn in order {
             let resolution = if committed.contains(&txn) {
                 TxnResolution::CommittedLocally
             } else if aborted.contains(&txn) {
                 TxnResolution::Aborted
-            } else if prepared.contains(&txn) && self.recover_decision(txn)? {
+            } else if decided.contains(&txn) {
                 TxnResolution::CommittedByDecision
             } else {
                 // Prepared without a global decision, or never even
@@ -283,23 +322,23 @@ impl TwoPhaseCoordinator {
     pub fn in_doubt_txns_of(&self, partition_wal: &Wal) -> Result<Vec<(u64, bool)>> {
         let records = partition_wal.read_all()?;
         let mut prepared: Vec<u64> = Vec::new();
-        let mut settled = std::collections::BTreeSet::new();
+        let mut seen = HashSet::new();
+        let mut settled = BTreeSet::new();
         for r in &records {
             match r {
-                LogRecord::Prepare { txn } if !prepared.contains(txn) => prepared.push(*txn),
+                LogRecord::Prepare { txn } if seen.insert(*txn) => prepared.push(*txn),
                 LogRecord::Commit { txn, .. } | LogRecord::Abort { txn } => {
                     settled.insert(*txn);
                 }
                 _ => {}
             }
         }
-        let mut out = Vec::new();
-        for txn in prepared {
-            if !settled.contains(&txn) {
-                out.push((txn, self.recover_decision(txn)?));
-            }
-        }
-        Ok(out)
+        prepared.retain(|t| !settled.contains(t));
+        let decided = self.decided_among(&prepared)?;
+        Ok(prepared
+            .into_iter()
+            .map(|t| (t, decided.contains(&t)))
+            .collect())
     }
 
     /// Extract the replayable update records of a committed txn from a
@@ -814,6 +853,84 @@ mod tests {
         assert!(coord.recover_decision(22).unwrap());
         assert_eq!(coord.committed_txns_of(&w0).unwrap(), vec![22]);
         assert_eq!(coord.committed_txns_of(&w1).unwrap(), vec![22]);
+    }
+
+    /// Counts WAL replays per log path; injects nothing.
+    #[derive(Debug, Default)]
+    struct ReplayCounter(vectorh_common::sync::Mutex<Vec<String>>);
+
+    impl vectorh_common::fault::FaultHook for ReplayCounter {
+        fn decide(&self, site: FaultSite, detail: &str, _attempt: u32) -> FaultAction {
+            if site == FaultSite::WalReplay {
+                self.0.lock().push(detail.to_string());
+            }
+            FaultAction::None
+        }
+    }
+
+    #[test]
+    fn recovery_reads_the_global_wal_once_per_pass() {
+        let (coord, w0, _) = setup();
+        let n = 12u64;
+        for txn in 0..n {
+            let crash = match txn % 3 {
+                0 => CrashPoint::None,
+                1 => CrashPoint::AfterGlobalCommit,
+                _ => CrashPoint::AfterPrepare,
+            };
+            coord
+                .commit_distributed(txn, &[(PartitionId(0), &w0, &recs(txn))], crash)
+                .unwrap();
+        }
+        let counter = Arc::new(ReplayCounter::default());
+        coord
+            .global_wal()
+            .fs()
+            .set_fault_hook(Some(counter.clone()));
+        let global_reads = |f: &dyn Fn()| {
+            counter.0.lock().clear();
+            f();
+            let reads = counter.0.lock().clone();
+            reads.iter().filter(|p| *p == "/wal/global.wal").count()
+        };
+        let committed: Vec<u64> = (0..n).filter(|t| t % 3 != 2).collect();
+        let in_doubt: Vec<(u64, bool)> = (0..n)
+            .filter(|t| t % 3 != 0)
+            .map(|t| (t, t % 3 == 1))
+            .collect();
+        assert_eq!(
+            global_reads(&|| assert_eq!(coord.committed_txns_of(&w0).unwrap(), committed)),
+            1
+        );
+        assert_eq!(
+            global_reads(&|| assert_eq!(coord.in_doubt_txns_of(&w0).unwrap(), in_doubt)),
+            1
+        );
+        assert_eq!(
+            global_reads(&|| {
+                let verdicts = coord.recoverable_txns(&w0).unwrap();
+                let by_decision = verdicts
+                    .iter()
+                    .filter(|v| v.resolution == TxnResolution::CommittedByDecision)
+                    .count() as u64;
+                assert_eq!(by_decision, n / 3);
+            }),
+            1
+        );
+        // A log whose every prepared transaction has its local verdict needs
+        // no global read at all.
+        let (coord, w0, _) = setup();
+        coord
+            .commit_distributed(1, &[(PartitionId(0), &w0, &recs(1))], CrashPoint::None)
+            .unwrap();
+        coord
+            .global_wal()
+            .fs()
+            .set_fault_hook(Some(counter.clone()));
+        assert_eq!(
+            global_reads(&|| assert_eq!(coord.committed_txns_of(&w0).unwrap(), vec![1])),
+            0
+        );
     }
 
     #[test]

@@ -378,16 +378,31 @@ pub struct Wal {
     home: vectorh_common::sync::RwLock<Option<NodeId>>,
 }
 
-/// Does this batch carry a record that must survive an OS crash the moment
-/// the append returns? Commit decisions, prepare votes, checkpoints and
-/// master-epoch fences are promises made to other participants — they get an
-/// fsync. Plain data records ride along until the next such point.
+/// Does this batch carry a record that recovery cannot rebuild from other
+/// forced records? Those get an fsync before the append returns:
+///
+/// * `Prepare` — the vote, and with it the update records before it in the
+///   batch: the coordinator decides on the strength of it;
+/// * `GlobalCommit` — the 2PC commit point (§6);
+/// * `Checkpoint` — propagation swaps chunk images on the strength of it;
+/// * `MasterEpoch` — the fence a new master promises to honour.
+///
+/// Everything else is flushed to the OS and becomes durable with the next
+/// forced record on the same file. That includes the phase-2 verdicts,
+/// `Commit` and `Abort`: recovery rebuilds each from the durable `Prepare`
+/// plus the presence or absence of the transaction's `GlobalCommit` in the
+/// global WAL, which is never truncated (presumed commit, R\*).
+///
+/// The invariant this rests on: every `Commit` the engine writes follows a
+/// durable `GlobalCommit` for the same transaction. The only engine path
+/// that builds a batch ending in `Commit` is `TransactionManager::commit`,
+/// and `VectorH::commit_2pc` swaps that `Commit` for `Prepare`. Anything
+/// that ever persists `Commit` as its own commit point must `sync` itself.
 fn has_commit_point(records: &[LogRecord]) -> bool {
     records.iter().any(|r| {
         matches!(
             r,
             LogRecord::Prepare { .. }
-                | LogRecord::Commit { .. }
                 | LogRecord::GlobalCommit { .. }
                 | LogRecord::Checkpoint { .. }
                 | LogRecord::MasterEpoch { .. }
@@ -430,12 +445,16 @@ impl Wal {
     /// tears exactly one record), `CrashAfter` persists everything. All
     /// three surface as `Err` — the "process" died before acknowledging.
     ///
-    /// Durability: if the batch carries a commit-point record (Prepare,
-    /// Commit, GlobalCommit, Checkpoint, MasterEpoch), the file is
-    /// [`sync`](BlockStore::sync)ed after the append, making the decision
-    /// survive an OS crash before anyone acts on it. Crash injections skip
-    /// the sync — a process that died mid-append never reached its fsync,
-    /// which is exactly the torn-tail state recovery must repair.
+    /// Durability: if the batch carries a record recovery cannot rebuild
+    /// (`Prepare`, `GlobalCommit`, `Checkpoint`, `MasterEpoch`; see
+    /// `has_commit_point`), the file is [`sync`](BlockStore::sync)ed after
+    /// the append, so the promise survives an OS crash before anyone acts on
+    /// it. Any other batch, the phase-2 `Commit` and `Abort` included, is
+    /// flushed to the OS only: a power loss may cut the log back to the
+    /// last forced record, and recovery resolves what it cut from `Prepare`
+    /// and the global decision. Crash injections skip the sync — a process
+    /// that died mid-append never reached its fsync, which is exactly the
+    /// torn-tail state recovery must repair.
     pub fn append(&self, records: &[LogRecord]) -> Result<()> {
         if records.is_empty() {
             return Ok(());

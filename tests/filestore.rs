@@ -160,8 +160,8 @@ fn torn_tail_repair_recovers_committed_state_on_real_files() {
         store.append_rows(&stable_cols(100)).unwrap();
 
         let wal = Wal::new(fs.clone(), "/vectorh/wal/t0-p0.wal", Some(NodeId(0)));
-        // Txn 1 commits cleanly: its batch carries a Commit record, so the
-        // append is fsynced.
+        // Txn 1 commits cleanly: its whole batch reaches the file before
+        // the process dies (a process crash keeps what was flushed).
         wal.append(&[
             LogRecord::TxnBegin { txn: 1 },
             insert(1, 100, 1000),
@@ -233,24 +233,27 @@ fn os_crash_truncates_unsynced_wal_tail_to_last_commit_point() {
 }
 
 /// Power loss is modelled by the namenode's fsync watermark, so the WAL's
-/// commit-point discipline is checked on every medium.
+/// commit-point discipline is checked on every medium. A partition WAL sees
+/// a 2PC commit as a forced `Prepare` batch and an unforced phase-2
+/// `Commit` (recovery rebuilds it from the global decision).
 fn os_crash_cuts_wal_at_last_commit_point<M: Medium>(fs: Arc<Namenode<M>>) {
     let fs_ref: StoreRef = fs.clone();
-    let wal = Wal::new(fs_ref, "/vectorh/wal/g.wal", Some(NodeId(0)));
+    let wal = Wal::new(fs_ref, "/vectorh/wal/t0-p0.wal", Some(NodeId(0)));
 
-    // Commit-bearing batch: fsynced, survives anything.
-    wal.append(&[
+    // Phase 1: the update records and the vote, fsynced together.
+    let prepared = vec![
         LogRecord::TxnBegin { txn: 1 },
         insert(1, 0, 1),
-        LogRecord::Commit { txn: 1, seq: 1 },
-    ])
-    .unwrap();
-    // Data-only batch: flushed to the OS, but no commit point — no fsync.
+        LogRecord::Prepare { txn: 1 },
+    ];
+    wal.append(&prepared).unwrap();
+    // Phase 2 and a data-only batch: flushed to the OS, never fsynced.
+    wal.append(&[LogRecord::Commit { txn: 1, seq: 1 }]).unwrap();
     wal.append(&[LogRecord::TxnBegin { txn: 2 }, insert(2, 1, 2)])
         .unwrap();
     assert_eq!(
         wal.read_all().unwrap().len(),
-        5,
+        6,
         "all bytes visible pre-crash"
     );
 
@@ -258,12 +261,8 @@ fn os_crash_cuts_wal_at_last_commit_point<M: Medium>(fs: Arc<Namenode<M>>) {
     fs.simulate_os_crash();
     assert_eq!(
         wal.read_all().unwrap(),
-        vec![
-            LogRecord::TxnBegin { txn: 1 },
-            insert(1, 0, 1),
-            LogRecord::Commit { txn: 1, seq: 1 },
-        ],
-        "the log must cut cleanly at the last commit point"
+        prepared,
+        "the log must cut cleanly at the last commit point, the Prepare"
     );
     assert_eq!(
         wal.repair().unwrap(),
