@@ -131,10 +131,6 @@ impl AffinityPolicy {
         self.affinities.write().insert(dir_prefix.into(), nodes);
     }
 
-    pub fn clear_affinity(&self, dir_prefix: &str) {
-        self.affinities.write().remove(dir_prefix);
-    }
-
     /// The registered target list for `path`, by longest-prefix match.
     pub fn affinity_of(&self, path: &str) -> Option<Vec<NodeId>> {
         let map = self.affinities.read();

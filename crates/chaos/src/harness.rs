@@ -72,7 +72,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vectorh::{ClusterConfig, Expr, TableBuilder, VectorH};
-use vectorh_common::fault::{FaultAction, FaultSite, SharedFaultHook};
+use vectorh_common::fault::{DirectedFault, DirectedSet, FaultAction, FaultSite, SharedFaultHook};
 use vectorh_common::rng::SplitMix64;
 use vectorh_common::{DataType, NodeId, PartitionId, Result, Value, VhError};
 use vectorh_server::{AdmissionConfig, Client, Server, ServerConfig};
@@ -81,10 +81,10 @@ use vectorh_tpch::sql_text;
 use vectorh_tpch::sql_texts::{frontdoor_mix_texts, FRONTDOOR_MIX};
 use vectorh_transport::{Fabric, RxKind, SharedEpoch, TcpFabric};
 use vectorh_txn::manager::{TransactionManager, TxnConfig};
-use vectorh_txn::twophase::{CrashPoint, Outcome, TwoPhaseCoordinator};
+use vectorh_txn::twophase::{Outcome, TwoPhaseCoordinator};
 use vectorh_txn::wal::{LogRecord, Wal};
 
-use crate::plan::{site_index, DirectedFault, DirectedSet, FaultPlan, N_SITES};
+use crate::plan::{site_index, FaultPlan, N_SITES};
 
 /// Seeds per default corpus (CI runs all of them).
 pub const DEFAULT_CORPUS_LEN: usize = 16;
@@ -370,8 +370,7 @@ fn phase_txn_crashes(
         let (ra, rb) = (recs(0), recs(1));
         let directed = fault.map(|(site, action)| DirectedFault::new(site, action, 1));
         vh.install_fault_hook(directed.clone().map(|d| d as SharedFaultHook));
-        let out =
-            coord.commit_distributed(txn_id, &[(pa, &wa, &ra), (pb, &wb, &rb)], CrashPoint::None);
+        let out = coord.commit_distributed(txn_id, &[(pa, &wa, &ra), (pb, &wb, &rb)]);
         vh.install_fault_hook(None);
         if let Some(d) = &directed {
             report.fired[site_index(d.site())] += d.fired();

@@ -52,4 +52,4 @@ pub use harness::{
     corpus, corpus_from, enabled_phases, phases_from, run_schedule, run_schedule_with_phases,
     ScheduleReport, ALL_PHASES, DEFAULT_CORPUS_LEN,
 };
-pub use plan::{site_index, DirectedFault, DirectedSet, FaultPlan, N_SITES};
+pub use plan::{site_index, FaultPlan, N_SITES};

@@ -1,7 +1,7 @@
-//! Fault-plan hooks: the [`FaultHook`] implementations the harness installs.
+//! The rate-based [`FaultHook`] the harness installs. Its scripted faults
+//! are `vectorh_common::fault::DirectedFault`s, tested here beside it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use vectorh_common::fault::{mix_site, FaultAction, FaultHook, FaultSite};
 
@@ -96,121 +96,10 @@ impl FaultHook for FaultPlan {
     }
 }
 
-/// A scripted one-shot fault: fires `action` at `site` until the budget is
-/// exhausted, then stays quiet. Unlike [`FaultPlan`] this hook *is*
-/// stateful (the budget), so it is only installed around single-threaded
-/// sequences — the harness's transaction phase — where consult order is
-/// deterministic.
-#[derive(Debug)]
-pub struct DirectedFault {
-    site: FaultSite,
-    action: FaultAction,
-    budget: AtomicU64,
-    fired: AtomicU64,
-    /// Optional detail filter: when set, the fault fires only at calls whose
-    /// detail string contains this needle (e.g. `"txn7"` to hit one specific
-    /// transaction's decide, or `"node2@"` to drop one node's heartbeats).
-    needle: Option<String>,
-}
-
-impl DirectedFault {
-    pub fn new(site: FaultSite, action: FaultAction, budget: u64) -> Arc<DirectedFault> {
-        Arc::new(DirectedFault {
-            site,
-            action,
-            budget: AtomicU64::new(budget),
-            fired: AtomicU64::new(0),
-            needle: None,
-        })
-    }
-
-    /// A directed fault that fires only when the call's detail string
-    /// contains `needle` — for aiming at one transaction, node or file
-    /// instead of the first `budget` calls to reach the site.
-    pub fn matching(
-        site: FaultSite,
-        action: FaultAction,
-        budget: u64,
-        needle: &str,
-    ) -> Arc<DirectedFault> {
-        Arc::new(DirectedFault {
-            site,
-            action,
-            budget: AtomicU64::new(budget),
-            fired: AtomicU64::new(0),
-            needle: Some(needle.to_string()),
-        })
-    }
-
-    pub fn site(&self) -> FaultSite {
-        self.site
-    }
-
-    pub fn fired(&self) -> u64 {
-        self.fired.load(Ordering::Relaxed)
-    }
-}
-
-/// Several [`DirectedFault`]s behind one hook: the first fault whose site
-/// (and needle) matches claims the call. Subsystems that accept a single
-/// hook — the transport fabric — get multi-site campaigns this way
-/// (refused dials + torn frames + disconnects in one schedule).
-#[derive(Debug)]
-pub struct DirectedSet {
-    faults: Vec<Arc<DirectedFault>>,
-}
-
-impl DirectedSet {
-    pub fn new(faults: &[Arc<DirectedFault>]) -> Arc<DirectedSet> {
-        Arc::new(DirectedSet {
-            faults: faults.to_vec(),
-        })
-    }
-}
-
-impl FaultHook for DirectedSet {
-    fn decide(&self, site: FaultSite, detail: &str, attempt: u32) -> FaultAction {
-        for f in &self.faults {
-            let action = f.decide(site, detail, attempt);
-            if action != FaultAction::None {
-                return action;
-            }
-        }
-        FaultAction::None
-    }
-}
-
-impl FaultHook for DirectedFault {
-    fn decide(&self, site: FaultSite, detail: &str, _attempt: u32) -> FaultAction {
-        if site != self.site {
-            return FaultAction::None;
-        }
-        if let Some(n) = &self.needle {
-            if !detail.contains(n.as_str()) {
-                return FaultAction::None;
-            }
-        }
-        let mut b = self.budget.load(Ordering::Relaxed);
-        loop {
-            if b == 0 {
-                return FaultAction::None;
-            }
-            match self
-                .budget
-                .compare_exchange_weak(b, b - 1, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(cur) => b = cur,
-            }
-        }
-        self.fired.fetch_add(1, Ordering::Relaxed);
-        self.action
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vectorh_common::fault::{DirectedFault, DirectedSet};
 
     #[test]
     fn plan_is_pure_in_its_coordinates() {

@@ -226,15 +226,6 @@ impl ColumnData {
         }
     }
 
-    /// Copy out as `Vec<i64>` regardless of integer width (numeric kernels).
-    pub fn to_i64_vec(&self) -> Option<Vec<i64>> {
-        match self {
-            ColumnData::I32(v) => Some(v.iter().map(|&x| x as i64).collect()),
-            ColumnData::I64(v) => Some(v.clone()),
-            _ => None,
-        }
-    }
-
     pub fn as_i64(&self) -> Option<&[i64]> {
         match self {
             ColumnData::I64(v) => Some(v),

@@ -12,12 +12,14 @@
 //! would make the fired-fault *set* depend on thread interleaving; hashing
 //! the call coordinates instead keeps the set of fired faults identical
 //! run-to-run for a given seed ("set-determinism"). The chaos harness in
-//! `crates/chaos` builds its plans on this contract.
+//! `crates/chaos` builds its plans on this contract. The one exception is
+//! [`DirectedFault`], a budgeted hook for single-threaded sequences.
 //!
 //! Hooks must never call back into the subsystem that invoked them: callers
 //! typically hold locks (e.g. the simulated-HDFS namenode lock) across the
 //! `decide` call.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A named place in the engine where a fault can be injected.
@@ -149,6 +151,118 @@ pub trait FaultHook: Send + Sync + std::fmt::Debug {
 
 /// Shared, clonable hook handle as stored by subsystems.
 pub type SharedFaultHook = Arc<dyn FaultHook>;
+
+/// A scripted fault: fires `action` at `site` until the budget is
+/// exhausted, then stays quiet. This hook *is* stateful (the budget), the
+/// one exception to the purity contract above, so it is only installed
+/// around single-threaded sequences — directed tests, the chaos harness's
+/// transaction phase — where consult order is deterministic.
+#[derive(Debug)]
+pub struct DirectedFault {
+    site: FaultSite,
+    action: FaultAction,
+    budget: AtomicU64,
+    fired: AtomicU64,
+    /// Optional detail filter: when set, the fault fires only at calls whose
+    /// detail string contains this needle (e.g. `"txn7"` to hit one specific
+    /// transaction's decide, or `"node2@"` to drop one node's heartbeats).
+    needle: Option<String>,
+}
+
+impl DirectedFault {
+    pub fn new(site: FaultSite, action: FaultAction, budget: u64) -> Arc<DirectedFault> {
+        Arc::new(DirectedFault {
+            site,
+            action,
+            budget: AtomicU64::new(budget),
+            fired: AtomicU64::new(0),
+            needle: None,
+        })
+    }
+
+    /// A directed fault that fires only when the call's detail string
+    /// contains `needle` — for aiming at one transaction, node or file
+    /// instead of the first `budget` calls to reach the site.
+    pub fn matching(
+        site: FaultSite,
+        action: FaultAction,
+        budget: u64,
+        needle: &str,
+    ) -> Arc<DirectedFault> {
+        Arc::new(DirectedFault {
+            site,
+            action,
+            budget: AtomicU64::new(budget),
+            fired: AtomicU64::new(0),
+            needle: Some(needle.to_string()),
+        })
+    }
+
+    pub fn site(&self) -> FaultSite {
+        self.site
+    }
+
+    pub fn fired(&self) -> u64 {
+        self.fired.load(Ordering::Relaxed)
+    }
+}
+
+/// Several [`DirectedFault`]s behind one hook: the first fault whose site
+/// (and needle) matches claims the call. Subsystems that accept a single
+/// hook — the transport fabric — get multi-site campaigns this way
+/// (refused dials + torn frames + disconnects in one schedule).
+#[derive(Debug)]
+pub struct DirectedSet {
+    faults: Vec<Arc<DirectedFault>>,
+}
+
+impl DirectedSet {
+    pub fn new(faults: &[Arc<DirectedFault>]) -> Arc<DirectedSet> {
+        Arc::new(DirectedSet {
+            faults: faults.to_vec(),
+        })
+    }
+}
+
+impl FaultHook for DirectedSet {
+    fn decide(&self, site: FaultSite, detail: &str, attempt: u32) -> FaultAction {
+        for f in &self.faults {
+            let action = f.decide(site, detail, attempt);
+            if action != FaultAction::None {
+                return action;
+            }
+        }
+        FaultAction::None
+    }
+}
+
+impl FaultHook for DirectedFault {
+    fn decide(&self, site: FaultSite, detail: &str, _attempt: u32) -> FaultAction {
+        if site != self.site {
+            return FaultAction::None;
+        }
+        if let Some(n) = &self.needle {
+            if !detail.contains(n.as_str()) {
+                return FaultAction::None;
+            }
+        }
+        let mut b = self.budget.load(Ordering::Relaxed);
+        loop {
+            if b == 0 {
+                return FaultAction::None;
+            }
+            match self
+                .budget
+                .compare_exchange_weak(b, b - 1, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(cur) => b = cur,
+            }
+        }
+        self.fired.fetch_add(1, Ordering::Relaxed);
+        self.action
+    }
+}
 
 /// Mix the coordinates of an injection point into a single deterministic
 /// 64-bit value (FNV-1a over the detail string, then a SplitMix64-style

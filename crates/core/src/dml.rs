@@ -17,7 +17,8 @@ use vectorh_exec::filter::Select;
 use vectorh_exec::operator::Operator;
 use vectorh_exec::scan::{keep_chunks, MScan};
 use vectorh_storage::Pruning;
-use vectorh_txn::{LogRecord, Transaction};
+use vectorh_txn::twophase::Outcome;
+use vectorh_txn::{LogRecord, Transaction, TwoPhaseCoordinator, Wal};
 
 use crate::engine::{partition_of, TableRuntime, VectorH};
 use crate::execute::extract_pruning;
@@ -34,7 +35,7 @@ pub(crate) fn cmp_on(order: &[usize], a: &[Value], b: &[Value]) -> Ordering {
 }
 
 impl VectorH {
-    fn wal_of(&self, rt: &TableRuntime, pid: PartitionId) -> Result<Arc<vectorh_txn::Wal>> {
+    fn wal_of(&self, rt: &TableRuntime, pid: PartitionId) -> Result<Arc<Wal>> {
         rt.pids
             .iter()
             .position(|p| *p == pid)
@@ -66,15 +67,18 @@ impl VectorH {
         )
     }
 
-    /// Commit a transaction with 2PC durability: update records and a
-    /// Prepare vote reach each responsible node's partition WAL before the
-    /// in-memory state advances; the fenced decision lands in the global
-    /// WAL; only then do phase-2 `Commit` records land in the partition
-    /// WALs. The commit runs under the master epoch observed at entry — an
-    /// election in between fences it with [`VhError::StaleMaster`], and a
-    /// coordinator crash injected at the decision leaves the transaction in
-    /// doubt (surfaced as an error here, resolved exactly once by the next
-    /// master's in-doubt resolution).
+    /// Commit a transaction through the session master's 2PC
+    /// ([`TwoPhaseCoordinator`]): each partition the transaction wrote
+    /// prepares (update records + `Prepare` vote in its responsible node's
+    /// partition WAL) before the in-memory state advances; the fenced
+    /// decision lands in the global WAL; only then do the phase-2 `Commit`
+    /// records land in the partition WALs. The commit runs under the master
+    /// epoch observed at entry — an election in between fences it with
+    /// [`VhError::StaleMaster`]. A coordinator crash injected at a prepare
+    /// aborts the statement before anything is installed; one injected at
+    /// the decision leaves the transaction in doubt. Both surface as
+    /// [`VhError::TxnAbort`], and the next master's in-doubt resolution
+    /// settles whatever prepared.
     fn commit_2pc(&self, rt: &TableRuntime, txn: Transaction) -> Result<u64> {
         let txn_id = txn.id;
         let epoch = self.master_epoch();
@@ -83,43 +87,28 @@ impl VectorH {
             return Err(e);
         }
         let mut shipped: Vec<LogRecord> = Vec::new();
-        let mut commits: Vec<(PartitionId, LogRecord)> = Vec::new();
+        let mut prepared: Vec<Arc<Wal>> = Vec::new();
         let replicated = rt.def.partitioning.is_none();
         let seq = self.txns.commit(txn, |pid, recs| {
             let wal = self.wal_of(rt, pid)?;
-            let mut batch = recs.to_vec();
-            // The manager ends every batch with its local Commit record,
-            // but 2PC must not persist that before the decision: hold it
-            // back for phase 2 and vote Prepare in its place.
-            let commit = match batch.pop() {
-                Some(c @ LogRecord::Commit { .. }) => c,
-                other => {
-                    return Err(VhError::Internal(format!(
-                        "commit batch must end in a Commit record, got {other:?}"
-                    )))
-                }
-            };
-            if replicated {
-                shipped.extend(batch.iter().cloned());
-            }
-            batch.push(LogRecord::Prepare { txn: txn_id });
-            wal.append(&batch)?;
-            commits.push((pid, commit));
-            Ok(())
-        })?;
-        match self.coordinator.decide(epoch, txn_id)? {
-            vectorh_txn::twophase::Outcome::Committed => {}
-            vectorh_txn::twophase::Outcome::InDoubt => {
+            if !self.coordinator.prepare(txn_id, pid, &wal, recs)? {
                 return Err(VhError::TxnAbort(format!(
-                    "txn {txn_id} in doubt: coordinator lost before phase 2"
+                    "txn {txn_id} aborted: coordinator lost before {pid} prepared"
                 )));
             }
+            if replicated {
+                shipped.extend_from_slice(recs);
+            }
+            prepared.push(wal);
+            Ok(())
+        })?;
+        if self.coordinator.decide(epoch, txn_id)? == Outcome::InDoubt {
+            return Err(VhError::TxnAbort(format!(
+                "txn {txn_id} in doubt: coordinator lost before phase 2"
+            )));
         }
-        // Phase 2: local Commit records, after the durable decision. The WAL
-        // does not fsync them: recovery rebuilds a lost one from the decision.
-        for (pid, commit) in &commits {
-            self.wal_of(rt, *pid)?
-                .append(std::slice::from_ref(commit))?;
+        for wal in &prepared {
+            TwoPhaseCoordinator::conclude(wal, txn_id, true)?;
         }
         // Log shipping for replicated tables: the commit's records go into
         // the retained ship log, and every live worker applies them to its

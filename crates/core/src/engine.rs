@@ -561,11 +561,6 @@ impl VectorH {
         self.master.read().epoch
     }
 
-    /// Current master + epoch as one consistent snapshot.
-    pub fn master_state(&self) -> MasterState {
-        *self.master.read()
-    }
-
     /// Every (epoch, master) ever in force, oldest first. Epoch 1 is the
     /// initial master; each election appends exactly one entry.
     pub fn master_history(&self) -> Vec<(u64, NodeId)> {

@@ -26,7 +26,7 @@ use vectorh_planner::physical::{AggStrategy, JoinStrategy};
 use vectorh_planner::PhysPlan;
 use vectorh_storage::minmax::{PruneOp, Pruning};
 
-use crate::engine::VectorH;
+use crate::engine::{TableRuntime, VectorH};
 
 /// Streams produced by a plan fragment.
 enum Streams {
@@ -176,7 +176,33 @@ fn exec_join_kind(kind: JoinKind) -> ExecJoinKind {
     }
 }
 
-/// Build the scan streams for a partitioned table.
+/// One scan pipeline over partition `i` of `rt`, read at `node`: `MScan`
+/// over the chunks MinMax pruning on `pred` cannot rule out, then `Select`.
+fn scan_at(
+    ctx: &Ctx,
+    rt: &TableRuntime,
+    i: usize,
+    cols: &[usize],
+    pred: &Option<Expr>,
+    node: NodeId,
+) -> Result<Box<dyn Operator>> {
+    let plan = ctx.vh.txns.scan_plan(rt.pids[i])?;
+    let store = rt.stores[i].read().clone();
+    let pruning = pred
+        .as_ref()
+        .map(|p| extract_pruning(p, cols))
+        .unwrap_or_default();
+    let keep = keep_chunks(&store, &pruning, &plan);
+    let mut op: Box<dyn Operator> =
+        Box::new(MScan::new(store, cols.to_vec(), keep, plan, Some(node))?);
+    if let Some(p) = pred {
+        op = Box::new(Select::new(op, p.clone()));
+    }
+    Ok(op)
+}
+
+/// The scan streams of a partitioned table: one per partition, each at
+/// its responsible node.
 fn scan_partitioned(
     ctx: &Ctx,
     table: &str,
@@ -186,20 +212,8 @@ fn scan_partitioned(
     let rt = ctx.vh.table(table)?;
     let mut streams = Vec::with_capacity(rt.pids.len());
     for (i, pid) in rt.pids.iter().enumerate() {
-        let plan = ctx.vh.txns.scan_plan(*pid)?;
-        let store = rt.stores[i].read().clone();
-        let pruning = pred
-            .as_ref()
-            .map(|p| extract_pruning(p, cols))
-            .unwrap_or_default();
-        let keep = keep_chunks(&store, &pruning, &plan);
         let home = ctx.vh.responsible(*pid);
-        let mut op: Box<dyn Operator> =
-            Box::new(MScan::new(store, cols.to_vec(), keep, plan, Some(home))?);
-        if let Some(p) = pred {
-            op = Box::new(Select::new(op, p.clone()));
-        }
-        streams.push((home.0, op));
+        streams.push((home.0, scan_at(ctx, &rt, i, cols, pred, home)?));
     }
     Ok(Streams::Parallel(streams))
 }
@@ -213,16 +227,7 @@ fn scan_replicated_at(
     node: NodeId,
 ) -> Result<Box<dyn Operator>> {
     let rt = ctx.vh.table(table)?;
-    let pid = rt.pids[0];
-    let plan = ctx.vh.txns.scan_plan(pid)?;
-    let store = rt.stores[0].read().clone();
-    let keep = vec![true; store.n_chunks()];
-    let mut op: Box<dyn Operator> =
-        Box::new(MScan::new(store, cols.to_vec(), keep, plan, Some(node))?);
-    if let Some(p) = pred {
-        op = Box::new(Select::new(op, p.clone()));
-    }
-    Ok(op)
+    scan_at(ctx, &rt, 0, cols, pred, node)
 }
 
 /// Instantiate a (replicated) subtree for a specific node. Supports the

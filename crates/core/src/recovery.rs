@@ -193,14 +193,9 @@ impl VectorH {
                     continue;
                 }
                 for &(txn, decided) in &in_doubt {
-                    let verdict = if decided {
-                        LogRecord::Commit { txn, seq: 0 }
-                    } else {
-                        LogRecord::Abort { txn }
-                    };
-                    wal.append(&[verdict])?;
-                    resolved += 1;
+                    TwoPhaseCoordinator::conclude(wal, txn, decided)?;
                 }
+                resolved += in_doubt.len();
                 let stable = rt.stores[i].read().row_count();
                 recover_partition(&self.coordinator, &self.txns, *pid, stable, wal)?;
                 if rt.def.partitioning.is_none() {

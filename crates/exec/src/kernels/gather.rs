@@ -9,7 +9,7 @@
 //! Row ids are `u32` throughout (the hash table's currency), which also
 //! halves the index vector footprint versus `usize` positions.
 
-use vectorh_common::{ColumnData, DataType, StrVec};
+use vectorh_common::{ColumnData, StrVec};
 
 use super::table::EMPTY;
 
@@ -85,11 +85,6 @@ pub fn scatter_partitions(hashes: &[u64], n_parts: usize) -> Vec<Vec<u32>> {
         out[(h % n_parts as u64) as usize].push(i as u32);
     }
     out
-}
-
-/// Is `dtype` storable in this column's physical layout? (debug aid)
-pub fn layout_matches(col: &ColumnData, dtype: DataType) -> bool {
-    col.physical() == vectorh_common::column::physical_of(dtype)
 }
 
 #[cfg(test)]

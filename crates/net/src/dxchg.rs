@@ -486,23 +486,6 @@ pub fn dxchg_union(
     Ok(v.remove(0))
 }
 
-/// Distributed broadcast: every consumer thread sees all rows.
-pub fn dxchg_broadcast(
-    producers: Vec<(u32, Box<dyn Operator>)>,
-    consumers: Vec<u32>,
-    config: DxchgConfig,
-    stats: Arc<NetStats>,
-) -> Result<Vec<DxchgReceiver>> {
-    dxchg(
-        "DXchgBroadcast",
-        producers,
-        consumers,
-        Partitioning::Broadcast,
-        config,
-        stats,
-    )
-}
-
 /// Generic distributed exchange.
 pub fn dxchg(
     name: &'static str,
@@ -1022,23 +1005,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_all_threads() {
-        for mode in [FanoutMode::ThreadToThread, FanoutMode::ThreadToNode] {
-            let stats = Arc::new(NetStats::default());
-            let recv = dxchg_broadcast(
-                vec![(0, source((0..40).collect()))],
-                vec![0, 1, 1],
-                config(mode),
-                stats,
-            )
-            .unwrap();
-            for got in drain(recv) {
-                assert_eq!(got, (0..40).collect::<Vec<_>>(), "mode {mode:?}");
-            }
-        }
-    }
-
-    #[test]
     fn buffer_accounting_scales_with_mode() {
         // 1 producer (deterministic peak), 4 consumer threads on 2 nodes:
         // T2T fanout 4 (threads), T2N fanout 2 (nodes) → half the buffers.
@@ -1260,7 +1226,7 @@ mod tests {
 
     #[test]
     fn fabric_backed_exchange_matches_plain_channels() {
-        use vectorh_transport::{InProcFabric, SharedEpoch, TcpFabric};
+        use vectorh_transport::{SharedEpoch, TcpFabric};
         let run = |fabric: Option<Arc<dyn Fabric>>| {
             let stats = Arc::new(NetStats::default());
             let recv = dxchg_hash_split(
@@ -1282,8 +1248,6 @@ mod tests {
             (drain(recv), stats)
         };
         let (plain, _) = run(None);
-        let (inproc, _) = run(Some(Arc::new(InProcFabric::new())));
-        assert_eq!(plain, inproc);
         let epoch = Arc::new(SharedEpoch::new(1));
         let tcp = TcpFabric::loopback(&[NodeId(0), NodeId(1)], epoch, None).unwrap();
         let (over_tcp, stats) = run(Some(Arc::new(tcp)));

@@ -4,10 +4,10 @@
 //! *exchange* (Xchg) operators — all other operators stay
 //! parallelism-unaware. This crate provides:
 //!
-//! * [`dxchg`] — the exchange operators (`DXchgHashSplit`, `DXchgUnion`,
-//!   `DXchgBroadcast`) across simulated nodes: producer pipelines run on
-//!   their own threads (a *stream* = a thread, as in the paper), with the
-//!   two fanout strategies of the paper: **thread-to-thread** (fanout =
+//! * [`dxchg`] — the exchange operators (`DXchgHashSplit`, `DXchgUnion`)
+//!   across simulated nodes: producer pipelines run on their own threads
+//!   (a *stream* = a thread, as in the paper), with the two fanout
+//!   strategies of the paper: **thread-to-thread** (fanout =
 //!   `nodes × cores`, private buffers per sender, best at small scale) and
 //!   **thread-to-node** (fanout = `nodes`, a one-byte column routes each
 //!   tuple to its receiver thread, cutting buffering from `2·N·C²` to

@@ -23,8 +23,6 @@ pub enum Partitioning {
     Union,
     /// Hash-partition on the key columns (XchgHashSplit).
     Hash { keys: Vec<usize> },
-    /// Every consumer receives every row (XchgBroadcast).
-    Broadcast,
 }
 
 /// Channel depth per consumer. Generous so single-threaded consumers that
@@ -43,14 +41,12 @@ pub fn partition_positions(
     partitioning: &Partitioning,
     n_consumers: usize,
 ) -> Result<Vec<Vec<u32>>> {
-    let all = || (0..batch.len() as u32).collect::<Vec<u32>>();
     match partitioning {
         Partitioning::Union => {
             let mut out = vec![Vec::new(); n_consumers];
-            out[0] = all();
+            out[0] = (0..batch.len() as u32).collect();
             Ok(out)
         }
-        Partitioning::Broadcast => Ok(vec![all(); n_consumers]),
         Partitioning::Hash { keys } => {
             let cols: Vec<&ColumnData> = batch.columns.iter().collect();
             let mut hashes = Vec::new();
@@ -117,11 +113,5 @@ mod tests {
         for (a, b) in half.iter().zip(&per) {
             assert!(a.iter().all(|v| b.contains(v)));
         }
-    }
-
-    #[test]
-    fn broadcast_reaches_every_consumer() {
-        let per = split(&batch((0..30).collect()), Partitioning::Broadcast, 3);
-        assert_eq!(per, vec![(0..30).collect::<Vec<_>>(); 3]);
     }
 }

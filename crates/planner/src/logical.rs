@@ -1,7 +1,5 @@
 //! Logical plans and catalog metadata.
 
-use std::sync::Arc;
-
 use vectorh_common::{Result, Schema, VhError};
 use vectorh_exec::aggr::AggFn;
 use vectorh_exec::expr::Expr;
@@ -230,11 +228,6 @@ impl CatalogInfo for MemoryCatalog {
             .cloned()
             .ok_or_else(|| VhError::Catalog(format!("unknown table '{name}'")))
     }
-}
-
-/// Schemas are shared as Arcs throughout execution; helper for call sites.
-pub fn arc_schema(s: Schema) -> Arc<Schema> {
-    Arc::new(s)
 }
 
 #[cfg(test)]

@@ -107,10 +107,6 @@ impl PartitionStore {
         &self.minmax
     }
 
-    pub fn minmax_mut(&mut self) -> &mut MinMaxIndex {
-        &mut self.minmax
-    }
-
     /// Total stable rows stored.
     pub fn row_count(&self) -> u64 {
         self.chunks.iter().map(|c| c.n_rows as u64).sum()

@@ -4,31 +4,26 @@
 //! real nodes (§5); this crate provides the equivalent seam for the
 //! reproduction. A [`Fabric`] hands out per-node [`Endpoint`]s; an endpoint
 //! binds receive channels ([`FrameRx`]) and opens per-peer senders
-//! ([`FrameTx`]). Two implementations share the interface:
-//!
-//! * [`InProcFabric`](inproc::InProcFabric) — today's homegrown bounded
-//!   channels, zero-copy within the process (the paper's intra-node
-//!   pointer-passing path).
-//! * [`TcpFabric`](tcp::TcpFabric) — a real `std::net` TCP fabric:
-//!   length-prefixed CRC-checked frames ([`frame`]), a handshake that
-//!   fences stale peers by master epoch, credit-based flow control
-//!   (MPI-style backpressure: the receiver grants credits sized from its
-//!   buffer capacity; the sender blocks at zero), and
-//!   reconnect-with-retransmission under injected `Disconnect` /
-//!   `PartialFrame` / `ConnRefused` faults, deduplicated at the receiver
-//!   by a watermark window ([`dedup`]).
+//! ([`FrameTx`]). The implementation is [`TcpFabric`](tcp::TcpFabric), a
+//! real `std::net` TCP fabric: length-prefixed CRC-checked frames
+//! ([`frame`]), a handshake that fences stale peers by master epoch,
+//! credit-based flow control (MPI-style backpressure: the receiver grants
+//! credits sized from its buffer capacity; the sender blocks at zero), and
+//! reconnect-with-retransmission under injected `Disconnect` /
+//! `PartialFrame` / `ConnRefused` faults, deduplicated at the receiver by a
+//! watermark window ([`dedup`]). An engine without a fabric keeps its
+//! exchanges on plain in-process channels (the paper's intra-node
+//! pointer-passing path).
 //!
 //! No external dependencies: sockets are `std::net`, everything else is
 //! `vectorh-common`'s homegrown sync/channel primitives (PR 1 policy).
 
 pub mod dedup;
 pub mod frame;
-pub mod inproc;
 pub mod tcp;
 
 pub use dedup::DedupWindow;
 pub use frame::{crc32, Frame, FrameKind, TRANSPORT_VERSION};
-pub use inproc::InProcFabric;
 pub use tcp::TcpFabric;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,7 +140,7 @@ pub trait Fabric: Send + Sync {
     /// are built by the same coordinator, which passes the id to each).
     fn alloc_channel(&self) -> u32;
 
-    /// `"inproc"` or `"tcp"`, for stats labels and logs.
+    /// The fabric's name (`"tcp"`), for stats labels and logs.
     fn mode(&self) -> &'static str;
 }
 

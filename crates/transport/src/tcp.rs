@@ -735,7 +735,7 @@ fn sender_reader(mut stream: TcpStream, shared: Arc<ConnShared>) {
 mod tests {
     use super::*;
     use crate::SharedEpoch;
-    use vectorh_common::fault::{FaultAction, FaultHook};
+    use vectorh_common::fault::{DirectedFault, DirectedSet, FaultAction};
 
     fn two_nodes(hook: Option<SharedFaultHook>) -> (TcpFabric, Arc<SharedEpoch>) {
         let epoch = Arc::new(SharedEpoch::new(1));
@@ -816,35 +816,17 @@ mod tests {
         assert!(h.join().unwrap() > 0);
     }
 
-    #[derive(Debug)]
-    struct OneShot {
-        site: FaultSite,
-        action: FaultAction,
-        fired: StdMutex<std::collections::HashSet<String>>,
-        budget: usize,
+    /// One transient fault at each of the first `n` frames' writes.
+    fn at_frames(site: FaultSite, n: u64) -> SharedFaultHook {
+        let faults: Vec<_> = (0..n)
+            .map(|seq| {
+                DirectedFault::matching(site, FaultAction::TransientError, 1, &format!("#{seq}"))
+            })
+            .collect();
+        DirectedSet::new(&faults)
     }
 
-    impl FaultHook for OneShot {
-        fn decide(&self, site: FaultSite, detail: &str, attempt: u32) -> FaultAction {
-            if site != self.site || attempt != 0 {
-                return FaultAction::None;
-            }
-            let mut fired = self.fired.lock().unwrap_or_else(|e| e.into_inner());
-            if fired.len() >= self.budget || fired.contains(detail) {
-                return FaultAction::None;
-            }
-            fired.insert(detail.to_string());
-            self.action
-        }
-    }
-
-    fn exactly_once_under(site: FaultSite, budget: usize) {
-        let hook: SharedFaultHook = Arc::new(OneShot {
-            site,
-            action: FaultAction::TransientError,
-            fired: StdMutex::new(Default::default()),
-            budget,
-        });
+    fn exactly_once_under(hook: SharedFaultHook) {
         let (fabric, _) = two_nodes(Some(hook));
         let ch = fabric.alloc_channel();
         let b = fabric.endpoint(NodeId(1)).unwrap();
@@ -875,17 +857,22 @@ mod tests {
 
     #[test]
     fn disconnect_faults_retransmit_exactly_once() {
-        exactly_once_under(FaultSite::Disconnect, 5);
+        exactly_once_under(at_frames(FaultSite::Disconnect, 5));
     }
 
     #[test]
     fn partial_frame_faults_retransmit_exactly_once() {
-        exactly_once_under(FaultSite::PartialFrame, 5);
+        exactly_once_under(at_frames(FaultSite::PartialFrame, 5));
     }
 
     #[test]
     fn conn_refused_faults_back_off_and_succeed() {
-        exactly_once_under(FaultSite::ConnRefused, 2);
+        // The first dial is refused twice, then backs off into success.
+        exactly_once_under(DirectedFault::new(
+            FaultSite::ConnRefused,
+            FaultAction::TransientError,
+            2,
+        ));
     }
 
     #[test]

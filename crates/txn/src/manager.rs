@@ -18,7 +18,7 @@
 //! (the engine writes partition WALs + the global 2PC decision) *before*
 //! mutating the master state.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use vectorh_common::sync::RwLock;
@@ -378,8 +378,10 @@ impl TransactionManager {
     }
 
     /// Commit. Detects write-write conflicts, resolves positions against the
-    /// advanced master state, persists via `persist` (partition →
-    /// WAL records), then installs the new master Write-PDTs (copy-on-write).
+    /// advanced master state, persists via `persist` (partition → its
+    /// `TxnBegin` and update records, no verdict; partitions in
+    /// `PartitionId` order), then installs the new master Write-PDTs
+    /// (copy-on-write). An `Err` from `persist` installs nothing.
     pub fn commit<F>(&self, txn: Transaction, mut persist: F) -> Result<u64>
     where
         F: FnMut(PartitionId, &[LogRecord]) -> Result<()>,
@@ -421,7 +423,9 @@ impl TransactionManager {
         //    applying to cloned Write-PDTs as we go (positions depend on
         //    earlier ops of this very transaction).
         let mut new_writes: HashMap<PartitionId, Pdt> = HashMap::new();
-        let mut records: HashMap<PartitionId, Vec<LogRecord>> = HashMap::new();
+        // Ordered: `persist` sees the partitions in `PartitionId` order, so
+        // the 2PC prepares (and any fault aimed at one) are deterministic.
+        let mut records: BTreeMap<PartitionId, Vec<LogRecord>> = BTreeMap::new();
         let mut stables: HashMap<PartitionId, (u64, Arc<Pdt>)> = HashMap::new();
         for (pid, op) in &txn.ops {
             // Only partitions the transaction wrote get a new Write-PDT; a
@@ -512,11 +516,10 @@ impl TransactionManager {
         }
 
         // 3. Persist (WAL-before-apply).
-        let seq = inner.commit_seq + 1;
-        for (pid, recs) in &mut records {
-            recs.push(LogRecord::Commit { txn: txn.id, seq });
+        for (pid, recs) in &records {
             persist(*pid, recs)?;
         }
+        let seq = inner.commit_seq + 1;
 
         // 4. Install new master Write-PDTs.
         for (pid, w) in new_writes {
@@ -878,7 +881,31 @@ mod tests {
         .unwrap();
         assert!(matches!(got[0], LogRecord::TxnBegin { .. }));
         assert!(matches!(got[1], LogRecord::Delete { rid: 1, .. }));
-        assert!(matches!(got.last(), Some(LogRecord::Commit { .. })));
+        // The verdict is the 2PC coordinator's to write, not the manager's.
+        assert!(got.iter().all(|r| !matches!(
+            r,
+            LogRecord::Commit { .. } | LogRecord::Abort { .. } | LogRecord::Prepare { .. }
+        )));
+    }
+
+    #[test]
+    fn persist_sees_partitions_in_id_order() {
+        let m = TransactionManager::new(TxnConfig::default());
+        let pids: Vec<PartitionId> = (0..8).map(PartitionId).collect();
+        for pid in &pids {
+            m.register_partition(*pid, 1);
+        }
+        let mut t = m.begin(&pids).unwrap();
+        for pid in pids.iter().rev() {
+            m.delete_at(&mut t, *pid, 0).unwrap();
+        }
+        let mut seen = Vec::new();
+        m.commit(t, |pid, _| {
+            seen.push(pid);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, pids);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! session-master." The decision record in the global WAL is the commit
 //! point: any worker can read it (HDFS is a shared filesystem), which is
 //! also why "the role of session-master can be taken over by any other
-//! worker in case of session-master failure". Crash points are injectable
-//! so recovery semantics are testable: a transaction is committed iff its
-//! `GlobalCommit` record reached the global WAL.
+//! worker in case of session-master failure". The protocol's steps consult
+//! fault sites, so recovery semantics are testable: a transaction is
+//! committed iff its `GlobalCommit` record reached the global WAL.
 //!
 //! Only phase 1's `Prepare` votes and the decision are forced to disk. The
 //! phase-2 `Commit` records are appended unforced, because recovery rebuilds
@@ -24,17 +24,6 @@ use vectorh_common::fault::{FaultAction, FaultSite};
 use vectorh_common::{NodeId, PartitionId, Result, VhError};
 
 use crate::wal::{LogRecord, Wal};
-
-/// Injectable crash points for failure testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    None,
-    /// Coordinator dies after participants prepared, before the decision.
-    AfterPrepare,
-    /// Coordinator dies after logging the decision, before participant
-    /// commit records.
-    AfterGlobalCommit,
-}
 
 /// 2PC outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,73 +116,86 @@ impl TwoPhaseCoordinator {
         Ok(Outcome::Committed)
     }
 
-    /// Run 2PC for `txn_id` across the participants' partition WALs.
-    /// `records` holds each participant's already-resolved update records
-    /// (from [`crate::manager::TransactionManager::commit`]'s persist hook).
-    ///
-    /// Besides the explicit `crash` parameter (kept for directed tests),
-    /// the global WAL's fault hook is consulted at
-    /// [`FaultSite::TwoPhasePrepare`] (per participant) and
-    /// [`FaultSite::TwoPhaseDecide`]: any fault there stops the protocol at
-    /// that point and reports `InDoubt`, exactly as a coordinator crash
-    /// would. The commit point stays the `GlobalCommit` record — a
-    /// `CrashAfter`/`CrashMid` at the decide site still durably logs it, so
-    /// recovery resolves the transaction to committed.
+    /// Phase 1 for one participant, fault-injectable: consult
+    /// [`FaultSite::TwoPhasePrepare`], then append the participant's update
+    /// records and its `Prepare` vote to its partition WAL as one forced
+    /// batch. `Ok(false)` means the coordinator "died" before this
+    /// participant prepared: nothing reached its WAL.
+    pub fn prepare(
+        &self,
+        txn_id: u64,
+        pid: PartitionId,
+        wal: &Wal,
+        recs: &[LogRecord],
+    ) -> Result<bool> {
+        if let Some(h) = self.global_wal.fs().fault_hook() {
+            let detail = format!("txn{txn_id}:{pid:?}");
+            if h.decide(FaultSite::TwoPhasePrepare, &detail, 0).is_error() {
+                return Ok(false);
+            }
+        }
+        let mut batch = Vec::with_capacity(recs.len() + 1);
+        batch.extend_from_slice(recs);
+        batch.push(LogRecord::Prepare { txn: txn_id });
+        wal.append(&batch)?;
+        Ok(true)
+    }
+
+    /// Phase 2 for one participant: its local verdict, `Commit` or `Abort`.
+    /// The only writer of either record, called only once the decision is
+    /// settled: a `Commit` follows a durable `GlobalCommit`, an `Abort` its
+    /// known absence. Unforced, because recovery rebuilds a lost verdict
+    /// from the `Prepare` and the global WAL.
+    pub fn conclude(wal: &Wal, txn_id: u64, committed: bool) -> Result<()> {
+        let verdict = if committed {
+            LogRecord::Commit {
+                txn: txn_id,
+                seq: 0,
+            }
+        } else {
+            LogRecord::Abort { txn: txn_id }
+        };
+        wal.append(&[verdict])
+    }
+
+    /// Run 2PC for `txn_id` across the participants' partition WALs, at the
+    /// installed epoch. `records` holds each participant's already-resolved
+    /// update records.
     pub fn commit_distributed(
         &self,
         txn_id: u64,
         participants: &[(PartitionId, &Wal, &[LogRecord])],
-        crash: CrashPoint,
     ) -> Result<Outcome> {
-        self.commit_at_epoch(self.epoch(), txn_id, participants, crash)
+        self.commit_at_epoch(self.epoch(), txn_id, participants)
     }
 
     /// [`commit_distributed`](Self::commit_distributed) with the sender's
-    /// believed master epoch made explicit. Fenced twice: at entry and again
-    /// at the commit point ([`decide`](Self::decide)) — an election between
-    /// the two leaves at most prepared participants behind, which the new
-    /// master resolves to presumed abort (no decision record exists).
+    /// believed master epoch made explicit: [`prepare`](Self::prepare) each
+    /// participant, [`decide`](Self::decide), then
+    /// [`conclude`](Self::conclude) each. A fault at a prepare or at the
+    /// decision stops the protocol there and reports `InDoubt`, exactly as a
+    /// coordinator crash would; the commit point stays the `GlobalCommit`
+    /// record. Fenced twice: at entry and again at the commit point — an
+    /// election between the two leaves at most prepared participants
+    /// behind, which the new master resolves to presumed abort (no decision
+    /// record exists).
     pub fn commit_at_epoch(
         &self,
         epoch: u64,
         txn_id: u64,
         participants: &[(PartitionId, &Wal, &[LogRecord])],
-        crash: CrashPoint,
     ) -> Result<Outcome> {
         self.check_epoch(epoch)?;
-        let hook = self.global_wal.fs().fault_hook();
-        // Phase 1: participants persist their updates + Prepare vote.
         for (pid, wal, recs) in participants {
-            if let Some(h) = &hook {
-                let detail = format!("txn{txn_id}:{pid:?}");
-                if h.decide(FaultSite::TwoPhasePrepare, &detail, 0).is_error() {
-                    // Coordinator dies before this participant prepares.
-                    return Ok(Outcome::InDoubt);
-                }
+            if !self.prepare(txn_id, *pid, wal, recs)? {
+                return Ok(Outcome::InDoubt);
             }
-            let mut batch = recs.to_vec();
-            batch.push(LogRecord::Prepare { txn: txn_id });
-            wal.append(&batch)?;
         }
-        if crash == CrashPoint::AfterPrepare {
+        if self.decide(epoch, txn_id)? == Outcome::InDoubt {
             return Ok(Outcome::InDoubt);
         }
-        // Commit point: the fenced decision in the global WAL.
-        match self.decide(epoch, txn_id)? {
-            Outcome::InDoubt => return Ok(Outcome::InDoubt),
-            Outcome::Committed => {}
-        }
-        if crash == CrashPoint::AfterGlobalCommit {
-            return Ok(Outcome::InDoubt);
-        }
-        // Phase 2: participants acknowledge locally. Unforced: the durable
-        // decision already commits the transaction, and recovery rebuilds a
-        // lost `Commit` from it.
         for (_, wal, _) in participants {
-            wal.append(&[LogRecord::Commit {
-                txn: txn_id,
-                seq: 0,
-            }])?;
+            Self::conclude(wal, txn_id, true)?;
         }
         Ok(Outcome::Committed)
     }
@@ -666,6 +668,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use vectorh_blockstore::{BlockStoreConfig, DefaultPolicy, SimHdfs, StoreRef};
+    use vectorh_common::fault::DirectedFault;
     use vectorh_common::Value;
 
     fn fs() -> StoreRef {
@@ -704,11 +707,7 @@ mod tests {
         let (coord, w0, w1) = setup();
         let r = recs(1);
         let out = coord
-            .commit_distributed(
-                1,
-                &[(PartitionId(0), &w0, &r), (PartitionId(1), &w1, &r)],
-                CrashPoint::None,
-            )
+            .commit_distributed(1, &[(PartitionId(0), &w0, &r), (PartitionId(1), &w1, &r)])
             .unwrap();
         assert_eq!(out, Outcome::Committed);
         assert_eq!(coord.committed_txns_of(&w0).unwrap(), vec![1]);
@@ -720,12 +719,9 @@ mod tests {
     fn crash_after_prepare_resolves_to_abort() {
         let (coord, w0, w1) = setup();
         let r = recs(2);
+        arm(&coord, FaultSite::TwoPhaseDecide, FaultAction::CrashBefore);
         let out = coord
-            .commit_distributed(
-                2,
-                &[(PartitionId(0), &w0, &r), (PartitionId(1), &w1, &r)],
-                CrashPoint::AfterPrepare,
-            )
+            .commit_distributed(2, &[(PartitionId(0), &w0, &r), (PartitionId(1), &w1, &r)])
             .unwrap();
         assert_eq!(out, Outcome::InDoubt);
         // No global decision: recovery must NOT replay txn 2.
@@ -737,12 +733,9 @@ mod tests {
     fn crash_after_global_commit_resolves_to_commit() {
         let (coord, w0, w1) = setup();
         let r = recs(3);
+        arm(&coord, FaultSite::TwoPhaseDecide, FaultAction::CrashAfter);
         let out = coord
-            .commit_distributed(
-                3,
-                &[(PartitionId(0), &w0, &r), (PartitionId(1), &w1, &r)],
-                CrashPoint::AfterGlobalCommit,
-            )
+            .commit_distributed(3, &[(PartitionId(0), &w0, &r), (PartitionId(1), &w1, &r)])
             .unwrap();
         assert_eq!(out, Outcome::InDoubt);
         // Decision exists: both participants resolve to commit on recovery.
@@ -761,46 +754,21 @@ mod tests {
         let r1 = recs(10);
         let r2 = recs(11);
         coord
-            .commit_distributed(10, &[(PartitionId(0), &w0, &r1)], CrashPoint::None)
+            .commit_distributed(10, &[(PartitionId(0), &w0, &r1)])
             .unwrap();
+        arm(&coord, FaultSite::TwoPhaseDecide, FaultAction::CrashBefore);
         coord
-            .commit_distributed(11, &[(PartitionId(0), &w0, &r2)], CrashPoint::AfterPrepare)
+            .commit_distributed(11, &[(PartitionId(0), &w0, &r2)])
             .unwrap();
         assert_eq!(coord.committed_txns_of(&w0).unwrap(), vec![10]);
     }
 
     /// Fires `action` once at `site`, then clears (crash-and-restart).
-    #[derive(Debug)]
-    struct OneShot {
-        site: vectorh_common::fault::FaultSite,
-        action: vectorh_common::fault::FaultAction,
-        fired: std::sync::atomic::AtomicBool,
-    }
-
-    impl vectorh_common::fault::FaultHook for OneShot {
-        fn decide(
-            &self,
-            site: vectorh_common::fault::FaultSite,
-            _detail: &str,
-            _attempt: u32,
-        ) -> vectorh_common::fault::FaultAction {
-            if site == self.site && !self.fired.swap(true, std::sync::atomic::Ordering::SeqCst) {
-                self.action
-            } else {
-                vectorh_common::fault::FaultAction::None
-            }
-        }
-    }
-
     fn arm(coord: &TwoPhaseCoordinator, site: FaultSite, action: FaultAction) {
         coord
             .global_wal()
             .fs()
-            .set_fault_hook(Some(Arc::new(OneShot {
-                site,
-                action,
-                fired: Default::default(),
-            })));
+            .set_fault_hook(Some(DirectedFault::new(site, action, 1)));
     }
 
     #[test]
@@ -809,11 +777,7 @@ mod tests {
         let r = recs(20);
         arm(&coord, FaultSite::TwoPhasePrepare, FaultAction::CrashBefore);
         let out = coord
-            .commit_distributed(
-                20,
-                &[(PartitionId(0), &w0, &r), (PartitionId(1), &w1, &r)],
-                CrashPoint::None,
-            )
+            .commit_distributed(20, &[(PartitionId(0), &w0, &r), (PartitionId(1), &w1, &r)])
             .unwrap();
         assert_eq!(out, Outcome::InDoubt);
         // No decision reached the global WAL: recovery resolves to abort.
@@ -828,7 +792,7 @@ mod tests {
         let r = recs(21);
         arm(&coord, FaultSite::TwoPhaseDecide, FaultAction::CrashBefore);
         let out = coord
-            .commit_distributed(21, &[(PartitionId(0), &w0, &r)], CrashPoint::None)
+            .commit_distributed(21, &[(PartitionId(0), &w0, &r)])
             .unwrap();
         assert_eq!(out, Outcome::InDoubt);
         assert!(!coord.recover_decision(21).unwrap());
@@ -841,11 +805,7 @@ mod tests {
         let r = recs(22);
         arm(&coord, FaultSite::TwoPhaseDecide, FaultAction::CrashAfter);
         let out = coord
-            .commit_distributed(
-                22,
-                &[(PartitionId(0), &w0, &r), (PartitionId(1), &w1, &r)],
-                CrashPoint::None,
-            )
+            .commit_distributed(22, &[(PartitionId(0), &w0, &r), (PartitionId(1), &w1, &r)])
             .unwrap();
         assert_eq!(out, Outcome::InDoubt);
         // GlobalCommit is the commit point: both participants recover to
@@ -873,13 +833,13 @@ mod tests {
         let (coord, w0, _) = setup();
         let n = 12u64;
         for txn in 0..n {
-            let crash = match txn % 3 {
-                0 => CrashPoint::None,
-                1 => CrashPoint::AfterGlobalCommit,
-                _ => CrashPoint::AfterPrepare,
-            };
+            match txn % 3 {
+                0 => {}
+                1 => arm(&coord, FaultSite::TwoPhaseDecide, FaultAction::CrashAfter),
+                _ => arm(&coord, FaultSite::TwoPhaseDecide, FaultAction::CrashBefore),
+            }
             coord
-                .commit_distributed(txn, &[(PartitionId(0), &w0, &recs(txn))], crash)
+                .commit_distributed(txn, &[(PartitionId(0), &w0, &recs(txn))])
                 .unwrap();
         }
         let counter = Arc::new(ReplayCounter::default());
@@ -921,7 +881,7 @@ mod tests {
         // no global read at all.
         let (coord, w0, _) = setup();
         coord
-            .commit_distributed(1, &[(PartitionId(0), &w0, &recs(1))], CrashPoint::None)
+            .commit_distributed(1, &[(PartitionId(0), &w0, &recs(1))])
             .unwrap();
         coord
             .global_wal()
@@ -1083,7 +1043,7 @@ mod tests {
         assert!(matches!(err, vectorh_common::VhError::StaleMaster(_)));
         let r = recs(40);
         let err = coord
-            .commit_at_epoch(2, 40, &[(PartitionId(0), &w0, &r)], CrashPoint::None)
+            .commit_at_epoch(2, 40, &[(PartitionId(0), &w0, &r)])
             .unwrap_err();
         assert!(matches!(err, vectorh_common::VhError::StaleMaster(_)));
         // The fenced commit never reached the global WAL.
@@ -1091,7 +1051,7 @@ mod tests {
         assert!(coord.committed_txns_of(&w0).unwrap().is_empty());
         // The same commit at the live epoch goes through.
         let out = coord
-            .commit_at_epoch(3, 40, &[(PartitionId(0), &w0, &r)], CrashPoint::None)
+            .commit_at_epoch(3, 40, &[(PartitionId(0), &w0, &r)])
             .unwrap();
         assert_eq!(out, Outcome::Committed);
     }
@@ -1100,21 +1060,15 @@ mod tests {
     fn in_doubt_txns_pair_with_global_decisions() {
         let (coord, w0, _) = setup();
         coord
-            .commit_distributed(50, &[(PartitionId(0), &w0, &recs(50))], CrashPoint::None)
+            .commit_distributed(50, &[(PartitionId(0), &w0, &recs(50))])
             .unwrap();
+        arm(&coord, FaultSite::TwoPhaseDecide, FaultAction::CrashAfter);
         coord
-            .commit_distributed(
-                51,
-                &[(PartitionId(0), &w0, &recs(51))],
-                CrashPoint::AfterGlobalCommit,
-            )
+            .commit_distributed(51, &[(PartitionId(0), &w0, &recs(51))])
             .unwrap();
+        arm(&coord, FaultSite::TwoPhaseDecide, FaultAction::CrashBefore);
         coord
-            .commit_distributed(
-                52,
-                &[(PartitionId(0), &w0, &recs(52))],
-                CrashPoint::AfterPrepare,
-            )
+            .commit_distributed(52, &[(PartitionId(0), &w0, &recs(52))])
             .unwrap();
         // 50 committed locally (not in doubt); 51 is in doubt with a global
         // decision; 52 is in doubt without one (presumed abort).
@@ -1131,21 +1085,15 @@ mod tests {
         let in_doubt_commit = recs(31);
         let in_doubt_abort = recs(32);
         coord
-            .commit_distributed(30, &[(PartitionId(0), &w0, &committed)], CrashPoint::None)
+            .commit_distributed(30, &[(PartitionId(0), &w0, &committed)])
             .unwrap();
+        arm(&coord, FaultSite::TwoPhaseDecide, FaultAction::CrashAfter);
         coord
-            .commit_distributed(
-                31,
-                &[(PartitionId(0), &w0, &in_doubt_commit)],
-                CrashPoint::AfterGlobalCommit,
-            )
+            .commit_distributed(31, &[(PartitionId(0), &w0, &in_doubt_commit)])
             .unwrap();
+        arm(&coord, FaultSite::TwoPhaseDecide, FaultAction::CrashBefore);
         coord
-            .commit_distributed(
-                32,
-                &[(PartitionId(0), &w0, &in_doubt_abort)],
-                CrashPoint::AfterPrepare,
-            )
+            .commit_distributed(32, &[(PartitionId(0), &w0, &in_doubt_abort)])
             .unwrap();
         let verdicts = coord.recoverable_txns(&w0).unwrap();
         assert_eq!(

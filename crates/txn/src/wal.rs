@@ -394,10 +394,10 @@ pub struct Wal {
 /// global WAL, which is never truncated (presumed commit, R\*).
 ///
 /// The invariant this rests on: every `Commit` the engine writes follows a
-/// durable `GlobalCommit` for the same transaction. The only engine path
-/// that builds a batch ending in `Commit` is `TransactionManager::commit`,
-/// and `VectorH::commit_2pc` swaps that `Commit` for `Prepare`. Anything
-/// that ever persists `Commit` as its own commit point must `sync` itself.
+/// durable `GlobalCommit` for the same transaction. The only writer of
+/// `Commit` (and `Abort`) is `TwoPhaseCoordinator::conclude`, 2PC's phase-2
+/// step, and it runs only once the decision is settled. Anything that ever
+/// persists `Commit` as its own commit point must `sync` itself.
 fn has_commit_point(records: &[LogRecord]) -> bool {
     records.iter().any(|r| {
         matches!(

@@ -20,7 +20,7 @@ use vectorh::{ClusterConfig, StorageBackend, VectorH};
 use vectorh_blockstore::{
     BlockStore, BlockStoreConfig, DefaultPolicy, FileStore, Medium, Namenode, SimHdfs, StoreRef,
 };
-use vectorh_common::fault::{FaultAction, FaultHook, FaultSite};
+use vectorh_common::fault::{DirectedFault, FaultAction, FaultSite};
 use vectorh_common::{ColumnData, DataType, NodeId, PartitionId, Schema, Value};
 use vectorh_exec::fingerprint_rows;
 use vectorh_pdt::merge::apply_plan;
@@ -63,25 +63,6 @@ fn store_config() -> BlockStoreConfig {
 fn file_store(root: &str) -> Arc<FileStore> {
     let policy = Arc::new(DefaultPolicy::new(7));
     Arc::new(FileStore::new(3, store_config(), policy, root).unwrap())
-}
-
-/// Fires `action` once at `site`, then steps aside — the restarted
-/// process has no fault pending.
-#[derive(Debug)]
-struct OneShot {
-    site: FaultSite,
-    action: FaultAction,
-    fired: std::sync::atomic::AtomicBool,
-}
-
-impl FaultHook for OneShot {
-    fn decide(&self, site: FaultSite, _detail: &str, _attempt: u32) -> FaultAction {
-        if site == self.site && !self.fired.swap(true, std::sync::atomic::Ordering::SeqCst) {
-            self.action
-        } else {
-            FaultAction::None
-        }
-    }
 }
 
 fn schema() -> Schema {
@@ -170,11 +151,11 @@ fn torn_tail_repair_recovers_committed_state_on_real_files() {
         .unwrap();
         // Txn 2 dies mid-append: the final frame (its Commit) is torn on
         // the real file, and no fsync ever ran for the batch.
-        fs.set_fault_hook(Some(Arc::new(OneShot {
-            site: FaultSite::WalAppend,
-            action: FaultAction::CrashMid,
-            fired: Default::default(),
-        })));
+        fs.set_fault_hook(Some(DirectedFault::new(
+            FaultSite::WalAppend,
+            FaultAction::CrashMid,
+            1,
+        )));
         assert!(wal
             .append(&[
                 LogRecord::TxnBegin { txn: 2 },

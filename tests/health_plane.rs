@@ -16,9 +16,9 @@
 use std::sync::Arc;
 
 use vectorh::{ClusterConfig, TableBuilder, VectorH};
-use vectorh_common::fault::{FaultAction, FaultHook, FaultSite, SharedFaultHook};
+use vectorh_common::fault::{DirectedFault, FaultAction, FaultHook, FaultSite, SharedFaultHook};
 use vectorh_common::{DataType, NodeId, Value, VhError};
-use vectorh_txn::twophase::{CrashPoint, ShipRetention};
+use vectorh_txn::twophase::ShipRetention;
 use vectorh_txn::LogRecord;
 
 fn engine_with(nodes: usize, f: impl FnOnce(&mut ClusterConfig)) -> VectorH {
@@ -279,14 +279,16 @@ fn false_positive_detection_fences_the_old_master_and_resolves_partial_2pc() {
         ]
     };
     let (ra, rb) = (recs(0), recs(1));
+    vh.install_fault_hook(Some(DirectedFault::new(
+        FaultSite::TwoPhaseDecide,
+        FaultAction::CrashBefore,
+        1,
+    )));
     let out = vh
         .coordinator
-        .commit_distributed(
-            700,
-            &[(pa, &rt.wals[0], &ra), (pb, &rt.wals[1], &rb)],
-            CrashPoint::AfterPrepare,
-        )
+        .commit_distributed(700, &[(pa, &rt.wals[0], &ra), (pb, &rt.wals[1], &rb)])
         .unwrap();
+    vh.install_fault_hook(None);
     assert_eq!(out, vectorh_txn::twophase::Outcome::InDoubt);
 
     // A one-way partition isolates the master's heartbeats; its process
@@ -330,7 +332,6 @@ fn false_positive_detection_fences_the_old_master_and_resolves_partial_2pc() {
             epoch0,
             701,
             &[(pa, &rt.wals[0], &ra), (pb, &rt.wals[1], &rb)],
-            CrashPoint::None,
         )
         .unwrap_err();
     assert!(

@@ -11,7 +11,6 @@
 //! (`BlockStore::simulate_os_crash`) and checks what survives, on the
 //! in-memory simulation and on real files.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use vectorh::recovery::recover_partition;
@@ -19,9 +18,9 @@ use vectorh::{ClusterConfig, StorageBackend, TableBuilder, VectorH};
 use vectorh_blockstore::{
     BlockStore, BlockStoreConfig, DefaultPolicy, FileStore, SimHdfs, StoreRef,
 };
-use vectorh_common::fault::{FaultAction, FaultHook, FaultSite};
+use vectorh_common::fault::{DirectedFault, FaultAction, FaultSite};
 use vectorh_common::{DataType, NodeId, PartitionId, Value};
-use vectorh_txn::twophase::{CrashPoint, Outcome};
+use vectorh_txn::twophase::Outcome;
 use vectorh_txn::{
     LogRecord, RecoverableTxn, TransactionManager, TwoPhaseCoordinator, TxnConfig, TxnResolution,
     Wal,
@@ -84,9 +83,7 @@ fn commit(fs: &StoreRef, coord: &TwoPhaseCoordinator, wals: &[Wal], txn: u64) ->
         .map(|(p, (w, r))| (PartitionId(p as u32), w, r.as_slice()))
         .collect();
     let before = fs.stats().snapshot();
-    let out = coord
-        .commit_distributed(txn, &participants, CrashPoint::None)
-        .unwrap();
+    let out = coord.commit_distributed(txn, &participants).unwrap();
     (out, fs.stats().snapshot().since(&before).fsync_ops)
 }
 
@@ -149,24 +146,6 @@ fn phase_two_commit_is_rebuilt_from_the_decision_after_power_loss() {
     }
 }
 
-/// Fires `action` once at `site`, then steps aside.
-#[derive(Debug)]
-struct OneShot {
-    site: FaultSite,
-    action: FaultAction,
-    fired: AtomicBool,
-}
-
-impl FaultHook for OneShot {
-    fn decide(&self, site: FaultSite, _detail: &str, _attempt: u32) -> FaultAction {
-        if site == self.site && !self.fired.swap(true, Ordering::SeqCst) {
-            self.action
-        } else {
-            FaultAction::None
-        }
-    }
-}
-
 /// A coordinator that dies before its decision reaches the global WAL
 /// leaves durable `Prepare`s behind; after a power loss they still resolve
 /// to presumed abort, and so does the unforced explicit `Abort` a new
@@ -177,11 +156,11 @@ fn no_decision_still_presumes_abort_after_power_loss() {
         for_both_media(|medium, fs| {
             let (coord, wals) = cluster(&fs, t);
             let txn = 60 + t as u64;
-            fs.set_fault_hook(Some(Arc::new(OneShot {
-                site: FaultSite::TwoPhaseDecide,
-                action: FaultAction::CrashBefore,
-                fired: AtomicBool::new(false),
-            })));
+            fs.set_fault_hook(Some(DirectedFault::new(
+                FaultSite::TwoPhaseDecide,
+                FaultAction::CrashBefore,
+                1,
+            )));
             let (out, syncs) = commit(&fs, &coord, &wals, txn);
             fs.set_fault_hook(None);
             assert_eq!(out, Outcome::InDoubt, "{medium}, T = {t}");

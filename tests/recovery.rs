@@ -8,8 +8,9 @@
 //! freshness (Figure 2 in reverse).
 
 use vectorh::{ClusterConfig, NodeHealth, TableBuilder, VectorH};
+use vectorh_common::fault::{DirectedFault, FaultAction, FaultSite};
 use vectorh_common::{DataType, NodeId, Value, VhError};
-use vectorh_txn::twophase::{CrashPoint, Outcome};
+use vectorh_txn::twophase::Outcome;
 use vectorh_txn::LogRecord;
 
 fn engine(nodes: usize) -> VectorH {
@@ -57,19 +58,19 @@ fn in_doubt_txns_resolve_against_the_global_wal_across_takeover() {
         ]
     };
     for (txn, crash, want) in [
-        (499, CrashPoint::None, Outcome::Committed),
-        (500, CrashPoint::AfterPrepare, Outcome::InDoubt),
-        (501, CrashPoint::AfterGlobalCommit, Outcome::InDoubt),
+        (499, None, Outcome::Committed),
+        (500, Some(FaultAction::CrashBefore), Outcome::InDoubt),
+        (501, Some(FaultAction::CrashAfter), Outcome::InDoubt),
     ] {
         let (ra, rb) = (recs(txn, 0), recs(txn, 1));
+        vh.install_fault_hook(
+            crash.map(|a| DirectedFault::new(FaultSite::TwoPhaseDecide, a, 1) as _),
+        );
         let out = vh
             .coordinator
-            .commit_distributed(
-                txn,
-                &[(pa, &rt.wals[0], &ra), (pb, &rt.wals[1], &rb)],
-                crash,
-            )
+            .commit_distributed(txn, &[(pa, &rt.wals[0], &ra), (pb, &rt.wals[1], &rb)])
             .unwrap();
+        vh.install_fault_hook(None);
         assert_eq!(out, want, "txn{txn}");
     }
 

@@ -2,9 +2,10 @@
 //! durability/recovery via WAL + 2PC, update propagation (§6).
 
 use vectorh::{ClusterConfig, TableBuilder, VectorH};
-use vectorh_common::{DataType, Value};
+use vectorh_common::fault::{DirectedFault, FaultAction, FaultSite};
+use vectorh_common::{DataType, Value, VhError};
 use vectorh_exec::expr::Expr;
-use vectorh_txn::twophase::{CrashPoint, Outcome, TwoPhaseCoordinator};
+use vectorh_txn::twophase::{Outcome, TwoPhaseCoordinator};
 use vectorh_txn::LogRecord;
 
 fn engine() -> VectorH {
@@ -115,29 +116,109 @@ fn two_phase_commit_crash_points() {
         values: vec![Value::I64(-1), Value::I64(0)],
     }];
     // Crash after prepare: no decision → aborted on recovery.
+    vh.install_fault_hook(Some(DirectedFault::new(
+        FaultSite::TwoPhaseDecide,
+        FaultAction::CrashBefore,
+        1,
+    )));
     let out = coordinator
-        .commit_distributed(
-            500,
-            &[(rt.pids[0], &rt.wals[0], &recs)],
-            CrashPoint::AfterPrepare,
-        )
+        .commit_distributed(500, &[(rt.pids[0], &rt.wals[0], &recs)])
         .unwrap();
+    vh.install_fault_hook(None);
     assert_eq!(out, Outcome::InDoubt);
     assert!(!coordinator.recover_decision(500).unwrap());
     // Crash after the decision: committed on recovery.
+    vh.install_fault_hook(Some(DirectedFault::new(
+        FaultSite::TwoPhaseDecide,
+        FaultAction::CrashAfter,
+        1,
+    )));
     let out = coordinator
-        .commit_distributed(
-            501,
-            &[(rt.pids[1], &rt.wals[1], &recs)],
-            CrashPoint::AfterGlobalCommit,
-        )
+        .commit_distributed(501, &[(rt.pids[1], &rt.wals[1], &recs)])
         .unwrap();
+    vh.install_fault_hook(None);
     assert_eq!(out, Outcome::InDoubt);
     assert!(coordinator.recover_decision(501).unwrap());
     assert!(coordinator
         .committed_txns_of(&rt.wals[1])
         .unwrap()
         .contains(&501));
+}
+
+/// The engine's own DML consults the `2pc-prepare` fault site: a
+/// coordinator lost before a participant prepares fails the statement with
+/// `TxnAbort` and installs nothing; a participant that had already prepared
+/// is left in doubt without a decision and resolves to presumed abort; a
+/// retry without a fault commits.
+#[test]
+fn dml_under_prepare_faults_aborts_and_presumes_abort() {
+    let vh = engine();
+    vh.create_table(
+        TableBuilder::new("t")
+            .column("k", DataType::I64)
+            .column("v", DataType::I64)
+            .partition_by(&["k"], 2),
+    )
+    .unwrap();
+    let rt = vh.table("t").unwrap();
+    let (pa, pb) = (rt.pids[0], rt.pids[1]);
+    let rows: Vec<Vec<Value>> = (0..20)
+        .map(|k| vec![Value::I64(k), Value::I64(k)])
+        .collect();
+    let count = || vh.query("SELECT count(*) FROM t").unwrap()[0][0].clone();
+    let prepares = |i: usize| {
+        rt.wals[i]
+            .read_all()
+            .unwrap()
+            .iter()
+            .filter(|r| matches!(r, LogRecord::Prepare { .. }))
+            .count()
+    };
+    let before = count();
+
+    // A fault at the first prepare: nothing reaches any partition WAL.
+    vh.install_fault_hook(Some(DirectedFault::new(
+        FaultSite::TwoPhasePrepare,
+        FaultAction::CrashBefore,
+        1,
+    )));
+    let err = vh.trickle_insert("t", rows.clone()).unwrap_err();
+    vh.install_fault_hook(None);
+    assert!(matches!(err, VhError::TxnAbort(_)), "{err}");
+    assert_eq!((prepares(0), prepares(1)), (0, 0));
+    assert_eq!(count(), before);
+
+    // A fault aimed at the second participant: the first one prepared.
+    let fault = DirectedFault::matching(
+        FaultSite::TwoPhasePrepare,
+        FaultAction::CrashBefore,
+        1,
+        &format!("{pb:?}"),
+    );
+    vh.install_fault_hook(Some(fault.clone()));
+    let err = vh.trickle_insert("t", rows.clone()).unwrap_err();
+    vh.install_fault_hook(None);
+    assert_eq!(fault.fired(), 1);
+    assert!(matches!(err, VhError::TxnAbort(_)), "{err}");
+    let txn = match rt.wals[0].read_all().unwrap().last() {
+        Some(&LogRecord::Prepare { txn }) => txn,
+        other => panic!("{pa} ends at {other:?}, not its Prepare"),
+    };
+    assert_eq!(prepares(1), 0);
+    assert_eq!(
+        vh.coordinator.in_doubt_txns_of(&rt.wals[0]).unwrap(),
+        vec![(txn, false)]
+    );
+    assert_eq!(vh.resolve_in_doubt().unwrap(), 1);
+    assert_eq!(
+        rt.wals[0].read_all().unwrap().last(),
+        Some(&LogRecord::Abort { txn })
+    );
+    assert_eq!(count(), before);
+
+    // The retry commits, and its rows are visible.
+    vh.trickle_insert("t", rows).unwrap();
+    assert_eq!(count(), Value::I64(20));
 }
 
 #[test]
