@@ -148,6 +148,20 @@ impl StrVec {
         }
     }
 
+    /// The codes of `self` and of `other` when both are coded against one
+    /// dictionary (the same `Arc`), whatever their sizes. Equal codes mean
+    /// equal strings; unequal codes may still name one string.
+    pub fn shared_codes<'a>(&'a self, other: &'a StrVec) -> Option<(&'a [u32], &'a [u32])> {
+        match (&self.layout, &other.layout) {
+            (Layout::Coded { dict: a, codes: x }, Layout::Coded { dict: b, codes: y })
+                if Arc::ptr_eq(a, b) =>
+            {
+                Some((x, y))
+            }
+            _ => None,
+        }
+    }
+
     /// Is the vector held as dictionary codes?
     pub fn is_coded(&self) -> bool {
         matches!(self.layout, Layout::Coded { .. })

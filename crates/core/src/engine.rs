@@ -355,7 +355,7 @@ pub fn partition_of(values: &[Value], keys: &[usize], n_parts: usize) -> usize {
             Value::Date(x) => hash_u64(*x as u64),
             Value::I64(x) => hash_u64(*x as u64),
             Value::Decimal(x, _) => hash_u64(*x as u64),
-            Value::F64(x) => hash_u64(x.to_bits()),
+            Value::F64(x) => hash_u64((x + 0.0).to_bits()),
             Value::Str(s) => hash_bytes(s.as_bytes()),
             Value::Null => 0,
         };

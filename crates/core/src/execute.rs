@@ -3,23 +3,24 @@
 //! The interpreter turns the Parallel Rewriter's output into streams:
 //! partition-parallel scans run at their responsible nodes (MScan with
 //! MinMax pruning + PDT merge), local joins pair co-located partitions,
-//! broadcast builds materialize the build side once per node, repartitioned
+//! broadcast builds materialize the build side once per node and build one
+//! table there that the node's probe pipelines share, repartitioned
 //! operators connect through the DXchg layer, and everything funnels into a
 //! single stream at the session master.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use vectorh_common::{NodeId, Result, Value, VhError};
 use vectorh_exec::aggr::{AggFn, AggMode, Aggr};
 use vectorh_exec::expr::{CmpOp, Expr};
 use vectorh_exec::filter::Select;
-use vectorh_exec::join::{HashJoin, JoinKind as ExecJoinKind};
+use vectorh_exec::join::{HashJoin, JoinKind as ExecJoinKind, SharedBuild};
 use vectorh_exec::mergejoin::MergeJoin;
 use vectorh_exec::operator::{collect_profiles, render_profile, BatchSource, Operator};
 use vectorh_exec::project::Project;
 use vectorh_exec::scan::{keep_chunks, MScan};
 use vectorh_exec::sort::{Limit, Sort};
-use vectorh_exec::Batch;
 use vectorh_net::dxchg::{dxchg_hash_split, dxchg_union};
 use vectorh_planner::logical::JoinKind;
 use vectorh_planner::physical::{AggStrategy, JoinStrategy};
@@ -269,19 +270,19 @@ fn build_for_node(ctx: &Ctx, phys: &PhysPlan, node: NodeId) -> Result<Box<dyn Op
     })
 }
 
-/// Materialize a broadcast build side once per distinct node.
-/// Returns `node → batches` plus the build-side schema.
-type PerNodeBatches = std::collections::HashMap<u32, Vec<Batch>>;
-
+/// A broadcast build side, one per distinct node: materialized here, then
+/// built (indexed) by the first of that node's joins that needs it.
 fn build_side_per_node(
     ctx: &Ctx,
     side: &PhysPlan,
     nodes: &[u32],
-) -> Result<(PerNodeBatches, Arc<vectorh_common::Schema>)> {
+    keys: &[usize],
+) -> Result<HashMap<u32, Arc<SharedBuild>>> {
     let mut distinct: Vec<u32> = nodes.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
-    let mut map = std::collections::HashMap::new();
+    let shared = |input: Box<dyn Operator>| SharedBuild::new(input, keys.to_vec());
+    let mut map = HashMap::new();
 
     match side {
         PhysPlan::DxchgBroadcast { input } => {
@@ -311,27 +312,24 @@ fn build_side_per_node(
                         stats.record_net_message(bytes as u64, b.len() as u64);
                     }
                 }
-                map.insert(n, batches.clone());
+                let copy = Box::new(BatchSource::new(schema.clone(), batches.clone()));
+                map.insert(n, shared(copy));
             }
-            Ok((map, schema))
         }
         replicated => {
             // Replicated subtree: every node builds from its local replica.
-            let mut schema = None;
             for &n in &distinct {
                 let mut op = build_for_node(ctx, replicated, NodeId(n))?;
-                schema = Some(op.schema());
                 let mut batches = Vec::new();
                 while let Some(b) = op.next()? {
                     batches.push(b);
                 }
-                map.insert(n, batches);
+                let local = Box::new(BatchSource::new(op.schema(), batches));
+                map.insert(n, shared(local));
             }
-            let schema =
-                schema.ok_or_else(|| VhError::Exec("broadcast build with no nodes".into()))?;
-            Ok((map, schema))
         }
     }
+    Ok(map)
 }
 
 /// Final-mode aggregate column mapping: each agg's first state column in
@@ -435,18 +433,15 @@ fn build(ctx: &Ctx, phys: &PhysPlan) -> Result<Streams> {
                 JoinStrategy::BroadcastBuild => {
                     let probe_streams = build(ctx, probe)?.into_parallel();
                     let nodes: Vec<u32> = probe_streams.iter().map(|(n, _)| *n).collect();
-                    let (sources, schema) = build_side_per_node(ctx, build_side, &nodes)?;
+                    let sides = build_side_per_node(ctx, build_side, &nodes, build_keys)?;
                     let mut out = Vec::with_capacity(probe_streams.len());
                     for (node, pop) in probe_streams {
-                        let batches = sources.get(&node).cloned().unwrap_or_default();
-                        let src = Box::new(BatchSource::new(schema.clone(), batches));
                         out.push((
                             node,
-                            Box::new(HashJoin::new(
+                            Box::new(HashJoin::shared(
                                 pop,
-                                src,
+                                sides[&node].clone(),
                                 probe_keys.clone(),
-                                build_keys.clone(),
                                 exec_join_kind(*kind),
                             )?) as Box<dyn Operator>,
                         ));

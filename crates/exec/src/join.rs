@@ -1,10 +1,46 @@
-//! HashJoin: build/probe hash join with vectorized probing.
+//! HashJoin: build once, then match each probe vector through loops over
+//! arrays.
 //!
-//! The build side is drained into columnar storage indexed by a flat
-//! open-addressing table ([`kernels::table::HashTable`]); probe vectors are
-//! hashed column-at-a-time in bulk ([`kernels::hash`]) and matches gathered
-//! column-wise ([`kernels::gather`]). Modes cover what TPC-H needs: inner,
-//! left-outer, semi (EXISTS / IN) and anti (NOT EXISTS).
+//! The build side is drained into columns and indexed by one
+//! [`HashTable`](crate::kernels::table::HashTable) — chain heads plus a
+//! `next` link per build row — under one of two slot functions:
+//!
+//! * **Direct slots.** A build keyed on one I32/I64 column whose values span
+//!   at most `max(4 · build rows, 4096)` slots is indexed by `key − min`.
+//!   The bound is a constant of the build's own size, not an option: at most
+//!   16 bytes of heads per build row, which covers every dense primary key
+//!   (TPC-H's part, supplier, customer, nation, region). A chain then holds
+//!   equal keys only, so a probe row costs a range check and one load: no
+//!   hash, no bucket, no key compare. `key − min` is taken only after
+//!   `min ≤ key ≤ max` holds, so no key overflows it.
+//! * **Hash slots**, for everything else (several keys, sparse ranges,
+//!   strings, floats). The probe vector is hashed column-wise
+//!   ([`hash_columns`]) and [`HashTable::probe_batch`] gives each row its
+//!   first candidate. The candidates are compared as (probe position,
+//!   build row) pairs with one typed loop per key column — an I32/I64 pair
+//!   widened in the loop, coded strings of one dictionary compared by code
+//!   first — and only the candidates whose chain goes on are followed to
+//!   their next candidate for another round.
+//!
+//! **Order.** Every kind emits probe-row major, and the build rows of one
+//! probe row in chain order: last-inserted first. Both slot functions chain
+//! rows that way. The candidate rounds find the k-th candidate of every
+//! probe row in round k; when a later round matches, a stable counting sort
+//! by probe position restores probe-row major order. Goldens fingerprint
+//! rows byte for byte and float sums downstream depend on row order, so this
+//! order is a contract, held by `tests/kernel_equivalence.rs` against an
+//! unsorted reference.
+//!
+//! **Move path.** When a vector's output probe positions are exactly
+//! `0..n`, each probe row once and in order (a foreign key meeting its
+//! primary key), the probe columns are moved into the output instead of
+//! gathered. A semi or anti join that keeps every row passes the vector on.
+//!
+//! **One build per node.** A [`SharedBuild`] is built by the first of the
+//! joins holding it that asks, while the others wait; every broadcast or
+//! replicated build side is one per node, shared by that node's probe
+//! pipelines. The join that built it shows the build input as its child in
+//! the profile, so the build's time is in that join's `HashJoin` line.
 //!
 //! Left-outer note: VectorH-rs columns are non-nullable (TPC-H data has no
 //! NULLs), so unmatched probe rows get type-default build values and the
@@ -12,12 +48,13 @@
 //! over the nullable side — e.g. Q13's `count(o_orderkey)` — become
 //! `sum(__matched)`, which is the same number.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use vectorh_common::sync::Mutex;
 use vectorh_common::{ColumnData, DataType, Field, Result, Schema, VhError};
 
 use crate::batch::Batch;
-use crate::kernels::gather::{gather, gather_or_default};
+use crate::kernels::gather::{gather, gather_columns, gather_or_default};
 use crate::kernels::hash::{hash_columns, JOIN_SEED};
 use crate::kernels::table::{HashTable, EMPTY};
 use crate::operator::{Counters, OpProfile, Operator};
@@ -34,38 +71,36 @@ pub enum JoinKind {
     Anti,
 }
 
-/// Are the key columns of (a, i) and (b, j) equal?
-pub(crate) fn keys_eq(
-    a: &[&ColumnData],
-    akeys: &[usize],
-    i: usize,
-    b: &[&ColumnData],
-    bkeys: &[usize],
-    j: usize,
-) -> bool {
-    akeys
-        .iter()
-        .zip(bkeys)
-        .all(|(&ka, &kb)| match (a[ka], b[kb]) {
-            (ColumnData::I32(x), ColumnData::I32(y)) => x[i] == y[j],
-            (ColumnData::I64(x), ColumnData::I64(y)) => x[i] == y[j],
-            (ColumnData::I32(x), ColumnData::I64(y)) => x[i] as i64 == y[j],
-            (ColumnData::I64(x), ColumnData::I32(y)) => x[i] == y[j] as i64,
-            (ColumnData::F64(x), ColumnData::F64(y)) => x[i] == y[j],
-            (ColumnData::Str(x), ColumnData::Str(y)) => x.eq_at(i, y, j),
-            _ => false,
-        })
+/// Direct slots: at most this many per build row…
+const DIRECT_SLOTS_PER_ROW: usize = 4;
+/// …or this many, whichever is more.
+const DIRECT_SLOTS_MIN: usize = 4096;
+
+/// The `[min, max]` range of a single integer build key, when it spans few
+/// enough slots to index the build by `key − min`.
+fn direct_range(data: &[ColumnData], keys: &[usize]) -> Option<(i64, i64)> {
+    let [k] = keys else { return None };
+    let (min, max) = match &data[*k] {
+        ColumnData::I32(v) => (*v.iter().min()? as i64, *v.iter().max()? as i64),
+        ColumnData::I64(v) => (*v.iter().min()?, *v.iter().max()?),
+        _ => return None,
+    };
+    let slots = DIRECT_SLOTS_MIN.max(DIRECT_SLOTS_PER_ROW * data[*k].len());
+    ((max as i128 - min as i128) < slots as i128).then_some((min, max))
 }
 
-/// Columnar build side plus its hash index: drain an operator once, probe
-/// with hash vectors.
+/// The built side: the build rows as columns plus the index over them.
 struct BuildSide {
     data: Vec<ColumnData>,
-    table: HashTable,
     keys: Vec<usize>,
+    table: HashTable,
+    /// The key range of a direct-slot table (slot = key − min); `None` for
+    /// a table of hash slots.
+    direct: Option<(i64, i64)>,
 }
 
 impl BuildSide {
+    /// Drain `input` and index its rows on the key columns `keys`.
     fn drain(input: &mut dyn Operator, keys: &[usize]) -> Result<BuildSide> {
         let schema = input.schema();
         let mut data: Vec<ColumnData> = schema
@@ -73,55 +108,340 @@ impl BuildSide {
             .iter()
             .map(|f| ColumnData::new(f.dtype))
             .collect();
-        let mut table = HashTable::new();
-        let mut hashes = Vec::new();
         while let Some(batch) = input.next()? {
             for (dst, src) in data.iter_mut().zip(&batch.columns) {
                 dst.append(src)?;
             }
-            let cols: Vec<&ColumnData> = batch.columns.iter().collect();
-            hash_columns(&cols, keys, JOIN_SEED, &mut hashes);
-            table.insert_batch(&hashes);
         }
+        let direct = direct_range(&data, keys);
+        let table = match direct {
+            Some((min, max)) => {
+                let mut table = HashTable::with_slots((max as i128 - min as i128) as usize + 1);
+                let slot = |x: i64| (x - min) as usize;
+                match &data[keys[0]] {
+                    ColumnData::I32(v) => table.insert_slots(v.iter().map(|&x| slot(x as i64))),
+                    ColumnData::I64(v) => table.insert_slots(v.iter().map(|&x| slot(x))),
+                    _ => unreachable!("direct slots index an integer key"),
+                }
+                table
+            }
+            None => {
+                let cols: Vec<&ColumnData> = data.iter().collect();
+                let mut hashes = Vec::new();
+                hash_columns(&cols, keys, JOIN_SEED, &mut hashes);
+                let mut table = HashTable::new();
+                table.insert_batch(&hashes);
+                table
+            }
+        };
         Ok(BuildSide {
             data,
-            table,
             keys: keys.to_vec(),
+            table,
+            direct,
         })
     }
 
-    /// Match one probe batch: for each probe row, every build row with an
-    /// equal key. Returns parallel (probe position, build row) vectors.
-    fn match_inner(
+    /// Every (probe position, build row) pair of equal keys, appended to
+    /// `pidx`/`bidx` probe-row major and in chain order within a row. With
+    /// `outer`, a probe row without a match appears once, paired with
+    /// [`EMPTY`].
+    fn pairs(
         &self,
-        cols: &[&ColumnData],
-        probe_keys: &[usize],
-        hashes: &[u64],
-    ) -> (Vec<u32>, Vec<u32>) {
-        let build_cols: Vec<&ColumnData> = self.data.iter().collect();
-        let mut probe_idx = Vec::new();
-        let mut build_idx = Vec::new();
-        for (i, &h) in hashes.iter().enumerate() {
-            for bi in self.table.candidates(h) {
-                if keys_eq(&build_cols, &self.keys, bi as usize, cols, probe_keys, i) {
-                    probe_idx.push(i as u32);
-                    build_idx.push(bi);
+        probe: &[&ColumnData],
+        pkeys: &[usize],
+        s: &mut ProbeBuffers,
+        outer: bool,
+        pidx: &mut Vec<u32>,
+        bidx: &mut Vec<u32>,
+    ) {
+        let n = probe.first().map_or(0, |c| c.len());
+        pidx.clear();
+        bidx.clear();
+        pidx.reserve(n);
+        bidx.reserve(n);
+        if let Some(range) = self.direct {
+            match probe[pkeys[0]] {
+                ColumnData::I32(v) => {
+                    let keys = v.iter().map(|&k| Some(k as i64));
+                    self.direct_pairs(range, keys, outer, pidx, bidx)
+                }
+                ColumnData::I64(v) => {
+                    let keys = v.iter().map(|&k| Some(k));
+                    self.direct_pairs(range, keys, outer, pidx, bidx)
+                }
+                // A float or string key equals no integer.
+                _ => self.direct_pairs(range, std::iter::repeat_n(None, n), outer, pidx, bidx),
+            }
+            return;
+        }
+        self.first_candidates(probe, pkeys, s);
+        let mut in_order = true;
+        while !s.pos.is_empty() {
+            self.compare(probe, pkeys, s);
+            for ((&p, &r), &eq) in s.pos.iter().zip(&s.rows).zip(&s.eq) {
+                if eq {
+                    in_order &= pidx.last().is_none_or(|&last| last <= p);
+                    pidx.push(p);
+                    bidx.push(r);
                 }
             }
+            self.next_candidates(s, |_| true);
         }
-        (probe_idx, build_idx)
+        if outer || !in_order {
+            probe_major(n, outer, pidx, bidx, s);
+        }
+    }
+
+    /// [`pairs`](Self::pairs) through a direct-slot table, `keys` being the
+    /// probe key of each row (`None`: a key no integer equals).
+    fn direct_pairs(
+        &self,
+        range: (i64, i64),
+        keys: impl Iterator<Item = Option<i64>>,
+        outer: bool,
+        pidx: &mut Vec<u32>,
+        bidx: &mut Vec<u32>,
+    ) {
+        for (i, k) in (0u32..).zip(keys) {
+            let mut r = k.map_or(EMPTY, |k| self.slot_head(range, k));
+            if r == EMPTY && outer {
+                pidx.push(i);
+                bidx.push(EMPTY);
+            }
+            while r != EMPTY {
+                pidx.push(i);
+                bidx.push(r);
+                r = self.table.next_row(r);
+            }
+        }
+    }
+
+    /// The first build row of key `k` in a direct-slot table over `[min,
+    /// max]`, or [`EMPTY`]. `k − min` is taken only inside the range, where
+    /// it cannot overflow.
+    #[inline]
+    fn slot_head(&self, (min, max): (i64, i64), k: i64) -> u32 {
+        if (min..=max).contains(&k) {
+            self.table.head((k - min) as usize)
+        } else {
+            EMPTY
+        }
+    }
+
+    /// `matched[i]`: does probe row `i` have at least one match?
+    fn matched(&self, probe: &[&ColumnData], pkeys: &[usize], s: &mut ProbeBuffers) {
+        let n = probe.first().map_or(0, |c| c.len());
+        s.matched.clear();
+        if let Some(range) = self.direct {
+            let hit = |k: i64| self.slot_head(range, k) != EMPTY;
+            match probe[pkeys[0]] {
+                ColumnData::I32(v) => s.matched.extend(v.iter().map(|&k| hit(k as i64))),
+                ColumnData::I64(v) => s.matched.extend(v.iter().map(|&k| hit(k))),
+                _ => s.matched.resize(n, false),
+            }
+            return;
+        }
+        s.matched.resize(n, false);
+        self.first_candidates(probe, pkeys, s);
+        while !s.pos.is_empty() {
+            self.compare(probe, pkeys, s);
+            for (&p, &eq) in s.pos.iter().zip(&s.eq) {
+                s.matched[p as usize] |= eq;
+            }
+            // A row that matched needs no further candidate.
+            let eq = std::mem::take(&mut s.eq);
+            self.next_candidates(s, |j| !eq[j]);
+            s.eq = eq;
+        }
+    }
+
+    /// Hash the probe keys and gather every row's first candidate into
+    /// `s.pos`/`s.rows` (rows without one are left out).
+    fn first_candidates(&self, probe: &[&ColumnData], pkeys: &[usize], s: &mut ProbeBuffers) {
+        hash_columns(probe, pkeys, JOIN_SEED, &mut s.hashes);
+        self.table.probe_batch(&s.hashes, &mut s.heads);
+        s.pos.clear();
+        s.rows.clear();
+        for (i, &r) in s.heads.iter().enumerate() {
+            if r != EMPTY {
+                s.pos.push(i as u32);
+                s.rows.push(r);
+            }
+        }
+    }
+
+    /// `s.eq[j]`: are the keys of candidate `j` equal? One typed loop per
+    /// key column over all candidates.
+    fn compare(&self, probe: &[&ColumnData], pkeys: &[usize], s: &mut ProbeBuffers) {
+        s.eq.clear();
+        s.eq.resize(s.pos.len(), true);
+        for (&pk, &bk) in pkeys.iter().zip(&self.keys) {
+            keys_equal(probe[pk], &self.data[bk], &s.pos, &s.rows, &mut s.eq);
+        }
+    }
+
+    /// Advance candidate `j` to its next candidate where `more(j)`, and
+    /// keep the candidates that have one.
+    fn next_candidates(&self, s: &mut ProbeBuffers, more: impl Fn(usize) -> bool) {
+        let mut kept = 0;
+        for j in 0..s.pos.len() {
+            let p = s.pos[j];
+            if !more(j) {
+                continue;
+            }
+            let r = self.table.next_candidate(s.rows[j], s.hashes[p as usize]);
+            if r != EMPTY {
+                s.pos[kept] = p;
+                s.rows[kept] = r;
+                kept += 1;
+            }
+        }
+        s.pos.truncate(kept);
+        s.rows.truncate(kept);
+    }
+}
+
+/// `eq[j] &= probe[pos[j]] == build[rows[j]]`, one loop per pairing of
+/// layouts. Columns of types that cannot be equal match nothing.
+fn keys_equal(probe: &ColumnData, build: &ColumnData, pos: &[u32], rows: &[u32], eq: &mut [bool]) {
+    fn each<A: Copy, B: Copy>(
+        a: &[A],
+        b: &[B],
+        pos: &[u32],
+        rows: &[u32],
+        eq: &mut [bool],
+        same: impl Fn(A, B) -> bool,
+    ) {
+        for ((e, &p), &r) in eq.iter_mut().zip(pos).zip(rows) {
+            *e &= same(a[p as usize], b[r as usize]);
+        }
+    }
+    match (probe, build) {
+        (ColumnData::I32(a), ColumnData::I32(b)) => each(a, b, pos, rows, eq, |x, y| x == y),
+        (ColumnData::I64(a), ColumnData::I64(b)) => each(a, b, pos, rows, eq, |x, y| x == y),
+        (ColumnData::I32(a), ColumnData::I64(b)) => each(a, b, pos, rows, eq, |x, y| x as i64 == y),
+        (ColumnData::I64(a), ColumnData::I32(b)) => each(a, b, pos, rows, eq, |x, y| x == y as i64),
+        (ColumnData::F64(a), ColumnData::F64(b)) => each(a, b, pos, rows, eq, |x, y| x == y),
+        (ColumnData::Str(a), ColumnData::Str(b)) => {
+            let codes = a.shared_codes(b);
+            for ((e, &p), &r) in eq.iter_mut().zip(pos).zip(rows) {
+                let (p, r) = (p as usize, r as usize);
+                *e = *e && (codes.is_some_and(|(x, y)| x[p] == y[r]) || a.eq_at(p, b, r));
+            }
+        }
+        _ => eq.fill(false),
+    }
+}
+
+/// Reorder `pidx`/`bidx` probe-row major (a stable counting sort by probe
+/// position, so each row's build rows keep their chain order), and with
+/// `outer` give each of the `n` probe rows without a pair one pair with
+/// [`EMPTY`].
+fn probe_major(
+    n: usize,
+    outer: bool,
+    pidx: &mut Vec<u32>,
+    bidx: &mut Vec<u32>,
+    s: &mut ProbeBuffers,
+) {
+    let at = &mut s.counts;
+    at.clear();
+    at.resize(n + 1, 0);
+    for &p in pidx.iter() {
+        at[p as usize + 1] += 1;
+    }
+    // Prefix sums: `at[i]` becomes the first output slot of probe row `i`.
+    for i in 0..n {
+        let width = if outer { at[i + 1].max(1) } else { at[i + 1] };
+        at[i + 1] = at[i] + width;
+    }
+    let total = at[n] as usize;
+    s.pos.clear();
+    s.pos.resize(total, EMPTY);
+    s.rows.clear();
+    s.rows.resize(total, EMPTY);
+    if outer {
+        for (i, &first) in at[..n].iter().enumerate() {
+            s.pos[first as usize] = i as u32;
+        }
+    }
+    for (&p, &b) in pidx.iter().zip(bidx.iter()) {
+        let slot = &mut at[p as usize];
+        s.pos[*slot as usize] = p;
+        s.rows[*slot as usize] = b;
+        *slot += 1;
+    }
+    std::mem::swap(pidx, &mut s.pos);
+    std::mem::swap(bidx, &mut s.rows);
+}
+
+/// Buffers a join reuses from one probe vector to the next.
+#[derive(Default)]
+struct ProbeBuffers {
+    hashes: Vec<u64>,
+    heads: Vec<u32>,
+    /// Candidate pairs: probe position, build row.
+    pos: Vec<u32>,
+    rows: Vec<u32>,
+    eq: Vec<bool>,
+    matched: Vec<bool>,
+    counts: Vec<u32>,
+}
+
+/// Are `idx` exactly the positions `0..n`, each once and in order?
+fn is_identity(idx: &[u32], n: usize) -> bool {
+    idx.len() == n && idx.iter().enumerate().all(|(i, &p)| p as usize == i)
+}
+
+/// One build side for several joins (the probe pipelines of one node): the
+/// first join that asks drains the input and builds the index; the others
+/// wait for it and share the result.
+pub struct SharedBuild {
+    input: Mutex<Option<Box<dyn Operator>>>,
+    schema: Arc<Schema>,
+    keys: Vec<usize>,
+    side: OnceLock<Result<Arc<BuildSide>>>,
+}
+
+impl SharedBuild {
+    pub fn new(input: Box<dyn Operator>, keys: Vec<usize>) -> Arc<SharedBuild> {
+        Arc::new(SharedBuild {
+            schema: input.schema(),
+            input: Mutex::new(Some(input)),
+            keys,
+            side: OnceLock::new(),
+        })
+    }
+
+    /// The built side, building it on the first call. The caller that
+    /// builds it gets the drained input in `drained` (for its profile).
+    fn get(&self, drained: &mut Option<Box<dyn Operator>>) -> Result<Arc<BuildSide>> {
+        let side = self.side.get_or_init(|| {
+            let mut input = self
+                .input
+                .lock()
+                .take()
+                .expect("a build side is built once");
+            let side = BuildSide::drain(input.as_mut(), &self.keys).map(Arc::new);
+            *drained = Some(input);
+            side
+        });
+        side.clone()
     }
 }
 
 /// The hash join operator. Left child = probe, right child = build.
 pub struct HashJoin {
     probe: Box<dyn Operator>,
-    build: Box<dyn Operator>,
+    build: Arc<SharedBuild>,
     probe_keys: Vec<usize>,
     kind: JoinKind,
-    built: Option<BuildSide>,
-    build_keys: Vec<usize>,
+    built: Option<Arc<BuildSide>>,
+    /// The build input, when this join is the one that drained it.
+    drained: Option<Box<dyn Operator>>,
     out_schema: Arc<Schema>,
+    bufs: ProbeBuffers,
     counters: Counters,
 }
 
@@ -133,19 +453,30 @@ impl HashJoin {
         build_keys: Vec<usize>,
         kind: JoinKind,
     ) -> Result<HashJoin> {
+        HashJoin::shared(probe, SharedBuild::new(build, build_keys), probe_keys, kind)
+    }
+
+    /// A join over a build side other joins may share.
+    pub fn shared(
+        probe: Box<dyn Operator>,
+        build: Arc<SharedBuild>,
+        probe_keys: Vec<usize>,
+        kind: JoinKind,
+    ) -> Result<HashJoin> {
         // Empty key lists are allowed for inner joins only: every build row
-        // hashes to the bare seed and `keys_eq` is vacuously true, so the
-        // normal probe path degenerates into a cross product. The planner
-        // emits this for uncorrelated scalar subqueries (one-row build side).
-        if probe_keys.len() != build_keys.len()
+        // hashes to the bare seed and the key compare is vacuously true, so
+        // the normal probe path degenerates into a cross product. The
+        // planner emits this for uncorrelated scalar subqueries (one-row
+        // build side).
+        if probe_keys.len() != build.keys.len()
             || (probe_keys.is_empty() && kind != JoinKind::Inner)
         {
             return Err(VhError::Exec("mismatched join keys".into()));
         }
         let out_schema = match kind {
-            JoinKind::Inner => Arc::new(probe.schema().join(&build.schema())),
+            JoinKind::Inner => Arc::new(probe.schema().join(&build.schema)),
             JoinKind::LeftOuter => {
-                let mut s = probe.schema().join(&build.schema());
+                let mut s = probe.schema().join(&build.schema);
                 s = s.join(&Schema::new(vec![Field::new("__matched", DataType::I32)]));
                 Arc::new(s)
             }
@@ -157,10 +488,52 @@ impl HashJoin {
             probe_keys,
             kind,
             built: None,
-            build_keys,
+            drained: None,
             out_schema,
+            bufs: ProbeBuffers::default(),
             counters: Counters::default(),
         })
+    }
+
+    /// The output for one probe vector, or `None` when no row of it
+    /// survives.
+    fn join_vector(&mut self, side: &BuildSide, batch: Batch) -> Result<Option<Batch>> {
+        let n = batch.len();
+        let s = &mut self.bufs;
+        let (mut pidx, mut bidx) = (Vec::new(), Vec::new());
+        {
+            let cols: Vec<&ColumnData> = batch.columns.iter().collect();
+            match self.kind {
+                JoinKind::Inner | JoinKind::LeftOuter => {
+                    let outer = self.kind == JoinKind::LeftOuter;
+                    side.pairs(&cols, &self.probe_keys, s, outer, &mut pidx, &mut bidx);
+                }
+                JoinKind::Semi | JoinKind::Anti => {
+                    side.matched(&cols, &self.probe_keys, s);
+                    let want = self.kind == JoinKind::Semi;
+                    pidx.extend((0..n as u32).filter(|&i| s.matched[i as usize] == want));
+                }
+            }
+        }
+        if pidx.is_empty() {
+            return Ok(None);
+        }
+        let mut columns = if is_identity(&pidx, n) {
+            batch.columns
+        } else {
+            gather_columns(&batch.columns, &pidx)
+        };
+        match self.kind {
+            JoinKind::Inner => columns.extend(side.data.iter().map(|c| gather(c, &bidx))),
+            JoinKind::LeftOuter => {
+                columns.extend(side.data.iter().map(|c| gather_or_default(c, &bidx)));
+                columns.push(ColumnData::I32(
+                    bidx.iter().map(|&b| (b != EMPTY) as i32).collect(),
+                ));
+            }
+            JoinKind::Semi | JoinKind::Anti => {}
+        }
+        Batch::new(self.out_schema.clone(), columns).map(Some)
     }
 }
 
@@ -172,87 +545,16 @@ impl Operator for HashJoin {
     fn next(&mut self) -> Result<Option<Batch>> {
         let start = std::time::Instant::now();
         if self.built.is_none() {
-            self.built = Some(BuildSide::drain(self.build.as_mut(), &self.build_keys)?);
+            self.built = Some(self.build.get(&mut self.drained)?);
         }
-        let side = self.built.as_ref().unwrap();
-        let mut hashes = Vec::new();
+        let side = self.built.clone().expect("built above");
         let out = loop {
             let Some(batch) = self.probe.next()? else {
                 break None;
             };
             self.counters.rows_in += batch.len() as u64;
-            let cols: Vec<&ColumnData> = batch.columns.iter().collect();
-            hash_columns(&cols, &self.probe_keys, JOIN_SEED, &mut hashes);
-
-            match self.kind {
-                JoinKind::Inner => {
-                    let (probe_idx, build_idx) = side.match_inner(&cols, &self.probe_keys, &hashes);
-                    if probe_idx.is_empty() {
-                        continue;
-                    }
-                    let left = batch.gather_u32(&probe_idx);
-                    let mut columns = left.columns;
-                    columns.extend(side.data.iter().map(|c| gather(c, &build_idx)));
-                    break Some(Batch::new(self.out_schema.clone(), columns)?);
-                }
-                JoinKind::LeftOuter => {
-                    let build_cols: Vec<&ColumnData> = side.data.iter().collect();
-                    let mut probe_idx: Vec<u32> = Vec::new();
-                    // Build side: a real row id, or EMPTY for "unmatched".
-                    let mut build_idx: Vec<u32> = Vec::new();
-                    for (i, &h) in hashes.iter().enumerate() {
-                        let mut any = false;
-                        for bi in side.table.candidates(h) {
-                            if keys_eq(
-                                &build_cols,
-                                &side.keys,
-                                bi as usize,
-                                &cols,
-                                &self.probe_keys,
-                                i,
-                            ) {
-                                probe_idx.push(i as u32);
-                                build_idx.push(bi);
-                                any = true;
-                            }
-                        }
-                        if !any {
-                            probe_idx.push(i as u32);
-                            build_idx.push(EMPTY);
-                        }
-                    }
-                    let left = batch.gather_u32(&probe_idx);
-                    let matched: Vec<i32> =
-                        build_idx.iter().map(|&b| (b != EMPTY) as i32).collect();
-                    let mut columns = left.columns;
-                    columns.extend(side.data.iter().map(|c| gather_or_default(c, &build_idx)));
-                    columns.push(ColumnData::I32(matched));
-                    break Some(Batch::new(self.out_schema.clone(), columns)?);
-                }
-                JoinKind::Semi | JoinKind::Anti => {
-                    let build_cols: Vec<&ColumnData> = side.data.iter().collect();
-                    let want_match = self.kind == JoinKind::Semi;
-                    let mut keep: Vec<u32> = Vec::new();
-                    for (i, &h) in hashes.iter().enumerate() {
-                        let any = side.table.candidates(h).any(|bi| {
-                            keys_eq(
-                                &build_cols,
-                                &side.keys,
-                                bi as usize,
-                                &cols,
-                                &self.probe_keys,
-                                i,
-                            )
-                        });
-                        if any == want_match {
-                            keep.push(i as u32);
-                        }
-                    }
-                    if keep.is_empty() {
-                        continue;
-                    }
-                    break Some(batch.gather_u32(&keep));
-                }
+            if let Some(out) = self.join_vector(&side, batch)? {
+                break Some(out);
             }
         };
         self.counters.cum_time_ns += start.elapsed().as_nanos() as u64;
@@ -268,7 +570,9 @@ impl Operator for HashJoin {
     }
 
     fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.probe.as_ref(), self.build.as_ref()]
+        let mut children = vec![self.probe.as_ref()];
+        children.extend(self.drained.as_deref());
+        children
     }
 }
 
@@ -436,6 +740,99 @@ mod tests {
         let build = table("r", vec![], vec![]);
         let mut j = HashJoin::new(probe, build, vec![0], vec![0], JoinKind::Inner).unwrap();
         assert!(crate::batch::collect_rows(&mut j).unwrap().is_empty());
+    }
+
+    #[test]
+    fn the_two_float_zeros_join_as_one_key() {
+        let schema = Arc::new(Schema::of(&[("x", DataType::F64)]));
+        let mk = |vals: Vec<f64>| -> Box<dyn Operator> {
+            let batch = Batch::new(schema.clone(), vec![ColumnData::F64(vals)]).unwrap();
+            Box::new(BatchSource::from_batch(batch, VECTOR_SIZE))
+        };
+        let rows = |kind| {
+            let mut j = HashJoin::new(
+                mk(vec![0.0, 1.5, 2.0]),
+                mk(vec![-0.0, 1.5]),
+                vec![0],
+                vec![0],
+                kind,
+            )
+            .unwrap();
+            crate::batch::collect_rows(&mut j).unwrap()
+        };
+        let f = Value::F64;
+        assert_eq!(
+            rows(JoinKind::Inner),
+            vec![vec![f(0.0), f(-0.0)], vec![f(1.5), f(1.5)]]
+        );
+        assert_eq!(
+            rows(JoinKind::LeftOuter),
+            vec![
+                vec![f(0.0), f(-0.0), Value::I32(1)],
+                vec![f(1.5), f(1.5), Value::I32(1)],
+                vec![f(2.0), f(0.0), Value::I32(0)],
+            ]
+        );
+        assert_eq!(rows(JoinKind::Semi), vec![vec![f(0.0)], vec![f(1.5)]]);
+        assert_eq!(rows(JoinKind::Anti), vec![vec![f(2.0)]]);
+    }
+
+    /// A build input that counts how often it is drained.
+    struct Counted(Box<dyn Operator>, Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Operator for Counted {
+        fn schema(&self) -> Arc<Schema> {
+            self.0.schema()
+        }
+        fn next(&mut self) -> Result<Option<Batch>> {
+            let out = self.0.next()?;
+            if out.is_none() {
+                self.1.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+            Ok(out)
+        }
+        fn profile(&self) -> OpProfile {
+            self.0.profile()
+        }
+        fn children(&self) -> Vec<&dyn Operator> {
+            vec![]
+        }
+    }
+
+    #[test]
+    fn a_shared_build_is_built_once_for_all_its_joins() {
+        let drains = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let build = SharedBuild::new(
+            Box::new(Counted(
+                table("r", vec![2, 3, 4], vec![20, 30, 40]),
+                drains.clone(),
+            )),
+            vec![0],
+        );
+        let joins: Vec<HashJoin> = (0..4)
+            .map(|t| {
+                let probe = table("l", vec![t, t + 1, t + 2], vec![0, 0, 0]);
+                HashJoin::shared(probe, build.clone(), vec![0], JoinKind::Inner).unwrap()
+            })
+            .collect();
+        let counts: Vec<usize> = std::thread::scope(|scope| {
+            let runs: Vec<_> = joins
+                .into_iter()
+                .map(|mut j| {
+                    scope.spawn(move || {
+                        let rows = crate::batch::collect_rows(&mut j).unwrap().len();
+                        // Only the join that drained the input shows it.
+                        (rows, j.children().len())
+                    })
+                })
+                .collect();
+            let done: Vec<(usize, usize)> = runs.into_iter().map(|h| h.join().unwrap()).collect();
+            let builders = done.iter().filter(|(_, children)| *children == 2).count();
+            assert_eq!(builders, 1, "one join builds and profiles the build");
+            done.into_iter().map(|(rows, _)| rows).collect()
+        });
+        assert_eq!(counts, vec![1, 2, 3, 2]);
+        assert_eq!(drains.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!
 //! Integer keys are normalized to `i64` before mixing, so an `I32` column
 //! and an `I64` column holding equal values hash identically — required
-//! for cross-width joins (`keys_eq` accepts I32/I64 pairs) and for
-//! co-partitioning streams whose key widths differ.
+//! for cross-width joins (the join compares I32/I64 pairs as `i64`) and for
+//! co-partitioning streams whose key widths differ. Float keys hash the
+//! bits of `x + 0.0`, so `-0.0` and `+0.0`, which compare equal, meet in
+//! one bucket and one exchange consumer.
 
 use vectorh_common::util::{hash_bytes, hash_combine, hash_u64};
 use vectorh_common::ColumnData;
@@ -75,7 +77,7 @@ fn fold_column_sel(col: &ColumnData, sel: &[u32], acc: &mut [u64]) {
         }
         ColumnData::F64(v) => {
             for (h, &i) in acc.iter_mut().zip(sel.iter()) {
-                *h = hash_combine(*h, hash_u64(v[i as usize].to_bits()));
+                *h = hash_combine(*h, hash_u64((v[i as usize] + 0.0).to_bits()));
             }
         }
         ColumnData::Str(v) => {
@@ -94,7 +96,7 @@ pub fn hash_row(cols: &[&ColumnData], keys: &[usize], seed: u64, i: usize) -> u6
         let value = match cols[k] {
             ColumnData::I32(v) => hash_u64(v[i] as i64 as u64),
             ColumnData::I64(v) => hash_u64(v[i] as u64),
-            ColumnData::F64(v) => hash_u64(v[i].to_bits()),
+            ColumnData::F64(v) => hash_u64((v[i] + 0.0).to_bits()),
             ColumnData::Str(v) => hash_bytes(v.get(i).as_bytes()),
         };
         hash_combine(h, value)
@@ -195,6 +197,22 @@ mod tests {
             hash_columns(&[&narrow], &[0], seed, &mut a);
             hash_columns(&[&wide], &[0], seed, &mut b);
             assert_eq!(a, b, "seed {seed:#x}");
+        }
+    }
+
+    #[test]
+    fn the_two_zeros_hash_alike_on_every_path() {
+        let neg = ColumnData::F64(vec![-0.0, 7.0, -0.0]);
+        let pos = ColumnData::F64(vec![0.0, 7.0, 0.0]);
+        for seed in [XCHG_SEED, JOIN_SEED] {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            hash_columns(&[&neg], &[0], seed, &mut a);
+            hash_columns(&[&pos], &[0], seed, &mut b);
+            assert_eq!(a, b, "hash_columns, seed {seed:#x}");
+            hash_columns_sel(&[&neg], &[0], seed, &[2, 0], &mut a);
+            hash_columns_sel(&[&pos], &[0], seed, &[2, 0], &mut b);
+            assert_eq!(a, b, "hash_columns_sel, seed {seed:#x}");
+            assert_eq!(a[0], hash_row(&[&neg], &[0], seed, 0), "hash_row");
         }
     }
 

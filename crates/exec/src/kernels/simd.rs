@@ -43,7 +43,9 @@ pub fn fold_hash_i32(vals: &[i32], acc: &mut [u64]) {
     fold_hash_words_portable(vals.iter().map(|&x| x as i64 as u64), acc);
 }
 
-/// `acc[i] = hash_combine(acc[i], hash_u64(vals[i].to_bits()))` for f64 keys.
+/// `acc[i] = hash_combine(acc[i], hash_u64((vals[i] + 0.0).to_bits()))` for
+/// f64 keys: adding `+0.0` turns `-0.0` into `+0.0`, so the two zeros, which
+/// compare equal, hash equal (a NaN stays a NaN and equals nothing).
 pub fn fold_hash_f64(vals: &[f64], acc: &mut [u64]) {
     debug_assert_eq!(vals.len(), acc.len());
     #[cfg(all(target_arch = "x86_64", not(vectorh_force_swar)))]
@@ -54,7 +56,7 @@ pub fn fold_hash_f64(vals: &[f64], acc: &mut [u64]) {
             return;
         }
     }
-    fold_hash_words_portable(vals.iter().map(|&x| x.to_bits()), acc);
+    fold_hash_words_portable(vals.iter().map(|&x| (x + 0.0).to_bits()), acc);
 }
 
 /// Portable arm: four independent accumulator lanes per unrolled step so
@@ -219,11 +221,12 @@ mod avx2 {
     pub unsafe fn fold_f64(vals: &[f64], acc: &mut [u64]) {
         let n = vals.len();
         fold_words(acc, n, |i| {
-            // A raw integer load of f64 memory is exactly `to_bits`.
-            _mm256_loadu_si256(vals.as_ptr().add(i) as *const __m256i)
+            // `+ 0.0` turns -0.0 into +0.0; the cast of the sum is `to_bits`.
+            let v = _mm256_loadu_pd(vals.as_ptr().add(i));
+            _mm256_castpd_si256(_mm256_add_pd(v, _mm256_setzero_pd()))
         });
         for (h, &x) in acc[n - n % 4..].iter_mut().zip(&vals[n - n % 4..]) {
-            *h = super::hash_combine(*h, super::hash_u64(x.to_bits()));
+            *h = super::hash_combine(*h, super::hash_u64((x + 0.0).to_bits()));
         }
     }
 
@@ -300,6 +303,30 @@ mod tests {
             }
             force_mode(None);
         }
+    }
+
+    #[test]
+    fn the_two_zeros_hash_alike_on_all_arms() {
+        // Nine values so the AVX2 arm covers both zeros in its four-lane
+        // body and in its scalar tail.
+        let neg = [-0.0, 1.5, -0.0, 2.0, -0.0, -0.0, 3.0, 4.0, -0.0];
+        let pos: Vec<f64> = neg
+            .iter()
+            .map(|&x| if x == 0.0 { 0.0 } else { x })
+            .collect();
+        let acc0: Vec<u64> = (0..neg.len() as u64).collect();
+        for mode in [
+            vectorh_common::simd::SimdMode::Avx2,
+            vectorh_common::simd::SimdMode::Swar,
+            vectorh_common::simd::SimdMode::Scalar,
+        ] {
+            force_mode(Some(mode));
+            let (mut a, mut b) = (acc0.clone(), acc0.clone());
+            fold_hash_f64(&neg, &mut a);
+            fold_hash_f64(&pos, &mut b);
+            assert_eq!(a, b, "{mode:?}");
+        }
+        force_mode(None);
     }
 
     #[test]

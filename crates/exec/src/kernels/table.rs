@@ -14,6 +14,14 @@
 //!
 //! The batch APIs take precomputed hash vectors from
 //! [`super::hash::hash_columns`] — the table itself never hashes anything.
+//!
+//! The same two arrays serve a second slot function: a table made by
+//! [`HashTable::with_slots`] has one chain head per slot of the caller's
+//! choosing (a join over a dense integer key uses `key − min`), rows are
+//! linked by [`HashTable::insert_slots`] and read back through
+//! [`HashTable::head`] and [`HashTable::next_row`]. Such a table stores no
+//! hashes: its slot function is exact, so a chain holds equal keys only.
+//! Either way a chain lists its rows last-inserted first.
 
 /// Sentinel row id: end of a chain / empty bucket / no match.
 pub const EMPTY: u32 = u32::MAX;
@@ -36,13 +44,23 @@ impl HashTable {
         HashTable::default()
     }
 
+    /// A table of `slots` empty chains addressed by the caller's own slot
+    /// function instead of a hash (see the module doc).
+    pub fn with_slots(slots: usize) -> HashTable {
+        HashTable {
+            buckets: vec![EMPTY; slots],
+            next: Vec::new(),
+            hashes: Vec::new(),
+        }
+    }
+
     /// Number of rows inserted.
     pub fn len(&self) -> usize {
-        self.hashes.len()
+        self.next.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
+        self.next.is_empty()
     }
 
     /// Remove all rows, keeping the allocated capacity for reuse (operators
@@ -90,6 +108,37 @@ impl HashTable {
                 self.buckets[b] = r as u32;
             }
         }
+    }
+
+    /// Link rows into a [`with_slots`](Self::with_slots) table: row
+    /// `len() + j` goes to the head of the chain of slot `slots[j]`. Each
+    /// slot must be below the table's slot count.
+    pub fn insert_slots(&mut self, slots: impl ExactSizeIterator<Item = usize>) {
+        debug_assert!(self.hashes.is_empty(), "a hashed table takes no slots");
+        let first = self.next.len();
+        assert!(
+            first + slots.len() < EMPTY as usize,
+            "hash table row ids exceed u32"
+        );
+        self.next.reserve(slots.len());
+        for (r, slot) in (first as u32..).zip(slots) {
+            self.next.push(self.buckets[slot]);
+            self.buckets[slot] = r;
+        }
+    }
+
+    /// The first row of slot `slot`'s chain in a
+    /// [`with_slots`](Self::with_slots) table, or [`EMPTY`].
+    #[inline]
+    pub fn head(&self, slot: usize) -> u32 {
+        self.buckets[slot]
+    }
+
+    /// The row after `row` in its chain, or [`EMPTY`]: no hash filter, so
+    /// in a [`with_slots`](Self::with_slots) table the next equal key.
+    #[inline]
+    pub fn next_row(&self, row: u32) -> u32 {
+        self.next[row as usize]
     }
 
     /// First candidate row whose stored hash equals `hash`, or [`EMPTY`].
@@ -292,6 +341,27 @@ mod tests {
         // Row ids restart from zero after a clear.
         t.insert_batch(&hashes[..10]);
         assert_eq!(t.first_candidate(hashes[3]), 3);
+    }
+
+    #[test]
+    fn slot_chains_list_rows_last_inserted_first() {
+        let mut t = HashTable::with_slots(5);
+        t.insert_slots([4, 0, 4].into_iter());
+        t.insert_slots([4, 2].into_iter());
+        assert_eq!(t.len(), 5);
+        let chain = |slot| {
+            let mut out = vec![];
+            let mut r = t.head(slot);
+            while r != EMPTY {
+                out.push(r);
+                r = t.next_row(r);
+            }
+            out
+        };
+        assert_eq!(chain(4), vec![3, 2, 0]);
+        assert_eq!(chain(0), vec![1]);
+        assert_eq!(chain(2), vec![4]);
+        assert!(chain(1).is_empty() && chain(3).is_empty());
     }
 
     /// Property test: the flat table agrees with `std::collections::HashMap`

@@ -231,3 +231,78 @@ fn in_list_and_equality_agree_for_coarser_equal_and_finer_literals() {
     assert_eq!(count("amount IN (0.07, 7.005, 8.0)"), 10);
     assert_eq!(count("id IN (42.0, 42.5, 43)"), 2);
 }
+
+/// Broadcast and replicated build sides are built once per node however
+/// many probe pipelines the node runs, and that count does not move the
+/// answer: a fact table of 4 partitions on 2 nodes (two probe pipelines a
+/// node, two streams a node) against the same rows in 2 partitions (one
+/// pipeline, one stream). The join that builds a side shows the build input
+/// under it in the profile; the others show only their probe input.
+#[test]
+fn a_broadcast_build_is_built_once_per_node() {
+    let run = |streams: usize, parts: usize, dim_parts: Option<usize>| {
+        let vh = VectorH::start(ClusterConfig {
+            nodes: 2,
+            streams_per_node: streams,
+            rows_per_chunk: 128,
+            hdfs_block_size: 16 * 1024,
+            ..Default::default()
+        })
+        .unwrap();
+        vh.create_table(
+            TableBuilder::new("fact")
+                .column("id", DataType::I64)
+                .column("dk", DataType::I64)
+                .column("amount", DataType::I64)
+                .partition_by(&["id"], parts),
+        )
+        .unwrap();
+        let mut dim = TableBuilder::new("dim")
+            .column("dk", DataType::I64)
+            .column("name", DataType::Str);
+        if let Some(n) = dim_parts {
+            dim = dim.partition_by(&["dk"], n);
+        }
+        vh.create_table(dim).unwrap();
+        let fact = (0..2000)
+            .map(|i| vec![Value::I64(i), Value::I64(i % 40), Value::I64(i * 7 % 1000)])
+            .collect();
+        vh.insert_rows("fact", fact).unwrap();
+        let dim = (0..30)
+            .map(|k| vec![Value::I64(k), Value::Str(format!("n{}", k % 7))])
+            .collect();
+        vh.insert_rows("dim", dim).unwrap();
+        let sql = "SELECT count(*), sum(f.amount), min(d.name), max(d.name) \
+                   FROM fact f JOIN dim d ON f.dk = d.dk";
+        let explain = vh.explain(sql).unwrap();
+        let build = if dim_parts.is_some() {
+            "DXchgBroadcast"
+        } else {
+            "Scan[dim] (replicated)"
+        };
+        assert!(
+            explain.contains("BroadcastBuild") && explain.contains(build),
+            "{explain}"
+        );
+        let (rows, profile) = vh.query_profiled(sql).unwrap();
+        let count = |op: &str| {
+            profile
+                .lines()
+                .filter(|l| l.trim_start().starts_with(op))
+                .count()
+        };
+        (rows, count("HashJoin:"), count("BatchSource:"), profile)
+    };
+    for dim_parts in [None, Some(3)] {
+        let (one, joins_one, builds_one, _) = run(1, 2, dim_parts);
+        let (two, joins_two, builds_two, profile) = run(2, 4, dim_parts);
+        assert_eq!(one, two, "dim partitions {dim_parts:?}");
+        assert_eq!(one[0][0], Value::I64(1500));
+        assert_eq!((joins_one, builds_one), (2, 2), "one pipeline a node");
+        assert_eq!(
+            (joins_two, builds_two),
+            (4, 2),
+            "two pipelines a node\n{profile}"
+        );
+    }
+}
