@@ -15,6 +15,7 @@ use vectorh_net::{
     ChannelStats, DxchgConfig, FanoutMode, HeartbeatMonitor, NetStats, PropagationStats,
     ServerStats,
 };
+use vectorh_pdt::MergeStep;
 use vectorh_planner::logical::{CatalogInfo, TableMeta};
 use vectorh_planner::{
     parse_query, prune_columns, LogicalPlan, ParallelRewriter, PhysPlan, RewriterOptions,
@@ -690,7 +691,11 @@ impl VectorH {
     /// Bulk-load rows (the vwload path): rows are hash-partitioned, each
     /// partition sorted by the clustered order and appended directly to
     /// disk from its responsible node ("large inserts ... are appended
-    /// directly on disk").
+    /// directly on disk"). The new rows end each partition's image; deltas
+    /// pending on a partition stay where they are. Every row is converted
+    /// and every partition checked on the primary and on each replica
+    /// before the first write, so a refused load leaves store, WAL and
+    /// answers as they were.
     pub fn insert_rows(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<()> {
         let rt = self.table(table)?;
         let n_parts = rt.n_partitions();
@@ -704,6 +709,7 @@ impl VectorH {
             }
             None => buckets[0] = rows,
         }
+        let mut loads: Vec<(usize, Vec<ColumnData>, u64)> = Vec::new();
         for (i, mut bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
                 continue;
@@ -730,17 +736,24 @@ impl VectorH {
                     cols[c].push_value(v)?;
                 }
             }
-            rt.stores[i].write().append_rows(&cols)?;
-            self.txns.bulk_append(rt.pids[i], bucket.len() as u64)?;
+            let pid = rt.pids[i];
+            self.txns.partition_state(pid)?;
             if rt.def.partitioning.is_none() {
                 for mgr in self.replicas.read().values() {
-                    mgr.bulk_append(rt.pids[i], bucket.len() as u64)?;
+                    mgr.partition_state(pid)?;
                 }
             }
-            rt.wals[i].append(&[vectorh_txn::LogRecord::Append {
-                txn: 0,
-                rows: bucket.len() as u64,
-            }])?;
+            loads.push((i, cols, bucket.len() as u64));
+        }
+        for (i, cols, rows) in loads {
+            rt.stores[i].write().append_rows(&cols)?;
+            self.txns.bulk_append(rt.pids[i], rows)?;
+            if rt.def.partitioning.is_none() {
+                for mgr in self.replicas.read().values() {
+                    mgr.bulk_append(rt.pids[i], rows)?;
+                }
+            }
+            rt.wals[i].append(&[vectorh_txn::LogRecord::Append { txn: 0, rows }])?;
         }
         Ok(())
     }
@@ -1242,11 +1255,21 @@ impl VectorH {
     /// Visible rows of a replicated partition as seen by `node`'s replica
     /// state (catch-up verification in tests and the chaos harness).
     pub fn replica_rows(&self, node: NodeId, pid: PartitionId) -> Result<u64> {
-        let replicas = self.replicas.read();
-        let mgr = replicas
+        self.replica(node)?.visible_rows(pid)
+    }
+
+    /// The merge plan of a replicated partition in `node`'s replica state:
+    /// applied to the stable image, the rows that replica holds.
+    pub fn replica_plan(&self, node: NodeId, pid: PartitionId) -> Result<Vec<MergeStep>> {
+        self.replica(node)?.scan_plan(pid)
+    }
+
+    fn replica(&self, node: NodeId) -> Result<Arc<TransactionManager>> {
+        self.replicas
+            .read()
             .get(&node)
-            .ok_or_else(|| VhError::Internal(format!("no replica state on {node}")))?;
-        mgr.visible_rows(pid)
+            .cloned()
+            .ok_or_else(|| VhError::Internal(format!("no replica state on {node}")))
     }
 
     // --- maintenance --------------------------------------------------------------
@@ -1283,14 +1306,11 @@ impl VectorH {
         if report.mode != vectorh_txn::propagate::PropagationMode::Noop {
             if rt.def.partitioning.is_none() {
                 // Propagation folded the shipped updates into the stable
-                // image: the retained ship log is obsolete (mirroring the
-                // WAL `Checkpoint`) and every replica re-bases on the new
-                // image.
-                let stable = store.row_count();
-                self.shipper.checkpoint(pid);
-                for mgr in self.replicas.read().values() {
-                    mgr.register_partition(pid, stable);
-                }
+                // image, or carried them in its checkpoint: the retained
+                // ship log is obsolete (mirroring the WAL `Checkpoint`) and
+                // every replica re-bases on the new image and those carried
+                // deltas.
+                self.rebase_replicas(pid, store.row_count(), &report.carried)?;
             }
             self.propagation.record_run(
                 report.mode == vectorh_txn::propagate::PropagationMode::TailAppend,
@@ -1339,11 +1359,11 @@ impl VectorH {
     }
 
     /// Repair a partition after a propagation crash: WAL repair + replay of
-    /// the committed updates on top of whichever chunk images survived. If
-    /// nothing needed replaying, the crash happened after the commit point
-    /// — the new image is installed and the PDTs are already empty, so a
-    /// replicated table additionally re-bases its ship log and replicas
-    /// (the step the crash interrupted).
+    /// the last checkpoint's carried deltas and the committed updates on top
+    /// of whichever chunk images survived. If no committed update followed
+    /// the checkpoint, the crash may have come after the commit point — the
+    /// new image is installed — so a replicated table additionally re-bases
+    /// its ship log and replicas (the step the crash interrupted).
     fn recover_after_propagation_crash(&self, rt: &TableRuntime, i: usize) -> Result<()> {
         let pid = rt.pids[i];
         let stable = rt.stores[i].read().row_count();
@@ -1355,10 +1375,23 @@ impl VectorH {
             &rt.wals[i],
         )?;
         if report.replayed_records == 0 && rt.def.partitioning.is_none() {
-            self.shipper.checkpoint(pid);
-            for mgr in self.replicas.read().values() {
-                mgr.register_partition(pid, stable);
-            }
+            self.rebase_replicas(pid, stable, &report.carried)?;
+        }
+        Ok(())
+    }
+
+    /// A replicated partition's stable image changed under a checkpoint:
+    /// drop the retained ship log and re-base every replica on `stable`
+    /// rows plus the checkpoint's `carried` deltas.
+    fn rebase_replicas(
+        &self,
+        pid: PartitionId,
+        stable: u64,
+        carried: &[vectorh_txn::LogRecord],
+    ) -> Result<()> {
+        self.shipper.checkpoint(pid);
+        for mgr in self.replicas.read().values() {
+            mgr.rebase_partition(pid, stable, carried, &[])?;
         }
         Ok(())
     }

@@ -27,7 +27,7 @@ use vectorh_txn::{LogRecord, TransactionManager, TxnConfig, Wal};
 use crate::engine::VectorH;
 
 /// What one partition takeover did.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryReport {
     /// Torn-tail bytes trimmed by `Wal::repair`.
     pub repaired_bytes: u64,
@@ -36,16 +36,20 @@ pub struct RecoveryReport {
     pub committed: Vec<u64>,
     /// Transactions resolved to aborted (no commit evidence anywhere).
     pub aborted: Vec<u64>,
-    /// Update records replayed into the fresh partition state.
+    /// Update records replayed into the fresh partition state, after the
+    /// carried ones.
     pub replayed_records: usize,
+    /// The deltas the last checkpoint carried, replayed first.
+    pub carried: Vec<LogRecord>,
 }
 
 /// Recover one partition onto its (new) responsible node: repair the WAL
 /// tail, resolve in-doubt transactions against the global WAL, and replay
-/// the committed records into `txns` atomically — committed updates stay
-/// visible, uncommitted ones never surface. `stable_rows` is the row count
-/// of the partition's stable (on-disk) image; records up to the WAL's last
-/// `Checkpoint` are already part of it and are skipped.
+/// the last checkpoint's carried deltas, then the committed records after
+/// it, into `txns` atomically — committed updates stay visible, uncommitted
+/// ones never surface. `stable_rows` is the row count of the partition's
+/// stable (on-disk) image; records before the WAL's last `Checkpoint` are
+/// already part of it or of its carried set, and are skipped.
 pub fn recover_partition(
     coordinator: &TwoPhaseCoordinator,
     txns: &TransactionManager,
@@ -68,8 +72,9 @@ pub fn recover_partition(
     // Records after the last checkpoint, in log order (= commit order: each
     // commit appends its whole batch atomically). Bulk `Append`s are already
     // in the stable image and are ignored by replay.
-    let (_ckpt_stable, tail) = wal.read_since_checkpoint()?;
-    let records: Vec<LogRecord> = tail
+    let replay = wal.read_replay()?;
+    let records: Vec<LogRecord> = replay
+        .tail
         .into_iter()
         .filter(|r| match r {
             LogRecord::Insert { txn, .. }
@@ -78,12 +83,13 @@ pub fn recover_partition(
             _ => false,
         })
         .collect();
-    txns.recover_partition(pid, stable_rows, &records)?;
+    txns.rebase_partition(pid, stable_rows, &replay.carried, &records)?;
     Ok(RecoveryReport {
         repaired_bytes,
         committed,
         aborted,
         replayed_records: records.len(),
+        carried: replay.carried,
     })
 }
 

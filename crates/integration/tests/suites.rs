@@ -40,6 +40,9 @@ mod recovery;
 #[path = "../../../tests/server_frontdoor.rs"]
 mod server_frontdoor;
 
+#[path = "../../../tests/sparse_propagation.rs"]
+mod sparse_propagation;
+
 #[path = "../../../tests/tpch_consistency.rs"]
 mod tpch_consistency;
 

@@ -11,9 +11,11 @@
 //! layering becomes `compose(compose(read_plan, write_plan), trans_plan)`,
 //! yielding a single plan in stable-table coordinates.
 
+use std::sync::Arc;
+
 use vectorh_common::Value;
 
-use crate::tree::{Pdt, Update};
+use crate::tree::{self, Pdt, Update};
 
 /// One step of a merge plan. Steps are emitted in output (RID) order;
 /// `CopyStable`/`SkipStable`/`ModifyStable` consume stable rows in ascending
@@ -27,7 +29,7 @@ pub enum MergeStep {
     /// Emit stable row `sid` with the given column patches applied.
     ModifyStable { sid: u64, mods: Vec<(usize, Value)> },
     /// Emit an inserted tuple.
-    EmitInsert { tag: u64, values: Vec<Value> },
+    EmitInsert { tag: u64, values: Arc<Vec<Value>> },
 }
 
 impl MergeStep {
@@ -48,6 +50,29 @@ impl MergeStep {
             MergeStep::SkipStable { count, .. } => *count,
             MergeStep::ModifyStable { .. } => 1,
             MergeStep::EmitInsert { .. } => 0,
+        }
+    }
+
+    /// PDT entries that express this step: one per deleted row, per
+    /// patched column and per inserted row.
+    pub fn pdt_entries(&self) -> u64 {
+        match self {
+            MergeStep::CopyStable { .. } => 0,
+            MergeStep::SkipStable { count, .. } => *count,
+            MergeStep::ModifyStable { mods, .. } => mods.len() as u64,
+            MergeStep::EmitInsert { .. } => 1,
+        }
+    }
+
+    /// The footprint of those entries, as [`Pdt::mem_bytes`] counts it.
+    pub fn pdt_bytes(&self) -> usize {
+        match self {
+            MergeStep::CopyStable { .. } => 0,
+            MergeStep::SkipStable { count, .. } => *count as usize * tree::DELETE_BYTES,
+            MergeStep::ModifyStable { mods, .. } => {
+                mods.iter().map(|(_, v)| tree::modify_bytes(v)).sum()
+            }
+            MergeStep::EmitInsert { values, .. } => tree::insert_bytes(values),
         }
     }
 }
@@ -71,7 +96,7 @@ impl Pdt {
         while i < entries.len() {
             let sid = entries[i].sid;
             // Collect the whole group (groups are contiguous in entry order).
-            let mut inserts: Vec<(u64, &Vec<Value>)> = Vec::new();
+            let mut inserts: Vec<(u64, &Arc<Vec<Value>>)> = Vec::new();
             let mut mods: Vec<(usize, Value)> = Vec::new();
             let mut deleted = false;
             while i < entries.len() && entries[i].sid == sid {
@@ -138,7 +163,7 @@ pub fn apply_plan(plan: &[MergeStep], stable_rows: &[Vec<Value>]) -> Vec<Vec<Val
                 }
                 out.push(row);
             }
-            MergeStep::EmitInsert { values, .. } => out.push(values.clone()),
+            MergeStep::EmitInsert { values, .. } => out.push(values.to_vec()),
         }
     }
     out
@@ -290,8 +315,9 @@ pub fn compose(lower: &[MergeStep], upper: &[MergeStep]) -> Vec<MergeStep> {
                 }
                 MergeStep::EmitInsert { tag, values } => {
                     let mut patched = values.clone();
+                    let row = Arc::make_mut(&mut patched);
                     for (c, v) in mods {
-                        patched[*c] = v.clone();
+                        row[*c] = v.clone();
                     }
                     self.out.push(MergeStep::EmitInsert {
                         tag: *tag,
@@ -416,7 +442,7 @@ mod tests {
                 },
                 MergeStep::EmitInsert {
                     tag: 1,
-                    values: v(99)
+                    values: v(99).into()
                 },
                 MergeStep::CopyStable {
                     from_sid: 5,
@@ -435,7 +461,7 @@ mod tests {
             plan.last().unwrap(),
             &MergeStep::EmitInsert {
                 tag: 1,
-                values: v(100)
+                values: v(100).into()
             }
         );
         assert_eq!(apply_plan(&plan, &stable(10)).len(), 11);

@@ -91,26 +91,22 @@ impl<'a> Layers<'a> {
         }
     }
 
-    /// Single merge plan in stable coordinates for the whole stack.
+    /// Single merge plan in stable coordinates for the whole stack. An
+    /// empty layer is the identity over the image below it, so it is
+    /// skipped rather than composed.
     pub fn merged_plan(&self) -> Vec<MergeStep> {
-        let mut plan = vec![];
-        let mut first = true;
+        let mut plan: Option<Vec<MergeStep>> = None;
         for (k, layer) in self.layers.iter().enumerate() {
-            let below_len = self.len_below(k);
-            let lp = layer.merge_plan(below_len);
-            plan = if first { lp } else { compose(&plan, &lp) };
-            first = false;
-        }
-        if first {
-            // No layers: identity plan.
-            if self.stable_len > 0 {
-                plan.push(MergeStep::CopyStable {
-                    from_sid: 0,
-                    count: self.stable_len,
-                });
+            if layer.is_empty() {
+                continue;
             }
+            let lp = layer.merge_plan(self.len_below(k));
+            plan = Some(match plan {
+                None => lp,
+                Some(lower) => compose(&lower, &lp),
+            });
         }
-        plan
+        plan.unwrap_or_else(|| Pdt::new().merge_plan(self.stable_len))
     }
 
     /// The tuple key currently occupying the position *before* `rid`

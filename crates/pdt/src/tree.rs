@@ -9,6 +9,8 @@
 //! skipping during SID↔RID translation — the chunked analogue of the
 //! counting-B+-tree inner nodes described in the paper.
 
+use std::sync::Arc;
+
 use vectorh_common::{Result, Value, VhError};
 
 /// Target number of entries per leaf (leaves holding one big same-SID group
@@ -19,8 +21,10 @@ const MAX_LEAF: usize = 128;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Update {
     /// A new tuple inserted before stable position `sid`. `tag` is a
-    /// process-unique tuple identity used for conflict tracking.
-    Insert { tag: u64, values: Vec<Value> },
+    /// process-unique tuple identity used for conflict tracking. The row is
+    /// shared with the merge plans that emit it, so building a plan does
+    /// not copy it.
+    Insert { tag: u64, values: Arc<Vec<Value>> },
     /// The stable tuple at `sid` is deleted.
     Delete,
     /// Column `col` of the stable tuple at `sid` now has `value`.
@@ -120,14 +124,10 @@ impl Pdt {
         self.leaves
             .iter()
             .flat_map(|l| &l.entries)
-            .map(|e| {
-                16 + match &e.upd {
-                    Update::Insert { values, .. } => {
-                        values.iter().map(value_bytes).sum::<usize>() + 16
-                    }
-                    Update::Delete => 0,
-                    Update::Modify { value, .. } => value_bytes(value) + 8,
-                }
+            .map(|e| match &e.upd {
+                Update::Insert { values, .. } => insert_bytes(values),
+                Update::Delete => DELETE_BYTES,
+                Update::Modify { value, .. } => modify_bytes(value),
             })
             .sum()
     }
@@ -280,7 +280,7 @@ impl Pdt {
     pub fn insert_at(
         &mut self,
         rid: u64,
-        values: Vec<Value>,
+        values: impl Into<Arc<Vec<Value>>>,
         tag: u64,
         stable_len: u64,
     ) -> Result<()> {
@@ -300,7 +300,10 @@ impl Pdt {
             entry_idx,
             Entry {
                 sid,
-                upd: Update::Insert { tag, values },
+                upd: Update::Insert {
+                    tag,
+                    values: values.into(),
+                },
             },
         );
         leaf.delta += 1;
@@ -369,7 +372,7 @@ impl Pdt {
                                         "modify col {col} out of bounds"
                                     )));
                                 }
-                                values[col] = value;
+                                Arc::make_mut(values)[col] = value;
                                 break 'outer;
                             }
                         }
@@ -646,6 +649,17 @@ fn value_bytes(v: &Value) -> usize {
     }
 }
 
+/// What [`Pdt::mem_bytes`] counts for one entry of each kind.
+pub(crate) const DELETE_BYTES: usize = 16;
+
+pub(crate) fn insert_bytes(values: &[Value]) -> usize {
+    32 + values.iter().map(value_bytes).sum::<usize>()
+}
+
+pub(crate) fn modify_bytes(value: &Value) -> usize {
+    24 + value_bytes(value)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,7 +696,7 @@ mod tests {
                     Find::Inserted { tag } => pdt
                         .entries()
                         .find_map(|e| match &e.upd {
-                            Update::Insert { tag: t, values } if *t == tag => Some(values.clone()),
+                            Update::Insert { tag: t, values } if *t == tag => Some(values.to_vec()),
                             _ => None,
                         })
                         .unwrap(),

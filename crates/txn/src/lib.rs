@@ -11,7 +11,9 @@
 //! * [`propagate`] — background update propagation: PDTs are flushed to the
 //!   columnar store when they exceed memory/fraction thresholds, separating
 //!   cheap *tail inserts* (pure appends creating new blocks) from in-place
-//!   updates (chunk rewrites); MinMax indexes are rebuilt on the way.
+//!   updates (chunk rewrites). A chunk is rewritten only once its deltas
+//!   reach 1/64 of its rows; the checkpoint carries the rest. MinMax
+//!   indexes are rebuilt for the chunks written.
 //! * [`twophase`] — the 2PC protocol between the session master (global
 //!   WAL) and responsible nodes (partition WALs), with crash-point
 //!   injection: a transaction is durable iff the global decision record made
@@ -24,4 +26,4 @@ pub mod wal;
 
 pub use manager::{Transaction, TransactionManager, TxnConfig};
 pub use twophase::{LogShipper, RecoverableTxn, TwoPhaseCoordinator, TxnResolution};
-pub use wal::{LogRecord, Wal};
+pub use wal::{LogRecord, Replay, Wal};

@@ -40,6 +40,15 @@ pub struct TxnConfig {
     pub write_to_read_entries: usize,
 }
 
+impl TxnConfig {
+    /// Do PDTs of `mem` bytes and `entries` entries over `stable` stable
+    /// rows cross a propagation threshold?
+    pub fn exceeded_by(&self, mem: usize, entries: u64, stable: u64) -> bool {
+        mem > self.propagate_mem_bytes
+            || (stable > 0 && entries as f64 / stable as f64 > self.propagate_fraction)
+    }
+}
+
 impl Default for TxnConfig {
     fn default() -> Self {
         TxnConfig {
@@ -550,11 +559,11 @@ impl TransactionManager {
         let Some(st) = inner.partitions.get(&pid) else {
             return false;
         };
-        let mem = st.read.mem_bytes() + st.write.mem_bytes();
-        let entries = (st.read.n_entries() + st.write.n_entries()) as f64;
-        mem > self.config.propagate_mem_bytes
-            || (st.stable_len > 0
-                && entries / st.stable_len as f64 > self.config.propagate_fraction)
+        self.config.exceeded_by(
+            st.read.mem_bytes() + st.write.mem_bytes(),
+            (st.read.n_entries() + st.write.n_entries()) as u64,
+            st.stable_len,
+        )
     }
 
     /// Roll the master Write-PDT into the Read-PDT ("changes from Write-PDT
@@ -601,19 +610,17 @@ impl TransactionManager {
         Ok((st.stable_len, st.layers().merged_plan()))
     }
 
-    /// Finish propagation: the storage now holds `new_stable_len` rows with
-    /// all differences applied; PDTs reset and the latch released.
-    pub fn finish_propagation(&self, pid: PartitionId, new_stable_len: u64) -> Result<()> {
-        let mut inner = self.inner.write();
-        inner.propagating.remove(&pid);
-        let st = inner
-            .partitions
-            .get_mut(&pid)
-            .ok_or_else(|| VhError::TxnAbort(format!("unknown partition {pid}")))?;
-        st.stable_len = new_stable_len;
-        st.read = Arc::new(Pdt::new());
-        st.write = Arc::new(Pdt::new());
-        Ok(())
+    /// Finish propagation: the storage now holds `new_stable_len` rows, and
+    /// `carried` (the run checkpoint's deltas) is what the run left pending
+    /// on them. The PDTs are rebuilt from `carried` alone and the latch is
+    /// released.
+    pub fn finish_propagation(
+        &self,
+        pid: PartitionId,
+        new_stable_len: u64,
+        carried: &[LogRecord],
+    ) -> Result<()> {
+        self.rebase_partition(pid, new_stable_len, carried, &[])
     }
 
     /// Abandon a propagation without touching the PDTs — the no-op path
@@ -625,20 +632,16 @@ impl TransactionManager {
 
     /// Bulk append of stable rows (direct-to-disk path for large loads; the
     /// paper: "large inserts to unordered tables are appended directly on
-    /// disk"). Adjusts stable_len; PDT sids are unaffected only when the
-    /// partition has no pending deletes/inserts before the end, so this is
-    /// restricted to clean partitions.
+    /// disk"). Adjusts stable_len. Pending deltas stay valid: the new rows
+    /// get SIDs past every existing one, so each pending delete and modify
+    /// keeps its row, and a pending tail insert (SID = the old length) now
+    /// sits just ahead of the appended rows, which end the image.
     pub fn bulk_append(&self, pid: PartitionId, rows: u64) -> Result<()> {
         let mut inner = self.inner.write();
         let st = inner
             .partitions
             .get_mut(&pid)
             .ok_or_else(|| VhError::TxnAbort(format!("unknown partition {pid}")))?;
-        if !st.read.is_empty() || !st.write.is_empty() {
-            return Err(VhError::TxnAbort(
-                "bulk append requires empty PDTs (propagate first)".into(),
-            ));
-        }
         st.stable_len += rows;
         Ok(())
     }
@@ -652,73 +655,77 @@ impl TransactionManager {
             .partitions
             .get_mut(&pid)
             .ok_or_else(|| VhError::TxnAbort(format!("unknown partition {pid}")))?;
-        let mut write = (*st.write).clone();
         let base = st.read.image_len(st.stable_len);
-        for r in records {
-            match r {
-                LogRecord::Insert {
-                    rid, tag, values, ..
-                } => {
-                    write.insert_at(*rid, values.clone(), *tag, base)?;
-                }
-                LogRecord::Delete { rid, .. } => {
-                    write.delete_at(*rid, base)?;
-                }
-                LogRecord::Modify {
-                    rid, col, value, ..
-                } => {
-                    write.modify_at(*rid, *col as usize, value.clone(), base)?;
-                }
-                _ => {}
-            }
-        }
-        st.write = Arc::new(write);
+        st.write = Arc::new(replay_into((*st.write).clone(), base, records)?);
         Ok(())
     }
 
     /// Failover takeover: (re)register a partition at `stable_len` and
-    /// replay the committed `records` into it, under ONE write lock. The
-    /// separate `register_partition` + `replay` sequence has a window where
-    /// a concurrent query sees registered-but-unreplayed (empty) state;
-    /// takeover after a node death must never expose that. Queries holding
-    /// the old state's `Arc`s keep a consistent (identical) image.
+    /// replay the committed `records` into it, under ONE write lock (see
+    /// [`rebase_partition`](Self::rebase_partition), with nothing carried).
     pub fn recover_partition(
         &self,
         pid: PartitionId,
         stable_len: u64,
         records: &[LogRecord],
     ) -> Result<()> {
+        self.rebase_partition(pid, stable_len, &[], records)
+    }
+
+    /// (Re)build a partition's state on a stable image of `stable_len` rows:
+    /// the last checkpoint's `carried` deltas become the Read-PDT, then the
+    /// committed `tail` after that checkpoint replays into the Write-PDT.
+    /// The one replay behind recovery, propagation's commit and a replica's
+    /// re-base. It runs under ONE write lock: a separate register + replay
+    /// has a window where a concurrent query sees registered-but-unreplayed
+    /// (empty) state, and takeover after a node death must never expose
+    /// that. Queries holding the old state's `Arc`s keep their snapshot.
+    /// Clears a propagation latch left on the partition.
+    pub fn rebase_partition(
+        &self,
+        pid: PartitionId,
+        stable_len: u64,
+        carried: &[LogRecord],
+        tail: &[LogRecord],
+    ) -> Result<()> {
+        let read = replay_into(Pdt::new(), stable_len, carried)?;
+        let write = replay_into(Pdt::new(), read.image_len(stable_len), tail)?;
         let mut inner = self.inner.write();
-        let mut write = Pdt::new();
-        for r in records {
-            match r {
-                LogRecord::Insert {
-                    rid, tag, values, ..
-                } => {
-                    write.insert_at(*rid, values.clone(), *tag, stable_len)?;
-                }
-                LogRecord::Delete { rid, .. } => {
-                    write.delete_at(*rid, stable_len)?;
-                }
-                LogRecord::Modify {
-                    rid, col, value, ..
-                } => {
-                    write.modify_at(*rid, *col as usize, value.clone(), stable_len)?;
-                }
-                _ => {}
-            }
-        }
         inner.propagating.remove(&pid);
         inner.partitions.insert(
             pid,
             PartitionTxnState {
                 stable_len,
-                read: Arc::new(Pdt::new()),
+                read: Arc::new(read),
                 write: Arc::new(write),
             },
         );
         Ok(())
     }
+}
+
+/// Apply the positional updates among `records`, in order, to `pdt` over a
+/// below-image of `base` rows; other records are skipped.
+fn replay_into(mut pdt: Pdt, base: u64, records: &[LogRecord]) -> Result<Pdt> {
+    for r in records {
+        match r {
+            LogRecord::Insert {
+                rid, tag, values, ..
+            } => {
+                pdt.insert_at(*rid, values.clone(), *tag, base)?;
+            }
+            LogRecord::Delete { rid, .. } => {
+                pdt.delete_at(*rid, base)?;
+            }
+            LogRecord::Modify {
+                rid, col, value, ..
+            } => {
+                pdt.modify_at(*rid, *col as usize, value.clone(), base)?;
+            }
+            _ => {}
+        }
+    }
+    Ok(pdt)
 }
 
 #[cfg(test)]
@@ -963,7 +970,7 @@ mod tests {
         assert_eq!(stable, 4);
         let new_rows = apply_plan(&plan, &stable_rows(4));
         assert_eq!(new_rows.len(), 5);
-        m.finish_propagation(P, 5).unwrap();
+        m.finish_propagation(P, 5, &[]).unwrap();
         assert_eq!(m.visible_rows(P).unwrap(), 5);
         assert!(
             m.scan_plan(P).unwrap().len() == 1,
@@ -990,7 +997,7 @@ mod tests {
         assert!(err.to_string().contains("unknown partition"), "got {err}");
         assert_eq!(m.inner.read().active.get(&P).copied().unwrap_or(0), 0);
         m.begin_propagation(P).unwrap();
-        m.finish_propagation(P, 4).unwrap();
+        m.finish_propagation(P, 4, &[]).unwrap();
         // A partition named twice is one snapshot, so one reference.
         let t = m.begin(&[P, P]).unwrap();
         assert_eq!(m.inner.read().active[&P], 1);
@@ -1007,7 +1014,7 @@ mod tests {
         assert!(m.begin(&[P]).is_err());
         // A second propagation cannot double-latch.
         assert!(m.begin_propagation(P).is_err());
-        m.finish_propagation(P, 4).unwrap();
+        m.finish_propagation(P, 4, &[]).unwrap();
         m.abort(m.begin(&[P]).unwrap());
         // Abort releases without resetting PDTs.
         let (_, _) = m.begin_propagation(P).unwrap();
@@ -1043,14 +1050,49 @@ mod tests {
     }
 
     #[test]
-    fn bulk_append_requires_clean_pdts() {
+    fn bulk_append_leaves_pending_deltas_in_place() {
+        // Ten stable rows with a delete, a modify, an interior insert and
+        // two tail inserts pending, in both PDT layers; then five stable
+        // rows are appended. The image must be the old one followed by the
+        // new rows, before and after a WAL-style recovery replay.
         let m = mgr_with(P, 10);
-        m.bulk_append(P, 5).unwrap();
-        assert_eq!(m.visible_rows(P).unwrap(), 15);
+        let mut recs = Vec::new();
         let mut t = m.begin(&[P]).unwrap();
-        m.delete_at(&mut t, P, 0).unwrap();
+        m.delete_at(&mut t, P, 2).unwrap();
+        m.insert_at(&mut t, P, 9, v(100)).unwrap();
+        m.commit(t, |_, r| {
+            recs.extend(r.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        m.roll_write_into_read(P).unwrap();
+        let mut t = m.begin(&[P]).unwrap();
+        m.modify_at(&mut t, P, 4, 0, Value::I64(-5)).unwrap();
+        let end = t.image_len(P).unwrap();
+        m.insert_at(&mut t, P, end, v(200)).unwrap();
+        m.insert_at(&mut t, P, end + 1, v(201)).unwrap();
+        m.commit(t, |_, r| {
+            recs.extend(r.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        let mut want = materialize(&m, P, 10);
+        m.bulk_append(P, 5).unwrap();
+        let stable: Vec<Vec<Value>> = (0..15).map(v).collect();
+        want.extend((10..15).map(v));
+        assert_eq!(apply_plan(&m.scan_plan(P).unwrap(), &stable), want);
+        assert_eq!(m.visible_rows(P).unwrap(), want.len() as u64);
+        // Recovery replays the logged records over the grown stable image.
+        let m2 = mgr_with(P, 0);
+        m2.recover_partition(P, 15, &recs).unwrap();
+        assert_eq!(apply_plan(&m2.scan_plan(P).unwrap(), &stable), want);
+        // And later updates address the grown image.
+        let mut t = m.begin(&[P]).unwrap();
+        let last = t.image_len(P).unwrap() - 1;
+        m.delete_at(&mut t, P, last).unwrap();
         m.commit(t, |_, _| Ok(())).unwrap();
-        assert!(m.bulk_append(P, 5).is_err());
+        want.pop();
+        assert_eq!(apply_plan(&m.scan_plan(P).unwrap(), &stable), want);
     }
 
     #[test]

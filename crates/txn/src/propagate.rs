@@ -6,20 +6,33 @@
 //! flushed as plain appends, creating new blocks without touching existing
 //! ones. For everything else this module implements the chunk-level
 //! rewrite-or-keep refinement the paper leaves as future work: the merge
-//! plan is sliced per chunk, chunks whose SID range the PDT never touches
-//! are *kept* (their files stay byte-identical on disk), and only dirtied
-//! chunks are re-written into fresh files.
+//! plan is sliced per chunk, and a chunk is *folded* (re-written into a
+//! fresh file with its deltas applied) only once its pending deltas reach
+//! 1/64 of its rows. Every other chunk is *kept*: its file stays
+//! byte-identical on disk and its deltas stay pending in the PDT. Tail
+//! inserts count against the last chunk. So a run writes at least one
+//! folded delta per 64 rows, whether the engine's thresholds triggered it or
+//! a caller forced it, and a run in which no chunk reaches the rule is a
+//! no-op. When the PDTs are over a threshold (the memory one can fire on
+//! sparse deltas), further chunks fold, densest first, until what stays
+//! pending is under it.
 //!
 //! Crash safety uses a per-chunk WAL protocol. Each replacement image is
 //! bracketed by `ChunkRewriteBegin { chunk, path }` (logged before the data
 //! write, so recovery knows where a possibly-torn image lives) and
 //! `ChunkRewritten { chunk, rows }` (the image is complete). None of that
-//! takes effect until the single `Checkpoint { stable_rows }` record — the
-//! commit point. All mutation happens on a scratch clone of the partition
-//! manifest; the clone is installed only after the checkpoint is durable,
-//! so a crash at any step leaves the live store on the old images with the
-//! PDTs intact (the propagation latch is released and `recover_partition`
-//! replays committed updates on top of whichever image survived).
+//! takes effect until the single `Checkpoint { stable_rows, carried }`
+//! record — the commit point. `carried` holds the kept chunks' deltas as
+//! positional records in the new image's coordinates, so the record that
+//! commits the image also commits what is pending on it: recovery, a
+//! replica's re-base and the in-memory PDT rebuild all replay that one set
+//! (`TransactionManager::rebase_partition`). All mutation happens on a
+//! scratch clone of the partition manifest; the clone is installed only
+//! after the checkpoint is durable, so a crash at any step leaves the live
+//! store on the old images with the PDTs intact (the propagation latch is
+//! released and `recover_partition` replays the previous checkpoint's
+//! carried deltas and the committed tail on top of whichever image
+//! survived).
 //!
 //! Replaced files are not deleted at commit: scan snapshots (cloned
 //! manifests) may still reference them. They are queued (`defer_delete`)
@@ -31,26 +44,36 @@ use vectorh_common::{ColumnData, PartitionId, Result, Value, VhError};
 use vectorh_pdt::MergeStep;
 use vectorh_storage::PartitionStore;
 
-use crate::manager::TransactionManager;
+use crate::manager::{TransactionManager, TxnConfig};
 use crate::wal::{LogRecord, Wal};
+
+/// A chunk folds once `FOLD_DENSITY × deltas ≥ rows`. A rewrite then folds
+/// at least one delta per 64 rows it writes (three times over, with block
+/// replication), while a kept delta costs one re-logged record per run and
+/// one merge step per scan. 1/64 is also the largest fraction at which a
+/// chunk of up to 64 rows folds on any delta.
+const FOLD_DENSITY: u64 = 64;
 
 /// What a propagation run did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PropagationMode {
-    /// Nothing pending.
+    /// No chunk reached the fold rule (or nothing was pending).
     Noop,
-    /// Pure tail inserts: appended new blocks only (at most the trailing
-    /// partial chunk was rewritten to absorb them).
+    /// Only tail inserts folded: appended new blocks only (at most the
+    /// trailing partial chunk was rewritten to absorb them).
     TailAppend,
-    /// General updates: dirtied chunk files rewritten, clean ones kept.
+    /// Chunks folded their deltas: those chunk files rewritten, the others
+    /// kept.
     Rewrite,
 }
 
 /// Propagation outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PropagationReport {
     pub mode: PropagationMode,
+    /// Stable rows the run started from.
     pub rows_before: u64,
+    /// Rows of the image after it: its stable rows plus what it carried.
     pub rows_after: u64,
     /// Pre-existing chunks left byte-identical on disk.
     pub chunks_kept: u64,
@@ -58,50 +81,55 @@ pub struct PropagationReport {
     pub chunks_rewritten: u64,
     /// Brand-new chunks appended for tail inserts.
     pub tail_chunks: u64,
+    /// Deltas (rows deleted, modified or inserted) left pending on kept
+    /// chunks.
+    pub deltas_carried: u64,
+    /// Those deltas as the checkpoint carries them: positional records over
+    /// the new image, what a replica re-bases with.
+    pub carried: Vec<LogRecord>,
 }
 
-/// Split a plan into (body, tail inserts): the maximal suffix of
-/// `EmitInsert` steps.
-fn split_tail_inserts(plan: &[MergeStep]) -> (&[MergeStep], &[MergeStep]) {
-    let mut cut = plan.len();
-    while cut > 0 && matches!(plan[cut - 1], MergeStep::EmitInsert { .. }) {
-        cut -= 1;
-    }
-    plan.split_at(cut)
-}
-
-/// Is `body` the identity over `stable` rows? Merge layers may emit the
-/// identity as several contiguous `CopyStable` runs, so walk a cursor
-/// instead of pattern-matching a single step.
-fn body_is_identity(body: &[MergeStep], stable: u64) -> bool {
-    let mut pos = 0u64;
-    for step in body {
-        match step {
-            MergeStep::CopyStable { from_sid, count } if *from_sid == pos => pos += count,
-            _ => return false,
+impl PropagationReport {
+    fn noop(stable: u64) -> PropagationReport {
+        PropagationReport {
+            mode: PropagationMode::Noop,
+            rows_before: stable,
+            rows_after: stable,
+            chunks_kept: 0,
+            chunks_rewritten: 0,
+            tail_chunks: 0,
+            deltas_carried: 0,
+            carried: Vec::new(),
         }
     }
-    pos == stable
 }
 
-/// Build full-width columns from inserted-row values.
-fn columns_from_rows(store: &PartitionStore, rows: &[&Vec<Value>]) -> Result<Vec<ColumnData>> {
+/// Build full-width columns from the rows of `EmitInsert` steps.
+fn columns_from_inserts(store: &PartitionStore, inserts: &[MergeStep]) -> Result<Vec<ColumnData>> {
     let schema = store.schema();
     let mut cols: Vec<ColumnData> = schema
         .fields()
         .iter()
-        .map(|f| ColumnData::with_capacity(f.dtype, rows.len()))
+        .map(|f| ColumnData::with_capacity(f.dtype, inserts.len()))
         .collect();
-    for r in rows {
-        for (c, col) in cols.iter_mut().enumerate() {
-            col.push_value(&r[c])?;
-        }
-    }
+    push_inserts(&mut cols, inserts)?;
     Ok(cols)
 }
 
+/// Append the rows of `EmitInsert` steps to `cols`.
+fn push_inserts(cols: &mut [ColumnData], inserts: &[MergeStep]) -> Result<()> {
+    for step in inserts {
+        if let MergeStep::EmitInsert { values, .. } = step {
+            for (col, v) in cols.iter_mut().zip(values.iter()) {
+                col.push_value(v)?;
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Slice a whole-partition merge plan into per-chunk sub-plans plus the
-/// tail-insert rows that land past the last stable row.
+/// tail inserts that land past the last stable row.
 ///
 /// `bounds[i] = (first SID, row count)` of chunk `i`. The plan consumes
 /// stable SIDs in ascending order, each exactly once, so `CopyStable` /
@@ -112,10 +140,10 @@ fn slice_plan(
     plan: &[MergeStep],
     bounds: &[(u64, u64)],
     stable: u64,
-) -> (Vec<Vec<MergeStep>>, Vec<Vec<Value>>) {
+) -> (Vec<Vec<MergeStep>>, Vec<MergeStep>) {
     let n = bounds.len();
     let mut per_chunk: Vec<Vec<MergeStep>> = vec![Vec::new(); n];
-    let mut tail: Vec<Vec<Value>> = Vec::new();
+    let mut tail: Vec<MergeStep> = Vec::new();
     let chunk_of = |sid: u64| -> usize {
         bounds
             .binary_search_by(|&(base, len)| {
@@ -157,21 +185,15 @@ fn slice_plan(
                 }
                 pos = s.max(pos);
             }
-            MergeStep::ModifyStable { sid, mods } => {
-                per_chunk[chunk_of(*sid)].push(MergeStep::ModifyStable {
-                    sid: *sid,
-                    mods: mods.clone(),
-                });
+            MergeStep::ModifyStable { sid, .. } => {
+                per_chunk[chunk_of(*sid)].push(step.clone());
                 pos = sid + 1;
             }
-            MergeStep::EmitInsert { tag, values } => {
+            MergeStep::EmitInsert { .. } => {
                 if pos >= stable {
-                    tail.push(values.clone());
+                    tail.push(step.clone());
                 } else {
-                    per_chunk[chunk_of(pos)].push(MergeStep::EmitInsert {
-                        tag: *tag,
-                        values: values.clone(),
-                    });
+                    per_chunk[chunk_of(pos)].push(step.clone());
                 }
             }
         }
@@ -179,16 +201,167 @@ fn slice_plan(
     (per_chunk, tail)
 }
 
-/// Is this chunk's sub-plan the identity over its own SID range?
-fn chunk_is_clean(steps: &[MergeStep], base: u64, len: u64) -> bool {
-    let mut pos = base;
+/// The rows a step changes: each row it deletes, modifies or inserts.
+fn step_deltas(step: &MergeStep) -> u64 {
+    match step {
+        MergeStep::CopyStable { .. } => 0,
+        MergeStep::SkipStable { count, .. } => *count,
+        MergeStep::ModifyStable { .. } | MergeStep::EmitInsert { .. } => 1,
+    }
+}
+
+/// The rows a sub-plan changes.
+fn deltas(steps: &[MergeStep]) -> u64 {
+    steps.iter().map(step_deltas).sum()
+}
+
+/// The fold rule: does a chunk of `rows` stable rows with `deltas` pending
+/// deltas fold?
+fn folds(deltas: u64, rows: u64) -> bool {
+    deltas > 0 && FOLD_DENSITY * deltas >= rows
+}
+
+/// Append the positional records that replay `steps` (one kept chunk's
+/// sub-plan, or the carried tail) onto the new stable image. `rid` is the
+/// position in the image being rebuilt: rows before it are final, rows from
+/// it on are still the new image's stable rows, in order.
+fn carry(steps: &[MergeStep], rid: &mut u64, out: &mut Vec<LogRecord>) {
     for step in steps {
         match step {
-            MergeStep::CopyStable { from_sid, count } if *from_sid == pos => pos += count,
-            _ => return false,
+            MergeStep::CopyStable { count, .. } => *rid += count,
+            MergeStep::SkipStable { count, .. } => {
+                out.extend((0..*count).map(|_| LogRecord::Delete { txn: 0, rid: *rid }));
+            }
+            MergeStep::ModifyStable { mods, .. } => {
+                out.extend(mods.iter().map(|(col, value)| LogRecord::Modify {
+                    txn: 0,
+                    rid: *rid,
+                    col: *col as u32,
+                    value: value.clone(),
+                }));
+                *rid += 1;
+            }
+            MergeStep::EmitInsert { tag, values } => {
+                out.push(LogRecord::Insert {
+                    txn: 0,
+                    rid: *rid,
+                    tag: *tag,
+                    values: values.to_vec(),
+                });
+                *rid += 1;
+            }
         }
     }
-    pos == base + len
+}
+
+/// What a run folds and what it carries, decided before it writes.
+struct Folding {
+    /// Per-chunk sub-plans, against the chunk layout the run started from.
+    per_chunk: Vec<Vec<MergeStep>>,
+    /// The `EmitInsert`s past the last stable row.
+    tail: Vec<MergeStep>,
+    fold: Vec<bool>,
+    /// The tail folds with the last chunk (always, with no chunk at all).
+    tail_folds: bool,
+    /// The checkpoint's carried records, and how many deltas they hold.
+    carried: Vec<LogRecord>,
+    deltas_carried: u64,
+    /// Stable rows of the new image, and its rows with the carried deltas
+    /// applied (the image the run started from).
+    new_stable: u64,
+    image_rows: u64,
+}
+
+impl Folding {
+    /// Slice `plan` over the chunks of `bounds` and apply the fold rule.
+    /// A run the thresholds `triggered` must leave a state they do not
+    /// trigger, or the background tick would repeat it: while what the kept
+    /// chunks would carry still crosses `config`'s thresholds over the new
+    /// image (or nothing folds at all), fold the densest kept chunk too.
+    fn decide(
+        plan: &[MergeStep],
+        bounds: &[(u64, u64)],
+        stable: u64,
+        config: &TxnConfig,
+        triggered: bool,
+    ) -> Folding {
+        let (per_chunk, tail) = slice_plan(plan, bounds, stable);
+        let n = bounds.len();
+        // Per chunk: deltas, PDT entries and bytes, rows it emits. The tail
+        // counts against the last chunk.
+        let mut d = vec![0u64; n];
+        let mut entries = vec![0u64; n];
+        let mut bytes = vec![0usize; n];
+        let mut emits = vec![0u64; n];
+        for (i, steps) in per_chunk.iter().enumerate() {
+            let tail: &[MergeStep] = if i + 1 == n { &tail } else { &[] };
+            for s in steps.iter().chain(tail) {
+                d[i] += step_deltas(s);
+                entries[i] += s.pdt_entries();
+                bytes[i] += s.pdt_bytes();
+                emits[i] += s.emits();
+            }
+        }
+        let mut fold: Vec<bool> = (0..n).map(|i| folds(d[i], bounds[i].1)).collect();
+        loop {
+            let kept = || (0..n).filter(|&i| !fold[i]);
+            let new_stable: u64 = (0..n)
+                .map(|i| if fold[i] { emits[i] } else { bounds[i].1 })
+                .sum();
+            let over = config.exceeded_by(
+                kept().map(|i| bytes[i]).sum(),
+                kept().map(|i| entries[i]).sum(),
+                new_stable,
+            );
+            // Densest first: d[a] / rows[a] against d[b] / rows[b],
+            // cross-multiplied.
+            let densest = kept().filter(|&i| d[i] > 0).max_by(|&a, &b| {
+                (d[a] as u128 * bounds[b].1 as u128).cmp(&(d[b] as u128 * bounds[a].1 as u128))
+            });
+            match densest {
+                Some(i) if over || (triggered && !fold.contains(&true)) => fold[i] = true,
+                _ => break,
+            }
+        }
+        let tail_folds = fold.last().copied().unwrap_or(true);
+
+        let mut carried = Vec::new();
+        let mut deltas_carried = 0;
+        let mut new_stable = 0;
+        let mut rid = 0u64;
+        for i in 0..n {
+            if fold[i] {
+                let rows = per_chunk[i].iter().map(MergeStep::emits).sum::<u64>();
+                new_stable += rows;
+                rid += rows;
+            } else {
+                new_stable += bounds[i].1;
+                deltas_carried += deltas(&per_chunk[i]);
+                carry(&per_chunk[i], &mut rid, &mut carried);
+            }
+        }
+        if tail_folds {
+            new_stable += tail.len() as u64;
+        } else {
+            deltas_carried += tail.len() as u64;
+            carry(&tail, &mut rid, &mut carried);
+        }
+        Folding {
+            per_chunk,
+            tail,
+            fold,
+            tail_folds,
+            carried,
+            deltas_carried,
+            new_stable,
+            image_rows: plan.iter().map(MergeStep::emits).sum(),
+        }
+    }
+
+    /// Does the run write anything?
+    fn folds_anything(&self) -> bool {
+        (self.fold.is_empty() && !self.tail.is_empty()) || self.fold.contains(&true)
+    }
 }
 
 /// Apply one chunk's sub-plan, materializing only that chunk's columns.
@@ -281,9 +454,10 @@ fn crash_point(wal: &Wal, step: &str) -> Result<()> {
 /// After a failed checkpoint append, decide whether the record nevertheless
 /// reached the log (`CrashAfter`: durable, then the crash). Committed iff
 /// the last `Checkpoint` sits *after* the last chunk-protocol record —
-/// every non-noop run logs at least one `ChunkRewriteBegin`/`ChunkRewritten`
-/// pair before its checkpoint, so an older checkpoint cannot fool this. A
-/// probe that cannot read the log assumes not-durable.
+/// every non-noop run folds a chunk or the tail, so it logs at least one
+/// `ChunkRewriteBegin`/`ChunkRewritten` pair before its checkpoint, and an
+/// older checkpoint cannot fool this. A probe that cannot read the log
+/// assumes not-durable.
 fn checkpoint_is_durable(wal: &Wal) -> bool {
     let Ok(records) = wal.read_all() else {
         return false;
@@ -323,7 +497,8 @@ fn log_minmax(store: &PartitionStore, wal: &Wal, chunks: &[usize]) -> Result<()>
     wal.append(&records)
 }
 
-/// Propagate a partition's pending PDT updates into its chunk store.
+/// Propagate a partition's pending PDT updates into its chunk store: fold
+/// the chunks the rule picks, carry the rest.
 ///
 /// On error the propagation latch is released and the live store is
 /// untouched unless the checkpoint had already become durable (in which
@@ -341,16 +516,20 @@ pub fn propagate_partition(
         .all(|s| matches!(s, MergeStep::CopyStable { .. }))
     {
         mgr.abort_propagation(pid);
-        return Ok(PropagationReport {
-            mode: PropagationMode::Noop,
-            rows_before: stable,
-            rows_after: stable,
-            chunks_kept: 0,
-            chunks_rewritten: 0,
-            tail_chunks: 0,
-        });
+        return Ok(PropagationReport::noop(stable));
     }
-    match run(mgr, pid, store, wal, stable, &plan) {
+    let bounds: Vec<(u64, u64)> = (0..store.n_chunks())
+        .map(|i| (store.chunk_sid_base(i), store.chunk_meta(i).n_rows as u64))
+        .collect();
+    // The latch holds off new transactions, so the state the thresholds
+    // see is the one the plan was built from.
+    let triggered = mgr.needs_propagation(pid);
+    let folding = Folding::decide(&plan, &bounds, stable, &mgr.config, triggered);
+    if !folding.folds_anything() {
+        mgr.abort_propagation(pid);
+        return Ok(PropagationReport::noop(stable));
+    }
+    match run(mgr, pid, store, wal, stable, &bounds, folding) {
         Ok(report) => Ok(report),
         Err(e) => {
             // No-op when `run` already finished the propagation (the
@@ -367,40 +546,41 @@ fn run(
     store: &mut PartitionStore,
     wal: &Wal,
     stable: u64,
-    plan: &[MergeStep],
+    bounds: &[(u64, u64)],
+    folding: Folding,
 ) -> Result<PropagationReport> {
-    let emitted: u64 = plan.iter().map(|s| s.emits()).sum();
-    let (body, _tail) = split_tail_inserts(plan);
-    let mode = if body_is_identity(body, stable) {
-        PropagationMode::TailAppend
-    } else {
-        PropagationMode::Rewrite
-    };
-
+    let Folding {
+        per_chunk,
+        tail,
+        fold,
+        tail_folds,
+        carried,
+        deltas_carried,
+        new_stable,
+        image_rows,
+    } = folding;
     crash_point(wal, "begin")?;
     // All mutation happens on a scratch clone; the live manifest only
     // changes at the post-checkpoint install below.
     let mut scratch = store.clone();
     scratch.gc_orphans()?;
 
-    let n = scratch.n_chunks();
-    let bounds: Vec<(u64, u64)> = (0..n)
-        .map(|i| {
-            (
-                scratch.chunk_sid_base(i),
-                scratch.chunk_meta(i).n_rows as u64,
-            )
-        })
-        .collect();
-    let (per_chunk, tail_rows) = slice_plan(plan, &bounds, stable);
+    let n = bounds.len();
     let rpc = scratch.rows_per_chunk();
-    let mut dirty: Vec<bool> = (0..n)
-        .map(|i| !chunk_is_clean(&per_chunk[i], bounds[i].0, bounds[i].1))
+    // The tail, when it folds, goes into the last chunk first if that
+    // chunk is partial (so repeated trickle-and-propagate cycles don't
+    // litter short chunks), then into fresh chunks.
+    let absorb = tail_folds && !tail.is_empty() && n > 0 && (bounds[n - 1].1 as usize) < rpc;
+    let mut rewrite: Vec<bool> = (0..n)
+        .map(|i| fold[i] && deltas(&per_chunk[i]) > 0)
         .collect();
-    // A trailing partial chunk absorbs tail inserts (rewriting it) so
-    // repeated trickle-and-propagate cycles don't litter short chunks.
-    if !tail_rows.is_empty() && n > 0 && (dirty[n - 1] || (bounds[n - 1].1 as usize) < rpc) {
-        dirty[n - 1] = true;
+    let mode = if rewrite.contains(&true) {
+        PropagationMode::Rewrite
+    } else {
+        PropagationMode::TailAppend
+    };
+    if absorb {
+        rewrite[n - 1] = true;
     }
 
     let reader = scratch.home();
@@ -410,19 +590,14 @@ fn run(
     let mut tail_chunks = 0u64;
     let mut tail_cursor = 0usize;
     for i in 0..n {
-        if !dirty[i] {
+        if !rewrite[i] {
             continue;
         }
         let mut cols = apply_chunk(&scratch, i, bounds[i].0, &per_chunk[i], reader)?;
-        if i == n - 1 {
+        if i == n - 1 && tail_folds {
             let room = rpc.saturating_sub(cols.first().map_or(0, |c| c.len()));
-            let take = room.min(tail_rows.len());
-            for r in &tail_rows[..take] {
-                for (c, col) in cols.iter_mut().enumerate() {
-                    col.push_value(&r[c])?;
-                }
-            }
-            tail_cursor = take;
+            tail_cursor = room.min(tail.len());
+            push_inserts(&mut cols, &tail[..tail_cursor])?;
         }
         crash_point(wal, &format!("rewrite-begin:{i}"))?;
         let path = scratch.alloc_chunk_path();
@@ -441,15 +616,12 @@ fn run(
         touched.push(i);
         chunks_rewritten += 1;
     }
-    let chunks_kept = dirty.iter().filter(|d| !**d).count() as u64;
+    let chunks_kept = n as u64 - chunks_rewritten;
 
-    if tail_cursor < tail_rows.len() {
+    if tail_folds && tail_cursor < tail.len() {
         crash_point(wal, "append")?;
-        while tail_cursor < tail_rows.len() {
-            let take = rpc.min(tail_rows.len() - tail_cursor);
-            let rows: Vec<&Vec<Value>> =
-                tail_rows[tail_cursor..tail_cursor + take].iter().collect();
-            let cols = columns_from_rows(&scratch, &rows)?;
+        for rows in tail[tail_cursor..].chunks(rpc.max(1)) {
+            let cols = columns_from_inserts(&scratch, rows)?;
             let idx = scratch.n_chunks();
             let path = scratch.alloc_chunk_path();
             wal.append(&[LogRecord::ChunkRewriteBegin {
@@ -459,17 +631,16 @@ fn run(
             scratch.push_chunk_at(&path, &cols)?;
             wal.append(&[LogRecord::ChunkRewritten {
                 chunk: idx as u32,
-                rows: take as u64,
+                rows: rows.len() as u64,
             }])?;
             touched.push(idx);
             tail_chunks += 1;
-            tail_cursor += take;
         }
     }
 
-    if scratch.row_count() != emitted {
+    if scratch.row_count() != new_stable {
         return Err(VhError::Propagation(format!(
-            "propagated image has {} rows, plan emits {emitted}",
+            "propagated image has {} rows, the plan leaves {new_stable} stable",
             scratch.row_count()
         )));
     }
@@ -479,14 +650,15 @@ fn run(
     // the old image against a checkpointed log would lose the updates.
     crash_point(wal, "checkpoint")?;
     let deferred_err = match wal.append(&[LogRecord::Checkpoint {
-        stable_rows: emitted,
+        stable_rows: new_stable,
+        carried: carried.clone(),
     }]) {
         Ok(()) => None,
         Err(e) if checkpoint_is_durable(wal) => Some(e),
         Err(e) => return Err(e),
     };
     *store = scratch;
-    mgr.finish_propagation(pid, emitted)?;
+    mgr.finish_propagation(pid, new_stable, &carried)?;
     if let Some(e) = deferred_err {
         return Err(e);
     }
@@ -501,10 +673,12 @@ fn run(
     Ok(PropagationReport {
         mode,
         rows_before: stable,
-        rows_after: emitted,
+        rows_after: image_rows,
         chunks_kept,
         chunks_rewritten,
         tail_chunks,
+        deltas_carried,
+        carried,
     })
 }
 
@@ -522,6 +696,14 @@ mod tests {
     const P: PartitionId = PartitionId(0);
 
     fn setup(stable: i64) -> (TransactionManager, PartitionStore, Wal) {
+        setup_with(64, stable, TxnConfig::default())
+    }
+
+    fn setup_with(
+        rows_per_chunk: usize,
+        stable: i64,
+        config: TxnConfig,
+    ) -> (TransactionManager, PartitionStore, Wal) {
         let fs: StoreRef = Arc::new(SimHdfs::new(
             3,
             BlockStoreConfig {
@@ -535,7 +717,7 @@ mod tests {
             fs.clone(),
             "/db/t/p0/",
             schema,
-            StorageConfig { rows_per_chunk: 64 },
+            StorageConfig { rows_per_chunk },
         );
         if stable > 0 {
             store
@@ -545,7 +727,7 @@ mod tests {
                 ])
                 .unwrap();
         }
-        let mgr = TransactionManager::new(TxnConfig::default());
+        let mgr = TransactionManager::new(config);
         mgr.register_partition(P, stable as u64);
         let wal = Wal::new(fs, "/vectorh/wal/p0.wal", None);
         (mgr, store, wal)
@@ -632,9 +814,13 @@ mod tests {
         mgr.commit(t, |_, _| Ok(())).unwrap();
         propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         let records = wal.read_all().unwrap();
-        assert!(records
-            .iter()
-            .any(|r| matches!(r, LogRecord::Checkpoint { stable_rows: 19 })));
+        assert!(records.iter().any(|r| matches!(
+            r,
+            LogRecord::Checkpoint {
+                stable_rows: 19,
+                ..
+            }
+        )));
         assert!(records
             .iter()
             .any(|r| matches!(r, LogRecord::MinMax { .. })));
@@ -687,46 +873,27 @@ mod tests {
     }
 
     #[test]
-    fn body_is_identity_accepts_split_copies() {
+    fn split_copy_runs_carry_no_deltas() {
         use MergeStep::*;
         // The identity emitted as several contiguous runs (multi-layer
-        // merges do this) must still classify as a tail append.
-        assert!(body_is_identity(
-            &[
-                CopyStable {
-                    from_sid: 0,
-                    count: 5
-                },
-                CopyStable {
-                    from_sid: 5,
-                    count: 5
-                }
-            ],
-            10
-        ));
-        // Gap, overlap, or short coverage are not the identity.
-        assert!(!body_is_identity(
-            &[
-                CopyStable {
-                    from_sid: 0,
-                    count: 5
-                },
-                CopyStable {
-                    from_sid: 6,
-                    count: 4
-                }
-            ],
-            10
-        ));
-        assert!(!body_is_identity(
-            &[CopyStable {
+        // merges do this) is a clean chunk: no deltas, so it never folds.
+        let split = [
+            CopyStable {
                 from_sid: 0,
-                count: 5
-            }],
-            10
-        ));
-        assert!(body_is_identity(&[], 0));
-        assert!(!body_is_identity(&[], 1));
+                count: 5,
+            },
+            CopyStable {
+                from_sid: 5,
+                count: 5,
+            },
+        ];
+        assert_eq!(deltas(&split), 0);
+        assert!(!folds(deltas(&split), 10));
+        assert!(!folds(0, 0));
+        let mut rid = 0;
+        let mut out = Vec::new();
+        carry(&split, &mut rid, &mut out);
+        assert_eq!((rid, out), (10, vec![]));
     }
 
     #[test]
@@ -773,7 +940,7 @@ mod tests {
             copy(64, 10),
             EmitInsert {
                 tag: 1,
-                values: row(500),
+                values: row(500).into(),
             },
             modify(74),
             SkipStable {
@@ -961,5 +1128,224 @@ mod tests {
         // Nothing pending: the next run is a noop.
         let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         assert_eq!(r.mode, PropagationMode::Noop);
+    }
+
+    // --- the fold rule ----------------------------------------------------
+
+    /// The stable image, row by row.
+    fn stable_rows(store: &PartitionStore) -> Vec<Vec<Value>> {
+        let mut rows = Vec::new();
+        for c in 0..store.n_chunks() {
+            let keys = store.read_column(c, 0, None).unwrap();
+            let strs = store.read_column(c, 1, None).unwrap();
+            for (k, s) in keys
+                .as_i64()
+                .unwrap()
+                .iter()
+                .zip(strs.as_strs().unwrap().iter())
+            {
+                rows.push(vec![Value::I64(*k), Value::Str(s.to_string())]);
+            }
+        }
+        rows
+    }
+
+    /// The visible image: the stable image with the PDTs merged in.
+    fn image(mgr: &TransactionManager, store: &PartitionStore) -> Vec<Vec<Value>> {
+        vectorh_pdt::merge::apply_plan(&mgr.scan_plan(P).unwrap(), &stable_rows(store))
+    }
+
+    /// Each chunk's path and file bytes.
+    fn chunk_files(store: &PartitionStore, wal: &Wal) -> Vec<(String, Vec<u8>)> {
+        (0..store.n_chunks())
+            .map(|i| {
+                let path = store.chunk_meta(i).path.clone();
+                let bytes = file_bytes(wal.fs(), &path);
+                (path, bytes)
+            })
+            .collect()
+    }
+
+    /// Commit `d` deletes at the start of the stable rows from `first` on.
+    fn delete_run(mgr: &TransactionManager, first: u64, d: u64) {
+        let mut t = mgr.begin(&[P]).unwrap();
+        for _ in 0..d {
+            mgr.delete_at(&mut t, P, first).unwrap();
+        }
+        mgr.commit(t, |_, _| Ok(())).unwrap();
+    }
+
+    fn last_checkpoint(wal: &Wal) -> (u64, Vec<LogRecord>) {
+        let r = wal.read_replay().unwrap();
+        (r.stable_rows, r.carried)
+    }
+
+    #[test]
+    fn the_rule_keeps_at_one_delta_short_and_folds_at_one_in_64() {
+        // 513 rows in chunks of 257 and 256. Four deltas each: 64 x 4 = 256
+        // is one short of the first chunk and exactly the second.
+        assert!(!folds(4, 257) && folds(4, 256) && folds(1, 64) && !folds(1, 65));
+        let (mgr, mut store, wal) = setup_with(257, 513, TxnConfig::default());
+        assert_eq!(chunk_files(&store, &wal).len(), 2);
+        let kept = chunk_files(&store, &wal)[0].clone();
+        delete_run(&mgr, 10, 4);
+        delete_run(&mgr, 300 - 4, 4);
+        let before = image(&mgr, &store);
+        let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
+        assert_eq!(r.mode, PropagationMode::Rewrite);
+        assert_eq!((r.chunks_kept, r.chunks_rewritten), (1, 1));
+        assert_eq!(r.deltas_carried, 4);
+        assert_eq!(
+            chunk_files(&store, &wal)[0],
+            kept,
+            "the sparse chunk was rewritten"
+        );
+        assert_eq!(store.row_count(), 513 - 4);
+        assert_eq!(r.rows_after, 513 - 8);
+        assert_eq!(image(&mgr, &store), before);
+        let (ckpt, carried) = last_checkpoint(&wal);
+        assert_eq!(ckpt, 509);
+        assert_eq!(
+            carried,
+            (0..4)
+                .map(|_| LogRecord::Delete { txn: 0, rid: 10 })
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn tail_inserts_count_against_the_last_chunk() {
+        // Two full 256-row chunks. Three modifies in the last one stay
+        // below the rule; one tail insert more reaches it.
+        let (mgr, mut store, wal) = setup_with(256, 512, TxnConfig::default());
+        let mut t = mgr.begin(&[P]).unwrap();
+        for rid in [300, 301, 302] {
+            mgr.modify_at(&mut t, P, rid, 1, Value::Str("m".into()))
+                .unwrap();
+        }
+        mgr.commit(t, |_, _| Ok(())).unwrap();
+        let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
+        assert_eq!(r.mode, PropagationMode::Noop, "3 x 64 < 256 must keep");
+
+        let files = chunk_files(&store, &wal);
+        let mut t = mgr.begin(&[P]).unwrap();
+        mgr.insert_at(&mut t, P, 512, row(9000)).unwrap();
+        mgr.commit(t, |_, _| Ok(())).unwrap();
+        let before = image(&mgr, &store);
+        let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
+        assert_eq!(r.mode, PropagationMode::Rewrite);
+        assert_eq!((r.chunks_kept, r.chunks_rewritten), (1, 1));
+        assert_eq!((r.tail_chunks, r.deltas_carried), (1, 0));
+        assert_eq!(chunk_files(&store, &wal)[0], files[0]);
+        assert_eq!(store.row_count(), 513);
+        assert_eq!(stable_rows(&store), before);
+        assert_eq!(mgr.scan_plan(P).unwrap().len(), 1, "nothing left pending");
+    }
+
+    #[test]
+    fn a_forced_run_over_sparse_chunks_only_is_a_noop() {
+        let (mgr, mut store, wal) = setup_with(256, 512, TxnConfig::default());
+        delete_run(&mgr, 7, 1);
+        delete_run(&mgr, 400, 3);
+        let mut t = mgr.begin(&[P]).unwrap();
+        mgr.insert_at(&mut t, P, 100, row(-1)).unwrap();
+        mgr.commit(t, |_, _| Ok(())).unwrap();
+        let files = chunk_files(&store, &wal);
+        let plan = mgr.scan_plan(P).unwrap();
+        assert!(!mgr.needs_propagation(P));
+        let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
+        assert_eq!(r, PropagationReport::noop(512));
+        assert_eq!(chunk_files(&store, &wal), files);
+        assert_eq!(mgr.scan_plan(P).unwrap(), plan);
+        assert!(wal.read_all().unwrap().is_empty(), "a no-op logs nothing");
+        // The latch is released.
+        mgr.abort(mgr.begin(&[P]).unwrap());
+    }
+
+    #[test]
+    fn sparse_deltas_over_the_memory_limit_fold_densest_first() {
+        // Each chunk stays under the rule, but the PDT is over a tiny
+        // memory limit: the run folds the densest chunk and stops once what
+        // it carries is under the limit.
+        let config = TxnConfig {
+            propagate_mem_bytes: 400,
+            ..TxnConfig::default()
+        };
+        let (mgr, mut store, wal) = setup_with(256, 768, config);
+        let long = |i: usize| Value::Str(format!("{i:>60}"));
+        let mut t = mgr.begin(&[P]).unwrap();
+        for (n, rid) in [(0, 1), (1, 2), (2, 3), (3, 300), (4, 301), (5, 600)] {
+            mgr.modify_at(&mut t, P, rid, 1, long(n)).unwrap();
+        }
+        mgr.commit(t, |_, _| Ok(())).unwrap();
+        assert!(mgr.needs_propagation(P));
+        let files = chunk_files(&store, &wal);
+        let before = image(&mgr, &store);
+        let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
+        // Six 92-byte modifies (552 bytes) in chunks of 3, 2 and 1: the
+        // densest chunk folds, the 276 bytes left are under the limit.
+        assert_eq!((r.chunks_rewritten, r.deltas_carried), (1, 3));
+        assert_eq!(chunk_files(&store, &wal)[1..], files[1..]);
+        assert_ne!(chunk_files(&store, &wal)[0], files[0]);
+        assert!(!mgr.needs_propagation(P));
+        let st = mgr.partition_state(P).unwrap();
+        assert!(st.read.mem_bytes() + st.write.mem_bytes() <= 400);
+        assert_eq!(image(&mgr, &store), before);
+    }
+
+    /// Generated histories: random deletes, modifies and inserts of varying
+    /// density over 256-row chunks, then a run. The carried records replayed
+    /// onto the new stable image must give back the image the run started
+    /// from, and the chunks the run kept must be byte-identical.
+    #[test]
+    fn carried_records_replay_to_the_pre_run_image() {
+        let mut rng = vectorh_common::rng::SplitMix64::new(0x5ca7_7e2d);
+        let mut carried_runs = 0;
+        for case in 0..40 {
+            let (mgr, mut store, wal) = setup_with(256, 1024 + case, TxnConfig::default());
+            let case = case as u64;
+            for _ in 0..1 + rng.next_bounded(3) {
+                let mut t = mgr.begin(&[P]).unwrap();
+                // Per chunk, a density around the rule.
+                for c in 0..5u64 {
+                    for _ in 0..rng.next_bounded(7) {
+                        let len = t.image_len(P).unwrap();
+                        let rid = (c * 256 + rng.next_bounded(256)).min(len - 1);
+                        match rng.next_bounded(4) {
+                            0 => mgr.delete_at(&mut t, P, rid).unwrap(),
+                            1 => mgr
+                                .modify_at(&mut t, P, rid, 0, Value::I64(-(rid as i64)))
+                                .unwrap(),
+                            2 => mgr
+                                .insert_at(&mut t, P, rid, row(rng.range_i64(0, 1 << 20)))
+                                .unwrap(),
+                            _ => mgr.insert_at(&mut t, P, len, row(7)).unwrap(),
+                        }
+                    }
+                }
+                mgr.commit(t, |_, _| Ok(())).unwrap();
+            }
+            let files = chunk_files(&store, &wal);
+            let before = image(&mgr, &store);
+            let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
+            assert_eq!(image(&mgr, &store), before, "case {case}: {r:?}");
+            if r.mode == PropagationMode::Noop {
+                continue;
+            }
+            let (ckpt, carried) = last_checkpoint(&wal);
+            assert_eq!(ckpt, store.row_count());
+            assert_eq!(carried, r.carried);
+            let fresh = TransactionManager::new(TxnConfig::default());
+            fresh.rebase_partition(P, ckpt, &carried, &[]).unwrap();
+            assert_eq!(image(&fresh, &store), before, "case {case}: replay");
+            let now = chunk_files(&store, &wal);
+            let kept = now.iter().filter(|f| files.contains(f)).count() as u64;
+            assert_eq!(kept, r.chunks_kept, "case {case}: kept chunk bytes moved");
+            carried_runs += (r.deltas_carried > 0) as u32;
+        }
+        assert!(
+            carried_runs >= 10,
+            "only {carried_runs} runs carried deltas"
+        );
     }
 }

@@ -55,9 +55,15 @@ pub enum LogRecord {
     GlobalCommit {
         txn: u64,
     },
-    /// PDTs flushed into storage; entries before this are obsolete.
+    /// Propagation's commit point: the stable image now holds
+    /// `stable_rows` rows, and records before this one are obsolete. The
+    /// deltas the run left pending (chunks too sparse to fold) travel inside
+    /// the record as positional `Insert`/`Delete`/`Modify` records in the
+    /// new image's coordinates, so one append commits the image and the
+    /// deltas that sit on it.
     Checkpoint {
         stable_rows: u64,
+        carried: Vec<LogRecord>,
     },
     /// MinMax summary for (chunk, column) — stored in the WAL, not the data.
     MinMax {
@@ -183,6 +189,15 @@ impl<'a> Rd<'a> {
 }
 
 impl LogRecord {
+    /// A positional update (`Insert`, `Delete`, `Modify`): what replay
+    /// applies to a PDT.
+    pub fn is_delta(&self) -> bool {
+        matches!(
+            self,
+            LogRecord::Insert { .. } | LogRecord::Delete { .. } | LogRecord::Modify { .. }
+        )
+    }
+
     /// Serialize one record (without the length frame).
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -244,9 +259,19 @@ impl LogRecord {
                 out.push(8);
                 put_u64(*txn, out);
             }
-            LogRecord::Checkpoint { stable_rows } => {
+            LogRecord::Checkpoint {
+                stable_rows,
+                carried,
+            } => {
                 out.push(9);
                 put_u64(*stable_rows, out);
+                put_u32(carried.len() as u32, out);
+                for r in carried {
+                    let mut body = Vec::new();
+                    r.encode(&mut body);
+                    put_u32(body.len() as u32, out);
+                    out.extend_from_slice(&body);
+                }
             }
             LogRecord::MinMax {
                 chunk,
@@ -324,9 +349,29 @@ impl LogRecord {
             6 => LogRecord::Abort { txn: rd.u64()? },
             7 => LogRecord::Prepare { txn: rd.u64()? },
             8 => LogRecord::GlobalCommit { txn: rd.u64()? },
-            9 => LogRecord::Checkpoint {
-                stable_rows: rd.u64()?,
-            },
+            9 => {
+                let stable_rows = rd.u64()?;
+                let n = rd.u32()? as usize;
+                let mut carried = Vec::new();
+                for _ in 0..n {
+                    let len = rd.u32()? as usize;
+                    let mut body = Rd {
+                        buf: rd.take(len)?,
+                        pos: 0,
+                    };
+                    let r = LogRecord::decode(&mut body)?;
+                    if !r.is_delta() {
+                        return Err(VhError::Storage(format!(
+                            "checkpoint carries a non-delta record {r:?}"
+                        )));
+                    }
+                    carried.push(r);
+                }
+                LogRecord::Checkpoint {
+                    stable_rows,
+                    carried,
+                }
+            }
             10 => LogRecord::MinMax {
                 chunk: rd.u32()?,
                 col: rd.u32()?,
@@ -367,6 +412,15 @@ impl LogRecord {
 /// the on-disk transaction log".
 pub fn encode_for_shipping(record: &LogRecord, out: &mut Vec<u8>) {
     record.encode(out);
+}
+
+/// A partition log as recovery reads it: the last checkpoint's stable row
+/// count and carried deltas, then every record after it, in log order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Replay {
+    pub stable_rows: u64,
+    pub carried: Vec<LogRecord>,
+    pub tail: Vec<LogRecord>,
 }
 
 /// A write-ahead log backed by one append-only block-store file.
@@ -555,19 +609,40 @@ impl Wal {
         Ok(torn)
     }
 
-    /// Records after the last checkpoint (what recovery replays), plus the
-    /// checkpointed stable row count.
+    /// The last checkpoint and the records after it: what recovery
+    /// replays.
+    pub fn read_replay(&self) -> Result<Replay> {
+        let mut all = self.read_all()?;
+        let Some(at) = all
+            .iter()
+            .rposition(|r| matches!(r, LogRecord::Checkpoint { .. }))
+        else {
+            return Ok(Replay {
+                stable_rows: 0,
+                carried: Vec::new(),
+                tail: all,
+            });
+        };
+        let tail = all.split_off(at + 1);
+        let Some(LogRecord::Checkpoint {
+            stable_rows,
+            carried,
+        }) = all.pop()
+        else {
+            unreachable!("rposition found a checkpoint at {at}")
+        };
+        Ok(Replay {
+            stable_rows,
+            carried,
+            tail,
+        })
+    }
+
+    /// Records after the last checkpoint, plus the checkpointed stable row
+    /// count.
     pub fn read_since_checkpoint(&self) -> Result<(u64, Vec<LogRecord>)> {
-        let all = self.read_all()?;
-        let mut stable = 0u64;
-        let mut tail_start = 0usize;
-        for (i, r) in all.iter().enumerate() {
-            if let LogRecord::Checkpoint { stable_rows } = r {
-                stable = *stable_rows;
-                tail_start = i + 1;
-            }
-        }
-        Ok((stable, all[tail_start..].to_vec()))
+        let r = self.read_replay()?;
+        Ok((r.stable_rows, r.tail))
     }
 
     /// Delete the backing file (after a destructive checkpoint rewrite).
@@ -643,7 +718,28 @@ mod tests {
                 chunk: 2,
                 rows: 256,
             },
-            LogRecord::Checkpoint { stable_rows: 1234 },
+            LogRecord::Checkpoint {
+                stable_rows: 1234,
+                carried: vec![],
+            },
+            LogRecord::Checkpoint {
+                stable_rows: 77,
+                carried: vec![
+                    LogRecord::Delete { txn: 0, rid: 4 },
+                    LogRecord::Modify {
+                        txn: 0,
+                        rid: 9,
+                        col: 0,
+                        value: Value::Str("carried".into()),
+                    },
+                    LogRecord::Insert {
+                        txn: 0,
+                        rid: 76,
+                        tag: 31,
+                        values: vec![Value::I64(-1), Value::Null],
+                    },
+                ],
+            },
         ]
     }
 
@@ -653,6 +749,18 @@ mod tests {
         let records = sample_records();
         w.append(&records).unwrap();
         assert_eq!(w.read_all().unwrap(), records);
+    }
+
+    #[test]
+    fn a_checkpoint_carries_only_deltas() {
+        let w = wal();
+        w.append(&[LogRecord::Checkpoint {
+            stable_rows: 3,
+            carried: vec![LogRecord::TxnBegin { txn: 1 }],
+        }])
+        .unwrap();
+        let err = w.read_all().unwrap_err();
+        assert!(err.to_string().contains("non-delta"), "got {err}");
     }
 
     #[test]
@@ -677,7 +785,10 @@ mod tests {
         w.append(&[
             LogRecord::TxnBegin { txn: 1 },
             LogRecord::Commit { txn: 1, seq: 1 },
-            LogRecord::Checkpoint { stable_rows: 100 },
+            LogRecord::Checkpoint {
+                stable_rows: 100,
+                carried: vec![],
+            },
             LogRecord::TxnBegin { txn: 2 },
         ])
         .unwrap();
