@@ -1,15 +1,17 @@
 //! Physical plan execution: PhysPlan → per-node operator pipelines.
 //!
-//! The interpreter turns the Parallel Rewriter's output into streams:
-//! partition-parallel scans run at their responsible nodes (MScan with
-//! MinMax pruning + PDT merge), local joins pair co-located partitions,
-//! broadcast builds materialize the build side once per node and build one
-//! table there that the node's probe pipelines share, repartitioned
+//! One interpreter, [`build`], instantiates any plan fragment at a *home*
+//! node: the session master for the query, or node `n` for the replicated
+//! build side that node `n`'s joins need. Partition-parallel scans run at
+//! their responsible nodes (MScan with MinMax pruning + PDT merge), local
+//! joins pair co-located partitions, and a broadcast build is one build per
+//! node shared by that node's probe pipelines: a replicated side is the
+//! node's live sub-plan over its own replica, a `DxchgBroadcast` side is
+//! drained once at the master and copied to each node. Repartitioned
 //! operators connect through the DXchg layer, and everything funnels into a
-//! single stream at the session master.
+//! single stream at the home node.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use vectorh_common::{NodeId, Result, Value, VhError};
 use vectorh_exec::aggr::{AggFn, AggMode, Aggr};
@@ -33,25 +35,25 @@ use crate::engine::{TableRuntime, VectorH};
 enum Streams {
     /// One pipeline per partition/consumer, each pinned to a node.
     Parallel(Vec<(u32, Box<dyn Operator>)>),
-    /// A single pipeline at the session master.
+    /// A single pipeline at the fragment's home node.
     Serial(Box<dyn Operator>),
-}
-
-impl Streams {
-    fn into_parallel(self) -> Vec<(u32, Box<dyn Operator>)> {
-        match self {
-            Streams::Parallel(v) => v,
-            Streams::Serial(op) => vec![(0, op)],
-        }
-    }
 }
 
 struct Ctx<'a> {
     vh: &'a VectorH,
-    master: u32,
+    /// Where a serial stream runs and where parallel streams funnel.
+    home: u32,
 }
 
 impl<'a> Ctx<'a> {
+    /// The same context with its home at `node`.
+    fn at(&self, node: u32) -> Ctx<'a> {
+        Ctx {
+            vh: self.vh,
+            home: node,
+        }
+    }
+
     /// Exchange consumer layout: `streams_per_node` threads on each worker.
     fn consumer_layout(&self) -> Vec<u32> {
         let spn = self.vh.streams_per_node().max(1);
@@ -62,6 +64,61 @@ impl<'a> Ctx<'a> {
             }
         }
         out
+    }
+
+    /// The streams as node-pinned pipelines; a serial one runs at home.
+    fn parallel(&self, streams: Streams) -> Vec<(u32, Box<dyn Operator>)> {
+        match streams {
+            Streams::Parallel(v) => v,
+            Streams::Serial(op) => vec![(self.home, op)],
+        }
+    }
+
+    /// The streams as one pipeline at home: a serial one as is, parallel
+    /// ones through a DXchgUnion.
+    fn serial(&self, streams: Streams) -> Result<Box<dyn Operator>> {
+        Ok(match streams {
+            Streams::Serial(op) => op,
+            Streams::Parallel(v) => Box::new(dxchg_union(
+                v,
+                self.home,
+                self.vh.dxchg_config(),
+                self.vh.net_stats().clone(),
+            )?),
+        })
+    }
+
+    /// The streams hash-split on `keys` over the consumer layout: one
+    /// (consumer node, receiver) pair per consumer.
+    fn split(&self, streams: Streams, keys: Vec<usize>) -> Result<Vec<(u32, Box<dyn Operator>)>> {
+        let consumers = self.consumer_layout();
+        let recv = dxchg_hash_split(
+            self.parallel(streams),
+            consumers.clone(),
+            keys,
+            self.vh.dxchg_config(),
+            self.vh.net_stats().clone(),
+        )?;
+        Ok(consumers
+            .into_iter()
+            .zip(recv)
+            .map(|(n, r)| (n, Box::new(r) as Box<dyn Operator>))
+            .collect())
+    }
+
+    /// `f` applied to every stream, with the node the stream runs at.
+    fn map<F>(&self, streams: Streams, mut f: F) -> Result<Streams>
+    where
+        F: FnMut(u32, Box<dyn Operator>) -> Result<Box<dyn Operator>>,
+    {
+        Ok(match streams {
+            Streams::Serial(op) => Streams::Serial(f(self.home, op)?),
+            Streams::Parallel(v) => Streams::Parallel(
+                v.into_iter()
+                    .map(|(n, op)| Ok((n, f(n, op)?)))
+                    .collect::<Result<_>>()?,
+            ),
+        })
     }
 }
 
@@ -75,18 +132,9 @@ pub(crate) fn execute(
 ) -> Result<(Vec<Vec<Value>>, String)> {
     let ctx = Ctx {
         vh,
-        master: vh.session_master().0,
+        home: vh.session_master().0,
     };
-    let streams = build(&ctx, phys)?;
-    let mut top: Box<dyn Operator> = match streams {
-        Streams::Serial(op) => op,
-        Streams::Parallel(streams) => Box::new(dxchg_union(
-            streams.into_iter().collect(),
-            ctx.master,
-            vh.dxchg_config(),
-            vh.net_stats().clone(),
-        )?),
-    };
+    let mut top = ctx.serial(build(&ctx, phys)?)?;
     let mut rows = Vec::new();
     while let Some(batch) = top.next()? {
         if let Some(flag) = cancel {
@@ -202,136 +250,6 @@ fn scan_at(
     Ok(op)
 }
 
-/// The scan streams of a partitioned table: one per partition, each at
-/// its responsible node.
-fn scan_partitioned(
-    ctx: &Ctx,
-    table: &str,
-    cols: &[usize],
-    pred: &Option<Expr>,
-) -> Result<Streams> {
-    let rt = ctx.vh.table(table)?;
-    let mut streams = Vec::with_capacity(rt.pids.len());
-    for (i, pid) in rt.pids.iter().enumerate() {
-        let home = ctx.vh.responsible(*pid);
-        streams.push((home.0, scan_at(ctx, &rt, i, cols, pred, home)?));
-    }
-    Ok(Streams::Parallel(streams))
-}
-
-/// One scan pipeline over a replicated table, reading at `node`.
-fn scan_replicated_at(
-    ctx: &Ctx,
-    table: &str,
-    cols: &[usize],
-    pred: &Option<Expr>,
-    node: NodeId,
-) -> Result<Box<dyn Operator>> {
-    let rt = ctx.vh.table(table)?;
-    scan_at(ctx, &rt, 0, cols, pred, node)
-}
-
-/// Instantiate a (replicated) subtree for a specific node. Supports the
-/// shapes the rewriter produces for broadcast build sides: replicated scans
-/// under Select/Project chains, plus joins of replicated subtrees.
-fn build_for_node(ctx: &Ctx, phys: &PhysPlan, node: NodeId) -> Result<Box<dyn Operator>> {
-    Ok(match phys {
-        PhysPlan::ScanReplicated { table, cols, pred } => {
-            scan_replicated_at(ctx, table, cols, pred, node)?
-        }
-        PhysPlan::Select { input, predicate } => Box::new(Select::new(
-            build_for_node(ctx, input, node)?,
-            predicate.clone(),
-        )),
-        PhysPlan::Project { input, items } => Box::new(Project::new(
-            build_for_node(ctx, input, node)?,
-            items.clone(),
-        )?),
-        PhysPlan::HashJoin {
-            probe,
-            build,
-            probe_keys,
-            build_keys,
-            kind,
-            ..
-        } => Box::new(HashJoin::new(
-            build_for_node(ctx, probe, node)?,
-            build_for_node(ctx, build, node)?,
-            probe_keys.clone(),
-            build_keys.clone(),
-            exec_join_kind(*kind),
-        )?),
-        other => {
-            return Err(VhError::Exec(format!(
-                "broadcast build side contains non-replicated operator: {}",
-                other.explain().lines().next().unwrap_or("?")
-            )))
-        }
-    })
-}
-
-/// A broadcast build side, one per distinct node: materialized here, then
-/// built (indexed) by the first of that node's joins that needs it.
-fn build_side_per_node(
-    ctx: &Ctx,
-    side: &PhysPlan,
-    nodes: &[u32],
-    keys: &[usize],
-) -> Result<HashMap<u32, Arc<SharedBuild>>> {
-    let mut distinct: Vec<u32> = nodes.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let shared = |input: Box<dyn Operator>| SharedBuild::new(input, keys.to_vec());
-    let mut map = HashMap::new();
-
-    match side {
-        PhysPlan::DxchgBroadcast { input } => {
-            // Materialize once at the master, then ship to every node.
-            let inner = build(ctx, input)?;
-            let mut producer: Box<dyn Operator> = match inner {
-                Streams::Serial(op) => op,
-                Streams::Parallel(streams) => Box::new(dxchg_union(
-                    streams,
-                    ctx.master,
-                    ctx.vh.dxchg_config(),
-                    ctx.vh.net_stats().clone(),
-                )?),
-            };
-            let schema = producer.schema();
-            let mut batches = Vec::new();
-            while let Some(b) = producer.next()? {
-                batches.push(b);
-            }
-            // Network accounting: one serialized copy per non-master node,
-            // counted without building it.
-            let stats = ctx.vh.net_stats();
-            for &n in &distinct {
-                if n != ctx.master {
-                    for b in &batches {
-                        let bytes = vectorh_net::buffer::serialized_len(b);
-                        stats.record_net_message(bytes as u64, b.len() as u64);
-                    }
-                }
-                let copy = Box::new(BatchSource::new(schema.clone(), batches.clone()));
-                map.insert(n, shared(copy));
-            }
-        }
-        replicated => {
-            // Replicated subtree: every node builds from its local replica.
-            for &n in &distinct {
-                let mut op = build_for_node(ctx, replicated, NodeId(n))?;
-                let mut batches = Vec::new();
-                while let Some(b) = op.next()? {
-                    batches.push(b);
-                }
-                let local = Box::new(BatchSource::new(op.schema(), batches));
-                map.insert(n, shared(local));
-            }
-        }
-    }
-    Ok(map)
-}
-
 /// Final-mode aggregate column mapping: each agg's first state column in
 /// the partial output layout `[groups..., states...]`.
 fn final_aggs(group_len: usize, aggs: &[AggFn]) -> Vec<AggFn> {
@@ -356,46 +274,64 @@ fn final_aggs(group_len: usize, aggs: &[AggFn]) -> Vec<AggFn> {
         .collect()
 }
 
+/// Two plan fragments joined pipeline by pipeline with `f`: a local join
+/// of co-located partitions.
+fn co_located<F>(
+    ctx: &Ctx,
+    left: &PhysPlan,
+    right: &PhysPlan,
+    what: &str,
+    mut f: F,
+) -> Result<Streams>
+where
+    F: FnMut(Box<dyn Operator>, Box<dyn Operator>) -> Result<Box<dyn Operator>>,
+{
+    let l = ctx.parallel(build(ctx, left)?);
+    let r = ctx.parallel(build(ctx, right)?);
+    if l.len() != r.len() {
+        return Err(VhError::Exec(format!(
+            "{what} partition mismatch: {} vs {}",
+            l.len(),
+            r.len()
+        )));
+    }
+    let mut out = Vec::with_capacity(l.len());
+    for ((node, lop), (_, rop)) in l.into_iter().zip(r) {
+        out.push((node, f(lop, rop)?));
+    }
+    Ok(Streams::Parallel(out))
+}
+
 fn build(ctx: &Ctx, phys: &PhysPlan) -> Result<Streams> {
     match phys {
-        PhysPlan::ScanPartitioned { table, cols, pred } => scan_partitioned(ctx, table, cols, pred),
-        PhysPlan::ScanReplicated { table, cols, pred } => Ok(Streams::Serial(scan_replicated_at(
-            ctx,
-            table,
-            cols,
-            pred,
-            NodeId(ctx.master),
-        )?)),
-        PhysPlan::Select { input, predicate } => Ok(map_streams(build(ctx, input)?, |op| {
+        PhysPlan::ScanPartitioned { table, cols, pred } => {
+            let rt = ctx.vh.table(table)?;
+            let mut streams = Vec::with_capacity(rt.pids.len());
+            for (i, pid) in rt.pids.iter().enumerate() {
+                let node = ctx.vh.responsible(*pid);
+                streams.push((node.0, scan_at(ctx, &rt, i, cols, pred, node)?));
+            }
+            Ok(Streams::Parallel(streams))
+        }
+        PhysPlan::ScanReplicated { table, cols, pred } => {
+            let rt = ctx.vh.table(table)?;
+            let node = NodeId(ctx.home);
+            Ok(Streams::Serial(scan_at(ctx, &rt, 0, cols, pred, node)?))
+        }
+        PhysPlan::Select { input, predicate } => ctx.map(build(ctx, input)?, |_, op| {
             Ok(Box::new(Select::new(op, predicate.clone())) as Box<dyn Operator>)
-        })?),
-        PhysPlan::Project { input, items } => Ok(map_streams(build(ctx, input)?, |op| {
+        }),
+        PhysPlan::Project { input, items } => ctx.map(build(ctx, input)?, |_, op| {
             Ok(Box::new(Project::new(op, items.clone())?) as Box<dyn Operator>)
-        })?),
+        }),
         PhysPlan::MergeJoin {
             left,
             right,
             left_key,
             right_key,
-        } => {
-            let l = build(ctx, left)?.into_parallel();
-            let r = build(ctx, right)?.into_parallel();
-            if l.len() != r.len() {
-                return Err(VhError::Exec(format!(
-                    "merge join partition mismatch: {} vs {}",
-                    l.len(),
-                    r.len()
-                )));
-            }
-            let mut out = Vec::with_capacity(l.len());
-            for ((node, lop), (_, rop)) in l.into_iter().zip(r) {
-                out.push((
-                    node,
-                    Box::new(MergeJoin::new(lop, rop, *left_key, *right_key)?) as Box<dyn Operator>,
-                ));
-            }
-            Ok(Streams::Parallel(out))
-        }
+        } => co_located(ctx, left, right, "merge join", |l, r| {
+            Ok(Box::new(MergeJoin::new(l, r, *left_key, *right_key)?))
+        }),
         PhysPlan::HashJoin {
             probe,
             build: build_side,
@@ -404,87 +340,77 @@ fn build(ctx: &Ctx, phys: &PhysPlan) -> Result<Streams> {
             kind,
             strategy,
         } => {
+            let kind = exec_join_kind(*kind);
+            let join = |p, b| -> Result<Box<dyn Operator>> {
+                let j = HashJoin::new(p, b, probe_keys.clone(), build_keys.clone(), kind)?;
+                Ok(Box::new(j))
+            };
             match strategy {
-                JoinStrategy::Local => {
-                    let l = build(ctx, probe)?.into_parallel();
-                    let r = build(ctx, build_side)?.into_parallel();
-                    if l.len() != r.len() {
-                        return Err(VhError::Exec(format!(
-                            "local join partition mismatch: {} vs {}",
-                            l.len(),
-                            r.len()
-                        )));
-                    }
-                    let mut out = Vec::with_capacity(l.len());
-                    for ((node, lop), (_, rop)) in l.into_iter().zip(r) {
-                        out.push((
-                            node,
-                            Box::new(HashJoin::new(
-                                lop,
-                                rop,
-                                probe_keys.clone(),
-                                build_keys.clone(),
-                                exec_join_kind(*kind),
-                            )?) as Box<dyn Operator>,
-                        ));
-                    }
-                    Ok(Streams::Parallel(out))
-                }
+                JoinStrategy::Local => co_located(ctx, probe, build_side, "local join", join),
                 JoinStrategy::BroadcastBuild => {
-                    let probe_streams = build(ctx, probe)?.into_parallel();
-                    let nodes: Vec<u32> = probe_streams.iter().map(|(n, _)| *n).collect();
-                    let sides = build_side_per_node(ctx, build_side, &nodes, build_keys)?;
-                    let mut out = Vec::with_capacity(probe_streams.len());
-                    for (node, pop) in probe_streams {
-                        out.push((
-                            node,
-                            Box::new(HashJoin::shared(
-                                pop,
-                                sides[&node].clone(),
-                                probe_keys.clone(),
-                                exec_join_kind(*kind),
-                            )?) as Box<dyn Operator>,
-                        ));
+                    // One build a node, shared by the node's probe pipelines.
+                    let probe = build(ctx, probe)?;
+                    let mut nodes: Vec<u32> = match &probe {
+                        Streams::Serial(_) => vec![ctx.home],
+                        Streams::Parallel(v) => v.iter().map(|(n, _)| *n).collect(),
+                    };
+                    nodes.sort_unstable();
+                    nodes.dedup();
+                    // A broadcast side is drained once at home; every node
+                    // gets a copy, one serialized copy a node away from home
+                    // counted as network traffic.
+                    let broadcast = match build_side.as_ref() {
+                        PhysPlan::DxchgBroadcast { input } => {
+                            let mut producer = ctx.serial(build(ctx, input)?)?;
+                            let mut batches = Vec::new();
+                            while let Some(b) = producer.next()? {
+                                batches.push(b);
+                            }
+                            Some((producer.schema(), batches))
+                        }
+                        _ => None,
+                    };
+                    let mut sides = HashMap::new();
+                    for n in nodes {
+                        let side: Box<dyn Operator> = match &broadcast {
+                            Some((schema, batches)) => {
+                                if n != ctx.home {
+                                    let stats = ctx.vh.net_stats();
+                                    for b in batches {
+                                        let bytes = vectorh_net::buffer::serialized_len(b) as u64;
+                                        stats.record_net_message(bytes, b.len() as u64);
+                                    }
+                                }
+                                Box::new(BatchSource::new(schema.clone(), batches.clone()))
+                            }
+                            // Replicated: the node's live sub-plan over its
+                            // own replica.
+                            None => {
+                                let at = ctx.at(n);
+                                at.serial(build(&at, build_side)?)?
+                            }
+                        };
+                        sides.insert(n, SharedBuild::new(side, build_keys.clone()));
                     }
-                    Ok(Streams::Parallel(out))
+                    ctx.map(probe, |node, op| {
+                        let side = sides[&node].clone();
+                        let j = HashJoin::shared(op, side, probe_keys.clone(), kind)?;
+                        Ok(Box::new(j) as Box<dyn Operator>)
+                    })
                 }
                 JoinStrategy::Repartitioned => {
                     // The rewriter placed explicit DxchgHashSplit children.
-                    let (probe_in, pkeys) = match probe.as_ref() {
-                        PhysPlan::DxchgHashSplit { input, keys } => (input.as_ref(), keys.clone()),
-                        other => (other, probe_keys.clone()),
+                    let split = |side: &PhysPlan, keys: &[usize]| match side {
+                        PhysPlan::DxchgHashSplit { input, keys } => {
+                            ctx.split(build(ctx, input)?, keys.clone())
+                        }
+                        other => ctx.split(build(ctx, other)?, keys.to_vec()),
                     };
-                    let (build_in, bkeys) = match build_side.as_ref() {
-                        PhysPlan::DxchgHashSplit { input, keys } => (input.as_ref(), keys.clone()),
-                        other => (other, build_keys.clone()),
-                    };
-                    let consumers = ctx.consumer_layout();
-                    let precv = dxchg_hash_split(
-                        build(ctx, probe_in)?.into_parallel(),
-                        consumers.clone(),
-                        pkeys,
-                        ctx.vh.dxchg_config(),
-                        ctx.vh.net_stats().clone(),
-                    )?;
-                    let brecv = dxchg_hash_split(
-                        build(ctx, build_in)?.into_parallel(),
-                        consumers.clone(),
-                        bkeys,
-                        ctx.vh.dxchg_config(),
-                        ctx.vh.net_stats().clone(),
-                    )?;
-                    let mut out = Vec::with_capacity(consumers.len());
-                    for ((node, p), b) in consumers.iter().zip(precv).zip(brecv) {
-                        out.push((
-                            *node,
-                            Box::new(HashJoin::new(
-                                Box::new(p),
-                                Box::new(b),
-                                probe_keys.clone(),
-                                build_keys.clone(),
-                                exec_join_kind(*kind),
-                            )?) as Box<dyn Operator>,
-                        ));
+                    let probes = split(probe, probe_keys)?;
+                    let builds = split(build_side, build_keys)?;
+                    let mut out = Vec::with_capacity(probes.len());
+                    for ((node, p), (_, b)) in probes.into_iter().zip(builds) {
+                        out.push((node, join(p, b)?));
                     }
                     Ok(Streams::Parallel(out))
                 }
@@ -495,128 +421,61 @@ fn build(ctx: &Ctx, phys: &PhysPlan) -> Result<Streams> {
             group_by,
             aggs,
             strategy,
-        } => match strategy {
-            AggStrategy::Local => Ok(map_streams(build(ctx, input)?, |op| {
-                Ok(Box::new(Aggr::new(
-                    op,
-                    group_by.clone(),
-                    aggs.clone(),
-                    AggMode::Complete,
-                )?) as Box<dyn Operator>)
-            })?),
-            AggStrategy::PartialFinal => {
-                let partials = map_streams(build(ctx, input)?, |op| {
-                    Ok(Box::new(Aggr::new(
-                        op,
-                        group_by.clone(),
+        } => {
+            let aggr =
+                |op, groups: Vec<usize>, aggs: Vec<AggFn>, mode| -> Result<Box<dyn Operator>> {
+                    Ok(Box::new(Aggr::new(op, groups, aggs, mode)?))
+                };
+            let input = build(ctx, input)?;
+            let final_keys: Vec<usize> = (0..group_by.len()).collect();
+            match strategy {
+                AggStrategy::Local => ctx.map(input, |_, op| {
+                    aggr(op, group_by.clone(), aggs.clone(), AggMode::Complete)
+                }),
+                AggStrategy::PartialFinal => {
+                    let partials = ctx.map(input, |_, op| {
+                        aggr(op, group_by.clone(), aggs.clone(), AggMode::Partial)
+                    })?;
+                    let fin = final_aggs(group_by.len(), aggs);
+                    let recv = ctx.split(partials, final_keys.clone())?;
+                    ctx.map(Streams::Parallel(recv), |_, r| {
+                        aggr(r, final_keys.clone(), fin.clone(), AggMode::Final)
+                    })
+                }
+                AggStrategy::RepartitionComplete => {
+                    let recv = ctx.split(input, group_by.clone())?;
+                    ctx.map(Streams::Parallel(recv), |_, r| {
+                        aggr(r, group_by.clone(), aggs.clone(), AggMode::Complete)
+                    })
+                }
+                AggStrategy::GlobalPartialFinal => {
+                    let partials = ctx.map(input, |_, op| {
+                        aggr(op, vec![], aggs.clone(), AggMode::Partial)
+                    })?;
+                    let union = ctx.serial(partials)?;
+                    let fin = final_aggs(0, aggs);
+                    Ok(Streams::Serial(aggr(union, vec![], fin, AggMode::Final)?))
+                }
+                AggStrategy::GlobalComplete => {
+                    let union = ctx.serial(input)?;
+                    Ok(Streams::Serial(aggr(
+                        union,
+                        vec![],
                         aggs.clone(),
-                        AggMode::Partial,
-                    )?) as Box<dyn Operator>)
-                })?;
-                let consumers = ctx.consumer_layout();
-                let recv = dxchg_hash_split(
-                    partials.into_parallel(),
-                    consumers.clone(),
-                    (0..group_by.len()).collect(),
-                    ctx.vh.dxchg_config(),
-                    ctx.vh.net_stats().clone(),
-                )?;
-                let fin = final_aggs(group_by.len(), aggs);
-                let mut out = Vec::with_capacity(consumers.len());
-                for (node, r) in consumers.iter().zip(recv) {
-                    out.push((
-                        *node,
-                        Box::new(Aggr::new(
-                            Box::new(r),
-                            (0..group_by.len()).collect(),
-                            fin.clone(),
-                            AggMode::Final,
-                        )?) as Box<dyn Operator>,
-                    ));
+                        AggMode::Complete,
+                    )?))
                 }
-                Ok(Streams::Parallel(out))
             }
-            AggStrategy::RepartitionComplete => {
-                let consumers = ctx.consumer_layout();
-                let recv = dxchg_hash_split(
-                    build(ctx, input)?.into_parallel(),
-                    consumers.clone(),
-                    group_by.clone(),
-                    ctx.vh.dxchg_config(),
-                    ctx.vh.net_stats().clone(),
-                )?;
-                let mut out = Vec::with_capacity(consumers.len());
-                for (node, r) in consumers.iter().zip(recv) {
-                    out.push((
-                        *node,
-                        Box::new(Aggr::new(
-                            Box::new(r),
-                            group_by.clone(),
-                            aggs.clone(),
-                            AggMode::Complete,
-                        )?) as Box<dyn Operator>,
-                    ));
-                }
-                Ok(Streams::Parallel(out))
-            }
-            AggStrategy::GlobalPartialFinal => {
-                let partials = map_streams(build(ctx, input)?, |op| {
-                    Ok(
-                        Box::new(Aggr::new(op, vec![], aggs.clone(), AggMode::Partial)?)
-                            as Box<dyn Operator>,
-                    )
-                })?;
-                let union = dxchg_union(
-                    partials.into_parallel(),
-                    ctx.master,
-                    ctx.vh.dxchg_config(),
-                    ctx.vh.net_stats().clone(),
-                )?;
-                Ok(Streams::Serial(Box::new(Aggr::new(
-                    Box::new(union),
-                    vec![],
-                    final_aggs(0, aggs),
-                    AggMode::Final,
-                )?)))
-            }
-            AggStrategy::GlobalComplete => {
-                let union = dxchg_union(
-                    build(ctx, input)?.into_parallel(),
-                    ctx.master,
-                    ctx.vh.dxchg_config(),
-                    ctx.vh.net_stats().clone(),
-                )?;
-                Ok(Streams::Serial(Box::new(Aggr::new(
-                    Box::new(union),
-                    vec![],
-                    aggs.clone(),
-                    AggMode::Complete,
-                )?)))
-            }
-        },
+        }
         PhysPlan::Sort { input, keys, limit } => {
             // Partial TopN below the union when a limit exists.
-            let serial: Box<dyn Operator> = match (input.as_ref(), limit) {
+            let serial = match (input.as_ref(), limit) {
                 (PhysPlan::DxchgUnion { input: inner }, Some(n)) => {
-                    let partial = map_streams(build(ctx, inner)?, |op| {
+                    ctx.serial(ctx.map(build(ctx, inner)?, |_, op| {
                         Ok(Box::new(Sort::new(op, keys.clone(), Some(*n))) as Box<dyn Operator>)
-                    })?;
-                    Box::new(dxchg_union(
-                        partial.into_parallel(),
-                        ctx.master,
-                        ctx.vh.dxchg_config(),
-                        ctx.vh.net_stats().clone(),
-                    )?)
+                    })?)?
                 }
-                _ => match build(ctx, input)? {
-                    Streams::Serial(op) => op,
-                    Streams::Parallel(streams) => Box::new(dxchg_union(
-                        streams,
-                        ctx.master,
-                        ctx.vh.dxchg_config(),
-                        ctx.vh.net_stats().clone(),
-                    )?),
-                },
+                _ => ctx.serial(build(ctx, input)?)?,
             };
             Ok(Streams::Serial(Box::new(Sort::new(
                 serial,
@@ -625,64 +484,15 @@ fn build(ctx: &Ctx, phys: &PhysPlan) -> Result<Streams> {
             ))))
         }
         PhysPlan::Limit { input, n } => {
-            let serial: Box<dyn Operator> = match build(ctx, input)? {
-                Streams::Serial(op) => op,
-                Streams::Parallel(streams) => Box::new(dxchg_union(
-                    streams,
-                    ctx.master,
-                    ctx.vh.dxchg_config(),
-                    ctx.vh.net_stats().clone(),
-                )?),
-            };
+            let serial = ctx.serial(build(ctx, input)?)?;
             Ok(Streams::Serial(Box::new(Limit::new(serial, *n))))
         }
-        PhysPlan::DxchgUnion { input } => {
-            let inner = build(ctx, input)?;
-            match inner {
-                Streams::Serial(op) => Ok(Streams::Serial(op)),
-                Streams::Parallel(streams) => Ok(Streams::Serial(Box::new(dxchg_union(
-                    streams,
-                    ctx.master,
-                    ctx.vh.dxchg_config(),
-                    ctx.vh.net_stats().clone(),
-                )?))),
-            }
-        }
-        PhysPlan::DxchgHashSplit { input, keys } => {
-            let consumers = ctx.consumer_layout();
-            let recv = dxchg_hash_split(
-                build(ctx, input)?.into_parallel(),
-                consumers.clone(),
-                keys.clone(),
-                ctx.vh.dxchg_config(),
-                ctx.vh.net_stats().clone(),
-            )?;
-            Ok(Streams::Parallel(
-                consumers
-                    .iter()
-                    .zip(recv)
-                    .map(|(n, r)| (*n, Box::new(r) as Box<dyn Operator>))
-                    .collect(),
-            ))
-        }
+        PhysPlan::DxchgUnion { input } => Ok(Streams::Serial(ctx.serial(build(ctx, input)?)?)),
+        PhysPlan::DxchgHashSplit { input, keys } => Ok(Streams::Parallel(
+            ctx.split(build(ctx, input)?, keys.clone())?,
+        )),
         PhysPlan::DxchgBroadcast { .. } => Err(VhError::Internal(
             "standalone DxchgBroadcast outside a join build side".into(),
         )),
     }
-}
-
-fn map_streams<F>(streams: Streams, mut f: F) -> Result<Streams>
-where
-    F: FnMut(Box<dyn Operator>) -> Result<Box<dyn Operator>>,
-{
-    Ok(match streams {
-        Streams::Serial(op) => Streams::Serial(f(op)?),
-        Streams::Parallel(v) => {
-            let mut out = Vec::with_capacity(v.len());
-            for (n, op) in v {
-                out.push((n, f(op)?));
-            }
-            Streams::Parallel(out)
-        }
-    })
 }

@@ -37,10 +37,10 @@
 //! gathered. A semi or anti join that keeps every row passes the vector on.
 //!
 //! **One build per node.** A [`SharedBuild`] is built by the first of the
-//! joins holding it that asks, while the others wait; every broadcast or
-//! replicated build side is one per node, shared by that node's probe
-//! pipelines. The join that built it shows the build input as its child in
-//! the profile, so the build's time is in that join's `HashJoin` line.
+//! joins holding it that asks, while the others wait. Its input is the
+//! node's live sub-plan for a replicated side, a copy of rows drained once
+//! at the master for a broadcast one. The join that built it lists that
+//! input as its child, so the build's operators and time are under it.
 //!
 //! Left-outer note: VectorH-rs columns are non-nullable (TPC-H data has no
 //! NULLs), so unmatched probe rows get type-default build values and the

@@ -237,7 +237,9 @@ fn in_list_and_equality_agree_for_coarser_equal_and_finer_literals() {
 /// answer: a fact table of 4 partitions on 2 nodes (two probe pipelines a
 /// node, two streams a node) against the same rows in 2 partitions (one
 /// pipeline, one stream). The join that builds a side shows the build input
-/// under it in the profile; the others show only their probe input.
+/// under it in the profile; the others show only their probe input. A
+/// broadcast side reaches its builder as a `BatchSource` copy, a replicated
+/// side as the node's live scan of its replica.
 #[test]
 fn a_broadcast_build_is_built_once_per_node() {
     let run = |streams: usize, parts: usize, dim_parts: Option<usize>| {
@@ -291,7 +293,32 @@ fn a_broadcast_build_is_built_once_per_node() {
                 .filter(|l| l.trim_start().starts_with(op))
                 .count()
         };
-        (rows, count("HashJoin:"), count("BatchSource:"), profile)
+        let builds = if dim_parts.is_some() {
+            count("BatchSource:")
+        } else {
+            // The build inputs the joins list: a join's second child.
+            let depth = |l: &str| l.len() - l.trim_start().len();
+            let lines: Vec<&str> = profile.lines().collect();
+            let mut build_inputs = Vec::new();
+            for (i, join) in lines.iter().enumerate() {
+                if join.trim_start().starts_with("HashJoin:") {
+                    let children = lines[i + 1..]
+                        .iter()
+                        .take_while(|l| depth(l) > depth(join))
+                        .filter(|l| depth(l) == depth(join) + 2);
+                    build_inputs.extend(children.skip(1).map(|l| l.trim_start()));
+                }
+            }
+            assert_eq!(count("BatchSource:"), 0, "{profile}");
+            assert!(
+                build_inputs
+                    .iter()
+                    .all(|l| l.starts_with("MScan:") && l.contains(" in=30 ")),
+                "{profile}"
+            );
+            build_inputs.len()
+        };
+        (rows, count("HashJoin:"), builds, profile)
     };
     for dim_parts in [None, Some(3)] {
         let (one, joins_one, builds_one, _) = run(1, 2, dim_parts);

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use vectorh::{ClusterConfig, TableBuilder, VectorH};
+use vectorh::{ClusterConfig, ClusterMode, TableBuilder, VectorH};
 use vectorh_common::fault::{DirectedFault, FaultAction, FaultHook, FaultSite, SharedFaultHook};
 use vectorh_common::{DataType, NodeId, Value, VhError};
 use vectorh_txn::twophase::ShipRetention;
@@ -236,6 +236,64 @@ fn queries_alone_depose_a_dead_master_and_elect_the_lowest_survivor() {
         .unwrap();
     let rows = vh.query("SELECT count(*) FROM t").unwrap();
     assert_eq!(rows[0][0], Value::I64(2001));
+}
+
+/// Replicated tables after the master moves off node 0, over both cluster
+/// modes. A join of two replicated tables runs wholly at the session
+/// master, the build side from the master's own replica; once node 0 is
+/// dead and node 1 elected, nothing may still read at node 0.
+#[test]
+fn replicated_only_plans_run_at_the_new_master() {
+    for mode in [ClusterMode::InProc, ClusterMode::Tcp] {
+        let vh = engine_with(4, |cfg| cfg.cluster_mode = mode);
+        vh.create_table(
+            TableBuilder::new("t")
+                .column("k", DataType::I64)
+                .partition_by(&["k"], 4),
+        )
+        .unwrap();
+        vh.insert_rows("t", (0..400).map(|i| vec![Value::I64(i)]).collect())
+            .unwrap();
+        for (name, col) in [("d1", "a"), ("d2", "b")] {
+            vh.create_table(
+                TableBuilder::new(name)
+                    .column("k", DataType::I64)
+                    .column(col, DataType::I64),
+            )
+            .unwrap();
+            vh.insert_rows(
+                name,
+                (0..50)
+                    .map(|i| vec![Value::I64(i), Value::I64(i % 5)])
+                    .collect(),
+            )
+            .unwrap();
+        }
+        let join = "SELECT count(*) FROM d1 JOIN d2 ON d1.k = d2.k";
+        let explain = vh.explain(join).unwrap();
+        assert!(
+            explain.contains("BroadcastBuild") && explain.contains("Scan[d2] (replicated)"),
+            "{explain}"
+        );
+
+        let master0 = vh.session_master();
+        vh.fs().kill_node(master0).unwrap();
+        vh.rm().node_lost(master0);
+        let mut queries = 0;
+        while vh.workers().contains(&master0) {
+            queries += 1;
+            assert!(queries <= 12, "background plane never deposed the master");
+            vh.query("SELECT count(*) FROM t").unwrap();
+        }
+        assert_ne!(vh.session_master(), master0, "{mode:?}");
+
+        let rows = vh.query(join).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+        assert_eq!(rows, vec![vec![Value::I64(50)]], "{mode:?}");
+        let groups = vh
+            .query("SELECT a, count(*) FROM d1 GROUP BY a")
+            .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+        assert_eq!(groups.len(), 5, "{mode:?}");
+    }
 }
 
 /// The fencing drill: a one-way partition drops only the master's
