@@ -12,8 +12,7 @@ use vectorh_common::sync::{Mutex, RwLock};
 use vectorh_common::util::{hash_bytes, hash_combine, hash_u64};
 use vectorh_common::{ColumnData, NodeId, PartitionId, Result, Value, VhError};
 use vectorh_net::{
-    ChannelStats, DxchgConfig, FanoutMode, HeartbeatMonitor, NetStats, PropagationStats,
-    ServerStats,
+    ChannelStats, DxchgConfig, HeartbeatMonitor, NetStats, PropagationStats, ServerStats,
 };
 use vectorh_pdt::MergeStep;
 use vectorh_planner::logical::{CatalogInfo, TableMeta};
@@ -505,10 +504,8 @@ impl VectorH {
         c.fault = self.fs.fault_hook();
         if let Some(fabric) = &self.fabric {
             // Cross-node exchange traffic leaves the process as framed
-            // transport messages; the fabric path requires per-node fanout
-            // (the route-byte design), so Tcp mode forces thread-to-node.
+            // transport messages.
             c.fabric = Some(fabric.clone());
-            c.mode = FanoutMode::ThreadToNode;
         }
         c
     }

@@ -24,7 +24,7 @@ pub enum Message {
     },
     /// Intra-node shortcut: the batch travels by pointer.
     Local {
-        batch: crate::xchg::BatchMsg,
+        batch: vectorh_exec::Batch,
         route: Option<Vec<u8>>,
     },
 }
@@ -36,7 +36,7 @@ impl Message {
         match self {
             Message::Wire { bytes, route } => bytes.len() + route.as_ref().map_or(0, |r| r.len()),
             Message::Local { batch, route } => {
-                byte_size(&batch.0) + route.as_ref().map_or(0, |r| r.len())
+                byte_size(batch) + route.as_ref().map_or(0, |r| r.len())
             }
         }
     }
@@ -153,10 +153,7 @@ pub fn make_message(
 ) -> Message {
     if from_node == to_node {
         stats.record_intra_message(batch.len() as u64);
-        Message::Local {
-            batch: crate::xchg::BatchMsg(batch),
-            route,
-        }
+        Message::Local { batch, route }
     } else {
         let bytes = serialize(&batch);
         stats.record_net_message(
@@ -173,7 +170,7 @@ pub fn open_message(
     schema: Arc<Schema>,
 ) -> Result<(vectorh_exec::Batch, Option<Vec<u8>>)> {
     match msg {
-        Message::Local { batch, route } => Ok((batch.0, route)),
+        Message::Local { batch, route } => Ok((batch, route)),
         Message::Wire { bytes, route } => Ok((deserialize(&bytes, schema)?, route)),
     }
 }

@@ -4,32 +4,38 @@
 //!
 //! * Producers send **fixed-size messages** (≥256 KB in the paper; smaller
 //!   in tests) and conceptually double-buffer so communication overlaps
-//!   processing — modelled by accounting `2 × fanout × buffer` bytes per
-//!   sender thread.
+//!   processing — modelled by accounting `2 × destinations × buffer` bytes
+//!   per sender thread.
 //! * **Intra-node** traffic passes pointers to sender-side batches, avoiding
 //!   the memcpy MPI would do.
-//! * **Thread-to-thread** mode: each sender partitions with fanout
-//!   `Σ receiver threads`; per-node buffer memory grows as
-//!   `2·N·C²·buffer` — the paper's 20 GB problem at 100×20.
-//! * **Thread-to-node** mode: fanout is the number of nodes; a one-byte
-//!   column per tuple identifies the receiving thread, and a per-node demux
-//!   lets consumer threads "selectively consume data from incoming buffers
-//!   using the one-byte-column".
+//! * One data path serves both fanout modes; [`FanoutMode`] only decides
+//!   what a *destination* is. **Thread-to-thread**: each consumer thread,
+//!   so per-node buffer memory grows as `2·N·C²·buffer` — the paper's 20 GB
+//!   problem at 100×20. **Thread-to-node**: each consumer node, with a
+//!   one-byte column per tuple naming the receiving thread.
+//! * Each destination has one **inbox**: it reads the destination's channel
+//!   (which a pump feeds from the transport fabric, when there is one),
+//!   drops duplicate deliveries by tag, opens each message once and hands
+//!   every thread of the destination only its rows — consumer threads
+//!   "selectively consume data from incoming buffers using the
+//!   one-byte-column" without each opening every buffer.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use vectorh_common::channel::{bounded, Receiver, Sender};
 use vectorh_common::fault::{FaultAction, FaultSite, SharedFaultHook};
+use vectorh_common::sync::Mutex;
 use vectorh_common::{NodeId, Result, Schema, VhError};
 use vectorh_exec::operator::{Counters, OpProfile};
 use vectorh_exec::{Batch, Operator};
-use vectorh_transport::{DedupWindow, Fabric, FrameTx, RxKind};
+use vectorh_transport::{DedupWindow, Fabric, FrameRx, FrameTx, RxKind};
 
 use crate::buffer::{byte_size, make_message, open_message, Message};
 use crate::stats::NetStats;
-use crate::xchg::{partition_positions, Partitioning};
+use crate::xchg::{partition_positions, Partitioning, WorkerProfile, CHANNEL_CAP};
 
 /// Sender fanout strategy (§5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,11 +54,10 @@ pub struct DxchgConfig {
     pub mode: FanoutMode,
     /// Optional fault hook consulted on every buffer flush
     /// ([`FaultSite::XchgSend`]): drop (lost + retransmitted), duplicate
-    /// (deduped by receivers via message tags), delay (bounded reorder).
+    /// (deduped by the inboxes via message tags), delay (bounded reorder).
     pub fault: Option<SharedFaultHook>,
-    /// Optional transport fabric. When set (and the mode is
-    /// [`FanoutMode::ThreadToNode`]), cross-node messages travel as framed
-    /// transport payloads — over real TCP with a [`TcpFabric`](
+    /// Optional transport fabric. When set, cross-node messages travel as
+    /// framed transport payloads — over real TCP with a [`TcpFabric`](
     /// vectorh_transport::TcpFabric) — while intra-node messages keep the
     /// pointer-passing path. `None` keeps the pure in-process channels.
     pub fabric: Option<Arc<dyn Fabric>>,
@@ -172,7 +177,7 @@ fn decode_remote(payload: &[u8]) -> Result<Payload> {
 /// producer thread on that node (the transport contract allows one live
 /// sender per stream). The last producer to finish sends the Fin.
 struct SharedTx {
-    tx: vectorh_common::sync::Mutex<Box<dyn FrameTx>>,
+    tx: Mutex<Box<dyn FrameTx>>,
     producers_left: AtomicUsize,
 }
 
@@ -210,27 +215,6 @@ struct SendPlane {
 }
 
 impl SendPlane {
-    fn new(
-        sinks: Vec<Sink>,
-        hook: Option<SharedFaultHook>,
-        name: &'static str,
-        prod_node: u32,
-        wi: usize,
-        stats: Arc<NetStats>,
-    ) -> Self {
-        let held = (0..sinks.len()).map(|_| None).collect();
-        let seqs = vec![0; sinks.len()];
-        SendPlane {
-            sinks,
-            hook,
-            name,
-            key: stream_key(prod_node, wi),
-            stats,
-            seqs,
-            held,
-        }
-    }
-
     fn push(&mut self, dest: usize, payload: Payload) -> bool {
         match &self.sinks[dest] {
             Sink::Chan(tx) => match tx.send_tracked(payload) {
@@ -335,42 +319,15 @@ impl SendPlane {
     }
 }
 
-/// Consumer-side operator of a DXchg: thread `consumer_idx` on a node.
+/// Consumer-side operator of a DXchg: one consumer thread, reading the
+/// batches its destination's inbox hands it.
 pub struct DxchgReceiver {
     name: &'static str,
     schema: Arc<Schema>,
-    rx: Receiver<Payload>,
-    /// Which route byte this receiver consumes (None = take everything).
-    route_filter: Option<u8>,
-    /// Per-stream dedup windows keyed by the tag's stream key. Watermark
-    /// eviction keeps the state bounded by the reorder window, not by the
-    /// stream length (the old `HashSet<u64>` grew with every message).
-    seen: std::collections::HashMap<u32, DedupWindow>,
-    stats: Arc<NetStats>,
+    rx: Receiver<Result<Batch>>,
     counters: Counters,
-    consumer_wait_ns: u64,
-    profiles: Arc<ProfileHub>,
-}
-
-/// Shared collection point for producer-pipeline profiles.
-pub struct ProfileHub {
-    rx: Receiver<crate::xchg::WorkerProfile>,
-    collected: vectorh_common::sync::Mutex<Vec<crate::xchg::WorkerProfile>>,
-}
-
-impl ProfileHub {
-    fn drain(&self) -> Vec<crate::xchg::WorkerProfile> {
-        let mut cache = self.collected.lock();
-        cache.extend(self.rx.try_iter());
-        cache.sort_by_key(|w| w.worker);
-        cache.clone()
-    }
-}
-
-impl DxchgReceiver {
-    pub fn consumer_wait_ns(&self) -> u64 {
-        self.consumer_wait_ns
-    }
+    /// The exchange's producer profiles, each added as its producer ends.
+    profiles: Arc<Mutex<Vec<WorkerProfile>>>,
 }
 
 impl Operator for DxchgReceiver {
@@ -379,48 +336,17 @@ impl Operator for DxchgReceiver {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        loop {
-            let start = Instant::now();
-            let res = self.rx.recv();
-            let waited = start.elapsed().as_nanos() as u64;
-            self.consumer_wait_ns += waited;
-            self.counters.cum_time_ns += waited;
-            self.counters.calls += 1;
-            match res {
-                Err(_) => return Ok(None),
-                Ok(Err(e)) => return Err(e),
-                Ok(Ok(env)) => {
-                    let key = (env.tag >> 32) as u32;
-                    let win = self.seen.entry(key).or_default();
-                    if !win.insert(env.tag & 0xFFFF_FFFF) {
-                        continue; // injected duplicate delivery
-                    }
-                    self.stats.record_dedup_residual(win.residual() as u64);
-                    let (batch, route) = open_message(env.msg, self.schema.clone())?;
-                    let batch = match (self.route_filter, route) {
-                        (Some(me), Some(route)) => {
-                            // Selectively consume my tuples by route byte.
-                            let mine: Vec<usize> = route
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, r)| **r == me)
-                                .map(|(i, _)| i)
-                                .collect();
-                            if mine.is_empty() {
-                                continue;
-                            }
-                            if mine.len() == batch.len() {
-                                batch
-                            } else {
-                                batch.gather(&mine)
-                            }
-                        }
-                        _ => batch,
-                    };
-                    self.counters.rows_in += batch.len() as u64;
-                    self.counters.rows_out += batch.len() as u64;
-                    return Ok(Some(batch));
-                }
+        let start = Instant::now();
+        let res = self.rx.recv();
+        self.counters.cum_time_ns += start.elapsed().as_nanos() as u64;
+        self.counters.calls += 1;
+        match res {
+            Err(_) => Ok(None),
+            Ok(Err(e)) => Err(e),
+            Ok(Ok(batch)) => {
+                self.counters.rows_in += batch.len() as u64;
+                self.counters.rows_out += batch.len() as u64;
+                Ok(Some(batch))
             }
         }
     }
@@ -434,8 +360,9 @@ impl Operator for DxchgReceiver {
     }
 
     fn remote_profiles(&self) -> Vec<vectorh_exec::operator::RemoteProfile> {
-        self.profiles
-            .drain()
+        let mut profiles = self.profiles.lock().clone();
+        profiles.sort_by_key(|w| w.worker);
+        profiles
             .into_iter()
             .map(|w| vectorh_exec::operator::RemoteProfile {
                 label: format!("sender {}", w.worker),
@@ -486,6 +413,59 @@ pub fn dxchg_union(
     Ok(v.remove(0))
 }
 
+/// Where an exchange's rows go. A *destination* has one buffer in each
+/// producer and one inbox; a consumer thread is reached through its
+/// destination and, when messages carry the route column, its route byte.
+struct Routing {
+    /// Destination → the node it lives on.
+    nodes: Vec<u32>,
+    /// Consumer thread → (destination, route byte).
+    threads: Vec<(usize, u8)>,
+    /// Whether messages carry the one-byte route column.
+    routed: bool,
+}
+
+impl Routing {
+    /// The one place the fanout mode is read. Thread-to-thread: a
+    /// destination is a consumer thread. Thread-to-node: a consumer node, in
+    /// node order, and a thread's route byte is its index among its node's
+    /// threads — so a node can have at most 256 of them.
+    fn new(consumers: &[u32], mode: FanoutMode) -> Result<Routing> {
+        match mode {
+            FanoutMode::ThreadToThread => Ok(Routing {
+                nodes: consumers.to_vec(),
+                threads: (0..consumers.len()).map(|j| (j, 0)).collect(),
+                routed: false,
+            }),
+            FanoutMode::ThreadToNode => {
+                let mut nodes = consumers.to_vec();
+                nodes.sort_unstable();
+                nodes.dedup();
+                let mut within = vec![0usize; nodes.len()];
+                let threads = consumers
+                    .iter()
+                    .map(|cn| {
+                        let d = nodes.partition_point(|n| n < cn);
+                        let route = u8::try_from(within[d]).map_err(|_| {
+                            VhError::Net(format!(
+                                "dxchg: node {cn} has more than 256 consumer threads; \
+                                 a one-byte route cannot name them"
+                            ))
+                        })?;
+                        within[d] += 1;
+                        Ok((d, route))
+                    })
+                    .collect::<Result<_>>()?;
+                Ok(Routing {
+                    nodes,
+                    threads,
+                    routed: true,
+                })
+            }
+        }
+    }
+}
+
 /// Generic distributed exchange.
 pub fn dxchg(
     name: &'static str,
@@ -498,398 +478,84 @@ pub fn dxchg(
     if producers.is_empty() || consumers.is_empty() {
         return Err(VhError::Net("dxchg needs producers and consumers".into()));
     }
+    let routing = Arc::new(Routing::new(&consumers, config.mode)?);
     let schema = producers[0].1.schema();
-
-    match config.mode {
-        FanoutMode::ThreadToThread => dxchg_t2t(
-            name,
-            producers,
-            consumers,
-            partitioning,
-            config,
-            stats,
-            schema,
-        ),
-        FanoutMode::ThreadToNode => dxchg_t2n(
-            name,
-            producers,
-            consumers,
-            partitioning,
-            config,
-            stats,
-            schema,
-        ),
-    }
-}
-
-/// Thread-to-thread: one buffer (and channel) per consumer thread.
-#[allow(clippy::too_many_arguments)]
-fn dxchg_t2t(
-    name: &'static str,
-    producers: Vec<(u32, Box<dyn Operator>)>,
-    consumers: Vec<u32>,
-    partitioning: Partitioning,
-    config: DxchgConfig,
-    stats: Arc<NetStats>,
-    schema: Arc<Schema>,
-) -> Result<Vec<DxchgReceiver>> {
-    let channels: Vec<(Sender<Payload>, Receiver<Payload>)> = (0..consumers.len())
-        .map(|_| bounded(crate::xchg::CHANNEL_CAP))
-        .collect();
-    let (ptx, prx) = bounded::<crate::xchg::WorkerProfile>(producers.len().max(1));
-    for (wi, (prod_node, mut prod)) in producers.into_iter().enumerate() {
-        let sinks: Vec<Sink> = channels
-            .iter()
-            .map(|(s, _)| Sink::Chan(s.clone()))
-            .collect();
-        let consumers = consumers.clone();
-        let partitioning = partitioning.clone();
-        let stats = stats.clone();
-        let schema = schema.clone();
-        let buffer_bytes = config.buffer_bytes;
-        let hook = config.fault.clone();
-        let ptx = ptx.clone();
-        std::thread::spawn(move || {
-            let t0 = Instant::now();
-            let mut rows_produced = 0u64;
-            // Fanout = number of consumer threads; double-buffered.
-            let fanout = consumers.len();
-            let accounted = (2 * fanout * buffer_bytes) as u64;
-            stats.alloc_buffers(accounted);
-            let mut plane = SendPlane::new(sinks, hook, name, prod_node, wi, stats.clone());
-            let mut bufs: Vec<Batch> = (0..fanout).map(|_| Batch::empty(schema.clone())).collect();
-            // What each buffer holds, as `byte_size` counts it: the sum of
-            // the pieces appended since its last flush.
-            let mut buffered = vec![0usize; fanout];
-            let flush = |plane: &mut SendPlane, c: usize, buf: &mut Batch| -> bool {
-                if buf.is_empty() {
-                    return true;
-                }
-                let full = std::mem::replace(buf, Batch::empty(schema.clone()));
-                let msg = make_message(full, None, prod_node, consumers[c], &plane.stats);
-                plane.send(c, msg)
-            };
-            'run: loop {
-                match prod.next() {
-                    Ok(Some(batch)) => {
-                        rows_produced += batch.len() as u64;
-                        match partition_positions(&batch, &partitioning, fanout) {
-                            Ok(parts) => {
-                                for (c, pos) in parts.iter().enumerate() {
-                                    if pos.is_empty() {
-                                        continue;
-                                    }
-                                    let piece = batch.gather_u32(pos);
-                                    bufs[c].append(&piece).ok();
-                                    buffered[c] += byte_size(&piece);
-                                    if buffered[c] >= buffer_bytes {
-                                        buffered[c] = 0;
-                                        if !flush(&mut plane, c, &mut bufs[c]) {
-                                            break 'run;
-                                        }
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                plane.error(e);
-                                break 'run;
-                            }
-                        }
-                    }
-                    Ok(None) => {
-                        for (c, buf) in bufs.iter_mut().enumerate().take(fanout) {
-                            let mut b = std::mem::replace(buf, Batch::empty(schema.clone()));
-                            if !flush(&mut plane, c, &mut b) {
-                                break;
-                            }
-                        }
-                        break 'run;
-                    }
-                    Err(e) => {
-                        plane.error(e);
-                        break 'run;
-                    }
-                }
-            }
-            plane.finish();
-            stats.free_buffers(accounted);
-            let _ = ptx.send(crate::xchg::WorkerProfile {
-                worker: wi,
-                lines: vectorh_exec::operator::collect_profiles(prod.as_ref()),
-                rows_produced,
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            });
-        });
-    }
-    drop(ptx);
-    let hub = Arc::new(ProfileHub {
-        rx: prx,
-        collected: vectorh_common::sync::Mutex::new(Vec::new()),
-    });
-    Ok(channels
-        .into_iter()
-        .map(|(_, rx)| DxchgReceiver {
-            name,
-            schema: schema.clone(),
-            rx,
-            route_filter: None,
-            seen: Default::default(),
-            stats: stats.clone(),
-            counters: Counters::default(),
-            consumer_wait_ns: 0,
-            profiles: hub.clone(),
-        })
-        .collect())
-}
-
-/// Thread-to-node: buffers per node with a route byte; consumer threads
-/// filter their rows out of node-level messages.
-#[allow(clippy::too_many_arguments)]
-fn dxchg_t2n(
-    name: &'static str,
-    producers: Vec<(u32, Box<dyn Operator>)>,
-    consumers: Vec<u32>,
-    partitioning: Partitioning,
-    config: DxchgConfig,
-    stats: Arc<NetStats>,
-    schema: Arc<Schema>,
-) -> Result<Vec<DxchgReceiver>> {
-    // Group consumer threads by node; route byte = index within node.
-    let mut nodes: Vec<u32> = consumers.clone();
-    nodes.sort_unstable();
-    nodes.dedup();
-    // consumer j -> (node_idx, route byte)
-    let mut within: std::collections::HashMap<u32, u8> = Default::default();
-    let routing: Vec<(usize, u8)> = consumers
-        .iter()
-        .map(|cn| {
-            let ni = nodes.iter().position(|n| n == cn).unwrap();
-            let r = within.entry(*cn).or_insert(0);
-            let route = *r;
-            *r += 1;
-            (ni, route)
-        })
-        .collect();
-    let threads_per_node: Vec<u8> = nodes
-        .iter()
-        .map(|n| consumers.iter().filter(|c| *c == n).count() as u8)
-        .collect();
-    if threads_per_node.contains(&0) {
-        return Err(VhError::Net("node without consumer threads".into()));
-    }
-
-    // One fan-in channel per node; a demux thread forwards each node-level
-    // message to every consumer thread on the node, and the receivers
-    // "selectively consume" their rows by route byte.
-    let node_ch: Vec<(Sender<Payload>, Receiver<Payload>)> = (0..nodes.len())
-        .map(|_| bounded(crate::xchg::CHANNEL_CAP))
-        .collect();
-    let thread_ch: Vec<(Sender<Payload>, Receiver<Payload>)> = (0..consumers.len())
-        .map(|_| bounded(crate::xchg::CHANNEL_CAP))
-        .collect();
-    for (ni, _) in nodes.iter().enumerate() {
-        let node_rx = node_ch[ni].1.clone();
-        let thread_txs: Vec<Sender<Payload>> = routing
-            .iter()
-            .enumerate()
-            .filter(|(_, (n, _))| *n == ni)
-            .map(|(j, _)| thread_ch[j].0.clone())
-            .collect();
-        std::thread::spawn(move || {
-            while let Ok(payload) = node_rx.recv() {
-                match payload {
-                    Ok(env) => {
-                        for tx in &thread_txs {
-                            if tx.send(Ok(env.clone())).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        for tx in &thread_txs {
-                            let _ = tx.send(Err(e.clone()));
-                        }
-                        return;
-                    }
-                }
-            }
-        });
-    }
-
-    // Fabric path: cross-node traffic leaves the process as framed
-    // transport payloads. One data channel per consumer node, allocated
-    // deterministically so cooperating processes that build the same plan
-    // agree on the ids; one shared stream per (producer node, consumer
-    // node) pair, because the transport allows a single live sender per
-    // stream. Nodes whose endpoint the local fabric cannot produce live in
-    // another process: their consumers get no pump (and terminate empty
-    // here) and their producers are skipped (they run over there).
-    let prod_nodes: Vec<u32> = producers.iter().map(|(n, _)| *n).collect();
-    let mut remote_txs: std::collections::HashMap<(u32, usize), Arc<SharedTx>> = Default::default();
-    if let Some(fabric) = &config.fabric {
-        let chans: Vec<u32> = nodes.iter().map(|_| fabric.alloc_channel()).collect();
-        let window = credit_window(config.buffer_bytes);
-        let mut pnodes = prod_nodes.clone();
-        pnodes.sort_unstable();
-        pnodes.dedup();
-        for (ni, cnode) in nodes.iter().enumerate() {
-            // Every remote producer node Fins its stream exactly once.
-            let expected = pnodes.iter().filter(|p| **p != *cnode).count();
-            if expected == 0 {
-                continue;
-            }
-            let Ok(ep) = fabric.endpoint(NodeId(*cnode)) else {
-                continue;
-            };
-            let mut rx = ep.bind(chans[ni], window)?;
-            let node_tx = node_ch[ni].0.clone();
-            std::thread::spawn(move || {
-                let mut fins = 0usize;
-                while fins < expected {
-                    match rx.recv() {
-                        Ok(Some(item)) => match item.kind {
-                            RxKind::Fin => fins += 1,
-                            RxKind::Data => match decode_remote(&item.payload) {
-                                Ok(payload) => {
-                                    let failed = payload.is_err();
-                                    if node_tx.send(payload).is_err() || failed {
-                                        return;
-                                    }
-                                }
-                                Err(e) => {
-                                    let _ = node_tx.send(Err(e));
-                                    return;
-                                }
-                            },
-                        },
-                        Ok(None) => return,
-                        Err(e) => {
-                            let _ = node_tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-            });
+    let dests = routing.nodes.len();
+    // One channel per destination, fed by producers and fabric pumps and
+    // read by the destination's inbox.
+    let (dest_txs, dest_rxs): (Vec<Sender<Payload>>, Vec<Receiver<Payload>>) =
+        (0..dests).map(|_| bounded(CHANNEL_CAP)).unzip();
+    let remote_txs = match &config.fabric {
+        Some(fabric) => {
+            let prod_nodes: Vec<u32> = producers.iter().map(|(n, _)| *n).collect();
+            bind_fabric(
+                fabric.as_ref(),
+                &routing.nodes,
+                &prod_nodes,
+                &dest_txs,
+                config.buffer_bytes,
+            )?
         }
-        for (ni, cnode) in nodes.iter().enumerate() {
-            for pnode in &pnodes {
-                if pnode == cnode {
-                    continue;
-                }
-                let Ok(ep) = fabric.endpoint(NodeId(*pnode)) else {
-                    continue;
-                };
-                let local_producers = prod_nodes.iter().filter(|p| **p == *pnode).count();
-                let tx = ep.sender(NodeId(*cnode), chans[ni])?;
-                remote_txs.insert(
-                    (*pnode, ni),
-                    Arc::new(SharedTx {
-                        tx: vectorh_common::sync::Mutex::new(tx),
-                        producers_left: AtomicUsize::new(local_producers),
-                    }),
-                );
-            }
-        }
+        None => HashMap::new(),
+    };
+    // One channel per consumer thread, fed by its destination's inbox only.
+    let (thread_txs, thread_rxs): (Vec<Sender<Result<Batch>>>, Vec<_>) =
+        consumers.iter().map(|_| bounded(CHANNEL_CAP)).unzip();
+    for (d, rx) in dest_rxs.into_iter().enumerate() {
+        // The inbox's outputs in route-byte order.
+        let outs = routing
+            .threads
+            .iter()
+            .zip(&thread_txs)
+            .filter(|((td, _), _)| *td == d)
+            .map(|(_, tx)| Some(tx.clone()))
+            .collect();
+        let (schema, stats) = (schema.clone(), stats.clone());
+        std::thread::spawn(move || inbox(rx, outs, schema, &stats));
     }
 
-    let (ptx, prx) = bounded::<crate::xchg::WorkerProfile>(producers.len().max(1));
-    for (wi, (prod_node, mut prod)) in producers.into_iter().enumerate() {
+    let profiles = Arc::new(Mutex::new(Vec::new()));
+    for (wi, (node, mut prod)) in producers.into_iter().enumerate() {
         if let Some(fabric) = &config.fabric {
-            if fabric.endpoint(NodeId(prod_node)).is_err() {
+            if fabric.endpoint(NodeId(node)).is_err() {
                 continue; // this producer's pipeline runs in another process
             }
         }
-        let sinks: Vec<Sink> = (0..nodes.len())
-            .map(|ni| match remote_txs.get(&(prod_node, ni)) {
+        let sinks = (0..dests)
+            .map(|d| match remote_txs.get(&(node, d)) {
                 Some(shared) => Sink::Remote(shared.clone()),
-                None => Sink::Chan(node_ch[ni].0.clone()),
+                None => Sink::Chan(dest_txs[d].clone()),
             })
             .collect();
-        let nodes = nodes.clone();
-        let routing = routing.clone();
-        let partitioning = partitioning.clone();
-        let stats = stats.clone();
-        let schema = schema.clone();
-        let buffer_bytes = config.buffer_bytes;
-        let hook = config.fault.clone();
-        let n_consumers = consumers.len();
-        let ptx = ptx.clone();
+        let mut out = Producer {
+            plane: SendPlane {
+                sinks,
+                hook: config.fault.clone(),
+                name,
+                key: stream_key(node, wi),
+                stats: stats.clone(),
+                seqs: vec![0; dests],
+                held: (0..dests).map(|_| None).collect(),
+            },
+            routing: routing.clone(),
+            node,
+            buffer_bytes: config.buffer_bytes,
+            bufs: (0..dests)
+                .map(|_| (Batch::empty(schema.clone()), Vec::new(), 0))
+                .collect(),
+        };
+        let (partitioning, profiles) = (partitioning.clone(), profiles.clone());
         std::thread::spawn(move || {
             let t0 = Instant::now();
-            let mut rows_produced = 0u64;
-            let fanout = nodes.len();
-            let accounted = (2 * fanout * buffer_bytes) as u64;
-            stats.alloc_buffers(accounted);
-            let mut plane = SendPlane::new(sinks, hook, name, prod_node, wi, stats.clone());
-            let mut bufs: Vec<(Batch, Vec<u8>)> = (0..fanout)
-                .map(|_| (Batch::empty(schema.clone()), Vec::new()))
-                .collect();
-            // As in `dxchg_t2t`: each buffer's `byte_size`, summed per piece.
-            let mut buffered = vec![0usize; fanout];
-            let flush = |plane: &mut SendPlane, ni: usize, buf: &mut (Batch, Vec<u8>)| -> bool {
-                if buf.0.is_empty() {
-                    return true;
-                }
-                let batch = std::mem::replace(&mut buf.0, Batch::empty(schema.clone()));
-                let route = std::mem::take(&mut buf.1);
-                let msg = make_message(batch, Some(route), prod_node, nodes[ni], &plane.stats);
-                plane.send(ni, msg)
-            };
-            'run: loop {
-                match prod.next() {
-                    Ok(Some(batch)) => {
-                        rows_produced += batch.len() as u64;
-                        // Partition to consumer threads, then regroup by node
-                        // attaching the within-node route byte.
-                        match partition_positions(&batch, &partitioning, n_consumers) {
-                            Ok(parts) => {
-                                for (j, pos) in parts.iter().enumerate() {
-                                    if pos.is_empty() {
-                                        continue;
-                                    }
-                                    let (ni, route) = routing[j];
-                                    let piece = batch.gather_u32(pos);
-                                    let n = piece.len();
-                                    bufs[ni].0.append(&piece).ok();
-                                    bufs[ni].1.extend(std::iter::repeat_n(route, n));
-                                    buffered[ni] += byte_size(&piece);
-                                    if buffered[ni] + bufs[ni].1.len() >= buffer_bytes {
-                                        buffered[ni] = 0;
-                                        let mut b = std::mem::replace(
-                                            &mut bufs[ni],
-                                            (Batch::empty(schema.clone()), Vec::new()),
-                                        );
-                                        if !flush(&mut plane, ni, &mut b) {
-                                            break 'run;
-                                        }
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                plane.error(e);
-                                break 'run;
-                            }
-                        }
-                    }
-                    Ok(None) => {
-                        for (ni, buf) in bufs.iter_mut().enumerate().take(fanout) {
-                            let mut b =
-                                std::mem::replace(buf, (Batch::empty(schema.clone()), Vec::new()));
-                            if !flush(&mut plane, ni, &mut b) {
-                                break;
-                            }
-                        }
-                        break 'run;
-                    }
-                    Err(e) => {
-                        plane.error(e);
-                        break 'run;
-                    }
-                }
-            }
-            plane.finish();
-            stats.free_buffers(accounted);
-            let _ = ptx.send(crate::xchg::WorkerProfile {
+            // Double-buffered: two buffers per destination.
+            let accounted = (2 * dests * out.buffer_bytes) as u64;
+            out.plane.stats.alloc_buffers(accounted);
+            let rows_produced = out.run(prod.as_mut(), &partitioning);
+            out.plane.finish();
+            out.plane.stats.free_buffers(accounted);
+            // Before `out` hangs up: a consumer that saw the end of the
+            // stream finds every profile.
+            profiles.lock().push(WorkerProfile {
                 worker: wi,
                 lines: vectorh_exec::operator::collect_profiles(prod.as_ref()),
                 rows_produced,
@@ -897,27 +563,266 @@ fn dxchg_t2n(
             });
         });
     }
-    drop(ptx);
-    let hub = Arc::new(ProfileHub {
-        rx: prx,
-        collected: vectorh_common::sync::Mutex::new(Vec::new()),
-    });
-
-    Ok(thread_ch
+    Ok(thread_rxs
         .into_iter()
-        .enumerate()
-        .map(|(j, (_, rx))| DxchgReceiver {
+        .map(|rx| DxchgReceiver {
             name,
             schema: schema.clone(),
             rx,
-            route_filter: Some(routing[j].1),
-            seen: Default::default(),
-            stats: stats.clone(),
             counters: Counters::default(),
-            consumer_wait_ns: 0,
-            profiles: hub.clone(),
+            profiles: profiles.clone(),
         })
         .collect())
+}
+
+/// Bind an exchange to the transport fabric: one fabric channel per
+/// destination, allocated in destination order so cooperating processes
+/// that build the same plan agree on the ids, and a pump into the
+/// destination's channel for each destination hosted here. Each local
+/// producer node shares one stream per destination, because the transport
+/// allows a single live sender per stream. A node whose endpoint the local
+/// fabric cannot produce lives in another process: its destinations get no
+/// pump (their threads end empty here) and its producers are skipped (they
+/// run over there).
+fn bind_fabric(
+    fabric: &dyn Fabric,
+    nodes: &[u32],
+    prod_nodes: &[u32],
+    dest_txs: &[Sender<Payload>],
+    buffer_bytes: usize,
+) -> Result<HashMap<(u32, usize), Arc<SharedTx>>> {
+    let mut pnodes = prod_nodes.to_vec();
+    pnodes.sort_unstable();
+    pnodes.dedup();
+    let chans: Vec<u32> = nodes.iter().map(|_| fabric.alloc_channel()).collect();
+    let window = credit_window(buffer_bytes);
+    for (d, cnode) in nodes.iter().enumerate() {
+        // Every remote producer node Fins its stream exactly once.
+        let expected = pnodes.iter().filter(|p| **p != *cnode).count();
+        if expected == 0 {
+            continue;
+        }
+        let Ok(ep) = fabric.endpoint(NodeId(*cnode)) else {
+            continue;
+        };
+        let rx = ep.bind(chans[d], window)?;
+        let tx = dest_txs[d].clone();
+        std::thread::spawn(move || pump(rx, expected, tx));
+    }
+    let mut remote = HashMap::new();
+    for (d, cnode) in nodes.iter().enumerate() {
+        for pnode in &pnodes {
+            if pnode == cnode {
+                continue;
+            }
+            let Ok(ep) = fabric.endpoint(NodeId(*pnode)) else {
+                continue;
+            };
+            let local_producers = prod_nodes.iter().filter(|p| **p == *pnode).count();
+            let tx = ep.sender(NodeId(*cnode), chans[d])?;
+            remote.insert(
+                (*pnode, d),
+                Arc::new(SharedTx {
+                    tx: Mutex::new(tx),
+                    producers_left: AtomicUsize::new(local_producers),
+                }),
+            );
+        }
+    }
+    Ok(remote)
+}
+
+/// Feed a destination's channel from its fabric stream until every remote
+/// producer node has sent its Fin, or until the first error, passed on.
+fn pump(mut rx: Box<dyn FrameRx>, expected: usize, tx: Sender<Payload>) {
+    let mut fins = 0usize;
+    while fins < expected {
+        let payload = match rx.recv() {
+            Ok(Some(item)) => match item.kind {
+                RxKind::Fin => {
+                    fins += 1;
+                    continue;
+                }
+                RxKind::Data => decode_remote(&item.payload).and_then(|p| p),
+            },
+            Ok(None) => return,
+            Err(e) => Err(e),
+        };
+        let failed = payload.is_err();
+        if tx.send(payload).is_err() || failed {
+            return;
+        }
+    }
+}
+
+/// One producer thread's send side: a buffer per destination, sent through
+/// the [`SendPlane`] once it holds `buffer_bytes`.
+struct Producer {
+    plane: SendPlane,
+    routing: Arc<Routing>,
+    node: u32,
+    buffer_bytes: usize,
+    /// Per destination: the rows buffered since the last flush, their route
+    /// bytes (when messages carry them), and their [`byte_size`], summed per
+    /// appended piece.
+    bufs: Vec<(Batch, Vec<u8>, usize)>,
+}
+
+impl Producer {
+    /// Drain the pipeline into the exchange and return the rows it
+    /// produced. A pipeline, partitioning or buffering error goes to the
+    /// consumers; a destination that is gone ends the run.
+    fn run(&mut self, prod: &mut dyn Operator, partitioning: &Partitioning) -> u64 {
+        let mut rows = 0u64;
+        loop {
+            let step = match prod.next() {
+                Ok(Some(batch)) => {
+                    rows += batch.len() as u64;
+                    self.push(&batch, partitioning)
+                }
+                Ok(None) => {
+                    let _ = (0..self.bufs.len()).all(|d| self.flush(d));
+                    return rows;
+                }
+                Err(e) => Err(e),
+            };
+            match step {
+                Ok(true) => {}
+                Ok(false) => return rows,
+                Err(e) => {
+                    self.plane.error(e);
+                    return rows;
+                }
+            }
+        }
+    }
+
+    /// Partition `batch` over the consumer threads and buffer each piece at
+    /// its thread's destination, flushing full buffers. `Ok(false)`: a
+    /// destination is gone.
+    fn push(&mut self, batch: &Batch, partitioning: &Partitioning) -> Result<bool> {
+        let routing = self.routing.clone();
+        let parts = partition_positions(batch, partitioning, routing.threads.len())?;
+        for (pos, &(d, route)) in parts.iter().zip(&routing.threads) {
+            if pos.is_empty() {
+                continue;
+            }
+            let piece = batch.gather_u32(pos);
+            let (buf, routes, size) = &mut self.bufs[d];
+            buf.append(&piece)?;
+            if routing.routed {
+                routes.extend(std::iter::repeat_n(route, piece.len()));
+            }
+            *size += byte_size(&piece);
+            if *size + routes.len() >= self.buffer_bytes && !self.flush(d) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Send destination `d`'s buffer if it holds rows; `false` if `d` is
+    /// gone.
+    fn flush(&mut self, d: usize) -> bool {
+        let (buf, routes, size) = &mut self.bufs[d];
+        if buf.is_empty() {
+            return true;
+        }
+        let batch = std::mem::replace(buf, Batch::empty(buf.schema.clone()));
+        let route = self.routing.routed.then(|| std::mem::take(routes));
+        *size = 0;
+        let msg = make_message(
+            batch,
+            route,
+            self.node,
+            self.routing.nodes[d],
+            &self.plane.stats,
+        );
+        self.plane.send(d, msg)
+    }
+}
+
+/// The inbox of one destination: drop duplicate deliveries by tag, open
+/// each message once and hand each of the destination's threads (`outs`,
+/// by route byte) only its rows. A thread that hangs up gets nothing more;
+/// the inbox ends when every thread has, when its channel ends, or after
+/// passing an error on to every thread.
+fn inbox(
+    rx: Receiver<Payload>,
+    mut outs: Vec<Option<Sender<Result<Batch>>>>,
+    schema: Arc<Schema>,
+    stats: &NetStats,
+) {
+    // Per-stream dedup windows keyed by the tag's stream key. Watermark
+    // eviction keeps them bounded by the reorder window, not by the stream
+    // length.
+    let mut seen: HashMap<u32, DedupWindow> = HashMap::new();
+    while let Ok(payload) = rx.recv() {
+        let parts = payload.and_then(|env| {
+            let win = seen.entry((env.tag >> 32) as u32).or_default();
+            if !win.insert(env.tag & 0xFFFF_FFFF) {
+                return Ok(Vec::new()); // injected duplicate delivery
+            }
+            stats.record_dedup_residual(win.residual() as u64);
+            route_rows(env.msg, schema.clone(), outs.len())
+        });
+        match parts {
+            Ok(parts) => {
+                for (t, batch) in parts {
+                    if outs[t]
+                        .as_ref()
+                        .is_some_and(|tx| tx.send(Ok(batch)).is_err())
+                    {
+                        outs[t] = None;
+                    }
+                }
+                if outs.iter().all(Option::is_none) {
+                    return;
+                }
+            }
+            Err(e) => {
+                for tx in outs.iter().flatten() {
+                    let _ = tx.send(Err(e.clone()));
+                }
+                return;
+            }
+        }
+    }
+}
+
+/// Open a message and cut it into `(thread, rows)` pieces for the
+/// destination's `threads` threads: the whole batch when all its rows are
+/// one thread's, otherwise one gather per thread that has rows.
+fn route_rows(msg: Message, schema: Arc<Schema>, threads: usize) -> Result<Vec<(usize, Batch)>> {
+    let (batch, route) = open_message(msg, schema)?;
+    let bad = || VhError::Net("dxchg: message route column does not fit its rows".into());
+    let Some(route) = route else {
+        // No route column: the destination is one thread.
+        return if threads == 1 {
+            Ok(vec![(0, batch)])
+        } else {
+            Err(bad())
+        };
+    };
+    if route.len() != batch.len() || route.iter().any(|r| *r as usize >= threads) {
+        return Err(bad());
+    }
+    match route.first() {
+        None => Ok(Vec::new()),
+        Some(&first) if route.iter().all(|r| *r == first) => Ok(vec![(first as usize, batch)]),
+        Some(_) => {
+            let mut pos = vec![Vec::new(); threads];
+            for (i, r) in route.iter().enumerate() {
+                pos[*r as usize].push(i as u32);
+            }
+            Ok(pos
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| !p.is_empty())
+                .map(|(t, p)| (t, batch.gather_u32(p)))
+                .collect())
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1227,7 +1132,7 @@ mod tests {
     #[test]
     fn fabric_backed_exchange_matches_plain_channels() {
         use vectorh_transport::{SharedEpoch, TcpFabric};
-        let run = |fabric: Option<Arc<dyn Fabric>>| {
+        let run = |mode, fabric: Option<Arc<dyn Fabric>>| {
             let stats = Arc::new(NetStats::default());
             let recv = dxchg_hash_split(
                 vec![
@@ -1238,7 +1143,7 @@ mod tests {
                 vec![0],
                 DxchgConfig {
                     buffer_bytes: 512,
-                    mode: FanoutMode::ThreadToNode,
+                    mode,
                     fault: None,
                     fabric,
                 },
@@ -1247,13 +1152,58 @@ mod tests {
             .unwrap();
             (drain(recv), stats)
         };
-        let (plain, _) = run(None);
-        let epoch = Arc::new(SharedEpoch::new(1));
-        let tcp = TcpFabric::loopback(&[NodeId(0), NodeId(1)], epoch, None).unwrap();
-        let (over_tcp, stats) = run(Some(Arc::new(tcp)));
-        assert_eq!(plain, over_tcp);
-        // The framed path really ran: stats saw the same buffer traffic.
-        assert!(stats.channels()[0].1.messages > 0);
+        for mode in [FanoutMode::ThreadToThread, FanoutMode::ThreadToNode] {
+            let (plain, _) = run(mode, None);
+            let epoch = Arc::new(SharedEpoch::new(1));
+            let tcp = TcpFabric::loopback(&[NodeId(0), NodeId(1)], epoch, None).unwrap();
+            let (over_tcp, stats) = run(mode, Some(Arc::new(tcp)));
+            assert_eq!(plain, over_tcp, "mode {mode:?}");
+            // The framed path really ran: stats saw the same buffer traffic.
+            assert!(stats.channels()[0].1.messages > 0);
+        }
+    }
+
+    #[test]
+    fn a_node_past_256_consumer_threads_is_refused() {
+        // The route byte names 256 threads per node. Refused before any
+        // channel or thread exists, so this starts none.
+        let res = dxchg_hash_split(
+            vec![(0, source((0..10).collect()))],
+            vec![0; 257],
+            vec![0],
+            config(FanoutMode::ThreadToNode),
+            Arc::new(NetStats::default()),
+        );
+        assert!(matches!(res, Err(VhError::Net(_))));
+    }
+
+    #[test]
+    fn a_producer_whose_rows_do_not_fit_the_schema_fails_the_exchange() {
+        // The exchange's schema is the first producer's (I64); the second
+        // producer's column is a Date, physically I32, so its rows cannot
+        // be buffered.
+        let dates = || {
+            let schema = Arc::new(Schema::of(&[("x", DataType::Date)]));
+            let batch = Batch::new(schema, vec![ColumnData::I32((0..100).collect())]).unwrap();
+            Box::new(BatchSource::from_batch(batch, 32)) as Box<dyn Operator>
+        };
+        for mode in [FanoutMode::ThreadToThread, FanoutMode::ThreadToNode] {
+            let mut r = dxchg_union(
+                vec![(0, source((0..100).collect())), (1, dates())],
+                0,
+                config(mode),
+                Arc::new(NetStats::default()),
+            )
+            .unwrap();
+            let failed = loop {
+                match r.next() {
+                    Ok(Some(_)) => continue,
+                    Ok(None) => break false,
+                    Err(_) => break true,
+                }
+            };
+            assert!(failed, "mode {mode:?}: the exchange lost rows silently");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   tuple to its receiver thread, cutting buffering from `2·N·C²` to
 //!   `2·N·C` buffers per node).
 //! * [`xchg`] — what the exchanges share: [`Partitioning`] and the
-//!   per-consumer split, the batch message, producer profiles.
+//!   per-consumer split, producer profiles.
 //! * [`buffer`] — PAX-layout message serialization standing in for MPI
 //!   buffers (≥256 KB for good throughput); intra-node traffic passes
 //!   pointers instead, exactly like VectorH's memcpy-avoiding optimization.

@@ -1,20 +1,16 @@
-//! What every exchange shares: how rows are split across consumers, the
-//! message a batch travels in, and the profile a producer ships home.
+//! What every exchange shares: how rows are split across consumers and the
+//! profile a producer ships home.
 //!
 //! An Xchg "does not modify the data that streams in and out of it, but only
 //! redistributes these streams" (§5). The operators are the distributed
 //! ones in [`crate::dxchg`], which also pass pointers between threads of one
-//! node; this module holds the pieces they and [`crate::buffer`] use.
+//! node; this module holds the pieces they share.
 
 use vectorh_common::{ColumnData, Result};
 use vectorh_exec::kernels::gather::scatter_partitions;
 use vectorh_exec::kernels::hash::{hash_columns, XCHG_SEED};
 use vectorh_exec::operator::ProfileLine;
 use vectorh_exec::Batch;
-
-/// Newtype so exchange messages have a crate-local name.
-#[derive(Clone)]
-pub struct BatchMsg(pub Batch);
 
 /// How an exchange redistributes rows.
 #[derive(Debug, Clone)]
