@@ -3,15 +3,13 @@
 //! Red runs print the failing seed; replay exactly that schedule with
 //! `CHAOS_SEED=<seed> cargo test -p vectorh-chaos`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use vectorh::{ClusterConfig, VectorH};
+use vectorh::ClusterConfig;
 use vectorh_chaos::{
-    corpus, corpus_from, enabled_phases, run_schedule, run_schedule_with_phases, ALL_PHASES,
-    N_SITES,
+    baseline_rows, corpus, corpus_from, enabled_phases, phases_from, q6_is_local,
+    query_across_kill, run_schedule, run_schedule_with_phases, tpch_cluster, ALL_PHASES, N_SITES,
 };
 use vectorh_common::fault::FaultSite;
-use vectorh_tpch::baseline::{canonical, BaselineDb, BaselineKind};
+use vectorh_tpch::baseline::BaselineDb;
 use vectorh_tpch::sql_text;
 
 /// Every seed in the corpus must pass, and across the corpus every named
@@ -58,16 +56,10 @@ fn same_seed_same_schedule_and_outcome() {
 
 #[test]
 fn chaos_phases_env_selects_a_subset_in_execution_order() {
-    assert_eq!(vectorh_chaos::phases_from(None), ALL_PHASES.to_vec());
-    assert_eq!(
-        vectorh_chaos::phases_from(Some("txn,io")),
-        vec!["io", "txn"]
-    );
-    assert_eq!(vectorh_chaos::phases_from(Some(" rejoin ")), vec!["rejoin"]);
-    assert_eq!(
-        vectorh_chaos::phases_from(Some("master,kill")),
-        vec!["kill", "master"]
-    );
+    assert_eq!(phases_from(None), ALL_PHASES.to_vec());
+    assert_eq!(phases_from(Some("txn,io")), vec!["io", "txn"]);
+    assert_eq!(phases_from(Some(" rejoin ")), vec!["rejoin"]);
+    assert_eq!(phases_from(Some("master,kill")), vec!["kill", "master"]);
 }
 
 /// Election determinism across the whole corpus: replaying just the
@@ -110,16 +102,12 @@ fn chaos_seed_env_selects_a_single_schedule() {
 /// must again be fully short-circuit local.
 #[test]
 fn mid_query_node_kill_returns_correct_results_and_restores_locality() {
-    let vh = VectorH::start(ClusterConfig {
+    let config = ClusterConfig {
         nodes: 4,
         rows_per_chunk: 256,
-        hdfs_block_size: 32 * 1024,
-        streams_per_node: 2,
-        replication: 3,
         ..Default::default()
-    })
-    .unwrap();
-    let data = vectorh_tpch::schema::setup(&vh, 0.002, 4, 20260807).unwrap();
+    };
+    let (vh, data) = tpch_cluster(config, 0.002).unwrap();
     let db = BaselineDb::load(&data).unwrap();
     let victim = *vh
         .workers()
@@ -130,47 +118,49 @@ fn mid_query_node_kill_returns_correct_results_and_restores_locality() {
     // Q5: six-table join with repartitioning exchanges — plenty of reads
     // for the kill to land mid-flight.
     let q5 = sql_text(5).unwrap();
-    let want = canonical(
-        db.run(&vh.parse(q5).unwrap(), BaselineKind::RowStore)
-            .unwrap(),
-    );
-    let threshold = vh.fs().stats().snapshot().read_bytes() + 1024;
-    let done = AtomicBool::new(false);
-    let (got, killed) = std::thread::scope(|s| {
-        let killer = s.spawn(|| {
-            while !done.load(Ordering::Acquire) {
-                if vh.fs().stats().snapshot().read_bytes() >= threshold {
-                    return vh.kill_node(victim).is_ok();
-                }
-                std::thread::yield_now();
-            }
-            false
-        });
-        let got = vh.query(q5);
-        done.store(true, Ordering::Release);
-        (got, killer.join().unwrap())
-    });
-    let got = canonical(got.expect("query must fail over, not error out"));
+    let want = baseline_rows(&vh, &db, q5).unwrap();
+    let got =
+        query_across_kill(&vh, victim, q5, 1024).expect("query must fail over, not error out");
     assert_eq!(got, want, "Q5 answer diverged across the node kill");
-    if !killed {
-        vh.kill_node(victim).unwrap();
-    }
     assert!(!vh.workers().contains(&victim));
 
     // Post-failure locality: re-replication + responsibility remap must
     // make table I/O fully local again.
-    let before = vh.fs().stats().snapshot();
-    let q6 = sql_text(6).unwrap();
-    let got6 = canonical(vh.query(q6).unwrap());
-    let want6 = canonical(
-        db.run(&vh.parse(q6).unwrap(), BaselineKind::RowStore)
-            .unwrap(),
-    );
-    assert_eq!(got6, want6);
-    let delta = vh.fs().stats().snapshot().since(&before);
-    assert_eq!(
-        delta.remote_read_bytes, 0,
-        "scans after failover must be fully short-circuited"
-    );
-    assert!(delta.local_read_bytes > 0);
+    let local = q6_is_local(&vh, &db, "after failover").unwrap();
+    assert!(local > 0);
+}
+
+/// A `CHAOS_PHASES` that names no phase would build a cluster, run nothing
+/// and pass with the coverage gate off; it is refused like an unknown name.
+#[test]
+fn chaos_phases_env_naming_no_known_phase_is_refused() {
+    for env in ["", " , ", "kil"] {
+        let refused = std::panic::catch_unwind(|| phases_from(Some(env))).is_err();
+        assert!(refused, "CHAOS_PHASES={env:?} was accepted");
+    }
+}
+
+/// CI runs the corpus split by phase, and only its all-phases leg arms the
+/// fault-site coverage gate: that leg must name exactly the table's phases,
+/// in order, and every phase must also run in a leg of its own (or a
+/// smaller group), so a red phase replays alone.
+#[test]
+fn ci_chaos_matrix_follows_the_phase_table() {
+    let ci = include_str!("../../../.github/workflows/ci.yml");
+    let job = &ci[ci.find("\n  chaos:").expect("a `chaos` job in ci.yml")..];
+    let matrix = &job[job.find("phases:").expect("a `phases` matrix")..];
+    let legs: Vec<&str> = matrix[..matrix.find(']').unwrap()]
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .collect();
+    let widest = legs.iter().max_by_key(|l| l.split(',').count()).unwrap();
+    assert_eq!(*widest, ALL_PHASES.join(","), "the all-phases chaos leg");
+    for phase in ALL_PHASES {
+        assert!(
+            legs.iter()
+                .any(|l| l != widest && l.split(',').any(|p| p == phase)),
+            "phase {phase} runs in no chaos leg but the all-phases one: {legs:?}"
+        );
+    }
 }
