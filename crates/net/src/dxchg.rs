@@ -19,6 +19,9 @@
 //!   every thread of the destination only its rows — consumer threads
 //!   "selectively consume data from incoming buffers using the
 //!   one-byte-column" without each opening every buffer.
+//! * A destination that hangs up is **gone** for each producer: its rows
+//!   are no longer gathered, and every other destination still gets all of
+//!   its own.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -541,7 +544,7 @@ pub fn dxchg(
             node,
             buffer_bytes: config.buffer_bytes,
             bufs: (0..dests)
-                .map(|_| (Batch::empty(schema.clone()), Vec::new(), 0))
+                .map(|_| Some((Batch::empty(schema.clone()), Vec::new(), 0)))
                 .collect(),
         };
         let (partitioning, profiles) = (partitioning.clone(), profiles.clone());
@@ -664,14 +667,14 @@ struct Producer {
     buffer_bytes: usize,
     /// Per destination: the rows buffered since the last flush, their route
     /// bytes (when messages carry them), and their [`byte_size`], summed per
-    /// appended piece.
-    bufs: Vec<(Batch, Vec<u8>, usize)>,
+    /// appended piece. `None` once the destination is gone.
+    bufs: Vec<Option<(Batch, Vec<u8>, usize)>>,
 }
 
 impl Producer {
     /// Drain the pipeline into the exchange and return the rows it
     /// produced. A pipeline, partitioning or buffering error goes to the
-    /// consumers; a destination that is gone ends the run.
+    /// consumers; the run ends early only when every destination is gone.
     fn run(&mut self, prod: &mut dyn Operator, partitioning: &Partitioning) -> u64 {
         let mut rows = 0u64;
         loop {
@@ -681,14 +684,14 @@ impl Producer {
                     self.push(&batch, partitioning)
                 }
                 Ok(None) => {
-                    let _ = (0..self.bufs.len()).all(|d| self.flush(d));
+                    (0..self.bufs.len()).for_each(|d| self.flush(d));
                     return rows;
                 }
                 Err(e) => Err(e),
             };
             match step {
-                Ok(true) => {}
-                Ok(false) => return rows,
+                Ok(()) if self.bufs.iter().all(Option::is_none) => return rows,
+                Ok(()) => {}
                 Err(e) => {
                     self.plane.error(e);
                     return rows;
@@ -698,35 +701,40 @@ impl Producer {
     }
 
     /// Partition `batch` over the consumer threads and buffer each piece at
-    /// its thread's destination, flushing full buffers. `Ok(false)`: a
-    /// destination is gone.
-    fn push(&mut self, batch: &Batch, partitioning: &Partitioning) -> Result<bool> {
+    /// its thread's destination, flushing full buffers. Rows for a thread
+    /// whose destination is gone are not gathered.
+    fn push(&mut self, batch: &Batch, partitioning: &Partitioning) -> Result<()> {
         let routing = self.routing.clone();
         let parts = partition_positions(batch, partitioning, routing.threads.len())?;
         for (pos, &(d, route)) in parts.iter().zip(&routing.threads) {
+            let Some((buf, routes, size)) = &mut self.bufs[d] else {
+                continue;
+            };
             if pos.is_empty() {
                 continue;
             }
             let piece = batch.gather_u32(pos);
-            let (buf, routes, size) = &mut self.bufs[d];
             buf.append(&piece)?;
             if routing.routed {
                 routes.extend(std::iter::repeat_n(route, piece.len()));
             }
             *size += byte_size(&piece);
-            if *size + routes.len() >= self.buffer_bytes && !self.flush(d) {
-                return Ok(false);
+            if *size + routes.len() >= self.buffer_bytes {
+                self.flush(d);
             }
         }
-        Ok(true)
+        Ok(())
     }
 
-    /// Send destination `d`'s buffer if it holds rows; `false` if `d` is
-    /// gone.
-    fn flush(&mut self, d: usize) -> bool {
-        let (buf, routes, size) = &mut self.bufs[d];
+    /// Send destination `d`'s buffer if it holds rows. A destination whose
+    /// send fails is gone: its buffer is dropped, and the other
+    /// destinations carry on.
+    fn flush(&mut self, d: usize) {
+        let Some((buf, routes, size)) = &mut self.bufs[d] else {
+            return;
+        };
         if buf.is_empty() {
-            return true;
+            return;
         }
         let batch = std::mem::replace(buf, Batch::empty(buf.schema.clone()));
         let route = self.routing.routed.then(|| std::mem::take(routes));
@@ -738,7 +746,9 @@ impl Producer {
             self.routing.nodes[d],
             &self.plane.stats,
         );
-        self.plane.send(d, msg)
+        if !self.plane.send(d, msg) {
+            self.bufs[d] = None;
+        }
     }
 }
 
@@ -1126,6 +1136,44 @@ mod tests {
             recv.truncate(1);
             let got = drain(recv).remove(0);
             assert!(got.len() <= 4000, "mode {mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_destination_that_hangs_up_leaves_the_others_their_rows() {
+        // One producer hash-splits to a consumer thread on node 0 and one on
+        // node 1. Node 0's must get the same rows whether node 1's reads
+        // everything or hangs up before reading anything.
+        for mode in [FanoutMode::ThreadToThread, FanoutMode::ThreadToNode] {
+            let node0 = |hang_up: bool| {
+                let mut recv = dxchg_hash_split(
+                    vec![(0, source((0..100_000).collect()))],
+                    vec![0, 1],
+                    vec![0],
+                    DxchgConfig {
+                        buffer_bytes: 4096,
+                        mode,
+                        fault: None,
+                        fabric: None,
+                    },
+                    Arc::new(NetStats::default()),
+                )
+                .unwrap();
+                let node1 = recv.split_off(1);
+                std::thread::scope(|s| {
+                    s.spawn(move || {
+                        if !hang_up {
+                            drain(node1);
+                        }
+                    });
+                    drain(recv).remove(0)
+                })
+            };
+            let all = node0(false);
+            assert!(all.len() > 40_000, "mode {mode:?}: {} rows", all.len());
+            let got = node0(true);
+            assert_eq!(got.len(), all.len(), "mode {mode:?}: rows after a hang-up");
+            assert!(got == all, "mode {mode:?}: other rows after a hang-up");
         }
     }
 
