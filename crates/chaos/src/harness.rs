@@ -64,7 +64,7 @@ const CRASHES: [FaultAction; 3] = [
 
 /// What a phase is handed: the shared cluster, its row-store baseline, the
 /// phase's own RNG and the schedule's report, in that order.
-pub struct Ctx<'a>(
+struct Ctx<'a>(
     &'a Arc<VectorH>,
     &'a BaselineDb,
     &'a mut SplitMix64,

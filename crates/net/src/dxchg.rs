@@ -684,7 +684,9 @@ impl Producer {
                     self.push(&batch, partitioning)
                 }
                 Ok(None) => {
-                    (0..self.bufs.len()).for_each(|d| self.flush(d));
+                    for d in 0..self.bufs.len() {
+                        self.flush(d);
+                    }
                     return rows;
                 }
                 Err(e) => Err(e),
