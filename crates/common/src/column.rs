@@ -208,13 +208,15 @@ impl ColumnData {
         }
     }
 
-    /// Gather the listed positions into a new buffer.
-    pub fn gather(&self, idx: &[usize]) -> ColumnData {
+    /// Gather the listed positions into a new buffer. Positions are `u32`
+    /// row ids, the currency of the kernels (a selection vector, a join's
+    /// matches, an exchange's partition lists, a sort permutation).
+    pub fn gather(&self, idx: &[u32]) -> ColumnData {
         match self {
-            ColumnData::I32(v) => ColumnData::I32(idx.iter().map(|&i| v[i]).collect()),
-            ColumnData::I64(v) => ColumnData::I64(idx.iter().map(|&i| v[i]).collect()),
-            ColumnData::F64(v) => ColumnData::F64(idx.iter().map(|&i| v[i]).collect()),
-            ColumnData::Str(v) => ColumnData::Str(v.gather(idx.iter().copied())),
+            ColumnData::I32(v) => ColumnData::I32(idx.iter().map(|&i| v[i as usize]).collect()),
+            ColumnData::I64(v) => ColumnData::I64(idx.iter().map(|&i| v[i as usize]).collect()),
+            ColumnData::F64(v) => ColumnData::F64(idx.iter().map(|&i| v[i as usize]).collect()),
+            ColumnData::Str(v) => ColumnData::Str(v.gather(idx.iter().map(|&i| i as usize))),
         }
     }
 
@@ -297,6 +299,27 @@ mod tests {
         let c = ColumnData::I64(vec![10, 20, 30, 40]);
         assert_eq!(c.slice(1, 3), ColumnData::I64(vec![20, 30]));
         assert_eq!(c.gather(&[3, 0]), ColumnData::I64(vec![40, 10]));
+    }
+
+    #[test]
+    fn gather_all_layouts() {
+        let idx = [2u32, 0, 2];
+        assert_eq!(
+            ColumnData::I32(vec![5, 6, 7]).gather(&idx),
+            ColumnData::I32(vec![7, 5, 7])
+        );
+        assert_eq!(
+            ColumnData::I64(vec![5, 6, 7]).gather(&idx),
+            ColumnData::I64(vec![7, 5, 7])
+        );
+        assert_eq!(
+            ColumnData::F64(vec![0.5, 1.5, 2.5]).gather(&idx),
+            ColumnData::F64(vec![2.5, 0.5, 2.5])
+        );
+        assert_eq!(
+            ColumnData::Str(["a", "b", "c"].into()).gather(&idx),
+            ColumnData::Str(["c", "a", "c"].into())
+        );
     }
 
     #[test]
@@ -428,10 +451,10 @@ mod tests {
                     1 => ColumnData::Str(coded(rng, &other)),
                     _ => {
                         let rows = if model.is_empty() { 0 } else { other.len() };
-                        let idx: Vec<usize> = (0..rows)
-                            .map(|_| rng.next_bounded(model.len() as u64) as usize)
+                        let idx: Vec<u32> = (0..rows)
+                            .map(|_| rng.next_bounded(model.len() as u64) as u32)
                             .collect();
-                        other = idx.iter().map(|&i| model[i].clone()).collect();
+                        other = idx.iter().map(|&i| model[i as usize].clone()).collect();
                         col.gather(&idx)
                     }
                 };
@@ -455,13 +478,13 @@ mod tests {
                     }
                     3 if n > 0 => {
                         // Repeats, any order, possibly nothing.
-                        let idx: Vec<usize> = (0..rng.next_bounded(2 * n + 1))
-                            .map(|_| rng.next_bounded(n) as usize)
+                        let idx: Vec<u32> = (0..rng.next_bounded(2 * n + 1))
+                            .map(|_| rng.next_bounded(n) as u32)
                             .collect();
                         let was_coded = col.as_strs().unwrap().is_coded();
                         col = col.gather(&idx);
                         assert_eq!(col.as_strs().unwrap().is_coded(), was_coded, "{what}");
-                        model = idx.iter().map(|&i| model[i].clone()).collect();
+                        model = idx.iter().map(|&i| model[i as usize].clone()).collect();
                     }
                     4 => {
                         let len = rng.next_bounded(n + 3) as usize;

@@ -75,20 +75,11 @@ impl Batch {
             .collect()
     }
 
-    /// Keep only the rows at the given positions.
-    pub fn gather(&self, positions: &[usize]) -> Batch {
-        Batch {
-            schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.gather(positions)).collect(),
-            len: positions.len(),
-        }
-    }
-
     /// Keep only the rows at the given `u32` positions (kernel row ids).
     pub fn gather_u32(&self, positions: &[u32]) -> Batch {
         Batch {
             schema: self.schema.clone(),
-            columns: crate::kernels::gather::gather_columns(&self.columns, positions),
+            columns: self.columns.iter().map(|c| c.gather(positions)).collect(),
             len: positions.len(),
         }
     }
@@ -235,7 +226,7 @@ mod tests {
     #[test]
     fn gather_and_slice() {
         let b = batch();
-        let g = b.gather(&[2, 0]);
+        let g = b.gather_u32(&[2, 0]);
         assert_eq!(
             g.rows(),
             vec![

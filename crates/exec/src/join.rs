@@ -54,7 +54,7 @@ use vectorh_common::sync::Mutex;
 use vectorh_common::{ColumnData, DataType, Field, Result, Schema, VhError};
 
 use crate::batch::Batch;
-use crate::kernels::gather::{gather, gather_columns, gather_or_default};
+use crate::kernels::gather::gather_or_default;
 use crate::kernels::hash::{hash_columns, JOIN_SEED};
 use crate::kernels::table::{HashTable, EMPTY};
 use crate::operator::{Counters, OpProfile, Operator};
@@ -521,10 +521,10 @@ impl HashJoin {
         let mut columns = if is_identity(&pidx, n) {
             batch.columns
         } else {
-            gather_columns(&batch.columns, &pidx)
+            batch.columns.iter().map(|c| c.gather(&pidx)).collect()
         };
         match self.kind {
-            JoinKind::Inner => columns.extend(side.data.iter().map(|c| gather(c, &bidx))),
+            JoinKind::Inner => columns.extend(side.data.iter().map(|c| c.gather(&bidx))),
             JoinKind::LeftOuter => {
                 columns.extend(side.data.iter().map(|c| gather_or_default(c, &bidx)));
                 columns.push(ColumnData::I32(

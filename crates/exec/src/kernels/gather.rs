@@ -1,10 +1,11 @@
-//! Batch gather and scatter kernels.
+//! Outer-join gather, group-key row append and exchange scatter kernels.
 //!
 //! Join and aggregation results are materialized by gathering matched row
-//! ids out of columnar build-side data; exchange operators scatter row ids
-//! into per-partition position lists. Like the hash kernels, the type
-//! dispatch happens once per column and the inner loops run over primitive
-//! slices.
+//! ids out of columnar build-side data; the plain gather is
+//! `ColumnData::gather`, and an outer join's misses take defaults through
+//! [`gather_or_default`]. Exchange operators scatter row ids into
+//! per-partition position lists. Like the hash kernels, the type dispatch
+//! happens once per column and the inner loops run over primitive slices.
 //!
 //! Row ids are `u32` throughout (the hash table's currency), which also
 //! halves the index vector footprint versus `usize` positions.
@@ -12,16 +13,6 @@
 use vectorh_common::{ColumnData, StrVec};
 
 use super::table::EMPTY;
-
-/// Gather `idx` positions out of a column into a new buffer.
-pub fn gather(col: &ColumnData, idx: &[u32]) -> ColumnData {
-    match col {
-        ColumnData::I32(v) => ColumnData::I32(idx.iter().map(|&i| v[i as usize]).collect()),
-        ColumnData::I64(v) => ColumnData::I64(idx.iter().map(|&i| v[i as usize]).collect()),
-        ColumnData::F64(v) => ColumnData::F64(idx.iter().map(|&i| v[i as usize]).collect()),
-        ColumnData::Str(v) => ColumnData::Str(v.gather(idx.iter().map(|&i| i as usize))),
-    }
-}
 
 /// Gather where [`EMPTY`] positions produce the type's default value
 /// (empty string / 0). Serves outer joins: unmatched probe rows take
@@ -55,11 +46,6 @@ pub fn gather_or_default(col: &ColumnData, idx: &[u32]) -> ColumnData {
     }
 }
 
-/// Gather the same positions out of several columns at once.
-pub fn gather_columns(cols: &[ColumnData], idx: &[u32]) -> Vec<ColumnData> {
-    cols.iter().map(|c| gather(c, idx)).collect()
-}
-
 /// Append row `i` of `src` onto `dst` (physical layouts must match).
 ///
 /// The group-key spill path of hash aggregation: a new group copies its key
@@ -90,27 +76,6 @@ pub fn scatter_partitions(hashes: &[u64], n_parts: usize) -> Vec<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gather_all_layouts() {
-        let idx = [2u32, 0, 2];
-        assert_eq!(
-            gather(&ColumnData::I32(vec![5, 6, 7]), &idx),
-            ColumnData::I32(vec![7, 5, 7])
-        );
-        assert_eq!(
-            gather(&ColumnData::I64(vec![5, 6, 7]), &idx),
-            ColumnData::I64(vec![7, 5, 7])
-        );
-        assert_eq!(
-            gather(&ColumnData::F64(vec![0.5, 1.5, 2.5]), &idx),
-            ColumnData::F64(vec![2.5, 0.5, 2.5])
-        );
-        assert_eq!(
-            gather(&ColumnData::Str(["a", "b", "c"].into()), &idx),
-            ColumnData::Str(["c", "a", "c"].into())
-        );
-    }
 
     #[test]
     fn gather_or_default_fills_sentinels() {

@@ -6,7 +6,8 @@
 //! for each and every query" and must be cheap). The PDT influence arrives
 //! as a pre-composed [`MergeStep`] plan in stable coordinates, so the hot
 //! path of an update-free scan is a straight run of `CopyStable` block
-//! copies.
+//! copies. This is the one interpreter of a merge plan: update propagation
+//! folds a chunk by draining a scan of it ([`MScan::into_columns`]).
 //!
 //! One chunk's decoded columns are held at a time and every `CopyStable`
 //! range is appended from them to the output vector with
@@ -192,7 +193,7 @@ impl MScan {
     fn consume(&mut self, sid: u64, n: u64) -> Result<()> {
         if sid < self.next_sid {
             return Err(VhError::Exec(format!(
-                "merge plan goes back to sid {sid}: rows below {} are consumed",
+                "merge plan goes back to sid {sid} (rows below {} are consumed)",
                 self.next_sid
             )));
         }
@@ -210,54 +211,33 @@ impl MScan {
 
     /// Append rows `[sid, sid+n)` (all within one chunk, claimed with
     /// [`Self::consume`]) of the decoded chunk to the builders.
-    fn copy_rows(
-        &mut self,
-        chunk: usize,
-        sid: u64,
-        n: u64,
-        builders: &mut [ColumnData],
-    ) -> Result<()> {
+    fn copy_rows(&mut self, chunk: usize, sid: u64, n: u64, out: &mut [ColumnData]) -> Result<()> {
         let from = (sid - self.chunk_ranges[chunk].0) as usize;
         let to = from + n as usize;
-        for (b, c) in builders.iter_mut().zip(self.load_chunk(chunk)?) {
+        for (b, c) in out.iter_mut().zip(self.load_chunk(chunk)?) {
             b.extend_range(c, from, to)?;
         }
         Ok(())
     }
 
-    /// Emit one full-width row given as values, projected.
-    fn emit_row(
-        &self,
-        values: &[vectorh_common::Value],
+    /// Empty output columns: the common vector lies inside one `CopyStable`
+    /// run of one chunk, and its first `extend_range` sizes each exactly.
+    fn builders(&self) -> Vec<ColumnData> {
+        let fields = &self.out_schema.fields()[..self.cols.len()];
+        fields.iter().map(|f| ColumnData::new(f.dtype)).collect()
+    }
+
+    /// The one loop that applies the plan: steps go into the empty
+    /// `builders` (and `rids`) until `limit` rows are out or the plan ends.
+    /// Returns the rows produced.
+    fn fill(
+        &mut self,
         builders: &mut [ColumnData],
-    ) -> Result<()> {
-        for (p, &c) in self.cols.iter().enumerate() {
-            builders[p].push_value(&values[c])?;
-        }
-        Ok(())
-    }
-}
-
-impl Operator for MScan {
-    fn schema(&self) -> Arc<Schema> {
-        self.out_schema.clone()
-    }
-
-    fn next(&mut self) -> Result<Option<Batch>> {
-        if self.done {
-            return Ok(None);
-        }
-        let start = std::time::Instant::now();
-        // Empty: the common vector lies inside one `CopyStable` run of one
-        // chunk, and its first `extend_range` sizes each buffer exactly.
-        let mut builders: Vec<ColumnData> = self.out_schema.fields()[..self.cols.len()]
-            .iter()
-            .map(|f| ColumnData::new(f.dtype))
-            .collect();
-        let mut rids: Vec<i64> = Vec::with_capacity(if self.emit_rids { VECTOR_SIZE } else { 0 });
+        rids: &mut Vec<i64>,
+        limit: usize,
+    ) -> Result<usize> {
         let mut produced = 0usize;
-
-        while produced < VECTOR_SIZE {
+        while produced < limit {
             let Some(step) = self.plan.pop_front() else {
                 self.done = true;
                 break;
@@ -265,7 +245,9 @@ impl Operator for MScan {
             match step {
                 MergeStep::SkipStable { from_sid, count } => self.consume(from_sid, count)?,
                 MergeStep::EmitInsert { values, .. } => {
-                    self.emit_row(&values, &mut builders)?;
+                    for (p, &c) in self.cols.iter().enumerate() {
+                        builders[p].push_value(&values[c])?;
+                    }
                     if self.emit_rids {
                         rids.push(self.next_rid as i64);
                     }
@@ -282,7 +264,7 @@ impl Operator for MScan {
                     };
                     if self.keep[chunk] {
                         // The stable row, then the patches over its tail.
-                        self.copy_rows(chunk, sid, 1, &mut builders)?;
+                        self.copy_rows(chunk, sid, 1, builders)?;
                         for (c, v) in mods {
                             if let Some(p) = self.col_pos[c] {
                                 builders[p].truncate(produced);
@@ -310,11 +292,11 @@ impl Operator for MScan {
                     let kept = self.keep[chunk];
                     let mut take = count.min(base + rows - from_sid);
                     if kept {
-                        take = take.min((VECTOR_SIZE - produced) as u64);
+                        take = take.min((limit - produced) as u64);
                     }
                     self.consume(from_sid, take)?;
                     if kept {
-                        self.copy_rows(chunk, from_sid, take, &mut builders)?;
+                        self.copy_rows(chunk, from_sid, take, builders)?;
                         if self.emit_rids {
                             rids.extend(self.next_rid as i64..(self.next_rid + take) as i64);
                         }
@@ -331,7 +313,31 @@ impl Operator for MScan {
                 }
             }
         }
+        Ok(produced)
+    }
 
+    /// Apply the whole plan with no row limit: the output columns, built in
+    /// place (update propagation folds a chunk this way).
+    pub fn into_columns(mut self) -> Result<Vec<ColumnData>> {
+        let mut builders = self.builders();
+        self.fill(&mut builders, &mut Vec::new(), usize::MAX)?;
+        Ok(builders)
+    }
+}
+
+impl Operator for MScan {
+    fn schema(&self) -> Arc<Schema> {
+        self.out_schema.clone()
+    }
+
+    fn next(&mut self) -> Result<Option<Batch>> {
+        if self.done {
+            return Ok(None);
+        }
+        let start = std::time::Instant::now();
+        let mut builders = self.builders();
+        let mut rids: Vec<i64> = Vec::with_capacity(if self.emit_rids { VECTOR_SIZE } else { 0 });
+        let produced = self.fill(&mut builders, &mut rids, VECTOR_SIZE)?;
         self.counters.cum_time_ns += start.elapsed().as_nanos() as u64;
         self.counters.calls += 1;
         if produced == 0 {

@@ -8,7 +8,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use vectorh_common::{Result, Schema, Value, VECTOR_SIZE};
+use vectorh_common::{Result, Schema, Value, VhError, VECTOR_SIZE};
 
 use crate::batch::Batch;
 use crate::operator::{Counters, OpProfile, Operator};
@@ -60,12 +60,14 @@ impl Sort {
             self.counters.rows_in += b.len() as u64;
             all.append(&b)?;
         }
-        let mut perm: Vec<usize> = (0..all.len()).collect();
-        perm.sort_by(|&a, &b| self.cmp_rows(&all, a, b));
+        let n = u32::try_from(all.len())
+            .map_err(|_| VhError::Exec(format!("sort of {} rows: past u32 row ids", all.len())))?;
+        let mut perm: Vec<u32> = (0..n).collect();
+        perm.sort_by(|&a, &b| self.cmp_rows(&all, a as usize, b as usize));
         if let Some(limit) = self.limit {
             perm.truncate(limit);
         }
-        self.sorted = Some(all.gather(&perm));
+        self.sorted = Some(all.gather_u32(&perm));
         Ok(())
     }
 }

@@ -119,9 +119,12 @@ pub fn read_column(
     decode_column(&bytes)
 }
 
-/// Parse a chunk header from raw file bytes (recovery path: rebuilding a
-/// manifest from HDFS contents).
-pub fn parse_header(bytes: &[u8]) -> Result<(usize, Vec<u64>)> {
+/// Parse a chunk header from the first bytes of a `file_len`-byte file
+/// (recovery path: rebuilding a manifest from HDFS contents). The offsets
+/// must run from the end of the header to at most the end of the file
+/// without going back, or reading a column would cut a range that is not
+/// there.
+pub fn parse_header(bytes: &[u8], file_len: u64) -> Result<(usize, Vec<u64>)> {
     if bytes.len() < 12 {
         return Err(VhError::Storage("chunk too short".into()));
     }
@@ -139,6 +142,12 @@ pub fn parse_header(bytes: &[u8]) -> Result<(usize, Vec<u64>)> {
     for i in 0..=n_cols {
         let at = 12 + 8 * i;
         offsets.push(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()));
+    }
+    let in_order = offsets.windows(2).all(|w| w[0] <= w[1]);
+    if offsets[0] < need as u64 || !in_order || offsets[n_cols] > file_len {
+        return Err(VhError::Storage(format!(
+            "chunk offsets {offsets:?} do not fit a {need}-byte header in a {file_len}-byte file"
+        )));
     }
     Ok((n_rows, offsets))
 }
@@ -203,19 +212,20 @@ mod tests {
     fn header_recovery() {
         let cols = sample_cols();
         let (bytes, offsets) = encode_chunk(&cols).unwrap();
-        let (n_rows, parsed) = parse_header(&bytes).unwrap();
+        let len = bytes.len() as u64;
+        let (n_rows, parsed) = parse_header(&bytes, len).unwrap();
         assert_eq!(n_rows, 500);
         assert_eq!(parsed, offsets);
-        assert!(parse_header(&bytes[..8]).is_err());
+        assert!(parse_header(&bytes[..8], len).is_err());
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
-        assert!(parse_header(&bad).is_err());
+        assert!(parse_header(&bad, len).is_err());
     }
 
     #[test]
     fn empty_chunk_allowed() {
         let (bytes, offsets) = encode_chunk(&[]).unwrap();
-        let (n_rows, parsed) = parse_header(&bytes).unwrap();
+        let (n_rows, parsed) = parse_header(&bytes, bytes.len() as u64).unwrap();
         assert_eq!(n_rows, 0);
         assert_eq!(parsed, offsets);
     }

@@ -214,29 +214,6 @@ impl PartitionStore {
         self.minmax.prune(preds)
     }
 
-    /// Delete a chunk file outright (space reclamation: "free space by
-    /// deleting a block chunk file when all of the blocks in it are unused").
-    pub fn delete_chunk(&mut self, idx: usize) -> Result<()> {
-        let meta = self.chunks.remove(idx);
-        self.minmax.remove_chunk(idx);
-        self.fs.delete(&meta.path)
-    }
-
-    /// Rewrite a chunk with new contents (update propagation's
-    /// "re-write it in a new file with the PDT changes applied and delete
-    /// the old one").
-    pub fn rewrite_chunk(&mut self, idx: usize, columns: &[ColumnData]) -> Result<()> {
-        if columns.len() != self.schema.len() {
-            return Err(VhError::Storage("rewrite with wrong column count".into()));
-        }
-        let path = self.fresh_path();
-        let meta = chunk::write_chunk(&self.fs, &path, columns, self.home)?;
-        let stats = self.chunk_stats(columns);
-        let old = std::mem::replace(&mut self.chunks[idx], meta);
-        self.minmax.replace_chunk(idx, stats);
-        self.fs.delete(&old.path)
-    }
-
     /// Rows per full chunk file.
     pub fn rows_per_chunk(&self) -> usize {
         self.config.rows_per_chunk
@@ -251,10 +228,9 @@ impl PartitionStore {
     }
 
     /// Write a replacement image for chunk `idx` at the pre-allocated
-    /// `path` and swap it into the manifest (data + MinMax). Unlike
-    /// [`rewrite_chunk`](Self::rewrite_chunk) the old file is **not**
-    /// deleted — its path is returned so the caller can defer reclamation
-    /// until no scan snapshot can still reference it.
+    /// `path` and swap it into the manifest (data + MinMax). The old file is
+    /// **not** deleted — its path is returned so the caller can defer
+    /// reclamation until no scan snapshot can still reference it.
     pub fn install_chunk(
         &mut self,
         idx: usize,
@@ -356,16 +332,23 @@ impl PartitionStore {
         files.sort_by(|a, b| a.path.cmp(&b.path));
         for f in files {
             let header = fs.read(&f.path, 0, 4096.min(f.len as usize), reader)?;
-            let (n_rows, offsets) = chunk::parse_header(&header)?;
+            let (n_rows, offsets) = chunk::parse_header(&header, f.len)?;
             let meta = ChunkMeta {
                 path: f.path.clone(),
                 n_rows,
                 offsets,
             };
-            // Recompute stats from data.
+            // Recompute stats from data; scans cut ranges by `n_rows`.
             let cols: Vec<ColumnData> = (0..store.schema.len())
                 .map(|c| chunk::read_column(&fs, &meta, c, reader))
                 .collect::<Result<_>>()?;
+            if let Some(c) = cols.iter().position(|c| c.len() != n_rows) {
+                return Err(VhError::Storage(format!(
+                    "{}: column {c} holds {} rows, the header says {n_rows}",
+                    f.path,
+                    cols[c].len()
+                )));
+            }
             let stats = store.chunk_stats(&cols);
             store.chunks.push(meta);
             store.minmax.push_chunk(stats);
@@ -462,33 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_chunk_replaces_data_and_stats() {
-        let mut s = store(100);
-        s.append_rows(&cols(0, 100)).unwrap();
-        let new = vec![
-            ColumnData::I64(vec![1000, 2000]),
-            ColumnData::I32(vec![1, 2]),
-        ];
-        s.rewrite_chunk(0, &new).unwrap();
-        assert_eq!(s.row_count(), 2);
-        assert_eq!(s.read_column(0, 0, None).unwrap(), new[0]);
-        assert_eq!(s.minmax().stats(0, 0).unwrap().min, Value::I64(1000));
-        // Old chunk file is gone: only one chunk file remains in the dir.
-        assert_eq!(s.n_chunks(), 1);
-    }
-
-    #[test]
-    fn delete_chunk_reclaims_space() {
-        let mut s = store(50);
-        s.append_rows(&cols(0, 150)).unwrap();
-        let bytes_before = s.total_bytes();
-        s.delete_chunk(1).unwrap();
-        assert_eq!(s.n_chunks(), 2);
-        assert!(s.total_bytes() < bytes_before);
-        assert_eq!(s.row_count(), 100);
-    }
-
-    #[test]
     fn home_node_gets_local_replicas() {
         let policy = Arc::new(AffinityPolicy::new(5));
         let fs: StoreRef = Arc::new(SimHdfs::new(
@@ -555,12 +511,61 @@ mod tests {
         assert_eq!(r.minmax().stats(0, 0).unwrap().min, Value::I64(0));
     }
 
+    /// A header read back from disk is checked before a column is cut by
+    /// it: offsets out of order, starting inside the header or ending past
+    /// the file, and a row count the columns do not hold.
+    #[test]
+    fn recovery_refuses_a_corrupt_chunk_header() {
+        let fsys = fs();
+        let config = || StorageConfig {
+            rows_per_chunk: 100,
+        };
+        let mut s = PartitionStore::new(fsys.clone(), "/db/t/p0/", schema(), config());
+        s.append_rows(&cols(0, 100)).unwrap();
+        let path = s.chunk_meta(0).path.clone();
+        let good = fsys
+            .read(&path, 0, s.chunk_meta(0).file_bytes() as usize, None)
+            .unwrap();
+        let offset_at = |i: usize| 12 + 8 * i;
+        let put = |bytes: &mut Vec<u8>, at: usize, v: u64| {
+            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        };
+        let (o1, o2) = (s.chunk_meta(0).offsets[1], s.chunk_meta(0).offsets[2]);
+        let mut corruptions = Vec::new();
+        let mut swapped = good.clone();
+        put(&mut swapped, offset_at(1), o2);
+        put(&mut swapped, offset_at(2), o1);
+        corruptions.push(("offsets swapped", swapped));
+        let mut in_header = good.clone();
+        put(&mut in_header, offset_at(0), 4);
+        corruptions.push(("first offset inside the header", in_header));
+        let mut past_end = good.clone();
+        put(&mut past_end, offset_at(2), good.len() as u64 + 1);
+        corruptions.push(("last offset past the file", past_end));
+        let mut more_rows = good.clone();
+        more_rows[4..8].copy_from_slice(&200u32.to_le_bytes());
+        corruptions.push(("200 rows over 100-row columns", more_rows));
+        for (what, bytes) in corruptions {
+            fsys.delete(&path).unwrap();
+            fsys.append(&path, &bytes, None).unwrap();
+            let got = PartitionStore::recover(fsys.clone(), "/db/t/p0/", schema(), config(), None);
+            assert!(matches!(got, Err(VhError::Storage(_))), "{what}");
+        }
+        fsys.delete(&path).unwrap();
+        fsys.append(&path, &good, None).unwrap();
+        let r = PartitionStore::recover(fsys, "/db/t/p0/", schema(), config(), None).unwrap();
+        assert_eq!(r.row_count(), 100);
+    }
+
     #[test]
     fn schema_mismatch_rejected() {
         let mut s = store(10);
         assert!(s.append_rows(&[ColumnData::I64(vec![1])]).is_err());
         s.append_rows(&cols(0, 10)).unwrap();
-        assert!(s.rewrite_chunk(0, &[ColumnData::I64(vec![1])]).is_err());
+        let path = s.alloc_chunk_path();
+        assert!(s
+            .install_chunk(0, &path, &[ColumnData::I64(vec![1])])
+            .is_err());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! ones. For everything else this module implements the chunk-level
 //! rewrite-or-keep refinement the paper leaves as future work: the merge
 //! plan is sliced per chunk, and a chunk is *folded* (re-written into a
-//! fresh file with its deltas applied) only once its pending deltas reach
+//! fresh file with its deltas applied, by draining an `MScan` of it, the
+//! one interpreter of a merge plan) only once its pending deltas reach
 //! 1/64 of its rows. Every other chunk is *kept*: its file stays
 //! byte-identical on disk and its deltas stay pending in the PDT. Tail
 //! inserts count against the last chunk. So a run writes at least one
@@ -40,7 +41,8 @@
 //! are swept by `gc_orphans` at the start of the next run.
 
 use vectorh_common::fault::FaultSite;
-use vectorh_common::{ColumnData, PartitionId, Result, Value, VhError};
+use vectorh_common::{ColumnData, PartitionId, Result, VhError};
+use vectorh_exec::scan::MScan;
 use vectorh_pdt::MergeStep;
 use vectorh_storage::PartitionStore;
 
@@ -102,30 +104,6 @@ impl PropagationReport {
             carried: Vec::new(),
         }
     }
-}
-
-/// Build full-width columns from the rows of `EmitInsert` steps.
-fn columns_from_inserts(store: &PartitionStore, inserts: &[MergeStep]) -> Result<Vec<ColumnData>> {
-    let schema = store.schema();
-    let mut cols: Vec<ColumnData> = schema
-        .fields()
-        .iter()
-        .map(|f| ColumnData::with_capacity(f.dtype, inserts.len()))
-        .collect();
-    push_inserts(&mut cols, inserts)?;
-    Ok(cols)
-}
-
-/// Append the rows of `EmitInsert` steps to `cols`.
-fn push_inserts(cols: &mut [ColumnData], inserts: &[MergeStep]) -> Result<()> {
-    for step in inserts {
-        if let MergeStep::EmitInsert { values, .. } = step {
-            for (col, v) in cols.iter_mut().zip(values.iter()) {
-                col.push_value(v)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Slice a whole-partition merge plan into per-chunk sub-plans plus the
@@ -364,75 +342,44 @@ impl Folding {
     }
 }
 
-/// Apply one chunk's sub-plan, materializing only that chunk's columns.
-/// `base` is the chunk's first SID in the *pre-rewrite* layout — it must
-/// come from the bounds the plan was sliced against, not be recomputed from
-/// the store, because earlier chunks may already have been reinstalled with
-/// a different row count.
-///
-/// The steps must consume the chunk's SIDs in ascending order, each at most
-/// once ([`slice_plan`]'s contract); a step that does not is an error.
-fn apply_chunk(
+/// Fold `steps` over the image the run started from (`store`, the live
+/// manifest: the sub-plans address its pre-rewrite SIDs) by draining an
+/// [`MScan`] of all columns that reads `chunk` only (`None`: an insert-only
+/// plan, a fresh tail chunk). The scan drops the rows of a chunk it does not
+/// keep, so a step outside `chunk` is refused here; the scan refuses one
+/// that goes back.
+fn fold_chunk(
     store: &PartitionStore,
-    chunk: usize,
-    base: u64,
-    steps: &[MergeStep],
-    reader: Option<vectorh_common::NodeId>,
+    chunk: Option<usize>,
+    steps: Vec<MergeStep>,
 ) -> Result<Vec<ColumnData>> {
-    let schema = store.schema();
-    let all: Vec<usize> = (0..schema.len()).collect();
-    let cols = store.read_columns(chunk, &all, reader)?;
-    let mut out: Vec<ColumnData> = schema
-        .fields()
-        .iter()
-        .map(|f| ColumnData::new(f.dtype))
-        .collect();
-    let end = base + store.chunk_meta(chunk).n_rows as u64;
-    let mut next_sid = base; // first SID of the chunk no step has consumed
-    let mut claim = |sid: u64, n: u64| -> Result<usize> {
-        if sid < next_sid || sid + n > end {
-            return Err(VhError::Propagation(format!(
-                "chunk {chunk}: step at sid {sid} (+{n}) is outside its unconsumed rows [{next_sid}, {end})"
+    let mut keep = vec![false; store.n_chunks()];
+    let (base, end) = chunk.map_or((0, 0), |i| {
+        keep[i] = true;
+        let base = store.chunk_sid_base(i);
+        (base, base + store.chunk_meta(i).n_rows as u64)
+    });
+    let at = chunk.map_or("tail chunk".to_string(), |i| format!("chunk {i}"));
+    let refuse = |what: String| VhError::Propagation(format!("{at}: {what}"));
+    for step in &steps {
+        let (sid, n) = match step {
+            MergeStep::CopyStable { from_sid, count }
+            | MergeStep::SkipStable { from_sid, count } => (*from_sid, *count),
+            MergeStep::ModifyStable { sid, .. } => (*sid, 1),
+            MergeStep::EmitInsert { .. } => continue,
+        };
+        if sid < base || sid + n > end {
+            return Err(refuse(format!(
+                "step at sid {sid} (+{n}) is outside its rows [{base}, {end})"
             )));
         }
-        next_sid = sid + n;
-        Ok((sid - base) as usize)
-    };
-    for step in steps {
-        match step {
-            MergeStep::CopyStable { from_sid, count } => {
-                let lo = claim(*from_sid, *count)?;
-                let hi = lo + *count as usize;
-                for (col, src) in out.iter_mut().zip(&cols) {
-                    col.extend_range(src, lo, hi)?;
-                }
-            }
-            MergeStep::SkipStable { from_sid, count } => {
-                claim(*from_sid, *count)?;
-            }
-            MergeStep::ModifyStable { sid, mods } => {
-                let idx = claim(*sid, 1)?;
-                // Pre-index the patches by column so wide rows don't pay a
-                // linear scan of `mods` per column.
-                let mut by_col: Vec<Option<&Value>> = vec![None; schema.len()];
-                for (mc, v) in mods {
-                    by_col[*mc] = Some(v);
-                }
-                for (c, col) in out.iter_mut().enumerate() {
-                    match by_col[c] {
-                        Some(v) => col.push_value(v)?,
-                        None => col.extend_range(&cols[c], idx, idx + 1)?,
-                    }
-                }
-            }
-            MergeStep::EmitInsert { values, .. } => {
-                for (c, col) in out.iter_mut().enumerate() {
-                    col.push_value(&values[c])?;
-                }
-            }
-        }
     }
-    Ok(out)
+    let all = (0..store.schema().len()).collect();
+    let scan = MScan::new(store.clone(), all, keep, steps, store.home())?;
+    scan.into_columns().map_err(|e| match e {
+        VhError::Exec(what) => refuse(what),
+        e => e,
+    })
 }
 
 /// Consult the fault hook at a named propagation step. The detail string is
@@ -529,7 +476,7 @@ pub fn propagate_partition(
         mgr.abort_propagation(pid);
         return Ok(PropagationReport::noop(stable));
     }
-    match run(mgr, pid, store, wal, stable, &bounds, folding) {
+    match run(mgr, pid, store, wal, stable, folding) {
         Ok(report) => Ok(report),
         Err(e) => {
             // No-op when `run` already finished the propagation (the
@@ -546,11 +493,10 @@ fn run(
     store: &mut PartitionStore,
     wal: &Wal,
     stable: u64,
-    bounds: &[(u64, u64)],
     folding: Folding,
 ) -> Result<PropagationReport> {
     let Folding {
-        per_chunk,
+        mut per_chunk,
         tail,
         fold,
         tail_folds,
@@ -560,17 +506,17 @@ fn run(
         image_rows,
     } = folding;
     crash_point(wal, "begin")?;
-    // All mutation happens on a scratch clone; the live manifest only
-    // changes at the post-checkpoint install below.
+    // All mutation happens on a scratch clone; the live manifest, which
+    // the folds read, only changes at the post-checkpoint install below.
     let mut scratch = store.clone();
     scratch.gc_orphans()?;
 
-    let n = bounds.len();
+    let n = per_chunk.len();
     let rpc = scratch.rows_per_chunk();
     // The tail, when it folds, goes into the last chunk first if that
     // chunk is partial (so repeated trickle-and-propagate cycles don't
     // litter short chunks), then into fresh chunks.
-    let absorb = tail_folds && !tail.is_empty() && n > 0 && (bounds[n - 1].1 as usize) < rpc;
+    let absorb = tail_folds && !tail.is_empty() && n > 0 && store.chunk_meta(n - 1).n_rows < rpc;
     let mut rewrite: Vec<bool> = (0..n)
         .map(|i| fold[i] && deltas(&per_chunk[i]) > 0)
         .collect();
@@ -583,7 +529,6 @@ fn run(
         rewrite[n - 1] = true;
     }
 
-    let reader = scratch.home();
     let mut old_paths: Vec<String> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
     let mut chunks_rewritten = 0u64;
@@ -593,12 +538,13 @@ fn run(
         if !rewrite[i] {
             continue;
         }
-        let mut cols = apply_chunk(&scratch, i, bounds[i].0, &per_chunk[i], reader)?;
+        let mut steps = std::mem::take(&mut per_chunk[i]);
         if i == n - 1 && tail_folds {
-            let room = rpc.saturating_sub(cols.first().map_or(0, |c| c.len()));
-            tail_cursor = room.min(tail.len());
-            push_inserts(&mut cols, &tail[..tail_cursor])?;
+            let rows = steps.iter().map(MergeStep::emits).sum::<u64>() as usize;
+            tail_cursor = rpc.saturating_sub(rows).min(tail.len());
+            steps.extend_from_slice(&tail[..tail_cursor]);
         }
+        let cols = fold_chunk(store, Some(i), steps)?;
         crash_point(wal, &format!("rewrite-begin:{i}"))?;
         let path = scratch.alloc_chunk_path();
         wal.append(&[LogRecord::ChunkRewriteBegin {
@@ -621,7 +567,7 @@ fn run(
     if tail_folds && tail_cursor < tail.len() {
         crash_point(wal, "append")?;
         for rows in tail[tail_cursor..].chunks(rpc.max(1)) {
-            let cols = columns_from_inserts(&scratch, rows)?;
+            let cols = fold_chunk(store, None, rows.to_vec())?;
             let idx = scratch.n_chunks();
             let path = scratch.alloc_chunk_path();
             wal.append(&[LogRecord::ChunkRewriteBegin {
@@ -690,7 +636,7 @@ mod tests {
     use std::sync::Arc;
     use vectorh_blockstore::{BlockStore, BlockStoreConfig, DefaultPolicy, SimHdfs, StoreRef};
     use vectorh_common::fault::{FaultAction, FaultHook};
-    use vectorh_common::{DataType, Schema};
+    use vectorh_common::{DataType, Schema, Value};
     use vectorh_storage::StorageConfig;
 
     const P: PartitionId = PartitionId(0);
@@ -928,7 +874,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_chunk_moves_each_row_once_and_rejects_a_plan_that_goes_back() {
+    fn a_fold_moves_each_row_once_and_rejects_a_plan_that_goes_back() {
         use MergeStep::*;
         let (_mgr, store, _wal) = setup(128); // chunks [0, 64) and [64, 128)
         let copy = |from_sid, count| CopyStable { from_sid, count };
@@ -949,7 +895,7 @@ mod tests {
             },
             copy(76, 52),
         ];
-        let cols = apply_chunk(&store, 1, 64, &steps, None).unwrap();
+        let cols = fold_chunk(&store, Some(1), steps.to_vec()).unwrap();
         let mut keys: Vec<i64> = (64..128).filter(|k| *k != 75).collect();
         keys.insert(10, 500);
         keys[11] = -1;
@@ -967,7 +913,7 @@ mod tests {
             (vec![copy(100, 29)], 100),             // runs past the chunk
             (vec![copy(10, 5)], 10),                // another chunk's rows
         ] {
-            let err = apply_chunk(&store, 1, 64, &bad, None).unwrap_err();
+            let err = fold_chunk(&store, Some(1), bad).unwrap_err();
             assert!(matches!(err, VhError::Propagation(_)), "got {err}");
             assert!(
                 err.to_string().contains(&format!("sid {sid} ")),
