@@ -11,6 +11,7 @@
 //! would make it lose. LZ has no bound cheaper than compressing, so a
 //! string block is compressed in full and PDICT-STR planned against it.
 
+use vectorh_common::bytes::{put_bytes, Format, Reader};
 use vectorh_common::{ColumnData, Result, StrVec, VhError};
 
 use crate::lz;
@@ -103,8 +104,7 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
     fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
+        put_bytes(&mut self.buf, b);
     }
     /// A count, then each value as `u32` length + bytes.
     fn strs(&mut self, v: &StrVec) {
@@ -113,52 +113,11 @@ impl Writer {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let s = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| VhError::Codec("truncated block".into()))?;
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    /// `n` little-endian 8-byte words; `n` comes off a disk, so the words
-    /// are taken before anything is allocated for them.
-    fn words(&mut self, n: usize) -> Result<impl Iterator<Item = [u8; 8]> + 'a> {
-        let bytes = self.take(n.saturating_mul(8))?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|w| w.try_into().expect("8 bytes")))
-    }
-    fn bytes(&mut self) -> Result<&'a [u8]> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-    /// What [`Writer::strs`] wrote, validated as a whole.
-    fn strs(&mut self) -> Result<StrVec> {
-        let n = self.u32()? as usize;
-        let (v, used) = StrVec::read_len_prefixed(&self.buf[self.pos..], n)?;
-        self.pos += used;
-        Ok(v)
-    }
-}
+/// How a block reports bytes it cannot read.
+const BLOCK: Format = Format {
+    error: VhError::Codec,
+    truncated: "truncated block",
+};
 
 // --- per-scheme serialization ----------------------------------------------
 
@@ -188,7 +147,13 @@ fn read_pfor_body(r: &mut Reader) -> Result<Pfor> {
 /// A count, then that many `i64`s.
 fn read_i64s(r: &mut Reader) -> Result<Vec<i64>> {
     let n = r.u32()? as usize;
-    Ok(r.words(n)?.map(i64::from_le_bytes).collect())
+    Ok(r.arrays(n)?.map(i64::from_le_bytes).collect())
+}
+
+/// What [`Writer::strs`] wrote.
+fn read_strs(r: &mut Reader) -> Result<StrVec> {
+    let n = r.u32()? as usize;
+    r.strs(n)
 }
 
 fn encode_pfor(p: &Pfor) -> Vec<u8> {
@@ -343,17 +308,15 @@ fn encode_strs(values: &StrVec) -> EncodedBlock {
 /// Decode a block produced by [`encode_column`]. A block whose parts do not
 /// fit each other is a `VhError::Codec`, never a panic.
 pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
-    let (&tag, body) = bytes
-        .split_first()
-        .ok_or_else(|| VhError::Codec("empty block".into()))?;
-    let scheme = Scheme::from_tag(tag)?;
-    let mut r = Reader::new(body);
+    let mut r = Reader::new(bytes, &BLOCK);
+    let scheme = Scheme::from_tag(r.u8()?)?;
     match scheme {
         Scheme::Pfor | Scheme::PforDelta | Scheme::PdictI64 => {
-            let (&narrow, body) = body
+            let (&narrow, body) = r
+                .rest()
                 .split_last()
-                .ok_or_else(|| VhError::Codec("truncated block".into()))?;
-            let mut r = Reader::new(body);
+                .ok_or_else(|| r.error(BLOCK.truncated))?;
+            let mut r = Reader::new(body, &BLOCK);
             let mut out: Vec<i64> = Vec::new();
             match scheme {
                 Scheme::Pfor => read_pfor_body(&mut r)?.try_decode(&mut out)?,
@@ -384,12 +347,12 @@ pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
             // they are parsed, the codes once in `decode`; a decoded row is
             // then a code into valid bytes.
             let block = PdictStr {
-                dict: r.strs()?,
+                dict: read_strs(&mut r)?,
                 width: r.u8()?,
                 n: r.u32()?,
                 first_exc: r.u32()?,
                 codes: r.bytes()?.to_vec(),
-                exceptions: r.strs()?,
+                exceptions: read_strs(&mut r)?,
             };
             Ok(ColumnData::Str(block.decode()?))
         }
@@ -404,7 +367,7 @@ pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
         Scheme::PlainF64 => {
             let n = r.u32()? as usize;
             Ok(ColumnData::F64(
-                r.words(n)?.map(f64::from_le_bytes).collect(),
+                r.arrays(n)?.map(f64::from_le_bytes).collect(),
             ))
         }
     }

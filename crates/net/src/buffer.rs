@@ -10,7 +10,8 @@
 
 use std::sync::Arc;
 
-use vectorh_common::{ColumnData, Result, Schema, StrVec, VhError};
+use vectorh_common::bytes::{Format, Reader};
+use vectorh_common::{ColumnData, Result, Schema, VhError};
 
 use crate::stats::NetStats;
 
@@ -90,53 +91,31 @@ pub fn serialized_len(batch: &vectorh_exec::Batch) -> usize {
     8 + batch.columns.len() + byte_size(batch)
 }
 
+/// How an exchange message reports bytes it cannot read.
+const EXCHANGE: Format = Format {
+    error: VhError::Net,
+    truncated: "truncated exchange message",
+};
+
 /// Deserialize a PAX buffer back into a batch of `schema`.
 pub fn deserialize(bytes: &[u8], schema: Arc<Schema>) -> Result<vectorh_exec::Batch> {
-    let err = || VhError::Net("truncated exchange message".into());
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-        let s = bytes.get(*pos..*pos + n).ok_or_else(err)?;
-        *pos += n;
-        Ok(s)
-    };
-    let n_rows = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    let n_cols = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+    let mut r = Reader::new(bytes, &EXCHANGE);
+    let n_rows = r.u32()? as usize;
+    let n_cols = r.u32()? as usize;
     if n_cols != schema.len() {
-        return Err(VhError::Net("message column count mismatch".into()));
+        return Err(r.error("message column count mismatch"));
     }
+    // Every column holds at least four bytes a row.
+    let n_rows = r.count(n_rows, 4 * n_cols)?;
     let mut columns = Vec::with_capacity(n_cols);
     for _ in 0..n_cols {
-        let tag = take(&mut pos, 1)?[0];
-        columns.push(match tag {
-            0 => {
-                let mut v = Vec::with_capacity(n_rows);
-                for _ in 0..n_rows {
-                    v.push(i32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()));
-                }
-                ColumnData::I32(v)
-            }
-            1 => {
-                let mut v = Vec::with_capacity(n_rows);
-                for _ in 0..n_rows {
-                    v.push(i64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
-                }
-                ColumnData::I64(v)
-            }
-            2 => {
-                let mut v = Vec::with_capacity(n_rows);
-                for _ in 0..n_rows {
-                    v.push(f64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
-                }
-                ColumnData::F64(v)
-            }
-            3 => {
-                // One pass over the column, one UTF-8 check of its payload.
-                let (v, used) = StrVec::read_len_prefixed(&bytes[pos..], n_rows)
-                    .map_err(|e| VhError::Net(format!("exchange message: {e}")))?;
-                pos += used;
-                ColumnData::Str(v)
-            }
-            _ => return Err(VhError::Net("bad column tag".into())),
+        columns.push(match r.u8()? {
+            0 => ColumnData::I32(r.arrays(n_rows)?.map(i32::from_le_bytes).collect()),
+            1 => ColumnData::I64(r.arrays(n_rows)?.map(i64::from_le_bytes).collect()),
+            2 => ColumnData::F64(r.arrays(n_rows)?.map(f64::from_le_bytes).collect()),
+            // One pass over the column, one UTF-8 check of its payload.
+            3 => ColumnData::Str(r.strs(n_rows)?),
+            _ => return Err(r.error("bad column tag")),
         });
     }
     vectorh_exec::Batch::new(schema, columns)
@@ -178,7 +157,7 @@ pub fn open_message(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vectorh_common::DataType;
+    use vectorh_common::{DataType, StrVec};
     use vectorh_exec::Batch;
 
     fn batch() -> Batch {
@@ -287,6 +266,17 @@ mod tests {
             let err = got.err();
             assert!(matches!(err, Some(VhError::Net(_))), "{what}: {err:?}");
         }
+    }
+
+    #[test]
+    fn a_row_count_past_the_message_is_refused_before_allocation() {
+        let schema = Arc::new(Schema::of(&[("a", DataType::I64)]));
+        let mut msg = u32::MAX.to_le_bytes().to_vec();
+        msg.extend(1u32.to_le_bytes());
+        msg.push(1);
+        msg.extend(5i64.to_le_bytes());
+        let err = deserialize(&msg, schema).err();
+        assert!(matches!(err, Some(VhError::Net(_))), "{err:?}");
     }
 
     #[test]

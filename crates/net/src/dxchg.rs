@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use vectorh_common::bytes::{put_bytes, Format, Reader};
 use vectorh_common::channel::{bounded, Receiver, Sender};
 use vectorh_common::fault::{FaultAction, FaultSite, SharedFaultHook};
 use vectorh_common::sync::Mutex;
@@ -130,8 +131,7 @@ fn encode_remote(env: &Envelope) -> Result<Vec<u8>> {
     match route {
         Some(r) => {
             out.push(1);
-            out.extend_from_slice(&(r.len() as u32).to_le_bytes());
-            out.extend_from_slice(r);
+            put_bytes(&mut out, r);
         }
         None => out.push(0),
     }
@@ -145,34 +145,34 @@ fn encode_remote_error(e: &VhError) -> Vec<u8> {
     out
 }
 
+/// How a fabric payload reports bytes it cannot read.
+const FABRIC: Format = Format {
+    error: VhError::Net,
+    truncated: "dxchg: truncated fabric payload",
+};
+
 fn decode_remote(payload: &[u8]) -> Result<Payload> {
-    let err = || VhError::Net("dxchg: truncated fabric payload".into());
-    match payload.first().ok_or_else(err)? {
+    let mut r = Reader::new(payload, &FABRIC);
+    match r.u8()? {
         1 => Ok(Err(VhError::Net(format!(
             "dxchg: remote producer failed: {}",
-            String::from_utf8_lossy(&payload[1..])
+            String::from_utf8_lossy(r.rest())
         )))),
         0 => {
-            let tag = u64::from_le_bytes(payload.get(1..9).ok_or_else(err)?.try_into().unwrap());
-            let has_route = *payload.get(9).ok_or_else(err)? == 1;
-            let (route, rest) = if has_route {
-                let len =
-                    u32::from_le_bytes(payload.get(10..14).ok_or_else(err)?.try_into().unwrap())
-                        as usize;
-                let route = payload.get(14..14 + len).ok_or_else(err)?.to_vec();
-                (Some(route), &payload[14 + len..])
-            } else {
-                (None, &payload[10..])
+            let tag = r.u64()?;
+            let route = match r.u8()? {
+                1 => Some(r.bytes()?.to_vec()),
+                _ => None,
             };
             Ok(Ok(Envelope {
                 tag,
                 msg: Message::Wire {
-                    bytes: rest.to_vec(),
+                    bytes: r.rest().to_vec(),
                     route,
                 },
             }))
         }
-        k => Err(VhError::Net(format!("dxchg: bad fabric payload kind {k}"))),
+        k => Err(r.error(format!("dxchg: bad fabric payload kind {k}"))),
     }
 }
 

@@ -14,103 +14,30 @@
 //! ErrorFrame         [code: u16][retry_after_ms: u32][msg_len: u32][msg]
 //! ```
 //!
-//! Values are tag-prefixed: the tag picks the arm, fixed-width arms are LE,
-//! strings are length-prefixed. `retry_after_ms` is zero except on
-//! `ServerBusy`, where it carries the server's seeded-jitter backoff hint.
+//! Values are tag-prefixed, in the encoding WAL records use
+//! ([`vectorh_common::bytes::put_value`]): the tag picks the arm,
+//! fixed-width arms are LE, strings are length-prefixed. `retry_after_ms` is
+//! zero except on `ServerBusy`, where it carries the server's seeded-jitter
+//! backoff hint.
 
+use vectorh_common::bytes::{put_bytes, put_value, Format, Reader};
 use vectorh_common::{Result, Value, VhError};
 
-fn bad(msg: &str) -> VhError {
+fn wire_error(msg: String) -> VhError {
     VhError::Net(format!("wire: {msg}"))
 }
 
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
-    if buf.len() < n {
-        return Err(bad("truncated payload"));
-    }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
-}
-
-fn get_u16(buf: &mut &[u8]) -> Result<u16> {
-    Ok(u16::from_le_bytes(take(buf, 2)?.try_into().unwrap()))
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    Ok(u32::from_le_bytes(take(buf, 4)?.try_into().unwrap()))
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    Ok(u64::from_le_bytes(take(buf, 8)?.try_into().unwrap()))
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::I32(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::I64(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Decimal(x, scale) => {
-            out.push(3);
-            out.extend_from_slice(&x.to_le_bytes());
-            out.push(*scale);
-        }
-        Value::Date(x) => {
-            out.push(4);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(5);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(6);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-fn get_value(buf: &mut &[u8]) -> Result<Value> {
-    let tag = take(buf, 1)?[0];
-    Ok(match tag {
-        0 => Value::Null,
-        1 => Value::I32(i32::from_le_bytes(take(buf, 4)?.try_into().unwrap())),
-        2 => Value::I64(i64::from_le_bytes(take(buf, 8)?.try_into().unwrap())),
-        3 => {
-            let x = i64::from_le_bytes(take(buf, 8)?.try_into().unwrap());
-            let scale = take(buf, 1)?[0];
-            Value::Decimal(x, scale)
-        }
-        4 => Value::Date(i32::from_le_bytes(take(buf, 4)?.try_into().unwrap())),
-        5 => Value::F64(f64::from_bits(u64::from_le_bytes(
-            take(buf, 8)?.try_into().unwrap(),
-        ))),
-        6 => {
-            let len = get_u32(buf)? as usize;
-            let bytes = take(buf, len)?;
-            Value::Str(
-                std::str::from_utf8(bytes)
-                    .map_err(|_| bad("non-utf8 string value"))?
-                    .to_string(),
-            )
-        }
-        other => return Err(bad(&format!("unknown value tag {other}"))),
-    })
-}
+const WIRE: Format = Format {
+    error: wire_error,
+    truncated: "truncated payload",
+};
 
 /// Encode one batch of result rows.
 pub fn encode_rows(rows: &[Vec<Value>]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    out.extend((rows.len() as u32).to_le_bytes());
     for row in rows {
-        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
+        out.extend((row.len() as u32).to_le_bytes());
         for v in row {
             put_value(&mut out, v);
         }
@@ -119,19 +46,21 @@ pub fn encode_rows(rows: &[Vec<Value>]) -> Vec<u8> {
 }
 
 /// Decode one batch of result rows.
-pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<Vec<Value>>> {
-    let n_rows = get_u32(&mut buf)? as usize;
-    let mut rows = Vec::with_capacity(n_rows.min(1 << 20));
+pub fn decode_rows(buf: &[u8]) -> Result<Vec<Vec<Value>>> {
+    let mut r = Reader::new(buf, &WIRE);
+    // A row takes at least its column count, a value at least its tag.
+    let n_rows = r.u32()? as usize;
+    let mut rows = Vec::with_capacity(r.count(n_rows, 4)?);
     for _ in 0..n_rows {
-        let n_cols = get_u32(&mut buf)? as usize;
-        let mut row = Vec::with_capacity(n_cols.min(1 << 10));
+        let n_cols = r.u32()? as usize;
+        let mut row = Vec::with_capacity(r.count(n_cols, 1)?);
         for _ in 0..n_cols {
-            row.push(get_value(&mut buf)?);
+            row.push(r.value()?);
         }
         rows.push(row);
     }
-    if !buf.is_empty() {
-        return Err(bad("trailing bytes after row batch"));
+    if r.remaining() != 0 {
+        return Err(r.error("trailing bytes after row batch"));
     }
     Ok(rows)
 }
@@ -139,14 +68,15 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<Vec<Value>>> {
 /// Encode a `Done` payload: total rows streamed + failovers absorbed.
 pub fn encode_done(row_total: u64, retries_absorbed: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
-    out.extend_from_slice(&row_total.to_le_bytes());
-    out.extend_from_slice(&retries_absorbed.to_le_bytes());
+    out.extend(row_total.to_le_bytes());
+    out.extend(retries_absorbed.to_le_bytes());
     out
 }
 
 /// Decode a `Done` payload into `(row_total, retries_absorbed)`.
-pub fn decode_done(mut buf: &[u8]) -> Result<(u64, u64)> {
-    Ok((get_u64(&mut buf)?, get_u64(&mut buf)?))
+pub fn decode_done(buf: &[u8]) -> Result<(u64, u64)> {
+    let mut r = Reader::new(buf, &WIRE);
+    Ok((r.u64()?, r.u64()?))
 }
 
 /// Encode a typed error reply. `retry_after_ms` is nonzero only for
@@ -154,21 +84,18 @@ pub fn decode_done(mut buf: &[u8]) -> Result<(u64, u64)> {
 pub fn encode_error(err: &VhError, retry_after_ms: u32) -> Vec<u8> {
     let msg = err.message().as_bytes();
     let mut out = Vec::with_capacity(10 + msg.len());
-    out.extend_from_slice(&err.code().to_le_bytes());
-    out.extend_from_slice(&retry_after_ms.to_le_bytes());
-    out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-    out.extend_from_slice(msg);
+    out.extend(err.code().to_le_bytes());
+    out.extend(retry_after_ms.to_le_bytes());
+    put_bytes(&mut out, msg);
     out
 }
 
 /// Decode a typed error reply into `(error, retry_after_ms)`.
-pub fn decode_error(mut buf: &[u8]) -> Result<(VhError, u32)> {
-    let code = get_u16(&mut buf)?;
-    let retry_after_ms = get_u32(&mut buf)?;
-    let len = get_u32(&mut buf)? as usize;
-    let msg = std::str::from_utf8(take(&mut buf, len)?)
-        .map_err(|_| bad("non-utf8 error message"))?
-        .to_string();
+pub fn decode_error(buf: &[u8]) -> Result<(VhError, u32)> {
+    let mut r = Reader::new(buf, &WIRE);
+    let code = r.u16()?;
+    let retry_after_ms = r.u32()?;
+    let msg = r.str()?.to_string();
     Ok((VhError::from_code(code, msg), retry_after_ms))
 }
 
@@ -178,8 +105,8 @@ pub fn encode_stmt(stmt_id: u64) -> Vec<u8> {
 }
 
 /// Decode a statement id.
-pub fn decode_stmt(mut buf: &[u8]) -> Result<u64> {
-    get_u64(&mut buf)
+pub fn decode_stmt(buf: &[u8]) -> Result<u64> {
+    Reader::new(buf, &WIRE).u64()
 }
 
 #[cfg(test)]

@@ -16,8 +16,15 @@
 //! Column bodies are self-describing [`vectorh_compress`] blocks.
 
 use vectorh_blockstore::BlockStore;
+use vectorh_common::bytes::{Format, Reader};
 use vectorh_common::{ColumnData, NodeId, Result, VhError};
 use vectorh_compress::{decode_column, encode_column};
+
+/// How a chunk header reports bytes it cannot read.
+const HEADER: Format = Format {
+    error: VhError::Storage,
+    truncated: "chunk header truncated",
+};
 
 /// Magic tag identifying VectorH-rs chunk files.
 pub const CHUNK_MAGIC: u32 = 0x56_48_43_4B; // "VHCK"
@@ -125,27 +132,17 @@ pub fn read_column(
 /// without going back, or reading a column would cut a range that is not
 /// there.
 pub fn parse_header(bytes: &[u8], file_len: u64) -> Result<(usize, Vec<u64>)> {
-    if bytes.len() < 12 {
-        return Err(VhError::Storage("chunk too short".into()));
+    let mut r = Reader::new(bytes, &HEADER);
+    if r.u32()? != CHUNK_MAGIC {
+        return Err(r.error("bad chunk magic"));
     }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    if magic != CHUNK_MAGIC {
-        return Err(VhError::Storage("bad chunk magic".into()));
-    }
-    let n_rows = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-    let n_cols = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let need = 12 + 8 * (n_cols + 1);
-    if bytes.len() < need {
-        return Err(VhError::Storage("chunk header truncated".into()));
-    }
-    let mut offsets = Vec::with_capacity(n_cols + 1);
-    for i in 0..=n_cols {
-        let at = 12 + 8 * i;
-        offsets.push(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()));
-    }
+    let n_rows = r.u32()? as usize;
+    let n_cols = r.u32()? as usize;
+    let offsets: Vec<u64> = r.arrays(n_cols + 1)?.map(u64::from_le_bytes).collect();
+    let need = r.pos() as u64;
     let in_order = offsets.windows(2).all(|w| w[0] <= w[1]);
-    if offsets[0] < need as u64 || !in_order || offsets[n_cols] > file_len {
-        return Err(VhError::Storage(format!(
+    if offsets[0] < need || !in_order || offsets[n_cols] > file_len {
+        return Err(r.error(format!(
             "chunk offsets {offsets:?} do not fit a {need}-byte header in a {file_len}-byte file"
         )));
     }

@@ -19,6 +19,7 @@
 //! half-flushed socket) into a detected error instead of silent corruption:
 //! a truncated frame either fails the length read or fails the checksum.
 
+use vectorh_common::bytes::{Format, Reader};
 use vectorh_common::{Result, VhError};
 
 /// Bump when the frame layout changes; handshakes reject mismatches.
@@ -193,6 +194,19 @@ pub enum DecodeError {
     Malformed(String),
 }
 
+/// How a frame reports bytes it cannot read (the length check before the
+/// body is read leaves none).
+const FRAME: Format = Format {
+    error: VhError::Net,
+    truncated: "truncated frame",
+};
+
+impl From<VhError> for DecodeError {
+    fn from(e: VhError) -> DecodeError {
+        DecodeError::Malformed(e.message().to_string())
+    }
+}
+
 impl DecodeError {
     pub fn into_vh(self) -> VhError {
         VhError::Net(match self {
@@ -232,25 +246,28 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::result::Result<Frame, Dec
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)
         .map_err(|e| DecodeError::Partial(e.to_string()))?;
-    let crc_pos = len - 4;
-    let got = u32::from_le_bytes(body[crc_pos..].try_into().unwrap());
-    let expect = crc32(&body[..crc_pos]);
+    let mut r = Reader::new(&body, &FRAME);
+    let fields = r.take(len - 4)?;
+    let got = r.u32()?;
+    let expect = crc32(fields);
     if got != expect {
         return Err(DecodeError::Crc { expect, got });
     }
-    let version = u16::from_le_bytes(body[0..2].try_into().unwrap());
+    let mut r = Reader::new(fields, &FRAME);
+    let version = r.u16()?;
     if version != TRANSPORT_VERSION {
         return Err(DecodeError::Version(version));
     }
-    let kind = FrameKind::from_u8(body[2])
-        .ok_or_else(|| DecodeError::Malformed(format!("kind {}", body[2])))?;
+    let kind = r.u8()?;
+    let kind =
+        FrameKind::from_u8(kind).ok_or_else(|| DecodeError::Malformed(format!("kind {kind}")))?;
     Ok(Frame {
         kind,
-        from: body[3],
-        channel: u32::from_le_bytes(body[4..8].try_into().unwrap()),
-        seq: u64::from_le_bytes(body[8..16].try_into().unwrap()),
-        epoch: u64::from_le_bytes(body[16..24].try_into().unwrap()),
-        payload: body[HEADER_LEN..crc_pos].to_vec(),
+        from: r.u8()?,
+        channel: r.u32()?,
+        seq: r.u64()?,
+        epoch: r.u64()?,
+        payload: r.rest().to_vec(),
     })
 }
 

@@ -8,6 +8,7 @@
 //! summaries, which VectorH deliberately stores *away* from the data files.
 
 use vectorh_blockstore::{BlockStore, StoreRef};
+use vectorh_common::bytes::{put_bytes, put_value, Format, Reader};
 use vectorh_common::fault::{FaultAction, FaultSite};
 use vectorh_common::{NodeId, Result, Value, VhError};
 
@@ -101,90 +102,17 @@ pub enum LogRecord {
     },
 }
 
-// --- manual binary (de)serialization ----------------------------------------
+/// How a WAL reports bytes it cannot read.
+const WAL: Format = Format {
+    error: VhError::Storage,
+    truncated: "truncated WAL record",
+};
 
-fn put_u32(v: u32, out: &mut Vec<u8>) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(v: u64, out: &mut Vec<u8>) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::I32(x) => {
-            out.push(0);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::I64(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Decimal(x, s) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_le_bytes());
-            out.push(*s);
-        }
-        Value::Date(x) => {
-            out.push(3);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(4);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(5);
-            put_u32(s.len() as u32, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Null => out.push(6),
-    }
-}
-
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let s = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| VhError::Storage("truncated WAL record".into()))?;
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
-            0 => Value::I32(i32::from_le_bytes(self.take(4)?.try_into().unwrap())),
-            1 => Value::I64(i64::from_le_bytes(self.take(8)?.try_into().unwrap())),
-            2 => {
-                let x = i64::from_le_bytes(self.take(8)?.try_into().unwrap());
-                Value::Decimal(x, self.u8()?)
-            }
-            3 => Value::Date(i32::from_le_bytes(self.take(4)?.try_into().unwrap())),
-            4 => Value::F64(f64::from_le_bytes(self.take(8)?.try_into().unwrap())),
-            5 => {
-                let n = self.u32()? as usize;
-                Value::Str(
-                    String::from_utf8(self.take(n)?.to_vec())
-                        .map_err(|_| VhError::Storage("bad WAL utf8".into()))?,
-                )
-            }
-            6 => Value::Null,
-            t => return Err(VhError::Storage(format!("bad value tag {t}"))),
-        })
+/// A record tag, then little-endian `u64` fields.
+fn put_u64s(out: &mut Vec<u8>, tag: u8, fields: &[u64]) {
+    out.push(tag);
+    for f in fields {
+        out.extend(f.to_le_bytes());
     }
 }
 
@@ -201,76 +129,45 @@ impl LogRecord {
     /// Serialize one record (without the length frame).
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            LogRecord::TxnBegin { txn } => {
-                out.push(0);
-                put_u64(*txn, out);
-            }
+            LogRecord::TxnBegin { txn } => put_u64s(out, 0, &[*txn]),
             LogRecord::Insert {
                 txn,
                 rid,
                 tag,
                 values,
             } => {
-                out.push(1);
-                put_u64(*txn, out);
-                put_u64(*rid, out);
-                put_u64(*tag, out);
-                put_u32(values.len() as u32, out);
+                put_u64s(out, 1, &[*txn, *rid, *tag]);
+                out.extend((values.len() as u32).to_le_bytes());
                 for v in values {
-                    put_value(v, out);
+                    put_value(out, v);
                 }
             }
-            LogRecord::Delete { txn, rid } => {
-                out.push(2);
-                put_u64(*txn, out);
-                put_u64(*rid, out);
-            }
+            LogRecord::Delete { txn, rid } => put_u64s(out, 2, &[*txn, *rid]),
             LogRecord::Modify {
                 txn,
                 rid,
                 col,
                 value,
             } => {
-                out.push(3);
-                put_u64(*txn, out);
-                put_u64(*rid, out);
-                put_u32(*col, out);
-                put_value(value, out);
+                put_u64s(out, 3, &[*txn, *rid]);
+                out.extend(col.to_le_bytes());
+                put_value(out, value);
             }
-            LogRecord::Append { txn, rows } => {
-                out.push(4);
-                put_u64(*txn, out);
-                put_u64(*rows, out);
-            }
-            LogRecord::Commit { txn, seq } => {
-                out.push(5);
-                put_u64(*txn, out);
-                put_u64(*seq, out);
-            }
-            LogRecord::Abort { txn } => {
-                out.push(6);
-                put_u64(*txn, out);
-            }
-            LogRecord::Prepare { txn } => {
-                out.push(7);
-                put_u64(*txn, out);
-            }
-            LogRecord::GlobalCommit { txn } => {
-                out.push(8);
-                put_u64(*txn, out);
-            }
+            LogRecord::Append { txn, rows } => put_u64s(out, 4, &[*txn, *rows]),
+            LogRecord::Commit { txn, seq } => put_u64s(out, 5, &[*txn, *seq]),
+            LogRecord::Abort { txn } => put_u64s(out, 6, &[*txn]),
+            LogRecord::Prepare { txn } => put_u64s(out, 7, &[*txn]),
+            LogRecord::GlobalCommit { txn } => put_u64s(out, 8, &[*txn]),
             LogRecord::Checkpoint {
                 stable_rows,
                 carried,
             } => {
-                out.push(9);
-                put_u64(*stable_rows, out);
-                put_u32(carried.len() as u32, out);
+                put_u64s(out, 9, &[*stable_rows]);
+                out.extend((carried.len() as u32).to_le_bytes());
                 for r in carried {
                     let mut body = Vec::new();
                     r.encode(&mut body);
-                    put_u32(body.len() as u32, out);
-                    out.extend_from_slice(&body);
+                    put_bytes(out, &body);
                 }
             }
             LogRecord::MinMax {
@@ -280,43 +177,39 @@ impl LogRecord {
                 max,
             } => {
                 out.push(10);
-                put_u32(*chunk, out);
-                put_u32(*col, out);
-                put_value(min, out);
-                put_value(max, out);
+                out.extend(chunk.to_le_bytes());
+                out.extend(col.to_le_bytes());
+                put_value(out, min);
+                put_value(out, max);
             }
             LogRecord::Ddl { statement } => {
                 out.push(11);
-                put_u32(statement.len() as u32, out);
-                out.extend_from_slice(statement.as_bytes());
+                put_bytes(out, statement.as_bytes());
             }
-            LogRecord::MasterEpoch { epoch, node } => {
-                out.push(12);
-                put_u64(*epoch, out);
-                put_u64(*node, out);
-            }
+            LogRecord::MasterEpoch { epoch, node } => put_u64s(out, 12, &[*epoch, *node]),
             LogRecord::ChunkRewriteBegin { chunk, path } => {
                 out.push(13);
-                put_u32(*chunk, out);
-                put_u32(path.len() as u32, out);
-                out.extend_from_slice(path.as_bytes());
+                out.extend(chunk.to_le_bytes());
+                put_bytes(out, path.as_bytes());
             }
             LogRecord::ChunkRewritten { chunk, rows } => {
                 out.push(14);
-                put_u32(*chunk, out);
-                put_u64(*rows, out);
+                out.extend(chunk.to_le_bytes());
+                out.extend(rows.to_le_bytes());
             }
         }
     }
 
-    fn decode(rd: &mut Rd) -> Result<LogRecord> {
+    fn decode(rd: &mut Reader) -> Result<LogRecord> {
         Ok(match rd.u8()? {
             0 => LogRecord::TxnBegin { txn: rd.u64()? },
             1 => {
                 let txn = rd.u64()?;
                 let rid = rd.u64()?;
                 let tag = rd.u64()?;
+                // A value takes at least its tag byte.
                 let n = rd.u32()? as usize;
+                let n = rd.count(n, 1)?;
                 let mut values = Vec::with_capacity(n);
                 for _ in 0..n {
                     values.push(rd.value()?);
@@ -354,12 +247,7 @@ impl LogRecord {
                 let n = rd.u32()? as usize;
                 let mut carried = Vec::new();
                 for _ in 0..n {
-                    let len = rd.u32()? as usize;
-                    let mut body = Rd {
-                        buf: rd.take(len)?,
-                        pos: 0,
-                    };
-                    let r = LogRecord::decode(&mut body)?;
+                    let r = LogRecord::decode(&mut Reader::new(rd.bytes()?, &WAL))?;
                     if !r.is_delta() {
                         return Err(VhError::Storage(format!(
                             "checkpoint carries a non-delta record {r:?}"
@@ -378,26 +266,17 @@ impl LogRecord {
                 min: rd.value()?,
                 max: rd.value()?,
             },
-            11 => {
-                let n = rd.u32()? as usize;
-                LogRecord::Ddl {
-                    statement: String::from_utf8(rd.take(n)?.to_vec())
-                        .map_err(|_| VhError::Storage("bad WAL utf8".into()))?,
-                }
-            }
+            11 => LogRecord::Ddl {
+                statement: rd.str()?.to_string(),
+            },
             12 => LogRecord::MasterEpoch {
                 epoch: rd.u64()?,
                 node: rd.u64()?,
             },
-            13 => {
-                let chunk = rd.u32()?;
-                let n = rd.u32()? as usize;
-                LogRecord::ChunkRewriteBegin {
-                    chunk,
-                    path: String::from_utf8(rd.take(n)?.to_vec())
-                        .map_err(|_| VhError::Storage("bad WAL utf8".into()))?,
-                }
-            }
+            13 => LogRecord::ChunkRewriteBegin {
+                chunk: rd.u32()?,
+                path: rd.str()?.to_string(),
+            },
             14 => LogRecord::ChunkRewritten {
                 chunk: rd.u32()?,
                 rows: rd.u64()?,
@@ -464,6 +343,20 @@ fn has_commit_point(records: &[LogRecord]) -> bool {
     })
 }
 
+/// The one walk over a log's frames: each whole frame's body, in order,
+/// and the byte offset where they end. A frame that runs past the end of
+/// the file is a torn tail, and the walk stops there.
+fn frames(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
+    let mut r = Reader::new(bytes, &WAL);
+    let mut bodies = Vec::new();
+    let mut end = 0;
+    while let Ok(body) = r.bytes() {
+        bodies.push(body);
+        end = r.pos();
+    }
+    (bodies, end)
+}
+
 impl Wal {
     pub fn new(fs: StoreRef, path: impl Into<String>, home: Option<NodeId>) -> Wal {
         Wal {
@@ -517,8 +410,7 @@ impl Wal {
         for r in records {
             let mut body = Vec::new();
             r.encode(&mut body);
-            put_u32(body.len() as u32, &mut buf);
-            buf.extend_from_slice(&body);
+            put_bytes(&mut buf, &body);
         }
         if let Some(hook) = self.fs.fault_hook() {
             let crashed = |what: &str| {
@@ -560,22 +452,11 @@ impl Wal {
         }
         self.fs.consult_fault(FaultSite::WalReplay, &self.path)?;
         let bytes = self.fs.read_all(&self.path, self.home())?;
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            if pos + 4 > bytes.len() {
-                break; // torn length prefix at the tail: truncate
-            }
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4;
-            let Some(body) = bytes.get(pos..pos + len) else {
-                break; // torn body at the tail: truncate
-            };
-            pos += len;
-            let mut rd = Rd { buf: body, pos: 0 };
-            out.push(LogRecord::decode(&mut rd)?);
-        }
-        Ok(out)
+        let (bodies, _) = frames(&bytes);
+        bodies
+            .into_iter()
+            .map(|body| LogRecord::decode(&mut Reader::new(body, &WAL)))
+            .collect()
     }
 
     /// Crash-recovery log repair: scan the frame structure and cut away a
@@ -588,19 +469,12 @@ impl Wal {
             return Ok(0);
         }
         let bytes = self.fs.read_all(&self.path, self.home())?;
-        let mut pos = 0usize;
-        while pos + 4 <= bytes.len() {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            if pos + 4 + len > bytes.len() {
-                break;
-            }
-            pos += 4 + len;
-        }
-        let torn = (bytes.len() - pos) as u64;
+        let (_, end) = frames(&bytes);
+        let torn = (bytes.len() - end) as u64;
         if torn > 0 {
             self.fs.delete(&self.path)?;
-            if pos > 0 {
-                self.fs.append(&self.path, &bytes[..pos], self.home())?;
+            if end > 0 {
+                self.fs.append(&self.path, &bytes[..end], self.home())?;
                 // The rewritten prefix replaces what was (partly) synced
                 // before the crash — make it durable before anyone appends.
                 self.fs.sync(&self.path)?;
@@ -761,6 +635,18 @@ mod tests {
         .unwrap();
         let err = w.read_all().unwrap_err();
         assert!(err.to_string().contains("non-delta"), "got {err}");
+    }
+
+    #[test]
+    fn an_insert_value_count_past_its_record_is_refused_before_allocation() {
+        let mut body = vec![1];
+        for field in [7u64, 3, 100] {
+            body.extend(field.to_le_bytes());
+        }
+        body.extend(u32::MAX.to_le_bytes());
+        body.push(6); // one Null where four billion values were promised
+        let err = LogRecord::decode(&mut Reader::new(&body, &WAL)).err();
+        assert!(matches!(err, Some(VhError::Storage(_))), "{err:?}");
     }
 
     #[test]
