@@ -1,5 +1,6 @@
-//! Bytes that come back off a disk or a socket: one bounded [`Reader`] and
-//! the one tagged [`Value`] encoding.
+//! Bytes that come back off a disk or a socket: one bounded [`Reader`], the
+//! one tagged [`Value`] encoding, and the [`crc32`] that WAL and transport
+//! frames carry.
 //!
 //! Every format the engine reads back — WAL frames, chunk headers,
 //! compressed blocks, exchange messages, wire payloads, transport frames —
@@ -224,6 +225,31 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
+static CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// IEEE CRC32 (the zlib/ethernet polynomial), table-driven.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,6 +258,13 @@ mod tests {
         error: VhError::Codec,
         truncated: "truncated test bytes",
     };
+
+    #[test]
+    fn crc32_known_vectors() {
+        // Classic check value for the IEEE polynomial.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
 
     #[test]
     fn values_roundtrip_and_bad_tags_are_the_formats_error() {

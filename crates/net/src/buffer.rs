@@ -91,8 +91,9 @@ pub fn serialized_len(batch: &vectorh_exec::Batch) -> usize {
     8 + batch.columns.len() + byte_size(batch)
 }
 
-/// How an exchange message reports bytes it cannot read.
-const EXCHANGE: Format = Format {
+/// How an exchange message, or the fabric envelope around one, reports
+/// bytes it cannot read.
+pub(crate) const EXCHANGE: Format = Format {
     error: VhError::Net,
     truncated: "truncated exchange message",
 };

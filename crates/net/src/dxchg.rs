@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use vectorh_common::bytes::{put_bytes, Format, Reader};
+use vectorh_common::bytes::{put_bytes, Reader};
 use vectorh_common::channel::{bounded, Receiver, Sender};
 use vectorh_common::fault::{FaultAction, FaultSite, SharedFaultHook};
 use vectorh_common::sync::Mutex;
@@ -37,7 +37,7 @@ use vectorh_exec::operator::{Counters, OpProfile};
 use vectorh_exec::{Batch, Operator};
 use vectorh_transport::{DedupWindow, Fabric, FrameRx, FrameTx, RxKind};
 
-use crate::buffer::{byte_size, make_message, open_message, Message};
+use crate::buffer::{byte_size, make_message, open_message, Message, EXCHANGE};
 use crate::stats::NetStats;
 use crate::xchg::{partition_positions, Partitioning, WorkerProfile, CHANNEL_CAP};
 
@@ -145,14 +145,8 @@ fn encode_remote_error(e: &VhError) -> Vec<u8> {
     out
 }
 
-/// How a fabric payload reports bytes it cannot read.
-const FABRIC: Format = Format {
-    error: VhError::Net,
-    truncated: "dxchg: truncated fabric payload",
-};
-
 fn decode_remote(payload: &[u8]) -> Result<Payload> {
-    let mut r = Reader::new(payload, &FABRIC);
+    let mut r = Reader::new(payload, &EXCHANGE);
     match r.u8()? {
         1 => Ok(Err(VhError::Net(format!(
             "dxchg: remote producer failed: {}",

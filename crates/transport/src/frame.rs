@@ -19,7 +19,7 @@
 //! half-flushed socket) into a detected error instead of silent corruption:
 //! a truncated frame either fails the length read or fails the checksum.
 
-use vectorh_common::bytes::{Format, Reader};
+use vectorh_common::bytes::{crc32, Format, Reader};
 use vectorh_common::{Result, VhError};
 
 /// Bump when the frame layout changes; handshakes reject mismatches.
@@ -127,37 +127,6 @@ impl Frame {
             payload: Vec::new(),
         }
     }
-}
-
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = make_crc_table();
-
-/// IEEE CRC32 (the zlib/ethernet polynomial), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
 }
 
 /// Encode a frame to its full wire form (length prefix through CRC).
@@ -308,13 +277,6 @@ mod tests {
             epoch: 7,
             payload,
         }
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Classic check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod frame;
 pub mod tcp;
 
 pub use dedup::DedupWindow;
-pub use frame::{crc32, Frame, FrameKind, TRANSPORT_VERSION};
+pub use frame::{Frame, FrameKind, TRANSPORT_VERSION};
 pub use tcp::TcpFabric;
 
 use std::sync::atomic::{AtomicU64, Ordering};

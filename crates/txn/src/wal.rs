@@ -8,7 +8,7 @@
 //! summaries, which VectorH deliberately stores *away* from the data files.
 
 use vectorh_blockstore::{BlockStore, StoreRef};
-use vectorh_common::bytes::{put_bytes, put_value, Format, Reader};
+use vectorh_common::bytes::{crc32, put_bytes, put_value, Format, Reader};
 use vectorh_common::fault::{FaultAction, FaultSite};
 use vectorh_common::{NodeId, Result, Value, VhError};
 
@@ -343,18 +343,34 @@ fn has_commit_point(records: &[LogRecord]) -> bool {
     })
 }
 
-/// The one walk over a log's frames: each whole frame's body, in order,
-/// and the byte offset where they end. A frame that runs past the end of
-/// the file is a torn tail, and the walk stops there.
-fn frames(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
-    let mut r = Reader::new(bytes, &WAL);
+/// The one walk over a log's frames, `[len u32][body][crc32 u32]` each:
+/// every good frame's body, in order, and the byte offset where they end.
+///
+/// A frame fails when its length is 0, it runs past the end of the file,
+/// or its CRC does not match its body. One that runs past the end, or after
+/// whose end only zero bytes follow, is a torn tail (a crash mid-append, or
+/// a file system that extended the file before its data landed) and ends
+/// the walk; any other is corruption.
+fn frames<'a>(path: &str, bytes: &'a [u8]) -> Result<(Vec<&'a [u8]>, usize)> {
     let mut bodies = Vec::new();
     let mut end = 0;
-    while let Ok(body) = r.bytes() {
+    while end < bytes.len() {
+        let mut r = Reader::new(&bytes[end..], &WAL);
+        let (Ok(body), Ok(crc)) = (r.bytes(), r.u32()) else {
+            break;
+        };
+        if body.is_empty() || crc32(body) != crc {
+            if bytes[end + r.pos()..].iter().any(|&b| b != 0) {
+                return Err(VhError::Storage(format!(
+                    "corrupt WAL frame at byte {end} of {path}"
+                )));
+            }
+            break;
+        }
         bodies.push(body);
-        end = r.pos();
+        end += r.pos();
     }
-    (bodies, end)
+    Ok((bodies, end))
 }
 
 impl Wal {
@@ -388,8 +404,8 @@ impl Wal {
     ///
     /// Consults the filesystem's fault hook at [`FaultSite::WalAppend`]:
     /// `CrashBefore` loses the whole batch, `CrashMid` persists a torn final
-    /// frame (every frame is at least 5 bytes, so dropping the last byte
-    /// tears exactly one record), `CrashAfter` persists everything. All
+    /// frame (dropping the last byte cuts the final frame's CRC short, so
+    /// exactly one record tears), `CrashAfter` persists everything. All
     /// three surface as `Err` — the "process" died before acknowledging.
     ///
     /// Durability: if the batch carries a record recovery cannot rebuild
@@ -411,6 +427,7 @@ impl Wal {
             let mut body = Vec::new();
             r.encode(&mut body);
             put_bytes(&mut buf, &body);
+            buf.extend(crc32(&body).to_le_bytes());
         }
         if let Some(hook) = self.fs.fault_hook() {
             let crashed = |what: &str| {
@@ -444,7 +461,9 @@ impl Wal {
     ///
     /// A torn final frame (crash mid-append) is truncated away, not an
     /// error: the record was never acknowledged, so discarding it is the
-    /// correct recovery semantics. Replay itself is a fault site
+    /// correct recovery semantics. A failing frame with good bytes after it
+    /// is corruption, a `VhError::Storage` naming the file and the byte
+    /// offset (see `frames`). Replay itself is a fault site
     /// ([`FaultSite::WalReplay`]) so recovery-time IO failures are testable.
     pub fn read_all(&self) -> Result<Vec<LogRecord>> {
         if !self.fs.exists(&self.path) {
@@ -452,7 +471,7 @@ impl Wal {
         }
         self.fs.consult_fault(FaultSite::WalReplay, &self.path)?;
         let bytes = self.fs.read_all(&self.path, self.home())?;
-        let (bodies, _) = frames(&bytes);
+        let (bodies, _) = frames(&self.path, &bytes)?;
         bodies
             .into_iter()
             .map(|body| LogRecord::decode(&mut Reader::new(body, &WAL)))
@@ -469,7 +488,7 @@ impl Wal {
             return Ok(0);
         }
         let bytes = self.fs.read_all(&self.path, self.home())?;
-        let (_, end) = frames(&bytes);
+        let (_, end) = frames(&self.path, &bytes)?;
         let torn = (bytes.len() - end) as u64;
         if torn > 0 {
             self.fs.delete(&self.path)?;
@@ -769,6 +788,72 @@ mod tests {
                 LogRecord::TxnBegin { txn: 1 },
                 LogRecord::TxnBegin { txn: 2 }
             ]
+        );
+    }
+
+    /// Replace the log's bytes with `f` of them.
+    fn rewrite(w: &Wal, f: impl FnOnce(&mut Vec<u8>)) {
+        let mut bytes = w.fs().read_all(w.path(), None).unwrap();
+        f(&mut bytes);
+        w.fs().delete(w.path()).unwrap();
+        w.fs().append(w.path(), &bytes, None).unwrap();
+    }
+
+    #[test]
+    fn a_zero_filled_tail_is_cut_and_every_record_replays() {
+        let w = wal();
+        let records = sample_records();
+        w.append(&records).unwrap();
+        // A file system that extended the file before the data landed.
+        rewrite(&w, |b| b.extend([0; 16]));
+        assert_eq!(w.read_all().unwrap(), records);
+        assert_eq!(w.repair().unwrap(), 16);
+        w.append(&[LogRecord::TxnBegin { txn: 9 }]).unwrap();
+        assert_eq!(w.read_all().unwrap().len(), records.len() + 1);
+    }
+
+    #[test]
+    fn a_changed_byte_inside_an_insert_value_is_refused() {
+        let w = wal();
+        w.append(&[
+            LogRecord::Insert {
+                txn: 1,
+                rid: 0,
+                tag: 0,
+                values: vec![Value::I64(5)],
+            },
+            LogRecord::Commit { txn: 1, seq: 1 },
+        ])
+        .unwrap();
+        // The I64's low byte: length, record tag, three u64s, count, value tag.
+        rewrite(&w, |b| b[4 + 1 + 24 + 4 + 1] = 7);
+        let err = w.read_all().unwrap_err();
+        assert!(
+            matches!(&err, VhError::Storage(m) if m.contains("byte 0 of /vectorh/wal/t0-p0.wal")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_bad_frame_followed_by_good_frames_is_corruption_not_a_torn_tail() {
+        let w = wal();
+        w.append(&[LogRecord::TxnBegin { txn: 1 }]).unwrap();
+        let second = w.fs().read_all(w.path(), None).unwrap().len();
+        w.append(&[LogRecord::Commit { txn: 1, seq: 3 }]).unwrap();
+        w.append(&[LogRecord::TxnBegin { txn: 2 }]).unwrap();
+        // The second frame's `seq`: length, record tag, `txn`.
+        rewrite(&w, |b| b[second + 4 + 1 + 8] ^= 0x10);
+        let len = w.fs().read_all(w.path(), None).unwrap().len();
+        for err in [w.read_all().unwrap_err(), w.repair().unwrap_err()] {
+            assert!(
+                matches!(&err, VhError::Storage(m) if m.contains(&format!("byte {second} of"))),
+                "{err:?}"
+            );
+        }
+        assert_eq!(
+            w.fs().read_all(w.path(), None).unwrap().len(),
+            len,
+            "nothing cut"
         );
     }
 
