@@ -51,3 +51,6 @@ mod transactions;
 
 #[path = "../../../tests/transport_cluster.rs"]
 mod transport_cluster;
+
+#[path = "../../../tests/untrusted_bytes.rs"]
+mod untrusted_bytes;
