@@ -19,9 +19,15 @@ pub struct Format {
 }
 
 /// A cursor over untrusted bytes, little-endian throughout.
+///
+/// What the hot decoders call per value is `#[inline(always)]`: one such
+/// method left out of line takes the reader's address, and the decoder's
+/// loop then keeps the reader in memory instead of registers.
 pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not read yet.
+    rest: &'a [u8],
+    /// Of all the bytes, read or not.
+    len: usize,
     format: &'static Format,
 }
 
@@ -29,85 +35,77 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn new(buf: &'a [u8], format: &'static Format) -> Reader<'a> {
         Reader {
-            buf,
-            pos: 0,
+            rest: buf,
+            len: buf.len(),
             format,
         }
     }
 
     /// An error of this reader's format.
-    #[cold]
+    #[inline(always)]
     pub fn error(&self, msg: impl Into<String>) -> VhError {
         (self.format.error)(msg.into())
-    }
-
-    #[cold]
-    fn truncated(&self) -> VhError {
-        self.error(self.format.truncated)
     }
 
     /// Bytes read so far.
     #[inline]
     pub fn pos(&self) -> usize {
-        self.pos
+        self.len - self.rest.len()
     }
 
     #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     /// Everything not read yet.
     #[inline]
     pub fn rest(&mut self) -> &'a [u8] {
-        let rest = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        rest
+        std::mem::take(&mut self.rest)
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        match self.buf[self.pos..].get(..n) {
-            Some(s) => {
-                self.pos += n;
-                Ok(s)
-            }
-            None => Err(self.truncated()),
+        if self.rest.len() < n {
+            return Err(truncated(self.format));
         }
+        let (s, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(s)
     }
 
-    #[inline]
+    #[inline(always)]
     fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        match self.buf[self.pos..].first_chunk::<N>() {
-            Some(&a) => {
-                self.pos += N;
+        match self.rest.split_first_chunk::<N>() {
+            Some((&a, rest)) => {
+                self.rest = rest;
                 Ok(a)
             }
-            None => Err(self.truncated()),
+            None => Err(truncated(self.format)),
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.array::<1>()?[0])
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn u16(&mut self) -> Result<u16> {
         self.array().map(u16::from_le_bytes)
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn u32(&mut self) -> Result<u32> {
         self.array().map(u32::from_le_bytes)
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn u64(&mut self) -> Result<u64> {
         self.array().map(u64::from_le_bytes)
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn i64(&mut self) -> Result<i64> {
         self.array().map(i64::from_le_bytes)
     }
@@ -119,7 +117,7 @@ impl<'a> Reader<'a> {
     pub fn count(&self, n: usize, min_elem_bytes: usize) -> Result<usize> {
         match n.checked_mul(min_elem_bytes) {
             Some(need) if need <= self.remaining() => Ok(n),
-            _ => Err(self.truncated()),
+            _ => Err(truncated(self.format)),
         }
     }
 
@@ -135,13 +133,14 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u32` length, then that many bytes.
-    #[inline]
+    #[inline(always)]
     pub fn bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.u32()? as usize;
         self.take(n)
     }
 
     /// [`bytes`](Self::bytes) that must be UTF-8.
+    #[inline(always)]
     pub fn str(&mut self) -> Result<&'a str> {
         let b = self.bytes()?;
         std::str::from_utf8(b).map_err(|_| self.error("string is not UTF-8"))
@@ -150,14 +149,14 @@ impl<'a> Reader<'a> {
     /// `n` strings as [`StrVec::write_len_prefixed`] wrote them, validated
     /// as a whole.
     pub fn strs(&mut self, n: usize) -> Result<StrVec> {
-        let (v, used) = StrVec::read_len_prefixed(&self.buf[self.pos..], n)
-            .map_err(|e| self.error(e.message()))?;
-        self.pos += used;
+        let (v, used) =
+            StrVec::read_len_prefixed(self.rest, n).map_err(|e| self.error(e.message()))?;
+        self.rest = &self.rest[used..];
         Ok(v)
     }
 
     /// One value as [`put_value`] wrote it.
-    #[inline]
+    #[inline(always)]
     pub fn value(&mut self) -> Result<Value> {
         Ok(match self.u8()? {
             tag::I32 => Value::I32(i32::from_le_bytes(self.array()?)),
@@ -170,6 +169,13 @@ impl<'a> Reader<'a> {
             t => return Err(self.error(format!("bad value tag {t}"))),
         })
     }
+}
+
+/// The error of a read that ran out of bytes. Neither `#[cold]` nor
+/// `#[inline(never)]`: each made the wire's `decode_rows` loop over
+/// [`Reader::value`] measurably slower.
+fn truncated(format: &'static Format) -> VhError {
+    (format.error)(format.truncated.to_string())
 }
 
 /// The tag byte of each [`Value`] arm, in every format that carries values
@@ -187,7 +193,7 @@ mod tag {
 /// A `u32` length, then the bytes (what [`Reader::bytes`] reads).
 #[inline]
 pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend((b.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
     out.extend_from_slice(b);
 }
 
@@ -198,24 +204,24 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::I32(x) => {
             out.push(tag::I32);
-            out.extend(x.to_le_bytes());
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Value::I64(x) => {
             out.push(tag::I64);
-            out.extend(x.to_le_bytes());
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Value::Decimal(x, scale) => {
             out.push(tag::DECIMAL);
-            out.extend(x.to_le_bytes());
+            out.extend_from_slice(&x.to_le_bytes());
             out.push(*scale);
         }
         Value::Date(x) => {
             out.push(tag::DATE);
-            out.extend(x.to_le_bytes());
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Value::F64(x) => {
             out.push(tag::F64);
-            out.extend(x.to_le_bytes());
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Value::Str(s) => {
             out.push(tag::STR);

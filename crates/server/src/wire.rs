@@ -35,9 +35,9 @@ const WIRE: Format = Format {
 /// Encode one batch of result rows.
 pub fn encode_rows(rows: &[Vec<Value>]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend((rows.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     for row in rows {
-        out.extend((row.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
         for v in row {
             put_value(&mut out, v);
         }
