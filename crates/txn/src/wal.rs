@@ -461,7 +461,7 @@ impl Wal {
     ///
     /// A torn final frame (crash mid-append) is truncated away, not an
     /// error: the record was never acknowledged, so discarding it is the
-    /// correct recovery semantics. A failing frame with good bytes after it
+    /// correct recovery semantics. A failing frame with non-zero bytes after it
     /// is corruption, a `VhError::Storage` naming the file and the byte
     /// offset (see `frames`). Replay itself is a fault site
     /// ([`FaultSite::WalReplay`]) so recovery-time IO failures are testable.
@@ -482,7 +482,8 @@ impl Wal {
     /// torn tail left by a crash mid-append. [`read_all`](Self::read_all)
     /// tolerates a torn *final* frame, but appending again after one would
     /// shift every later frame boundary — so recovery must repair the log
-    /// before it is written to again. Returns the number of bytes trimmed.
+    /// before it is written to again. Returns the number of bytes trimmed;
+    /// a corrupt log (see `frames`) is an error, and nothing is cut.
     pub fn repair(&self) -> Result<u64> {
         if !self.fs.exists(&self.path) {
             return Ok(0);
