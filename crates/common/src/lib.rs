@@ -3,16 +3,15 @@
 //! This crate holds the pieces every other crate needs and nothing else:
 //! the value/type system ([`types`]), schemas ([`schema`]), typed identifiers
 //! ([`ids`]), column buffers ([`column`], [`strvec`]), error handling
-//! ([`error`]), bit sets ([`bitmap`]), a deterministic RNG ([`rng`]),
-//! small numeric/hash utilities ([`util`]) and the one bounded reader of
-//! bytes that cross a disk or a socket ([`bytes`]).
+//! ([`error`]), a deterministic RNG ([`rng`]), small numeric/hash
+//! utilities ([`util`]) and the one bounded reader of bytes that cross a
+//! disk or a socket ([`bytes`]).
 //!
 //! VectorH (SIGMOD 2016) is a distributed system; to keep simulations
 //! reproducible, everything in this workspace that needs randomness goes
 //! through [`rng::SplitMix64`] seeded explicitly, never through ambient OS
 //! entropy.
 
-pub mod bitmap;
 pub mod bytes;
 pub mod channel;
 pub mod column;

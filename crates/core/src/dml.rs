@@ -318,16 +318,6 @@ impl VectorH {
     }
 }
 
-/// Verify a unique-key constraint locally (§6: "if the table is partitioned
-/// and the partition key is a subset of the unique key, VectorH verifies
-/// such constraints by performing node-local verification only").
-pub fn unique_key_is_node_local(def: &crate::catalog::TableDef, unique_cols: &[usize]) -> bool {
-    match &def.partitioning {
-        Some((pkeys, _)) => pkeys.iter().all(|k| unique_cols.contains(k)),
-        None => true, // replicated: every node can verify
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,18 +641,5 @@ mod tests {
             .delete_where("t", &Expr::eq(Expr::col(2), Expr::lit(Value::I64(1))))
             .unwrap_err();
         assert!(matches!(err, VhError::InvalidArg(_)), "{err}");
-    }
-
-    #[test]
-    fn unique_key_locality_rule() {
-        let def = TableBuilder::new("t")
-            .column("a", DataType::I64)
-            .column("b", DataType::I64)
-            .partition_by(&["a"], 4)
-            .build()
-            .unwrap();
-        assert!(unique_key_is_node_local(&def, &[0]));
-        assert!(unique_key_is_node_local(&def, &[0, 1]));
-        assert!(!unique_key_is_node_local(&def, &[1]));
     }
 }

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use vectorh_common::{NodeId, Result, Value, VhError};
-use vectorh_exec::aggr::{AggFn, AggMode, Aggr};
+use vectorh_exec::aggr::{final_aggs, AggFn, AggMode, Aggr};
 use vectorh_exec::expr::{CmpOp, Expr};
 use vectorh_exec::filter::Select;
 use vectorh_exec::join::{HashJoin, JoinKind as ExecJoinKind, SharedBuild};
@@ -248,30 +248,6 @@ fn scan_at(
         op = Box::new(Select::new(op, p.clone()));
     }
     Ok(op)
-}
-
-/// Final-mode aggregate column mapping: each agg's first state column in
-/// the partial output layout `[groups..., states...]`.
-fn final_aggs(group_len: usize, aggs: &[AggFn]) -> Vec<AggFn> {
-    let mut col = group_len;
-    aggs.iter()
-        .map(|a| {
-            let here = col;
-            col += match a {
-                AggFn::Avg(_) => 2,
-                _ => 1,
-            };
-            match a {
-                AggFn::CountStar => AggFn::Count(here),
-                AggFn::Count(_) => AggFn::Count(here),
-                AggFn::Sum(_) => AggFn::Sum(here),
-                AggFn::Min(_) => AggFn::Min(here),
-                AggFn::Max(_) => AggFn::Max(here),
-                AggFn::Avg(_) => AggFn::Avg(here),
-                AggFn::CountDistinct(_) => AggFn::CountDistinct(here),
-            }
-        })
-        .collect()
 }
 
 /// Two plan fragments joined pipeline by pipeline with `f`: a local join

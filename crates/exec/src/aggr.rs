@@ -35,7 +35,6 @@
 //! answer does not depend on how the rows were cut into vectors.
 
 use std::cmp::Ordering;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use vectorh_common::column::{physical_of, PhysicalType};
@@ -56,9 +55,6 @@ pub enum AggFn {
     Min(usize),
     Max(usize),
     Avg(usize),
-    /// COUNT(DISTINCT col). Only valid in `Complete` mode — the planner
-    /// repartitions on the group keys first (as real systems do).
-    CountDistinct(usize),
 }
 
 impl AggFn {
@@ -66,12 +62,9 @@ impl AggFn {
     pub fn col(self) -> Option<usize> {
         match self {
             AggFn::CountStar => None,
-            AggFn::Count(c)
-            | AggFn::Sum(c)
-            | AggFn::Min(c)
-            | AggFn::Max(c)
-            | AggFn::Avg(c)
-            | AggFn::CountDistinct(c) => Some(c),
+            AggFn::Count(c) | AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) | AggFn::Avg(c) => {
+                Some(c)
+            }
         }
     }
 
@@ -85,7 +78,6 @@ impl AggFn {
             AggFn::Min(c) => AggFn::Min(f(c)),
             AggFn::Max(c) => AggFn::Max(f(c)),
             AggFn::Avg(c) => AggFn::Avg(f(c)),
-            AggFn::CountDistinct(c) => AggFn::CountDistinct(f(c)),
         }
     }
 }
@@ -96,23 +88,6 @@ pub enum AggMode {
     Complete,
     Partial,
     Final,
-}
-
-/// Hashable distinct-value atom (COUNT(DISTINCT) sets only; the group
-/// table itself keys on columnar data).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum KeyAtom {
-    I(i64),
-    S(String),
-}
-
-fn atom_of(col: &ColumnData, i: usize) -> Result<KeyAtom> {
-    match col {
-        ColumnData::I32(v) => Ok(KeyAtom::I(v[i] as i64)),
-        ColumnData::I64(v) => Ok(KeyAtom::I(v[i])),
-        ColumnData::Str(v) => Ok(KeyAtom::S(v.get(i).to_owned())),
-        ColumnData::F64(_) => Err(VhError::Exec("COUNT(DISTINCT) over float".into())),
-    }
 }
 
 /// Does group `gi` of the columnar key store equal row `i` of the batch?
@@ -161,7 +136,6 @@ enum Acc {
     AvgF(Vec<f64>, Vec<i64>),
     /// MIN (`Less` wins) or MAX (`Greater` wins).
     Extreme(Kept, Ordering),
-    Distinct(Vec<HashSet<KeyAtom>>),
 }
 
 /// A combination of codes no row of the vector has resolved yet.
@@ -180,7 +154,6 @@ struct ByCodes {
 pub struct Aggr {
     child: Box<dyn Operator>,
     group_by: Vec<usize>,
-    aggs: Vec<AggFn>,
     mode: AggMode,
     out_schema: Arc<Schema>,
     /// Input dtypes of aggregated columns (drives state selection).
@@ -200,6 +173,23 @@ pub struct Aggr {
     counters: Counters,
 }
 
+/// The output fields of an aggregation over `input`: its group columns,
+/// then each aggregate's fields in `mode` (a `Partial` average emits its sum
+/// and its count). The planner types its logical aggregates with this.
+pub fn output_fields(
+    input: &Schema,
+    group_by: &[usize],
+    aggs: &[AggFn],
+    mode: AggMode,
+) -> Vec<Field> {
+    let groups = group_by.iter().map(|&g| input.field(g).clone());
+    let fields = aggs.iter().enumerate().flat_map(|(i, &f)| {
+        let dt = f.col().map(|c| input.dtype(c));
+        agg_fields(f, dt, mode, i)
+    });
+    groups.chain(fields).collect()
+}
+
 /// Output fields of one aggregate in a given mode.
 fn agg_fields(f: AggFn, dt: Option<DataType>, mode: AggMode, idx: usize) -> Vec<Field> {
     let base = format!("agg{idx}");
@@ -209,9 +199,7 @@ fn agg_fields(f: AggFn, dt: Option<DataType>, mode: AggMode, idx: usize) -> Vec<
         _ => DataType::I64,
     };
     match (f, mode) {
-        (AggFn::CountStar | AggFn::Count(_) | AggFn::CountDistinct(_), _) => {
-            vec![Field::new(base, DataType::I64)]
-        }
+        (AggFn::CountStar | AggFn::Count(_), _) => vec![Field::new(base, DataType::I64)],
         (AggFn::Sum(_), _) => vec![Field::new(base, sum_dt)],
         (AggFn::Min(_) | AggFn::Max(_), _) => {
             vec![Field::new(base, dt.expect("min/max needs input column"))]
@@ -222,6 +210,23 @@ fn agg_fields(f: AggFn, dt: Option<DataType>, mode: AggMode, idx: usize) -> Vec<
         ],
         (AggFn::Avg(_), _) => vec![Field::new(base, DataType::F64)],
     }
+}
+
+/// The `Final`-mode aggregates that merge what `Partial` instances of
+/// `aggs` emit, laid out `[groups..., states...]`: each reads the first of
+/// its state columns, an average taking two, and `count(*)` sums its count.
+pub fn final_aggs(group_len: usize, aggs: &[AggFn]) -> Vec<AggFn> {
+    let mut col = group_len;
+    aggs.iter()
+        .map(|&a| {
+            let here = col;
+            col += if matches!(a, AggFn::Avg(_)) { 2 } else { 1 };
+            match a {
+                AggFn::CountStar => AggFn::Count(here),
+                a => a.map_col(|_| here),
+            }
+        })
+        .collect()
 }
 
 /// Empty state for aggregate `f` over an input of type `dt`.
@@ -244,7 +249,6 @@ fn fresh_acc(f: AggFn, dt: Option<DataType>) -> Acc {
         AggFn::Avg(_) => Acc::AvgI(Vec::new(), Vec::new()),
         AggFn::Min(_) => extreme(Ordering::Less),
         AggFn::Max(_) => extreme(Ordering::Greater),
-        AggFn::CountDistinct(_) => Acc::Distinct(Vec::new()),
     }
 }
 
@@ -256,40 +260,27 @@ impl Aggr {
         mode: AggMode,
     ) -> Result<Aggr> {
         let in_schema = child.schema();
-        if mode != AggMode::Complete && aggs.iter().any(|a| matches!(a, AggFn::CountDistinct(_))) {
-            return Err(VhError::Exec(
-                "COUNT(DISTINCT) requires Complete mode after repartitioning".into(),
-            ));
-        }
         if group_by
             .iter()
             .any(|&g| in_schema.dtype(g) == DataType::F64)
         {
             return Err(VhError::Exec("GROUP BY over float".into()));
         }
-        let mut fields: Vec<Field> = group_by
-            .iter()
-            .map(|&g| in_schema.field(g).clone())
-            .collect();
+        // In Final mode each aggregate reads its state columns, which carry
+        // the right types already.
+        let states = final_aggs(group_by.len(), &aggs);
         let mut agg_dtypes = Vec::with_capacity(aggs.len());
         let mut accs = Vec::with_capacity(aggs.len());
-        // In Final mode each aggregate's state columns follow the group
-        // columns in input order, an average taking two.
-        let mut state_col = group_by.len();
-        for (i, &f) in aggs.iter().enumerate() {
+        for (&f, state) in aggs.iter().zip(&states) {
             let dt = f.col().map(|c| in_schema.dtype(c));
-            // In Final mode the "input column" layout differs (states), but
-            // the state columns carry the right types already; dtype of the
-            // first state column drives the output type.
             agg_dtypes.push(dt);
-            fields.extend(agg_fields(f, dt, mode, i));
             let input = match mode {
-                AggMode::Final => state_col,
-                _ => f.col().unwrap_or(0),
+                AggMode::Final => state.col(),
+                _ => f.col(),
             };
-            state_col += if matches!(f, AggFn::Avg(_)) { 2 } else { 1 };
-            accs.push((input, fresh_acc(f, dt)));
+            accs.push((input.unwrap_or(0), fresh_acc(f, dt)));
         }
+        let fields = output_fields(&in_schema, &group_by, &aggs, mode);
         let group_keys = group_by
             .iter()
             .map(|&g| ColumnData::new(in_schema.dtype(g)))
@@ -297,7 +288,6 @@ impl Aggr {
         Ok(Aggr {
             child,
             group_by,
-            aggs,
             mode,
             out_schema: Arc::new(Schema::new(fields)),
             agg_dtypes,
@@ -463,12 +453,6 @@ impl Aggr {
                     }
                 }
                 Acc::Extreme(kept, wins) => keep_extremes(kept, *wins, gids, opened, input)?,
-                Acc::Distinct(sets) => {
-                    sets.resize_with(groups, HashSet::new);
-                    for (i, &g) in gids.iter().enumerate() {
-                        sets[g as usize].insert(atom_of(input, i)?);
-                    }
-                }
             }
         }
         Ok(())
@@ -522,9 +506,6 @@ impl Aggr {
                     Kept::F64(v) => ColumnData::F64(v[from..to].to_vec()),
                     Kept::Str(v) => ColumnData::Str(v[from..to].iter().collect()),
                 }),
-                Acc::Distinct(sets) => out.push(ColumnData::I64(
-                    sets[from..to].iter().map(|s| s.len() as i64).collect(),
-                )),
             }
         }
         out
@@ -615,12 +596,9 @@ impl Operator for Aggr {
         let start = std::time::Instant::now();
         if !self.drained {
             self.drain_input()?;
-            // A global aggregate (no GROUP BY) over empty input still
-            // produces one row of zero counts.
-            let only_counts = self
-                .aggs
-                .iter()
-                .all(|a| matches!(a, AggFn::CountStar | AggFn::Count(_)));
+            // A global aggregate (no GROUP BY) over empty input that only
+            // counts still produces one row of zero counts.
+            let only_counts = self.accs.iter().all(|(_, a)| matches!(a, Acc::Count(_)));
             if self.group_by.is_empty() && self.rows.is_empty() && only_counts {
                 self.rows.push(0);
                 for (_, acc) in &mut self.accs {
@@ -763,32 +741,6 @@ mod tests {
         .unwrap();
         let got = sorted_rows(&mut fin);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn count_distinct() {
-        let mut a = Aggr::new(
-            source(),
-            vec![0],
-            vec![AggFn::CountDistinct(1), AggFn::CountDistinct(0)],
-            AggMode::Complete,
-        )
-        .unwrap();
-        let rows = sorted_rows(&mut a);
-        assert_eq!(rows[0][1], Value::I64(3)); // group a: x in {1,3,4}
-        assert_eq!(rows[0][2], Value::I64(1));
-        assert_eq!(rows[1][1], Value::I64(1));
-    }
-
-    #[test]
-    fn count_distinct_rejected_in_partial() {
-        assert!(Aggr::new(
-            source(),
-            vec![0],
-            vec![AggFn::CountDistinct(1)],
-            AggMode::Partial
-        )
-        .is_err());
     }
 
     #[test]

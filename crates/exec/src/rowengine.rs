@@ -257,7 +257,6 @@ impl RowAggr {
             sum_i: Vec<i64>,
             sum_f: Vec<f64>,
             minmax: Vec<Option<Value>>,
-            distinct: Vec<std::collections::HashSet<String>>,
         }
         let mut groups: HashMap<String, G> = HashMap::new();
         let n = self.aggs.len();
@@ -270,7 +269,6 @@ impl RowAggr {
                 sum_i: vec![0; n],
                 sum_f: vec![0.0; n],
                 minmax: vec![None; n],
-                distinct: vec![Default::default(); n],
             });
             for (a, f) in self.aggs.iter().enumerate() {
                 match f {
@@ -293,9 +291,6 @@ impl RowAggr {
                         if g.minmax[a].as_ref().is_none_or(|m| v > *m) {
                             g.minmax[a] = Some(v);
                         }
-                    }
-                    AggFn::CountDistinct(c) => {
-                        g.distinct[a].insert(key_repr(&row[*c]));
                     }
                 }
             }
@@ -342,7 +337,6 @@ impl RowAggr {
                             .clone()
                             .ok_or_else(|| VhError::Exec("MIN/MAX over empty group".into()))?,
                     ),
-                    AggFn::CountDistinct(_) => row.push(Value::I64(g.distinct[a].len() as i64)),
                 }
             }
             self.out.push(row);

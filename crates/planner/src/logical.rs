@@ -1,7 +1,7 @@
 //! Logical plans and catalog metadata.
 
 use vectorh_common::{Result, Schema, VhError};
-use vectorh_exec::aggr::AggFn;
+use vectorh_exec::aggr::{output_fields, AggFn, AggMode};
 use vectorh_exec::expr::Expr;
 use vectorh_exec::sort::Dir;
 
@@ -133,35 +133,12 @@ impl LogicalPlan {
                 input,
                 group_by,
                 aggs,
-            } => {
-                // Delegate the field typing to the executor's Aggr by
-                // construction rules: group fields then one field per agg
-                // (avg partials never appear at the logical level).
-                let in_schema = input.schema(catalog)?;
-                let mut fields: Vec<vectorh_common::Field> = group_by
-                    .iter()
-                    .map(|&g| in_schema.field(g).clone())
-                    .collect();
-                for (i, a) in aggs.iter().enumerate() {
-                    let name = format!("agg{i}");
-                    let dt = match a {
-                        AggFn::CountStar | AggFn::Count(_) | AggFn::CountDistinct(_) => {
-                            vectorh_common::DataType::I64
-                        }
-                        AggFn::Sum(c) => match in_schema.dtype(*c) {
-                            vectorh_common::DataType::F64 => vectorh_common::DataType::F64,
-                            vectorh_common::DataType::Decimal { scale } => {
-                                vectorh_common::DataType::Decimal { scale }
-                            }
-                            _ => vectorh_common::DataType::I64,
-                        },
-                        AggFn::Min(c) | AggFn::Max(c) => in_schema.dtype(*c),
-                        AggFn::Avg(_) => vectorh_common::DataType::F64,
-                    };
-                    fields.push(vectorh_common::Field::new(name, dt));
-                }
-                Schema::new(fields)
-            }
+            } => Schema::new(output_fields(
+                &input.schema(catalog)?,
+                group_by,
+                aggs,
+                AggMode::Complete,
+            )),
             LogicalPlan::Sort { input, .. } | LogicalPlan::Limit { input, .. } => {
                 input.schema(catalog)?
             }

@@ -34,8 +34,7 @@ pub enum AggStrategy {
     Local,
     /// Partial per stream → DXchgHashSplit(group keys) → Final.
     PartialFinal,
-    /// DXchgHashSplit(group keys) → Complete (partial-aggregation rule off,
-    /// or COUNT DISTINCT).
+    /// DXchgHashSplit(group keys) → Complete (partial-aggregation rule off).
     RepartitionComplete,
     /// Global aggregate: Partial per stream → DXchgUnion → Final at master.
     GlobalPartialFinal,
@@ -191,14 +190,16 @@ impl PhysPlan {
         }
     }
 
-    /// Count exchange operators (network steps) in the plan.
+    /// Count exchange operators (network steps) in the plan, the split or
+    /// union an aggregate's strategy implies included.
     pub fn exchange_count(&self) -> usize {
-        let own = matches!(
-            self,
+        let own = match self {
             PhysPlan::DxchgHashSplit { .. }
-                | PhysPlan::DxchgUnion { .. }
-                | PhysPlan::DxchgBroadcast { .. }
-        ) as usize;
+            | PhysPlan::DxchgUnion { .. }
+            | PhysPlan::DxchgBroadcast { .. } => 1,
+            PhysPlan::Aggr { strategy, .. } => usize::from(*strategy != AggStrategy::Local),
+            _ => 0,
+        };
         own + self
             .children()
             .iter()

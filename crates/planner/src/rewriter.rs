@@ -497,29 +497,41 @@ impl<'a> ParallelRewriter<'a> {
         group_by: &[usize],
         aggs: &[AggFn],
     ) -> Result<Candidate> {
-        let child = self.plan(input)?;
-        let has_distinct = aggs.iter().any(|a| matches!(a, AggFn::CountDistinct(_)));
-        let out_rows = if group_by.is_empty() {
-            1.0
-        } else {
-            (child.rows / 10.0).max(1.0)
-        };
-        let mk = |strategy: AggStrategy, child_plan: PhysPlan| PhysPlan::Aggr {
-            input: Box::new(child_plan),
+        let aggr = |input, group_by: &[usize], aggs: &[AggFn], strategy| PhysPlan::Aggr {
+            input: Box::new(input),
             group_by: group_by.to_vec(),
             aggs: aggs.to_vec(),
             strategy,
         };
+        // An aggregate over one whose group keys include its own (a
+        // `count(distinct)` split in two) is planned over the inner one's
+        // input, its keys taken as columns of that input.
+        let nested = match input {
+            LogicalPlan::Aggregate {
+                input,
+                group_by: inner_keys,
+                aggs: inner_aggs,
+            } if !group_by.is_empty() && group_by.iter().all(|&g| g < inner_keys.len()) => {
+                Some((input, inner_keys, inner_aggs))
+            }
+            _ => None,
+        };
+        let child = self.plan(nested.map_or(input, |(input, ..)| input))?;
+        let keys: Vec<usize> = match nested {
+            Some((_, inner_keys, _)) => group_by.iter().map(|&g| inner_keys[g]).collect(),
+            None => group_by.to_vec(),
+        };
+        let partial = self.options.enable_partial_aggr;
 
         if group_by.is_empty() {
             // Global aggregate: always funnels to the master.
-            let strategy = if self.options.enable_partial_aggr && !has_distinct {
+            let strategy = if partial {
                 AggStrategy::GlobalPartialFinal
             } else {
                 AggStrategy::GlobalComplete
             };
             return Ok(Candidate {
-                plan: mk(strategy, child.plan),
+                plan: aggr(child.plan, group_by, aggs, strategy),
                 props: Props {
                     part: None,
                     sorted: None,
@@ -535,54 +547,42 @@ impl<'a> ParallelRewriter<'a> {
         // locally, no exchange needed ("VectorH also detects that a
         // XchgHashSplit does not need to be inserted below the Aggr").
         // Every row of a group is in one stream, so a complete aggregate
-        // per stream is exact, `COUNT(DISTINCT)` included.
-        let local_ok = child
-            .props
-            .part
-            .as_ref()
-            .map(|p| !p.keys.is_empty() && p.keys.iter().all(|k| group_by.contains(k)))
-            .unwrap_or(false);
-        if local_ok {
-            let part = child.props.part.clone().map(|p| Part {
-                keys: p
-                    .keys
-                    .iter()
-                    .map(|k| group_by.iter().position(|g| g == k).expect("subset"))
-                    .collect(),
-                ..p
-            });
-            return Ok(Candidate {
-                plan: mk(AggStrategy::Local, child.plan),
-                props: Props {
-                    part,
-                    sorted: None,
-                    replicated: false,
-                    serial: false,
-                },
-                rows: out_rows,
-                cost: child.cost + child.rows * 1.5,
-            });
+        // per stream is exact.
+        let aligned = aligned(&child.props.part, &keys);
+        let exchanged = Part {
+            keys: (0..group_by.len()).collect(),
+            n_parts: self.options.nodes,
+            table_aligned: false,
+        };
+        let out_rows = (child.rows / 10.0).max(1.0);
+        let split = aligned.is_none();
+        let (strategy, part, net_rows) = match aligned {
+            Some(part) => (AggStrategy::Local, part, 0.0),
+            // One split on the outer keys puts every row of an outer group,
+            // and so of its inner groups, in one stream: both run `Local`.
+            None if nested.is_some() => (AggStrategy::Local, exchanged, child.rows),
+            // Partial aggregation shrinks network traffic to ~groups.
+            None if partial => (
+                AggStrategy::PartialFinal,
+                exchanged,
+                out_rows * self.options.nodes as f64,
+            ),
+            None => (AggStrategy::RepartitionComplete, exchanged, child.rows),
+        };
+        let mut plan = child.plan;
+        if let Some((_, inner_keys, inner_aggs)) = nested {
+            if split {
+                plan = PhysPlan::DxchgHashSplit {
+                    input: Box::new(plan),
+                    keys,
+                };
+            }
+            plan = aggr(plan, inner_keys, inner_aggs, AggStrategy::Local);
         }
-
-        let strategy = if self.options.enable_partial_aggr && !has_distinct {
-            AggStrategy::PartialFinal
-        } else {
-            AggStrategy::RepartitionComplete
-        };
-        // Partial aggregation shrinks network traffic to ~groups.
-        let net_rows = if strategy == AggStrategy::PartialFinal {
-            out_rows * self.options.nodes as f64
-        } else {
-            child.rows
-        };
         Ok(Candidate {
-            plan: mk(strategy, child.plan),
+            plan: aggr(plan, group_by, aggs, strategy),
             props: Props {
-                part: Some(Part {
-                    keys: (0..group_by.len()).collect(),
-                    n_parts: self.options.nodes,
-                    table_aligned: false,
-                }),
+                part: Some(part),
                 sorted: None,
                 replicated: false,
                 serial: false,
@@ -591,6 +591,19 @@ impl<'a> ParallelRewriter<'a> {
             cost: child.cost + child.rows * 1.5 + net_rows * self.options.net_cost_per_row,
         })
     }
+}
+
+/// The partitioning of an aggregate grouped on `keys` over streams
+/// partitioned as `part`, when `part` is on a non-empty subset of `keys`
+/// (every group then lies in one stream): its keys become positions in
+/// `keys`, the aggregate's output columns.
+fn aligned(part: &Option<Part>, keys: &[usize]) -> Option<Part> {
+    let p = part.as_ref().filter(|p| !p.keys.is_empty())?;
+    let at = |k: &usize| keys.iter().position(|g| g == k);
+    Some(Part {
+        keys: p.keys.iter().map(at).collect::<Option<_>>()?,
+        ..p.clone()
+    })
 }
 
 #[cfg(test)]
@@ -866,31 +879,67 @@ mod tests {
         assert!(plan.explain().contains("GlobalPartialFinal"));
     }
 
+    /// `SELECT k, count(distinct x), count(*) FROM lineitem GROUP BY k` as
+    /// the SQL front end lowers it, `cols` being `[k, x]`: an aggregate on
+    /// `k` over one on `(k, x)`.
+    fn distinct_count(cols: Vec<usize>) -> LogicalPlan {
+        let scan = LogicalPlan::Scan {
+            table: "lineitem".into(),
+            cols,
+        };
+        let inner = LogicalPlan::Aggregate {
+            input: Box::new(scan),
+            group_by: vec![0, 1],
+            aggs: vec![AggFn::CountStar],
+        };
+        LogicalPlan::Aggregate {
+            input: Box::new(inner),
+            group_by: vec![0],
+            aggs: vec![AggFn::CountStar, AggFn::Sum(2)],
+        }
+    }
+
     #[test]
-    fn count_distinct_forces_repartition_complete() {
+    fn nested_aggregates_split_once_and_both_run_local() {
+        let c = catalog();
+        for enable_partial_aggr in [true, false] {
+            let opts = RewriterOptions {
+                enable_partial_aggr,
+                ..Default::default()
+            };
+            // By l_suppkey, counting distinct l_orderkey: `lineitem` is
+            // partitioned on the inner key the outer one drops.
+            let lp = distinct_count(vec![1, 0]);
+            let plan = ParallelRewriter::new(&c, opts).rewrite(&lp).unwrap();
+            let explain = plan.explain();
+            let shape = "DXchgUnion\n  Aggr (by [0], Local)\n    Aggr (by [0, 1], Local)\n      \
+                         DXchgHashSplit on [0]\n        Scan";
+            assert!(explain.starts_with(shape), "{explain}");
+            assert_eq!(
+                plan.exchange_count(),
+                2,
+                "the split and the union: {explain}"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_aggregates_over_input_partitioned_on_the_outer_keys_do_not_split() {
         let c = catalog();
         let rw = ParallelRewriter::new(&c, RewriterOptions::default());
-        let lp = LogicalPlan::Aggregate {
-            input: Box::new(LogicalPlan::Scan {
-                table: "lineitem".into(),
-                cols: vec![1, 2],
-            }),
-            group_by: vec![1],
-            aggs: vec![AggFn::CountDistinct(0)],
-        };
-        let plan = rw.rewrite(&lp).unwrap();
-        assert!(
-            plan.explain().contains("RepartitionComplete"),
-            "{}",
-            plan.explain()
-        );
+        // By l_orderkey, the partition key, counting distinct l_suppkey.
+        let plan = rw.rewrite(&distinct_count(vec![0, 1])).unwrap();
+        let explain = plan.explain();
+        let shape = "DXchgUnion\n  Aggr (by [0], Local)\n    Aggr (by [0, 1], Local)\n      Scan";
+        assert!(explain.starts_with(shape), "{explain}");
+        assert_eq!(plan.exchange_count(), 1, "only the final union: {explain}");
     }
 
     /// Q21's two `EXISTS … <>` subqueries, decorrelated: `lineitem` joined
-    /// (inner, then left outer) to `Aggr(by l_orderkey, CountDistinct)` over
+    /// (inner, then left outer) to `Aggr(by l_orderkey, min, max)` over
     /// `lineitem`, which is partitioned on that key.
     #[test]
-    fn count_distinct_on_the_partition_key_stays_local() {
+    fn min_max_on_the_partition_key_stays_local() {
         let c = catalog();
         let rw = ParallelRewriter::new(&c, RewriterOptions::default());
         let li = || LogicalPlan::Scan {
@@ -903,7 +952,7 @@ mod tests {
                 items: vec![(Expr::col(0), "g0".into()), (Expr::col(1), "ne".into())],
             }),
             group_by: vec![0],
-            aggs: vec![AggFn::CountDistinct(1), AggFn::Min(1)],
+            aggs: vec![AggFn::Min(1), AggFn::Max(1)],
         };
         let exists = LogicalPlan::Join {
             left: Box::new(li()),

@@ -23,7 +23,8 @@
 //! uncorrelated scalars become single-row cross joins, correlated scalars
 //! become grouped joins on the correlation keys, IN/EXISTS become
 //! Semi/Anti joins, and the Q21-style `EXISTS (... <> ...)` pattern is
-//! rewritten through a grouped count-distinct/min.
+//! rewritten through a grouped min/max. `count(distinct x)` is lowered to
+//! two groupings (`split_distinct`).
 
 use vectorh_common::types::date;
 use vectorh_common::{DataType, Result, Schema, Value, VhError};
@@ -1547,7 +1548,10 @@ struct AggBuild<'a> {
     schema: &'a Schema,
     group_exprs: Vec<Expr>,
     pre_items: Vec<(Expr, String)>,
-    aggs: Vec<AggFn>,
+    /// The aggregates in output order; `None` is the distinct count.
+    aggs: Vec<Option<AggFn>>,
+    /// The pre-projection column `count(distinct …)` counts, if any.
+    distinct: Option<usize>,
 }
 
 impl AggBuild<'_> {
@@ -1566,7 +1570,7 @@ impl AggBuild<'_> {
         Ok(self.push_pre(e))
     }
 
-    fn push_agg(&mut self, f: AggFn) -> usize {
+    fn push_agg(&mut self, f: Option<AggFn>) -> usize {
         if let Some(pos) = self.aggs.iter().position(|x| *x == f) {
             return pos;
         }
@@ -1595,10 +1599,21 @@ impl AggBuild<'_> {
         Ok(match ast {
             Ast::Agg(f, distinct, arg) => {
                 let fnc = match (f.as_str(), distinct, arg.as_ref()) {
-                    ("count", false, Ast::Star) => AggFn::CountStar,
+                    ("count", false, Ast::Star) => Some(AggFn::CountStar),
                     ("count", true, a) => {
                         let col = self.push_arg(a)?;
-                        AggFn::CountDistinct(col)
+                        let refuse = |what| {
+                            let name = first_col_name(a).unwrap_or_default();
+                            Err(VhError::Plan(format!("{what} '{name}'")))
+                        };
+                        if self.distinct.is_some_and(|d| d != col) {
+                            return refuse("a second count(distinct) argument");
+                        }
+                        if self.pre_items[col].0.dtype(self.schema)? == DataType::F64 {
+                            return refuse("count(distinct) over the float");
+                        }
+                        self.distinct = Some(col);
+                        None
                     }
                     ("count", false, a) => {
                         // count(col) over the nullable side of a LEFT OUTER
@@ -1607,16 +1622,16 @@ impl AggBuild<'_> {
                         let e = resolve_expr(a, self.scope, self.schema)?;
                         match &e {
                             Expr::Col(i) => match self.scope.matched_of(*i) {
-                                Some(m) => AggFn::Sum(self.push_pre(Expr::Col(m))),
-                                None => AggFn::Count(self.push_pre(e)),
+                                Some(m) => Some(AggFn::Sum(self.push_pre(Expr::Col(m)))),
+                                None => Some(AggFn::Count(self.push_pre(e))),
                             },
-                            _ => AggFn::Count(self.push_pre(e)),
+                            _ => Some(AggFn::Count(self.push_pre(e))),
                         }
                     }
-                    ("sum", _, a) => AggFn::Sum(self.push_arg(a)?),
-                    ("avg", _, a) => AggFn::Avg(self.push_arg(a)?),
-                    ("min", _, a) => AggFn::Min(self.push_arg(a)?),
-                    ("max", _, a) => AggFn::Max(self.push_arg(a)?),
+                    ("sum", _, a) => Some(AggFn::Sum(self.push_arg(a)?)),
+                    ("avg", _, a) => Some(AggFn::Avg(self.push_arg(a)?)),
+                    ("min", _, a) => Some(AggFn::Min(self.push_arg(a)?)),
+                    ("max", _, a) => Some(AggFn::Max(self.push_arg(a)?)),
                     (other, ..) => {
                         return Err(VhError::Plan(format!("unknown aggregate '{other}'")))
                     }
@@ -1665,6 +1680,7 @@ pub(crate) fn build_aggregate(
             .collect(),
         group_exprs,
         aggs: Vec::new(),
+        distinct: None,
     };
     let mut post_asts = Vec::new();
     let mut out_names = Vec::new();
@@ -1694,10 +1710,13 @@ pub(crate) fn build_aggregate(
             items: b.pre_items,
         };
     }
-    plan = LogicalPlan::Aggregate {
-        input: Box::new(plan),
-        group_by: (0..group_n).collect(),
-        aggs: b.aggs,
+    plan = match b.distinct {
+        Some(x) => split_distinct(plan, group_n, x, &b.aggs)?,
+        None => LogicalPlan::Aggregate {
+            input: Box::new(plan),
+            group_by: (0..group_n).collect(),
+            aggs: b.aggs.into_iter().flatten().collect(),
+        },
     };
     // HAVING runs over the aggregate output; scalar subqueries in it (Q11)
     // lower here, appending their columns past the aggregate's own.
@@ -1726,6 +1745,51 @@ pub(crate) fn build_aggregate(
         items: post_items,
     };
     Ok((plan, out_names))
+}
+
+/// `GROUP BY 0..group_n` with `count(distinct x)` (the `None` of `aggs`) as
+/// an inner aggregate on the keys and `x` (just the keys if `x` is one)
+/// under an outer one on the keys that counts the inner groups and merges
+/// each other aggregate's inner part: a sum of counts or sums, a min of
+/// minima, a max of maxima.
+fn split_distinct(
+    plan: LogicalPlan,
+    group_n: usize,
+    x: usize,
+    aggs: &[Option<AggFn>],
+) -> Result<LogicalPlan> {
+    let inner_keys: Vec<usize> = (0..group_n).chain((x >= group_n).then_some(x)).collect();
+    let mut inner_aggs = Vec::new();
+    let mut outer_aggs = Vec::new();
+    for &a in aggs {
+        let merge: fn(usize) -> AggFn = match a {
+            None => {
+                outer_aggs.push(AggFn::CountStar);
+                continue;
+            }
+            Some(AggFn::CountStar | AggFn::Count(_) | AggFn::Sum(_)) => AggFn::Sum,
+            Some(AggFn::Min(_)) => AggFn::Min,
+            Some(AggFn::Max(_)) => AggFn::Max,
+            // A sum and a count merged and divided do not answer bit for
+            // bit like the aggregate's own average.
+            Some(AggFn::Avg(_)) => {
+                return Err(VhError::Plan(
+                    "avg beside count(distinct): write sum(…) / count(…)".into(),
+                ))
+            }
+        };
+        outer_aggs.push(merge(inner_keys.len() + inner_aggs.len()));
+        inner_aggs.extend(a);
+    }
+    Ok(LogicalPlan::Aggregate {
+        input: Box::new(LogicalPlan::Aggregate {
+            input: Box::new(plan),
+            group_by: inner_keys,
+            aggs: inner_aggs,
+        }),
+        group_by: (0..group_n).collect(),
+        aggs: outer_aggs,
+    })
 }
 
 #[cfg(test)]
@@ -1867,18 +1931,32 @@ mod tests {
 
     #[test]
     fn count_distinct() {
-        let c = catalog();
-        let p = parse_query("SELECT count(distinct o_custkey) FROM orders", &c).unwrap();
-        fn find(plan: &LogicalPlan) -> bool {
+        // The group keys and aggregates of each Aggregate, outermost first.
+        fn levels(plan: &LogicalPlan) -> Vec<(Vec<usize>, Vec<AggFn>)> {
             match plan {
-                LogicalPlan::Aggregate { aggs, .. } => {
-                    matches!(aggs[0], AggFn::CountDistinct(_))
-                }
-                LogicalPlan::Project { input, .. } => find(input),
-                _ => false,
+                LogicalPlan::Project { input, .. } => levels(input),
+                LogicalPlan::Aggregate {
+                    input,
+                    group_by,
+                    aggs,
+                } => [(group_by.clone(), aggs.clone())]
+                    .into_iter()
+                    .chain(levels(input))
+                    .collect(),
+                _ => vec![],
             }
         }
-        assert!(find(&p));
+        use AggFn::*;
+        let c = catalog();
+        let p = parse_query("SELECT count(distinct o_custkey) FROM orders", &c).unwrap();
+        assert_eq!(levels(&p), [(vec![], vec![CountStar]), (vec![0], vec![])]);
+        // The aggregates beside it split across the two levels.
+        let sql = "SELECT o_orderkey, min(o_totalprice), count(*), count(distinct o_custkey), \
+                   sum(o_totalprice), max(o_totalprice) FROM orders GROUP BY o_orderkey";
+        let outer = vec![Min(2), Sum(3), CountStar, Sum(4), Max(5)];
+        let inner = vec![Min(1), CountStar, Sum(1), Max(1)];
+        let p = parse_query(sql, &c).unwrap();
+        assert_eq!(levels(&p), [(vec![0], outer), (vec![0, 2], inner)]);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! * `IN (SELECT ...)` / `EXISTS` become **Semi** joins, their negations
 //!   **Anti** joins.
 //! * `EXISTS` with one `<>` correlation (TPC-H Q21's "another supplier")
-//!   is rewritten through a grouped `count(distinct ne)/min(ne)`: a group
-//!   holds a row with `ne <> outer.ne` iff it has more than one distinct
-//!   value or its single value differs from the outer one.
+//!   is rewritten through a grouped `min(ne)/max(ne)`: a group holds a row
+//!   with `ne <> outer.ne` iff its minimum or its maximum differs from the
+//!   outer one (all its values equal the outer one iff both do).
 
 use vectorh_common::{Result, Value, VhError};
 use vectorh_exec::aggr::AggFn;
@@ -142,7 +142,7 @@ pub(crate) fn lower_in(
 
 /// Lower `[NOT] EXISTS (SELECT ...)` into a Semi/Anti join on its equality
 /// correlations — or, with one `<>` correlation, through a grouped
-/// count-distinct/min rewrite (TPC-H Q21).
+/// min/max rewrite (TPC-H Q21).
 pub(crate) fn lower_exists(
     plan: &mut LogicalPlan,
     scope: &mut Scope,
@@ -186,7 +186,7 @@ pub(crate) fn lower_exists(
     }
     let ne = nes[0];
     let k = eqs.len();
-    // Per equality-key group: how many distinct ne values, and one witness.
+    // Per equality-key group: the least and the greatest ne value.
     let pre: Vec<(Expr, String)> = eqs
         .iter()
         .enumerate()
@@ -199,7 +199,7 @@ pub(crate) fn lower_exists(
             items: pre,
         }),
         group_by: (0..k).collect(),
-        aggs: vec![AggFn::CountDistinct(k), AggFn::Min(k)],
+        aggs: vec![AggFn::Min(k), AggFn::Max(k)],
     };
     let width = scope.cols.len();
     *plan = LogicalPlan::Join {
@@ -216,27 +216,20 @@ pub(crate) fn lower_exists(
     for i in 0..k + 2 {
         scope.cols.push((String::new(), format!("__ex{width}_{i}")));
     }
-    let cnt = Expr::Col(width + k);
-    let mn = Expr::Col(width + k + 1);
+    let mn = Expr::Col(width + k);
+    let mx = Expr::Col(width + k + 1);
     let outer_ne = Expr::Col(ne.outer);
     let predicate = if neg {
-        // NOT EXISTS: no group at all, or a single distinct value equal to
-        // the outer one (so no inner row differs).
+        // NOT EXISTS: no group at all, or every value equal to the outer one.
         let matched = width + k + 2;
         scope.cols.push((String::new(), "__matched".into()));
         Expr::Or(vec![
             Expr::eq(Expr::Col(matched), Expr::Lit(Value::I64(0))),
-            Expr::And(vec![
-                Expr::eq(cnt, Expr::Lit(Value::I64(1))),
-                Expr::eq(mn, outer_ne),
-            ]),
+            Expr::And(vec![Expr::eq(mn, outer_ne.clone()), Expr::eq(mx, outer_ne)]),
         ])
     } else {
-        // EXISTS: >1 distinct values, or the single value differs.
-        Expr::Or(vec![
-            Expr::gt(cnt, Expr::Lit(Value::I64(1))),
-            Expr::ne(mn, outer_ne),
-        ])
+        // EXISTS: some value differs from the outer one.
+        Expr::Or(vec![Expr::ne(mn, outer_ne.clone()), Expr::ne(mx, outer_ne)])
     };
     *plan = LogicalPlan::Select {
         input: Box::new(take_plan(plan)),

@@ -16,6 +16,7 @@ fn catalog() -> MemoryCatalog {
             ("o_orderkey", DataType::I64),
             ("o_custkey", DataType::I64),
             ("o_totalprice", DataType::Decimal { scale: 2 }),
+            ("o_ratio", DataType::F64),
         ]),
         rows: 1000,
         partitioning: Some((vec![0], 4)),
@@ -119,6 +120,20 @@ fn malformed_syntax_names_the_token() {
     expect_err("select count(o_orderkey, o_custkey) from orders", ",");
 }
 
+/// `count(distinct x)` plans as a grouping on `x`: one argument per query,
+/// none a float (no group key is), and no `avg` beside it.
+#[test]
+fn count_distinct_refusals_are_named() {
+    let two = "select count(distinct o_custkey), count(distinct o_orderkey) from orders";
+    expect_err(two, "a second count(distinct) argument 'o_orderkey'");
+    let avg = "select avg(o_totalprice), count(distinct o_orderkey) from orders";
+    expect_err(avg, "avg beside count(distinct)");
+    let float = "select count(distinct o_ratio) from orders";
+    expect_err(float, "count(distinct) over the float 'o_ratio'");
+    let same = "select count(distinct o_custkey) from orders having count(distinct o_custkey) > 1";
+    parse_query(same, &catalog()).expect("one argument named twice");
+}
+
 /// All frontend rejections surface as VhError::Plan (or Catalog for unknown
 /// tables) — never a panic, never a silent wrong plan.
 #[test]
@@ -129,6 +144,9 @@ fn errors_are_plan_errors() {
         "select o_orderkey from orders limit 5 extra",
         "select o_custkey, count(*) from orders",
         "select o_orderkey from orders join customer on o_custkey = c_custkey where o_orderkey = 1",
+        "select count(distinct o_custkey), count(distinct o_orderkey) from orders",
+        "select avg(o_totalprice), count(distinct o_orderkey) from orders",
+        "select count(distinct o_ratio) from orders",
     ];
     for sql in cases {
         match parse_query(sql, &catalog()) {

@@ -446,7 +446,9 @@ impl PlanGen<'_> {
     }
 
     /// An aggregate over `plan`: global (sometimes `count(*)` alone) or
-    /// grouped (sometimes without aggregates, i.e. DISTINCT).
+    /// grouped (sometimes without aggregates, i.e. DISTINCT), sometimes
+    /// counting distinct values of a column the way the SQL front end plans
+    /// it: an aggregate on the keys over one on the keys and that column.
     fn aggregated(&mut self, plan: LogicalPlan) -> LogicalPlan {
         if self.rng.chance(0.15) {
             return LogicalPlan::Aggregate {
@@ -466,6 +468,7 @@ impl PlanGen<'_> {
             }
         }
         let mut aggs: Vec<AggFn> = Vec::new();
+        let mut distinct = None;
         for _ in 0..self.below(4) {
             let c = self.below(dtypes.len());
             let f = match self.below(7) {
@@ -475,12 +478,36 @@ impl PlanGen<'_> {
                 3 if numeric(dtypes[c]) => AggFn::Avg(c),
                 4 => AggFn::Min(c),
                 5 => AggFn::Max(c),
-                6 if dtypes[c] != DataType::F64 => AggFn::CountDistinct(c),
+                6 if dtypes[c] != DataType::F64 => {
+                    distinct.get_or_insert(c);
+                    continue;
+                }
                 _ => AggFn::CountStar,
             };
             if !aggs.contains(&f) {
                 aggs.push(f);
             }
+        }
+        if let Some(c) = distinct {
+            // The outer aggregate counts the inner groups and takes the
+            // greatest of each inner aggregate.
+            let mut keys = group_by.clone();
+            if !keys.contains(&c) {
+                keys.push(c);
+            }
+            let outer = std::iter::once(AggFn::CountStar)
+                .chain((keys.len()..keys.len() + aggs.len()).map(AggFn::Max))
+                .collect();
+            let inner = LogicalPlan::Aggregate {
+                input: Box::new(plan),
+                group_by: keys,
+                aggs,
+            };
+            return LogicalPlan::Aggregate {
+                input: Box::new(inner),
+                group_by: (0..group_by.len()).collect(),
+                aggs: outer,
+            };
         }
         if group_by.is_empty() && aggs.is_empty() {
             aggs.push(AggFn::CountStar);

@@ -1,6 +1,8 @@
 //! End-to-end SQL on a simulated cluster: parse → optimize → distribute →
 //! execute, with verification against hand-computed answers.
 
+use std::collections::{BTreeMap, HashSet};
+
 use vectorh::{ClusterConfig, TableBuilder, VectorH};
 use vectorh_common::{DataType, Value};
 
@@ -188,6 +190,110 @@ fn sql_errors_are_clean() {
     assert!(vh.query("SELECT nonsense FROM sales").is_err());
     assert!(vh.query("SELECT * FROM missing_table").is_err());
     assert!(vh.query("SELECT store FROM sales GROUP BY").is_err());
+}
+
+/// `count(distinct …)` against a `HashSet` model, on rows with duplicates
+/// and on no rows: grouped on the table's partition key (both aggregates of
+/// the plan `Local`), grouped on another column (behind one hash split) and
+/// global, beside `count(*)`, `sum`, `min` and `max`, on one partition and
+/// on six.
+#[test]
+fn count_distinct_matches_a_set_model() {
+    // Columns grp (the partition key), store (an index into STORES), item
+    // and qty.
+    const STORES: [&str; 4] = ["east", "north", "south", "west"];
+    let rows: Vec<[i64; 4]> = (0..600)
+        .map(|i| [i % 7, i * 5 % 4, i * 13 % 17, i % 50 - 20])
+        .collect();
+    let cell = |c: usize, v: i64| match c {
+        1 => Value::Str(STORES[v as usize].into()),
+        _ => Value::I64(v),
+    };
+    // Per group of column `key` (all rows when `None`), in key order: the
+    // key, the distinct values of column `arg`, then count(*), sum, min and
+    // max of qty.
+    let model = |kept: &[&[i64; 4]], key: Option<usize>, arg: usize| {
+        let mut groups = BTreeMap::<i64, (HashSet<i64>, Vec<i64>)>::new();
+        for r in kept {
+            let (set, qty) = groups.entry(key.map_or(0, |k| r[k])).or_default();
+            set.insert(r[arg]);
+            qty.push(r[3]);
+        }
+        let row = |(k, (set, qty)): (i64, (HashSet<i64>, Vec<i64>))| {
+            let (min, max) = (qty.iter().min().unwrap(), qty.iter().max().unwrap());
+            let stats = [
+                set.len() as i64,
+                qty.len() as i64,
+                qty.iter().sum(),
+                *min,
+                *max,
+            ];
+            let key = key.map(|c| cell(c, k));
+            key.into_iter().chain(stats.map(Value::I64)).collect()
+        };
+        groups.into_iter().map(row).collect::<Vec<Vec<Value>>>()
+    };
+    let aggs = "count(*), sum(qty), min(qty), max(qty) FROM visits{f}";
+    for parts in [1, 6] {
+        let vh = engine();
+        vh.create_table(
+            TableBuilder::new("visits")
+                .column("grp", DataType::I64)
+                .column("store", DataType::Str)
+                .column("item", DataType::I64)
+                .column("qty", DataType::I64)
+                .partition_by(&["grp"], parts),
+        )
+        .unwrap();
+        let values = rows.iter().map(|r| (0..4).map(|c| cell(c, r[c])).collect());
+        vh.insert_rows("visits", values.collect()).unwrap();
+        for (filter, bound) in [("", i64::MAX), (" WHERE qty < -20", -20)] {
+            let kept: Vec<&[i64; 4]> = rows.iter().filter(|r| r[3] < bound).collect();
+            // (select list and the rest, group column, argument, splits)
+            for (query, key, arg, splits) in [
+                (
+                    "store, count(distinct item), {aggs} GROUP BY store ORDER BY store",
+                    Some(1),
+                    2,
+                    1,
+                ),
+                (
+                    "grp, count(distinct store), {aggs} GROUP BY grp ORDER BY grp",
+                    Some(0),
+                    1,
+                    0,
+                ),
+                (
+                    "grp, count(distinct grp), {aggs} GROUP BY grp ORDER BY grp",
+                    Some(0),
+                    0,
+                    0,
+                ),
+                ("count(distinct item), {aggs}", None, 2, 0),
+            ] {
+                let sql = format!("SELECT {query}").replace("{aggs}", aggs);
+                let sql = sql.replace("{f}", filter);
+                let want = model(&kept, key, arg);
+                assert_eq!(vh.query(&sql).unwrap(), want, "{sql}, {parts} partitions");
+                let plan = vh.explain(&sql).unwrap();
+                assert_eq!(plan.matches("DXchgHashSplit").count(), splits, "{plan}");
+            }
+            // Over no rows a global aggregate answers one row only if all it
+            // computes is counts: no sum, min or max has a value there.
+            let sql = format!("SELECT count(distinct item) FROM visits{filter}");
+            let items: HashSet<i64> = kept.iter().map(|r| r[2]).collect();
+            let want = vec![vec![Value::I64(items.len() as i64)]];
+            assert_eq!(vh.query(&sql).unwrap(), want, "{sql}, {parts} partitions");
+            // A count(*) beside it is a sum of the inner groups' counts, so
+            // over no rows this answers no row where SQL answers (0, 0).
+            let sql = format!("SELECT count(distinct item), count(*) FROM visits{filter}");
+            let want: Vec<Vec<Value>> = model(&kept, None, 2)
+                .iter()
+                .map(|r| r[..2].to_vec())
+                .collect();
+            assert_eq!(vh.query(&sql).unwrap(), want, "{sql}, {parts} partitions");
+        }
+    }
 }
 
 #[test]
