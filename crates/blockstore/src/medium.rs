@@ -34,7 +34,7 @@ pub trait Medium: Send + Sync + 'static {
     fn sync(&self, path: &str, nodes: &[NodeId]) -> Result<()>;
 
     /// Cut the replicas on `nodes` back to `len` bytes (best effort: crash
-    /// simulation and reopen reconciliation, never the data path).
+    /// simulation, reopen reconciliation and a WAL's torn-tail repair).
     fn truncate_to(&self, path: &str, nodes: &[NodeId], len: u64);
 
     /// The file is gone: discard its replicas on `nodes` and anything else

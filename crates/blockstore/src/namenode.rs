@@ -286,6 +286,25 @@ impl<M: Medium> BlockStore for Namenode<M> {
         Ok(())
     }
 
+    fn truncate(&self, path: &str, len: u64) -> Result<()> {
+        let mut inner = self.inner.write();
+        let meta = inner.file(path)?.clone();
+        if len > meta.len {
+            return Err(VhError::Hdfs(format!(
+                "cannot truncate {path} to {len} bytes: it holds {}",
+                meta.len
+            )));
+        }
+        self.medium.truncate_to(path, &meta.targets, len);
+        for node in &meta.targets {
+            inner.free(*node, meta.len - len);
+        }
+        let meta = inner.files.get_mut(path).expect("checked above");
+        meta.len = len;
+        meta.synced_len = meta.synced_len.min(len);
+        Ok(())
+    }
+
     fn simulate_os_crash(&self) {
         let mut inner = self.inner.write();
         let Inner { files, used, .. } = &mut *inner;

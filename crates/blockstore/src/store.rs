@@ -73,6 +73,11 @@ pub trait BlockStore: Send + Sync {
     /// an OS crash (fsync on real files).
     fn sync(&self, path: &str) -> Result<()>;
 
+    /// Cut `path` back to its first `len` bytes, in place: the one way to
+    /// drop a torn tail without rewriting the bytes before it. A sync is
+    /// still needed to make the cut survive an OS crash.
+    fn truncate(&self, path: &str, len: u64) -> Result<()>;
+
     /// Test hook: simulate an OS crash (power loss) by discarding every
     /// byte not yet covered by a [`sync`](Self::sync) — all replicas of each
     /// file are cut back to its synced watermark.
@@ -207,6 +212,9 @@ impl<T: BlockStore + ?Sized> BlockStore for Arc<T> {
     }
     fn sync(&self, path: &str) -> Result<()> {
         (**self).sync(path)
+    }
+    fn truncate(&self, path: &str, len: u64) -> Result<()> {
+        (**self).truncate(path, len)
     }
     fn simulate_os_crash(&self) {
         (**self).simulate_os_crash()

@@ -77,6 +77,7 @@ on_both_media!(
     slow_reads_are_accounted_not_failed,
     hook_is_shared_across_handles,
     sync_watermark_gates_os_crash_survival,
+    truncate_cuts_in_place,
     failed_copy_leaves_node_out_of_rebalance,
     failed_copy_leaves_node_out_of_rereplication,
 );
@@ -362,6 +363,24 @@ fn sync_watermark_gates_os_crash_survival<M: Medium>(fresh: fn() -> M) {
     // Appends keep working after the crash.
     fs.append("/wal", b"+more", None).unwrap();
     assert_eq!(fs.read_all("/wal", None).unwrap(), b"committed.+more");
+}
+
+fn truncate_cuts_in_place<M: Medium>(fresh: fn() -> M) {
+    let fs = small(3, fresh());
+    fs.append("/wal", b"committed.", None).unwrap();
+    fs.sync("/wal").unwrap();
+    fs.append("/wal", b"torn-tail", None).unwrap();
+    assert!(fs.truncate("/wal", 20).is_err(), "a cut cannot grow a file");
+    assert!(fs.truncate("/nope", 0).is_err());
+    // Below the synced watermark: the watermark follows the cut.
+    fs.truncate("/wal", 9).unwrap();
+    assert_eq!(fs.read_all("/wal", None).unwrap(), b"committed");
+    assert_eq!(fs.synced_len("/wal").unwrap(), 9);
+    assert_eq!(total_used(&fs), 27);
+    fs.append("/wal", b"!", None).unwrap();
+    fs.sync("/wal").unwrap();
+    fs.simulate_os_crash();
+    assert_eq!(fs.read_all("/wal", None).unwrap(), b"committed!");
 }
 
 /// A medium whose next `copy_replica` fails once `fail_next_copy` is armed.

@@ -6,7 +6,8 @@
 //! latest committed state, and update queries "get a distributed query plan
 //! that ensures that each table partition is updated at its responsible
 //! node". Commits run 2PC: per-partition WAL records + Prepare from the
-//! responsible nodes, the decision in the session master's global WAL.
+//! responsible nodes, then the decision in the session master's global WAL,
+//! which carries those records and is the one file a commit forces.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use vectorh_exec::filter::Select;
 use vectorh_exec::operator::Operator;
 use vectorh_exec::scan::{keep_chunks, MScan};
 use vectorh_storage::Pruning;
-use vectorh_txn::twophase::Outcome;
+use vectorh_txn::twophase::Decision;
 use vectorh_txn::{LogRecord, Transaction, TwoPhaseCoordinator, Wal};
 
 use crate::engine::{partition_of, TableRuntime, VectorH};
@@ -68,17 +69,20 @@ impl VectorH {
     }
 
     /// Commit a transaction through the session master's 2PC
-    /// ([`TwoPhaseCoordinator`]): each partition the transaction wrote
-    /// prepares (update records + `Prepare` vote in its responsible node's
-    /// partition WAL) before the in-memory state advances; the fenced
-    /// decision lands in the global WAL; only then do the phase-2 `Commit`
-    /// records land in the partition WALs. The commit runs under the master
-    /// epoch observed at entry — an election in between fences it with
-    /// [`VhError::StaleMaster`]. A coordinator crash injected at a prepare
-    /// aborts the statement before anything is installed; one injected at
-    /// the decision leaves the transaction in doubt. Both surface as
-    /// [`VhError::TxnAbort`], and the next master's in-doubt resolution
-    /// settles whatever prepared.
+    /// ([`TwoPhaseCoordinator`]), all of it inside the transaction
+    /// manager's persist step, so nothing is installed before the decision
+    /// is durable: each partition the transaction wrote prepares (update
+    /// records + `Prepare` vote in its responsible node's partition WAL,
+    /// unforced); the fenced decision, carrying those records, is forced
+    /// into the global WAL — the one fsync of the commit; then the phase-2
+    /// `Commit` records land in the partition WALs, unforced. The commit
+    /// runs under the master epoch observed at entry — an election in
+    /// between fences it with [`VhError::StaleMaster`]. A coordinator crash
+    /// injected at a prepare, or at the decision before it is logged,
+    /// aborts the statement with nothing installed; one injected after the
+    /// decision installs the transaction but leaves it in doubt, without
+    /// phase 2. All three surface as [`VhError::TxnAbort`], and the next
+    /// master's in-doubt resolution settles whatever prepared.
     fn commit_2pc(&self, rt: &TableRuntime, txn: Transaction) -> Result<u64> {
         let txn_id = txn.id;
         let epoch = self.master_epoch();
@@ -86,30 +90,54 @@ impl VectorH {
             self.txns.abort(txn);
             return Err(e);
         }
-        let mut shipped: Vec<LogRecord> = Vec::new();
-        let mut prepared: Vec<Arc<Wal>> = Vec::new();
         let replicated = rt.def.partitioning.is_none();
-        let seq = self.txns.commit(txn, |pid, recs| {
-            let wal = self.wal_of(rt, pid)?;
-            if !self.coordinator.prepare(txn_id, pid, &wal, recs)? {
-                return Err(VhError::TxnAbort(format!(
-                    "txn {txn_id} aborted: coordinator lost before {pid} prepared"
-                )));
+        let mut shipped: Vec<LogRecord> = Vec::new();
+        // What the statement reports once the transaction is installed.
+        let mut installed = Ok(());
+        let seq = self.txns.commit(txn, |parts| {
+            let mut prepared: Vec<Arc<Wal>> = Vec::with_capacity(parts.len());
+            for (pid, recs) in &parts {
+                let wal = self.wal_of(rt, *pid)?;
+                if !self.coordinator.prepare(txn_id, *pid, &wal, recs)? {
+                    return Err(VhError::TxnAbort(format!(
+                        "txn {txn_id} aborted: coordinator lost before {pid} prepared"
+                    )));
+                }
+                prepared.push(wal);
             }
             if replicated {
-                shipped.extend_from_slice(recs);
+                shipped = parts.values().flatten().cloned().collect();
             }
-            prepared.push(wal);
+            match self
+                .coordinator
+                .decide(epoch, txn_id, parts.into_iter().collect())?
+            {
+                Decision::Lost => {
+                    return Err(VhError::TxnAbort(format!(
+                        "txn {txn_id} in doubt: coordinator lost before the decision"
+                    )))
+                }
+                Decision::InDoubt => {
+                    installed = Err(VhError::TxnAbort(format!(
+                        "txn {txn_id} in doubt: coordinator lost before phase 2"
+                    )))
+                }
+                // Phase 2 runs before the commit lets go of its partitions,
+                // so any later checkpoint of one follows its `Commit` (the
+                // global WAL's rotation rests on that). The decision is
+                // durable: a failed verdict still installs.
+                Decision::Committed => {
+                    installed = prepared
+                        .iter()
+                        .try_for_each(|wal| TwoPhaseCoordinator::conclude(wal, txn_id, true));
+                    if installed.is_ok() {
+                        self.coordinator.concluded(txn_id);
+                    }
+                }
+            }
             Ok(())
         })?;
-        if self.coordinator.decide(epoch, txn_id)? == Outcome::InDoubt {
-            return Err(VhError::TxnAbort(format!(
-                "txn {txn_id} in doubt: coordinator lost before phase 2"
-            )));
-        }
-        for wal in &prepared {
-            TwoPhaseCoordinator::conclude(wal, txn_id, true)?;
-        }
+        installed?;
         // Log shipping for replicated tables: the commit's records go into
         // the retained ship log, and every live worker applies them to its
         // replica state through the ordinary replay path (§6). A node that
@@ -322,7 +350,7 @@ impl VectorH {
 mod tests {
     use super::*;
     use crate::{ClusterConfig, TableBuilder};
-    use vectorh_common::fault::{FaultAction, FaultSite};
+    use vectorh_common::fault::{DirectedFault, FaultAction, FaultSite};
     use vectorh_common::DataType;
     use vectorh_storage::minmax::PruneOp;
 
@@ -454,6 +482,52 @@ mod tests {
         assert!(global
             .iter()
             .any(|r| matches!(r, LogRecord::GlobalCommit { .. })));
+    }
+
+    /// The decision is the commit point, and it lands before anything is
+    /// installed: a coordinator lost before it leaves the table as it was,
+    /// one lost after it leaves the rows visible (recovery commits them).
+    #[test]
+    fn a_statement_is_visible_iff_its_decision_reached_the_global_wal() {
+        let vh = engine();
+        mk_table(&vh, false);
+        vh.insert_rows(
+            "t",
+            (0..10)
+                .map(|i| vec![Value::I64(i), Value::I64(0)])
+                .collect(),
+        )
+        .unwrap();
+        let decisions = || {
+            vh.coordinator
+                .global_wal()
+                .read_all()
+                .unwrap()
+                .iter()
+                .filter(|r| matches!(r, LogRecord::GlobalCommit { .. }))
+                .count()
+        };
+        let count = || vh.query("SELECT count(*) FROM t").unwrap()[0][0].clone();
+        for (crash, decided, rows) in [
+            (FaultAction::CrashBefore, 0, 10),
+            (FaultAction::CrashAfter, 1, 11),
+        ] {
+            vh.install_fault_hook(Some(DirectedFault::new(
+                FaultSite::TwoPhaseDecide,
+                crash,
+                1,
+            )));
+            let err = vh
+                .trickle_insert("t", vec![vec![Value::I64(10), Value::I64(1)]])
+                .unwrap_err();
+            vh.install_fault_hook(None);
+            assert!(
+                matches!(&err, VhError::TxnAbort(m) if m.contains("in doubt")),
+                "{crash:?}: {err}"
+            );
+            assert_eq!(decisions(), decided, "{crash:?}");
+            assert_eq!(count(), Value::I64(rows), "{crash:?}");
+        }
     }
 
     #[test]

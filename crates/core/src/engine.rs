@@ -1288,9 +1288,13 @@ impl VectorH {
     }
 
     /// Propagate one partition of a table and do the post-commit
-    /// bookkeeping (ship-log checkpoint + replica re-base for replicated
-    /// tables, counters). Shared by [`Self::propagate_table`] and the
-    /// background [`Self::propagation_tick`].
+    /// bookkeeping (the global WAL learns that the partition's log is
+    /// forced, which may rotate it; ship-log checkpoint + replica re-base
+    /// for replicated tables; counters). A run with nothing to fold forces
+    /// the log of a partition the global WAL still holds records for: that
+    /// is all a checkpoint would have done for them. Shared by
+    /// [`Self::propagate_table`] and the background
+    /// [`Self::propagation_tick`].
     fn propagate_partition_runtime(
         &self,
         rt: &TableRuntime,
@@ -1298,9 +1302,19 @@ impl VectorH {
     ) -> Result<vectorh_txn::propagate::PropagationReport> {
         let pid = rt.pids[i];
         let mut store = rt.stores[i].write();
+        // Every decision logged by now precedes the checkpoint: the ones
+        // naming `pid` had to finish before propagation could begin.
+        let global = self.coordinator.global_wal();
+        let mark = global.mark();
         let report =
             vectorh_txn::propagate::propagate_partition(&self.txns, pid, &mut store, &rt.wals[i])?;
-        if report.mode != vectorh_txn::propagate::PropagationMode::Noop {
+        if report.mode == vectorh_txn::propagate::PropagationMode::Noop {
+            if global.holds_payload(pid)? {
+                rt.wals[i].sync()?;
+                global.checkpointed(pid, mark)?;
+            }
+        } else {
+            global.checkpointed(pid, mark)?;
             if rt.def.partitioning.is_none() {
                 // Propagation folded the shipped updates into the stable
                 // image, or carried them in its checkpoint: the retained

@@ -7,10 +7,11 @@
 //! decision records of the reduced global WAL. This module is that promise,
 //! end to end:
 //!
-//! * [`recover_partition`] — repair a partition WAL's torn tail, resolve
-//!   every logged transaction (local `Commit`, global decision, or presumed
-//!   abort), and install the committed image atomically into a
-//!   [`TransactionManager`]. Used by the engine when responsibility moves
+//! * [`recover_partition`] — repair a partition WAL's torn tail, restore
+//!   from the global decisions' payloads what a power loss cut from its
+//!   unforced tail, resolve every logged transaction (local `Commit`,
+//!   global decision, or presumed abort), and install the committed image
+//!   atomically into a [`TransactionManager`]. Used by the engine when responsibility moves
 //!   off a dead node, and by the chaos harness as the one true recovery
 //!   entry point.
 //! * [`VectorH::rejoin_node`] — the reverse of `kill_node`: revive the
@@ -31,6 +32,9 @@ use crate::engine::VectorH;
 pub struct RecoveryReport {
     /// Torn-tail bytes trimmed by `Wal::repair`.
     pub repaired_bytes: u64,
+    /// Decided transactions a power loss had cut from the log, re-appended
+    /// from the global WAL (`TwoPhaseCoordinator::restore_lost_tail`).
+    pub restored: Vec<u64>,
     /// Transactions resolved to committed (local record or global decision),
     /// in log order.
     pub committed: Vec<u64>,
@@ -44,7 +48,8 @@ pub struct RecoveryReport {
 }
 
 /// Recover one partition onto its (new) responsible node: repair the WAL
-/// tail, resolve in-doubt transactions against the global WAL, and replay
+/// tail, re-append (forced) each decided transaction a power loss cut from
+/// it, resolve in-doubt transactions against the global WAL, and replay
 /// the last checkpoint's carried deltas, then the committed records after
 /// it, into `txns` atomically — committed updates stay visible, uncommitted
 /// ones never surface. `stable_rows` is the row count of the partition's
@@ -58,6 +63,7 @@ pub fn recover_partition(
     wal: &Wal,
 ) -> Result<RecoveryReport> {
     let repaired_bytes = wal.repair()?;
+    let restored = coordinator.restore_lost_tail(pid, wal)?;
     let verdicts = coordinator.recoverable_txns(wal)?;
     let mut committed = Vec::new();
     let mut aborted = Vec::new();
@@ -70,7 +76,8 @@ pub fn recover_partition(
     }
     let committed_set: std::collections::HashSet<u64> = committed.iter().copied().collect();
     // Records after the last checkpoint, in log order (= commit order: each
-    // commit appends its whole batch atomically). Bulk `Append`s are already
+    // commit appends its whole batch atomically, and a restored tail goes
+    // back in decision order). Bulk `Append`s are already
     // in the stable image and are ignored by replay.
     let replay = wal.read_replay()?;
     let records: Vec<LogRecord> = replay
@@ -86,6 +93,7 @@ pub fn recover_partition(
     txns.rebase_partition(pid, stable_rows, &replay.carried, &records)?;
     Ok(RecoveryReport {
         repaired_bytes,
+        restored,
         committed,
         aborted,
         replayed_records: records.len(),
@@ -172,14 +180,16 @@ impl VectorH {
     }
 
     /// Finish every transaction the deposed master left in doubt: for each
-    /// partition WAL, find transactions that prepared but never got a local
-    /// verdict, append the phase-2 `Commit` where the global WAL holds the
-    /// decision and an explicit `Abort` otherwise (presumed abort), then
-    /// realign the in-memory image with the durable outcome via
-    /// [`recover_partition`] — the old master may have installed state for
-    /// a transaction whose decision never became durable (or vice versa).
-    /// Decided transactions on replicated tables are re-shipped so every
-    /// replica converges. Returns the number of transactions resolved.
+    /// partition WAL, re-append the decided transactions a power loss cut
+    /// from it (records, `Prepare` and `Commit`, forced), find transactions
+    /// that prepared but never got a local verdict, append the phase-2
+    /// `Commit` where the global WAL holds the decision and an explicit
+    /// `Abort` otherwise (presumed abort), then realign the in-memory image
+    /// with the durable outcome via [`recover_partition`] — the old master
+    /// may have installed state for a transaction whose decision never
+    /// became durable (or vice versa). Decided transactions on replicated
+    /// tables are re-shipped so every replica converges. Returns the number
+    /// of (partition, transaction) pairs resolved, restored ones included.
     ///
     /// Called by `reconcile_workers` right after an election; also callable
     /// directly by drills that depose a master without killing it.
@@ -189,19 +199,22 @@ impl VectorH {
         names.sort_unstable();
         let workers = self.workers();
         let mut resolved = 0;
+        let mut concluded = std::collections::BTreeSet::new();
         for name in names {
             let rt = &tables[name];
             for (i, pid) in rt.pids.iter().enumerate() {
                 let wal = &rt.wals[i];
                 wal.repair()?;
+                let restored = self.coordinator.restore_lost_tail(*pid, wal)?;
                 let in_doubt = self.coordinator.in_doubt_txns_of(wal)?;
-                if in_doubt.is_empty() {
+                if in_doubt.is_empty() && restored.is_empty() {
                     continue;
                 }
                 for &(txn, decided) in &in_doubt {
                     TwoPhaseCoordinator::conclude(wal, txn, decided)?;
+                    concluded.insert(txn);
                 }
-                resolved += in_doubt.len();
+                resolved += in_doubt.len() + restored.len();
                 let stable = rt.stores[i].read().row_count();
                 recover_partition(&self.coordinator, &self.txns, *pid, stable, wal)?;
                 if rt.def.partitioning.is_none() {
@@ -215,6 +228,10 @@ impl VectorH {
                     self.apply_shipped(rt, *pid, &workers)?;
                 }
             }
+        }
+        // Every participant of these has its verdict now.
+        for txn in concluded {
+            self.coordinator.concluded(txn);
         }
         Ok(resolved)
     }

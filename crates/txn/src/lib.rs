@@ -17,13 +17,18 @@
 //! * [`twophase`] — the 2PC protocol between the session master (global
 //!   WAL) and responsible nodes (partition WALs), with crash-point
 //!   injection: a transaction is durable iff the global decision record made
-//!   it to HDFS.
+//!   it to HDFS. The decision carries the participants' records, so a commit
+//!   forces that one file.
+//! * [`global`] — the global WAL itself: generation files, rotated once
+//!   every payload in them is covered by a partition checkpoint.
 
+pub mod global;
 pub mod manager;
 pub mod propagate;
 pub mod twophase;
 pub mod wal;
 
+pub use global::GlobalWal;
 pub use manager::{Transaction, TransactionManager, TxnConfig};
 pub use twophase::{LogShipper, RecoverableTxn, TwoPhaseCoordinator, TxnResolution};
 pub use wal::{LogRecord, Replay, Wal};

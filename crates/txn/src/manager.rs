@@ -14,9 +14,9 @@
 //! transaction that committed after our snapshot, we abort with a
 //! write-write conflict at tuple granularity.
 //!
-//! Durability: commit hands the resolved records to a `persist` callback
-//! (the engine writes partition WALs + the global 2PC decision) *before*
-//! mutating the master state.
+//! Durability: commit hands the resolved records of every partition, in one
+//! call, to a `persist` callback (the engine's 2PC: partition WALs, then the
+//! one forced global decision) *before* mutating the master state.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -387,16 +387,17 @@ impl TransactionManager {
     }
 
     /// Commit. Detects write-write conflicts, resolves positions against the
-    /// advanced master state, persists via `persist` (partition → its
-    /// `TxnBegin` and update records, no verdict; partitions in
-    /// `PartitionId` order), then installs the new master Write-PDTs
-    /// (copy-on-write). An `Err` from `persist` installs nothing.
-    pub fn commit<F>(&self, txn: Transaction, mut persist: F) -> Result<u64>
+    /// advanced master state, persists via one call of `persist` (each
+    /// written partition → its `TxnBegin` and update records, no verdict;
+    /// ordered by `PartitionId`; empty for a transaction that wrote
+    /// nothing), then installs the new master Write-PDTs (copy-on-write).
+    /// An `Err` from `persist` installs nothing.
+    pub fn commit<F>(&self, txn: Transaction, persist: F) -> Result<u64>
     where
-        F: FnMut(PartitionId, &[LogRecord]) -> Result<()>,
+        F: FnOnce(BTreeMap<PartitionId, Vec<LogRecord>>) -> Result<()>,
     {
         let mut inner = self.inner.write();
-        let result = Self::commit_locked(&mut inner, &txn, &mut persist);
+        let result = Self::commit_locked(&mut inner, &txn, persist);
         // Release snapshot references on EVERY path — success, conflict,
         // resolution failure, or persist (WAL) error. Leaking them would
         // block propagation on the partition forever.
@@ -411,7 +412,7 @@ impl TransactionManager {
     fn commit_locked(
         inner: &mut MgrInner,
         txn: &Transaction,
-        persist: &mut dyn FnMut(PartitionId, &[LogRecord]) -> Result<()>,
+        persist: impl FnOnce(BTreeMap<PartitionId, Vec<LogRecord>>) -> Result<()>,
     ) -> Result<u64> {
         // 1. Optimistic validation at tuple granularity.
         for (seq, keys) in inner.commit_log.iter().rev() {
@@ -525,9 +526,7 @@ impl TransactionManager {
         }
 
         // 3. Persist (WAL-before-apply).
-        for (pid, recs) in &records {
-            persist(*pid, recs)?;
-        }
+        persist(records)?;
         let seq = inner.commit_seq + 1;
 
         // 4. Install new master Write-PDTs.
@@ -766,7 +765,7 @@ mod tests {
         let own = apply_plan(&t.merged_plan(P).unwrap(), &stable_rows(5));
         assert_eq!(own.len(), 5);
         assert_eq!(own[1][0], Value::I64(100));
-        m.commit(t, |_, _| Ok(())).unwrap();
+        m.commit(t, |_| Ok(())).unwrap();
         let rows = materialize(&m, P, 5);
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[1][0], Value::I64(100));
@@ -779,7 +778,7 @@ mod tests {
         let t_reader = m.begin(&[P]).unwrap();
         let mut t_writer = m.begin(&[P]).unwrap();
         m.delete_at(&mut t_writer, P, 0).unwrap();
-        m.commit(t_writer, |_, _| Ok(())).unwrap();
+        m.commit(t_writer, |_| Ok(())).unwrap();
         // Reader's snapshot still sees 4 rows.
         let seen = apply_plan(&t_reader.merged_plan(P).unwrap(), &stable_rows(4));
         assert_eq!(seen.len(), 4);
@@ -795,8 +794,8 @@ mod tests {
         let mut t2 = m.begin(&[P]).unwrap();
         m.modify_at(&mut t1, P, 2, 0, Value::I64(1)).unwrap();
         m.modify_at(&mut t2, P, 2, 0, Value::I64(2)).unwrap();
-        m.commit(t1, |_, _| Ok(())).unwrap();
-        let err = m.commit(t2, |_, _| Ok(())).unwrap_err();
+        m.commit(t1, |_| Ok(())).unwrap();
+        let err = m.commit(t2, |_| Ok(())).unwrap_err();
         assert!(matches!(err, VhError::TxnAbort(_)), "{err}");
     }
 
@@ -807,8 +806,8 @@ mod tests {
         let mut t2 = m.begin(&[P]).unwrap();
         m.modify_at(&mut t1, P, 1, 0, Value::I64(11)).unwrap();
         m.modify_at(&mut t2, P, 3, 0, Value::I64(33)).unwrap();
-        m.commit(t1, |_, _| Ok(())).unwrap();
-        m.commit(t2, |_, _| Ok(())).unwrap();
+        m.commit(t1, |_| Ok(())).unwrap();
+        m.commit(t2, |_| Ok(())).unwrap();
         let rows = materialize(&m, P, 4);
         assert_eq!(rows[1][0], Value::I64(11));
         assert_eq!(rows[3][0], Value::I64(33));
@@ -821,8 +820,8 @@ mod tests {
         let mut t2 = m.begin(&[P]).unwrap();
         m.insert_at(&mut t1, P, 1, v(100)).unwrap(); // after stable row 0
         m.insert_at(&mut t2, P, 2, v(200)).unwrap(); // at end-ish (after row 1)
-        m.commit(t1, |_, _| Ok(())).unwrap();
-        m.commit(t2, |_, _| Ok(())).unwrap();
+        m.commit(t1, |_| Ok(())).unwrap();
+        m.commit(t2, |_| Ok(())).unwrap();
         let rows = materialize(&m, P, 2);
         assert_eq!(rows.len(), 4);
         let vals: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
@@ -838,7 +837,7 @@ mod tests {
         let mut t = m.begin(&[P]).unwrap();
         m.insert_at(&mut t, P, 1, v(42)).unwrap();
         m.delete_at(&mut t, P, 1).unwrap();
-        m.commit(t, |_, _| Ok(())).unwrap();
+        m.commit(t, |_| Ok(())).unwrap();
         assert_eq!(materialize(&m, P, 3), stable_rows(3));
     }
 
@@ -849,8 +848,8 @@ mod tests {
         m.insert_at(&mut t, P, 0, v(1)).unwrap();
         m.modify_at(&mut t, P, 0, 0, Value::I64(99)).unwrap();
         let mut wal_records = Vec::new();
-        m.commit(t, |_, recs| {
-            wal_records.extend(recs.to_vec());
+        m.commit(t, |parts| {
+            wal_records.extend(parts.into_values().flatten());
             Ok(())
         })
         .unwrap();
@@ -870,8 +869,8 @@ mod tests {
         // t2 inserts after row 2; t1 deletes row 2 and commits first.
         m.delete_at(&mut t1, P, 2).unwrap();
         m.insert_at(&mut t2, P, 3, v(7)).unwrap();
-        m.commit(t1, |_, _| Ok(())).unwrap();
-        assert!(m.commit(t2, |_, _| Ok(())).is_err());
+        m.commit(t1, |_| Ok(())).unwrap();
+        assert!(m.commit(t2, |_| Ok(())).is_err());
     }
 
     #[test]
@@ -880,9 +879,9 @@ mod tests {
         let mut t = m.begin(&[P]).unwrap();
         m.delete_at(&mut t, P, 1).unwrap();
         let mut got: Vec<LogRecord> = vec![];
-        m.commit(t, |pid, recs| {
-            assert_eq!(pid, P);
-            got.extend(recs.to_vec());
+        m.commit(t, |parts| {
+            assert_eq!(parts.keys().copied().collect::<Vec<_>>(), vec![P]);
+            got.extend(parts.into_values().flatten());
             Ok(())
         })
         .unwrap();
@@ -907,8 +906,8 @@ mod tests {
             m.delete_at(&mut t, *pid, 0).unwrap();
         }
         let mut seen = Vec::new();
-        m.commit(t, |pid, _| {
-            seen.push(pid);
+        m.commit(t, |parts| {
+            seen.extend(parts.into_keys());
             Ok(())
         })
         .unwrap();
@@ -922,8 +921,8 @@ mod tests {
         m.insert_at(&mut t, P, 0, v(-1)).unwrap();
         m.delete_at(&mut t, P, 3).unwrap();
         let mut recs = Vec::new();
-        m.commit(t, |_, r| {
-            recs.extend(r.to_vec());
+        m.commit(t, |parts| {
+            recs.extend(parts.into_values().flatten());
             Ok(())
         })
         .unwrap();
@@ -941,8 +940,8 @@ mod tests {
         m.insert_at(&mut t, P, 0, v(-1)).unwrap();
         m.delete_at(&mut t, P, 3).unwrap();
         let mut recs = Vec::new();
-        m.commit(t, |_, r| {
-            recs.extend(r.to_vec());
+        m.commit(t, |parts| {
+            recs.extend(parts.into_values().flatten());
             Ok(())
         })
         .unwrap();
@@ -956,7 +955,7 @@ mod tests {
         // And the recovered state accepts new transactions.
         let mut t2 = m2.begin(&[P]).unwrap();
         m2.modify_at(&mut t2, P, 0, 0, Value::I64(77)).unwrap();
-        m2.commit(t2, |_, _| Ok(())).unwrap();
+        m2.commit(t2, |_| Ok(())).unwrap();
         assert_eq!(materialize(&m2, P, 5)[0][0], Value::I64(77));
     }
 
@@ -965,7 +964,7 @@ mod tests {
         let m = mgr_with(P, 4);
         let mut t = m.begin(&[P]).unwrap();
         m.insert_at(&mut t, P, 4, v(99)).unwrap();
-        m.commit(t, |_, _| Ok(())).unwrap();
+        m.commit(t, |_| Ok(())).unwrap();
         let (stable, plan) = m.begin_propagation(P).unwrap();
         assert_eq!(stable, 4);
         let new_rows = apply_plan(&plan, &stable_rows(4));
@@ -1021,7 +1020,7 @@ mod tests {
         m.abort_propagation(P);
         let mut t = m.begin(&[P]).unwrap();
         m.modify_at(&mut t, P, 0, 0, Value::I64(5)).unwrap();
-        m.commit(t, |_, _| Ok(())).unwrap();
+        m.commit(t, |_| Ok(())).unwrap();
         assert_eq!(materialize(&m, P, 4)[0][0], Value::I64(5));
         // recover_partition clears a latch left by a crashed propagator.
         let (_, _) = m.begin_propagation(P).unwrap();
@@ -1035,7 +1034,7 @@ mod tests {
         let mut t = m.begin(&[P]).unwrap();
         m.insert_at(&mut t, P, 3, v(33)).unwrap();
         m.delete_at(&mut t, P, 0).unwrap();
-        m.commit(t, |_, _| Ok(())).unwrap();
+        m.commit(t, |_| Ok(())).unwrap();
         let before = materialize(&m, P, 6);
         m.roll_write_into_read(P).unwrap();
         assert_eq!(materialize(&m, P, 6), before);
@@ -1045,7 +1044,7 @@ mod tests {
         // And further updates still work on top.
         let mut t2 = m.begin(&[P]).unwrap();
         m.modify_at(&mut t2, P, 1, 0, Value::I64(-9)).unwrap();
-        m.commit(t2, |_, _| Ok(())).unwrap();
+        m.commit(t2, |_| Ok(())).unwrap();
         assert_eq!(materialize(&m, P, 6)[1][0], Value::I64(-9));
     }
 
@@ -1060,8 +1059,8 @@ mod tests {
         let mut t = m.begin(&[P]).unwrap();
         m.delete_at(&mut t, P, 2).unwrap();
         m.insert_at(&mut t, P, 9, v(100)).unwrap();
-        m.commit(t, |_, r| {
-            recs.extend(r.to_vec());
+        m.commit(t, |parts| {
+            recs.extend(parts.into_values().flatten());
             Ok(())
         })
         .unwrap();
@@ -1071,8 +1070,8 @@ mod tests {
         let end = t.image_len(P).unwrap();
         m.insert_at(&mut t, P, end, v(200)).unwrap();
         m.insert_at(&mut t, P, end + 1, v(201)).unwrap();
-        m.commit(t, |_, r| {
-            recs.extend(r.to_vec());
+        m.commit(t, |parts| {
+            recs.extend(parts.into_values().flatten());
             Ok(())
         })
         .unwrap();
@@ -1090,7 +1089,7 @@ mod tests {
         let mut t = m.begin(&[P]).unwrap();
         let last = t.image_len(P).unwrap() - 1;
         m.delete_at(&mut t, P, last).unwrap();
-        m.commit(t, |_, _| Ok(())).unwrap();
+        m.commit(t, |_| Ok(())).unwrap();
         want.pop();
         assert_eq!(apply_plan(&m.scan_plan(P).unwrap(), &stable), want);
     }
@@ -1101,9 +1100,7 @@ mod tests {
         let mut t = m.begin(&[P]).unwrap();
         m.delete_at(&mut t, P, 0).unwrap();
         let err = m
-            .commit(t, |_, _| {
-                Err(VhError::Storage("injected WAL failure".into()))
-            })
+            .commit(t, |_| Err(VhError::Storage("injected WAL failure".into())))
             .unwrap_err();
         assert!(matches!(err, VhError::Storage(_)), "{err}");
         // The failed commit must not leak its active-txn reference, or the
@@ -1120,8 +1117,8 @@ mod tests {
         let mut t2 = m.begin(&[P]).unwrap();
         m.modify_at(&mut t1, P, 2, 0, Value::I64(1)).unwrap();
         m.modify_at(&mut t2, P, 2, 0, Value::I64(2)).unwrap();
-        m.commit(t1, |_, _| Ok(())).unwrap();
-        assert!(m.commit(t2, |_, _| Ok(())).is_err());
+        m.commit(t1, |_| Ok(())).unwrap();
+        assert!(m.commit(t2, |_| Ok(())).is_err());
         assert!(m.begin_propagation(P).is_ok());
     }
 
@@ -1138,7 +1135,7 @@ mod tests {
         for i in 0..3 {
             m.insert_at(&mut t, P, i, v(i as i64)).unwrap();
         }
-        m.commit(t, |_, _| Ok(())).unwrap();
+        m.commit(t, |_| Ok(())).unwrap();
         assert!(m.needs_propagation(P), "3 entries / 4 stable > 0.5");
     }
 }

@@ -705,7 +705,7 @@ mod tests {
             let end = t.image_len(P).unwrap();
             mgr.insert_at(&mut t, P, end, row(1000 + i)).unwrap();
         }
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         assert_eq!(r.mode, PropagationMode::TailAppend);
         assert_eq!(r.rows_after, 110);
@@ -729,7 +729,7 @@ mod tests {
         mgr.modify_at(&mut t, P, 50, 1, Value::Str("patched".into()))
             .unwrap();
         mgr.insert_at(&mut t, P, 10, row(-7)).unwrap();
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         assert_eq!(r.mode, PropagationMode::Rewrite);
         assert_eq!(r.rows_after, 100); // -1 delete +1 insert
@@ -757,7 +757,7 @@ mod tests {
         let (mgr, mut store, wal) = setup(20);
         let mut t = mgr.begin(&[P]).unwrap();
         mgr.delete_at(&mut t, P, 5).unwrap();
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         let records = wal.read_all().unwrap();
         assert!(records.iter().any(|r| matches!(
@@ -781,7 +781,7 @@ mod tests {
         let mut t = mgr.begin(&[P]).unwrap();
         mgr.insert_at(&mut t, P, 0, row(1)).unwrap();
         mgr.insert_at(&mut t, P, 1, row(2)).unwrap();
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         assert_eq!(r.mode, PropagationMode::TailAppend);
         assert_eq!(r.tail_chunks, 1);
@@ -796,7 +796,7 @@ mod tests {
             mgr.delete_at(&mut t, P, 0).unwrap();
             let end = t.image_len(P).unwrap();
             mgr.insert_at(&mut t, P, end, row(100 + round)).unwrap();
-            mgr.commit(t, |_, _| Ok(())).unwrap();
+            mgr.commit(t, |_| Ok(())).unwrap();
             let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
             assert_eq!(r.rows_after, 10);
             assert_eq!(store.row_count(), 10);
@@ -851,7 +851,7 @@ mod tests {
         let mut t = mgr.begin(&[P]).unwrap();
         mgr.delete_at(&mut t, P, 0).unwrap();
         mgr.modify_at(&mut t, P, 100, 0, Value::I64(-100)).unwrap();
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         assert_eq!(r.chunks_rewritten, 2);
         assert_eq!(r.rows_after, 127);
@@ -931,7 +931,7 @@ mod tests {
         let bytes0 = file_bytes(&fs, &path0);
         let mut t = mgr.begin(&[P]).unwrap();
         mgr.modify_at(&mut t, P, 100, 0, Value::I64(-100)).unwrap();
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         assert_eq!(r.mode, PropagationMode::Rewrite);
         assert_eq!(r.chunks_kept, 1);
@@ -972,7 +972,7 @@ mod tests {
             .collect();
         let mut t = mgr.begin(&[P]).unwrap();
         mgr.delete_at(&mut t, P, 0).unwrap();
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
 
         let fs = wal.fs().clone();
         fs.set_fault_hook(Some(Arc::new(CrashAt {
@@ -1007,7 +1007,7 @@ mod tests {
         let gen0_path = store.chunk_meta(0).path.clone();
         let mut t = mgr.begin(&[P]).unwrap();
         mgr.delete_at(&mut t, P, 0).unwrap();
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         // The replaced image survives its own commit (snapshots may still
         // reference it) and is queued for deferred deletion.
@@ -1017,7 +1017,7 @@ mod tests {
         // The next committed propagation sweeps it.
         let mut t = mgr.begin(&[P]).unwrap();
         mgr.delete_at(&mut t, P, 0).unwrap();
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         assert!(!fs.exists(&gen0_path));
         assert!(
@@ -1052,7 +1052,7 @@ mod tests {
         let (mgr, mut store, wal) = setup(20);
         let mut t = mgr.begin(&[P]).unwrap();
         mgr.delete_at(&mut t, P, 5).unwrap();
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         // Single dirty chunk → appends are Begin, Rewritten, Checkpoint:
         // crash *after* the checkpoint reaches the log.
         let fs = wal.fs().clone();
@@ -1118,7 +1118,7 @@ mod tests {
         for _ in 0..d {
             mgr.delete_at(&mut t, P, first).unwrap();
         }
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
     }
 
     fn last_checkpoint(wal: &Wal) -> (u64, Vec<LogRecord>) {
@@ -1169,14 +1169,14 @@ mod tests {
             mgr.modify_at(&mut t, P, rid, 1, Value::Str("m".into()))
                 .unwrap();
         }
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         assert_eq!(r.mode, PropagationMode::Noop, "3 x 64 < 256 must keep");
 
         let files = chunk_files(&store, &wal);
         let mut t = mgr.begin(&[P]).unwrap();
         mgr.insert_at(&mut t, P, 512, row(9000)).unwrap();
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         let before = image(&mgr, &store);
         let r = propagate_partition(&mgr, P, &mut store, &wal).unwrap();
         assert_eq!(r.mode, PropagationMode::Rewrite);
@@ -1195,7 +1195,7 @@ mod tests {
         delete_run(&mgr, 400, 3);
         let mut t = mgr.begin(&[P]).unwrap();
         mgr.insert_at(&mut t, P, 100, row(-1)).unwrap();
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         let files = chunk_files(&store, &wal);
         let plan = mgr.scan_plan(P).unwrap();
         assert!(!mgr.needs_propagation(P));
@@ -1223,7 +1223,7 @@ mod tests {
         for (n, rid) in [(0, 1), (1, 2), (2, 3), (3, 300), (4, 301), (5, 600)] {
             mgr.modify_at(&mut t, P, rid, 1, long(n)).unwrap();
         }
-        mgr.commit(t, |_, _| Ok(())).unwrap();
+        mgr.commit(t, |_| Ok(())).unwrap();
         assert!(mgr.needs_propagation(P));
         let files = chunk_files(&store, &wal);
         let before = image(&mgr, &store);
@@ -1269,7 +1269,7 @@ mod tests {
                         }
                     }
                 }
-                mgr.commit(t, |_, _| Ok(())).unwrap();
+                mgr.commit(t, |_| Ok(())).unwrap();
             }
             let files = chunk_files(&store, &wal);
             let before = image(&mgr, &store);

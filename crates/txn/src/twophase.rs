@@ -9,13 +9,21 @@
 //! fault sites, so recovery semantics are testable: a transaction is
 //! committed iff its `GlobalCommit` record reached the global WAL.
 //!
-//! Only phase 1's `Prepare` votes and the decision are forced to disk. The
-//! phase-2 `Commit` records are appended unforced, because recovery rebuilds
-//! them from `Prepare` plus the decision (the presumed-commit optimisation of
-//! R\*, Mohan, Lindsay & Obermarck 1986). A commit over T partitions
-//! therefore costs T + 1 syncs, and after a power loss a partition WAL may
-//! end at its `Prepare`: `recoverable_txns` reports such a transaction as
-//! [`TxnResolution::CommittedByDecision`].
+//! A commit forces exactly one file, the global WAL. Each participant
+//! appends its update records and its `Prepare` vote to its partition WAL
+//! unforced; the coordinator then forces one `GlobalCommit` that carries
+//! every participant's records, keyed by partition — the coordinator log of
+//! Stamos & Cristian (1993), where the participants' records travel inside
+//! the coordinator's single forced record. The phase-2 `Commit` records are
+//! appended unforced too, because recovery rebuilds them from the decision
+//! (the presumed-commit optimisation of R\*, Mohan, Lindsay & Obermarck
+//! 1986). A power loss may therefore cut a partition WAL back to its last
+//! forced record (a propagation `Checkpoint`):
+//! [`restore_lost_tail`](TwoPhaseCoordinator::restore_lost_tail) re-appends
+//! each decided transaction the cut removed, from the decision's payload,
+//! and forces it before recovery replays. A transaction with no decision is
+//! still presumed aborted. The global WAL drops a payload once every
+//! partition it names has forced a later checkpoint (see [`GlobalWal`]).
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use vectorh_common::fault::{FaultAction, FaultSite};
 use vectorh_common::{NodeId, PartitionId, Result, VhError};
 
+use crate::global::GlobalWal;
 use crate::wal::{LogRecord, Wal};
 
 /// 2PC outcome.
@@ -31,6 +40,19 @@ pub enum Outcome {
     Committed,
     /// Coordinator crashed; resolution deferred to recovery.
     InDoubt,
+}
+
+/// What the commit point left behind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decision {
+    /// The decision is durable, and the coordinator lives on to phase 2.
+    Committed,
+    /// The decision is durable, but the coordinator "died" before phase 2:
+    /// recovery commits the transaction.
+    InDoubt,
+    /// The coordinator "died" before its decision reached the global WAL:
+    /// presumed abort.
+    Lost,
 }
 
 /// The session-master side of 2PC.
@@ -42,20 +64,22 @@ pub enum Outcome {
 /// monotonically, so a deposed master that was only falsely declared dead
 /// can never decide a transaction after its successor took over.
 pub struct TwoPhaseCoordinator {
-    global_wal: Wal,
+    global_wal: GlobalWal,
     /// The current master epoch. Starts at 1; elections only raise it.
     epoch: AtomicU64,
 }
 
 impl TwoPhaseCoordinator {
+    /// A coordinator whose global WAL starts at `global_wal`'s file (and
+    /// continues at the latest generation already on its store).
     pub fn new(global_wal: Wal) -> TwoPhaseCoordinator {
         TwoPhaseCoordinator {
-            global_wal,
+            global_wal: GlobalWal::new(global_wal),
             epoch: AtomicU64::new(1),
         }
     }
 
-    pub fn global_wal(&self) -> &Wal {
+    pub fn global_wal(&self) -> &GlobalWal {
         &self.global_wal
     }
 
@@ -84,12 +108,20 @@ impl TwoPhaseCoordinator {
     }
 
     /// The 2PC commit point, fenced and fault-injectable: verify `epoch` is
-    /// still current, consult [`FaultSite::TwoPhaseDecide`], then append the
-    /// `GlobalCommit` decision to the global WAL. `Ok(Committed)` means the
-    /// coordinator survived to run phase 2; `Ok(InDoubt)` means it "died" —
-    /// before the decision (no record, presumed abort on recovery) or after
-    /// (decision durable, recovery commits).
-    pub fn decide(&self, epoch: u64, txn_id: u64) -> Result<Outcome> {
+    /// still current, consult [`FaultSite::TwoPhaseDecide`], then force the
+    /// `GlobalCommit` decision, carrying `payload` (each participant's
+    /// update records, in `PartitionId` order), into the global WAL.
+    /// [`Decision::Lost`] means the coordinator "died" before the decision
+    /// (no record, presumed abort on recovery), [`Decision::InDoubt`] that
+    /// it died after (decision durable, recovery commits). An append that
+    /// fails is an `Err` unless the record reached the log anyway, which is
+    /// `InDoubt` too.
+    pub fn decide(
+        &self,
+        epoch: u64,
+        txn_id: u64,
+        payload: Vec<(PartitionId, Vec<LogRecord>)>,
+    ) -> Result<Decision> {
         self.check_epoch(epoch)?;
         let fault = self
             .global_wal
@@ -103,24 +135,29 @@ impl TwoPhaseCoordinator {
             | FaultAction::PermanentError
             | FaultAction::Drop => {
                 // Died before the decision reached the global WAL.
-                return Ok(Outcome::InDoubt);
+                return Ok(Decision::Lost);
             }
             _ => {}
         }
-        self.global_wal
-            .append(&[LogRecord::GlobalCommit { txn: txn_id }])?;
+        if let Err(e) = self.global_wal.log_decision(txn_id, payload) {
+            return match self.recover_decision(txn_id) {
+                Ok(true) => Ok(Decision::InDoubt),
+                _ => Err(e),
+            };
+        }
         if matches!(fault, FaultAction::CrashMid | FaultAction::CrashAfter) {
             // Decision is durable but the coordinator died before phase 2.
-            return Ok(Outcome::InDoubt);
+            return Ok(Decision::InDoubt);
         }
-        Ok(Outcome::Committed)
+        Ok(Decision::Committed)
     }
 
     /// Phase 1 for one participant, fault-injectable: consult
     /// [`FaultSite::TwoPhasePrepare`], then append the participant's update
-    /// records and its `Prepare` vote to its partition WAL as one forced
-    /// batch. `Ok(false)` means the coordinator "died" before this
-    /// participant prepared: nothing reached its WAL.
+    /// records and its `Prepare` vote to its partition WAL as one batch,
+    /// unforced: the decision carries the records. `Ok(false)` means the
+    /// coordinator "died" before this participant prepared: nothing reached
+    /// its WAL.
     pub fn prepare(
         &self,
         txn_id: u64,
@@ -134,10 +171,8 @@ impl TwoPhaseCoordinator {
                 return Ok(false);
             }
         }
-        let mut batch = Vec::with_capacity(recs.len() + 1);
-        batch.extend_from_slice(recs);
-        batch.push(LogRecord::Prepare { txn: txn_id });
-        wal.append(&batch)?;
+        let vote = LogRecord::Prepare { txn: txn_id };
+        wal.append(recs.iter().chain([&vote]))?;
         Ok(true)
     }
 
@@ -145,7 +180,7 @@ impl TwoPhaseCoordinator {
     /// The only writer of either record, called only once the decision is
     /// settled: a `Commit` follows a durable `GlobalCommit`, an `Abort` its
     /// known absence. Unforced, because recovery rebuilds a lost verdict
-    /// from the `Prepare` and the global WAL.
+    /// from the global WAL.
     pub fn conclude(wal: &Wal, txn_id: u64, committed: bool) -> Result<()> {
         let verdict = if committed {
             LogRecord::Commit {
@@ -156,6 +191,12 @@ impl TwoPhaseCoordinator {
             LogRecord::Abort { txn: txn_id }
         };
         wal.append(&[verdict])
+    }
+
+    /// Phase 2 of `txn_id` finished on every participant: the global WAL
+    /// need not carry its decision past the next rotation.
+    pub fn concluded(&self, txn_id: u64) {
+        self.global_wal.concluded(txn_id);
     }
 
     /// Run 2PC for `txn_id` across the participants' partition WALs, at the
@@ -171,7 +212,7 @@ impl TwoPhaseCoordinator {
 
     /// [`commit_distributed`](Self::commit_distributed) with the sender's
     /// believed master epoch made explicit: [`prepare`](Self::prepare) each
-    /// participant, [`decide`](Self::decide), then
+    /// participant, [`decide`](Self::decide) with their records, then
     /// [`conclude`](Self::conclude) each. A fault at a prepare or at the
     /// decision stops the protocol there and reports `InDoubt`, exactly as a
     /// coordinator crash would; the commit point stays the `GlobalCommit`
@@ -191,12 +232,18 @@ impl TwoPhaseCoordinator {
                 return Ok(Outcome::InDoubt);
             }
         }
-        if self.decide(epoch, txn_id)? == Outcome::InDoubt {
+        let mut payload: Vec<(PartitionId, Vec<LogRecord>)> = participants
+            .iter()
+            .map(|(pid, _, recs)| (*pid, recs.to_vec()))
+            .collect();
+        payload.sort_by_key(|(pid, _)| *pid);
+        if self.decide(epoch, txn_id, payload)? != Decision::Committed {
             return Ok(Outcome::InDoubt);
         }
         for (_, wal, _) in participants {
             Self::conclude(wal, txn_id, true)?;
         }
+        self.concluded(txn_id);
         Ok(Outcome::Committed)
     }
 
@@ -204,6 +251,56 @@ impl TwoPhaseCoordinator {
     /// WAL (readable by any worker).
     pub fn recover_decision(&self, txn_id: u64) -> Result<bool> {
         Ok(self.decided_txns()?.contains(&txn_id))
+    }
+
+    /// Recovery after a power loss: re-append to `wal` every transaction
+    /// the global WAL decided with records for `pid` whose `Prepare` the
+    /// partition log lacks — a tail the loss cut — as its records, its
+    /// `Prepare` and its phase-2 `Commit`, in decision (= commit) order,
+    /// then force them. Returns the transactions restored. A partition log
+    /// keeps every record up to its last forced one, and the global WAL
+    /// keeps a payload until a later checkpoint of each partition it names,
+    /// so a decided transaction is either in the log or in a payload.
+    pub fn restore_lost_tail(&self, pid: PartitionId, wal: &Wal) -> Result<Vec<u64>> {
+        let decided: Vec<(u64, Vec<LogRecord>)> = self
+            .global_wal
+            .read_all()?
+            .into_iter()
+            .filter_map(|r| match r {
+                LogRecord::GlobalCommit { txn, payload } => payload
+                    .into_iter()
+                    .find(|(p, _)| *p == pid)
+                    .map(|(_, records)| (txn, records)),
+                _ => None,
+            })
+            .collect();
+        if decided.is_empty() {
+            return Ok(Vec::new());
+        }
+        let prepared: HashSet<u64> = wal
+            .read_all()?
+            .iter()
+            .filter_map(|r| match r {
+                LogRecord::Prepare { txn } => Some(*txn),
+                _ => None,
+            })
+            .collect();
+        let mut batch = Vec::new();
+        let mut restored = Vec::new();
+        for (txn, records) in decided {
+            if prepared.contains(&txn) {
+                continue;
+            }
+            batch.extend(records);
+            batch.push(LogRecord::Prepare { txn });
+            batch.push(LogRecord::Commit { txn, seq: 0 });
+            restored.push(txn);
+        }
+        if !batch.is_empty() {
+            wal.append(&batch)?;
+            wal.sync()?;
+        }
+        Ok(restored)
     }
 
     /// Every transaction the global WAL holds a `GlobalCommit` for, from one
@@ -214,7 +311,7 @@ impl TwoPhaseCoordinator {
             .read_all()?
             .into_iter()
             .filter_map(|r| match r {
-                LogRecord::GlobalCommit { txn } => Some(txn),
+                LogRecord::GlobalCommit { txn, .. } => Some(txn),
                 _ => None,
             })
             .collect())

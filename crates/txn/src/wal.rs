@@ -3,14 +3,16 @@
 //! Vectorwise used one global WAL; VectorH splits it (§6): each table
 //! partition gets its own WAL, read at startup and written at commit only by
 //! the partition's responsible node, so PDT memory is distributed. A small
-//! global WAL holds 2PC decisions and DDL. HDFS being append-only is no
-//! obstacle — a log only ever appends. The WAL also persists MinMax
-//! summaries, which VectorH deliberately stores *away* from the data files.
+//! global WAL holds 2PC decisions and DDL; each decision also carries the
+//! participants' update records, so it is the one record a commit forces
+//! (see `twophase`). HDFS being append-only is no obstacle — a log only
+//! ever appends. The WAL also persists MinMax summaries, which VectorH
+//! deliberately stores *away* from the data files.
 
 use vectorh_blockstore::{BlockStore, StoreRef};
 use vectorh_common::bytes::{crc32, put_bytes, put_value, Format, Reader};
 use vectorh_common::fault::{FaultAction, FaultSite};
-use vectorh_common::{NodeId, Result, Value, VhError};
+use vectorh_common::{NodeId, PartitionId, Result, Value, VhError};
 
 /// One log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,9 +54,14 @@ pub enum LogRecord {
     Prepare {
         txn: u64,
     },
-    /// 2PC coordinator decision (global WAL only).
+    /// 2PC coordinator decision (global WAL only), the commit point. It
+    /// carries each participant's update records, keyed by partition in
+    /// `PartitionId` order, because the partition WALs are not forced at
+    /// commit: recovery restores a partition tail a power loss cut from
+    /// here.
     GlobalCommit {
         txn: u64,
+        payload: Vec<(PartitionId, Vec<LogRecord>)>,
     },
     /// Propagation's commit point: the stable image now holds
     /// `stable_rows` rows, and records before this one are obsolete. The
@@ -126,6 +133,13 @@ impl LogRecord {
         )
     }
 
+    /// A record of a transaction's update batch (`TxnBegin`, a delta, or
+    /// `Append`): what a participant logs before its `Prepare`, and what a
+    /// decision may carry.
+    pub fn is_update(&self) -> bool {
+        self.is_delta() || matches!(self, LogRecord::TxnBegin { .. } | LogRecord::Append { .. })
+    }
+
     /// Serialize one record (without the length frame).
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -157,18 +171,20 @@ impl LogRecord {
             LogRecord::Commit { txn, seq } => put_u64s(out, 5, &[*txn, *seq]),
             LogRecord::Abort { txn } => put_u64s(out, 6, &[*txn]),
             LogRecord::Prepare { txn } => put_u64s(out, 7, &[*txn]),
-            LogRecord::GlobalCommit { txn } => put_u64s(out, 8, &[*txn]),
+            LogRecord::GlobalCommit { txn, payload } => {
+                put_u64s(out, 8, &[*txn]);
+                out.extend((payload.len() as u32).to_le_bytes());
+                for (pid, records) in payload {
+                    out.extend(pid.0.to_le_bytes());
+                    put_records(out, records);
+                }
+            }
             LogRecord::Checkpoint {
                 stable_rows,
                 carried,
             } => {
                 put_u64s(out, 9, &[*stable_rows]);
-                out.extend((carried.len() as u32).to_le_bytes());
-                for r in carried {
-                    let mut body = Vec::new();
-                    r.encode(&mut body);
-                    put_bytes(out, &body);
-                }
+                put_records(out, carried);
             }
             LogRecord::MinMax {
                 chunk,
@@ -241,25 +257,23 @@ impl LogRecord {
             },
             6 => LogRecord::Abort { txn: rd.u64()? },
             7 => LogRecord::Prepare { txn: rd.u64()? },
-            8 => LogRecord::GlobalCommit { txn: rd.u64()? },
-            9 => {
-                let stable_rows = rd.u64()?;
+            8 => {
+                let txn = rd.u64()?;
+                // A participant takes at least its id and its record count.
                 let n = rd.u32()? as usize;
-                let mut carried = Vec::new();
+                let n = rd.count(n, 8)?;
+                let mut payload = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let r = LogRecord::decode(&mut Reader::new(rd.bytes()?, &WAL))?;
-                    if !r.is_delta() {
-                        return Err(VhError::Storage(format!(
-                            "checkpoint carries a non-delta record {r:?}"
-                        )));
-                    }
-                    carried.push(r);
+                    let pid = PartitionId(rd.u32()?);
+                    let records = get_records(rd, LogRecord::is_update, "a non-update")?;
+                    payload.push((pid, records));
                 }
-                LogRecord::Checkpoint {
-                    stable_rows,
-                    carried,
-                }
+                LogRecord::GlobalCommit { txn, payload }
             }
+            9 => LogRecord::Checkpoint {
+                stable_rows: rd.u64()?,
+                carried: get_records(rd, LogRecord::is_delta, "a non-delta")?,
+            },
             10 => LogRecord::MinMax {
                 chunk: rd.u32()?,
                 col: rd.u32()?,
@@ -284,6 +298,46 @@ impl LogRecord {
             t => return Err(VhError::Storage(format!("bad WAL record tag {t}"))),
         })
     }
+}
+
+/// Frame `r` in place at the end of `out`: a `u32` length, patched once the
+/// body is encoded behind it. Returns where the body starts.
+fn put_framed(out: &mut Vec<u8>, r: &LogRecord) -> usize {
+    let at = out.len();
+    out.extend([0; 4]);
+    r.encode(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    at + 4
+}
+
+/// Records nested in another record: a `u32` count, then each framed.
+fn put_records(out: &mut Vec<u8>, records: &[LogRecord]) {
+    out.extend((records.len() as u32).to_le_bytes());
+    for r in records {
+        put_framed(out, r);
+    }
+}
+
+/// The inverse of `put_records`; a nested record `allowed` refuses (one
+/// `kind` of record) is corruption.
+fn get_records(
+    rd: &mut Reader,
+    allowed: fn(&LogRecord) -> bool,
+    kind: &str,
+) -> Result<Vec<LogRecord>> {
+    // A nested record takes at least its length and its tag.
+    let n = rd.u32()? as usize;
+    let n = rd.count(n, 5)?;
+    let mut records = Vec::with_capacity(n);
+    for _ in 0..n {
+        let r = LogRecord::decode(&mut Reader::new(rd.bytes()?, &WAL))?;
+        if !allowed(&r) {
+            return Err(VhError::Storage(format!("carried {kind} record {r:?}")));
+        }
+        records.push(r);
+    }
+    Ok(records)
 }
 
 /// Encode a record in the on-disk WAL format for network shipping —
@@ -311,36 +365,36 @@ pub struct Wal {
     home: vectorh_common::sync::RwLock<Option<NodeId>>,
 }
 
-/// Does this batch carry a record that recovery cannot rebuild from other
-/// forced records? Those get an fsync before the append returns:
+/// Is this a record that recovery cannot rebuild from other forced
+/// records? A batch holding one gets an fsync before the append returns:
 ///
-/// * `Prepare` — the vote, and with it the update records before it in the
-///   batch: the coordinator decides on the strength of it;
-/// * `GlobalCommit` — the 2PC commit point (§6);
+/// * `GlobalCommit` — the 2PC commit point (§6), carrying the
+///   participants' update records;
 /// * `Checkpoint` — propagation swaps chunk images on the strength of it;
 /// * `MasterEpoch` — the fence a new master promises to honour.
 ///
 /// Everything else is flushed to the OS and becomes durable with the next
-/// forced record on the same file. That includes the phase-2 verdicts,
-/// `Commit` and `Abort`: recovery rebuilds each from the durable `Prepare`
-/// plus the presence or absence of the transaction's `GlobalCommit` in the
-/// global WAL, which is never truncated (presumed commit, R\*).
+/// forced record on the same file. That includes a participant's update
+/// records and its `Prepare` vote: the decision holds a copy of the records
+/// (the coordinator log of Stamos & Cristian), and recovery re-appends from
+/// it what a power loss cut from a partition WAL. It includes the phase-2
+/// verdicts, `Commit` and `Abort`, too: recovery rebuilds each from the
+/// presence or absence of the transaction's `GlobalCommit` in the global
+/// WAL (presumed commit, R\*).
 ///
-/// The invariant this rests on: every `Commit` the engine writes follows a
-/// durable `GlobalCommit` for the same transaction. The only writer of
-/// `Commit` (and `Abort`) is `TwoPhaseCoordinator::conclude`, 2PC's phase-2
-/// step, and it runs only once the decision is settled. Anything that ever
-/// persists `Commit` as its own commit point must `sync` itself.
-fn has_commit_point(records: &[LogRecord]) -> bool {
-    records.iter().any(|r| {
-        matches!(
-            r,
-            LogRecord::Prepare { .. }
-                | LogRecord::GlobalCommit { .. }
-                | LogRecord::Checkpoint { .. }
-                | LogRecord::MasterEpoch { .. }
-        )
-    })
+/// The invariant this rests on: every `Prepare` and `Commit` the engine
+/// writes for a committed transaction follows a durable `GlobalCommit` that
+/// carries the same records, and the global WAL keeps that payload until a
+/// later forced `Checkpoint` of every partition it names has made it
+/// garbage (`GlobalWal::checkpointed`). Anything that ever persists another
+/// record as its own commit point must `sync` itself.
+fn has_commit_point(record: &LogRecord) -> bool {
+    matches!(
+        record,
+        LogRecord::GlobalCommit { .. }
+            | LogRecord::Checkpoint { .. }
+            | LogRecord::MasterEpoch { .. }
+    )
 }
 
 /// The one walk over a log's frames, `[len u32][body][crc32 u32]` each:
@@ -400,7 +454,9 @@ impl Wal {
         *self.home.write() = home;
     }
 
-    /// Append records (length-framed) and flush to HDFS.
+    /// Append records (length-framed) and flush to HDFS. Each frame is
+    /// encoded in place in one buffer for the whole batch, its length and
+    /// CRC written behind it.
     ///
     /// Consults the filesystem's fault hook at [`FaultSite::WalAppend`]:
     /// `CrashBefore` loses the whole batch, `CrashMid` persists a torn final
@@ -409,25 +465,26 @@ impl Wal {
     /// three surface as `Err` — the "process" died before acknowledging.
     ///
     /// Durability: if the batch carries a record recovery cannot rebuild
-    /// (`Prepare`, `GlobalCommit`, `Checkpoint`, `MasterEpoch`; see
+    /// (`GlobalCommit`, `Checkpoint`, `MasterEpoch`; see
     /// `has_commit_point`), the file is [`sync`](BlockStore::sync)ed after
     /// the append, so the promise survives an OS crash before anyone acts on
-    /// it. Any other batch, the phase-2 `Commit` and `Abort` included, is
-    /// flushed to the OS only: a power loss may cut the log back to the
-    /// last forced record, and recovery resolves what it cut from `Prepare`
-    /// and the global decision. Crash injections skip the sync — a process
-    /// that died mid-append never reached its fsync, which is exactly the
-    /// torn-tail state recovery must repair.
-    pub fn append(&self, records: &[LogRecord]) -> Result<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
+    /// it. Any other batch — a participant's records and `Prepare`, the
+    /// phase-2 `Commit` and `Abort` — is flushed to the OS only: a power
+    /// loss may cut the log back to the last forced record, and recovery
+    /// restores what it cut from the global decision. Crash injections skip
+    /// the sync — a process that died mid-append never reached its fsync,
+    /// which is exactly the torn-tail state recovery must repair.
+    pub fn append<'a>(&self, records: impl IntoIterator<Item = &'a LogRecord>) -> Result<()> {
         let mut buf = Vec::new();
+        let mut forced = false;
         for r in records {
-            let mut body = Vec::new();
-            r.encode(&mut body);
-            put_bytes(&mut buf, &body);
-            buf.extend(crc32(&body).to_le_bytes());
+            let body = put_framed(&mut buf, r);
+            let crc = crc32(&buf[body..]);
+            buf.extend(crc.to_le_bytes());
+            forced |= has_commit_point(r);
+        }
+        if buf.is_empty() {
+            return Ok(());
         }
         if let Some(hook) = self.fs.fault_hook() {
             let crashed = |what: &str| {
@@ -451,10 +508,15 @@ impl Wal {
             }
         }
         self.fs.append(&self.path, &buf, self.home())?;
-        if has_commit_point(records) {
-            self.fs.sync(&self.path)?;
+        if forced {
+            self.sync()?;
         }
         Ok(())
+    }
+
+    /// Make everything appended so far survive an OS crash.
+    pub fn sync(&self) -> Result<()> {
+        self.fs.sync(&self.path)
     }
 
     /// Read the whole log back (recovery/startup).
@@ -484,6 +546,9 @@ impl Wal {
     /// shift every later frame boundary — so recovery must repair the log
     /// before it is written to again. Returns the number of bytes trimmed;
     /// a corrupt log (see `frames`) is an error, and nothing is cut.
+    ///
+    /// The cut is made in place ([`BlockStore::truncate`]) and then synced,
+    /// so no step of the repair ever holds less than the good prefix.
     pub fn repair(&self) -> Result<u64> {
         if !self.fs.exists(&self.path) {
             return Ok(0);
@@ -492,13 +557,8 @@ impl Wal {
         let (_, end) = frames(&self.path, &bytes)?;
         let torn = (bytes.len() - end) as u64;
         if torn > 0 {
-            self.fs.delete(&self.path)?;
-            if end > 0 {
-                self.fs.append(&self.path, &bytes[..end], self.home())?;
-                // The rewritten prefix replaces what was (partly) synced
-                // before the crash — make it durable before anyone appends.
-                self.fs.sync(&self.path)?;
-            }
+            self.fs.truncate(&self.path, end as u64)?;
+            self.sync()?;
         }
         Ok(torn)
     }
@@ -592,7 +652,25 @@ mod tests {
             LogRecord::Append { txn: 7, rows: 500 },
             LogRecord::Prepare { txn: 7 },
             LogRecord::Commit { txn: 7, seq: 42 },
-            LogRecord::GlobalCommit { txn: 7 },
+            LogRecord::GlobalCommit {
+                txn: 7,
+                payload: vec![
+                    (
+                        PartitionId(3),
+                        vec![
+                            LogRecord::TxnBegin { txn: 7 },
+                            LogRecord::Delete { txn: 7, rid: 9 },
+                            LogRecord::Modify {
+                                txn: 7,
+                                rid: 2,
+                                col: 1,
+                                value: Value::Str("x".into()),
+                            },
+                        ],
+                    ),
+                    (PartitionId(8), vec![LogRecord::Append { txn: 7, rows: 2 }]),
+                ],
+            },
             LogRecord::Abort { txn: 8 },
             LogRecord::MinMax {
                 chunk: 1,
@@ -655,6 +733,44 @@ mod tests {
         .unwrap();
         let err = w.read_all().unwrap_err();
         assert!(err.to_string().contains("non-delta"), "got {err}");
+    }
+
+    #[test]
+    fn a_decision_carries_only_update_records() {
+        let w = wal();
+        w.append(&[LogRecord::GlobalCommit {
+            txn: 1,
+            payload: vec![(PartitionId(0), vec![LogRecord::Prepare { txn: 1 }])],
+        }])
+        .unwrap();
+        let err = w.read_all().unwrap_err();
+        assert!(err.to_string().contains("non-update"), "got {err}");
+    }
+
+    #[test]
+    fn only_commit_points_are_forced() {
+        let w = wal();
+        let fsyncs = || w.fs().stats().snapshot().fsync_ops;
+        let before = fsyncs();
+        // A participant's records and vote, and the phase-2 verdicts.
+        w.append(&sample_records()[..7]).unwrap();
+        w.append(&[LogRecord::Abort { txn: 8 }]).unwrap();
+        assert_eq!(fsyncs(), before);
+        for forced in [
+            LogRecord::GlobalCommit {
+                txn: 7,
+                payload: vec![],
+            },
+            LogRecord::Checkpoint {
+                stable_rows: 1,
+                carried: vec![],
+            },
+            LogRecord::MasterEpoch { epoch: 2, node: 1 },
+        ] {
+            let n = fsyncs();
+            w.append(&[LogRecord::TxnBegin { txn: 9 }, forced]).unwrap();
+            assert_eq!(fsyncs(), n + 1);
+        }
     }
 
     #[test]
@@ -811,6 +927,35 @@ mod tests {
         assert_eq!(w.repair().unwrap(), 16);
         w.append(&[LogRecord::TxnBegin { txn: 9 }]).unwrap();
         assert_eq!(w.read_all().unwrap().len(), records.len() + 1);
+    }
+
+    /// Fails every block append, for good.
+    #[derive(Debug)]
+    struct NoAppends;
+
+    impl vectorh_common::fault::FaultHook for NoAppends {
+        fn decide(&self, site: FaultSite, _detail: &str, _attempt: u32) -> FaultAction {
+            if site == FaultSite::HdfsAppend {
+                FaultAction::PermanentError
+            } else {
+                FaultAction::None
+            }
+        }
+    }
+
+    #[test]
+    fn repair_cuts_in_place_and_keeps_the_log_when_appends_fail() {
+        let w = wal();
+        let records: Vec<LogRecord> = (0..16).map(|txn| LogRecord::TxnBegin { txn }).collect();
+        w.append(&records).unwrap();
+        rewrite(&w, |b| b.extend([0; 16]));
+        w.fs().set_fault_hook(Some(Arc::new(NoAppends)));
+        assert_eq!(w.repair().unwrap(), 16);
+        w.fs().set_fault_hook(None);
+        assert_eq!(w.read_all().unwrap(), records);
+        // The cut is durable: a power loss keeps every record.
+        w.fs().simulate_os_crash();
+        assert_eq!(w.read_all().unwrap(), records);
     }
 
     #[test]

@@ -73,8 +73,8 @@ fn main() -> vectorh_common::Result<()> {
         .modify_at(&mut t1, rt.pids[0], 0, 2, Value::I64(-1))?;
     vh.txns
         .modify_at(&mut t2, rt.pids[0], 0, 2, Value::I64(-2))?;
-    vh.txns.commit(t1, |_, _| Ok(()))?;
-    match vh.txns.commit(t2, |_, _| Ok(())) {
+    vh.txns.commit(t1, |_| Ok(()))?;
+    match vh.txns.commit(t2, |_| Ok(())) {
         Err(e) => println!("second writer aborted as expected: {e}"),
         Ok(_) => println!("unexpected: no conflict"),
     }

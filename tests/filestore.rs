@@ -91,7 +91,7 @@ fn committed_tail(records: &[LogRecord]) -> Vec<LogRecord> {
     let committed: std::collections::HashSet<u64> = records
         .iter()
         .filter_map(|r| match r {
-            LogRecord::Commit { txn, .. } | LogRecord::GlobalCommit { txn } => Some(*txn),
+            LogRecord::Commit { txn, .. } | LogRecord::GlobalCommit { txn, .. } => Some(*txn),
             _ => None,
         })
         .collect();
@@ -214,27 +214,38 @@ fn os_crash_truncates_unsynced_wal_tail_to_last_commit_point() {
 }
 
 /// Power loss is modelled by the namenode's fsync watermark, so the WAL's
-/// commit-point discipline is checked on every medium. A partition WAL sees
-/// a 2PC commit as a forced `Prepare` batch and an unforced phase-2
-/// `Commit` (recovery rebuilds it from the global decision).
+/// commit-point discipline is checked on every medium. A partition WAL is
+/// forced only by propagation's `Checkpoint`: a 2PC commit's records, its
+/// `Prepare` and its phase-2 `Commit` are flushed, not synced (the global
+/// decision carries the records, and recovery restores them from there).
 fn os_crash_cuts_wal_at_last_commit_point<M: Medium>(fs: Arc<Namenode<M>>) {
     let fs_ref: StoreRef = fs.clone();
     let wal = Wal::new(fs_ref, "/vectorh/wal/t0-p0.wal", Some(NodeId(0)));
 
-    // Phase 1: the update records and the vote, fsynced together.
-    let prepared = vec![
+    // A committed transaction, flushed to the OS only; then the checkpoint
+    // that folds it, fsynced with everything before it.
+    let mut durable = vec![
         LogRecord::TxnBegin { txn: 1 },
         insert(1, 0, 1),
         LogRecord::Prepare { txn: 1 },
+        LogRecord::Commit { txn: 1, seq: 0 },
     ];
-    wal.append(&prepared).unwrap();
-    // Phase 2 and a data-only batch: flushed to the OS, never fsynced.
-    wal.append(&[LogRecord::Commit { txn: 1, seq: 1 }]).unwrap();
-    wal.append(&[LogRecord::TxnBegin { txn: 2 }, insert(2, 1, 2)])
-        .unwrap();
+    wal.append(&durable).unwrap();
+    durable.push(LogRecord::Checkpoint {
+        stable_rows: 1,
+        carried: vec![],
+    });
+    wal.append(&durable[4..]).unwrap();
+    // The next transaction's batch: never fsynced.
+    wal.append(&[
+        LogRecord::TxnBegin { txn: 2 },
+        insert(2, 1, 2),
+        LogRecord::Prepare { txn: 2 },
+    ])
+    .unwrap();
     assert_eq!(
         wal.read_all().unwrap().len(),
-        6,
+        8,
         "all bytes visible pre-crash"
     );
 
@@ -242,8 +253,8 @@ fn os_crash_cuts_wal_at_last_commit_point<M: Medium>(fs: Arc<Namenode<M>>) {
     fs.simulate_os_crash();
     assert_eq!(
         wal.read_all().unwrap(),
-        prepared,
-        "the log must cut cleanly at the last commit point, the Prepare"
+        durable,
+        "the log must cut cleanly at the last commit point, the Checkpoint"
     );
     assert_eq!(
         wal.repair().unwrap(),

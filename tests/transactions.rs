@@ -67,8 +67,8 @@ fn concurrent_conflicting_updates_abort_one() {
     vh.txns
         .modify_at(&mut t2, pid, 0, 1, Value::I64(2))
         .unwrap();
-    vh.txns.commit(t1, |_, _| Ok(())).unwrap();
-    let err = vh.txns.commit(t2, |_, _| Ok(())).unwrap_err();
+    vh.txns.commit(t1, |_| Ok(())).unwrap();
+    let err = vh.txns.commit(t2, |_| Ok(())).unwrap_err();
     assert!(err.to_string().contains("conflict"), "{err}");
 }
 
