@@ -203,14 +203,18 @@ impl Medium for FileMedium {
         Ok(())
     }
 
-    fn truncate_to(&self, path: &str, nodes: &[NodeId], len: u64) {
+    fn truncate_to(&self, path: &str, nodes: &[NodeId], len: u64) -> Result<()> {
         for node in nodes {
             let phys = self.phys(*node, path);
             self.maps.write().remove(&phys);
-            if let Ok(f) = fs::OpenOptions::new().write(true).open(&phys) {
-                f.set_len(len).ok();
+            match fs::OpenOptions::new().write(true).open(&phys) {
+                Ok(f) => f.set_len(len),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+                Err(e) => Err(e),
             }
+            .map_err(|e| VhError::Hdfs(format!("truncate {path} on {node:?}: {e}")))?;
         }
+        Ok(())
     }
 
     fn copy_replica(&self, path: &str, src: NodeId, dst: NodeId) -> Result<()> {

@@ -33,9 +33,10 @@ pub trait Medium: Send + Sync + 'static {
     /// crash.
     fn sync(&self, path: &str, nodes: &[NodeId]) -> Result<()>;
 
-    /// Cut the replicas on `nodes` back to `len` bytes (best effort: crash
-    /// simulation, reopen reconciliation and a WAL's torn-tail repair).
-    fn truncate_to(&self, path: &str, nodes: &[NodeId], len: u64);
+    /// Cut the replicas on `nodes` back to `len` bytes. A replica the
+    /// medium does not hold has nothing to cut; any other failure is an
+    /// `Err`, and the replicas cut before it stay cut.
+    fn truncate_to(&self, path: &str, nodes: &[NodeId], len: u64) -> Result<()>;
 
     /// The file is gone: discard its replicas on `nodes` and anything else
     /// the medium keeps for `path`.
@@ -96,10 +97,11 @@ impl Medium for MemMedium {
         Ok(())
     }
 
-    fn truncate_to(&self, path: &str, _nodes: &[NodeId], len: u64) {
+    fn truncate_to(&self, path: &str, _nodes: &[NodeId], len: u64) -> Result<()> {
         if let Some(buf) = self.files.write().get_mut(path) {
             buf.truncate(len as usize);
         }
+        Ok(())
     }
 
     fn delete(&self, path: &str, _nodes: &[NodeId]) {

@@ -155,7 +155,7 @@ impl<M: Medium> Namenode<M> {
             reps.sort_unstable();
             let len = reps.iter().map(|r| r.1).min().unwrap_or(0);
             let long: Vec<NodeId> = reps.iter().filter(|r| r.1 > len).map(|r| r.0).collect();
-            medium.truncate_to(&path, &long, len);
+            medium.truncate_to(&path, &long, len)?;
             let targets: Vec<NodeId> = reps.iter().map(|r| r.0).collect();
             for node in &targets {
                 *used.entry(*node).or_insert(0) += len;
@@ -295,7 +295,9 @@ impl<M: Medium> BlockStore for Namenode<M> {
                 meta.len
             )));
         }
-        self.medium.truncate_to(path, &meta.targets, len);
+        // The namenode learns of the cut only once every replica took it:
+        // a file whose length it reports must hold that many bytes.
+        self.medium.truncate_to(path, &meta.targets, len)?;
         for node in &meta.targets {
             inner.free(*node, meta.len - len);
         }
@@ -309,8 +311,15 @@ impl<M: Medium> BlockStore for Namenode<M> {
         let mut inner = self.inner.write();
         let Inner { files, used, .. } = &mut *inner;
         for (path, meta) in files.iter_mut().filter(|(_, m)| m.len > m.synced_len) {
-            self.medium
-                .truncate_to(path, &meta.targets, meta.synced_len);
+            // A replica the medium could not cut keeps its bytes, and so
+            // does the file.
+            if self
+                .medium
+                .truncate_to(path, &meta.targets, meta.synced_len)
+                .is_err()
+            {
+                continue;
+            }
             for node in &meta.targets {
                 if let Some(u) = used.get_mut(node) {
                     *u = u.saturating_sub(meta.len - meta.synced_len);

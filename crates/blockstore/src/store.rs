@@ -74,8 +74,10 @@ pub trait BlockStore: Send + Sync {
     fn sync(&self, path: &str) -> Result<()>;
 
     /// Cut `path` back to its first `len` bytes, in place: the one way to
-    /// drop a torn tail without rewriting the bytes before it. A sync is
-    /// still needed to make the cut survive an OS crash.
+    /// drop a torn tail without rewriting the bytes before it. A replica
+    /// that cannot be cut makes it an `Err`, and the file keeps the length
+    /// it reports. A sync is still needed to make the cut survive an OS
+    /// crash.
     fn truncate(&self, path: &str, len: u64) -> Result<()>;
 
     /// Test hook: simulate an OS crash (power loss) by discarding every

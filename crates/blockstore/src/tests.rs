@@ -366,7 +366,7 @@ fn sync_watermark_gates_os_crash_survival<M: Medium>(fresh: fn() -> M) {
 }
 
 fn truncate_cuts_in_place<M: Medium>(fresh: fn() -> M) {
-    let fs = small(3, fresh());
+    let fs = small(3, Flaky::new(fresh()));
     fs.append("/wal", b"committed.", None).unwrap();
     fs.sync("/wal").unwrap();
     fs.append("/wal", b"torn-tail", None).unwrap();
@@ -381,15 +381,36 @@ fn truncate_cuts_in_place<M: Medium>(fresh: fn() -> M) {
     fs.sync("/wal").unwrap();
     fs.simulate_os_crash();
     assert_eq!(fs.read_all("/wal", None).unwrap(), b"committed!");
+    // A cut the medium fails leaves the file as it was, and says so.
+    fs.append("/wal", b"torn", None).unwrap();
+    fs.medium().fail_next_cut.store(true, Ordering::SeqCst);
+    assert!(fs.truncate("/wal", 10).is_err());
+    assert_eq!(fs.read_all("/wal", None).unwrap(), b"committed!torn");
+    assert_eq!(fs.synced_len("/wal").unwrap(), 10);
+    assert_eq!(total_used(&fs), 42);
+    fs.truncate("/wal", 10).unwrap();
+    assert_eq!(fs.read_all("/wal", None).unwrap(), b"committed!");
 }
 
-/// A medium whose next `copy_replica` fails once `fail_next_copy` is armed.
-struct FlakyCopy<M> {
+/// A medium whose next `copy_replica` fails once `fail_next_copy` is armed,
+/// and whose next `truncate_to` once `fail_next_cut` is.
+struct Flaky<M> {
     inner: M,
     fail_next_copy: AtomicBool,
+    fail_next_cut: AtomicBool,
 }
 
-impl<M: Medium> Medium for FlakyCopy<M> {
+impl<M> Flaky<M> {
+    fn new(inner: M) -> Flaky<M> {
+        Flaky {
+            inner,
+            fail_next_copy: AtomicBool::new(false),
+            fail_next_cut: AtomicBool::new(false),
+        }
+    }
+}
+
+impl<M: Medium> Medium for Flaky<M> {
     const BACKEND: &'static str = M::BACKEND;
 
     fn scan(&self) -> Result<Vec<(NodeId, String, u64)>> {
@@ -404,7 +425,10 @@ impl<M: Medium> Medium for FlakyCopy<M> {
     fn sync(&self, path: &str, nodes: &[NodeId]) -> Result<()> {
         self.inner.sync(path, nodes)
     }
-    fn truncate_to(&self, path: &str, nodes: &[NodeId], len: u64) {
+    fn truncate_to(&self, path: &str, nodes: &[NodeId], len: u64) -> Result<()> {
+        if self.fail_next_cut.swap(false, Ordering::SeqCst) {
+            return Err(VhError::Hdfs(format!("scripted cut failure on {path}")));
+        }
         self.inner.truncate_to(path, nodes, len)
     }
     fn delete(&self, path: &str, nodes: &[NodeId]) {
@@ -425,13 +449,9 @@ impl<M: Medium> Medium for FlakyCopy<M> {
 }
 
 /// Two 100-byte files under `/db/`, both on nodes 1 and 3 (R=2 of 4).
-fn two_files_on_1_and_3<M: Medium>(inner: M) -> (Namenode<FlakyCopy<M>>, Arc<AffinityPolicy>) {
+fn two_files_on_1_and_3<M: Medium>(inner: M) -> (Namenode<Flaky<M>>, Arc<AffinityPolicy>) {
     let policy = Arc::new(AffinityPolicy::new(7));
-    let medium = FlakyCopy {
-        inner,
-        fail_next_copy: AtomicBool::new(false),
-    };
-    let fs = store(4, 32, 2, policy.clone(), medium);
+    let fs = store(4, 32, 2, policy.clone(), Flaky::new(inner));
     policy.set_affinity("/db/", vec![NodeId(1), NodeId(3)]);
     fs.append("/db/a", &[5u8; 100], None).unwrap();
     fs.append("/db/b", &[6u8; 100], None).unwrap();

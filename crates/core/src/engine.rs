@@ -1308,13 +1308,15 @@ impl VectorH {
         let mark = global.mark();
         let report =
             vectorh_txn::propagate::propagate_partition(&self.txns, pid, &mut store, &rt.wals[i])?;
+        // A rotation that fails leaves the global WAL as it was and is
+        // retried at a later checkpoint: this one is durable either way.
         if report.mode == vectorh_txn::propagate::PropagationMode::Noop {
             if global.holds_payload(pid)? {
                 rt.wals[i].sync()?;
-                global.checkpointed(pid, mark)?;
+                global.checkpointed(pid, mark);
             }
         } else {
-            global.checkpointed(pid, mark)?;
+            global.checkpointed(pid, mark);
             if rt.def.partitioning.is_none() {
                 // Propagation folded the shipped updates into the stable
                 // image, or carried them in its checkpoint: the retained

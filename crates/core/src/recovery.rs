@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use vectorh_common::{NodeId, PartitionId, Result};
-use vectorh_txn::twophase::{Drained, TwoPhaseCoordinator};
+use vectorh_txn::twophase::{Drained, TwoPhaseCoordinator, TxnResolution};
 use vectorh_txn::{LogRecord, TransactionManager, TxnConfig, Wal};
 
 use crate::engine::VectorH;
@@ -64,7 +64,29 @@ pub fn recover_partition(
 ) -> Result<RecoveryReport> {
     let repaired_bytes = wal.repair()?;
     let restored = coordinator.restore_lost_tail(pid, wal)?;
+    let mut report = replay_partition(coordinator, txns, pid, stable_rows, wal)?;
+    report.repaired_bytes = repaired_bytes;
+    report.restored = restored;
+    Ok(report)
+}
+
+/// [`recover_partition`] after its repair and restore: resolve and replay.
+fn replay_partition(
+    coordinator: &TwoPhaseCoordinator,
+    txns: &TransactionManager,
+    pid: PartitionId,
+    stable_rows: u64,
+    wal: &Wal,
+) -> Result<RecoveryReport> {
     let verdicts = coordinator.recoverable_txns(wal)?;
+    // Only a transaction committed by the decision alone still needs it.
+    coordinator.global_wal().settled(
+        pid,
+        verdicts
+            .iter()
+            .filter(|v| v.resolution != TxnResolution::CommittedByDecision)
+            .map(|v| v.txn),
+    )?;
     let mut committed = Vec::new();
     let mut aborted = Vec::new();
     for v in &verdicts {
@@ -92,8 +114,8 @@ pub fn recover_partition(
         .collect();
     txns.rebase_partition(pid, stable_rows, &replay.carried, &records)?;
     Ok(RecoveryReport {
-        repaired_bytes,
-        restored,
+        repaired_bytes: 0,
+        restored: Vec::new(),
         committed,
         aborted,
         replayed_records: records.len(),
@@ -185,7 +207,7 @@ impl VectorH {
     /// that prepared but never got a local verdict, append the phase-2
     /// `Commit` where the global WAL holds the decision and an explicit
     /// `Abort` otherwise (presumed abort), then realign the in-memory image
-    /// with the durable outcome via [`recover_partition`] — the old master
+    /// with the durable outcome as [`recover_partition`] does — the old master
     /// may have installed state for a transaction whose decision never
     /// became durable (or vice versa). Decided transactions on replicated
     /// tables are re-shipped so every replica converges. Returns the number
@@ -216,7 +238,7 @@ impl VectorH {
                 }
                 resolved += in_doubt.len() + restored.len();
                 let stable = rt.stores[i].read().row_count();
-                recover_partition(&self.coordinator, &self.txns, *pid, stable, wal)?;
+                replay_partition(&self.coordinator, &self.txns, *pid, stable, wal)?;
                 if rt.def.partitioning.is_none() {
                     for &(txn, decided) in &in_doubt {
                         if decided {

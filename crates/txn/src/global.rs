@@ -9,11 +9,14 @@
 //! then holds the records durably (they precede the checkpoint). When that
 //! holds for every payload in the live file, [`GlobalWal::checkpointed`]
 //! rotates the log: a new generation file receives what must survive — the
-//! last `MasterEpoch`, every `Ddl`, and the decisions still in doubt (their
-//! payload dropped) — and is forced, then the older files are deleted.
-//! Readers take the generations in order, so a crash between the two steps
-//! leaves a duplicate, never a gap. Generation `g` of a log at `base` lives
-//! at `base` for `g = 0` and at `base.g` after that.
+//! highest `MasterEpoch`, every `Ddl`, and the decisions still in doubt
+//! (their records dropped, the partitions they name kept) — and is forced,
+//! then the older files are deleted. Readers take the generations in
+//! order, so a crash between the two steps leaves a duplicate, never a gap.
+//! A rotation that fails deletes what it wrote and is tried again at the
+//! next checkpoint; the live file stays the one appended to. Generation `g`
+//! of a log at `base` lives at `base` for `g = 0` and at `base.g` after
+//! that.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -43,6 +46,9 @@ struct State {
     dirty: BTreeMap<PartitionId, u64>,
     /// Decisions whose phase 2 has not finished on every participant.
     open: BTreeSet<u64>,
+    /// Inherited decisions (see [`GlobalWal::settled`]): the partitions
+    /// not yet seen holding a local verdict for them.
+    awaiting: BTreeMap<u64, BTreeSet<PartitionId>>,
     /// Does the live generation hold a payload? Rotating reclaims nothing
     /// otherwise.
     payload: bool,
@@ -69,6 +75,7 @@ impl GlobalWal {
                 decisions: 0,
                 dirty: BTreeMap::new(),
                 open: BTreeSet::new(),
+                awaiting: BTreeMap::new(),
                 payload: false,
                 inherited: !found.is_empty(),
             }),
@@ -87,8 +94,8 @@ impl GlobalWal {
 
     /// The files that make up the log, in reading order.
     pub fn files(&self) -> Vec<String> {
-        let _st = self.state.lock();
-        generations(&self.fs, &self.base)
+        let st = self.state.lock();
+        self.live_generations(&st)
             .into_iter()
             .map(|(_, path)| path)
             .collect()
@@ -137,7 +144,29 @@ impl GlobalWal {
     /// Phase 2 of `txn` finished on every participant: a rotation no longer
     /// carries its decision.
     pub(crate) fn concluded(&self, txn: u64) {
-        self.state.lock().open.remove(&txn);
+        let mut st = self.state.lock();
+        st.open.remove(&txn);
+        st.awaiting.remove(&txn);
+    }
+
+    /// `pid`'s partition WAL holds a local verdict (`Commit` or `Abort`) for
+    /// each of `txns`, or no trace of them. An inherited decision — one
+    /// found at open, whose phase 2 this process never saw — stops being
+    /// carried by a rotation once every partition it names has shown this.
+    pub fn settled(&self, pid: PartitionId, txns: impl IntoIterator<Item = u64>) -> Result<()> {
+        let mut st = self.state.lock();
+        self.inherit(&mut st)?;
+        for txn in txns {
+            let Some(waiting) = st.awaiting.get_mut(&txn) else {
+                continue;
+            };
+            waiting.remove(&pid);
+            if waiting.is_empty() {
+                st.awaiting.remove(&txn);
+                st.open.remove(&txn);
+            }
+        }
+        Ok(())
     }
 
     /// The decisions logged so far. Taken before a partition's propagation
@@ -157,23 +186,35 @@ impl GlobalWal {
     /// `pid`'s partition WAL was forced — a `Checkpoint`, or a propagation
     /// with nothing to fold syncing it — after every decision up to
     /// `mark`: their payloads for `pid` are garbage. Rotates the log once
-    /// no payload in it is live; returns whether it did.
-    pub fn checkpointed(&self, pid: PartitionId, mark: u64) -> Result<bool> {
+    /// no payload in it is live; returns whether it did. The checkpoint is
+    /// durable whatever happens here, so a rotation that fails (or a failed
+    /// first read of inherited files) is not its caller's error: the log
+    /// keeps its payloads and the next checkpoint tries again.
+    pub fn checkpointed(&self, pid: PartitionId, mark: u64) -> bool {
         let mut st = self.state.lock();
-        self.inherit(&mut st)?;
+        if self.inherit(&mut st).is_err() {
+            return false;
+        }
         if st.dirty.get(&pid).is_some_and(|&seq| seq <= mark) {
             st.dirty.remove(&pid);
         }
         if !st.dirty.is_empty() || !st.payload {
-            return Ok(false);
+            return false;
         }
-        self.rotate(&mut st)?;
-        Ok(true)
+        self.rotate(&mut st).is_ok()
+    }
+
+    /// The generations up to the live one, oldest first. A higher one is
+    /// what a failed rotation could not delete: not part of the log.
+    fn live_generations(&self, st: &State) -> Vec<(u64, String)> {
+        let mut found = generations(&self.fs, &self.base);
+        found.retain(|(g, _)| *g <= st.gen);
+        found
     }
 
     fn read_locked(&self, st: &State) -> Result<Vec<LogRecord>> {
         let mut out = Vec::new();
-        for (_, path) in generations(&self.fs, &self.base) {
+        for (_, path) in self.live_generations(st) {
             out.extend(Wal::new(self.fs.clone(), path, st.wal.home()).read_all()?);
         }
         Ok(out)
@@ -182,14 +223,17 @@ impl GlobalWal {
     /// Take over the files found at open, once, as if this process had
     /// logged them: every partition a payload names waits for its next
     /// checkpoint (logged before any mark, so any checkpoint covers it), and
-    /// every decision counts as open.
+    /// every decision stays open until each partition it names is
+    /// [`settled`](Self::settled).
     fn inherit(&self, st: &mut State) -> Result<()> {
         if !st.inherited {
             return Ok(());
         }
         for r in self.read_locked(st)? {
             if let LogRecord::GlobalCommit { txn, payload } = r {
+                let named = st.awaiting.entry(txn).or_default();
                 for (pid, records) in payload {
+                    named.insert(pid);
                     if !records.is_empty() {
                         st.dirty.entry(pid).or_insert(0);
                         st.payload = true;
@@ -203,44 +247,67 @@ impl GlobalWal {
     }
 
     /// Start generation `gen + 1` with what must survive, force it, then
-    /// delete the older files.
+    /// delete the older files. The live generation moves only once the new
+    /// file is forced; a failure deletes what it wrote.
     fn rotate(&self, st: &mut State) -> Result<()> {
         let records = self.read_locked(st)?;
-        let last_epoch = records
+        // Elections only raise the epoch: the highest one is the fence.
+        let epoch = records
             .iter()
-            .rposition(|r| matches!(r, LogRecord::MasterEpoch { .. }));
+            .filter_map(|r| match r {
+                LogRecord::MasterEpoch { epoch, .. } => Some(*epoch),
+                _ => None,
+            })
+            .max();
+        let mut kept_epoch = false;
         let mut ddl = HashSet::new();
         let mut decided = HashSet::new();
         let mut keep = Vec::new();
-        for (i, r) in records.into_iter().enumerate() {
+        for r in records {
             match r {
-                LogRecord::MasterEpoch { .. } if Some(i) == last_epoch => keep.push(r),
+                LogRecord::MasterEpoch { epoch: e, .. } if Some(e) == epoch && !kept_epoch => {
+                    kept_epoch = true;
+                    keep.push(r)
+                }
                 LogRecord::Ddl { ref statement } if ddl.insert(statement.clone()) => keep.push(r),
-                LogRecord::GlobalCommit { txn, .. }
+                LogRecord::GlobalCommit { txn, payload }
                     if st.open.contains(&txn) && decided.insert(txn) =>
                 {
                     keep.push(LogRecord::GlobalCommit {
                         txn,
-                        payload: Vec::new(),
+                        payload: payload.into_iter().map(|(p, _)| (p, Vec::new())).collect(),
                     })
                 }
                 _ => {}
             }
         }
-        let old = generations(&self.fs, &self.base);
+        let old = self.live_generations(st);
         let gen = st.gen + 1;
         let wal = Wal::new(self.fs.clone(), path_of(&self.base, gen), st.wal.home());
-        self.fs.create(wal.path(), None)?;
-        wal.append(&keep)?;
-        wal.sync()?;
+        // An earlier rotation that failed may have left its file behind.
+        if self.fs.exists(wal.path()) {
+            self.fs.delete(wal.path())?;
+        }
+        let written = self
+            .fs
+            .create(wal.path(), None)
+            .and_then(|()| wal.append(&keep))
+            .and_then(|()| wal.sync());
+        if let Err(e) = written {
+            self.fs.delete(wal.path()).ok();
+            return Err(e);
+        }
         st.wal = wal;
         st.gen = gen;
         st.payload = false;
         // A decision the log never held (its append failed) is nobody's to
         // carry.
         st.open.retain(|t| decided.contains(t));
+        st.awaiting.retain(|t, _| decided.contains(t));
+        // An older file left behind is read before the live one, a
+        // duplicate of what it holds; the next rotation deletes it.
         for (_, path) in old {
-            self.fs.delete(&path)?;
+            self.fs.delete(&path).ok();
         }
         Ok(())
     }
@@ -277,6 +344,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use vectorh_blockstore::{BlockStoreConfig, DefaultPolicy, SimHdfs};
+    use vectorh_common::fault::{DirectedFault, FaultAction, FaultSite};
     use vectorh_common::Value;
 
     const BASE: &str = "/wal/global.wal";
@@ -332,16 +400,13 @@ mod tests {
         // Txn 2 stays in doubt: its coordinator never ran phase 2.
         g.log_decision(2, vec![(p1, recs(2))]).unwrap();
         let mark = g.mark();
+        assert!(!g.checkpointed(p0, mark), "p1 still holds payloads");
         assert!(
-            !g.checkpointed(p0, mark).unwrap(),
-            "p1 still holds payloads"
-        );
-        assert!(
-            !g.checkpointed(p1, before_txn_2).unwrap(),
+            !g.checkpointed(p1, before_txn_2),
             "a checkpoint that began before txn 2 does not cover it"
         );
         assert_eq!(g.files(), vec![BASE.to_string()]);
-        assert!(g.checkpointed(p1, mark).unwrap());
+        assert!(g.checkpointed(p1, mark));
         assert_eq!(g.files(), vec![format!("{BASE}.1")]);
         assert_eq!(
             g.read_all().unwrap(),
@@ -350,7 +415,7 @@ mod tests {
                 LogRecord::MasterEpoch { epoch: 2, node: 1 },
                 LogRecord::GlobalCommit {
                     txn: 2,
-                    payload: vec![],
+                    payload: vec![(p1, vec![])],
                 },
             ]
         );
@@ -360,7 +425,46 @@ mod tests {
         g.log_decision(3, vec![]).unwrap();
         assert_eq!(g.files(), vec![format!("{BASE}.1")]);
         // Nothing payload-bearing since the rotation: no rotation either.
-        assert!(!g.checkpointed(p0, g.mark()).unwrap());
+        assert!(!g.checkpointed(p0, g.mark()));
+    }
+
+    #[test]
+    fn a_failed_rotation_keeps_the_live_file_and_the_next_checkpoint_rotates() {
+        let fs = fs();
+        let g = open(&fs);
+        let p0 = PartitionId(0);
+        g.append(&[ddl(), LogRecord::MasterEpoch { epoch: 1, node: 0 }])
+            .unwrap();
+        // What an earlier failed rotation could not delete: not part of the
+        // log, and replaced by the next rotation.
+        Wal::new(fs.clone(), format!("{BASE}.1"), None)
+            .append(&[LogRecord::MasterEpoch { epoch: 9, node: 9 }])
+            .unwrap();
+        assert_eq!(g.files(), vec![BASE.to_string()]);
+        g.log_decision(1, vec![(p0, recs(1))]).unwrap();
+        g.concluded(1);
+        // The process "dies" in the middle of writing generation 1.
+        let fault =
+            DirectedFault::matching(FaultSite::WalAppend, FaultAction::CrashMid, 1, ".wal.1");
+        fs.set_fault_hook(Some(fault.clone()));
+        assert!(!g.checkpointed(p0, g.mark()), "the rotation failed");
+        fs.set_fault_hook(None);
+        assert_eq!(fault.fired(), 1);
+        assert!(!fs.exists(&format!("{BASE}.1")), "its file is deleted");
+        assert_eq!(g.files(), vec![BASE.to_string()]);
+        // The live file is still the one appended to, payload and all.
+        g.append(&[LogRecord::MasterEpoch { epoch: 2, node: 1 }])
+            .unwrap();
+        assert_eq!(g.read_all().unwrap().len(), 4);
+        assert!(g.holds_payload(p0).is_ok_and(|held| !held));
+        g.log_decision(2, vec![(p0, recs(2))]).unwrap();
+        g.concluded(2);
+        assert!(g.checkpointed(p0, g.mark()));
+        assert_eq!(g.files(), vec![format!("{BASE}.1")]);
+        assert_eq!(
+            g.read_all().unwrap(),
+            vec![ddl(), LogRecord::MasterEpoch { epoch: 2, node: 1 }]
+        );
     }
 
     #[test]
@@ -394,20 +498,41 @@ mod tests {
             "appends go to the highest generation"
         );
         // The inherited payload waits for its partition; its decision is
-        // kept, as any decision this process did not see concluded.
-        assert!(!g.checkpointed(PartitionId(5), 0).unwrap());
-        assert!(g.checkpointed(PartitionId(4), 0).unwrap());
+        // kept until the partition it names shows a verdict for it.
+        assert!(!g.checkpointed(PartitionId(5), 0));
+        assert!(g.checkpointed(PartitionId(4), 0));
         assert_eq!(g.files(), vec![format!("{BASE}.2")]);
+        let carried = LogRecord::GlobalCommit {
+            txn: 7,
+            payload: vec![(PartitionId(4), vec![])],
+        };
         assert_eq!(
             g.read_all().unwrap(),
             vec![
                 ddl(),
-                LogRecord::GlobalCommit {
-                    txn: 7,
-                    payload: vec![],
-                },
+                carried.clone(),
                 LogRecord::MasterEpoch { epoch: 3, node: 2 },
             ]
+        );
+        // Reopened again: the carried decision is inherited once more, and
+        // a verdict on a partition it does not name settles nothing.
+        let g = open(&fs);
+        let rotate = |txn| {
+            g.log_decision(txn, vec![(PartitionId(4), recs(txn))])
+                .unwrap();
+            g.concluded(txn);
+            assert!(g.checkpointed(PartitionId(4), g.mark()));
+        };
+        g.settled(PartitionId(5), [7]).unwrap();
+        rotate(8);
+        assert!(g.read_all().unwrap().contains(&carried));
+        // Once its partition holds a verdict, the next rotation drops it.
+        g.settled(PartitionId(4), [7]).unwrap();
+        rotate(9);
+        assert_eq!(g.files(), vec![format!("{BASE}.4")]);
+        assert_eq!(
+            g.read_all().unwrap(),
+            vec![ddl(), LogRecord::MasterEpoch { epoch: 3, node: 2 }]
         );
     }
 }

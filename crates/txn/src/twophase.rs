@@ -260,8 +260,12 @@ impl TwoPhaseCoordinator {
     /// then force them. Returns the transactions restored. A partition log
     /// keeps every record up to its last forced one, and the global WAL
     /// keeps a payload until a later checkpoint of each partition it names,
-    /// so a decided transaction is either in the log or in a payload.
+    /// so a decided transaction is either in the log or in a payload. Reads
+    /// neither log when no checkpoint-uncovered payload names `pid`.
     pub fn restore_lost_tail(&self, pid: PartitionId, wal: &Wal) -> Result<Vec<u64>> {
+        if !self.global_wal.holds_payload(pid)? {
+            return Ok(Vec::new());
+        }
         let decided: Vec<(u64, Vec<LogRecord>)> = self
             .global_wal
             .read_all()?
@@ -269,7 +273,7 @@ impl TwoPhaseCoordinator {
             .filter_map(|r| match r {
                 LogRecord::GlobalCommit { txn, payload } => payload
                     .into_iter()
-                    .find(|(p, _)| *p == pid)
+                    .find(|(p, records)| *p == pid && !records.is_empty())
                     .map(|(_, records)| (txn, records)),
                 _ => None,
             })

@@ -471,18 +471,23 @@ fn the_global_wal_rotates_once_every_payload_is_checkpointed() {
             vec![format!("{BASE}.1")],
             "{medium}: rotated, the old file deleted"
         );
+        let after = global();
+        assert_eq!(after.len(), 2, "{medium}: {after:?}");
         assert_eq!(
-            global(),
-            vec![
-                LogRecord::Ddl {
-                    statement: "CREATE TABLE t".into(),
-                },
-                LogRecord::GlobalCommit {
-                    txn: in_doubt,
-                    payload: vec![],
-                },
-            ],
-            "{medium}: no payload survives, the DDL and the in-doubt decision do"
+            after[0],
+            LogRecord::Ddl {
+                statement: "CREATE TABLE t".into(),
+            },
+            "{medium}: the DDL survives"
+        );
+        assert!(
+            matches!(&after[1], LogRecord::GlobalCommit { txn, payload }
+                if *txn == in_doubt
+                    && !payload.is_empty()
+                    && payload.iter().all(|(_, records)| records.is_empty())),
+            "{medium}: the in-doubt decision survives, naming its partitions \
+             without their records: {:?}",
+            after[1]
         );
         let pending = || -> Vec<(u64, bool)> {
             rt.wals
@@ -499,10 +504,13 @@ fn the_global_wal_rotates_once_every_payload_is_checkpointed() {
         assert_eq!(count(), Value::I64(48), "{medium}");
 
         // The phase-2 verdicts were not forced; the rotated log and the
-        // checkpoints still resolve everything the same way.
+        // checkpoints still resolve everything the same way. The in-doubt
+        // transaction's `Prepare` survived (a checkpoint forced it), its
+        // `Commit` did not: it commits by the carried decision alone.
         vh.fs().simulate_os_crash();
         assert_eq!(recover_table(&vh), 0, "{medium}");
         assert_eq!(count(), Value::I64(48), "{medium}");
+        let mut by_decision = 0;
         for wal in &rt.wals {
             for v in vh.coordinator.recoverable_txns(wal).unwrap() {
                 assert_eq!(
@@ -510,7 +518,44 @@ fn the_global_wal_rotates_once_every_payload_is_checkpointed() {
                     v.txn <= in_doubt,
                     "{medium}: {v:?}"
                 );
+                if v.resolution == TxnResolution::CommittedByDecision {
+                    assert_eq!(v.txn, in_doubt, "{medium}");
+                    by_decision += 1;
+                }
             }
         }
+        assert!(by_decision > 0, "{medium}");
+    }
+}
+
+/// A rotation that fails (here the process "dies" writing the new file)
+/// does not fail the propagation whose checkpoint triggered it: that
+/// checkpoint is durable. The log stays on its live file, and the next
+/// checkpoint rotates it.
+#[test]
+fn a_failed_rotation_does_not_fail_propagation_and_is_retried() {
+    const BASE: &str = "/vectorh/wal/global.wal";
+    for backend in [StorageBackend::Sim, StorageBackend::File(String::new())] {
+        let vh = engine_with_table(backend, 0);
+        let medium = vh.storage_backend();
+        let files = || vh.coordinator.global_wal().files();
+        let count = || vh.query("SELECT count(*) FROM t").unwrap()[0][0].clone();
+        vh.trickle_insert("t", rows(0..40, 1)).unwrap();
+        let fault =
+            DirectedFault::matching(FaultSite::WalAppend, FaultAction::CrashMid, 1, ".wal.1");
+        vh.install_fault_hook(Some(fault.clone()));
+        assert_eq!(vh.propagate_table("t", true).unwrap(), 4, "{medium}");
+        vh.install_fault_hook(None);
+        assert_eq!(fault.fired(), 1, "{medium}");
+        assert_eq!(files(), vec![BASE.to_string()], "{medium}");
+        assert!(!vh.fs().exists(&format!("{BASE}.1")), "{medium}");
+
+        vh.trickle_insert("t", rows(40..80, 1)).unwrap();
+        assert_eq!(vh.propagate_table("t", true).unwrap(), 4, "{medium}");
+        assert_eq!(files(), vec![format!("{BASE}.1")], "{medium}");
+        assert_eq!(count(), Value::I64(80), "{medium}");
+        vh.fs().simulate_os_crash();
+        assert_eq!(recover_table(&vh), 0, "{medium}");
+        assert_eq!(count(), Value::I64(80), "{medium}");
     }
 }
